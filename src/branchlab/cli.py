@@ -13,31 +13,28 @@ import sys
 from typing import Optional
 
 from .colorings import (EVEN_SHAPE, GRADED_SHAPE, Coloring,
-                        bushy_level_strings, extract_nice, extract_twocol,
-                        kappa, ncol, verify_extraction)
+                        bushy_level_strings, extract_nice, kappa, ncol,
+                        verify_extraction)
 from .cupping import bundle, find_pi_member
 from .errors import BudgetError, ProtocolError, ScenarioError
 from .functionals import (FunctionalTable, build_weak_splitting_tree,
                           splitting_violation, weak_splitting_violation)
 from .gen import random_kappa_tree
-from .report import Report, ReportLine, errored, failed, passed
+from .report import Report, ReportLine, _clean, errored, failed, passed
 from .scenario import (Scenario, empty_scenario, parse_scenario,
                        scenario_with_seed)
 from .smc import (OmegaContext, build_tprime, enumerate_pi, omega_level,
-                  oplus_tree, smc_driver_stage, t_of, theta_decode)
+                  oplus_tree, smc_driver_stage, theta_decode)
 from .strings import (is_proper_prefix, nat_to_string, parse_string,
                       show_string, sort_lenlex)
+from .suite import _twocol_outcome, run_suite
 from .thin import (TraceSystem, dnr_trace, hat_level_stages, rescale_trace,
                    selfdelim_decode, selfdelim_encode, thin_violation,
                    trace_from_bounded_splitting, trace_from_thin)
 from .traceable import (declared_counts, extract_trace, frontier, init_state,
                         node_count_bound, run_stage, trace_bound_pair,
                         verify_final_nodes)
-from .trees import successors
-
-
-def _clean(x) -> str:
-    return " ".join(str(x).split())
+from .trees import leaves, successors
 
 
 # -- scenario name resolution ------------------------------------------------
@@ -77,15 +74,10 @@ def _param(flag: Optional[int], sc: Scenario, key: str, default: int) -> int:
 # -- verify ------------------------------------------------------------------
 
 def _twocol_once(n: int, colors: dict[str, int], check_id: str) -> ReportLine:
-    c = Coloring(colors, 2)
-    try:
-        d, sub = extract_twocol(EVEN_SHAPE, n, c)
-    except ValueError as e:
-        return failed(check_id, _clean(e))
-    if verify_extraction(EVEN_SHAPE, lambda k: 2, n, c, d, sub):
+    d, failure = _twocol_outcome(n, colors)
+    if failure is None:
         return passed(check_id, f"d={d}")
-    return failed(check_id, "".join(str(colors[s])
-                                    for s in sorted(colors)))
+    return failed(check_id, failure)
 
 
 def _h_verify_twocol(ns, sc, rng):
@@ -110,14 +102,13 @@ def _h_verify_twocol(ns, sc, rng):
 
 
 def _h_verify_nice(ns, sc, rng):
-    from .trees import leaves as tree_leaves
     t0 = random_kappa_tree(rng, ns.i, ns.n)
     lines = []
     width = len(str(ns.count - 1)) if ns.count > 1 else 1
     for k in range(ns.count):
         check_id = f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}"
         c = Coloring({s: rng.randrange(ncol(ns.i))
-                      for s in tree_leaves(t0)}, ncol(ns.i))
+                      for s in leaves(t0)}, ncol(ns.i))
         try:
             d, t1 = extract_nice(GRADED_SHAPE, ns.i, t0, c)
         except ValueError as e:
@@ -268,14 +259,13 @@ def _h_check_theta(ns, sc, rng):
     succ = {m: frozenset(successors(st.final, m)) for m in st.final}
     tp, theta = build_tprime(ctx, st, succ)
     lines = [passed("theta-consistency", f"axioms={len(theta.axioms)}")]
-    from .trees import leaves as tree_leaves
     for x in sort_lenlex(st.final):
         if x == "":
             continue
         chain = tuple(sorted((p for p in st.final
                               if p != "" and x.startswith(p)), key=len))
         ok = all(theta_decode(theta, leaf) == chain
-                 for leaf in tree_leaves(tp[x]))
+                 for leaf in leaves(tp[x]))
         check_id = f"theta-{show_string(x)}"
         witness = ",".join(show_string(p) for p in chain)
         lines.append(passed(check_id, witness) if ok
@@ -334,7 +324,6 @@ def _h_encode_sd(ns, sc, rng):
 
 
 def _h_suite(ns, sc, rng):
-    from .suite import run_suite
     return list(run_suite(ns.level, sc.seed,
                           sc.params.get("mutate", 0)).lines)
 
@@ -477,8 +466,13 @@ def run_command(cmd, scenario: Scenario) -> Report:
     ns = _parser().parse_args(tokens)
     sc = scenario
     if getattr(ns, "scenario", None):
-        with open(ns.scenario, "rb") as fh:
-            sc = parse_scenario(fh.read())
+        try:
+            with open(ns.scenario, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
+            raise ScenarioError(f"cannot read scenario {ns.scenario!r}: "
+                                f"{e.strerror or e}") from e
+        sc = parse_scenario(data)
     if ns.seed is not None:
         sc = scenario_with_seed(sc, ns.seed)
     rng = random.Random(f"{sc.seed}:{ns.key}")

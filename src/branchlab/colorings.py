@@ -268,13 +268,6 @@ def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
     return d, frozenset(t1)
 
 
-def tree_level_exact(t: Iterable[str]) -> int:
-    n = tree_uniform_level(t)
-    if n is None:
-        raise ShapeError("leaves sit at mixed levels")
-    return n
-
-
 def verify_extraction(shape: BushyShape, f_target: Fanout, n: int,
                       c: Coloring, d: int, sub: Iterable[str]) -> bool:
     """Check an extraction: compatibility, level, and no leaf coloured d."""

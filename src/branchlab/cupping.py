@@ -29,7 +29,7 @@ from .colorings import (Coloring, GRADED_SHAPE, bushy_level_strings,
 from .errors import BudgetError, ProtocolError, ShapeError
 from .functionals import FunctionalTable, hat_eval
 from .strings import check_bits, is_prefix, show_string, sort_lenlex
-from .trees import (leaves, restrict_to_level, successors,
+from .trees import (leaves, level_map, restrict_to_level, successors,
                     tree_uniform_level)
 
 
@@ -302,15 +302,18 @@ def pi_survivors(n: int, adv: AdversaryBundle,
     return tuple(node for node in frontier if stage_filter(node, adv, n))
 
 
+def _walk_root(t: frozenset[str]) -> str:
+    roots = level_map(t).get(0, ())
+    if len(roots) != 1:
+        raise ShapeError("walk needs a single root")
+    return roots[0]
+
+
 def join_code(t: Iterable[str], b: str) -> str:
     """Walk b through a two-branching tree; 0 goes low, 1 goes high."""
     t = frozenset(t)
     check_bits(b)
-    roots = [m for m in t
-             if not any(is_prefix(o, m) for o in t if o != m)]
-    if len(roots) != 1:
-        raise ShapeError("walk needs a single root")
-    cur = roots[0]
+    cur = _walk_root(t)
     for bit in b:
         succ = successors(t, cur)
         if len(succ) != 2:
@@ -322,11 +325,7 @@ def join_code(t: Iterable[str], b: str) -> str:
 def join_decode(t: Iterable[str], sigma: str) -> str:
     """Recover the bit string whose walk through t ends at sigma."""
     t = frozenset(t)
-    roots = [m for m in t
-             if not any(is_prefix(o, m) for o in t if o != m)]
-    if len(roots) != 1:
-        raise ShapeError("walk needs a single root")
-    cur = roots[0]
+    cur = _walk_root(t)
     bits = []
     while cur != sigma:
         succ = successors(t, cur)

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from .errors import ConsistencyError, ShapeError
 from .strings import bits_of_values, check_bits, compatible, is_prefix
-from .trees import level_of, sorted_members, successors
+from .trees import _index, sorted_members
 
 Axiom = tuple[str, int, int, int]  # (sigma, arg, value, steps)
 
@@ -178,12 +178,9 @@ def splitting_violation(f: FunctionalTable, t: Iterable[str],
                 k = 0
                 while k < min(len(a), len(b)) and a[k] == b[k]:
                     k += 1
-                stem = a[:k]
-                if not any(is_prefix(m, a) and len(stem) < len(m) < len(a)
-                           for m in mems):
+                if not any(a[:j] in t for j in range(k + 1, len(a))):
                     continue
-                if not any(is_prefix(m, b) and len(stem) < len(m) < len(b)
-                           for m in mems):
+                if not any(b[:j] in t for j in range(k + 1, len(b))):
                     continue
             if not outputs_split(outs[a], outs[b]):
                 return (a, b)
@@ -342,11 +339,11 @@ def _require_hat_closed(f: FunctionalTable, t: frozenset[str]) -> None:
 def _require_two_branching(t: frozenset[str], what: str) -> None:
     if not t:
         raise ShapeError(f"{what}: empty tree")
-    roots = [m for m in t if level_of(t, m) == 0]
-    if len(roots) != 1:
+    idx = _index(t)
+    if len(idx.levels[0]) != 1:
         raise ShapeError(f"{what}: expected a single root")
     for m in t:
-        s = successors(t, m)
+        s = idx.successors[m]
         if len(s) not in (0, 2):
             raise ShapeError(f"{what}: {m!r} has {len(s)} successors")
 

@@ -41,6 +41,11 @@ class Report:
                          + [ln.render() for ln in self.lines])
 
 
+def _clean(x) -> str:
+    """x as one line: whitespace runs, newlines included, become a space."""
+    return " ".join(str(x).split())
+
+
 def passed(check_id: str, witness: str = "") -> ReportLine:
     return ReportLine("PASS", check_id, witness)
 

@@ -18,14 +18,13 @@ from .colorings import (EVEN_SHAPE, GRADED_SHAPE, Coloring,
 from .cupping import (EMPTY_BUNDLE, bundle, find_pi_member,
                       materialize_pi_star, pi_membership_violation)
 from .errors import ScenarioError
-from .functionals import (FunctionalTable, hat_eval, image_tree,
-                          pullback_tree)
+from .functionals import FunctionalTable, image_tree, pullback_tree
 from .gen import (odd_readback_psi, random_functional_table,
                   random_kappa_tree, random_pi_staging,
                   random_readback_splitting_subtree,
                   random_selection_scenario, random_weak_staged_tree,
                   spined_weak_tree, staged_context)
-from .report import Report, ReportLine, errored, failed, passed
+from .report import Report, ReportLine, _clean, errored, failed, passed
 from .smc import (build_tprime, enumerate_pi, omega_level, oplus_tree,
                   select_extensions, smc_driver_stage, t_of, theta_decode)
 from .strings import compatible, show_string, sort_lenlex, string_to_nat
@@ -36,11 +35,7 @@ from .thin import (TraceSystem, encode_tuple, hat_level_stages, is_thin,
 from .traceable import (declared_counts, extract_trace, frontier, init_state,
                         node_count_bound, run_stage, trace_bound_pair,
                         verify_final_nodes)
-from .trees import branching_stats, leaves, level_map, level_of, successors
-
-
-def _clean(x) -> str:
-    return " ".join(str(x).split())
+from .trees import leaves, level_map, level_of, successors
 
 
 def _tally(check_id: str, total: int, first_bad) -> ReportLine:
@@ -51,36 +46,45 @@ def _tally(check_id: str, total: int, first_bad) -> ReportLine:
 
 # -- colourings ---------------------------------------------------------------
 
-def _twocol_bad(n: int, colors: dict[str, int]):
+def _twocol_outcome(n: int, colors: dict[str, int]):
+    """(d, failure) for one extraction from a two-colouring of level n.
+
+    failure is None when the extraction verifies.  If extraction raises,
+    d is None and failure is the error; if the extracted tree fails to
+    verify, failure is the colouring as bits in sorted-leaf order.
+    """
     c = Coloring(colors, 2)
     try:
         d, sub = extract_twocol(EVEN_SHAPE, n, c)
     except ValueError as e:
-        return _clean(e)
+        return None, _clean(e)
     if verify_extraction(EVEN_SHAPE, lambda k: 2, n, c, d, sub):
-        return None
-    return "colouring " + "".join(str(colors[s]) for s in sorted(colors))
+        return d, None
+    return d, "".join(str(colors[s]) for s in sorted(colors))
+
+
+def _twocol_tally(check_id: str, n: int, colourings, total: int):
+    for colors in colourings:
+        d, bad = _twocol_outcome(n, colors)
+        if bad is not None:
+            return [failed(check_id, bad if d is None else "colouring " + bad)]
+    return [passed(check_id, f"{total}/{total}")]
 
 
 def _chk_twocol_exhaustive(rng, n):
     lvs = bushy_level_strings(EVEN_SHAPE, n)
     total = 1 << len(lvs)
-    bad = None
-    for idx in range(total):
-        bad = _twocol_bad(n, {s: (idx >> k) & 1 for k, s in enumerate(lvs)})
-        if bad is not None:
-            break
-    return [_tally(f"twocol-exh-n{n}", total, bad)]
+    return _twocol_tally(
+        f"twocol-exh-n{n}", n,
+        ({s: (idx >> k) & 1 for k, s in enumerate(lvs)}
+         for idx in range(total)), total)
 
 
 def _chk_twocol_random(rng, n, count):
     lvs = bushy_level_strings(EVEN_SHAPE, n)
-    bad = None
-    for _ in range(count):
-        bad = _twocol_bad(n, {s: rng.getrandbits(1) for s in lvs})
-        if bad is not None:
-            break
-    return [_tally(f"twocol-rand-n{n}", count, bad)]
+    return _twocol_tally(
+        f"twocol-rand-n{n}", n,
+        ({s: rng.getrandbits(1) for s in lvs} for _ in range(count)), count)
 
 
 def _chk_twocol_mutant(rng):

@@ -26,9 +26,9 @@ from typing import Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
-from .functionals import EMPTY_TABLE, FunctionalTable, applicable
+from .functionals import EMPTY_TABLE, FunctionalTable, effective_axiom
 from .strings import bits_of_values, compatible, is_prefix, lenlex_key
-from .trees import sort_lenlex
+from .trees import sort_lenlex, successors
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,6 @@ def is_terminal(st: ConstructionState, s: str) -> bool:
     return any(s.startswith(m) for m in st.terminal)
 
 
-def successor_nodes(st: ConstructionState, tau: str) -> tuple[str, ...]:
-    """Minimal node strings properly extending tau."""
-    above = [x for x in st.nodes if x != tau and x.startswith(tau)]
-    return sort_lenlex([x for x in above
-                        if not any(x != o and x.startswith(o)
-                                   for o in above)])
-
-
 def frontier(st: ConstructionState, length: Optional[int] = None) -> tuple[str, ...]:
     """Non-terminal strings of the given length (default: the stage)."""
     n = st.stage if length is None else length
@@ -129,26 +121,15 @@ def _adversary_table(adv: AdversaryBundle, i: int) -> FunctionalTable:
     return adv.psi_i[i] if i < len(adv.psi_i) else EMPTY_TABLE
 
 
-def bounded_value(f: FunctionalTable, tau: str, n: int,
-                  steps: int) -> Optional[int]:
-    """Value of the quickest applicable axiom within the step budget."""
-    axs = [ax for ax in applicable(f, tau, n) if ax[3] <= steps]
-    if not axs:
-        return None
-    return min(axs, key=lambda ax: (ax[3], len(ax[0]), ax[0]))[2]
-
-
 def oracle_output_bits(f: FunctionalTable, steps: int) -> str:
     """Argwise output at the empty oracle, truncated at the first
     missing or non-bit value."""
     vals = []
-    k = 0
     while True:
-        v = bounded_value(f, "", k, steps)
-        if v is None:
+        ax = effective_axiom(f, "", len(vals))
+        if ax is None or ax[3] > steps:
             break
-        vals.append(v)
-        k += 1
+        vals.append(ax[2])
     return bits_of_values(vals)
 
 
@@ -193,19 +174,17 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
     for cand in sort_lenlex(x for x in st.pi if x.startswith(tau)):
         if len(cand) >= s or is_terminal(st, cand):
             continue
-        axs = [ax for ax in applicable(table, cand, mid.n) if ax[3] <= s]
-        if not axs:
+        ax = effective_axiom(table, cand, mid.n)
+        if ax is None or ax[3] > s:
             continue
         ext = [cand + "".join(b) for b in product("01", repeat=s - len(cand))]
         live = [e for e in ext if not is_terminal(st, e)]
         if len(live) >= 2:
-            found = (cand, sort_lenlex(live)[:2])
+            found = (sort_lenlex(live)[:2], ax[2])
             break
     if found is None:
         return None
-    cand, (t0, t1) = found
-    value = bounded_value(table, cand, mid.n, s)
-    assert value is not None  # the search required a qualifying axiom
+    (t0, t1), value = found
 
     nodes = {x: nf for x, nf in st.nodes.items()
              if not (x != tau and x.startswith(tau))}
@@ -244,7 +223,7 @@ def act_p_module(st: ConstructionState, tau: str, mid: ModuleId,
     s = st.stage
     if s + 1 < info.declared_stage + 2:
         return None
-    succ = successor_nodes(st, tau)
+    succ = successors(frozenset(st.nodes), tau)
     if len(succ) != 2:
         return None
     out = oracle_output_bits(_adversary_table(adv, mid.i), s)
@@ -358,10 +337,11 @@ def final_node_violation(st: ConstructionState,
     convergences pending.
     """
     horizon = st.stage
+    nodes = frozenset(st.nodes)
     for tau, info in sorted(st.nodes.items(), key=lambda kv: lenlex_key(kv[0])):
         if len(tau) >= horizon or is_terminal(st, tau):
             continue
-        succ = successor_nodes(st, tau)
+        succ = successors(nodes, tau)
         if not succ:
             return f"node {tau!r} has no surviving successor node"
         out = oracle_output_bits(_adversary_table(adv, info.level), horizon)

@@ -22,16 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import MemberError, ShapeError
-from .strings import check_bits, is_proper_prefix, lenlex_key, sort_lenlex
-
-FiniteTree = frozenset
-
-
-def as_tree(members: Iterable[str]) -> frozenset[str]:
-    t = frozenset(members)
-    for m in t:
-        check_bits(m)
-    return t
+from .strings import check_bits, sort_lenlex
 
 
 class _TreeIndex(NamedTuple):
@@ -88,15 +79,6 @@ def level_of(t: Iterable[str], tau: str) -> int:
 def successors(t: Iterable[str], tau: str) -> tuple[str, ...]:
     """Minimal proper extensions of tau inside t, length-lex sorted."""
     return _member_index(t, tau).successors[tau]
-
-
-def leaves_and_successors(t: Iterable[str], tau: str) -> tuple[bool, tuple[str, ...]]:
-    succ = successors(t, tau)
-    return (len(succ) == 0, succ)
-
-
-def is_leaf(t: Iterable[str], tau: str) -> bool:
-    return leaves_and_successors(t, tau)[0]
 
 
 def leaves(t: Iterable[str]) -> tuple[str, ...]:
@@ -159,21 +141,16 @@ def branching_stats(t: Iterable[str]) -> tuple[int, bool, int]:
     largest n such that every member of level < n has exactly two
     successors.
     """
-    t = frozenset(t)
-    if not t:
+    idx = _index(frozenset(t))
+    if not idx.levels:
         raise ShapeError("empty tree")
-    succ = {m: successors(t, m) for m in t}
-    levels = {m: level_of(t, m) for m in t}
-    max_succ = max(len(s) for s in succ.values())
-    perfect = all(len(s) >= 2 for m, s in succ.items() if len(s) > 0)
-    top = max(levels.values())
+    counts = [len(ks) for ks in idx.successors.values()]
     two_below = 0
-    for n in range(1, top + 2):
-        if all(len(succ[m]) == 2 for m in t if levels[m] == n - 1):
-            two_below = n
-        else:
+    for ms in idx.levels:
+        if any(len(idx.successors[m]) != 2 for m in ms):
             break
-    return (max_succ, perfect, two_below)
+        two_below += 1
+    return (max(counts), 1 not in counts, two_below)
 
 
 @dataclass(frozen=True)
@@ -220,7 +197,7 @@ def staged_ce_violation(st: StagedTree, weak: bool = False) -> Optional[str]:
             return f"stage {s} added {len(new)} strings"
         for tau in sort_lenlex(new):
             if weak:
-                if any(is_proper_prefix(tau, m) for m in cur):
+                if successors(cur, tau):
                     return f"stage {s}: {tau!r} is not a leaf of its snapshot"
             else:
                 prev_leaves = leaves(prev) if prev else ()

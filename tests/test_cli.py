@@ -1,8 +1,10 @@
 """Command dispatch: worked examples, error surfacing, determinism."""
 
+import hashlib
+
 import pytest
 
-from branchlab import cli
+from branchlab import cli, suite
 from branchlab.errors import ScenarioError
 from branchlab.scenario import empty_scenario, parse_scenario
 
@@ -138,6 +140,47 @@ def test_main_exit_codes_and_output(tmp_path, capsys):
 
     assert cli.main(["no-such-command"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_twocol_fail_lines_of_verify_and_suite(monkeypatch):
+    # both commands share one extraction check but word failures apart
+    monkeypatch.setattr(suite, "verify_extraction", lambda *a: False)
+    rep = cli.run_command("verify twocol --n 0 --exhaustive", empty_scenario())
+    assert [ln.render() for ln in rep.lines] == [
+        "FAIL\ttwocol-exh-0\t0", "FAIL\ttwocol-exh-1\t1"]
+    assert [ln.render() for ln in suite._chk_twocol_exhaustive(None, 0)] \
+        == ["FAIL\ttwocol-exh-n0\tcolouring 0"]
+
+    def broken(*args):
+        raise ValueError("bad\n  shape")
+
+    monkeypatch.setattr(suite, "extract_twocol", broken)
+    rep = cli.run_command("verify twocol --n 0 --exhaustive", empty_scenario())
+    assert [ln.render() for ln in rep.lines] == [
+        "FAIL\ttwocol-exh-0\tbad shape", "FAIL\ttwocol-exh-1\tbad shape"]
+    assert [ln.render() for ln in suite._chk_twocol_exhaustive(None, 0)] \
+        == ["FAIL\ttwocol-exh-n0\tbad shape"]
+
+
+def test_missing_scenario_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.scn"
+    with pytest.raises(ScenarioError, match="cannot read scenario"):
+        cli.run_command(["verify", "kappa", "--scenario", str(missing)],
+                        empty_scenario())
+    assert cli.main(["verify", "kappa", "--scenario", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read scenario")
+    assert cli.main(["verify", "kappa", "--scenario", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_suite_fast_report_bytes_are_pinned(capsys):
+    # every refactor must leave the report byte-identical
+    assert cli.main(["suite", "fast"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("636cc231a8407c4e1484df40cf397f27"
+                      "13b078ee808d53db00f34651be236440")
 
 
 def test_traceable_and_smc_runs(sc):

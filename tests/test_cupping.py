@@ -16,7 +16,7 @@ from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                pi_survivors, realize, stage_filter)
 from branchlab.errors import BudgetError, ConsistencyError, ShapeError
 from branchlab.functionals import table
-from branchlab.strings import lenlex_key
+from branchlab.strings import is_prefix, lenlex_key
 from branchlab.trees import restrict_to_level
 
 
@@ -255,4 +255,30 @@ def test_join_roundtrip(b, rng):
         t.update(nxt)
         frontier = nxt
     leaf = join_code(t, b)
+    assert join_decode(t, leaf) == b
+
+
+def _naive_walk_roots(t):
+    # the whole-set root scan that level_map's level 0 replaced
+    return [m for m in t if not any(is_prefix(o, m) for o in t if o != m)]
+
+
+@given(st.lists(st.text(alphabet="01", max_size=5), max_size=12),
+       st.booleans(), st.text(alphabet="01", max_size=3))
+def test_join_root_matches_naive_scan(ss, with_root, b):
+    # arbitrary sets: none, one or several roots
+    t = frozenset(ss + [""] if with_root else ss)
+    roots = _naive_walk_roots(t)
+    if len(roots) != 1:
+        with pytest.raises(ShapeError, match="single root"):
+            join_code(t, b)
+        with pytest.raises(ShapeError, match="single root"):
+            join_decode(t, b)
+        return
+    assert join_code(t, "") == roots[0]
+    assert join_decode(t, roots[0]) == ""
+    try:
+        leaf = join_code(t, b)
+    except ShapeError:
+        return
     assert join_decode(t, leaf) == b

@@ -2,13 +2,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchlab.errors import ConsistencyError, ShapeError
-from branchlab.functionals import (FunctionalTable, build_weak_splitting_tree,
+from branchlab.functionals import (FunctionalTable, _require_two_branching,
+                                   build_weak_splitting_tree,
                                    check_weak_splitting,
                                    decode_initial_segment, eval_at, hat_eval,
                                    image_tree, is_splitting_pair,
                                    is_splitting_tree, min_steps,
-                                   output_prefix, pullback_tree,
-                                   splitting_violation, table)
+                                   output_prefix, outputs_split,
+                                   pullback_tree, splitting_violation, table)
+from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
+                               sort_lenlex)
 
 
 def test_eval_picks_applicable_axiom():
@@ -154,6 +157,91 @@ def test_splitting_tree_delayed():
     t = ["", "0", "1", "00", "01", "10", "11"]
     assert splitting_violation(f, t) == ("0", "1")
     assert is_splitting_tree(f, t, delayed=True)
+
+
+# The whole-set scans that the prefix lookups and the tree index
+# replaced, kept as oracles.
+
+def _naive_delayed_violation(f, t, hat):
+    t = frozenset(t)
+    mems = sort_lenlex(t)
+    outs = {m: output_prefix(f, m, hat=hat) for m in mems}
+    for i, a in enumerate(mems):
+        for b in mems[i + 1:]:
+            if compatible(a, b):
+                continue
+            k = 0
+            while k < min(len(a), len(b)) and a[k] == b[k]:
+                k += 1
+            stem = a[:k]
+            if not any(is_prefix(m, a) and len(stem) < len(m) < len(a)
+                       for m in mems):
+                continue
+            if not any(is_prefix(m, b) and len(stem) < len(m) < len(b)
+                       for m in mems):
+                continue
+            if not outputs_split(outs[a], outs[b]):
+                return (a, b)
+    return None
+
+
+def _naive_require_two_branching(t, what):
+    if not t:
+        raise ShapeError(f"{what}: empty tree")
+    roots = [m for m in t if not any(is_proper_prefix(o, m) for o in t)]
+    if len(roots) != 1:
+        raise ShapeError(f"{what}: expected a single root")
+    for m in t:
+        above = [o for o in t if is_proper_prefix(m, o)]
+        s = [o for o in above
+             if not any(is_proper_prefix(p, o) for p in above)]
+        if len(s) not in (0, 2):
+            raise ShapeError(f"{what}: {m!r} has {len(s)} successors")
+
+
+def _shape_error(fn, *args):
+    try:
+        fn(*args)
+    except ShapeError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def branching_sets(draw):
+    # grown two-branching trees (root optional), sometimes spoiled by a
+    # stray string, or plain arbitrary sets with any number of roots
+    if draw(st.booleans()):
+        return frozenset(draw(st.lists(st.text(alphabet="01", max_size=5),
+                                       max_size=12)))
+    members = {draw(st.text(alphabet="01", max_size=2))}
+    for _ in range(draw(st.integers(0, 4))):
+        base = max(members, key=len) if draw(st.booleans()) else \
+            draw(st.sampled_from(sorted(members)))
+        if any(is_proper_prefix(base, m) for m in members):
+            continue
+        for bit in "01":
+            members.add(base + bit + draw(st.text(alphabet="01",
+                                                   max_size=2)))
+    if draw(st.booleans()):
+        members.add(draw(st.text(alphabet="01", max_size=5)))
+    return frozenset(members)
+
+
+@given(axioms_strategy, st.lists(st.text(alphabet="01", max_size=5),
+                                 max_size=12), st.booleans())
+@settings(max_examples=200)
+def test_delayed_splitting_matches_naive_scan(axioms, ss, hat):
+    f = table(_repair(axioms))
+    assert splitting_violation(f, ss, delayed=True, hat=hat) == \
+        _naive_delayed_violation(f, ss, hat)
+
+
+@given(branching_sets())
+@settings(max_examples=200)
+def test_require_two_branching_matches_naive_scan(t):
+    assert _shape_error(_require_two_branching, t, "tree") == \
+        _shape_error(_naive_require_two_branching, t, "tree")
 
 
 # --- weak splitting witnesses -------------------------------------------

@@ -5,15 +5,18 @@ import pytest
 
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.errors import ConsistencyError, ProtocolError
-from branchlab.functionals import table
+from branchlab.functionals import applicable, effective_axiom, table
+from branchlab.gen import random_functional_table
+from branchlab.strings import bits_of_values
 from branchlab.traceable import (ConstructionState, ModuleId, act_c_module,
-                                 act_p_module, bounded_value, c_module,
-                                 declared_counts, extract_trace,
-                                 final_node_violation, frontier, init_state,
-                                 is_terminal, module_set, node_count_bound,
+                                 act_p_module, c_module, declared_counts,
+                                 extract_trace, final_node_violation,
+                                 frontier, init_state, is_terminal,
+                                 module_set, node_count_bound,
                                  oracle_output_bits, p_module, run_stage,
-                                 run_to_horizon, successor_nodes,
-                                 trace_bound_pair, verify_final_nodes)
+                                 run_to_horizon, trace_bound_pair,
+                                 verify_final_nodes)
+from branchlab.trees import sort_lenlex, successors
 
 
 def test_init_state():
@@ -87,7 +90,7 @@ def test_oracle_output_bits():
     f = table([("", 0, 0, 1), ("", 1, 0, 1), ("", 2, 1, 2), ("", 3, 5, 1)])
     assert oracle_output_bits(f, 1) == "00"   # the 2-step axiom is gated
     assert oracle_output_bits(f, 2) == "001"  # then the non-bit truncates
-    assert bounded_value(f, "", 2, 1) is None
+    assert effective_axiom(f, "", 2)[3] > 1  # no value within one step
 
 
 def test_p_module_prunes_followed_side():
@@ -235,8 +238,80 @@ def test_verify_final_nodes_empty_adversary():
 
 def test_successor_nodes_shape():
     st = run_to_horizon(EMPTY_BUNDLE, 3)
-    assert successor_nodes(st, "") == ("0", "1")
-    assert successor_nodes(st, "0") == ("00", "01")
+    assert successors(frozenset(st.nodes), "") == ("0", "1")
+    assert successors(frozenset(st.nodes), "0") == ("00", "01")
+
+
+def test_p_module_follows_node_successors_not_string_children():
+    # C(0, 0) acts at stage 2 and makes "00" and "01" the root's
+    # successor nodes; the output "01" then follows the node "01"
+    adv = bundle([table([("", 0, 0, 2), ("", 1, 1, 2)])])
+    st = run_to_horizon(adv, 3)
+    assert successors(frozenset(st.nodes), "") == ("00", "01")
+    st = run_stage(st, adv)
+    assert ("", p_module(0), 1) in st.acted
+    assert is_terminal(st, "01") and not is_terminal(st, "00")
+    assert verify_final_nodes(st, adv)
+
+
+# The per-state scans that trees.successors and effective_axiom
+# replaced, kept as oracles.
+
+def _naive_successor_nodes(st, tau):
+    above = [x for x in st.nodes if x != tau and x.startswith(tau)]
+    return sort_lenlex([x for x in above
+                        if not any(x != o and x.startswith(o)
+                                   for o in above)])
+
+
+def _naive_bounded_value(f, tau, n, steps):
+    axs = [ax for ax in applicable(f, tau, n) if ax[3] <= steps]
+    if not axs:
+        return None
+    return min(axs, key=lambda ax: (ax[3], len(ax[0]), ax[0]))[2]
+
+
+def _naive_oracle_output_bits(f, steps):
+    vals = []
+    while (v := _naive_bounded_value(f, "", len(vals), steps)) is not None:
+        vals.append(v)
+    return bits_of_values(vals)
+
+
+def _seeded_bundles():
+    # random tables, and tables with a bit output at the empty oracle
+    # so that P modules act as well as C modules
+    rng = random.Random(11)
+    yield EMPTY_BUNDLE
+    for k in range(12):
+        yield bundle(
+            table([("", n, rng.getrandbits(1), rng.randint(1, 3))
+                   for n in range(6)]) if k % 2 else
+            random_functional_table(rng, axioms=rng.choice((5, 12)),
+                                    max_value=rng.choice((1, 9)))
+            for _ in range(rng.randint(1, 3)))
+
+
+def test_node_successors_and_bounded_values_match_naive_scans():
+    strings = [""] + [format(k, f"0{n}b")
+                      for n in range(1, 5) for k in range(1 << n)]
+    for adv in _seeded_bundles():
+        st = init_state()
+        while st.stage < 6:
+            st = run_stage(st, adv)
+            nodes = frozenset(st.nodes)
+            for tau in st.nodes:
+                assert successors(nodes, tau) == \
+                    _naive_successor_nodes(st, tau)
+        for f in adv.psi_i:
+            for steps in range(5):
+                assert oracle_output_bits(f, steps) == \
+                    _naive_oracle_output_bits(f, steps)
+                for tau in strings:
+                    for n in range(f.max_arg + 2):
+                        ax = effective_axiom(f, tau, n)
+                        got = ax[2] if ax and ax[3] <= steps else None
+                        assert got == _naive_bounded_value(f, tau, n, steps)
 
 
 def test_verify_random_quiescent():

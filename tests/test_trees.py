@@ -6,9 +6,9 @@ from branchlab.strings import (bits_of_values, is_proper_prefix,
                                nat_to_string, parse_string, show_string,
                                sort_lenlex, string_to_nat)
 from branchlab.trees import (StagedTree, branching_stats, downward_closure,
-                             is_prefix_free, leaves, leaves_and_successors,
-                             level_map, level_of, max_level,
-                             merge_to_two_stages, restrict_to_level,
+                             is_prefix_free, leaves, level_map, level_of,
+                             max_level, merge_to_two_stages,
+                             restrict_to_level, staged_ce_violation,
                              successors, tree_uniform_level,
                              validate_staged_ce_tree)
 
@@ -31,13 +31,6 @@ def test_level_counts_only_members():
 def test_level_of_nonmember():
     with pytest.raises(MemberError):
         level_of(FULL2, "000")
-
-
-def test_leaves_and_successors():
-    is_lf, succ = leaves_and_successors(FULL2, "0")
-    assert not is_lf and succ == ("00", "01")
-    is_lf, succ = leaves_and_successors(FULL2, "11")
-    assert is_lf and succ == ()
 
 
 def test_successors_skip_gaps():
@@ -164,6 +157,46 @@ def test_branching_stats_lopsided():
     assert max_succ == 2 and not perfect and below == 1
 
 
+def _naive_branching_stats(t):
+    # per-member dicts of successors and levels, as before the index
+    t = frozenset(t)
+    if not t:
+        raise ShapeError("empty tree")
+    succ = {m: _naive_successors(t, m) for m in t}
+    levels = {m: _naive_level_of(t, m) for m in t}
+    max_succ = max(len(s) for s in succ.values())
+    perfect = all(len(s) >= 2 for m, s in succ.items() if len(s) > 0)
+    top = max(levels.values())
+    two_below = 0
+    for n in range(1, top + 2):
+        if all(len(succ[m]) == 2 for m in t if levels[m] == n - 1):
+            two_below = n
+        else:
+            break
+    return (max_succ, perfect, two_below)
+
+
+@given(st.lists(bitstrings, max_size=16), st.booleans())
+def test_branching_stats_matches_naive(ss, with_root):
+    # arbitrary sets, so several roots and gaps are common
+    t = frozenset(ss + [""] if with_root else ss)
+    if not t:
+        with pytest.raises(ShapeError, match="empty tree"):
+            branching_stats(t)
+        return
+    assert branching_stats(t) == _naive_branching_stats(t)
+
+
+@pytest.mark.parametrize("t, want", [
+    (["0", "1"], (0, True, 0)),
+    (["0", "00", "01", "1", "10", "11"], (2, True, 1)),
+    (["0", "00", "01", "1", "10"], (2, False, 0)),
+    (["", "0", "1", "000", "001", "01"], (3, True, 1)),
+])
+def test_branching_stats_several_roots_and_gaps(t, want):
+    assert branching_stats(t) == want == _naive_branching_stats(t)
+
+
 def test_tree_uniform_level():
     assert tree_uniform_level(FULL2) == 2
     assert tree_uniform_level(frozenset(["", "0", "1", "00"])) is None
@@ -211,6 +244,54 @@ def weak_stagings(draw):
         cur.add(ext)
         stages.append(frozenset(cur))
     return StagedTree(tuple(stages))
+
+
+def _naive_weak_violation(stages):
+    # weak-mode staged_ce_violation with the whole-snapshot leaf scan
+    if not stages:
+        return "no stages"
+    if stages[0] != frozenset({""}):
+        return "stage 0 must be exactly the empty string"
+    for s in range(1, len(stages)):
+        prev, cur = stages[s - 1], stages[s]
+        if not prev <= cur:
+            return f"stage {s} dropped {sort_lenlex(prev - cur)[0]!r}"
+        new = cur - prev
+        if len(new) > 1:
+            return f"stage {s} added {len(new)} strings"
+        for tau in new:
+            if any(is_proper_prefix(tau, m) for m in cur):
+                return f"stage {s}: {tau!r} is not a leaf of its snapshot"
+    return None
+
+
+@st.composite
+def cumulative_stagings(draw):
+    # stage 0 is the root or an arbitrary set; each later stage adds one
+    # arbitrary string or a prefix of a member, and now and then adds
+    # two or drops one
+    cur = {""} if draw(st.integers(0, 3)) else set(
+        draw(st.lists(bitstrings, max_size=3)))
+    stages = [frozenset(cur)]
+    for _ in range(draw(st.integers(0, 8))):
+        move = draw(st.sampled_from(["add"] * 6 + ["prefix"] * 4
+                                    + ["two", "drop"]))
+        if move == "drop" and cur:
+            cur.discard(draw(st.sampled_from(sorted(cur))))
+        elif move == "prefix" and cur:
+            m = draw(st.sampled_from(sorted(cur)))
+            cur.add(m[:draw(st.integers(0, len(m)))])
+        else:
+            for _ in range(2 if move == "two" else 1):
+                cur.add(draw(bitstrings))
+        stages.append(frozenset(cur))
+    return StagedTree(tuple(stages))
+
+
+@given(cumulative_stagings())
+def test_weak_violation_matches_naive_leaf_scan(staging):
+    assert staged_ce_violation(staging, weak=True) == \
+        _naive_weak_violation(staging.stages)
 
 
 @given(weak_stagings())
