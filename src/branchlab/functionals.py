@@ -16,6 +16,7 @@ closed in the argument, which the property tests pin down.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -55,10 +56,23 @@ class FunctionalTable:
                         raise ConsistencyError(
                             f"axioms {a} and {b} clash", first=a, second=b)
         object.__setattr__(self, "axioms", axs)
+        # the argument column, for _at_arg; not a field, so eq, hash and
+        # repr ignore it
+        object.__setattr__(self, "_args", tuple(ax[1] for ax in axs))
 
     @property
     def max_arg(self) -> int:
-        return max((ax[1] for ax in self.axioms), default=-1)
+        return self._args[-1] if self._args else -1
+
+
+def _at_arg(f: FunctionalTable, n: int) -> tuple[Axiom, ...]:
+    """The axioms at argument n, in table order.
+
+    Table order sorts by argument first, so they are one slice of the
+    table, found by bisecting the argument column.
+    """
+    lo = bisect_left(f._args, n)
+    return f.axioms[lo:bisect_right(f._args, n, lo)]
 
 
 EMPTY_TABLE = FunctionalTable(())
@@ -69,14 +83,13 @@ def table(axioms: Iterable[Axiom]) -> FunctionalTable:
 
 
 def applicable(f: FunctionalTable, tau: str, n: int) -> tuple[Axiom, ...]:
-    return tuple(ax for ax in f.axioms
-                 if ax[1] == n and is_prefix(ax[0], tau))
+    return tuple(ax for ax in _at_arg(f, n) if tau.startswith(ax[0]))
 
 
 def eval_at(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
     """Converged value at (tau, n), or None."""
-    for ax in f.axioms:
-        if ax[1] == n and is_prefix(ax[0], tau):
+    for ax in _at_arg(f, n):
+        if tau.startswith(ax[0]):
             return ax[2]
     return None
 
@@ -342,8 +355,7 @@ def _require_two_branching(t: frozenset[str], what: str) -> None:
     idx = _index(t)
     if len(idx.levels[0]) != 1:
         raise ShapeError(f"{what}: expected a single root")
-    for m in t:
-        s = idx.successors[m]
+    for m, s in idx.successors.items():  # length-lex order
         if len(s) not in (0, 2):
             raise ShapeError(f"{what}: {m!r} has {len(s)} successors")
 

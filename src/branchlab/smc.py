@@ -186,6 +186,12 @@ def _state_dump(settled, pools, m):
             f"pools={ {i: sorted(p) for i, p in sorted(pools.items())} }")
 
 
+def _level_members(t: frozenset[str], level: int,
+                   bases: tuple[str, ...]) -> tuple[str, ...]:
+    """Level-`level` members of t extending one of bases, length-lex."""
+    return tuple(x for x in level_map(t).get(level, ()) if x.startswith(bases))
+
+
 def select_extensions(ctx: OmegaContext, tau: str,
                       lambda_nodes: Sequence[tuple[str, int]],
                       sigma: str) -> SelectionResult:
@@ -247,9 +253,7 @@ def select_extensions(ctx: OmegaContext, tau: str,
         for i, pool in pools.items():
             grown = []
             for psi in pool:
-                ext = sort_lenlex(x for x in trees[i]
-                                  if level_of(trees[i], x) == level
-                                  and is_prefix(psi, x))
+                ext = _level_members(trees[i], level, (psi,))
                 if len(ext) != 4:
                     raise ShapeError(
                         f"{show_string(psi)} has {len(ext)} level-{level} "
@@ -264,10 +268,7 @@ def select_extensions(ctx: OmegaContext, tau: str,
             raise ShapeError(f"budget r_{m} = {r} exceeds 1: the family is "
                              "too crowded to be thin")
         for i in stars:
-            cands = sort_lenlex(
-                x for x in trees[i]
-                if level_of(trees[i], x) == n_i[i]
-                and any(is_prefix(p, x) for p in pools[i]))
+            cands = _level_members(trees[i], n_i[i], tuple(pools[i]))
             first = next(iter(cands), None)
             second = next((x for x in cands
                            if first is not None

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
 from .functionals import EMPTY_TABLE, FunctionalTable, effective_axiom
 from .strings import bits_of_values, compatible, is_prefix, lenlex_key
-from .trees import sort_lenlex, successors
+from .trees import successors
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,20 @@ def _declare(nodes: dict[str, NodeInfo], log: list, tau: str, level: int,
     log.append((level, tau, gen, stage))
 
 
+def _pi_above(st: ConstructionState, tau: str):
+    """Members of pi extending tau, in length-lex order.
+
+    pi is closed under prefixes (each stage adds every non-terminal
+    string of the next length, and extensions of terminal strings are
+    terminal), so a walk through the children in pi, level by level,
+    meets them all.
+    """
+    level = [tau] if tau in st.pi else []
+    while level:
+        yield from level
+        level = [y for x in level for y in (x + "0", x + "1") if y in st.pi]
+
+
 def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
                  adv: AdversaryBundle) -> Optional[ConstructionState]:
     """Fire a C module if its convergence search succeeds.
@@ -171,16 +185,18 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
     table = _adversary_table(adv, mid.i)
     s = st.stage
     found = None
-    for cand in sort_lenlex(x for x in st.pi if x.startswith(tau)):
-        if len(cand) >= s or is_terminal(st, cand):
+    for cand in _pi_above(st, tau):
+        if len(cand) >= s:
+            break
+        if is_terminal(st, cand):
             continue
         ax = effective_axiom(table, cand, mid.n)
         if ax is None or ax[3] > s:
             continue
-        ext = [cand + "".join(b) for b in product("01", repeat=s - len(cand))]
-        live = [e for e in ext if not is_terminal(st, e)]
-        if len(live) >= 2:
-            found = (sort_lenlex(live)[:2], ax[2])
+        ext = (cand + "".join(b) for b in product("01", repeat=s - len(cand)))
+        live = list(islice((e for e in ext if not is_terminal(st, e)), 2))
+        if len(live) == 2:
+            found = (live, ax[2])
             break
     if found is None:
         return None
@@ -188,9 +204,8 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
 
     nodes = {x: nf for x, nf in st.nodes.items()
              if not (x != tau and x.startswith(tau))}
-    newly_terminal = {p for p in st.pi
-                      if p.startswith(tau)
-                      and not compatible(p, t0) and not compatible(p, t1)}
+    newly_terminal = {p for p in _pi_above(st, tau)
+                      if not compatible(p, t0) and not compatible(p, t1)}
     log: list = []
     gen = st.next_generation
     j = info.level + 1
@@ -338,6 +353,7 @@ def final_node_violation(st: ConstructionState,
     """
     horizon = st.stage
     nodes = frozenset(st.nodes)
+    live = frontier(st, horizon)
     for tau, info in sorted(st.nodes.items(), key=lambda kv: lenlex_key(kv[0])):
         if len(tau) >= horizon or is_terminal(st, tau):
             continue
@@ -348,9 +364,8 @@ def final_node_violation(st: ConstructionState,
         for x in succ:
             if is_prefix(x, out):
                 return f"successor {x!r} of {tau!r} sits inside the output"
-        for leaf in frontier(st, horizon):
-            if leaf.startswith(tau) and not any(
-                    leaf.startswith(x) for x in succ):
+        for leaf in live:
+            if leaf.startswith(tau) and not leaf.startswith(succ):
                 return f"frontier string {leaf!r} misses the successors of {tau!r}"
     return None
 

@@ -1,11 +1,18 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
 from branchlab.functionals import (FunctionalTable, _require_two_branching,
-                                   build_weak_splitting_tree,
+                                   applicable, build_weak_splitting_tree,
                                    check_weak_splitting,
-                                   decode_initial_segment, eval_at, hat_eval,
+                                   decode_initial_segment, effective_axiom,
+                                   eval_at, hat_eval,
                                    image_tree, is_splitting_pair,
                                    is_splitting_tree, min_steps,
                                    output_prefix, outputs_split,
@@ -191,7 +198,7 @@ def _naive_require_two_branching(t, what):
     roots = [m for m in t if not any(is_proper_prefix(o, m) for o in t)]
     if len(roots) != 1:
         raise ShapeError(f"{what}: expected a single root")
-    for m in t:
+    for m in sort_lenlex(t):
         above = [o for o in t if is_proper_prefix(m, o)]
         s = [o for o in above
              if not any(is_proper_prefix(p, o) for p in above)]
@@ -242,6 +249,92 @@ def test_delayed_splitting_matches_naive_scan(axioms, ss, hat):
 def test_require_two_branching_matches_naive_scan(t):
     assert _shape_error(_require_two_branching, t, "tree") == \
         _shape_error(_naive_require_two_branching, t, "tree")
+
+
+def test_require_two_branching_names_the_same_member_under_any_hash_seed():
+    code = ("from branchlab.functionals import _require_two_branching\n"
+            "try:\n"
+            "    _require_two_branching("
+            "frozenset(['', '0', '1', '00', '10']), 'x')\n"
+            "except Exception as e:\n"
+            "    print(e)\n")
+    src = os.path.dirname(os.path.dirname(branchlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout)
+    assert outs == {"x: '0' has 1 successors\n"}
+
+
+# The full-table scans that the per-argument buckets replaced, kept as
+# oracles.
+
+def _naive_applicable(f, tau, n):
+    return tuple(ax for ax in f.axioms
+                 if ax[1] == n and is_prefix(ax[0], tau))
+
+
+def _naive_eval_at(f, tau, n):
+    for ax in f.axioms:
+        if ax[1] == n and is_prefix(ax[0], tau):
+            return ax[2]
+    return None
+
+
+def _naive_max_arg(f):
+    return max((ax[1] for ax in f.axioms), default=-1)
+
+
+def _naive_min_steps(f, tau, n):
+    best = None
+    for ax in _naive_applicable(f, tau, n):
+        if best is None or ax[3] < best:
+            best = ax[3]
+    return best
+
+
+@st.composite
+def big_tables(draw):
+    # 0-200 drawn axioms, seeded, since hypothesis's own lists stay
+    # short; most values follow the argument so that few clash
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    axioms = []
+    for _ in range(draw(st.integers(0, 200))):
+        arg = rng.randint(0, 6)
+        axioms.append(("".join(rng.choice("01")
+                               for _ in range(rng.randint(0, 6))),
+                       arg, arg if rng.random() < 0.8 else rng.randint(0, 3),
+                       rng.randint(1, 4)))
+    return table(_repair(axioms))
+
+
+@given(big_tables(), st.text(alphabet="01", max_size=8), st.integers(0, 9))
+@settings(max_examples=200)
+def test_axiom_lookup_matches_full_table_scan(f, tau, n):
+    # arguments up to 9 include ones with no axioms, and tau may be
+    # shorter than any sigma
+    assert f.max_arg == _naive_max_arg(f)
+    for k in range(n + 1):
+        cands = _naive_applicable(f, tau, k)
+        assert applicable(f, tau, k) == cands
+        assert eval_at(f, tau, k) == _naive_eval_at(f, tau, k)
+        assert min_steps(f, tau, k) == _naive_min_steps(f, tau, k)
+        assert effective_axiom(f, tau, k) == (min(
+            cands, key=lambda ax: (ax[3], len(ax[0]), ax[0]))
+            if cands else None)
+
+
+def test_table_identity_ignores_the_index():
+    axs = [("01", 2, 1, 1), ("", 0, 3, 2), ("1", 0, 3, 1)]
+    f, g = table(axs), table(reversed(axs))
+    assert f == g and hash(f) == hash(g)
+    assert f != table(axs[:2])
+    assert repr(f) == ("FunctionalTable(axioms=(('', 0, 3, 2), "
+                       "('1', 0, 3, 1), ('01', 2, 1, 1)))")
+    assert FunctionalTable(()).max_arg == -1
 
 
 # --- weak splitting witnesses -------------------------------------------

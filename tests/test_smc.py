@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from branchlab import smc
 from branchlab.errors import (BudgetError, MemberError, ProtocolError,
                               ShapeError)
 from branchlab.functionals import FunctionalTable, is_splitting_tree
@@ -17,7 +18,7 @@ from branchlab.smc import (OmegaContext, ThetaAxioms, build_tprime,
                            is_a_oplus_compatible, omega, omega_level,
                            oplus_tree, select_extensions, smc_driver_stage,
                            t_of, theta_decode)
-from branchlab.strings import compatible, sort_lenlex
+from branchlab.strings import compatible, is_prefix, sort_lenlex
 from branchlab.thin import is_thin, kraft_weight
 from branchlab.trees import (StagedTree, branching_stats, leaves, level_of,
                              max_level, successors)
@@ -285,6 +286,34 @@ class TestSelect:
                     assert pick in t_i
                     assert level_of(t_i, pick) == want
                     assert pick.startswith(sigma)
+
+
+# The whole-tree scan that the selection's level lists replaced, kept as
+# an oracle.
+
+def _naive_level_members(t, level, bases):
+    return sort_lenlex(x for x in t
+                       if level_of(t, x) == level
+                       and any(is_prefix(p, x) for p in bases))
+
+
+def test_selection_level_members_match_naive_scan(monkeypatch):
+    real = smc._level_members
+    calls = []
+
+    def checked(t, level, bases):
+        got = real(t, level, bases)
+        # the asked level, and one past the top
+        for lv in (level, max_level(t) + 1):
+            assert real(t, lv, bases) == _naive_level_members(t, lv, bases)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(smc, "_level_members", checked)
+    rng = random.Random(20261018)
+    for _ in range(40):
+        select_extensions(*random_selection_scenario(rng))
+    assert len(calls) > 100 and 0 < min(calls) < max(calls)
 
 
 # -- readback axioms ----------------------------------------------------------

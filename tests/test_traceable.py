@@ -1,15 +1,20 @@
 import math
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
+from branchlab import traceable
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.errors import ConsistencyError, ProtocolError
 from branchlab.functionals import applicable, effective_axiom, table
 from branchlab.gen import random_functional_table
-from branchlab.strings import bits_of_values
-from branchlab.traceable import (ConstructionState, ModuleId, act_c_module,
-                                 act_p_module, c_module, declared_counts,
+from branchlab.strings import bits_of_values, compatible
+from branchlab.traceable import (ConstructionState, ModuleId,
+                                 _adversary_table, _check_allocated, _declare,
+                                 act_c_module, act_p_module, c_module,
+                                 declared_counts,
                                  extract_trace, final_node_violation,
                                  frontier, init_state, is_terminal,
                                  module_set, node_count_bound,
@@ -321,3 +326,139 @@ def test_verify_random_quiescent():
         # run far enough that all axioms (steps < 5) are long settled
         st = run_to_horizon(adv, 7)
         assert verify_final_nodes(st, adv), final_node_violation(st, adv)
+
+
+# The whole-pi scan and full extension lists that act_c_module's walk
+# replaced, kept as an oracle.
+
+def _naive_act_c_module(st, tau, mid, adv):
+    info = _check_allocated(st, tau, mid)
+    if mid.kind != "C":
+        raise ProtocolError("expected a C module")
+    f = _adversary_table(adv, mid.i)
+    s = st.stage
+    found = None
+    for cand in sort_lenlex(x for x in st.pi if x.startswith(tau)):
+        if len(cand) >= s or is_terminal(st, cand):
+            continue
+        ax = effective_axiom(f, cand, mid.n)
+        if ax is None or ax[3] > s:
+            continue
+        ext = [cand + "".join(b) for b in product("01", repeat=s - len(cand))]
+        live = [e for e in ext if not is_terminal(st, e)]
+        if len(live) >= 2:
+            found = (sort_lenlex(live)[:2], ax[2])
+            break
+    if found is None:
+        return None
+    (t0, t1), value = found
+
+    nodes = {x: nf for x, nf in st.nodes.items()
+             if not (x != tau and x.startswith(tau))}
+    newly_terminal = {p for p in st.pi
+                      if p.startswith(tau)
+                      and not compatible(p, t0) and not compatible(p, t1)}
+    log: list = []
+    gen = st.next_generation
+    j = info.level + 1
+    _declare(nodes, log, t0, j, gen, s + 1)
+    _declare(nodes, log, t1, j, gen + 1, s + 1)
+    return replace(
+        st,
+        nodes=nodes,
+        terminal=st.terminal | newly_terminal,
+        tuples=st.tuples | {(mid.i, mid.n, value)},
+        acted=st.acted | {(tau, mid, info.generation)},
+        next_generation=gen + 2,
+        declared_log=st.declared_log + tuple(log),
+        tuple_log=st.tuple_log + ((mid.i, mid.n, value, tau, info.level,
+                                   info.generation),),
+    )
+
+
+def _table_bundles():
+    # slow axioms (up to 6 steps) converge only once deeper candidates
+    # with several live extensions exist
+    rng = random.Random(12)
+    yield EMPTY_BUNDLE
+    for _ in range(12):
+        steps = rng.choice((3, 6))
+        yield bundle(random_functional_table(rng, axioms=rng.randint(2, 30),
+                                             max_steps=steps)
+                     for _ in range(rng.randint(1, 3)))
+
+
+def _c_module_cases(horizon):
+    """Every C module that has not acted, of every node, after each
+    stage up to the horizon, with its state and a bundle: the one the
+    state grew under and the next two, whose axioms the state has not
+    yet answered."""
+    bundles = list(_table_bundles())
+    for k, grow in enumerate(bundles):
+        advs = [bundles[(k + j) % len(bundles)] for j in range(3)]
+        st = init_state()
+        while st.stage < horizon:
+            st = run_stage(st, grow)
+            for tau, info in st.nodes.items():
+                for mid in sorted(info.modules, key=str):
+                    if mid.kind == "C" and \
+                            (tau, mid, info.generation) not in st.acted:
+                        for adv in advs:
+                            yield st, tau, mid, adv
+
+
+def test_c_module_searches_candidates_in_length_lex_order():
+    # nothing has acted at stage 3 under the empty bundle; "1" comes
+    # before "00", and "0" before "1"
+    st = run_to_horizon(EMPTY_BUNDLE, 3)
+    for axioms, picks in ((["00", "1"], ("100", "101")),
+                          (["1", "0"], ("000", "001"))):
+        adv = bundle([table([(sigma, 0, k, 1)
+                             for k, sigma in enumerate(axioms)])])
+        got = act_c_module(st, "", c_module(0, 0), adv)
+        assert got == _naive_act_c_module(st, "", c_module(0, 0), adv)
+        assert tuple(r[1] for r in got.declared_log[-2:]) == picks
+
+
+def test_c_module_walk_matches_naive_scan():
+    acted = 0
+    for st, tau, mid, adv in _c_module_cases(7):
+        got = act_c_module(st, tau, mid, adv)
+        assert got == _naive_act_c_module(st, tau, mid, adv)
+        acted += got is not None
+    assert acted > 50
+
+
+class _CountingSet(frozenset):
+    """A frozenset that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_c_module_never_iterates_pi():
+    acted = 0
+    for st, tau, mid, adv in _c_module_cases(6):
+        counted = replace(st, pi=_CountingSet(st.pi))
+        acted += act_c_module(counted, tau, mid, adv) is not None
+        assert counted.pi.iterations == 0
+    assert acted > 20
+
+
+def test_final_node_check_builds_the_frontier_once(monkeypatch):
+    calls = []
+    real = traceable.frontier
+
+    def counted(st, length=None):
+        calls.append(length)
+        return real(st, length)
+
+    monkeypatch.setattr(traceable, "frontier", counted)
+    for adv in _table_bundles():
+        st = run_to_horizon(adv, 8)
+        calls.clear()
+        final_node_violation(st, adv)
+        assert len(calls) <= 1
