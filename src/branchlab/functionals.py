@@ -113,6 +113,12 @@ def effective_axiom(f: FunctionalTable, tau: str, n: int) -> Optional[Axiom]:
 
 def hat_eval(f: FunctionalTable, tau: str, n: int,
              _memo: Optional[dict] = None) -> Optional[int]:
+    """Guarded value at (tau, n), or None.
+
+    _memo maps (tau, n) to the guarded value.  One memo may be shared
+    across strings and calls, but only under one table: the guard entry
+    is never read back, because the recursion only ever shortens tau.
+    """
     if _memo is None:
         _memo = {}
     key = (tau, n)
@@ -131,14 +137,19 @@ def hat_eval(f: FunctionalTable, tau: str, n: int,
     return val
 
 
-def output_prefix(f: FunctionalTable, tau: str, hat: bool = False) -> tuple[int, ...]:
-    """Values at arguments 0, 1, ... while defined."""
+def output_prefix(f: FunctionalTable, tau: str, hat: bool = False,
+                  _memo: Optional[dict] = None) -> tuple[int, ...]:
+    """Values at arguments 0, 1, ... while defined.
+
+    _memo is passed on to hat_eval, under the same sharing rule.
+    """
     out = []
-    memo: dict = {}
+    if _memo is None:
+        _memo = {}
     n = 0
     limit = f.max_arg + 1
     while n <= limit:
-        v = hat_eval(f, tau, n, memo) if hat else eval_at(f, tau, n)
+        v = hat_eval(f, tau, n, _memo) if hat else eval_at(f, tau, n)
         if v is None:
             break
         out.append(v)
@@ -146,12 +157,20 @@ def output_prefix(f: FunctionalTable, tau: str, hat: bool = False) -> tuple[int,
     return tuple(out)
 
 
+def _outputs(f: FunctionalTable, t: Iterable[str],
+             hat: bool = False) -> dict[str, tuple[int, ...]]:
+    """Each member's output_prefix, through one hat_eval memo."""
+    memo: dict = {}
+    return {m: output_prefix(f, m, hat=hat, _memo=memo) for m in t}
+
+
 def output_bits(f: FunctionalTable, tau: str, hat: bool = False) -> str:
     return bits_of_values(output_prefix(f, tau, hat=hat))
 
 
 def outputs_split(a_out: tuple[int, ...], b_out: tuple[int, ...]) -> bool:
-    return any(x != y for x, y in zip(a_out, b_out))
+    """True iff the outputs differ at some argument both define."""
+    return a_out[:len(b_out)] != b_out[:len(a_out)]
 
 
 def is_splitting_pair(f: FunctionalTable, a: str, b: str,
@@ -179,11 +198,16 @@ def splitting_violation(f: FunctionalTable, t: Iterable[str],
     tree step late.
     """
     t = frozenset(t)
+    return _splitting_violation(t, _outputs(f, t, hat=hat), delayed)
+
+
+def _splitting_violation(t: frozenset[str], outs: dict[str, tuple[int, ...]],
+                         delayed: bool = False) -> Optional[tuple[str, str]]:
+    """splitting_violation over precomputed outputs of t's members."""
     mems = sorted_members(t)
-    outs = {m: output_prefix(f, m, hat=hat) for m in mems}
     for i, a in enumerate(mems):
         for b in mems[i + 1:]:
-            if compatible(a, b):
+            if b.startswith(a):  # a sorts first, so only a can be a prefix
                 continue
             if delayed:
                 # a pair is exempt while either member is a successor of
@@ -342,13 +366,6 @@ def decode_initial_segment(w: WeakSplitWitness, psi: FunctionalTable,
 # image and pullback trees
 
 
-def _require_hat_closed(f: FunctionalTable, t: frozenset[str]) -> None:
-    for m in t:
-        if output_prefix(f, m) != output_prefix(f, m, hat=True):
-            raise ShapeError(
-                f"table is not its own guarded restriction at {m!r}")
-
-
 def _require_two_branching(t: frozenset[str], what: str) -> None:
     if not t:
         raise ShapeError(f"{what}: empty tree")
@@ -360,6 +377,20 @@ def _require_two_branching(t: frozenset[str], what: str) -> None:
             raise ShapeError(f"{what}: {m!r} has {len(s)} successors")
 
 
+def _checked_outputs(f: FunctionalTable, t: frozenset[str],
+                     hat: bool) -> dict[str, tuple[int, ...]]:
+    """The outputs of t's members; plain ones only where the table
+    agrees with its own guarded restriction on t."""
+    outs = _outputs(f, t, hat=hat)
+    if not hat:
+        guarded = _outputs(f, t, hat=True)
+        for m in t:
+            if outs[m] != guarded[m]:
+                raise ShapeError(
+                    f"table is not its own guarded restriction at {m!r}")
+    return outs
+
+
 def image_tree(f: FunctionalTable, t: Iterable[str],
                hat: bool = False) -> frozenset[str]:
     """Outputs of the members of a two-branching splitting tree.
@@ -369,12 +400,16 @@ def image_tree(f: FunctionalTable, t: Iterable[str],
     two-branching again.
     """
     t = frozenset(t)
-    if not hat:
-        _require_hat_closed(f, t)
+    return _image_tree(t, _checked_outputs(f, t, hat))
+
+
+def _image_tree(t: frozenset[str],
+                outs: dict[str, tuple[int, ...]]) -> frozenset[str]:
+    """image_tree over precomputed outputs of t's members."""
     _require_two_branching(t, "image input")
-    if not is_splitting_tree(f, t, hat=hat):
+    if _splitting_violation(t, outs) is not None:
         raise ShapeError("input tree is not a splitting tree")
-    img = frozenset(bits_of_values(output_prefix(f, m, hat=hat)) for m in t)
+    img = frozenset(bits_of_values(outs[m]) for m in t)
     _require_two_branching(img, "image output")
     return img
 
@@ -384,11 +419,16 @@ def pullback_tree(f: FunctionalTable, t0: Iterable[str], t2: Iterable[str],
     """Members of t0 whose outputs land in t2."""
     t0 = frozenset(t0)
     t2 = frozenset(t2)
-    img = image_tree(f, t0, hat=hat)
+    return _pullback_tree(t0, t2, _checked_outputs(f, t0, hat))
+
+
+def _pullback_tree(t0: frozenset[str], t2: frozenset[str],
+                   outs: dict[str, tuple[int, ...]]) -> frozenset[str]:
+    """pullback_tree over precomputed outputs of t0's members."""
+    img = _image_tree(t0, outs)
     if not t2 <= img:
         raise ShapeError("refinement tree is not a subset of the image")
     _require_two_branching(t2, "refinement tree")
-    t3 = frozenset(m for m in t0
-                   if bits_of_values(output_prefix(f, m, hat=hat)) in t2)
+    t3 = frozenset(m for m in t0 if bits_of_values(outs[m]) in t2)
     _require_two_branching(t3, "pullback output")
     return t3

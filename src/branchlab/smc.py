@@ -18,11 +18,12 @@ from itertools import product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, MemberError, ProtocolError, ShapeError
-from .functionals import (FunctionalTable, _require_two_branching, eval_at,
-                          is_splitting_pair, is_splitting_tree, min_steps,
-                          pullback_tree)
-from .strings import (check_bits, compatible, is_prefix, is_proper_prefix,
-                      lenlex_key, show_string, sort_lenlex, string_to_nat)
+from .functionals import (FunctionalTable, _outputs, _pullback_tree,
+                          _require_two_branching, _splitting_violation,
+                          eval_at, min_steps, outputs_split)
+from .strings import (_lex_extensions, check_bits, compatible, is_prefix,
+                      is_proper_prefix, lenlex_key, show_string, sort_lenlex,
+                      string_to_nat)
 from .trees import (StagedTree, branching_stats, is_prefix_free, leaves,
                     level_of, level_map, max_level, successors)
 
@@ -418,8 +419,9 @@ class DriverResult(NamedTuple):
     branch: str
 
 
-def _extensions(t: frozenset[str], tau: str) -> list[str]:
-    return [x for x in t if is_prefix(tau, x)]
+def _splits(outs: dict[str, tuple[int, ...]], a: str, b: str) -> bool:
+    """is_splitting_pair with guarded outputs, read from outs."""
+    return not compatible(a, b) and outputs_split(outs[a], outs[b])
 
 
 def smc_driver_stage(state: tuple[str, Iterable[str]],
@@ -432,25 +434,29 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     (only bases with genuinely two incomparable extensions count as
     witnesses); failing that, grow a two-branching splitting subtree
     greedily, refine it through the supplied readback tree if given,
-    and move to its least leaf.  Guarded outputs are used throughout.
-    Each leaf split spends one unit of budget.
+    and move to its least leaf.  Guarded outputs are used throughout,
+    each computed once per stage.  Each leaf split spends one unit of
+    budget.
     """
     b_s, t_s = state
     t_s = frozenset(t_s)
     _require_two_branching(t_s, "driver tree")
     if b_s not in t_s:
         raise MemberError(f"base {show_string(b_s)} is not on the tree")
+    mems = tuple(sorted(t_s))
+    # every string the stage looks at extends b_s
+    base_exts = _lex_extensions(mems, b_s)
+    outs = _outputs(psi_s, base_exts, hat=True)
 
-    for tau in sort_lenlex(_extensions(t_s, b_s)):
-        above = _extensions(t_s, tau)
-        pairs = [(a, b) for a_i, a in enumerate(above)
-                 for b in above[a_i + 1:] if not compatible(a, b)]
-        if not pairs:
-            continue
-        if not any(is_splitting_pair(psi_s, a, b, hat=True)
-                   for a, b in pairs):
-            ups = sort_lenlex(x for x in t_s if is_proper_prefix(tau, x))
-            return DriverResult(ups[0] if ups else tau, t_s, "no-splittings")
+    for tau in sort_lenlex(base_exts):
+        above = _lex_extensions(mems, tau)
+        # t_s branches in twos, so tau has incompatible extensions
+        # exactly when it has proper ones
+        if len(above) > 1 and not any(
+                _splits(outs, a, b) for a_i, a in enumerate(above)
+                for b in above[a_i + 1:]):
+            return DriverResult(min(above[1:], key=lenlex_key), t_s,
+                                "no-splittings")
 
     ops = 0
     built = {b_s}
@@ -458,16 +464,9 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     while frontier:
         frontier.sort(key=lenlex_key)
         x = frontier.pop(0)
-        exts = sort_lenlex(_extensions(t_s, x))
-        picked = None
-        for a in exts:
-            for b in exts:
-                if (not compatible(a, b)
-                        and is_splitting_pair(psi_s, a, b, hat=True)):
-                    picked = (a, b)
-                    break
-            if picked:
-                break
+        exts = sort_lenlex(_lex_extensions(mems, x))
+        picked = next(((a, b) for a in exts for b in exts
+                       if _splits(outs, a, b)), None)
         if picked is None:
             continue
         ops += 1
@@ -476,11 +475,10 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
         built.update(picked)
         frontier.extend(picked)
     t_built = frozenset(built)
-    if not is_splitting_tree(psi_s, t_built, hat=True):
+    if _splitting_violation(t_built, outs) is not None:
         raise ProtocolError("greedy subtree fails its own splitting check")
     if dagger_subtree is not None:
-        t_next = pullback_tree(psi_s, t_built, frozenset(dagger_subtree),
-                               hat=True)
+        t_next = _pullback_tree(t_built, frozenset(dagger_subtree), outs)
     else:
         t_next = t_built
     b_next = min(leaves(t_next), key=lenlex_key)

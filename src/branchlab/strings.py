@@ -8,7 +8,8 @@ lexicographic order, which makes all tie-breaking deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import bisect_left
+from typing import Iterable, Sequence
 
 EMPTY_TOKEN = "e"
 
@@ -43,6 +44,17 @@ def is_proper_prefix(a: str, b: str) -> bool:
 def compatible(a: str, b: str) -> bool:
     """True iff one string is an initial segment of the other."""
     return a.startswith(b) or b.startswith(a)
+
+
+def _lex_extensions(lex_sorted: Sequence[str], tau: str) -> Sequence[str]:
+    """Members of a lex-sorted sequence of binary strings that extend
+    tau, tau included.
+
+    They are one contiguous run, from tau up to tau + "2", which sorts
+    after every binary extension of tau.
+    """
+    lo = bisect_left(lex_sorted, tau)
+    return lex_sorted[lo:bisect_left(lex_sorted, tau + "2", lo)]
 
 
 def show_string(s: str) -> str:

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice, product
 from typing import Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
 from .functionals import EMPTY_TABLE, FunctionalTable, effective_axiom
-from .strings import bits_of_values, compatible, is_prefix, lenlex_key
+from .strings import (_lex_extensions, bits_of_values, compatible, is_prefix,
+                      lenlex_key)
 from .trees import successors
 
 
@@ -64,7 +66,9 @@ def _module_key(m: ModuleId):
     return (0, m.i, m.n) if m.kind == "C" else (1, m.i, 0)
 
 
+@lru_cache(maxsize=256)
 def module_set(level: int) -> frozenset[ModuleId]:
+    """The modules a node of this level carries; shared, so immutable."""
     mods = {c_module(j, level - j) for j in range(level + 1)}
     mods.add(p_module(level))
     return frozenset(mods)
@@ -107,6 +111,8 @@ def init_state() -> ConstructionState:
 
 
 def is_terminal(st: ConstructionState, s: str) -> bool:
+    if not st.terminal:
+        return False
     return any(s.startswith(m) for m in st.terminal)
 
 
@@ -353,7 +359,7 @@ def final_node_violation(st: ConstructionState,
     """
     horizon = st.stage
     nodes = frozenset(st.nodes)
-    live = frontier(st, horizon)
+    live = frontier(st, horizon)  # lex-sorted, as _lex_extensions needs
     for tau, info in sorted(st.nodes.items(), key=lambda kv: lenlex_key(kv[0])):
         if len(tau) >= horizon or is_terminal(st, tau):
             continue
@@ -364,8 +370,8 @@ def final_node_violation(st: ConstructionState,
         for x in succ:
             if is_prefix(x, out):
                 return f"successor {x!r} of {tau!r} sits inside the output"
-        for leaf in live:
-            if leaf.startswith(tau) and not leaf.startswith(succ):
+        for leaf in _lex_extensions(live, tau):
+            if not leaf.startswith(succ):
                 return f"frontier string {leaf!r} misses the successors of {tau!r}"
     return None
 

@@ -199,3 +199,39 @@ def test_kappa_lines_match_the_doubling_form():
     by_id = {ln.check_id: ln.witness for ln in rep.lines}
     assert by_id["kappa-0-0"] == "4"
     assert by_id["kappa-1-3"] == "16"
+
+
+def _readback_scenario():
+    """psi reads the free odd bits off the interleaved tree of the
+    oracle 101 (code 12), so its guarded image is the full binary tree
+    of depth 3; D refines it, X leaves it and Y branches one way."""
+    oplus, layer = [""], [""]
+    for bit in "101":
+        layer = [s + bit + b for s in layer for b in "01"]
+        oplus += layer
+    lines = ["[functional psi]"]
+    lines += [f"axiom {m} {len(m) // 2 - 1} {m[-1]} 1" for m in oplus if m]
+    for name, nodes in (("D", "e 0 1 00 01"), ("X", "e 0 1 0000 0001"),
+                        ("Y", "e 0")):
+        lines += ["", f"[tree {name}]"] + [f"node {x}" for x in nodes.split()]
+    lines += ["", "[params]", "oracle 12", "seed 3", ""]
+    return "\n".join(lines)
+
+
+def test_smc_driver_report_bytes_are_pinned(tmp_path, capsys):
+    f = tmp_path / "readback.scn"
+    f.write_text(_readback_scenario())
+    expected = [
+        (["--dagger", "D"], 0, "PASS\tsmc-driver\tsplitting-subtree b=11 tree=5"),
+        (["--dagger", "X"], 1, "ERROR\trun-smc-error\trefinement tree is not "
+                               "a subset of the image"),
+        (["--dagger", "Y"], 1, "ERROR\trun-smc-error\trefinement tree: '' has "
+                               "1 successors"),
+        (["--dagger", "D", "--budget", "3"], 1,
+         "FAIL\tsmc-driver\tneeded more than 3 splits"),
+        ([], 0, "PASS\tsmc-driver\tsplitting-subtree b=100010 tree=15"),
+    ]
+    for extra, code, line in expected:
+        assert cli.main(["run", "smc", "--psi", "psi", "--budget", "16",
+                         "--scenario", str(f)] + extra) == code
+        assert capsys.readouterr().out == f"# seed 3\n{line}\n"

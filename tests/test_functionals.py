@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
-from branchlab.functionals import (FunctionalTable, _require_two_branching,
-                                   applicable, build_weak_splitting_tree,
+from branchlab.functionals import (FunctionalTable, _outputs,
+                                   _require_two_branching, applicable, build_weak_splitting_tree,
                                    check_weak_splitting,
                                    decode_initial_segment, effective_axiom,
                                    eval_at, hat_eval,
@@ -17,8 +17,9 @@ from branchlab.functionals import (FunctionalTable, _require_two_branching,
                                    is_splitting_tree, min_steps,
                                    output_prefix, outputs_split,
                                    pullback_tree, splitting_violation, table)
-from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
-                               sort_lenlex)
+from branchlab.strings import (bits_of_values, compatible, is_prefix,
+                               is_proper_prefix, sort_lenlex)
+from branchlab.trees import successors
 
 
 def test_eval_picks_applicable_axiom():
@@ -434,3 +435,165 @@ def test_image_requires_splitting():
     t = frozenset(["", "000", "111"])
     with pytest.raises(ShapeError):
         image_tree(f, t)
+
+
+# -- one output map per tree ---------------------------------------------------
+
+@st.composite
+def prefix_closed_sets(draw):
+    tips = draw(st.lists(st.text(alphabet="01", max_size=6), max_size=8))
+    return frozenset(x[:k] for x in tips for k in range(len(x) + 1))
+
+
+@given(st.one_of(big_tables(), axioms_strategy.map(
+    lambda axs: table(_repair(axs)))), prefix_closed_sets(), st.booleans())
+@settings(max_examples=200)
+def test_shared_memo_outputs_match_fresh_output_prefix(f, t, hat):
+    fresh = {m: output_prefix(f, m, hat=hat) for m in t}
+    # the memo fills in whatever order the members come
+    assert _outputs(f, sort_lenlex(t), hat=hat) == fresh
+    assert _outputs(f, sort_lenlex(t)[::-1], hat=hat) == fresh
+
+
+# The pairwise scan, and the bodies that computed each member's output
+# afresh in every check, kept as oracles.
+
+def _naive_outputs_split(a_out, b_out):
+    return any(x != y for x, y in zip(a_out, b_out))
+
+
+def _naive_splitting_violation(f, t, delayed=False, hat=False):
+    t = frozenset(t)
+    mems = sort_lenlex(t)
+    outs = {m: output_prefix(f, m, hat=hat) for m in mems}
+    for i, a in enumerate(mems):
+        for b in mems[i + 1:]:
+            if compatible(a, b):
+                continue
+            if delayed:
+                k = 0
+                while k < min(len(a), len(b)) and a[k] == b[k]:
+                    k += 1
+                if not any(a[:j] in t for j in range(k + 1, len(a))):
+                    continue
+                if not any(b[:j] in t for j in range(k + 1, len(b))):
+                    continue
+            if not _naive_outputs_split(outs[a], outs[b]):
+                return (a, b)
+    return None
+
+
+def _naive_image_tree(f, t, hat=False):
+    t = frozenset(t)
+    if not hat:
+        for m in t:
+            if output_prefix(f, m) != output_prefix(f, m, hat=True):
+                raise ShapeError(
+                    f"table is not its own guarded restriction at {m!r}")
+    _require_two_branching(t, "image input")
+    if _naive_splitting_violation(f, t, hat=hat) is not None:
+        raise ShapeError("input tree is not a splitting tree")
+    img = frozenset(bits_of_values(output_prefix(f, m, hat=hat)) for m in t)
+    _require_two_branching(img, "image output")
+    return img
+
+
+def _naive_pullback_tree(f, t0, t2, hat=False):
+    t0 = frozenset(t0)
+    t2 = frozenset(t2)
+    img = _naive_image_tree(f, t0, hat=hat)
+    if not t2 <= img:
+        raise ShapeError("refinement tree is not a subset of the image")
+    _require_two_branching(t2, "refinement tree")
+    t3 = frozenset(m for m in t0
+                   if bits_of_values(output_prefix(f, m, hat=hat)) in t2)
+    _require_two_branching(t3, "pullback output")
+    return t3
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as e:  # noqa: BLE001 - the type and message are compared
+        return (type(e).__name__, str(e))
+
+
+@given(st.lists(st.integers(0, 2), max_size=5),
+       st.lists(st.integers(0, 2), max_size=5))
+def test_outputs_split_matches_pairwise_scan(a, b):
+    assert outputs_split(tuple(a), tuple(b)) == \
+        _naive_outputs_split(tuple(a), tuple(b))
+
+
+def _branch_word_case(rng):
+    """A random two-branching tree whose table outputs each member's
+    branch word, with some values flipped, some axioms missing and
+    random step counts, so that every check sometimes fails."""
+    t, todo, axioms = {""}, [("", 0)], []
+    while todo:
+        x, level = todo.pop()
+        if level >= 3 or (x and rng.random() < 0.3):
+            continue
+        for bit in "01":
+            y = x + bit + "".join(rng.choice("01")
+                                  for _ in range(rng.randint(1, 3)))
+            t.add(y)
+            todo.append((y, level + 1))
+            if rng.random() < 0.95:
+                flip = rng.random() < 0.05
+                axioms.append((y, level, int(bit) ^ flip, rng.randint(1, 3)))
+    return frozenset(t), table(_repair(axioms))
+
+
+def _refinement(rng, img):
+    """A random two-branching subtree of img, or a random stray set."""
+    if rng.random() < 0.2:
+        return frozenset(rng.choice(["", "0", "1", "00", "11", "2"])
+                         for _ in range(rng.randint(0, 4)))
+    sub, todo = {""}, [""]
+    while todo:
+        x = todo.pop()
+        succ = successors(img, x) if x in img else ()
+        if len(succ) == 2 and rng.random() < 0.8:
+            sub.update(succ)
+            todo.extend(succ)
+    return frozenset(sub)
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=300)
+def test_checks_over_one_output_map_match_fresh_outputs(seed, hat):
+    rng = random.Random(seed)
+    if rng.random() < 0.8:
+        t, f = _branch_word_case(rng)
+    else:
+        t = frozenset(x[:k] for x in ("".join(rng.choice("01") for _ in
+                                               range(rng.randint(0, 5)))
+                                       for _ in range(4))
+                      for k in range(len(x) + 1))
+        f = table(_repair(
+            (("".join(rng.choice("01") for _ in range(rng.randint(0, 3))),
+              rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 3))
+             for _ in range(rng.randint(0, 12)))))
+    for delayed in (False, True):
+        assert splitting_violation(f, t, delayed=delayed, hat=hat) == \
+            _naive_splitting_violation(f, t, delayed=delayed, hat=hat)
+    img = _outcome(image_tree, f, t, hat)
+    assert img == _outcome(_naive_image_tree, f, t, hat)
+    t2 = _refinement(rng, img[1] if img[0] == "ok" else frozenset({""}))
+    assert _outcome(pullback_tree, f, t, t2, hat) == \
+        _outcome(_naive_pullback_tree, f, t, t2, hat)
+
+
+def test_branch_word_cases_reach_success_and_the_main_errors():
+    seen = set()
+    for seed in range(300):
+        for hat in (False, True):
+            rng = random.Random(seed)
+            t, f = _branch_word_case(rng)
+            img = _outcome(image_tree, f, t, hat)
+            t2 = _refinement(rng, img[1] if img[0] == "ok"
+                             else frozenset({""}))
+            got = _outcome(pullback_tree, f, t, t2, hat)
+            seen.add(got[0] if got[0] == "ok" else got[1].split()[0])
+    assert seen == {"ok", "table", "input", "refinement"}

@@ -7,18 +7,22 @@ from itertools import combinations
 
 import pytest
 
-from branchlab import smc
+from branchlab import functionals, smc
 from branchlab.errors import (BudgetError, MemberError, ProtocolError,
                               ShapeError)
-from branchlab.functionals import FunctionalTable, is_splitting_tree
+from branchlab.functionals import (FunctionalTable, _require_two_branching,
+                                   image_tree, is_splitting_pair,
+                                   is_splitting_tree, pullback_tree)
 from branchlab.gen import (constant_psi, odd_readback_psi, phi_for_profile,
-                           random_selection_scenario, staged_context)
+                           random_functional_table, random_selection_scenario,
+                           staged_context)
 from branchlab.smc import (OmegaContext, ThetaAxioms, build_tprime,
                            compute_majorant, enumerate_pi,
                            is_a_oplus_compatible, omega, omega_level,
                            oplus_tree, select_extensions, smc_driver_stage,
                            t_of, theta_decode)
-from branchlab.strings import compatible, is_prefix, sort_lenlex
+from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
+                               lenlex_key, show_string, sort_lenlex)
 from branchlab.thin import is_thin, kraft_weight
 from branchlab.trees import (StagedTree, branching_stats, leaves, level_of,
                              max_level, successors)
@@ -519,3 +523,177 @@ class TestDriver:
                                          key=lambda s: (len(s), s))
             else:
                 assert res.t_next == t
+
+
+# The driver stage that recomputed guarded outputs for every pair and
+# scanned the whole tree for each base's extensions, kept as an oracle.
+
+def _naive_extensions(t, tau):
+    return [x for x in t if is_prefix(tau, x)]
+
+
+def _naive_smc_driver_stage(state, psi_s, dagger_budget, dagger_subtree=None):
+    b_s, t_s = state
+    t_s = frozenset(t_s)
+    _require_two_branching(t_s, "driver tree")
+    if b_s not in t_s:
+        raise MemberError(f"base {show_string(b_s)} is not on the tree")
+
+    for tau in sort_lenlex(_naive_extensions(t_s, b_s)):
+        above = _naive_extensions(t_s, tau)
+        pairs = [(a, b) for a_i, a in enumerate(above)
+                 for b in above[a_i + 1:] if not compatible(a, b)]
+        if not pairs:
+            continue
+        if not any(is_splitting_pair(psi_s, a, b, hat=True)
+                   for a, b in pairs):
+            ups = sort_lenlex(x for x in t_s if is_proper_prefix(tau, x))
+            return smc.DriverResult(ups[0] if ups else tau, t_s,
+                                    "no-splittings")
+
+    ops = 0
+    built = {b_s}
+    frontier = [b_s]
+    while frontier:
+        frontier.sort(key=lenlex_key)
+        x = frontier.pop(0)
+        exts = sort_lenlex(_naive_extensions(t_s, x))
+        picked = None
+        for a in exts:
+            for b in exts:
+                if (not compatible(a, b)
+                        and is_splitting_pair(psi_s, a, b, hat=True)):
+                    picked = (a, b)
+                    break
+            if picked:
+                break
+        if picked is None:
+            continue
+        ops += 1
+        if ops > dagger_budget:
+            raise BudgetError(f"needed more than {dagger_budget} splits")
+        built.update(picked)
+        frontier.extend(picked)
+    t_built = frozenset(built)
+    if not is_splitting_tree(psi_s, t_built, hat=True):
+        raise ProtocolError("greedy subtree fails its own splitting check")
+    if dagger_subtree is not None:
+        t_next = pullback_tree(psi_s, t_built, frozenset(dagger_subtree),
+                               hat=True)
+    else:
+        t_next = t_built
+    b_next = min(leaves(t_next), key=lenlex_key)
+    return smc.DriverResult(b_next, t_next, "splitting-subtree")
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as e:  # noqa: BLE001 - the type and message are compared
+        return (type(e).__name__, str(e))
+
+
+def _random_refinement(rng, img):
+    """A random two-branching subtree of img: each kept member keeps
+    both its successors or neither."""
+    sub, todo = {""}, [""]
+    while todo:
+        x = todo.pop()
+        succ = successors(img, x)
+        if len(succ) == 2 and (not x or rng.random() < 0.75):
+            sub.update(succ)
+            todo.extend(succ)
+    return frozenset(sub)
+
+
+def _driver_cases():
+    """(state, psi, budget, dagger) for the driver: the benchmark's
+    readback stages, the suite's smc-driver draws, and random tables,
+    bases, budgets and readback trees."""
+    rng = random.Random(2024)
+    for k in range(24):
+        # readback stages on oracles of length 4 and 5, refined through
+        # a random two-branching subtree of the image; every third one
+        # on a budget that may run out
+        a = "".join(rng.choice("01") for _ in range(rng.choice((4, 5))))
+        t, psi = oplus_tree(a), odd_readback_psi(a)
+        yield ("", t), psi, rng.randint(4, 16) if k % 3 == 2 else 64, \
+            _random_refinement(rng, image_tree(psi, t, hat=True))
+    for _ in range(30):
+        # the smc-driver check's draws
+        a = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
+        t = oplus_tree(a)
+        psi = FunctionalTable(tuple((m, len(m) // 2 - 1, rng.getrandbits(1), 1)
+                                    for m in sort_lenlex(t) if m))
+        yield ("", t), psi, 64, None
+    for _ in range(60):
+        a = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+        t = oplus_tree(a)
+        if rng.random() < 0.1:
+            t = t | {rng.choice(sorted(t)) + "0"}  # may break two-branching
+        psi = random_functional_table(rng, axioms=rng.randint(5, 40),
+                                      max_sigma_len=2 * len(a),
+                                      max_value=rng.choice((1, 3)),
+                                      max_steps=rng.choice((1, 3)))
+        base = rng.choice(sorted(t) + ["0", "11"])
+        dagger = rng.choice((None, None, frozenset({"", "0", "1"}),
+                             frozenset({"", "1"}),
+                             frozenset({"", "00", "01", "1"})))
+        yield (base, t), psi, rng.randint(0, 8), dagger
+    for _ in range(40):
+        # uneven two-branching trees, whose successors may differ in
+        # length, with a table that outputs the branch word, some
+        # values flipped
+        t, todo, axioms = {""}, [("", 0)], []
+        while todo:
+            x, level = todo.pop()
+            if level >= 3 or (x and rng.random() < 0.3):
+                continue
+            for bit in "01":
+                y = x + bit + "".join(rng.choice("01")
+                                      for _ in range(rng.randint(0, 3)))
+                t.add(y)
+                todo.append((y, level + 1))
+                axioms.append((y, level, int(bit) ^ (rng.random() < 0.1),
+                               rng.randint(1, 2)))
+        psi = FunctionalTable(tuple(axioms))
+        t = frozenset(t)
+        try:
+            img = image_tree(psi, t, hat=True)
+        except ShapeError:
+            img = None
+        dagger = (_random_refinement(rng, img)
+                  if img is not None and rng.random() < 0.5 else None)
+        yield (rng.choice(sorted(t)), t), psi, 64, dagger
+
+
+def test_driver_stage_matches_naive_stage():
+    seen = set()
+    for state, psi, budget, dagger in _driver_cases():
+        got = _outcome(smc_driver_stage, state, psi, budget, dagger)
+        assert got == _outcome(_naive_smc_driver_stage, state, psi, budget,
+                               dagger)
+        seen.add(got[1].branch if got[0] == "ok" else got[0])
+    assert seen == {"splitting-subtree", "no-splittings", "BudgetError",
+                    "MemberError", "ShapeError"}
+
+
+def test_driver_stage_computes_each_output_once(monkeypatch):
+    calls = []
+    real = functionals.output_prefix
+
+    def counted(f, tau, hat=False, _memo=None):
+        calls.append(tau)
+        return real(f, tau, hat=hat, _memo=_memo)
+
+    monkeypatch.setattr(functionals, "output_prefix", counted)
+    stages = 0
+    for (base, t), psi, budget, dagger in _driver_cases():
+        calls.clear()
+        if _outcome(smc_driver_stage, (base, t), psi, budget,
+                    dagger)[0] != "ok":
+            continue
+        stages += 1
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= set(t)
+    assert stages > 50

@@ -462,3 +462,115 @@ def test_final_node_check_builds_the_frontier_once(monkeypatch):
         calls.clear()
         final_node_violation(st, adv)
         assert len(calls) <= 1
+
+
+# The final check's scan of the whole frontier for every node, which the
+# range scan replaced, kept as an oracle.
+
+def _naive_final_node_violation(st, adv):
+    horizon = st.stage
+    nodes = frozenset(st.nodes)
+    live = frontier(st, horizon)
+    for tau, info in sorted(st.nodes.items(), key=lambda kv: (len(kv[0]),
+                                                               kv[0])):
+        if len(tau) >= horizon or is_terminal(st, tau):
+            continue
+        succ = successors(nodes, tau)
+        if not succ:
+            return f"node {tau!r} has no surviving successor node"
+        out = oracle_output_bits(_adversary_table(adv, info.level), horizon)
+        for x in succ:
+            if out.startswith(x):
+                return f"successor {x!r} of {tau!r} sits inside the output"
+        for leaf in live:
+            if leaf.startswith(tau) and not leaf.startswith(succ):
+                return (f"frontier string {leaf!r} misses the successors "
+                        f"of {tau!r}")
+    return None
+
+
+def _final_check_cases(horizons):
+    """States at each horizon under the seeded bundles, each checked
+    against its own bundle and the next one, and with one node, the
+    nodes above one node, or one frontier string taken away."""
+    bundles = list(_seeded_bundles())
+    rng = random.Random(14)
+    for k, adv in enumerate(bundles):
+        other = bundles[(k + 1) % len(bundles)]
+        st = init_state()
+        while st.stage < max(horizons):
+            st = run_stage(st, adv)
+            if st.stage not in horizons:
+                continue
+            yield st, adv
+            yield st, other
+            tau = rng.choice(sorted(st.nodes))
+            yield replace(st, nodes={x: nf for x, nf in st.nodes.items()
+                                     if x != tau}), adv
+            yield replace(st, nodes={x: nf for x, nf in st.nodes.items()
+                                     if x == tau or not x.startswith(tau)}
+                          ), adv
+            live = frontier(st)
+            if live:
+                yield replace(st, terminal=st.terminal
+                              | {rng.choice(live)}), adv
+
+
+def test_final_node_range_scan_matches_naive_scan():
+    verdicts = set()
+    for st, adv in _final_check_cases(range(1, 9)):
+        got = final_node_violation(st, adv)
+        assert got == _naive_final_node_violation(st, adv)
+        verdicts.add(got.split()[0] if got else None)
+    assert verdicts == {None, "node", "successor", "frontier"}
+
+
+class _CountingStr(str):
+    """A string that counts its startswith calls in a shared cell."""
+
+    calls = [0]
+
+    def startswith(self, *args):
+        self.calls[0] += 1
+        return super().startswith(*args)
+
+
+def test_final_node_check_scans_only_the_strings_above_each_node(
+        monkeypatch):
+    real = traceable.frontier
+    monkeypatch.setattr(traceable, "frontier", lambda st, length=None: tuple(
+        _CountingStr(x) for x in real(st, length)))
+    for adv in _table_bundles():
+        st = run_to_horizon(adv, 8)
+        _CountingStr.calls[0] = 0
+        assert final_node_violation(st, adv) is None
+        live = real(st)
+        checked = [tau for tau in st.nodes
+                   if len(tau) < st.stage and not is_terminal(st, tau)]
+        # one call per frontier string above each checked node, where
+        # the old scan made one per frontier string per node
+        assert _CountingStr.calls[0] == sum(
+            x.startswith(tau) for tau in checked for x in live)
+        assert _CountingStr.calls[0] <= len(live) * st.stage
+
+
+def test_module_set_matches_a_fresh_build():
+    for level in range(13):
+        fresh = frozenset({c_module(j, level - j) for j in range(level + 1)}
+                          | {p_module(level)})
+        assert module_set(level) == fresh
+        assert module_set(level) is module_set(level)
+
+
+def test_is_terminal_skips_the_scan_when_nothing_is_terminal():
+    st = run_to_horizon(EMPTY_BUNDLE, 4)
+    assert st.terminal == frozenset()
+    counted = replace(st, terminal=_CountingSet())
+    assert not any(is_terminal(counted, x) for x in st.pi)
+    assert counted.terminal.iterations == 0
+    for adv in _table_bundles():
+        st = run_to_horizon(adv, 5)
+        for x in [""] + [format(k, f"0{n}b")
+                         for n in range(1, 6) for k in range(1 << n)]:
+            assert is_terminal(st, x) == any(x.startswith(m)
+                                             for m in st.terminal)
