@@ -10,11 +10,10 @@ import argparse
 import random
 import shlex
 import sys
+from functools import lru_cache
 from typing import Optional
 
-from .colorings import (EVEN_SHAPE, GRADED_SHAPE, Coloring,
-                        bushy_level_strings, extract_nice, kappa, ncol,
-                        verify_extraction)
+from .colorings import EVEN_SHAPE, bushy_level_strings, kappa
 from .cupping import bundle, find_pi_member
 from .errors import BudgetError, ProtocolError, ScenarioError
 from .functionals import (FunctionalTable, build_weak_splitting_tree,
@@ -24,17 +23,16 @@ from .report import Report, ReportLine, _clean, errored, failed, passed
 from .scenario import (Scenario, empty_scenario, parse_scenario,
                        scenario_with_seed)
 from .smc import (OmegaContext, build_tprime, enumerate_pi, omega_level,
-                  oplus_tree, smc_driver_stage, theta_decode)
-from .strings import (is_proper_prefix, nat_to_string, parse_string,
-                      show_string, sort_lenlex)
-from .suite import _twocol_outcome, run_suite
+                  oplus_tree, smc_driver_stage)
+from .strings import nat_to_string, parse_string, show_string, sort_lenlex
+from .suite import (_nice_outcome, _pi6_gaps, _selfdelim_roundtrip,
+                    _theta_chains, _traceable_flaws, _twocol_outcome,
+                    run_suite)
 from .thin import (TraceSystem, dnr_trace, hat_level_stages, rescale_trace,
-                   selfdelim_decode, selfdelim_encode, thin_violation,
-                   trace_from_bounded_splitting, trace_from_thin)
-from .traceable import (declared_counts, extract_trace, frontier, init_state,
-                        node_count_bound, run_stage, trace_bound_pair,
-                        verify_final_nodes)
-from .trees import leaves, successors
+                   thin_violation, trace_from_bounded_splitting,
+                   trace_from_thin)
+from .traceable import declared_counts, frontier, init_state, run_stage
+from .trees import successors
 
 
 # -- scenario name resolution ------------------------------------------------
@@ -73,8 +71,8 @@ def _param(flag: Optional[int], sc: Scenario, key: str, default: int) -> int:
 
 # -- verify ------------------------------------------------------------------
 
-def _twocol_once(n: int, colors: dict[str, int], check_id: str) -> ReportLine:
-    d, failure = _twocol_outcome(n, colors)
+def _extraction_line(check_id: str, outcome) -> ReportLine:
+    d, failure = outcome
     if failure is None:
         return passed(check_id, f"d={d}")
     return failed(check_id, failure)
@@ -90,36 +88,29 @@ def _h_verify_twocol(ns, sc, rng):
         width = len(str((1 << len(lvs)) - 1))
         for idx in range(1 << len(lvs)):
             colors = {s: (idx >> k) & 1 for k, s in enumerate(lvs)}
-            lines.append(_twocol_once(ns.n, colors,
-                                      f"twocol-exh-{idx:0{width}d}"))
+            lines.append(_extraction_line(f"twocol-exh-{idx:0{width}d}",
+                                          _twocol_outcome(ns.n, colors)))
     else:
         width = len(str(ns.count - 1)) if ns.count > 1 else 1
         for i in range(ns.count):
             colors = {s: rng.getrandbits(1) for s in lvs}
-            lines.append(_twocol_once(ns.n, colors,
-                                      f"twocol-rand-{i:0{width}d}"))
+            lines.append(_extraction_line(f"twocol-rand-{i:0{width}d}",
+                                          _twocol_outcome(ns.n, colors)))
     return lines
 
 
 def _h_verify_nice(ns, sc, rng):
+    leaf_count = 1
+    for k in range(ns.n):
+        leaf_count *= kappa(ns.i, k)
+        if leaf_count > 1 << 16:
+            raise BudgetError(f"a level-{ns.n} tree with kappa({ns.i}) "
+                              f"fanout has over {1 << 16} leaves")
     t0 = random_kappa_tree(rng, ns.i, ns.n)
-    lines = []
     width = len(str(ns.count - 1)) if ns.count > 1 else 1
-    for k in range(ns.count):
-        check_id = f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}"
-        c = Coloring({s: rng.randrange(ncol(ns.i))
-                      for s in leaves(t0)}, ncol(ns.i))
-        try:
-            d, t1 = extract_nice(GRADED_SHAPE, ns.i, t0, c)
-        except ValueError as e:
-            lines.append(failed(check_id, _clean(e)))
-            continue
-        ok = verify_extraction(GRADED_SHAPE,
-                               lambda lv: kappa(ns.i + 1, lv),
-                               ns.n, c, d, t1)
-        lines.append(passed(check_id, f"d={d}") if ok
-                     else failed(check_id, f"d={d}"))
-    return lines
+    return [_extraction_line(f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}",
+                             _nice_outcome(rng, ns.i, ns.n, t0))
+            for k in range(ns.count)]
 
 
 def _h_verify_kappa(ns, sc, rng):
@@ -166,20 +157,17 @@ def _h_run_traceable(ns, sc, rng):
     lines = [passed("traceable-frontier", f"stages={ns.horizon}")
              if stalled is None
              else failed("traceable-frontier", f"empty at stage {stalled}")]
-    counts = declared_counts(st)
-    bad = [(n, c) for n, c in sorted(counts.items())
-           if n <= 4 and c > node_count_bound(n)]
-    lines.append(passed("traceable-counts",
-                        " ".join(f"{n}:{c}" for n, c in sorted(counts.items())))
-                 if not bad else
-                 failed("traceable-counts", f"level {bad[0][0]} has "
-                        f"{bad[0][1]} > {node_count_bound(bad[0][0])}"))
-    sizes_ok = all(len(ds) <= trace_bound_pair(i, n)[1]
-                   for i, by_n in extract_trace(st).per_i.items()
-                   for n, ds in by_n.items())
-    lines.append(passed("traceable-tracesize") if sizes_ok
+    over, fat, final_ok = _traceable_flaws(st, adv)
+    if over is None:
+        lines.append(passed("traceable-counts", " ".join(
+            f"{n}:{c}" for n, c in sorted(declared_counts(st).items()))))
+    else:
+        n, c, bound = over
+        lines.append(failed("traceable-counts",
+                            f"level {n} has {c} > {bound}"))
+    lines.append(passed("traceable-tracesize") if fat is None
                  else failed("traceable-tracesize"))
-    lines.append(passed("traceable-final") if verify_final_nodes(st, adv)
+    lines.append(passed("traceable-final") if final_ok
                  else failed("traceable-final"))
     return lines
 
@@ -210,10 +198,7 @@ def _h_run_pi6(ns, sc, rng):
         s = next(k for k, snap in enumerate(res.stages) if m in snap)
         lines.append(passed(f"pi6-admit-{show_string(m)}",
                             f"stage={s} level={omega_level(ctx, m)}"))
-    bad = [m for m in res.final if m != ""
-           and omega_level(ctx, m) < 2 + max(
-               omega_level(ctx, p) for p in res.final
-               if is_proper_prefix(p, m))]
+    bad = _pi6_gaps(ctx, res.final)
     lines.append(passed("pi6-gap") if not bad
                  else failed("pi6-gap", show_string(sort_lenlex(bad)[0])))
     return lines
@@ -259,16 +244,10 @@ def _h_check_theta(ns, sc, rng):
     succ = {m: frozenset(successors(st.final, m)) for m in st.final}
     tp, theta = build_tprime(ctx, st, succ)
     lines = [passed("theta-consistency", f"axioms={len(theta.axioms)}")]
-    for x in sort_lenlex(st.final):
-        if x == "":
-            continue
-        chain = tuple(sorted((p for p in st.final
-                              if p != "" and x.startswith(p)), key=len))
-        ok = all(theta_decode(theta, leaf) == chain
-                 for leaf in leaves(tp[x]))
+    for x, chain, bad in _theta_chains(st.final, tp, theta):
         check_id = f"theta-{show_string(x)}"
         witness = ",".join(show_string(p) for p in chain)
-        lines.append(passed(check_id, witness) if ok
+        lines.append(passed(check_id, witness) if bad is None
                      else failed(check_id, witness))
     return lines
 
@@ -284,19 +263,19 @@ def _trace_lines(ts: TraceSystem, prefix: str) -> list[ReportLine]:
     return lines
 
 
-def _h_trace_from_thin(ns, sc, rng):
+def _thin_trace(ns, sc) -> TraceSystem:
     psi = _functional(sc, ns.psi)
     sub = _any_tree(sc, ns.sub)
-    ts = trace_from_thin(psi, hat_level_stages(psi, ns.maxlen), sub)
-    return _trace_lines(ts, "trace")
+    return trace_from_thin(psi, hat_level_stages(psi, ns.maxlen), sub)
+
+
+def _h_trace_from_thin(ns, sc, rng):
+    return _trace_lines(_thin_trace(ns, sc), "trace")
 
 
 def _h_trace_rescale(ns, sc, rng):
-    psi = _functional(sc, ns.psi)
-    sub = _any_tree(sc, ns.sub)
-    ts = trace_from_thin(psi, hat_level_stages(psi, ns.maxlen), sub)
     target = tuple(range(ns.target)) if ns.target is not None else None
-    return _trace_lines(rescale_trace(ts, target), "rescale")
+    return _trace_lines(rescale_trace(_thin_trace(ns, sc), target), "rescale")
 
 
 def _h_trace_from_split(ns, sc, rng):
@@ -316,10 +295,8 @@ def _h_trace_dnr(ns, sc, rng):
 # -- encode / suite ------------------------------------------------------------
 
 def _h_encode_sd(ns, sc, rng):
-    code = selfdelim_encode(ns.n, ns.m)
+    code, ok = _selfdelim_roundtrip(ns.n, ns.m)
     check_id = f"sd-{ns.n}-{ns.m}"
-    ok = (selfdelim_decode(code) == (ns.n, ns.m)
-          and len(code) == 2 * ns.n.bit_length() + ns.m.bit_length())
     return [passed(check_id, code) if ok else failed(check_id, code)]
 
 
@@ -450,14 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_PARSER = None
-
-
+@lru_cache(maxsize=1)
 def _parser():
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+    return build_parser()
 
 
 def run_command(cmd, scenario: Scenario) -> Report:

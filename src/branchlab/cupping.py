@@ -28,9 +28,8 @@ from .colorings import (Coloring, GRADED_SHAPE, bushy_level_strings,
                         is_compatible, ncol, extract_nice)
 from .errors import BudgetError, ProtocolError, ShapeError
 from .functionals import FunctionalTable, hat_eval
-from .strings import check_bits, is_prefix, show_string, sort_lenlex
-from .trees import (leaves, level_map, restrict_to_level, successors,
-                    tree_uniform_level)
+from .strings import check_bits, show_string, sort_lenlex
+from .trees import leaves, restrict_to_level, tree_uniform_level
 
 
 def gamma_code(j: int) -> str:
@@ -275,16 +274,8 @@ def find_pi_member(n: int, adv: AdversaryBundle,
 
 def materialize_pi_star(n: int,
                         max_nodes: int = 100_000) -> tuple[PiStarNode, ...]:
-    """Every level-n node, by exhaustive recursion.  Small n only."""
-    frontier = [ROOT_NODE]
-    for _ in range(n):
-        nxt: list[PiStarNode] = []
-        for node in frontier:
-            nxt.extend(pi_star_successors(node, max_nodes))
-            if len(nxt) > max_nodes:
-                raise BudgetError("node frontier exceeds the budget")
-        frontier = nxt
-    return tuple(frontier)
+    """Every level-n node: the empty bundle filters none.  Small n only."""
+    return pi_survivors(n, EMPTY_BUNDLE, max_nodes)
 
 
 def pi_survivors(n: int, adv: AdversaryBundle,
@@ -300,43 +291,3 @@ def pi_survivors(n: int, adv: AdversaryBundle,
                 raise BudgetError("node frontier exceeds the budget")
         frontier = nxt
     return tuple(node for node in frontier if stage_filter(node, adv, n))
-
-
-def _walk_root(t: frozenset[str]) -> str:
-    roots = level_map(t).get(0, ())
-    if len(roots) != 1:
-        raise ShapeError("walk needs a single root")
-    return roots[0]
-
-
-def join_code(t: Iterable[str], b: str) -> str:
-    """Walk b through a two-branching tree; 0 goes low, 1 goes high."""
-    t = frozenset(t)
-    check_bits(b)
-    cur = _walk_root(t)
-    for bit in b:
-        succ = successors(t, cur)
-        if len(succ) != 2:
-            raise ShapeError(f"no branching below {show_string(cur)}")
-        cur = succ[1] if bit == "1" else succ[0]
-    return cur
-
-
-def join_decode(t: Iterable[str], sigma: str) -> str:
-    """Recover the bit string whose walk through t ends at sigma."""
-    t = frozenset(t)
-    cur = _walk_root(t)
-    bits = []
-    while cur != sigma:
-        succ = successors(t, cur)
-        if len(succ) != 2:
-            raise ShapeError(f"no branching below {show_string(cur)}")
-        if is_prefix(succ[1], sigma):
-            bits.append("1")
-            cur = succ[1]
-        elif is_prefix(succ[0], sigma):
-            bits.append("0")
-            cur = succ[0]
-        else:
-            raise ShapeError(f"{show_string(sigma)} is off the walk")
-    return "".join(bits)

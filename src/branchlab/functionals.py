@@ -164,10 +164,6 @@ def _outputs(f: FunctionalTable, t: Iterable[str],
     return {m: output_prefix(f, m, hat=hat, _memo=memo) for m in t}
 
 
-def output_bits(f: FunctionalTable, tau: str, hat: bool = False) -> str:
-    return bits_of_values(output_prefix(f, tau, hat=hat))
-
-
 def outputs_split(a_out: tuple[int, ...], b_out: tuple[int, ...]) -> bool:
     """True iff the outputs differ at some argument both define."""
     return a_out[:len(b_out)] != b_out[:len(a_out)]
@@ -333,32 +329,6 @@ def weak_splitting_violation(w: WeakSplitWitness, psi: FunctionalTable,
     for x, y in zip(chain, chain[1:]):
         if w.phi[x] >= w.phi[y]:
             return f"agreement levels not increasing along {x!r} -> {y!r}"
-    return None
-
-
-def check_weak_splitting(w: WeakSplitWitness, psi: FunctionalTable,
-                         path_prefix: str) -> bool:
-    return weak_splitting_violation(w, psi, path_prefix) is None
-
-
-def decode_initial_segment(w: WeakSplitWitness, psi: FunctionalTable,
-                           oracle_prefix: str, n: int) -> Optional[str]:
-    """Recover the first n path bits from an output prefix.
-
-    Scans members in enumeration order for one whose output agrees
-    with the oracle prefix on every argument up to its use bound and
-    whose agreement level reaches n-1; returns its first n bits.
-    """
-    check_bits(oracle_prefix)
-    for tau in w.members():
-        use = w.psi[tau]
-        out = bits_of_values(output_prefix(psi, tau))
-        if len(oracle_prefix) <= use or len(out) <= use:
-            continue
-        if any(out[i] != oracle_prefix[i] for i in range(use + 1)):
-            continue
-        if w.phi[tau] >= n - 1:
-            return tau[:n]
     return None
 
 

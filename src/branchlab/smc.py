@@ -80,16 +80,6 @@ def t_of(phi: FunctionalTable, tau: str) -> frozenset[str]:
     return t
 
 
-def is_a_oplus_compatible(tau: str, a_prefix: str) -> bool:
-    """Even positions of tau must copy the oracle prefix."""
-    check_bits(tau)
-    check_bits(a_prefix)
-    if len(tau) > 2 * len(a_prefix):
-        raise MemberError(f"need {-(-len(tau) // 2)} oracle bits, "
-                          f"have {len(a_prefix)}")
-    return all(tau[2 * n] == a_prefix[n] for n in range(-(-len(tau) // 2)))
-
-
 def oplus_tree(a_prefix: str) -> frozenset[str]:
     """All even-length strings compatible with the oracle prefix."""
     check_bits(a_prefix)
@@ -99,22 +89,6 @@ def oplus_tree(a_prefix: str) -> frozenset[str]:
         layer = [s + bit + b for s in layer for b in "01"]
         members.extend(layer)
     return frozenset(members)
-
-
-def compute_majorant(phi: FunctionalTable, a_prefix: str,
-                     depth: int) -> tuple[int, ...]:
-    """Once the widths g(n) of the oracle's own tree are known, pad
-    them into a strictly increasing bound: f(n) = max g(k<=n) + n."""
-    t = t_of(phi, a_prefix)
-    if not t or max_level(t) < depth:
-        raise ShapeError(f"tree at {show_string(a_prefix)} does not "
-                         f"reach level {depth}")
-    buckets = level_map(t)
-    g = [max(len(s) for s in buckets[n]) for n in range(depth + 1)]
-    out = []
-    for n in range(depth + 1):
-        out.append(max(g[:n + 1]) + n)
-    return tuple(out)
 
 
 def omega(ctx: OmegaContext, tau: str, n: int) -> bool:

@@ -27,7 +27,8 @@ from .gen import (odd_readback_psi, random_functional_table,
 from .report import Report, ReportLine, _clean, errored, failed, passed
 from .smc import (build_tprime, enumerate_pi, omega_level, oplus_tree,
                   select_extensions, smc_driver_stage, t_of, theta_decode)
-from .strings import compatible, show_string, sort_lenlex, string_to_nat
+from .strings import (compatible, is_proper_prefix, show_string, sort_lenlex,
+                      string_to_nat)
 from .thin import (TraceSystem, encode_tuple, hat_level_stages, is_thin,
                    rescale_trace, selfdelim_decode, selfdelim_encode,
                    spaced_level, spacing_bound_limit, spacing_bound_partial,
@@ -61,6 +62,65 @@ def _twocol_outcome(n: int, colors: dict[str, int]):
     if verify_extraction(EVEN_SHAPE, lambda k: 2, n, c, d, sub):
         return d, None
     return d, "".join(str(colors[s]) for s in sorted(colors))
+
+
+def _nice_outcome(rng, i: int, n: int, t0: frozenset[str]):
+    """(d, failure) for one nice extraction from a colouring of t0's
+    leaves drawn from rng; failure as in _twocol_outcome, except that
+    a rejected tree gives "d=<d>"."""
+    c = Coloring({s: rng.randrange(ncol(i)) for s in leaves(t0)}, ncol(i))
+    try:
+        d, t1 = extract_nice(GRADED_SHAPE, i, t0, c)
+    except ValueError as e:
+        return None, _clean(e)
+    if verify_extraction(GRADED_SHAPE, lambda k: kappa(i + 1, k), n, c, d, t1):
+        return d, None
+    return d, f"d={d}"
+
+
+def _selfdelim_roundtrip(n: int, m: int) -> tuple[str, bool]:
+    """The code for (n, m), and whether it decodes back at its length."""
+    code = selfdelim_encode(n, m)
+    return code, (selfdelim_decode(code) == (n, m)
+                  and len(code) == 2 * n.bit_length() + m.bit_length())
+
+
+def _traceable_flaws(st, adv):
+    """(over, fat, final_ok) of a finished traceable run: the first
+    (level, count, bound) over node_count_bound at a level <= 4, the
+    first (i, n, size) over trace_bound_pair(i, n)[1], each None if
+    there is none, and verify_final_nodes."""
+    over = next(((n, c, node_count_bound(n))
+                 for n, c in sorted(declared_counts(st).items())
+                 if n <= 4 and c > node_count_bound(n)), None)
+    fat = next(((i, n, len(ds))
+                for i, by_n in extract_trace(st).per_i.items()
+                for n, ds in by_n.items()
+                if len(ds) > trace_bound_pair(i, n)[1]), None)
+    return over, fat, verify_final_nodes(st, adv)
+
+
+def _theta_chains(final, tp, theta):
+    """(x, chain, bad) per non-root x of final, length-lex: chain is
+    x's non-root prefixes in final, shortest first, and bad the first
+    leaf of tp[x] whose readback decodes off it, or None."""
+    for x in sort_lenlex(final):
+        if x == "":
+            continue
+        chain = tuple(sorted((p for p in final
+                              if p != "" and x.startswith(p)), key=len))
+        bad = next((leaf for leaf in leaves(tp[x])
+                    if theta_decode(theta, leaf) != chain), None)
+        yield x, chain, bad
+
+
+def _pi6_gaps(ctx, final):
+    """Non-root members of final whose omega level is not at least 2
+    above every proper prefix's in final (final holds the root)."""
+    lv = {m: omega_level(ctx, m) for m in final}
+    return [m for m in final if m != ""
+            and lv[m] < 2 + max(lv[p] for p in final
+                                if is_proper_prefix(p, m))]
 
 
 def _twocol_tally(check_id: str, n: int, colourings, total: int):
@@ -107,20 +167,12 @@ def _chk_nice(rng, i_max, per_cell):
     for i in range(i_max + 1):
         for n in range(i, i + 3):
             t0 = random_kappa_tree(rng, i, n)
-            lvs = leaves(t0)
             bad = None
             for _ in range(per_cell):
-                c = Coloring({s: rng.randrange(ncol(i)) for s in lvs},
-                             ncol(i))
-                try:
-                    d, t1 = extract_nice(GRADED_SHAPE, i, t0, c)
-                except ValueError as e:
-                    bad = _clean(e)
-                    break
-                if not verify_extraction(GRADED_SHAPE,
-                                         lambda k: kappa(i + 1, k),
-                                         n, c, d, t1):
-                    bad = f"d={d} rejected"
+                d, bad = _nice_outcome(rng, i, n, t0)
+                if bad is not None:
+                    if d is not None:
+                        bad += " rejected"
                     break
             lines.append(_tally(f"nice-i{i}-n{n}", per_cell, bad))
     return lines
@@ -206,22 +258,14 @@ def _chk_traceable(rng, runs, horizon):
             st = run_stage(st, adv)
             if frontier_bad is None and not frontier(st):
                 frontier_bad = f"run {k}: empty frontier at stage {s + 1}"
-        if counts_bad is None:
-            for n, c in sorted(declared_counts(st).items()):
-                if n <= 4 and c > node_count_bound(n):
-                    counts_bad = (f"run {k}: {c} nodes at level {n} exceed "
-                                  f"{node_count_bound(n)}")
-                    break
-        if size_bad is None:
-            for i, by_n in extract_trace(st).per_i.items():
-                for n, ds in by_n.items():
-                    if len(ds) > trace_bound_pair(i, n)[1]:
-                        size_bad = (f"run {k}: trace ({i},{n}) holds "
-                                    f"{len(ds)} values")
-                        break
-                if size_bad is not None:
-                    break
-        if pdiag_bad is None and not verify_final_nodes(st, adv):
+        over, fat, final_ok = _traceable_flaws(st, adv)
+        if counts_bad is None and over is not None:
+            n, c, bound = over
+            counts_bad = f"run {k}: {c} nodes at level {n} exceed {bound}"
+        if size_bad is None and fat is not None:
+            i, n, size = fat
+            size_bad = f"run {k}: trace ({i},{n}) holds {size} values"
+        if pdiag_bad is None and not final_ok:
             pdiag_bad = f"run {k}: a guarded branch survived"
     return [_tally("traceable-frontier", runs, frontier_bad),
             _tally("traceable-counts", runs, counts_bad),
@@ -332,9 +376,8 @@ def _chk_selfdelim(rng, top):
     bad = None
     for n in range(1, top + 1):
         for m in range(1, top + 1):
-            code = selfdelim_encode(n, m)
-            if (selfdelim_decode(code) != (n, m)
-                    or len(code) != 2 * n.bit_length() + m.bit_length()):
+            code, ok = _selfdelim_roundtrip(n, m)
+            if not ok:
                 bad = f"({n},{m}) -> {code}"
                 break
         if bad is not None:
@@ -499,17 +542,10 @@ def _chk_theta_roundtrip(rng, count):
                 break
         if bad is not None:
             break
-        for x in sort_lenlex(st.final):
-            if x == "":
-                continue
-            chain = tuple(sorted((p for p in st.final
-                                  if p != "" and x.startswith(p)), key=len))
-            for leaf in leaves(tp[x]):
-                if theta_decode(theta, leaf) != chain:
-                    bad = (f"case {k}: leaf {show_string(leaf)} decodes "
-                           f"off the path to {show_string(x)}")
-                    break
-            if bad is not None:
+        for x, _, leaf in _theta_chains(st.final, tp, theta):
+            if leaf is not None:
+                bad = (f"case {k}: leaf {show_string(leaf)} decodes "
+                       f"off the path to {show_string(x)}")
                 break
         if bad is not None:
             break
@@ -540,13 +576,8 @@ def _chk_pullback_image(rng, count):
 def _chk_pi6_chain(rng):
     ctx = staged_context({"": 0, "1": 2, "11": 4, "111": 6})
     st = enumerate_pi(ctx, 3)
-    ok = st.final == frozenset({"", "1", "11", "111"})
-    if ok:
-        lv = {m: omega_level(ctx, m) for m in st.final}
-        ok = all(lv[m] >= 2 + max((lv[p] for p in st.final
-                                   if p != m and m.startswith(p)),
-                                  default=-2)
-                 for m in st.final if m != "")
+    ok = (st.final == frozenset({"", "1", "11", "111"})
+          and not _pi6_gaps(ctx, st.final))
     return [passed("pi6-chain", "4 admitted") if ok
             else failed("pi6-chain", ",".join(show_string(m)
                                               for m in sort_lenlex(st.final)))]

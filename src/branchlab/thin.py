@@ -20,31 +20,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import MemberError, ShapeError
 from .functionals import (FunctionalTable, eval_at, hat_eval, is_splitting_tree,
                           output_prefix, splitting_violation)
-from .strings import (is_prefix, nat_to_string, show_string, sort_lenlex,
-                      string_to_nat)
+from .strings import nat_to_string, show_string, sort_lenlex, string_to_nat
 from .trees import (StagedTree, branching_stats, level_of, max_level,
-                    restrict_to_level, successors)
-
-
-def kraft_weight(t: Iterable[str], tau: str,
-                 lambda_set: Iterable[str]) -> Fraction:
-    """Exact weight of a prefix-free selection above tau.
-
-    Each member weighs 2^-d where d is its depth below tau counted in
-    the ambient tree t.
-    """
-    t = frozenset(t)
-    base = level_of(t, tau)  # raises MemberError when tau is absent
-    lam = sorted(set(lambda_set))
-    for x in lam:
-        if x not in t or not is_prefix(tau, x):
-            raise MemberError(f"{show_string(x)} does not extend tau in t")
-    for i, a in enumerate(lam):
-        for b in lam[i + 1:]:
-            if is_prefix(a, b) or is_prefix(b, a):
-                raise ShapeError("selection is not prefix-free")
-    return sum((Fraction(1, 1 << (level_of(t, x) - base)) for x in lam),
-               Fraction(0))
+                    successors)
 
 
 def _raw_antichain_weights(t: frozenset[str],
@@ -335,11 +313,6 @@ def splitting_to_thin(t: StagedTree, split_sub: Iterable[str]) -> SplittingReduc
     return SplittingReduction(psi, is_thin(final, split_sub), None)
 
 
-def bounded_splitting_bound_pair(m: int, n: int) -> tuple[int, int]:
-    """Nominal and safe value-count ceilings at argument n."""
-    return (m ** n, m ** (n + 1))
-
-
 def trace_from_bounded_splitting(psi: FunctionalTable, t: Iterable[str],
                                  m: int) -> TraceSystem:
     """Guarded values of an m-branching splitting tree, level by level."""
@@ -361,22 +334,3 @@ def trace_from_bounded_splitting(psi: FunctionalTable, t: Iterable[str],
             w[lv - 1].add(v)
     return TraceSystem(tuple(m ** (n + 1) for n in range(depth)),
                        {n: frozenset(vals) for n, vals in w.items()})
-
-
-def majorizer_from_perfect(psi: FunctionalTable, t: Iterable[str],
-                           n: int) -> int:
-    """Largest guarded value at level n+1 of a perfect splitting tree."""
-    t = frozenset(t)
-    if max_level(t) < n + 1:
-        raise ShapeError(f"tree has no level {n + 1}")
-    cut = restrict_to_level(t, n + 1)
-    _, perfect, _ = branching_stats(cut)
-    if not perfect or not is_splitting_tree(psi, cut, hat=True):
-        raise ShapeError("tree is not perfect splitting up to the level")
-    memo: dict = {}
-    vals = [v for tau in cut
-            if level_of(cut, tau) == n + 1
-            and (v := hat_eval(psi, tau, n, memo)) is not None]
-    if not vals:
-        raise MemberError(f"no value converges at level {n + 1}")
-    return max(vals)

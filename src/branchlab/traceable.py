@@ -27,7 +27,8 @@ from typing import Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
-from .functionals import EMPTY_TABLE, FunctionalTable, effective_axiom
+from .functionals import (EMPTY_TABLE, FunctionalTable, _at_arg,
+                          effective_axiom)
 from .strings import (_lex_extensions, bits_of_values, compatible, is_prefix,
                       lenlex_key)
 from .trees import successors
@@ -189,6 +190,8 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
     if mid.kind != "C":
         raise ProtocolError("expected a C module")
     table = _adversary_table(adv, mid.i)
+    if not _at_arg(table, mid.n):
+        return None  # no axiom at the argument: nothing can converge
     s = st.stage
     found = None
     for cand in _pi_above(st, tau):

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import MemberError, ShapeError
-from .strings import check_bits, sort_lenlex
+from .strings import sort_lenlex
 
 
 class _TreeIndex(NamedTuple):
@@ -123,16 +123,6 @@ def is_prefix_free(strings: Iterable[str]) -> bool:
     return True
 
 
-def downward_closure(strings: Iterable[str]) -> frozenset[str]:
-    """All initial segments of the given strings, including the strings."""
-    out: set[str] = set()
-    for s in strings:
-        check_bits(s)
-        for k in range(len(s) + 1):
-            out.add(s[:k])
-    return frozenset(out)
-
-
 def branching_stats(t: Iterable[str]) -> tuple[int, bool, int]:
     """(max successor count, perfect?, two-branching-below level).
 
@@ -204,15 +194,6 @@ def staged_ce_violation(st: StagedTree, weak: bool = False) -> Optional[str]:
                 if not any(tau.startswith(lf) and tau != lf for lf in prev_leaves):
                     return f"stage {s}: {tau!r} extends no leaf of the previous snapshot"
     return None
-
-
-def validate_staged_ce_tree(st: StagedTree, weak: bool = False) -> bool:
-    return staged_ce_violation(st, weak) is None
-
-
-def merge_to_two_stages(st: StagedTree) -> StagedTree:
-    """Collapse an enumeration to (first snapshot, final snapshot)."""
-    return StagedTree((st.stages[0], st.final))
 
 
 def sorted_members(t: Iterable[str]) -> tuple[str, ...]:

@@ -1,83 +1,69 @@
 """Acceptance runs: one test per acceptance criterion, at full scale.
 
-Each test drives the corresponding seeded suite checks and demands a
-clean PASS on every emitted line, so `pytest -v` yields exactly one
-verdict line per criterion.  Wall-clock ceilings are asserted where a
-criterion fixes one.
+Each test drives the corresponding seeded suite checks at the `full`
+scale the suite registry gives them, and demands a clean PASS on every
+emitted line, so `pytest -v` yields exactly one verdict line per
+criterion.  Wall-clock ceilings are asserted where a criterion fixes
+one.
 """
 
 import random
 import time
 
-from branchlab.suite import (_chk_cupping_corpus, _chk_cupping_exhaustive,
-                             _chk_factorial_identity, _chk_kappa, _chk_nice,
-                             _chk_rescale_sizes, _chk_selection_twostar,
-                             _chk_selection_random, _chk_selfdelim,
-                             _chk_spacing_bound, _chk_split_mutant,
-                             _chk_split_thin, _chk_theta_roundtrip,
-                             _chk_thin_from_trace, _chk_trace_size_bound,
-                             _chk_traceable, _chk_pullback_image,
-                             _chk_twocol_exhaustive, _chk_twocol_random,
-                             run_suite)
+from branchlab.suite import _CHECKS, run_suite
+
+_FULL = {name: (fn, full) for name, fn, _, full in _CHECKS}
 
 
-def _rng(tag):
-    return random.Random(f"acceptance:{tag}")
-
-
-def _all_pass(lines):
-    for ln in lines:
-        assert ln.status == "PASS", ln.render()
+def _run(tag, *names):
+    """Run the named registry checks at full scale, each on a fresh
+    generator seeded with the criterion's tag."""
+    for name in names:
+        fn, kwargs = _FULL[name]
+        for ln in fn(random.Random(f"acceptance:{tag}"), **kwargs):
+            assert ln.status == "PASS", ln.render()
 
 
 def test_criterion_01_twocol_exhaustive_and_random():
     t0 = time.monotonic()
-    _all_pass(_chk_twocol_exhaustive(_rng(1), n=2))
+    _run(1, "twocol-exh-n2")
     assert time.monotonic() - t0 < 10
     t0 = time.monotonic()
-    _all_pass(_chk_twocol_random(_rng(1), n=3, count=10_000))
+    _run(1, "twocol-rand-n3")
     assert time.monotonic() - t0 < 30
 
 
 def test_criterion_02_nice_extractions_and_kappa_closed_form():
-    _all_pass(_chk_nice(_rng(2), i_max=2, per_cell=1112))
-    _all_pass(_chk_kappa(_rng(2), imax=6, nmax=10))
+    _run(2, "nice", "kappa-closed-form")
 
 
 def test_criterion_03_pi_member_corpus_and_exhaustive_match():
-    _all_pass(_chk_cupping_exhaustive(_rng(3)))
-    _all_pass(_chk_cupping_corpus(_rng(3), bundles=100, nmax=3))
+    _run(3, "cupping-exh", "cupping-corpus")
 
 
 def test_criterion_04_traceable_runs_and_count_identity():
-    _all_pass(_chk_traceable(_rng(4), runs=100, horizon=8))
-    _all_pass(_chk_factorial_identity(_rng(4), nmax=8))
+    _run(4, "traceable", "traceable-identity")
 
 
 def test_criterion_05_thin_trace_equivalence_arms():
-    _all_pass(_chk_trace_size_bound(_rng(5), count=100))
-    _all_pass(_chk_thin_from_trace(_rng(5), count=1000, depth=12))
-    _all_pass(_chk_spacing_bound(_rng(5)))
-    _all_pass(_chk_rescale_sizes(_rng(5), count=100))
-    _all_pass(_chk_selfdelim(_rng(5), top=64))
+    _run(5, "trace-size-bound", "thin-from-trace", "kraft-four-ninths",
+         "rescale-size-bound", "sd-roundtrip")
 
 
 def test_criterion_06_splitting_reduction_and_mutation():
-    _all_pass(_chk_split_thin(_rng(6), count=1000))
-    _all_pass(_chk_split_mutant(_rng(6), tries=120))
+    _run(6, "split-thin", "split-mutant-detect")
 
 
 def test_criterion_07_selection_oracles():
-    _all_pass(_chk_selection_twostar(_rng(7)))
-    _all_pass(_chk_selection_random(_rng(7), count=50))
+    _run(7, "select-twostar", "select-random")
 
 
 def test_criterion_08_readback_round_trip():
-    _all_pass(_chk_theta_roundtrip(_rng(8), count=50))
+    _run(8, "theta-roundtrip")
 
 
 def test_criterion_09_pullback_image_identity():
-    _all_pass(_chk_pullback_image(_rng(9), count=1000))
+    _run(9, "pullback-image")
 
 
 def test_criterion_10_deterministic_reports():

@@ -1,6 +1,8 @@
 """Command dispatch: worked examples, error surfacing, determinism."""
 
 import hashlib
+import random
+import time
 
 import pytest
 
@@ -235,3 +237,126 @@ def test_smc_driver_report_bytes_are_pinned(tmp_path, capsys):
         assert cli.main(["run", "smc", "--psi", "psi", "--budget", "16",
                          "--scenario", str(f)] + extra) == code
         assert capsys.readouterr().out == f"# seed 3\n{line}\n"
+
+
+def _profile_scenario():
+    """phi grows the certified tree of the oracle e in three steps; G is
+    the prefix enumeration of the members 00, 10 and 100 it admits."""
+    lines = ["[functional phi]", "axiom e 0 1 1"]
+    lines += [f"axiom {s} {n} 1 2" for n in range(1, 7) for s in ("00", "10")]
+    lines += [f"axiom 100 {n} 1 3" for n in range(7, 31)]
+    lines += ["", "[staged G]", "stage", "node e", "stage", "stage",
+              "node 00", "node 10", "stage", "node 100",
+              "", "[params]", "flen 7", "seed 4", ""]
+    return "\n".join(lines)
+
+
+ADVERSARY = """\
+[functional psi0]
+axiom 01 0 1 3
+axiom e 1 9 1
+axiom e 2 9 1
+axiom 1111 2 9 1
+axiom 0001 3 1 1
+
+[functional psi1]
+axiom 11 0 1 2
+axiom e 1 7 2
+axiom e 2 5 3
+axiom 1 3 0 3
+axiom 001 3 4 3
+
+[params]
+seed 2
+"""
+
+
+def test_folded_handlers_report_bytes_are_pinned(tmp_path, capsys):
+    # each handler here reads its verdict from the suite's shared body;
+    # the expected reports are those of the handlers' own earlier copies
+    prof = tmp_path / "prof.scn"
+    prof.write_text(_profile_scenario())
+    adv = tmp_path / "adv.scn"
+    adv.write_text(ADVERSARY)
+    expected = [
+        (f"verify nice --i 1 --n 2 --count 5 --scenario {prof}",
+         "# seed 4\nPASS\tnice-i1-n2-0\td=1\nPASS\tnice-i1-n2-1\td=1\n"
+         "PASS\tnice-i1-n2-2\td=1\nPASS\tnice-i1-n2-3\td=0\n"
+         "PASS\tnice-i1-n2-4\td=1\n"),
+        ("verify kappa --imax 1 --nmax 3",
+         "# seed 0\nPASS\tkappa-0-0\t4\nPASS\tkappa-0-1\t8\n"
+         "PASS\tkappa-0-2\t16\nPASS\tkappa-0-3\t32\nPASS\tkappa-1-1\t4\n"
+         "PASS\tkappa-1-2\t8\nPASS\tkappa-1-3\t16\n"),
+        ("encode sd 13 6", "# seed 0\nPASS\tsd-13-6\t10100011110\n"),
+        (f"run pi6 --phi phi --stages 4 --scenario {prof}",
+         "# seed 4\nPASS\tpi6-admit-e\tstage=0 level=0\n"
+         "PASS\tpi6-admit-00\tstage=2 level=2\n"
+         "PASS\tpi6-admit-10\tstage=2 level=2\n"
+         "PASS\tpi6-admit-100\tstage=3 level=4\nPASS\tpi6-gap\n"),
+        (f"check theta --phi phi --staging G --scenario {prof}",
+         "# seed 4\nPASS\ttheta-consistency\taxioms=8\nPASS\ttheta-00\t00\n"
+         "PASS\ttheta-10\t10\nPASS\ttheta-100\t10,100\n"),
+        (f"run traceable --horizon 6 --scenario {adv}",
+         "# seed 2\nPASS\ttraceable-frontier\tstages=6\n"
+         "PASS\ttraceable-counts\t0:1 1:4 2:16 3:24 4:16\n"
+         "PASS\ttraceable-tracesize\nPASS\ttraceable-final\n"),
+    ]
+    for cmd, out in expected:
+        assert cli.main(cmd.split()) == 0, cmd
+        assert capsys.readouterr().out == out, cmd
+
+
+def test_nice_fail_lines_of_verify_and_suite(monkeypatch):
+    sc = parse_scenario(_profile_scenario())
+    monkeypatch.setattr(suite, "verify_extraction", lambda *a: False)
+    rep = cli.run_command("verify nice --i 1 --n 2 --count 2", sc)
+    assert [ln.render() for ln in rep.lines] == [
+        "FAIL\tnice-i1-n2-0\td=1", "FAIL\tnice-i1-n2-1\td=1"]
+    assert [ln.render() for ln in suite._chk_nice(random.Random(1), 0, 2)] \
+        == ["FAIL\tnice-i0-n0\td=1 rejected", "FAIL\tnice-i0-n1\td=0 rejected",
+            "FAIL\tnice-i0-n2\td=0 rejected"]
+
+    def broken(*args):
+        raise ValueError("bad\n  shape")
+
+    monkeypatch.setattr(suite, "extract_nice", broken)
+    rep = cli.run_command("verify nice --i 1 --n 2 --count 2", sc)
+    assert [ln.render() for ln in rep.lines] == [
+        "FAIL\tnice-i1-n2-0\tbad shape", "FAIL\tnice-i1-n2-1\tbad shape"]
+    assert [ln.render() for ln in suite._chk_nice(random.Random(1), 0, 1)] \
+        == ["FAIL\tnice-i0-n0\tbad shape", "FAIL\tnice-i0-n1\tbad shape",
+            "FAIL\tnice-i0-n2\tbad shape"]
+
+
+def test_traceable_fail_lines_of_run_and_suite(monkeypatch):
+    monkeypatch.setattr(suite, "node_count_bound", lambda n: 0)
+    monkeypatch.setattr(suite, "trace_bound_pair", lambda i, n: (0, 0))
+    monkeypatch.setattr(suite, "verify_final_nodes", lambda st, adv: False)
+    rep = cli.run_command("run traceable --horizon 6",
+                          parse_scenario(ADVERSARY))
+    assert [ln.render() for ln in rep.lines] == [
+        "PASS\ttraceable-frontier\tstages=6",
+        "FAIL\ttraceable-counts\tlevel 0 has 1 > 0",
+        "FAIL\ttraceable-tracesize", "FAIL\ttraceable-final"]
+    assert [ln.render()
+            for ln in suite._chk_traceable(random.Random(1), 3, 4)] == [
+        "PASS\ttraceable-frontier\t3/3",
+        "FAIL\ttraceable-counts\trun 0: 1 nodes at level 0 exceed 0",
+        "FAIL\ttraceable-tracesize\trun 1: trace (0,0) holds 1 values",
+        "FAIL\ttraceable-pdiag\trun 0: a guarded branch survived"]
+
+
+def test_nice_tree_budget_at_its_edge(capsys):
+    # kappa(0) fanout 4, 8, 16, ... gives 2^14 leaves at level 4 and
+    # 2^20 at level 5, which is refused before the tree is built
+    t0 = time.monotonic()
+    assert cli.main(["verify", "nice", "--i", "0", "--n", "4",
+                     "--count", "1"]) == 0
+    assert capsys.readouterr().out == "# seed 0\nPASS\tnice-i0-n4-0\td=1\n"
+    assert time.monotonic() - t0 < 10
+    t0 = time.monotonic()
+    assert cli.main(["verify", "nice", "--i", "0", "--n", "5",
+                     "--count", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].startswith(
+        "ERROR\tverify-nice-error\t")
+    assert time.monotonic() - t0 < 1

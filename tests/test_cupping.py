@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from branchlab.colorings import ncol
 from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
@@ -10,13 +8,12 @@ from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                count_extension_trees,
                                enumerate_extension_trees, extension_rank,
                                find_pi_member, full_graded_tree, gamma_code,
-                               gamma_decode, gamma_split, join_code,
-                               join_decode, materialize_pi_star,
+                               gamma_decode, gamma_split, materialize_pi_star,
                                pi_membership_violation, pi_star_successors,
                                pi_survivors, realize, stage_filter)
 from branchlab.errors import BudgetError, ConsistencyError, ShapeError
 from branchlab.functionals import table
-from branchlab.strings import is_prefix, lenlex_key
+from branchlab.strings import lenlex_key
 from branchlab.trees import restrict_to_level
 
 
@@ -209,76 +206,3 @@ def test_requirement_satisfaction_blocking_bundle():
     assert node.psi_values[0] != 0
     assert node.psi_values[1] != 3
     assert pi_membership_violation(node, adv) is None
-
-
-def test_join_code_full_tree():
-    full = frozenset(["", "0", "1", "00", "01", "10", "11",
-                      "000", "001", "010", "011",
-                      "100", "101", "110", "111"])
-    assert join_code(full, "101") == "101"
-    assert join_code(full, "") == ""
-
-
-def test_join_code_stride_tree():
-    t = {""}
-    frontier = [""]
-    for _ in range(2):
-        nxt = []
-        for s in frontier:
-            nxt.extend([s + "00", s + "11"])
-        t.update(nxt)
-        frontier = nxt
-    assert join_code(t, "10") == "1100"
-    assert join_decode(t, "1100") == "10"
-
-
-def test_join_depth_error():
-    with pytest.raises(ShapeError):
-        join_code(frozenset(["", "0", "1"]), "00")
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.text(alphabet="01", max_size=6), st.randoms())
-def test_join_roundtrip(b, rng):
-    t = {""}
-    frontier = [""]
-    for _ in range(len(b)):
-        nxt = []
-        for s in frontier:
-            ext = sorted({s + "".join(rng.choice("01") for _ in range(2))
-                          for _ in range(8)})
-            while len(ext) < 2:
-                ext.append(s + "01")
-                ext = sorted(set(ext))
-            pair = rng.sample(ext, 2)
-            nxt.extend(pair)
-        t.update(nxt)
-        frontier = nxt
-    leaf = join_code(t, b)
-    assert join_decode(t, leaf) == b
-
-
-def _naive_walk_roots(t):
-    # the whole-set root scan that level_map's level 0 replaced
-    return [m for m in t if not any(is_prefix(o, m) for o in t if o != m)]
-
-
-@given(st.lists(st.text(alphabet="01", max_size=5), max_size=12),
-       st.booleans(), st.text(alphabet="01", max_size=3))
-def test_join_root_matches_naive_scan(ss, with_root, b):
-    # arbitrary sets: none, one or several roots
-    t = frozenset(ss + [""] if with_root else ss)
-    roots = _naive_walk_roots(t)
-    if len(roots) != 1:
-        with pytest.raises(ShapeError, match="single root"):
-            join_code(t, b)
-        with pytest.raises(ShapeError, match="single root"):
-            join_decode(t, b)
-        return
-    assert join_code(t, "") == roots[0]
-    assert join_decode(t, roots[0]) == ""
-    try:
-        leaf = join_code(t, b)
-    except ShapeError:
-        return
-    assert join_decode(t, leaf) == b

@@ -10,13 +10,13 @@ import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
 from branchlab.functionals import (FunctionalTable, _outputs,
                                    _require_two_branching, applicable, build_weak_splitting_tree,
-                                   check_weak_splitting,
-                                   decode_initial_segment, effective_axiom,
+                                   effective_axiom,
                                    eval_at, hat_eval,
                                    image_tree, is_splitting_pair,
                                    is_splitting_tree, min_steps,
                                    output_prefix, outputs_split,
-                                   pullback_tree, splitting_violation, table)
+                                   pullback_tree, splitting_violation, table,
+                                   weak_splitting_violation)
 from branchlab.strings import (bits_of_values, compatible, is_prefix,
                                is_proper_prefix, sort_lenlex)
 from branchlab.trees import successors
@@ -369,23 +369,7 @@ def test_check_and_decode_roundtrip_identity():
     psi = _hatlike_identity(7)
     phi = _hatlike_identity(7)
     w = build_weak_splitting_tree(psi, phi, length_budget=6)
-    path = "010101"
-    assert check_weak_splitting(w, psi, path)
-    # oracle: the full-run output on the path prefix
-    from branchlab.functionals import output_bits
-    oracle = output_bits(psi, path, hat=True)
-    for n in range(0, 4):
-        got = decode_initial_segment(w, psi, oracle, n)
-        assert got == path[:n]
-
-
-def test_decode_zero_returns_root():
-    psi = _hatlike_identity(5)
-    phi = _hatlike_identity(5)
-    w = build_weak_splitting_tree(psi, phi, length_budget=4)
-    from branchlab.functionals import output_bits
-    oracle = output_bits(psi, "0101", hat=True)
-    assert decode_initial_segment(w, psi, oracle, 0) == ""
+    assert weak_splitting_violation(w, psi, "010101") is None
 
 
 # --- image / pullback ----------------------------------------------------

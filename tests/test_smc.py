@@ -17,13 +17,12 @@ from branchlab.gen import (constant_psi, odd_readback_psi, phi_for_profile,
                            random_functional_table, random_selection_scenario,
                            staged_context)
 from branchlab.smc import (OmegaContext, ThetaAxioms, build_tprime,
-                           compute_majorant, enumerate_pi,
-                           is_a_oplus_compatible, omega, omega_level,
+                           enumerate_pi, omega, omega_level,
                            oplus_tree, select_extensions, smc_driver_stage,
                            t_of, theta_decode)
 from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
                                lenlex_key, show_string, sort_lenlex)
-from branchlab.thin import is_thin, kraft_weight
+from branchlab.thin import is_thin
 from branchlab.trees import (StagedTree, branching_stats, leaves, level_of,
                              max_level, successors)
 
@@ -74,17 +73,6 @@ class TestTOf:
 
 
 class TestOplus:
-    def test_even_positions_copy_the_oracle(self):
-        assert is_a_oplus_compatible("", "10")
-        assert is_a_oplus_compatible("1100", "10")
-        assert is_a_oplus_compatible("110", "10")
-        assert not is_a_oplus_compatible("0", "10")
-        assert not is_a_oplus_compatible("1110", "10")
-
-    def test_too_long_for_the_oracle(self):
-        with pytest.raises(MemberError):
-            is_a_oplus_compatible("11000", "10")
-
     def test_interleave_tree(self):
         t = oplus_tree("10")
         assert t == frozenset({"", "10", "11", "1000", "1001", "1100",
@@ -94,26 +82,6 @@ class TestOplus:
 
     def test_interleave_tree_trivial_oracle(self):
         assert oplus_tree("") == frozenset({""})
-
-
-class TestMajorant:
-    def test_full_binary_doubles(self):
-        phi = phi_for_profile({"": 4})
-        assert compute_majorant(phi, "0", 3) == (0, 2, 4, 6)
-
-    def test_sparse_tree(self):
-        phi = phi_for_profile({"0": {"", "0", "10", "01"}})
-        assert compute_majorant(phi, "0", 2) == (0, 3, 4)
-
-    def test_depth_past_the_tree(self):
-        phi = phi_for_profile({"": 2})
-        with pytest.raises(ShapeError):
-            compute_majorant(phi, "0", 5)
-
-    def test_strictly_increasing(self):
-        phi = phi_for_profile({"": 4})
-        f = compute_majorant(phi, "1", 4)
-        assert all(a < b for a, b in zip(f, f[1:]))
 
 
 # -- certificates ------------------------------------------------------------
@@ -195,7 +163,8 @@ class TestEnumerate:
                 if any(a != b and compatible(a, b)
                        for a in fam for b in fam):
                     continue
-                assert kraft_weight(final, "", frozenset(fam)) <= 1
+                assert sum(Fraction(1, 1 << level_of(final, x))
+                           for x in fam) <= 1
 
 
 # -- packing selection --------------------------------------------------------

@@ -16,15 +16,14 @@ from branchlab.gen import (random_functional_table,
 from branchlab.strings import string_to_nat
 from branchlab.thin import (TraceSystem, decode_tuple, dnr_trace, encode_tuple,
                             hat_level_stages, hat_level_tree, is_thin,
-                            kraft_weight, level_functional,
-                            majorizer_from_perfect, rescale_trace,
+                            level_functional, rescale_trace,
                             selfdelim_decode, selfdelim_encode, spaced_level,
                             spacing_bound_limit, spacing_bound_partial,
                             splitting_to_thin, thin_from_trace,
                             thin_violation, trace_from_bounded_splitting,
-                            trace_from_thin, bounded_splitting_bound_pair)
+                            trace_from_thin)
 from branchlab.trees import (StagedTree, level_map, level_of,
-                             successors, validate_staged_ce_tree)
+                             staged_ce_violation, successors)
 
 
 def staged(*strings):
@@ -46,34 +45,6 @@ def identity_table(max_len):
             for b in "01":
                 axioms.append((s + b, length, int(b), 1))
     return FunctionalTable(tuple(axioms))
-
-
-# -- kraft weights -------------------------------------------------------
-
-def test_kraft_full_binary_level_one():
-    t = {"", "0", "1"}
-    assert kraft_weight(t, "", ["0", "1"]) == 1
-    assert kraft_weight(t, "", ["0"]) == Fraction(1, 2)
-    assert kraft_weight(t, "", []) == 0
-
-
-def test_kraft_depth_measured_in_ambient_tree():
-    t = {"", "0", "01"}
-    assert kraft_weight(t, "", ["01"]) == Fraction(1, 4)
-    assert kraft_weight(t, "0", ["01"]) == Fraction(1, 2)
-    assert kraft_weight(t, "01", ["01"]) == 1
-
-
-def test_kraft_errors():
-    t = {"", "0", "01"}
-    with pytest.raises(MemberError):
-        kraft_weight(t, "1", ["1"])
-    with pytest.raises(MemberError):
-        kraft_weight(t, "", ["11"])
-    with pytest.raises(MemberError):
-        kraft_weight(t, "01", ["0"])
-    with pytest.raises(ShapeError):
-        kraft_weight(t, "", ["0", "01"])
 
 
 # -- thinness ------------------------------------------------------------
@@ -154,7 +125,7 @@ def test_identity_level_tree_levels_track_output_length():
 def test_hat_level_stages_are_weakly_enumerable():
     psi = identity_table(3)
     st_tree = hat_level_stages(psi, 3)
-    assert validate_staged_ce_tree(st_tree, weak=True)
+    assert staged_ce_violation(st_tree, weak=True) is None
     assert st_tree.final == hat_level_tree(psi, 3)
 
 
@@ -475,7 +446,6 @@ def test_bounded_splitting_trace_stride_tree():
     assert ts.p == (2, 4)
     assert ts.values_at(0) == frozenset({0, 1})
     assert ts.values_at(1) == frozenset({0, 1})
-    assert bounded_splitting_bound_pair(2, 3) == (8, 16)
 
 
 def test_bounded_splitting_trace_rejects_bad_trees():
@@ -483,30 +453,3 @@ def test_bounded_splitting_trace_rejects_bad_trees():
         trace_from_bounded_splitting(FunctionalTable(()), {"", "0", "1"}, 1)
     with pytest.raises(ShapeError, match="split"):
         trace_from_bounded_splitting(FunctionalTable(()), {"", "00", "11"}, 2)
-
-
-# -- majorizers ----------------------------------------------------------
-
-def test_majorizer_takes_the_level_maximum():
-    t = {"", "00", "01", "10"}
-    psi = FunctionalTable((("00", 0, 3, 1), ("01", 0, 9, 1), ("10", 0, 4, 1)))
-    assert majorizer_from_perfect(psi, t, 0) == 9
-    memo = {}
-    brute = max(hat_eval(psi, x, 0, memo) for x in ["00", "01", "10"])
-    assert brute == 9
-
-
-def test_majorizer_on_the_stride_tree():
-    t, psi = _stride_tree()
-    assert majorizer_from_perfect(psi, t, 0) == 1
-    assert majorizer_from_perfect(psi, t, 1) == 1
-
-
-def test_majorizer_errors():
-    t, psi = _stride_tree()
-    with pytest.raises(ShapeError, match="level"):
-        majorizer_from_perfect(psi, t, 5)
-    with pytest.raises(ShapeError, match="perfect"):
-        majorizer_from_perfect(psi, {"", "00", "0000"}, 0)
-    with pytest.raises(ShapeError, match="perfect"):
-        majorizer_from_perfect(FunctionalTable(()), {"", "00", "11"}, 0)

@@ -8,7 +8,7 @@ import pytest
 from branchlab import traceable
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.errors import ConsistencyError, ProtocolError
-from branchlab.functionals import applicable, effective_axiom, table
+from branchlab.functionals import _at_arg, applicable, effective_axiom, table
 from branchlab.gen import random_functional_table
 from branchlab.strings import bits_of_values, compatible
 from branchlab.traceable import (ConstructionState, ModuleId,
@@ -446,6 +446,27 @@ def test_c_module_never_iterates_pi():
         acted += act_c_module(counted, tau, mid, adv) is not None
         assert counted.pi.iterations == 0
     assert acted > 20
+
+
+def test_c_module_without_an_axiom_at_its_argument_never_walks_pi(
+        monkeypatch):
+    walks = []
+    real = traceable._pi_above
+
+    def counted(st, tau):
+        walks.append(tau)
+        return real(st, tau)
+
+    monkeypatch.setattr(traceable, "_pi_above", counted)
+    idle = 0
+    for st, tau, mid, adv in _c_module_cases(6):
+        if _at_arg(_adversary_table(adv, mid.i), mid.n):
+            continue
+        walks.clear()
+        assert act_c_module(st, tau, mid, adv) is None
+        assert walks == []
+        idle += 1
+    assert idle > 1000
 
 
 def test_final_node_check_builds_the_frontier_once(monkeypatch):

@@ -5,12 +5,10 @@ from branchlab.errors import MemberError, ShapeError
 from branchlab.strings import (bits_of_values, is_proper_prefix,
                                nat_to_string, parse_string, show_string,
                                sort_lenlex, string_to_nat)
-from branchlab.trees import (StagedTree, branching_stats, downward_closure,
-                             is_prefix_free, leaves, level_map, level_of,
-                             max_level, merge_to_two_stages,
+from branchlab.trees import (StagedTree, branching_stats, is_prefix_free,
+                             leaves, level_map, level_of, max_level,
                              restrict_to_level, staged_ce_violation,
-                             successors, tree_uniform_level,
-                             validate_staged_ce_tree)
+                             successors, tree_uniform_level)
 
 FULL2 = frozenset(["", "0", "1", "00", "01", "10", "11"])
 
@@ -43,17 +41,6 @@ def test_prefix_free():
     assert is_prefix_free(["00", "01", "1"])
     assert not is_prefix_free(["0", "01"])
     assert is_prefix_free([])
-
-
-def test_downward_closure():
-    assert downward_closure(["01"]) == frozenset(["", "0", "01"])
-
-
-@given(st.lists(bitstrings, max_size=8))
-def test_downward_closure_idempotent(ss):
-    c = downward_closure(ss)
-    assert downward_closure(c) == c
-    assert all(s in c for s in ss)
 
 
 @given(st.lists(bitstrings, min_size=1, max_size=8))
@@ -206,22 +193,22 @@ def test_tree_uniform_level():
 
 def test_staged_plain_valid():
     st_ = StagedTree((frozenset([""]), frozenset(["", "0", "1"])))
-    assert validate_staged_ce_tree(st_, weak=False)
-    assert not validate_staged_ce_tree(st_, weak=True)  # two at once
+    assert staged_ce_violation(st_, weak=False) is None
+    assert staged_ce_violation(st_, weak=True) is not None  # two at once
 
 
 def test_staged_weak_single_additions():
     st_ = StagedTree((frozenset([""]),
                       frozenset(["", "00"]),
                       frozenset(["", "00", "01"])))
-    assert validate_staged_ce_tree(st_, weak=True)
+    assert staged_ce_violation(st_, weak=True) is None
 
 
 def test_staged_weak_new_string_must_be_leaf():
     st_ = StagedTree((frozenset([""]),
                       frozenset(["", "00"]),
                       frozenset(["", "00", "0"])))
-    assert not validate_staged_ce_tree(st_, weak=True)
+    assert staged_ce_violation(st_, weak=True) is not None
 
 
 def test_staged_plain_must_extend_leaf():
@@ -229,7 +216,7 @@ def test_staged_plain_must_extend_leaf():
                       frozenset(["", "00"]),
                       frozenset(["", "00", "01"])))
     # "01" does not extend the leaf "00"
-    assert not validate_staged_ce_tree(st_, weak=False)
+    assert staged_ce_violation(st_, weak=False) is not None
 
 
 @st.composite
@@ -296,8 +283,9 @@ def test_weak_violation_matches_naive_leaf_scan(staging):
 
 @given(weak_stagings())
 def test_weak_staging_is_plain_after_merge(staging):
-    assert validate_staged_ce_tree(staging, weak=True)
-    assert validate_staged_ce_tree(merge_to_two_stages(staging), weak=False)
+    assert staged_ce_violation(staging, weak=True) is None
+    merged = StagedTree((staging.stages[0], staging.final))
+    assert staged_ce_violation(merged, weak=False) is None
 
 
 def test_string_nat_bijection_small():
