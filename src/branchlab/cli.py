@@ -100,12 +100,18 @@ def _h_verify_twocol(ns, sc, rng):
 
 
 def _h_verify_nice(ns, sc, rng):
+    # each colouring costs about its leaf count, so the work is bounded
+    # by count x leaves; one tree is also bounded, as building it is
+    # the memory cost
     leaf_count = 1
     for k in range(ns.n):
         leaf_count *= kappa(ns.i, k)
         if leaf_count > 1 << 16:
             raise BudgetError(f"a level-{ns.n} tree with kappa({ns.i}) "
                               f"fanout has over {1 << 16} leaves")
+    if ns.count * leaf_count > 1 << 20:
+        raise BudgetError(f"{ns.count} colourings of {leaf_count} leaves "
+                          f"exceed {1 << 20} coloured leaves")
     t0 = random_kappa_tree(rng, ns.i, ns.n)
     width = len(str(ns.count - 1)) if ns.count > 1 else 1
     return [_extraction_line(f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}",

@@ -22,7 +22,7 @@ from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetError, ShapeError
-from .trees import (leaves, level_map, level_of, successors,
+from .trees import (Tree, leaves, level_map, level_of, successors,
                     tree_uniform_level)
 
 EVEN = "even"
@@ -134,7 +134,7 @@ def _fanout(f: Fanout) -> Callable[[int], int]:
 def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
     """Subtree discipline: levels agree with the shape and non-leaves
     have exactly f(level) successors."""
-    sub = frozenset(sub)
+    sub = Tree(sub)
     if not sub:
         return False
     fan = _fanout(f)
@@ -182,7 +182,7 @@ def _propagate(counts_src: dict[str, Optional[int]],
 
 
 def extract_twocol(shape: BushyShape, n: int,
-                   c: Coloring) -> tuple[int, frozenset[str]]:
+                   c: Coloring) -> tuple[int, Tree]:
     """Two-colour extraction on the even shape.
 
     Returns (d, sub) where sub is a two-branching level-n subtree of
@@ -219,11 +219,11 @@ def extract_twocol(shape: BushyShape, n: int,
             nxt.extend(sorted(ok)[:2])
         sub.update(nxt)
         frontier = nxt
-    return d, frozenset(sub)
+    return d, Tree(sub)
 
 
 def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
-                 c: Coloring) -> tuple[int, frozenset[str]]:
+                 c: Coloring) -> tuple[int, Tree]:
     """Thin a kappa(i)-compatible graded subtree against an ncol(i)-colouring.
 
     Returns (d, t1) with t1 kappa(i+1)-compatible of the same level and
@@ -232,7 +232,7 @@ def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
     """
     if shape.variant != GRADED:
         raise ShapeError("graded shape required")
-    t0 = frozenset(t0)
+    t0 = Tree(t0)
     if not is_compatible(shape, t0, lambda k: kappa(i, k)):
         raise ShapeError("input tree is not kappa(i)-compatible")
     if c.num_colors != ncol(i):
@@ -265,13 +265,13 @@ def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
             nxt.extend(sorted(ok)[:want])
         t1.update(nxt)
         frontier = nxt
-    return d, frozenset(t1)
+    return d, Tree(t1)
 
 
 def verify_extraction(shape: BushyShape, f_target: Fanout, n: int,
                       c: Coloring, d: int, sub: Iterable[str]) -> bool:
     """Check an extraction: compatibility, level, and no leaf coloured d."""
-    sub = frozenset(sub)
+    sub = Tree(sub)
     if not sub or not is_compatible(shape, sub, f_target):
         return False
     if tree_uniform_level(sub) != n:

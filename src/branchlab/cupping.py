@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -29,7 +30,7 @@ from .colorings import (Coloring, GRADED_SHAPE, bushy_level_strings,
 from .errors import BudgetError, ProtocolError, ShapeError
 from .functionals import FunctionalTable, hat_eval
 from .strings import check_bits, show_string, sort_lenlex
-from .trees import leaves, restrict_to_level, tree_uniform_level
+from .trees import Tree, leaves, restrict_to_level, tree_uniform_level
 
 
 def gamma_code(j: int) -> str:
@@ -59,14 +60,17 @@ def gamma_decode(s: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def full_graded_tree(n: int) -> frozenset[str]:
+@lru_cache(maxsize=8)
+def full_graded_tree(n: int) -> Tree:
+    """Every string on levels 0..n of the graded shape; one shared
+    Tree per level, so its index is built once."""
     members: set[str] = set()
     for k in range(n + 1):
         members.update(bushy_level_strings(GRADED_SHAPE, k))
-    return frozenset(members)
+    return Tree(members)
 
 
-def _two_branching(t: frozenset[str]) -> bool:
+def _two_branching(t: Tree) -> bool:
     return is_compatible(GRADED_SHAPE, t, lambda k: 2)
 
 
@@ -76,10 +80,11 @@ class PiStarNode:
 
     tau: str
     level: int
-    t_tau: frozenset[str]
+    t_tau: Tree
     psi_values: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "t_tau", Tree(self.t_tau))
         check_bits(self.tau)
         if len(gamma_decode(self.tau)) != self.level:
             raise ShapeError("label does not decode to the node level")
@@ -94,10 +99,10 @@ class PiStarNode:
             raise ShapeError("node tree level does not match the node level")
 
 
-ROOT_NODE = PiStarNode("", 0, frozenset([""]), ())
+ROOT_NODE = PiStarNode("", 0, Tree([""]), ())
 
 
-def count_extension_trees(t: frozenset[str]) -> int:
+def count_extension_trees(t: Tree) -> int:
     n = tree_uniform_level(t)
     if n is None:
         raise ShapeError("leaves sit at mixed levels")
@@ -105,7 +110,7 @@ def count_extension_trees(t: frozenset[str]) -> int:
     return per_leaf ** len(leaves(t))
 
 
-def enumerate_extension_trees(t: frozenset[str]) -> Iterator[frozenset[str]]:
+def enumerate_extension_trees(t: Tree) -> Iterator[Tree]:
     """All one-level growths of t, two fresh successors per leaf.
 
     Trees come out in rank order: leaves length-lex, pair choices
@@ -119,10 +124,10 @@ def enumerate_extension_trees(t: frozenset[str]) -> Iterator[frozenset[str]]:
         for a, b in choice:
             grown.add(a)
             grown.add(b)
-        yield frozenset(grown)
+        yield Tree(grown)
 
 
-def extension_rank(t: frozenset[str], grown: frozenset[str]) -> int:
+def extension_rank(t: Tree, grown: Tree) -> int:
     """Position of grown in the enumeration order of t's extensions."""
     n = tree_uniform_level(t)
     if n is None:
@@ -164,7 +169,7 @@ def realize(n: int, f: Sequence[int], t: Iterable[str]) -> PiStarNode:
     Replays the successor labeling level by level, ranking each
     restriction of t among the extensions of the previous one.
     """
-    t = frozenset(t)
+    t = Tree(t)
     f = tuple(f)
     if len(f) != n:
         raise ShapeError("colour vector length must equal the level")

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ConsistencyError, ShapeError
-from .strings import bits_of_values, check_bits, compatible, is_prefix
-from .trees import _index, sorted_members
+from .strings import (bits_of_values, check_bits, compatible, is_prefix,
+                      lenlex_key)
+from .trees import Tree, _index, sorted_members
 
 Axiom = tuple[str, int, int, int]  # (sigma, arg, value, steps)
 
@@ -56,9 +57,14 @@ class FunctionalTable:
                         raise ConsistencyError(
                             f"axioms {a} and {b} clash", first=a, second=b)
         object.__setattr__(self, "axioms", axs)
-        # the argument column, for _at_arg; not a field, so eq, hash and
-        # repr ignore it
+        # the argument column, for _at_arg, and the hash, which is the
+        # one the dataclass would compute; not fields, so eq and repr
+        # ignore them
         object.__setattr__(self, "_args", tuple(ax[1] for ax in axs))
+        object.__setattr__(self, "_hash", hash((axs,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def max_arg(self) -> int:
@@ -193,11 +199,11 @@ def splitting_violation(f: FunctionalTable, t: Iterable[str],
     already extends the branch point, i.e. the split may arrive one
     tree step late.
     """
-    t = frozenset(t)
+    t = Tree(t)
     return _splitting_violation(t, _outputs(f, t, hat=hat), delayed)
 
 
-def _splitting_violation(t: frozenset[str], outs: dict[str, tuple[int, ...]],
+def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
                          delayed: bool = False) -> Optional[tuple[str, str]]:
     """splitting_violation over precomputed outputs of t's members."""
     mems = sorted_members(t)
@@ -238,7 +244,7 @@ class WeakSplitWitness:
     the composition consulted while doing so.
     """
 
-    tree: frozenset[str]
+    tree: Tree
     phi: dict[str, int]
     psi: dict[str, int]
 
@@ -297,7 +303,7 @@ def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
             if len(tau) < length_budget:
                 nxt.extend((tau + "0", tau + "1"))
         frontier = nxt
-    return WeakSplitWitness(frozenset(members), phi_map, psi_map)
+    return WeakSplitWitness(Tree(members), phi_map, psi_map)
 
 
 def _disagree_upto(a: str, b: str, k: int) -> bool:
@@ -336,7 +342,7 @@ def weak_splitting_violation(w: WeakSplitWitness, psi: FunctionalTable,
 # image and pullback trees
 
 
-def _require_two_branching(t: frozenset[str], what: str) -> None:
+def _require_two_branching(t: Tree, what: str) -> None:
     if not t:
         raise ShapeError(f"{what}: empty tree")
     idx = _index(t)
@@ -347,58 +353,58 @@ def _require_two_branching(t: frozenset[str], what: str) -> None:
             raise ShapeError(f"{what}: {m!r} has {len(s)} successors")
 
 
-def _checked_outputs(f: FunctionalTable, t: frozenset[str],
+def _checked_outputs(f: FunctionalTable, t: Tree,
                      hat: bool) -> dict[str, tuple[int, ...]]:
     """The outputs of t's members; plain ones only where the table
-    agrees with its own guarded restriction on t."""
+    agrees with its own guarded restriction on t, which a failure
+    names by its length-lex first member."""
     outs = _outputs(f, t, hat=hat)
     if not hat:
         guarded = _outputs(f, t, hat=True)
-        for m in t:
-            if outs[m] != guarded[m]:
-                raise ShapeError(
-                    f"table is not its own guarded restriction at {m!r}")
+        bad = [m for m in t if outs[m] != guarded[m]]
+        if bad:
+            raise ShapeError("table is not its own guarded restriction "
+                             f"at {min(bad, key=lenlex_key)!r}")
     return outs
 
 
 def image_tree(f: FunctionalTable, t: Iterable[str],
-               hat: bool = False) -> frozenset[str]:
+               hat: bool = False) -> Tree:
     """Outputs of the members of a two-branching splitting tree.
 
     Unless evaluating in guarded mode, the table must agree with its
     own guarded restriction on the tree.  The result is checked to be
     two-branching again.
     """
-    t = frozenset(t)
+    t = Tree(t)
     return _image_tree(t, _checked_outputs(f, t, hat))
 
 
-def _image_tree(t: frozenset[str],
-                outs: dict[str, tuple[int, ...]]) -> frozenset[str]:
+def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]]) -> Tree:
     """image_tree over precomputed outputs of t's members."""
     _require_two_branching(t, "image input")
     if _splitting_violation(t, outs) is not None:
         raise ShapeError("input tree is not a splitting tree")
-    img = frozenset(bits_of_values(outs[m]) for m in t)
+    img = Tree(bits_of_values(outs[m]) for m in t)
     _require_two_branching(img, "image output")
     return img
 
 
 def pullback_tree(f: FunctionalTable, t0: Iterable[str], t2: Iterable[str],
-                  hat: bool = False) -> frozenset[str]:
+                  hat: bool = False) -> Tree:
     """Members of t0 whose outputs land in t2."""
-    t0 = frozenset(t0)
-    t2 = frozenset(t2)
+    t0 = Tree(t0)
+    t2 = Tree(t2)
     return _pullback_tree(t0, t2, _checked_outputs(f, t0, hat))
 
 
-def _pullback_tree(t0: frozenset[str], t2: frozenset[str],
-                   outs: dict[str, tuple[int, ...]]) -> frozenset[str]:
+def _pullback_tree(t0: Tree, t2: Tree,
+                   outs: dict[str, tuple[int, ...]]) -> Tree:
     """pullback_tree over precomputed outputs of t0's members."""
     img = _image_tree(t0, outs)
     if not t2 <= img:
         raise ShapeError("refinement tree is not a subset of the image")
     _require_two_branching(t2, "refinement tree")
-    t3 = frozenset(m for m in t0 if bits_of_values(outs[m]) in t2)
+    t3 = Tree(m for m in t0 if bits_of_values(outs[m]) in t2)
     _require_two_branching(t3, "pullback output")
     return t3

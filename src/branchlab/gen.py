@@ -16,7 +16,7 @@ from .functionals import FunctionalTable
 from .smc import OmegaContext, enumerate_pi, oplus_tree
 from .strings import (check_bits, compatible, is_prefix, is_proper_prefix,
                       sort_lenlex, string_to_nat)
-from .trees import StagedTree, level_of, successors
+from .trees import StagedTree, Tree, level_of, successors
 
 
 def random_weak_staged_tree(rng: random.Random, steps: int = 20,
@@ -28,7 +28,7 @@ def random_weak_staged_tree(rng: random.Random, steps: int = 20,
     drops a fresh string into unclaimed territory.
     """
     members = {""}
-    stages = [frozenset(members)]
+    stages = [Tree(members)]
     for _ in range(steps):
         new: Optional[str] = None
         if rng.random() < grow_bias:
@@ -46,7 +46,7 @@ def random_weak_staged_tree(rng: random.Random, steps: int = 20,
                 new = cand
         if new is not None:
             members.add(new)
-        stages.append(frozenset(members))
+        stages.append(Tree(members))
     return StagedTree(tuple(stages))
 
 
@@ -58,12 +58,12 @@ def spined_weak_tree(rng: random.Random, depth: int,
     hang extra members off random spine points.
     """
     members = {""}
-    stages = [frozenset(members)]
+    stages = [Tree(members)]
     spine = ""
     for _ in range(depth):
         spine = spine + rng.choice("01")
         members.add(spine)
-        stages.append(frozenset(members))
+        stages.append(Tree(members))
     for _ in range(shoots):
         k = rng.randrange(depth)
         side = spine[:k] + ("1" if spine[k] == "0" else "0")
@@ -72,7 +72,7 @@ def spined_weak_tree(rng: random.Random, depth: int,
         if cand not in members and not any(
                 is_proper_prefix(cand, m) for m in members):
             members.add(cand)
-            stages.append(frozenset(members))
+            stages.append(Tree(members))
     return StagedTree(tuple(stages))
 
 
@@ -164,7 +164,7 @@ def random_functional_table(rng: random.Random, axioms: int = 10,
     return table
 
 
-def random_kappa_tree(rng: random.Random, i: int, n: int) -> frozenset[str]:
+def random_kappa_tree(rng: random.Random, i: int, n: int) -> Tree:
     """A random level-n graded subtree with the kappa(i) fanout."""
     from .colorings import GRADED_SHAPE, kappa
     t = {""}
@@ -176,7 +176,7 @@ def random_kappa_tree(rng: random.Random, i: int, n: int) -> frozenset[str]:
                                   kappa(i, k)))
         t.update(nxt)
         frontier = nxt
-    return frozenset(t)
+    return Tree(t)
 
 
 def random_selection_scenario(rng: random.Random, max_nodes: int = 3):
@@ -203,7 +203,7 @@ def random_selection_scenario(rng: random.Random, max_nodes: int = 3):
 
 def random_readback_splitting_subtree(rng: random.Random,
                                       final: frozenset[str],
-                                      want: int = 6) -> frozenset[str]:
+                                      want: int = 6) -> Tree:
     """Grow a subtree that splits the level-readback functional.
 
     Two incompatible picks must differ inside the first min-level
@@ -226,7 +226,7 @@ def random_readback_splitting_subtree(rng: random.Random,
                 break
         if ok:
             chosen.append(cand)
-    return frozenset(chosen)
+    return Tree(chosen)
 
 
 def random_pi_staging(rng: random.Random, max_events: int = 3):

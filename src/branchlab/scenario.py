@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ConsistencyError, ScenarioError
 from .functionals import FunctionalTable
 from .strings import parse_string, show_string, sort_lenlex
-from .trees import StagedTree
+from .trees import StagedTree, Tree
 
 _NAME = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _HEADER = re.compile(r"\[\s*(functional|tree|staged|params)"
@@ -23,7 +23,7 @@ _HEADER = re.compile(r"\[\s*(functional|tree|staged|params)"
 @dataclass
 class Scenario:
     functionals: dict[str, FunctionalTable] = field(default_factory=dict)
-    trees: dict[str, frozenset[str]] = field(default_factory=dict)
+    trees: dict[str, Tree] = field(default_factory=dict)
     staged: dict[str, StagedTree] = field(default_factory=dict)
     params: dict[str, int] = field(default_factory=dict)
     seed: int = 0
@@ -76,14 +76,13 @@ class _Parser:
                     f"{max(lines)}): {e}", max(lines))
             self.sc.functionals[self.name] = table
         elif self.kind == "tree":
-            self.sc.trees[self.name] = frozenset(self.nodes)
+            self.sc.trees[self.name] = Tree(self.nodes)
         elif self.kind == "staged":
             if not self.snaps:
                 raise ScenarioError(
                     f"staged section {self.name!r} has no stage lines",
                     line)
-            self.sc.staged[self.name] = StagedTree(
-                tuple(frozenset(s) for s in self.snaps))
+            self.sc.staged[self.name] = StagedTree(tuple(self.snaps))
         self.kind = self.name = None
         self.axioms, self.nodes, self.snaps = [], set(), []
 

@@ -24,8 +24,9 @@ from .functionals import (FunctionalTable, _outputs, _pullback_tree,
 from .strings import (_lex_extensions, check_bits, compatible, is_prefix,
                       is_proper_prefix, lenlex_key, show_string, sort_lenlex,
                       string_to_nat)
-from .trees import (StagedTree, branching_stats, is_prefix_free, leaves,
-                    level_of, level_map, max_level, successors)
+from .trees import (StagedTree, Tree, branching_stats, is_prefix_free,
+                    leaves, level_of, level_map, max_level, sorted_members,
+                    successors)
 
 
 # -- oracle-indexed trees --------------------------------------------------
@@ -44,14 +45,15 @@ class OmegaContext:
             raise ShapeError("majorant must be strictly increasing")
 
 
-@lru_cache(maxsize=None)
-def t_of(phi: FunctionalTable, tau: str) -> frozenset[str]:
+@lru_cache(maxsize=4096)
+def t_of(phi: FunctionalTable, tau: str) -> Tree:
     """The tree named by tau: strings phi values 1 within |tau| steps.
 
     A string only counts once every shorter string has settled, so the
     result is cut at the first length where some value is still out.
     The tree must branch at most two ways and root at the empty
-    string; anything else is a malformed table.
+    string; anything else is a malformed table, reported at its
+    length-lex first offending member.
     """
     members = []
     length = 0
@@ -69,8 +71,8 @@ def t_of(phi: FunctionalTable, tau: str) -> frozenset[str]:
             break
         members.extend(layer)
         length += 1
-    t = frozenset(members)
-    for m in t:
+    t = Tree(members)
+    for m in sorted_members(t):
         if level_of(t, m) == 0 and m != "":
             raise ShapeError(f"level-0 member {show_string(m)} of the tree "
                              f"at {show_string(tau)} is not the empty string")
@@ -80,7 +82,7 @@ def t_of(phi: FunctionalTable, tau: str) -> frozenset[str]:
     return t
 
 
-def oplus_tree(a_prefix: str) -> frozenset[str]:
+def oplus_tree(a_prefix: str) -> Tree:
     """All even-length strings compatible with the oracle prefix."""
     check_bits(a_prefix)
     members = [""]
@@ -88,7 +90,7 @@ def oplus_tree(a_prefix: str) -> frozenset[str]:
     for bit in a_prefix:
         layer = [s + bit + b for s in layer for b in "01"]
         members.extend(layer)
-    return frozenset(members)
+    return Tree(members)
 
 
 def omega(ctx: OmegaContext, tau: str, n: int) -> bool:
@@ -112,7 +114,7 @@ def omega(ctx: OmegaContext, tau: str, n: int) -> bool:
                for k in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def omega_level(ctx: OmegaContext, tau: str) -> int:
     for n in range(len(ctx.f) - 1, 0, -1):
         if omega(ctx, tau, n):
@@ -124,7 +126,7 @@ def enumerate_pi(ctx: OmegaContext, max_stage: int) -> StagedTree:
     """Stage s admits the length-s strings whose certified level beats
     every admitted prefix by two, with the new levels long enough."""
     pi = [""]
-    snaps = [frozenset(pi)]
+    snaps = [Tree(pi)]
     for s in range(1, max_stage + 1):
         for bits in product("01", repeat=s):
             tau = "".join(bits)
@@ -140,7 +142,7 @@ def enumerate_pi(ctx: OmegaContext, max_stage: int) -> StagedTree:
                                                for s2 in buckets[nn]):
                     pi.append(tau)
                     break
-        snaps.append(frozenset(pi))
+        snaps.append(Tree(pi))
     return StagedTree(tuple(snaps))
 
 
@@ -161,7 +163,7 @@ def _state_dump(settled, pools, m):
             f"pools={ {i: sorted(p) for i, p in sorted(pools.items())} }")
 
 
-def _level_members(t: frozenset[str], level: int,
+def _level_members(t: Tree, level: int,
                    bases: tuple[str, ...]) -> tuple[str, ...]:
     """Level-`level` members of t extending one of bases, length-lex."""
     return tuple(x for x in level_map(t).get(level, ()) if x.startswith(bases))
@@ -193,7 +195,7 @@ def select_extensions(ctx: OmegaContext, tau: str,
             raise ShapeError(f"base {show_string(sigma)} is not at the "
                              f"certified level {n_tau} of the tree at "
                              f"{show_string(tau)}")
-    trees: dict[int, frozenset[str]] = {}
+    trees: dict[int, Tree] = {}
     n_i: dict[int, int] = {}
     for i, (tau_i, d) in enumerate(lambda_nodes):
         if d < 1 or not is_proper_prefix(tau, tau_i):
@@ -310,18 +312,19 @@ def theta_decode(theta: ThetaAxioms, c: str) -> tuple[str, ...]:
 
 def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
                  succ_codes: dict[str, frozenset[str]],
-                 ) -> tuple[dict[str, frozenset[str]], ThetaAxioms]:
+                 ) -> tuple[dict[str, Tree], ThetaAxioms]:
     """Grow one packed tree per enumerated prefix, plus the readback.
 
     Each stage hangs the new prefixes' picks under every leaf of the
     parent's tree; the readback theta names the prefix that owns each
-    new leaf.
+    new leaf.  A malformed enumeration is reported at its length-lex
+    first offending prefix.
     """
     stages = pistar_stages.stages
     if not stages or stages[0] != frozenset({""}):
         raise ShapeError("enumeration must start from the empty string")
     final = pistar_stages.final
-    for tau in final:
+    for tau in sorted_members(final):
         if succ_codes.get(tau) != frozenset(successors(final, tau)):
             raise ShapeError(f"successor code for {show_string(tau)} does "
                              "not match the enumeration")
@@ -329,12 +332,12 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
         raise ShapeError("successor codes name strings outside the "
                          "enumeration")
     pi_final = enumerate_pi(ctx, max(len(m) for m in final)).final
-    for tau in final:
+    for tau in sorted_members(final):
         if tau not in pi_final:
             raise ShapeError(f"{show_string(tau)} was never admitted by "
                              "the ambient enumeration")
 
-    tprime: dict[str, frozenset[str]] = {"": frozenset({""})}
+    tprime: dict[str, Tree] = {"": Tree({""})}
     theta: dict[str, str] = {}
     for s in range(1, len(stages)):
         new = sort_lenlex(stages[s] - stages[s - 1])
@@ -370,7 +373,7 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
                     theta[pick] = x
         m1 = level_of(final, new[0])
         for x in new:
-            t_new = frozenset(grown[x])
+            t_new = Tree(grown[x])
             if branching_stats(t_new)[2] < m1:
                 raise ProtocolError(f"tree for {show_string(x)} is not "
                                     f"two-branching below level {m1}")
@@ -389,7 +392,7 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
 
 class DriverResult(NamedTuple):
     b_next: str
-    t_next: frozenset[str]
+    t_next: Tree
     branch: str
 
 
@@ -413,7 +416,7 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     budget.
     """
     b_s, t_s = state
-    t_s = frozenset(t_s)
+    t_s = Tree(t_s)
     _require_two_branching(t_s, "driver tree")
     if b_s not in t_s:
         raise MemberError(f"base {show_string(b_s)} is not on the tree")
@@ -448,11 +451,11 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
             raise BudgetError(f"needed more than {dagger_budget} splits")
         built.update(picked)
         frontier.extend(picked)
-    t_built = frozenset(built)
+    t_built = Tree(built)
     if _splitting_violation(t_built, outs) is not None:
         raise ProtocolError("greedy subtree fails its own splitting check")
     if dagger_subtree is not None:
-        t_next = _pullback_tree(t_built, frozenset(dagger_subtree), outs)
+        t_next = _pullback_tree(t_built, Tree(dagger_subtree), outs)
     else:
         t_next = t_built
     b_next = min(leaves(t_next), key=lenlex_key)

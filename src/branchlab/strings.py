@@ -29,7 +29,9 @@ def lenlex_key(s: str) -> tuple[int, str]:
 
 
 def sort_lenlex(strings: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(strings, key=lenlex_key))
+    # a stable sort by length of the lex-sorted strings: the same order
+    # as key=lenlex_key, without a Python call per string
+    return tuple(sorted(sorted(strings), key=len))
 
 
 def is_prefix(a: str, b: str) -> bool:

@@ -36,7 +36,7 @@ from .thin import (TraceSystem, encode_tuple, hat_level_stages, is_thin,
 from .traceable import (declared_counts, extract_trace, frontier, init_state,
                         node_count_bound, run_stage, trace_bound_pair,
                         verify_final_nodes)
-from .trees import leaves, level_map, level_of, successors
+from .trees import Tree, leaves, level_map, level_of, successors
 
 
 def _tally(check_id: str, total: int, first_bad) -> ReportLine:
@@ -64,7 +64,7 @@ def _twocol_outcome(n: int, colors: dict[str, int]):
     return d, "".join(str(colors[s]) for s in sorted(colors))
 
 
-def _nice_outcome(rng, i: int, n: int, t0: frozenset[str]):
+def _nice_outcome(rng, i: int, n: int, t0: Tree):
     """(d, failure) for one nice extraction from a colouring of t0's
     leaves drawn from rng; failure as in _twocol_outcome, except that
     a rejected tree gives "d=<d>"."""
@@ -558,7 +558,7 @@ def _chk_pullback_image(rng, count):
     bad = None
     for k in range(count):
         a = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-        t0 = frozenset(_random_two_branching_sub(rng, oplus_tree(a)))
+        t0 = Tree(_random_two_branching_sub(rng, oplus_tree(a)))
         psi = odd_readback_psi(a)
         img = image_tree(psi, t0)
         back = pullback_tree(psi, t0, img)

@@ -21,12 +21,11 @@ from .errors import MemberError, ShapeError
 from .functionals import (FunctionalTable, eval_at, hat_eval, is_splitting_tree,
                           output_prefix, splitting_violation)
 from .strings import nat_to_string, show_string, sort_lenlex, string_to_nat
-from .trees import (StagedTree, branching_stats, level_of, max_level,
+from .trees import (StagedTree, Tree, branching_stats, level_of, max_level,
                     successors)
 
 
-def _raw_antichain_weights(t: frozenset[str],
-                           tp: frozenset[str]) -> dict[str, Fraction]:
+def _raw_antichain_weights(t: Tree, tp: Tree) -> dict[str, Fraction]:
     """Best prefix-free weight above each tp member, at absolute depth."""
     best: dict[str, Fraction] = {}
     for x in sorted(tp, key=len, reverse=True):
@@ -39,8 +38,8 @@ def _raw_antichain_weights(t: frozenset[str],
 
 def thin_violation(t: Iterable[str], tp: Iterable[str]) -> Optional[str]:
     """A witness that tp is not thin in t, or None."""
-    t = frozenset(t)
-    tp = frozenset(tp)
+    t = Tree(t)
+    tp = Tree(tp)
     if not tp <= t:
         raise MemberError("subtree members must come from the ambient tree")
     if "" not in tp:
@@ -83,7 +82,7 @@ def _hat_out_len(psi: FunctionalTable, tau: str, memo: dict) -> int:
     return n
 
 
-def hat_level_tree(psi: FunctionalTable, max_length: int) -> frozenset[str]:
+def hat_level_tree(psi: FunctionalTable, max_length: int) -> Tree:
     """Strings where the guarded output first reaches each length.
 
     Output lengths grow by at most one per oracle bit, so these
@@ -96,19 +95,19 @@ def hat_level_tree(psi: FunctionalTable, max_length: int) -> frozenset[str]:
             tau = "".join(bits)
             if _hat_out_len(psi, tau, memo) > _hat_out_len(psi, tau[:-1], memo):
                 members.add(tau)
-    return frozenset(members)
+    return Tree(members)
 
 
 def hat_level_stages(psi: FunctionalTable, max_length: int) -> StagedTree:
     """The level tree enumerated one string per stage, length-lex."""
     ordered = sort_lenlex(hat_level_tree(psi, max_length))
-    stages = [frozenset([""])]
+    stages = [Tree([""])]
     acc = {""}
     for tau in ordered:
         if tau == "":
             continue
         acc.add(tau)
-        stages.append(frozenset(acc))
+        stages.append(Tree(acc))
     return StagedTree(tuple(stages))
 
 
@@ -120,7 +119,7 @@ def trace_from_thin(psi: FunctionalTable, t_levels: StagedTree,
     thinness caps each set at 2^(n+1), a bound independent of psi.
     """
     t = t_levels.final
-    tp = frozenset(tp)
+    tp = Tree(tp)
     bad = thin_violation(t, tp)
     if bad is not None:
         raise ShapeError(f"subtree is not thin: {bad}")
@@ -218,7 +217,7 @@ def spacing_bound_limit(n: int) -> Fraction:
     return x ** (n + 1) * ((n + 1) - n * x) / (1 - x) ** 2
 
 
-def thin_from_trace(t: StagedTree, ts: TraceSystem) -> frozenset[str]:
+def thin_from_trace(t: StagedTree, ts: TraceSystem) -> Tree:
     """Decode an identity-bounded trace into a thin subtree.
 
     Codes at n must name members sitting at spaced level n, i.e. at
@@ -239,7 +238,7 @@ def thin_from_trace(t: StagedTree, ts: TraceSystem) -> frozenset[str]:
             if level_of(final, s) != spaced_level(n):
                 raise ShapeError(f"code {code} sits at the wrong level")
             members.add(s)
-    return frozenset(members)
+    return Tree(members)
 
 
 def dnr_trace(tables: Sequence[FunctionalTable]) -> TraceSystem:
@@ -286,7 +285,7 @@ class SplittingReduction(NamedTuple):
 
 def level_functional(t: Iterable[str]) -> FunctionalTable:
     """The functional that reads back each member's own level prefix."""
-    t = frozenset(t)
+    t = Tree(t)
     axioms = []
     for tau in t:
         for k in range(level_of(t, tau)):
@@ -301,7 +300,7 @@ def splitting_to_thin(t: StagedTree, split_sub: Iterable[str]) -> SplittingReduc
     subtree is reported with the offending pair.
     """
     final = t.final
-    split_sub = frozenset(split_sub)
+    split_sub = Tree(split_sub)
     if not split_sub <= final:
         raise MemberError("subtree members must come from the tree")
     if "" not in split_sub:
@@ -316,7 +315,7 @@ def splitting_to_thin(t: StagedTree, split_sub: Iterable[str]) -> SplittingReduc
 def trace_from_bounded_splitting(psi: FunctionalTable, t: Iterable[str],
                                  m: int) -> TraceSystem:
     """Guarded values of an m-branching splitting tree, level by level."""
-    t = frozenset(t)
+    t = Tree(t)
     max_succ, _, _ = branching_stats(t)
     if max_succ > m:
         raise ShapeError(f"branching {max_succ} exceeds the stated bound {m}")

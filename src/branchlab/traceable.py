@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 from typing import Optional
 
@@ -31,7 +31,7 @@ from .functionals import (EMPTY_TABLE, FunctionalTable, _at_arg,
                           effective_axiom)
 from .strings import (_lex_extensions, bits_of_values, compatible, is_prefix,
                       lenlex_key)
-from .trees import successors
+from .trees import Tree, successors
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,11 @@ class ConstructionState:
     declared_log: tuple[tuple[int, str, int, int], ...]  # (level, tau, gen, stage)
     tuple_log: tuple[tuple[int, int, int, str, int, int], ...] = ()
     # tuple_log rows: (i, n, value, node, node level, node generation)
+
+    @cached_property
+    def node_tree(self) -> Tree:
+        """The nodes as a tree, built once per state."""
+        return Tree(self.nodes)
 
 
 def init_state() -> ConstructionState:
@@ -247,7 +252,7 @@ def act_p_module(st: ConstructionState, tau: str, mid: ModuleId,
     s = st.stage
     if s + 1 < info.declared_stage + 2:
         return None
-    succ = successors(frozenset(st.nodes), tau)
+    succ = successors(st.node_tree, tau)
     if len(succ) != 2:
         return None
     out = oracle_output_bits(_adversary_table(adv, mid.i), s)
@@ -361,7 +366,7 @@ def final_node_violation(st: ConstructionState,
     convergences pending.
     """
     horizon = st.stage
-    nodes = frozenset(st.nodes)
+    nodes = st.node_tree
     live = frontier(st, horizon)  # lex-sorted, as _lex_extensions needs
     for tau, info in sorted(st.nodes.items(), key=lambda kv: lenlex_key(kv[0])):
         if len(tau) >= horizon or is_terminal(st, tau):

@@ -1,23 +1,25 @@
 """Finite trees of binary strings.
 
-A tree is a plain frozenset of members; nothing requires the root or
+A tree is a set of binary strings; nothing requires the root or
 downward closure to be present.  The level of a member is the number
 of its proper initial segments inside the tree, successors are minimal
 proper extensions inside the tree, and leaves are members with no
-proper extension.  Nothing is stored on the set itself, so any set of
-strings can be treated as a tree.
+proper extension.
 
-The structure is derived once per distinct set and kept in a bounded
-cache (``_index``).  A member's parent is its longest proper prefix
-inside the set, so its level is one more than its parent's, its
-successors are the members whose parent it is, and the leaves are the
-members that are nobody's parent.
+``Tree`` is the one tree type: a frozenset that derives this structure
+on its first query and keeps it for as long as the tree lives.  A
+member's parent is its longest proper prefix inside the set, so its
+level is one more than its parent's, its successors are the members
+whose parent it is, and the leaves are the members that are nobody's
+parent.  Every query here also accepts any iterable of strings and
+wraps it in a fresh Tree, whose index lives only as long as that call:
+a caller that queries one set more than once should keep a Tree, which
+is what every tree constructor in the package returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -32,8 +34,24 @@ class _TreeIndex(NamedTuple):
     levels: tuple[tuple[str, ...], ...]  # levels[n]: level-n members
 
 
-@lru_cache(maxsize=64)
-def _index(t: frozenset[str]) -> _TreeIndex:
+class Tree(frozenset):
+    """A frozenset of binary strings that keeps its own index.
+
+    Tree(t) is t itself when t is already a Tree.  Set operations on a
+    Tree give plain frozensets.
+    """
+
+    __slots__ = ("_idx",)
+
+    def __new__(cls, members: Iterable[str] = ()) -> Tree:
+        if type(members) is cls:
+            return members
+        t = super().__new__(cls, members)
+        t._idx = None
+        return t
+
+
+def _build_index(t: frozenset[str]) -> _TreeIndex:
     """Levels, successors and leaves of t, in one pass over its members.
 
     Members are visited in length-lex order, so every parent is placed
@@ -64,8 +82,18 @@ def _index(t: frozenset[str]) -> _TreeIndex:
         levels=tuple(map(tuple, levels)))
 
 
+def _index(t: Iterable[str]) -> _TreeIndex:
+    """The index of t, built on t's first query when t is a Tree."""
+    if type(t) is not Tree:
+        t = Tree(t)
+    idx = t._idx
+    if idx is None:
+        idx = t._idx = _build_index(t)
+    return idx
+
+
 def _member_index(t: Iterable[str], tau: str) -> _TreeIndex:
-    idx = _index(frozenset(t))
+    idx = _index(t)
     if tau not in idx.level:
         raise MemberError(f"{tau!r} not in tree")
     return idx
@@ -82,11 +110,11 @@ def successors(t: Iterable[str], tau: str) -> tuple[str, ...]:
 
 
 def leaves(t: Iterable[str]) -> tuple[str, ...]:
-    return _index(frozenset(t)).leaves
+    return _index(t).leaves
 
 
 def _nonempty_index(t: Iterable[str]) -> _TreeIndex:
-    idx = _index(frozenset(t))
+    idx = _index(t)
     if not idx.levels:
         raise ShapeError("empty tree has no level")
     return idx
@@ -108,10 +136,10 @@ def max_level(t: Iterable[str]) -> int:
     return len(_nonempty_index(t).levels) - 1
 
 
-def restrict_to_level(t: Iterable[str], n: int) -> frozenset[str]:
+def restrict_to_level(t: Iterable[str], n: int) -> Tree:
     """Members of level at most n."""
-    levels = _index(frozenset(t)).levels
-    return frozenset(m for ms in levels[:max(n + 1, 0)] for m in ms)
+    levels = _index(t).levels
+    return Tree(m for ms in levels[:max(n + 1, 0)] for m in ms)
 
 
 def is_prefix_free(strings: Iterable[str]) -> bool:
@@ -131,7 +159,7 @@ def branching_stats(t: Iterable[str]) -> tuple[int, bool, int]:
     largest n such that every member of level < n has exactly two
     successors.
     """
-    idx = _index(frozenset(t))
+    idx = _index(t)
     if not idx.levels:
         raise ShapeError("empty tree")
     counts = [len(ks) for ks in idx.successors.values()]
@@ -147,14 +175,13 @@ def branching_stats(t: Iterable[str]) -> tuple[int, bool, int]:
 class StagedTree:
     """A tree given by cumulative enumeration snapshots."""
 
-    stages: tuple[frozenset[str], ...]
+    stages: tuple[Tree, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stages",
-                           tuple(frozenset(s) for s in self.stages))
+        object.__setattr__(self, "stages", tuple(map(Tree, self.stages)))
 
     @property
-    def final(self) -> frozenset[str]:
+    def final(self) -> Tree:
         if not self.stages:
             raise ShapeError("staged tree with no stages")
         return self.stages[-1]
@@ -197,9 +224,9 @@ def staged_ce_violation(st: StagedTree, weak: bool = False) -> Optional[str]:
 
 
 def sorted_members(t: Iterable[str]) -> tuple[str, ...]:
-    return sort_lenlex(frozenset(t))
+    return sort_lenlex(Tree(t))
 
 
 def level_map(t: Iterable[str]) -> dict[int, tuple[str, ...]]:
     """Members by level, each level length-lex sorted; a fresh dict."""
-    return dict(enumerate(_index(frozenset(t)).levels))
+    return dict(enumerate(_index(t).levels))

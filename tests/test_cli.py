@@ -360,3 +360,36 @@ def test_nice_tree_budget_at_its_edge(capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith(
         "ERROR\tverify-nice-error\t")
     assert time.monotonic() - t0 < 1
+
+
+def test_nice_work_budget_at_its_edge(capsys):
+    # count x leaves is capped at 2^20 coloured leaves: 64 colourings of
+    # a 2^14-leaf tree run, 65 are refused before any tree is built
+    t0 = time.monotonic()
+    assert cli.main(["verify", "nice", "--i", "0", "--n", "4",
+                     "--count", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 65 and all(ln.startswith("PASS\tnice-i0-n4-")
+                                    for ln in lines[1:])
+    assert time.monotonic() - t0 < 15
+    t0 = time.monotonic()
+    assert cli.main(["verify", "nice", "--i", "0", "--n", "4",
+                     "--count", "65"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "ERROR\tverify-nice-error\t65 colourings of 16384 leaves exceed "
+        "1048576 coloured leaves"]
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("horizon, ceiling", [(12, 2), (14, 8)])
+def test_traceable_at_long_horizons(capsys, horizon, ceiling):
+    # each state keeps its node tree, so a stage costs about its node
+    # count rather than a fresh index per P module
+    t0 = time.monotonic()
+    assert cli.main(["run", "traceable", "--horizon", str(horizon)]) == 0
+    assert time.monotonic() - t0 < ceiling
+    counts = " ".join(f"{n}:{1 << n}" for n in range(horizon + 1))
+    assert capsys.readouterr().out == (
+        f"# seed 0\nPASS\ttraceable-frontier\tstages={horizon}\n"
+        f"PASS\ttraceable-counts\t{counts}\n"
+        "PASS\ttraceable-tracesize\nPASS\ttraceable-final\n")

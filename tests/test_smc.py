@@ -1,12 +1,16 @@
 """Certificates, enumeration, packing selection, cover trees, and the
 finite-extension driver."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import branchlab
 from branchlab import functionals, smc
 from branchlab.errors import (BudgetError, MemberError, ProtocolError,
                               ShapeError)
@@ -21,10 +25,11 @@ from branchlab.smc import (OmegaContext, ThetaAxioms, build_tprime,
                            oplus_tree, select_extensions, smc_driver_stage,
                            t_of, theta_decode)
 from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
-                               lenlex_key, show_string, sort_lenlex)
+                               lenlex_key, show_string, sort_lenlex,
+                               string_to_nat)
 from branchlab.thin import is_thin
-from branchlab.trees import (StagedTree, branching_stats, leaves, level_of,
-                             max_level, successors)
+from branchlab.trees import (StagedTree, Tree, branching_stats, leaves,
+                             level_of, max_level, successors)
 
 
 def all_strings(n):
@@ -666,3 +671,67 @@ def test_driver_stage_computes_each_output_once(monkeypatch):
         assert len(calls) == len(set(calls))
         assert set(calls) <= set(t)
     assert stages > 50
+
+
+# Failures found by walking a set name the length-lex first offender, so
+# the message depends neither on the hash seed nor on the order the set
+# was built in.  The empty string always hashes to 0 and is iterated
+# first, so each input has only non-root offenders.
+
+_FULL2 = ["", "0", "1", "00", "01", "10", "11"]
+
+
+def _offender_messages(tree_of):
+    """The error messages of the three walks, with every tree built by
+    tree_of from a member list."""
+    out = []
+    # plain outputs differ from the guarded ones at every non-root member
+    f = FunctionalTable((("0", 0, 0, 5), ("1", 0, 1, 5)))
+    out.append(_error(image_tree, f, tree_of(_FULL2)))
+    # only the length-3 strings are valued 1: eight level-0 members
+    phi = FunctionalTable(tuple(
+        ("", string_to_nat("".join(bits)), int(n == 3), 1)
+        for n in range(4) for bits in product("01", repeat=n)))
+    out.append(_error(t_of, phi, "0"))
+    # a code only for the root, then right codes but no prefix admitted
+    ctx = OmegaContext(FunctionalTable(()), (0, 1))
+    st = StagedTree(tuple(tree_of(_FULL2[:k]) for k in (1, 3, 7)))
+    out.append(_error(build_tprime, ctx, st, {"": frozenset({"0", "1"})}))
+    codes = {m: frozenset(successors(st.final, m)) for m in st.final}
+    out.append(_error(build_tprime, ctx, st, codes))
+    return out
+
+
+def _error(fn, *args):
+    with pytest.raises(ShapeError) as e:
+        fn(*args)
+    return str(e.value)
+
+
+_FIRST_OFFENDERS = [
+    "table is not its own guarded restriction at '0'",
+    "level-0 member 000 of the tree at 0 is not the empty string",
+    "successor code for 0 does not match the enumeration",
+    "0 was never admitted by the ambient enumeration"]
+
+
+def test_walks_name_the_length_lex_first_offender_in_any_build_order():
+    assert _offender_messages(Tree) == _FIRST_OFFENDERS
+    assert _offender_messages(
+        lambda ms: frozenset(reversed(ms))) == _FIRST_OFFENDERS
+
+
+def test_walks_name_the_same_offender_under_any_hash_seed():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_smc import Tree, _offender_messages\n"
+            "print(_offender_messages(Tree))\n")
+    src = os.path.dirname(os.path.dirname(branchlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        outs.add(subprocess.run(
+            [sys.executable, "-c", code, os.path.dirname(__file__)],
+            env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs == {f"{_FIRST_OFFENDERS}\n"}

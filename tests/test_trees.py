@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from branchlab import suite, trees
 from branchlab.errors import MemberError, ShapeError
 from branchlab.strings import (bits_of_values, is_proper_prefix,
                                nat_to_string, parse_string, show_string,
                                sort_lenlex, string_to_nat)
-from branchlab.trees import (StagedTree, branching_stats, is_prefix_free,
-                             leaves, level_map, level_of, max_level,
-                             restrict_to_level, staged_ce_violation,
-                             successors, tree_uniform_level)
+from branchlab.trees import (StagedTree, Tree, branching_stats,
+                             is_prefix_free, leaves, level_map, level_of,
+                             max_level, restrict_to_level,
+                             staged_ce_violation, sorted_members, successors,
+                             tree_uniform_level)
 
 FULL2 = frozenset(["", "0", "1", "00", "01", "10", "11"])
 
@@ -87,15 +91,21 @@ def _naive_level_map(t):
        st.sampled_from([set, list, frozenset]))
 def test_index_matches_naive_scans(ss, with_root, kind):
     # arbitrary sets: with or without the root, rarely prefix-closed,
-    # and as a list possibly with repeats
+    # and as a list possibly with repeats; each is queried as a plain
+    # iterable, wrapped afresh on every call, and as one kept Tree
     ss = ss + [""] if with_root else [s for s in ss if s]
-    t = kind(ss)
     members = frozenset(ss)
+    for t in (kind(ss), Tree(ss)):
+        _check_against_naive_scans(t, members)
+
+
+def _check_against_naive_scans(t, members):
     for m in members:
         assert level_of(t, m) == _naive_level_of(members, m)
         assert successors(t, m) == _naive_successors(members, m)
     assert leaves(t) == _naive_leaves(members)
     assert level_map(t) == _naive_level_map(members)
+    assert sorted_members(t) == sort_lenlex(members)
     with pytest.raises(MemberError):
         level_of(t, "0" * 7)
     with pytest.raises(MemberError):
@@ -113,6 +123,63 @@ def test_index_matches_naive_scans(ss, with_root, kind):
     for n in range(-1, top + 2):
         assert restrict_to_level(t, n) == frozenset(
             m for m in members if levels[m] <= n)
+
+
+def test_tree_wraps_once_and_stays_a_set():
+    t = Tree(["", "0", "1"])
+    assert Tree(t) is t
+    assert t == frozenset(t) and hash(t) == hash(frozenset(t))
+    assert type(t | {"00"}) is frozenset
+    assert type(restrict_to_level(t, 0)) is Tree
+    assert all(type(s) is Tree
+               for s in StagedTree(([""], {"", "0"})).stages)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    real = trees._build_index
+
+    def counted(t):
+        builds.append(len(t))
+        return real(t)
+
+    monkeypatch.setattr(trees, "_build_index", counted)
+    return builds
+
+
+def test_a_tree_builds_its_index_once(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    t = Tree(FULL2)
+    for _ in range(3):
+        for m in t:
+            level_of(t, m)
+            successors(t, m)
+        leaves(t), level_map(t), max_level(t), branching_stats(t)
+        tree_uniform_level(t), restrict_to_level(t, 1), sorted_members(t)
+    assert builds == [7]
+    # no cache keyed by content: an equal plain set is indexed afresh on
+    # every query, and so is an equal Tree held in another object
+    level_of(frozenset(FULL2), "")
+    level_of(frozenset(FULL2), "")
+    level_of(Tree(FULL2), "")
+    assert builds == [7, 7, 7, 7]
+
+
+@pytest.mark.parametrize("name", ["twocol-exh-n1", "nice", "traceable",
+                                  "thin-from-trace", "split-thin",
+                                  "pullback-image", "smc-driver"])
+def test_a_suite_check_builds_the_same_indexes_when_run_again(
+        monkeypatch, name):
+    # the checks whose trees no process-lifetime cache keeps: run twice
+    # in one process, the second run builds every index the first did
+    builds = _count_builds(monkeypatch)
+    _, fn, fast_kw, _ = next(c for c in suite._CHECKS if c[0] == name)
+    runs = []
+    for _ in range(2):
+        builds.clear()
+        lines = fn(random.Random(f"0:{name}"), **fast_kw)
+        runs.append((lines, sorted(builds)))
+    assert runs[0] == runs[1] and runs[0][1]
 
 
 def test_level_map_hands_back_a_fresh_dict():
