@@ -152,6 +152,11 @@ def _h_run_cupping(ns, sc, rng):
 
 
 def _h_run_traceable(ns, sc, rng):
+    # each stage can double the tree, and so the time and memory: a
+    # 16-stage run takes about 2 s and 110 MiB
+    if ns.horizon > 16:
+        raise BudgetError(f"horizon {ns.horizon} exceeds the budget of "
+                          "16 stages")
     adv = _bundle_of(sc)
     st = init_state()
     stalled = None

@@ -131,14 +131,21 @@ def hat_eval(f: FunctionalTable, tau: str, n: int,
     if key in _memo:
         return _memo[key]
     _memo[key] = None  # guard; the recursion only ever shortens tau
-    steps = min_steps(f, tau, n)
+    # one pass for min_steps and eval_at: the least steps, and the
+    # value of the first applicable axiom
+    steps = val = None
+    for ax in _at_arg(f, n):
+        if tau.startswith(ax[0]):
+            if steps is None:
+                steps, val = ax[3], ax[2]
+            elif ax[3] < steps:
+                steps = ax[3]
     if steps is None or steps >= len(tau):
         return None
     parent = tau[:-1]
     for k in range(n):
         if hat_eval(f, parent, k, _memo) is None:
             return None
-    val = eval_at(f, tau, n)
     _memo[key] = val
     return val
 
@@ -380,10 +387,15 @@ def image_tree(f: FunctionalTable, t: Iterable[str],
     return _image_tree(t, _checked_outputs(f, t, hat))
 
 
-def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]]) -> Tree:
-    """image_tree over precomputed outputs of t's members."""
+def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]],
+                split_checked: bool = False) -> Tree:
+    """image_tree over precomputed outputs of t's members.
+
+    split_checked skips the splitting check, for a caller that has
+    already made it on t with the same outputs.
+    """
     _require_two_branching(t, "image input")
-    if _splitting_violation(t, outs) is not None:
+    if not split_checked and _splitting_violation(t, outs) is not None:
         raise ShapeError("input tree is not a splitting tree")
     img = Tree(bits_of_values(outs[m]) for m in t)
     _require_two_branching(img, "image output")
@@ -398,10 +410,11 @@ def pullback_tree(f: FunctionalTable, t0: Iterable[str], t2: Iterable[str],
     return _pullback_tree(t0, t2, _checked_outputs(f, t0, hat))
 
 
-def _pullback_tree(t0: Tree, t2: Tree,
-                   outs: dict[str, tuple[int, ...]]) -> Tree:
-    """pullback_tree over precomputed outputs of t0's members."""
-    img = _image_tree(t0, outs)
+def _pullback_tree(t0: Tree, t2: Tree, outs: dict[str, tuple[int, ...]],
+                   split_checked: bool = False) -> Tree:
+    """pullback_tree over precomputed outputs of t0's members;
+    split_checked as for _image_tree."""
+    img = _image_tree(t0, outs, split_checked)
     if not t2 <= img:
         raise ShapeError("refinement tree is not a subset of the image")
     _require_two_branching(t2, "refinement tree")

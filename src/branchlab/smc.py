@@ -455,7 +455,8 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     if _splitting_violation(t_built, outs) is not None:
         raise ProtocolError("greedy subtree fails its own splitting check")
     if dagger_subtree is not None:
-        t_next = _pullback_tree(t_built, Tree(dagger_subtree), outs)
+        t_next = _pullback_tree(t_built, Tree(dagger_subtree), outs,
+                                split_checked=True)
     else:
         t_next = t_built
     b_next = min(leaves(t_next), key=lenlex_key)

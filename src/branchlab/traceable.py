@@ -62,11 +62,6 @@ def p_module(i: int) -> ModuleId:
     return ModuleId("P", i)
 
 
-def _module_key(m: ModuleId):
-    # C modules in (i, n) order, then the P module
-    return (0, m.i, m.n) if m.kind == "C" else (1, m.i, 0)
-
-
 @lru_cache(maxsize=256)
 def module_set(level: int) -> frozenset[ModuleId]:
     """The modules a node of this level carries; shared, so immutable."""
@@ -117,16 +112,28 @@ def init_state() -> ConstructionState:
 
 
 def is_terminal(st: ConstructionState, s: str) -> bool:
-    if not st.terminal:
+    """True iff some prefix of s, s included, is terminal."""
+    terminal = st.terminal
+    if not terminal:
         return False
-    return any(s.startswith(m) for m in st.terminal)
+    return any(s[:k] in terminal for k in range(len(s) + 1))
 
 
 def frontier(st: ConstructionState, length: Optional[int] = None) -> tuple[str, ...]:
-    """Non-terminal strings of the given length (default: the stage)."""
+    """Non-terminal strings of the given length (default: the stage),
+    in lex order.
+
+    A string is terminal iff one of its prefixes is, so a descent from
+    the root that drops every terminal child meets exactly the
+    non-terminal strings, level by level.
+    """
     n = st.stage if length is None else length
-    return tuple("".join(bits) for bits in product("01", repeat=n)
-                 if not is_terminal(st, "".join(bits)))
+    terminal = st.terminal
+    level = [] if "" in terminal else [""]
+    for _ in range(n):
+        level = [y for x in level for y in (x + "0", x + "1")
+                 if y not in terminal]
+    return tuple(level)
 
 
 def _adversary_table(adv: AdversaryBundle, i: int) -> FunctionalTable:
@@ -273,6 +280,23 @@ def act_p_module(st: ConstructionState, tau: str, mid: ModuleId,
     )
 
 
+def _modules_that_can_act(adv: AdversaryBundle, level: int,
+                          s: int) -> tuple[ModuleId, ...]:
+    """The modules of a node at this level that may fire at stage s,
+    in the order a stage tries them: C modules by i, then the P module.
+
+    A C(i, n) module needs an axiom at argument n in table i, and a
+    P(i) module a non-empty output, since an empty one extends no
+    successor; every other module's action returns None.
+    """
+    mods = [c_module(i, level - i)
+            for i, f in enumerate(adv.psi_i[:level + 1])
+            if _at_arg(f, level - i)]
+    if oracle_output_bits(_adversary_table(adv, level), s):
+        mods.append(p_module(level))
+    return tuple(mods)
+
+
 def run_stage(st: ConstructionState,
               adv: AdversaryBundle = EMPTY_BUNDLE) -> ConstructionState:
     """One full stage: run modules node by node, then grow the tree."""
@@ -280,12 +304,16 @@ def run_stage(st: ConstructionState,
     snapshot = sorted(((nf.level, lenlex_key(tau), tau, nf.generation)
                        for tau, nf in st.nodes.items()
                        if nf.declared_stage <= s))
+    acting: dict[int, tuple[ModuleId, ...]] = {}
     cur = st
-    for _, _, tau, gen in snapshot:
+    for level, _, tau, gen in snapshot:
         nf = cur.nodes.get(tau)
         if nf is None or nf.generation != gen:
             continue  # reshaped away earlier in this stage
-        for mid in sorted(nf.modules, key=_module_key):
+        mods = acting.get(level)
+        if mods is None:
+            mods = acting[level] = _modules_that_can_act(adv, level, s)
+        for mid in mods:
             if (tau, mid, gen) in cur.acted:
                 continue
             if mid.kind == "C":
@@ -299,10 +327,7 @@ def run_stage(st: ConstructionState,
     pi = set(cur.pi)
     log: list = []
     gen = cur.next_generation
-    for bits in product("01", repeat=s + 1):
-        tau = "".join(bits)
-        if is_terminal(cur, tau):
-            continue
+    for tau in frontier(cur, s + 1):
         pi.add(tau)
         level = _nearest_node_level(nodes, tau) + 1
         _declare(nodes, log, tau, level, gen, s + 1)
@@ -368,13 +393,17 @@ def final_node_violation(st: ConstructionState,
     horizon = st.stage
     nodes = st.node_tree
     live = frontier(st, horizon)  # lex-sorted, as _lex_extensions needs
+    outs: dict[int, str] = {}  # the watched output, per node level
     for tau, info in sorted(st.nodes.items(), key=lambda kv: lenlex_key(kv[0])):
         if len(tau) >= horizon or is_terminal(st, tau):
             continue
         succ = successors(nodes, tau)
         if not succ:
             return f"node {tau!r} has no surviving successor node"
-        out = oracle_output_bits(_adversary_table(adv, info.level), horizon)
+        out = outs.get(info.level)
+        if out is None:
+            out = outs[info.level] = oracle_output_bits(
+                _adversary_table(adv, info.level), horizon)
         for x in succ:
             if is_prefix(x, out):
                 return f"successor {x!r} of {tau!r} sits inside the output"

@@ -393,3 +393,22 @@ def test_traceable_at_long_horizons(capsys, horizon, ceiling):
         f"# seed 0\nPASS\ttraceable-frontier\tstages={horizon}\n"
         f"PASS\ttraceable-counts\t{counts}\n"
         "PASS\ttraceable-tracesize\nPASS\ttraceable-final\n")
+
+
+def test_traceable_horizon_budget_at_its_edge(capsys):
+    # each stage can double the tree: horizon 16 runs, 17 is refused
+    # before the first stage
+    t0 = time.monotonic()
+    assert cli.main(["run", "traceable", "--horizon", "16"]) == 0
+    assert time.monotonic() - t0 < 10
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "PASS\ttraceable-frontier\tstages=16",
+        "PASS\ttraceable-counts\t" + " ".join(f"{n}:{1 << n}"
+                                             for n in range(17)),
+        "PASS\ttraceable-tracesize", "PASS\ttraceable-final"]
+    t0 = time.monotonic()
+    assert cli.main(["run", "traceable", "--horizon", "17"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "ERROR\trun-traceable-error\thorizon 17 exceeds the budget of 16 "
+        "stages"]
+    assert time.monotonic() - t0 < 1

@@ -328,6 +328,41 @@ def test_axiom_lookup_matches_full_table_scan(f, tau, n):
             if cands else None)
 
 
+# hat_eval before it read the axioms at its argument in one pass, kept
+# as an oracle.
+
+def _naive_hat_eval(f, tau, n, _memo=None):
+    if _memo is None:
+        _memo = {}
+    key = (tau, n)
+    if key in _memo:
+        return _memo[key]
+    _memo[key] = None
+    steps = min_steps(f, tau, n)
+    if steps is None or steps >= len(tau):
+        return None
+    parent = tau[:-1]
+    for k in range(n):
+        if _naive_hat_eval(f, parent, k, _memo) is None:
+            return None
+    val = eval_at(f, tau, n)
+    _memo[key] = val
+    return val
+
+
+@given(big_tables(), st.text(alphabet="01", max_size=8), st.integers(0, 9))
+@settings(max_examples=200)
+def test_hat_eval_matches_the_two_scan_version(f, tau, n):
+    memo, naive_memo = {}, {}
+    for k in range(n + 1):
+        want = _naive_hat_eval(f, tau, k)
+        assert hat_eval(f, tau, k) == want
+        # and through memos shared across arguments and prefixes
+        for x in (tau, tau[:-1]):
+            assert hat_eval(f, x, k, memo) == _naive_hat_eval(f, x, k,
+                                                              naive_memo)
+
+
 def test_table_identity_ignores_the_index():
     axs = [("01", 2, 1, 1), ("", 0, 3, 2), ("1", 0, 3, 1)]
     f, g = table(axs), table(reversed(axs))

@@ -673,6 +673,39 @@ def test_driver_stage_computes_each_output_once(monkeypatch):
     assert stages > 50
 
 
+def test_driver_stage_checks_its_greedy_subtree_once(monkeypatch):
+    # the self-check covers the image step too, which used to repeat it
+    # on the same tree with the same outputs
+    calls = []
+    real = functionals._splitting_violation
+
+    def counted(t, outs, delayed=False):
+        calls.append(t)
+        return real(t, outs, delayed)
+
+    monkeypatch.setattr(functionals, "_splitting_violation", counted)
+    monkeypatch.setattr(smc, "_splitting_violation", counted)
+    refined = 0
+    for state, psi, budget, dagger in _driver_cases():
+        calls.clear()
+        got = _outcome(smc_driver_stage, state, psi, budget, dagger)
+        if got[0] != "ok" or got[1].branch != "splitting-subtree":
+            continue
+        assert len(calls) == 1
+        refined += dagger is not None
+    assert refined > 10
+
+
+def test_driver_self_check_failure_is_still_a_protocol_error(monkeypatch):
+    monkeypatch.setattr(smc, "_splitting_violation",
+                        lambda t, outs, delayed=False: ("0", "1"))
+    t = oplus_tree("10")
+    for dagger in (None, frozenset({"", "0", "1"})):
+        with pytest.raises(ProtocolError,
+                           match="greedy subtree fails its own splitting"):
+            smc_driver_stage(("", t), odd_readback_psi("10"), 3, dagger)
+
+
 # Failures found by walking a set name the length-lex first offender, so
 # the message depends neither on the hash seed nor on the order the set
 # was built in.  The empty string always hashes to 0 and is iterated

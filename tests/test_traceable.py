@@ -4,8 +4,9 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from branchlab import traceable
+from branchlab import traceable, trees
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.errors import ConsistencyError, ProtocolError
 from branchlab.functionals import _at_arg, applicable, effective_axiom, table
@@ -13,6 +14,7 @@ from branchlab.gen import random_functional_table
 from branchlab.strings import bits_of_values, compatible
 from branchlab.traceable import (ConstructionState, ModuleId,
                                  _adversary_table, _check_allocated, _declare,
+                                 _nearest_node_level,
                                  act_c_module, act_p_module, c_module,
                                  declared_counts,
                                  extract_trace, final_node_violation,
@@ -595,3 +597,131 @@ def test_is_terminal_skips_the_scan_when_nothing_is_terminal():
                          for n in range(1, 6) for k in range(1 << n)]:
             assert is_terminal(st, x) == any(x.startswith(m)
                                              for m in st.terminal)
+
+
+# The stage before it dispatched only the modules that can act and grew
+# the tree along the live frontier, with the terminal scans it used,
+# kept as oracles.
+
+def _naive_is_terminal(st, s):
+    return any(s.startswith(m) for m in st.terminal)
+
+
+def _naive_frontier(st, length=None):
+    n = st.stage if length is None else length
+    return tuple("".join(bits) for bits in product("01", repeat=n)
+                 if not _naive_is_terminal(st, "".join(bits)))
+
+
+def _naive_module_key(m):
+    return (0, m.i, m.n) if m.kind == "C" else (1, m.i, 0)
+
+
+def _naive_run_stage(st, adv=EMPTY_BUNDLE):
+    s = st.stage
+    snapshot = sorted(((nf.level, (len(tau), tau), tau, nf.generation)
+                       for tau, nf in st.nodes.items()
+                       if nf.declared_stage <= s))
+    cur = st
+    for _, _, tau, gen in snapshot:
+        nf = cur.nodes.get(tau)
+        if nf is None or nf.generation != gen:
+            continue
+        for mid in sorted(nf.modules, key=_naive_module_key):
+            if (tau, mid, gen) in cur.acted:
+                continue
+            if mid.kind == "C":
+                res = act_c_module(cur, tau, mid, adv)
+            else:
+                res = act_p_module(cur, tau, mid, adv)
+            if res is not None:
+                cur = res
+                break
+    nodes = dict(cur.nodes)
+    pi = set(cur.pi)
+    log: list = []
+    gen = cur.next_generation
+    for bits in product("01", repeat=s + 1):
+        tau = "".join(bits)
+        if _naive_is_terminal(cur, tau):
+            continue
+        pi.add(tau)
+        level = _nearest_node_level(nodes, tau) + 1
+        _declare(nodes, log, tau, level, gen, s + 1)
+        gen += 1
+    return replace(
+        cur,
+        stage=s + 1,
+        pi=frozenset(pi),
+        nodes=nodes,
+        next_generation=gen,
+        declared_log=cur.declared_log + tuple(log),
+    )
+
+
+def test_run_stage_matches_naive_stage():
+    # whole states, stage by stage, each side grown on its own; the
+    # dataclass equality covers the logs and the generation counter.
+    # Bundles of many tables with bit outputs at the empty oracle let
+    # more P modules act.
+    rng = random.Random(15)
+    wide = [bundle(table([("", n, rng.getrandbits(1), rng.randint(1, 3))
+                          for n in range(8)]) for _ in range(6))
+            for _ in range(4)]
+    kinds = []
+    for adv in list(_table_bundles()) + list(_seeded_bundles()) + wide:
+        st = naive = init_state()
+        while st.stage < 8:
+            st = run_stage(st, adv)
+            naive = _naive_run_stage(naive, adv)
+            assert st == naive
+        kinds += [mid.kind for _, mid, _ in st.acted]
+    assert kinds.count("C") > 100 and kinds.count("P") >= 5
+
+
+_BITS = hst.text(alphabet="01", max_size=7)
+
+
+@given(hst.frozensets(_BITS, max_size=12), hst.integers(0, 7), _BITS)
+@settings(max_examples=300)
+def test_frontier_and_is_terminal_match_naive_scans(terminal, stage, s):
+    # any terminal set, not only the prefix-closed-above ones a stage
+    # builds: a terminal string may sit above or below another
+    st = replace(init_state(), stage=stage, terminal=terminal)
+    assert is_terminal(st, s) == _naive_is_terminal(st, s)
+    assert frontier(st) == _naive_frontier(st)
+    for n in range(stage + 1):
+        assert frontier(st, n) == _naive_frontier(st, n)
+
+
+def test_empty_bundle_stages_dispatch_no_module(monkeypatch):
+    # with no adversary nothing can act, so no module is tried and no
+    # node tree is indexed for a P module's successors
+    calls = []
+    for name in ("act_c_module", "act_p_module", "oracle_output_bits"):
+        real = getattr(traceable, name)
+        monkeypatch.setattr(traceable, name,
+                            lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    real_build = trees._build_index
+    monkeypatch.setattr(trees, "_build_index",
+                        lambda t: calls.append("index") or real_build(t))
+    st = init_state()
+    while st.stage < 8:
+        st = run_stage(st, EMPTY_BUNDLE)
+        assert "node_tree" not in vars(st)
+    assert len(st.nodes) == (1 << 9) - 1
+    assert "act_c_module" not in calls and "act_p_module" not in calls
+    assert "index" not in calls
+
+
+def test_final_node_check_reads_each_level_output_once(monkeypatch):
+    cases = [(run_to_horizon(adv, 7), adv) for adv in _seeded_bundles()]
+    calls = []
+    real = traceable.oracle_output_bits
+    monkeypatch.setattr(traceable, "oracle_output_bits",
+                        lambda f, steps: calls.append(f) or real(f, steps))
+    for st, adv in cases:
+        calls.clear()
+        final_node_violation(st, adv)
+        assert len(calls) <= len({nf.level for nf in st.nodes.values()})
