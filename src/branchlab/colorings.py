@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, ShapeError
 from .trees import (Tree, leaves, level_map, level_of, successors,
@@ -115,20 +115,7 @@ class Coloring:
         return self.assignment.get(s)
 
 
-Fanout = Union[Callable[[int], int], Sequence[int]]
-
-
-def _fanout(f: Fanout) -> Callable[[int], int]:
-    if callable(f):
-        return f
-    seq = list(f)
-
-    def g(n: int) -> int:
-        if n >= len(seq):
-            raise ShapeError(f"fanout undefined at level {n}")
-        return seq[n]
-
-    return g
+Fanout = Callable[[int], int]  # the successor count wanted per level
 
 
 def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
@@ -137,7 +124,6 @@ def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
     sub = Tree(sub)
     if not sub:
         return False
-    fan = _fanout(f)
     # a successor sits one tree level down, so checking every member's
     # own length also places each successor on the next shape level
     for lv, members in level_map(sub).items():
@@ -146,7 +132,7 @@ def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
             if len(m) != want:
                 return False
             succ = successors(sub, m)
-            if succ and len(succ) != fan(lv):
+            if succ and len(succ) != f(lv):
                 return False
     return True
 

@@ -163,12 +163,23 @@ def pi_star_successors(node: PiStarNode,
     return tuple(out)
 
 
-def realize(n: int, f: Sequence[int], t: Iterable[str]) -> PiStarNode:
-    """The unique node with tree t and colour vector f.
+def _level_walk(n: int, f: Sequence[int], t: Tree) -> list[tuple[str, Tree]]:
+    """(label, tree) of the node at each level k <= n of a level-n tree.
 
     Replays the successor labeling level by level, ranking each
-    restriction of t among the extensions of the previous one.
+    restriction of t among the extensions of the previous one; every
+    restriction is built and ranked once.
     """
+    trees = [restrict_to_level(t, k) for k in range(n)] + [t]
+    walk = [("", trees[0])]
+    for k in range(n):
+        j = ncol(k) * extension_rank(trees[k], trees[k + 1]) + f[k]
+        walk.append((walk[-1][0] + gamma_code(j), trees[k + 1]))
+    return walk
+
+
+def realize(n: int, f: Sequence[int], t: Iterable[str]) -> PiStarNode:
+    """The unique node with tree t and colour vector f."""
     t = Tree(t)
     f = tuple(f)
     if len(f) != n:
@@ -178,13 +189,7 @@ def realize(n: int, f: Sequence[int], t: Iterable[str]) -> PiStarNode:
             raise ShapeError(f"colour {v} out of range at index {i}")
     if not _two_branching(t) or tree_uniform_level(t) != n:
         raise ShapeError("tree is not two-branching of the stated level")
-    tau = ""
-    for k in range(n):
-        below = restrict_to_level(t, k)
-        grown = restrict_to_level(t, k + 1)
-        j = ncol(k) * extension_rank(below, grown) + f[k]
-        tau += gamma_code(j)
-    return PiStarNode(tau, n, t, f)
+    return PiStarNode(_level_walk(n, f, t)[-1][0], n, t, f)
 
 
 @dataclass(frozen=True)
@@ -239,9 +244,9 @@ def adversary_coloring(adv: AdversaryBundle, i: int,
 
 def ancestor_chain(node: PiStarNode) -> tuple[PiStarNode, ...]:
     """The node's ancestors from the root up to the node itself."""
-    return tuple(realize(k, node.psi_values[:k],
-                         restrict_to_level(node.t_tau, k))
-                 for k in range(node.level + 1))
+    f = node.psi_values
+    return tuple(PiStarNode(tau, k, t, f[:k]) for k, (tau, t)
+                 in enumerate(_level_walk(node.level, f, node.t_tau)))
 
 
 def pi_membership_violation(node: PiStarNode,

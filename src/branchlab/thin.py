@@ -75,13 +75,6 @@ class TraceSystem:
         return self.w.get(n, frozenset())
 
 
-def _hat_out_len(psi: FunctionalTable, tau: str, memo: dict) -> int:
-    n = 0
-    while hat_eval(psi, tau, n, memo) is not None:
-        n += 1
-    return n
-
-
 def hat_level_tree(psi: FunctionalTable, max_length: int) -> Tree:
     """Strings where the guarded output first reaches each length.
 
@@ -89,11 +82,15 @@ def hat_level_tree(psi: FunctionalTable, max_length: int) -> Tree:
     milestones form a tree whose level equals the output length.
     """
     memo: dict = {}
+
+    def out_len(tau: str) -> int:
+        return len(output_prefix(psi, tau, hat=True, _memo=memo))
+
     members = {""}
     for length in range(1, max_length + 1):
         for bits in product("01", repeat=length):
             tau = "".join(bits)
-            if _hat_out_len(psi, tau, memo) > _hat_out_len(psi, tau[:-1], memo):
+            if out_len(tau) > out_len(tau[:-1]):
                 members.add(tau)
     return Tree(members)
 

@@ -3,13 +3,18 @@
 A binary tree grows one length per stage.  Certain strings are nodes
 and carry modules: a C(i, n) module waits for the i-th adversary
 functional to converge at argument n somewhere above its node, then
-reshapes the tree below the node around two incompatible witnesses
+reshapes the tree above the node around two incompatible witnesses
 and enumerates the computed value into the trace; a P(i) module
 watches the i-th functional's output at the empty oracle and kills
 the successor branch that output follows.  Terminal strings never
 grow again.  The surviving frontier stays nonempty, avoids every
 total adversary output, and the trace stays small: one value per
 node generation.
+
+The state stores only what it cannot derive.  The tree is the terminal
+strings plus the live ones, every non-terminal string of length at
+most the stage, which one descent walks; the traced tuples, the next
+generation and a node's modules follow from the logs and levels.
 
 Stage numbering: a state with stage S has completed S growth steps,
 so strings present have length at most S.  The next run_stage call
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
@@ -73,23 +78,33 @@ def module_set(level: int) -> frozenset[ModuleId]:
 @dataclass(frozen=True)
 class NodeInfo:
     level: int
-    modules: frozenset[ModuleId]
     generation: int
     declared_stage: int
+
+    @property
+    def modules(self) -> frozenset[ModuleId]:
+        return module_set(self.level)
 
 
 @dataclass(frozen=True)
 class ConstructionState:
     stage: int
-    pi: frozenset[str]
     nodes: dict[str, NodeInfo]
     terminal: frozenset[str]
-    tuples: frozenset[tuple[int, int, int]]
     acted: frozenset[tuple[str, ModuleId, int]]
-    next_generation: int
     declared_log: tuple[tuple[int, str, int, int], ...]  # (level, tau, gen, stage)
     tuple_log: tuple[tuple[int, int, int, str, int, int], ...] = ()
     # tuple_log rows: (i, n, value, node, node level, node generation)
+
+    @property
+    def tuples(self) -> frozenset[tuple[int, int, int]]:
+        """The traced (i, n, value) triples."""
+        return frozenset(row[:3] for row in self.tuple_log)
+
+    @property
+    def next_generation(self) -> int:
+        """Generations count declarations from 1, one per log row."""
+        return len(self.declared_log) + 1
 
     @cached_property
     def node_tree(self) -> Tree:
@@ -98,15 +113,11 @@ class ConstructionState:
 
 
 def init_state() -> ConstructionState:
-    root = NodeInfo(0, module_set(0), 1, 0)
     return ConstructionState(
         stage=0,
-        pi=frozenset([""]),
-        nodes={"": root},
+        nodes={"": NodeInfo(0, 1, 0)},
         terminal=frozenset(),
-        tuples=frozenset(),
         acted=frozenset(),
-        next_generation=2,
         declared_log=((0, "", 1, 0),),
     )
 
@@ -119,20 +130,27 @@ def is_terminal(st: ConstructionState, s: str) -> bool:
     return any(s[:k] in terminal for k in range(len(s) + 1))
 
 
-def frontier(st: ConstructionState, length: Optional[int] = None) -> tuple[str, ...]:
-    """Non-terminal strings of the given length (default: the stage),
-    in lex order.
-
-    A string is terminal iff one of its prefixes is, so a descent from
-    the root that drops every terminal child meets exactly the
-    non-terminal strings, level by level.
-    """
-    n = st.stage if length is None else length
+def _live_levels(st: ConstructionState, tau: str, length: int):
+    """The non-terminal extensions of tau, one lex-ordered list per
+    length up to the given one: a string is terminal iff a prefix is,
+    so the descent drops each terminal child, by lookups alone."""
+    if length < len(tau):
+        return
     terminal = st.terminal
-    level = [] if "" in terminal else [""]
-    for _ in range(n):
+    level = [] if is_terminal(st, tau) else [tau]
+    yield level
+    for _ in range(len(tau), length):
         level = [y for x in level for y in (x + "0", x + "1")
                  if y not in terminal]
+        yield level
+
+
+def frontier(st: ConstructionState, length: Optional[int] = None) -> tuple[str, ...]:
+    """Non-terminal strings of the given length (default: the stage),
+    in lex order."""
+    level: list[str] = []
+    for level in _live_levels(st, "", st.stage if length is None else length):
+        pass  # down to the last level
     return tuple(level)
 
 
@@ -171,32 +189,19 @@ def _nearest_node_level(nodes: dict[str, NodeInfo], s: str) -> int:
 
 def _declare(nodes: dict[str, NodeInfo], log: list, tau: str, level: int,
              gen: int, stage: int) -> None:
-    nodes[tau] = NodeInfo(level, module_set(level), gen, stage)
+    nodes[tau] = NodeInfo(level, gen, stage)
     log.append((level, tau, gen, stage))
-
-
-def _pi_above(st: ConstructionState, tau: str):
-    """Members of pi extending tau, in length-lex order.
-
-    pi is closed under prefixes (each stage adds every non-terminal
-    string of the next length, and extensions of terminal strings are
-    terminal), so a walk through the children in pi, level by level,
-    meets them all.
-    """
-    level = [tau] if tau in st.pi else []
-    while level:
-        yield from level
-        level = [y for x in level for y in (x + "0", x + "1") if y in st.pi]
 
 
 def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
                  adv: AdversaryBundle) -> Optional[ConstructionState]:
     """Fire a C module if its convergence search succeeds.
 
-    The search scans pi above the node, length-lex, for a non-terminal
-    tau' where the adversary converges within the stage's step budget
-    and which still has two incompatible non-terminal extensions of
-    the search length.  Acting reshapes everything below the node.
+    The search descends the live strings above the node, length-lex,
+    for a tau' where the adversary converges within the stage's step
+    budget and which still has two incompatible non-terminal
+    extensions of the search length.  Acting reshapes everything above
+    the node.
     """
     info = _check_allocated(st, tau, mid)
     if mid.kind != "C":
@@ -206,11 +211,7 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
         return None  # no axiom at the argument: nothing can converge
     s = st.stage
     found = None
-    for cand in _pi_above(st, tau):
-        if len(cand) >= s:
-            break
-        if is_terminal(st, cand):
-            continue
+    for cand in chain.from_iterable(_live_levels(st, tau, s - 1)):
         ax = effective_axiom(table, cand, mid.n)
         if ax is None or ax[3] > s:
             continue
@@ -225,7 +226,7 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
 
     nodes = {x: nf for x, nf in st.nodes.items()
              if not (x != tau and x.startswith(tau))}
-    newly_terminal = {p for p in _pi_above(st, tau)
+    newly_terminal = {p for p in chain.from_iterable(_live_levels(st, tau, s))
                       if not compatible(p, t0) and not compatible(p, t1)}
     log: list = []
     gen = st.next_generation
@@ -236,9 +237,7 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
         st,
         nodes=nodes,
         terminal=st.terminal | newly_terminal,
-        tuples=st.tuples | {(mid.i, mid.n, value)},
         acted=st.acted | {(tau, mid, info.generation)},
-        next_generation=gen + 2,
         declared_log=st.declared_log + tuple(log),
         tuple_log=st.tuple_log + ((mid.i, mid.n, value, tau, info.level,
                                    info.generation),),
@@ -269,8 +268,8 @@ def act_p_module(st: ConstructionState, tau: str, mid: ModuleId,
         keep = succ[0]
     else:
         return None
-    doomed = {p for p in st.pi
-              if p.startswith(tau) and not compatible(p, keep)}
+    doomed = {p for p in chain.from_iterable(_live_levels(st, tau, s))
+              if not compatible(p, keep)}
     nodes = {x: nf for x, nf in st.nodes.items() if x not in doomed}
     return replace(
         st,
@@ -324,27 +323,20 @@ def run_stage(st: ConstructionState,
                 cur = res
                 break  # one action per node per stage
     nodes = dict(cur.nodes)
-    pi = set(cur.pi)
     log: list = []
-    gen = cur.next_generation
-    for tau in frontier(cur, s + 1):
-        pi.add(tau)
+    for gen, tau in enumerate(frontier(cur, s + 1), cur.next_generation):
         level = _nearest_node_level(nodes, tau) + 1
         _declare(nodes, log, tau, level, gen, s + 1)
-        gen += 1
     return replace(
         cur,
         stage=s + 1,
-        pi=frozenset(pi),
         nodes=nodes,
-        next_generation=gen,
         declared_log=cur.declared_log + tuple(log),
     )
 
 
-def run_to_horizon(adv: AdversaryBundle, horizon: int,
-                   start: Optional[ConstructionState] = None) -> ConstructionState:
-    st = init_state() if start is None else start
+def run_to_horizon(adv: AdversaryBundle, horizon: int) -> ConstructionState:
+    st = init_state()
     while st.stage < horizon:
         st = run_stage(st, adv)
     return st

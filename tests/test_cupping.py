@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from branchlab import cupping
 from branchlab.colorings import ncol
 from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                ROOT_NODE, ancestor_chain, bundle,
@@ -160,23 +161,29 @@ def test_materialize_counts():
     assert len(materialize_pi_star(1)) == 12
 
 
+def _random_bundle(rng, n):
+    """n tables, the i-th with a few axioms at argument i whose values
+    run a little past ncol(i)."""
+    tables = []
+    for i in range(n):
+        axs = []
+        for _ in range(rng.randrange(8)):
+            k = rng.randrange(1, 6)
+            sigma = "".join(rng.choice("01") for _ in range(k))
+            axs.append((sigma, i, rng.randrange(ncol(i) + 2),
+                        rng.randrange(1, 4)))
+        try:
+            tables.append(table(axs))
+        except ConsistencyError:
+            tables.append(table([]))
+    return bundle(tables)
+
+
 def test_find_level2_and_3_with_random_bundles():
     rng = random.Random(23)
     for n in (2, 3):
         for _ in range(5):
-            tables = []
-            for i in range(n):
-                axs = []
-                for _ in range(rng.randrange(8)):
-                    k = rng.randrange(1, 6)
-                    sigma = "".join(rng.choice("01") for _ in range(k))
-                    axs.append((sigma, i, rng.randrange(ncol(i) + 2),
-                                rng.randrange(1, 4)))
-                try:
-                    tables.append(table(axs))
-                except ConsistencyError:
-                    tables.append(table([]))
-            adv = bundle(tables)
+            adv = _random_bundle(rng, n)
             node = find_pi_member(n, adv)
             assert node.level == n
             assert pi_membership_violation(node, adv) is None
@@ -206,3 +213,48 @@ def test_requirement_satisfaction_blocking_bundle():
     assert node.psi_values[0] != 0
     assert node.psi_values[1] != 3
     assert pi_membership_violation(node, adv) is None
+
+
+# The per-level realize calls that the shared level walk replaced, with
+# realize's old ranking loop, kept as oracles.
+
+def _naive_realize(n, f, t):
+    tau = ""
+    for k in range(n):
+        below = restrict_to_level(t, k)
+        grown = restrict_to_level(t, k + 1)
+        tau += gamma_code(ncol(k) * extension_rank(below, grown) + f[k])
+    return PiStarNode(tau, n, t, tuple(f))
+
+
+def _naive_ancestor_chain(node):
+    return tuple(_naive_realize(k, node.psi_values[:k],
+                                restrict_to_level(node.t_tau, k))
+                 for k in range(node.level + 1))
+
+
+def test_ancestor_chain_matches_per_level_realize():
+    rng = random.Random(31)
+    level1 = pi_star_successors(ROOT_NODE)
+    nodes = [ROOT_NODE, *level1]
+    for parent in rng.sample(level1, 4):
+        nodes += rng.sample(pi_star_successors(parent, 4000), 25)
+    for n in range(4):
+        nodes += [find_pi_member(n, _random_bundle(rng, n)) for _ in range(6)]
+    for node in nodes:
+        chain = ancestor_chain(node)
+        assert chain == _naive_ancestor_chain(node)
+        assert realize(node.level, node.psi_values, node.t_tau) == \
+            _naive_realize(node.level, node.psi_values, node.t_tau)
+    assert {node.level for node in nodes} == {0, 1, 2, 3}
+
+
+def test_ancestor_chain_builds_each_restriction_once(monkeypatch):
+    calls = []
+    real = cupping.restrict_to_level
+    monkeypatch.setattr(cupping, "restrict_to_level",
+                        lambda t, k: calls.append(k) or real(t, k))
+    node = find_pi_member(3, EMPTY_BUNDLE)
+    calls.clear()
+    ancestor_chain(node)
+    assert sorted(calls) == [0, 1, 2]

@@ -1,7 +1,8 @@
 import math
 import random
-from dataclasses import replace
-from itertools import product
+from dataclasses import fields, replace
+from itertools import chain, product
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -28,11 +29,19 @@ from branchlab.trees import sort_lenlex, successors
 
 def test_init_state():
     st = init_state()
-    assert st.pi == frozenset([""])
+    assert frontier(st) == ("",) and st.terminal == frozenset()
+    assert st.next_generation == 2
     assert st.nodes[""].level == 0
     assert st.nodes[""].modules == frozenset([c_module(0, 0), p_module(0)])
     assert st.tuples == frozenset()
     assert init_state() == st
+
+
+def test_state_stores_only_what_it_cannot_derive():
+    assert [f.name for f in fields(ConstructionState)] == [
+        "stage", "nodes", "terminal", "acted", "declared_log", "tuple_log"]
+    assert [f.name for f in fields(traceable.NodeInfo)] == [
+        "level", "generation", "declared_stage"]
 
 
 def test_module_set_level1():
@@ -50,7 +59,7 @@ def test_module_id_validation():
 def test_one_stage_from_init():
     st = run_stage(init_state())
     assert st.stage == 1
-    assert st.pi == frozenset(["", "0", "1"])
+    assert _naive_live(st) == {"", "0", "1"} and st.terminal == frozenset()
     for tau in ("0", "1"):
         assert st.nodes[tau].level == 1
         assert st.nodes[tau].modules == module_set(1)
@@ -164,11 +173,11 @@ def test_terminal_monotone_and_frontier_nonempty():
         st = init_state()
         seen_terminal = st.terminal
         for _ in range(7):
-            prev_pi = st.pi
             st = run_stage(st, adv)
             assert seen_terminal <= st.terminal
             seen_terminal = st.terminal
-            for fresh in st.pi - prev_pi:
+            # the strings the stage grew
+            for fresh in frontier(st):
                 assert not any(fresh != m and fresh.startswith(m)
                                for m in st.terminal)
             assert frontier(st)
@@ -178,10 +187,9 @@ def test_node_invariants_over_runs():
     rng = random.Random(6)
     for _ in range(10):
         st = run_to_horizon(_random_bundle(rng), 7)
-        assert set(st.nodes) <= set(st.pi)
         for tau, info in st.nodes.items():
             assert info.modules == module_set(info.level)
-            assert not is_terminal(st, tau)
+            assert len(tau) <= st.stage and not is_terminal(st, tau)
 
 
 def test_counting_bounds():
@@ -330,17 +338,35 @@ def test_verify_random_quiescent():
         assert verify_final_nodes(st, adv), final_node_violation(st, adv)
 
 
-# The whole-pi scan and full extension lists that act_c_module's walk
-# replaced, kept as an oracle.
+# The state once stored pi, the traced tuples and the next generation
+# as fields.  The naive acts and stage below carry them beside the
+# state, with the whole-pi scans and full extension lists that the
+# descent replaced, and are kept as oracles.
 
-def _naive_act_c_module(st, tau, mid, adv):
+class _Side(NamedTuple):
+    pi: frozenset
+    tuples: frozenset
+    next_generation: int
+
+
+_INIT_SIDE = _Side(frozenset([""]), frozenset(), 2)
+
+
+def _naive_live(st):
+    """Every non-terminal string of length at most the stage."""
+    return {x for n in range(st.stage + 1) for x in _naive_frontier(st, n)}
+
+
+def _naive_act_c_module(st, side, tau, mid, adv):
     info = _check_allocated(st, tau, mid)
     if mid.kind != "C":
         raise ProtocolError("expected a C module")
     f = _adversary_table(adv, mid.i)
+    if not _at_arg(f, mid.n):
+        return None
     s = st.stage
     found = None
-    for cand in sort_lenlex(x for x in st.pi if x.startswith(tau)):
+    for cand in sort_lenlex(x for x in side.pi if x.startswith(tau)):
         if len(cand) >= s or is_terminal(st, cand):
             continue
         ax = effective_axiom(f, cand, mid.n)
@@ -357,11 +383,11 @@ def _naive_act_c_module(st, tau, mid, adv):
 
     nodes = {x: nf for x, nf in st.nodes.items()
              if not (x != tau and x.startswith(tau))}
-    newly_terminal = {p for p in st.pi
+    newly_terminal = {p for p in side.pi
                       if p.startswith(tau)
                       and not compatible(p, t0) and not compatible(p, t1)}
     log: list = []
-    gen = st.next_generation
+    gen = side.next_generation
     j = info.level + 1
     _declare(nodes, log, t0, j, gen, s + 1)
     _declare(nodes, log, t1, j, gen + 1, s + 1)
@@ -369,13 +395,40 @@ def _naive_act_c_module(st, tau, mid, adv):
         st,
         nodes=nodes,
         terminal=st.terminal | newly_terminal,
-        tuples=st.tuples | {(mid.i, mid.n, value)},
         acted=st.acted | {(tau, mid, info.generation)},
-        next_generation=gen + 2,
         declared_log=st.declared_log + tuple(log),
         tuple_log=st.tuple_log + ((mid.i, mid.n, value, tau, info.level,
                                    info.generation),),
-    )
+    ), side._replace(tuples=side.tuples | {(mid.i, mid.n, value)},
+                     next_generation=gen + 2)
+
+
+def _naive_act_p_module(st, side, tau, mid, adv):
+    info = _check_allocated(st, tau, mid)
+    if mid.kind != "P":
+        raise ProtocolError("expected a P module")
+    s = st.stage
+    if s + 1 < info.declared_stage + 2:
+        return None
+    succ = _naive_successor_nodes(st, tau)
+    if len(succ) != 2:
+        return None
+    out = oracle_output_bits(_adversary_table(adv, mid.i), s)
+    if out.startswith(succ[0]):
+        keep = succ[1]
+    elif out.startswith(succ[1]):
+        keep = succ[0]
+    else:
+        return None
+    doomed = {p for p in side.pi
+              if p.startswith(tau) and not compatible(p, keep)}
+    nodes = {x: nf for x, nf in st.nodes.items() if x not in doomed}
+    return replace(
+        st,
+        nodes=nodes,
+        terminal=st.terminal | doomed,
+        acted=st.acted | {(tau, mid, info.generation)},
+    ), side
 
 
 def _table_bundles():
@@ -390,23 +443,30 @@ def _table_bundles():
                      for _ in range(rng.randint(1, 3)))
 
 
-def _c_module_cases(horizon):
-    """Every C module that has not acted, of every node, after each
-    stage up to the horizon, with its state and a bundle: the one the
-    state grew under and the next two, whose axioms the state has not
-    yet answered."""
-    bundles = list(_table_bundles())
+def _module_cases(horizon, kind, bundles):
+    """Every module of the kind that has not acted, of every node,
+    after each stage up to the horizon, with its state, the state's
+    side fields and a bundle: the one the state grew under and the
+    next two, whose axioms the state has not yet answered."""
     for k, grow in enumerate(bundles):
         advs = [bundles[(k + j) % len(bundles)] for j in range(3)]
-        st = init_state()
+        st, side = init_state(), _INIT_SIDE
         while st.stage < horizon:
-            st = run_stage(st, grow)
+            st, side = _naive_run_stage(st, side, grow)
             for tau, info in st.nodes.items():
                 for mid in sorted(info.modules, key=str):
-                    if mid.kind == "C" and \
+                    if mid.kind == kind and \
                             (tau, mid, info.generation) not in st.acted:
                         for adv in advs:
-                            yield st, tau, mid, adv
+                            yield st, side, tau, mid, adv
+
+
+def _c_module_cases(horizon):
+    return _module_cases(horizon, "C", list(_table_bundles()))
+
+
+def _p_module_cases(horizon):
+    return _module_cases(horizon, "P", _wide_bundles())
 
 
 def test_c_module_searches_candidates_in_length_lex_order():
@@ -418,17 +478,33 @@ def test_c_module_searches_candidates_in_length_lex_order():
         adv = bundle([table([(sigma, 0, k, 1)
                              for k, sigma in enumerate(axioms)])])
         got = act_c_module(st, "", c_module(0, 0), adv)
-        assert got == _naive_act_c_module(st, "", c_module(0, 0), adv)
+        side = _Side(st.terminal | _naive_live(st), st.tuples,
+                     st.next_generation)
+        assert got == _naive_act_c_module(st, side, "", c_module(0, 0),
+                                          adv)[0]
         assert tuple(r[1] for r in got.declared_log[-2:]) == picks
+
+
+def _first(pair):
+    return None if pair is None else pair[0]
 
 
 def test_c_module_walk_matches_naive_scan():
     acted = 0
-    for st, tau, mid, adv in _c_module_cases(7):
+    for st, side, tau, mid, adv in _c_module_cases(7):
         got = act_c_module(st, tau, mid, adv)
-        assert got == _naive_act_c_module(st, tau, mid, adv)
+        assert got == _first(_naive_act_c_module(st, side, tau, mid, adv))
         acted += got is not None
     assert acted > 50
+
+
+def test_p_module_walk_matches_naive_scan():
+    acted = 0
+    for st, side, tau, mid, adv in _p_module_cases(7):
+        got = act_p_module(st, tau, mid, adv)
+        assert got == _first(_naive_act_p_module(st, side, tau, mid, adv))
+        acted += got is not None
+    assert acted > 20
 
 
 class _CountingSet(frozenset):
@@ -441,27 +517,34 @@ class _CountingSet(frozenset):
         return super().__iter__()
 
 
-def test_c_module_never_iterates_pi():
-    acted = 0
-    for st, tau, mid, adv in _c_module_cases(6):
-        counted = replace(st, pi=_CountingSet(st.pi))
-        acted += act_c_module(counted, tau, mid, adv) is not None
-        assert counted.pi.iterations == 0
-    assert acted > 20
+def test_module_walks_never_iterate_terminal():
+    # the C search and reshape and the P pruning only look terminal
+    # strings up, so their work grows with the live strings above the
+    # node, however many strings are terminal
+    acted = {"C": 0, "P": 0}
+    for cases, act in ((_c_module_cases(6), act_c_module),
+                       (_p_module_cases(6), act_p_module)):
+        for st, _, tau, mid, adv in cases:
+            counted = replace(st, terminal=_CountingSet(st.terminal))
+            got = act(counted, tau, mid, adv)
+            assert counted.terminal.iterations == 0
+            assert got == act(st, tau, mid, adv)
+            acted[mid.kind] += got is not None
+    assert acted["C"] > 20 and acted["P"] > 10
 
 
-def test_c_module_without_an_axiom_at_its_argument_never_walks_pi(
+def test_c_module_without_an_axiom_at_its_argument_never_descends(
         monkeypatch):
     walks = []
-    real = traceable._pi_above
+    real = traceable._live_levels
 
-    def counted(st, tau):
+    def counted(st, tau, length):
         walks.append(tau)
-        return real(st, tau)
+        return real(st, tau, length)
 
-    monkeypatch.setattr(traceable, "_pi_above", counted)
+    monkeypatch.setattr(traceable, "_live_levels", counted)
     idle = 0
-    for st, tau, mid, adv in _c_module_cases(6):
+    for st, _, tau, mid, adv in _c_module_cases(6):
         if _at_arg(_adversary_table(adv, mid.i), mid.n):
             continue
         walks.clear()
@@ -589,7 +672,7 @@ def test_is_terminal_skips_the_scan_when_nothing_is_terminal():
     st = run_to_horizon(EMPTY_BUNDLE, 4)
     assert st.terminal == frozenset()
     counted = replace(st, terminal=_CountingSet())
-    assert not any(is_terminal(counted, x) for x in st.pi)
+    assert not any(is_terminal(counted, x) for x in _naive_live(st))
     assert counted.terminal.iterations == 0
     for adv in _table_bundles():
         st = run_to_horizon(adv, 5)
@@ -600,8 +683,8 @@ def test_is_terminal_skips_the_scan_when_nothing_is_terminal():
 
 
 # The stage before it dispatched only the modules that can act and grew
-# the tree along the live frontier, with the terminal scans it used,
-# kept as oracles.
+# the tree along the live frontier, with the terminal scans it used and
+# the naive acts, kept as oracles.
 
 def _naive_is_terminal(st, s):
     return any(s.startswith(m) for m in st.terminal)
@@ -617,7 +700,7 @@ def _naive_module_key(m):
     return (0, m.i, m.n) if m.kind == "C" else (1, m.i, 0)
 
 
-def _naive_run_stage(st, adv=EMPTY_BUNDLE):
+def _naive_run_stage(st, side, adv=EMPTY_BUNDLE):
     s = st.stage
     snapshot = sorted(((nf.level, (len(tau), tau), tau, nf.generation)
                        for tau, nf in st.nodes.items()
@@ -627,20 +710,19 @@ def _naive_run_stage(st, adv=EMPTY_BUNDLE):
         nf = cur.nodes.get(tau)
         if nf is None or nf.generation != gen:
             continue
-        for mid in sorted(nf.modules, key=_naive_module_key):
+        for mid in sorted(module_set(nf.level), key=_naive_module_key):
             if (tau, mid, gen) in cur.acted:
                 continue
-            if mid.kind == "C":
-                res = act_c_module(cur, tau, mid, adv)
-            else:
-                res = act_p_module(cur, tau, mid, adv)
+            act = (_naive_act_c_module if mid.kind == "C"
+                   else _naive_act_p_module)
+            res = act(cur, side, tau, mid, adv)
             if res is not None:
-                cur = res
+                cur, side = res
                 break
     nodes = dict(cur.nodes)
-    pi = set(cur.pi)
+    pi = set(side.pi)
     log: list = []
-    gen = cur.next_generation
+    gen = side.next_generation
     for bits in product("01", repeat=s + 1):
         tau = "".join(bits)
         if _naive_is_terminal(cur, tau):
@@ -652,29 +734,38 @@ def _naive_run_stage(st, adv=EMPTY_BUNDLE):
     return replace(
         cur,
         stage=s + 1,
-        pi=frozenset(pi),
         nodes=nodes,
-        next_generation=gen,
         declared_log=cur.declared_log + tuple(log),
-    )
+    ), _Side(frozenset(pi), side.tuples, gen)
+
+
+def _wide_bundles():
+    # many tables with bit outputs at the empty oracle, so that more P
+    # modules act
+    rng = random.Random(15)
+    return [bundle(table([("", n, rng.getrandbits(1), rng.randint(1, 3))
+                          for n in range(8)]) for _ in range(6))
+            for _ in range(4)]
 
 
 def test_run_stage_matches_naive_stage():
     # whole states, stage by stage, each side grown on its own; the
-    # dataclass equality covers the logs and the generation counter.
-    # Bundles of many tables with bit outputs at the empty oracle let
-    # more P modules act.
-    rng = random.Random(15)
-    wide = [bundle(table([("", n, rng.getrandbits(1), rng.randint(1, 3))
-                          for n in range(8)]) for _ in range(6))
-            for _ in range(4)]
+    # dataclass equality covers the logs, and the side fields the state
+    # no longer stores must be what it derives
     kinds = []
-    for adv in list(_table_bundles()) + list(_seeded_bundles()) + wide:
+    for adv in list(_table_bundles()) + list(_seeded_bundles()) + \
+            _wide_bundles():
         st = naive = init_state()
+        side = _INIT_SIDE
         while st.stage < 8:
             st = run_stage(st, adv)
-            naive = _naive_run_stage(naive, adv)
+            naive, side = _naive_run_stage(naive, side, adv)
             assert st == naive
+            assert side.pi == _naive_live(st) | st.terminal
+            assert side.tuples == st.tuples
+            assert side.next_generation == st.next_generation
+            for info in st.nodes.values():
+                assert info.modules == module_set(info.level)
         kinds += [mid.kind for _, mid, _ in st.acted]
     assert kinds.count("C") > 100 and kinds.count("P") >= 5
 
@@ -692,6 +783,18 @@ def test_frontier_and_is_terminal_match_naive_scans(terminal, stage, s):
     assert frontier(st) == _naive_frontier(st)
     for n in range(stage + 1):
         assert frontier(st, n) == _naive_frontier(st, n)
+
+
+@given(hst.frozensets(_BITS, max_size=12), _BITS, hst.integers(-1, 6))
+@settings(max_examples=300)
+def test_descent_matches_naive_scan_from_any_string(terminal, tau, extra):
+    st = replace(init_state(), terminal=terminal)
+    length = len(tau) + extra
+    want = [[x for x in (tau + "".join(b)
+                         for b in product("01", repeat=n - len(tau)))
+             if not _naive_is_terminal(st, x)]
+            for n in range(len(tau), length + 1)]
+    assert list(traceable._live_levels(st, tau, length)) == want
 
 
 def test_empty_bundle_stages_dispatch_no_module(monkeypatch):
