@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .colorings import EVEN_SHAPE, bushy_level_strings, kappa
-from .cupping import bundle, find_pi_member
+from .cupping import SEARCH_MAX_LEVEL, bundle, find_pi_member
 from .errors import BudgetError, ProtocolError, ScenarioError
 from .functionals import (FunctionalTable, build_weak_splitting_tree,
                           splitting_violation, weak_splitting_violation)
@@ -78,7 +78,17 @@ def _extraction_line(check_id: str, outcome) -> ReportLine:
     return failed(check_id, failure)
 
 
+def _require_work_budget(count: int, leaf_count: int) -> None:
+    """Each colouring costs about its leaf count, so the work of an
+    extraction command is bounded by count x leaves."""
+    if count * leaf_count > 1 << 20:
+        raise BudgetError(f"{count} colourings of {leaf_count} leaves "
+                          f"exceed {1 << 20} coloured leaves")
+
+
 def _h_verify_twocol(ns, sc, rng):
+    if not ns.exhaustive:  # before the leaves are built
+        _require_work_budget(ns.count, 1 << EVEN_SHAPE.level_length(ns.n))
     lvs = bushy_level_strings(EVEN_SHAPE, ns.n)
     lines = []
     if ns.exhaustive:
@@ -100,18 +110,14 @@ def _h_verify_twocol(ns, sc, rng):
 
 
 def _h_verify_nice(ns, sc, rng):
-    # each colouring costs about its leaf count, so the work is bounded
-    # by count x leaves; one tree is also bounded, as building it is
-    # the memory cost
+    # one tree is bounded too, as building it is the memory cost
     leaf_count = 1
     for k in range(ns.n):
         leaf_count *= kappa(ns.i, k)
         if leaf_count > 1 << 16:
             raise BudgetError(f"a level-{ns.n} tree with kappa({ns.i}) "
                               f"fanout has over {1 << 16} leaves")
-    if ns.count * leaf_count > 1 << 20:
-        raise BudgetError(f"{ns.count} colourings of {leaf_count} leaves "
-                          f"exceed {1 << 20} coloured leaves")
+    _require_work_budget(ns.count, leaf_count)
     t0 = random_kappa_tree(rng, ns.i, ns.n)
     width = len(str(ns.count - 1)) if ns.count > 1 else 1
     return [_extraction_line(f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}",
@@ -138,6 +144,8 @@ def _bundle_of(sc: Scenario):
 
 
 def _h_run_cupping(ns, sc, rng):
+    if ns.n > SEARCH_MAX_LEVEL:
+        raise BudgetError(f"level {ns.n} exceeds the search budget")
     adv = _bundle_of(sc)
     lines = []
     for k in range(ns.n + 1):

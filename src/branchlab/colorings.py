@@ -11,19 +11,35 @@ recurse, then unwind picking the allowed number of non-d extensions at
 each level.  Colourings may be partial; an uncoloured leaf never
 matches any colour, and a string whose successors are all uncoloured
 stays uncoloured itself rather than defaulting to colour 0.
+
+Both run on level arrays.  A level's strings are ranked in lex order,
+as bushy_level_strings and level_map list them, and the colours of a
+level form one list in that order.  When every member of level k has
+fan successors, the successors of rank r are ranks fan*r to
+fan*r + fan - 1 of level k + 1, so a majority step and the unwind
+work on ranks alone and read strings only for what they return.
+
+verify_extraction checks the extracted tree by the shape rather than
+by a tree index: trees.graded_successor_counts places every member on
+the shape level of its length, after checking that its prefix at the
+previous level length is a member too, and counts each member's
+successors in the same pass.  It shares no code with the extractions
+it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .errors import BudgetError, ShapeError
-from .trees import (Tree, leaves, level_map, level_of, successors,
-                    tree_uniform_level)
+# level_of is not called here; the benchmark's tracer test checks that
+# tracing restores colorings.level_of
+from .trees import (Tree, graded_successor_counts, level_map,  # noqa: F401
+                    level_of, successors, tree_uniform_level)
 
 EVEN = "even"
 GRADED = "graded"
@@ -137,33 +153,22 @@ def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
     return True
 
 
-def _propagate(counts_src: dict[str, Optional[int]],
-               parents: Iterable[str],
-               child_of: Callable[[str], Sequence[str]]) -> dict[str, Optional[int]]:
-    """One downward step: strict majority wins, all-blank stays blank,
-    anything else falls back to colour 0."""
-    out: dict[str, Optional[int]] = {}
-    for p in parents:
-        kids = child_of(p)
-        tally: dict[int, int] = {}
-        blanks = 0
-        for k in kids:
-            c = counts_src.get(k)
-            if c is None:
-                blanks += 1
-            else:
-                tally[c] = tally.get(c, 0) + 1
-        winner = None
-        for c, cnt in tally.items():
-            if 2 * cnt > len(kids):
-                winner = c
-                break
-        if winner is not None:
-            out[p] = winner
-        elif blanks == len(kids):
-            out[p] = None
+_BLANK = -1  # an uncoloured string in a level array; colours are >= 0
+
+
+def _majority_step(kids: list[int], fan: int) -> list[int]:
+    """The colours of one level from those of the level below, where
+    parent r owns the run kids[fan*r : fan*r+fan]: a strict majority
+    wins, all-blank stays blank, anything else falls back to colour 0."""
+    half = fan // 2
+    out: list[int] = []
+    for j in range(0, len(kids), fan):
+        run = sorted(kids[j:j + fan])
+        top = run[half]  # a strict majority covers the middle of the run
+        if top != _BLANK and run.count(top) > half:
+            out.append(top)
         else:
-            out[p] = 0
+            out.append(_BLANK if run[-1] == _BLANK else 0)
     return out
 
 
@@ -178,32 +183,33 @@ def extract_twocol(shape: BushyShape, n: int,
         raise ShapeError("two-colour extraction runs on the even shape")
     if c.num_colors != 2:
         raise ShapeError("expected a 2-colouring")
-    level_sets = [bushy_level_strings(shape, k) for k in range(n + 1)]
-    col: dict[str, Optional[int]] = {s: c.assignment.get(s)
-                                     for s in level_sets[n]}
-    missing = [s for s, x in col.items() if x is None]
-    if missing:
-        raise ShapeError(f"leaf {missing[0]!r} is uncoloured")
+    leaf_strings = bushy_level_strings(shape, n)
+    col = list(map(c.assignment.get, leaf_strings))
+    if None in col:
+        raise ShapeError(
+            f"leaf {leaf_strings[col.index(None)]!r} is uncoloured")
     per_level = [col]
     for k in range(n - 1, -1, -1):
-        col = _propagate(col, level_sets[k], shape.successor_strings)
+        col = _majority_step(col, shape.branching(k))
         per_level.append(col)
-    per_level.reverse()  # per_level[k] colours level k
-    root_colour = per_level[0][""]
-    d = 0 if root_colour != 0 else 1
-    if root_colour is None:
-        d = 0
-    sub = {""}
-    frontier = [""]
+    per_level.reverse()  # per_level[k] colours level k by rank
+    d = 1 if per_level[0][0] == 0 else 0
+    sub = [""]
+    frontier = [(0, "")]  # (rank, string) of each picked string
     for k in range(n):
+        fan, below = shape.branching(k), per_level[k + 1]
         nxt = []
-        for s in frontier:
-            ok = [x for x in shape.successor_strings(s)
-                  if per_level[k + 1][x] != d]
-            if len(ok) < 2:
+        for r, s in frontier:
+            kids, want = shape.successor_strings(s), 2
+            for j in range(fan):  # the first two clean successors
+                if below[fan * r + j] != d:
+                    nxt.append((fan * r + j, kids[j]))
+                    sub.append(kids[j])
+                    want -= 1
+                    if not want:
+                        break
+            else:
                 raise ShapeError(f"no two clean successors under {s!r}")
-            nxt.extend(sorted(ok)[:2])
-        sub.update(nxt)
         frontier = nxt
     return d, Tree(sub)
 
@@ -226,40 +232,48 @@ def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
     n = tree_uniform_level(t0)
     if n is None:
         raise ShapeError("leaves sit at mixed levels")
-    col: dict[str, Optional[int]] = {s: c.get(s) for s in leaves(t0)}
-    lm = level_map(t0)
-    per_level: dict[int, dict[str, Optional[int]]] = {n: col}
+    lm = level_map(t0)  # every member below level n has kappa(i, k) kids
+    per_level = {n: list(map(c.assignment.get, lm[n], repeat(_BLANK)))}
     for k in range(n - 1, i - 1, -1):
-        per_level[k] = _propagate(per_level[k + 1], lm[k],
-                                  lambda p: successors(t0, p))
+        per_level[k] = _majority_step(per_level[k + 1], kappa(i, k))
     base_level = min(n, i)
-    base_cols = {per_level[base_level].get(s)
-                 for s in lm[base_level]} - {None}
+    base_cols = set(per_level[base_level])
     d = next(x for x in range(ncol(i)) if x not in base_cols)
-    t1 = set()
-    for k in range(base_level + 1):
-        t1.update(lm[k])
-    frontier = list(lm[base_level])
+    t1 = [m for k in range(base_level + 1) for m in lm[k]]
+    frontier = range(len(lm[base_level]))  # ranks of the picked members
     for k in range(base_level, n):
-        want = kappa(i + 1, k)
-        nxt = []
-        for s in frontier:
-            ok = [x for x in successors(t0, s)
-                  if per_level[k + 1].get(x) != d]
+        fan, want, below = kappa(i, k), kappa(i + 1, k), per_level[k + 1]
+        nxt: list[int] = []
+        for r in frontier:
+            ok = [x for x in range(fan * r, fan * r + fan) if below[x] != d]
             if len(ok) < want:
-                raise ShapeError(f"not enough clean successors under {s!r}")
-            nxt.extend(sorted(ok)[:want])
-        t1.update(nxt)
+                raise ShapeError(
+                    f"not enough clean successors under {lm[k][r]!r}")
+            nxt += ok[:want]
+        t1 += [lm[k + 1][x] for x in nxt]
         frontier = nxt
     return d, Tree(t1)
 
 
 def verify_extraction(shape: BushyShape, f_target: Fanout, n: int,
                       c: Coloring, d: int, sub: Iterable[str]) -> bool:
-    """Check an extraction: compatibility, level, and no leaf coloured d."""
+    """Check an extraction: f_target-compatible, of level n, and no leaf
+    coloured d.
+
+    Checked by the shape, with no tree index: sub must be graded by the
+    shape's level lengths up to n, and then its tree levels are the
+    shape levels, so the level-n members are its leaves and every
+    member below n must have f_target(level) successors.
+    """
     sub = Tree(sub)
-    if not sub or not is_compatible(shape, sub, f_target):
+    if not 0 <= n < len(sub):  # a level-n tree holds a chain of n + 1
         return False
-    if tree_uniform_level(sub) != n:
+    counts = graded_successor_counts(
+        sub, [shape.level_length(k) for k in range(n + 1)])
+    if counts is None:
         return False
-    return all(c.get(lf) != d for lf in leaves(sub))
+    for k in range(n):
+        want = f_target(k)
+        if not want or any(cnt != want for cnt in counts[k].values()):
+            return False
+    return all(c.get(m) != d for m in counts[n])

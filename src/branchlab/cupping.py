@@ -258,8 +258,11 @@ def pi_membership_violation(node: PiStarNode,
     return None
 
 
+SEARCH_MAX_LEVEL = 4  # level 4 takes about 0.3 s; each level multiplies it
+
+
 def find_pi_member(n: int, adv: AdversaryBundle,
-                   max_level: int = 4) -> PiStarNode:
+                   max_level: int = SEARCH_MAX_LEVEL) -> PiStarNode:
     """A level-n node surviving the stage filter along its whole chain.
 
     Thins the full graded tree once per colour index: leaves are

@@ -33,6 +33,12 @@ def _axiom_key(ax: Axiom):
     return (arg, len(sigma), sigma, steps, value)
 
 
+def _clashes(a: Axiom, b: Axiom) -> bool:
+    """Whether two axioms at one argument contradict each other: their
+    oracles are compatible and their values differ."""
+    return a[2] != b[2] and compatible(a[0], b[0])
+
+
 @dataclass(frozen=True)
 class FunctionalTable:
     axioms: tuple[Axiom, ...]
@@ -53,7 +59,7 @@ class FunctionalTable:
         for group in by_arg.values():
             for i, a in enumerate(group):
                 for b in group[i + 1:]:
-                    if compatible(a[0], b[0]) and a[2] != b[2]:
+                    if _clashes(a, b):
                         raise ConsistencyError(
                             f"axioms {a} and {b} clash", first=a, second=b)
         object.__setattr__(self, "axioms", axs)

@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Union
 
-from .errors import ConsistencyError, ProtocolError, ShapeError
-from .functionals import FunctionalTable
+from .errors import ProtocolError, ShapeError
+from .functionals import FunctionalTable, _clashes
 from .smc import OmegaContext, enumerate_pi, oplus_tree
 from .strings import (check_bits, compatible, is_prefix, is_proper_prefix,
                       sort_lenlex, string_to_nat)
@@ -148,20 +148,23 @@ def random_functional_table(rng: random.Random, axioms: int = 10,
                             max_sigma_len: int = 4, max_arg: int = 3,
                             max_value: int = 9,
                             max_steps: int = 3) -> FunctionalTable:
-    """Greedily grow a consistent table from random axiom candidates."""
-    kept: list[tuple[str, int, int, int]] = []
-    table = FunctionalTable(())
+    """Greedily grow a consistent table from random axiom candidates.
+
+    A candidate is kept unless it clashes with a kept axiom at its
+    argument, which is exactly when the table would refuse it; the
+    table is built once, at the end.
+    """
+    kept: dict[int, list[tuple[str, int, int, int]]] = {}  # by argument
     for _ in range(axioms):
         sigma = "".join(rng.choice("01")
                         for _ in range(rng.randint(0, max_sigma_len)))
         cand = (sigma, rng.randint(0, max_arg), rng.randint(0, max_value),
                 rng.randint(1, max_steps))
-        try:
-            table = FunctionalTable(tuple(kept) + (cand,))
-        except ConsistencyError:
-            continue
-        kept.append(cand)
-    return table
+        same_arg = kept.setdefault(cand[1], [])
+        if not any(_clashes(ax, cand) for ax in same_arg):
+            same_arg.append(cand)
+    # the table sorts its axioms, so the order they were kept in is lost
+    return FunctionalTable(tuple(ax for axs in kept.values() for ax in axs))
 
 
 def random_kappa_tree(rng: random.Random, i: int, n: int) -> Tree:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MemberError, ShapeError
 from .strings import sort_lenlex
@@ -230,3 +230,31 @@ def sorted_members(t: Iterable[str]) -> tuple[str, ...]:
 def level_map(t: Iterable[str]) -> dict[int, tuple[str, ...]]:
     """Members by level, each level length-lex sorted; a fresh dict."""
     return dict(enumerate(_index(t).levels))
+
+
+def graded_successor_counts(t: Iterable[str], lengths: Sequence[int]
+                            ) -> Optional[list[dict[str, int]]]:
+    """Successor counts of t's members, one dict per level, when t is
+    graded by the increasing lengths: every member has some length
+    lengths[k] and, unless k is 0, its prefix of length lengths[k - 1]
+    is in t.  None when t is not so graded.
+
+    That prefix is then each member's longest proper prefix in t, so k
+    is the member's level and the counts (0 for a leaf) are read off in
+    one pass over the members, with no index.
+    """
+    t = Tree(t)
+    level_at = {length: k for k, length in enumerate(lengths)}
+    counts: list[dict[str, int]] = [{} for _ in lengths]
+    for m in t:
+        k = level_at.get(len(m))
+        if k is None:
+            return None
+        counts[k].setdefault(m, 0)
+        if k:
+            p = m[:lengths[k - 1]]
+            if p not in t:
+                return None
+            below = counts[k - 1]
+            below[p] = below.get(p, 0) + 1
+    return counts

@@ -412,3 +412,36 @@ def test_traceable_horizon_budget_at_its_edge(capsys):
         "ERROR\trun-traceable-error\thorizon 17 exceeds the budget of 16 "
         "stages"]
     assert time.monotonic() - t0 < 1
+
+
+def test_twocol_work_budget_at_its_edge(capsys):
+    # count x 4^n is capped at 2^20 coloured leaves: 4 colourings of the
+    # 2^18 level-9 leaves run, 5 are refused before any leaf is built
+    t0 = time.monotonic()
+    assert cli.main(["verify", "twocol", "--n", "9", "--count", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(ln.startswith("PASS\ttwocol-rand-")
+                                   for ln in lines[1:])
+    assert time.monotonic() - t0 < 10
+    t0 = time.monotonic()
+    assert cli.main(["verify", "twocol", "--n", "9", "--count", "5"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "ERROR\tverify-twocol-error\t5 colourings of 262144 leaves exceed "
+        "1048576 coloured leaves"]
+    assert time.monotonic() - t0 < 1
+
+
+def test_cupping_search_budget_at_its_edge(capsys):
+    # level 4 is the deepest search; level 5 is refused before level 0
+    t0 = time.monotonic()
+    assert cli.main(["run", "cupping", "--n", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "PASS\tcupping-n0\te", "PASS\tcupping-n1\t1", "PASS\tcupping-n2\t11",
+        "PASS\tcupping-n3\t111", "PASS\tcupping-n4\t1111"]
+    assert time.monotonic() - t0 < 10
+    t0 = time.monotonic()
+    assert cli.main(["run", "cupping", "--n", "5"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "ERROR\trun-cupping-error\tlevel 5 exceeds the search budget"]
+    assert time.monotonic() - t0 < 1
+

@@ -2,13 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from branchlab.colorings import (Coloring, EVEN_SHAPE, GRADED_SHAPE,
-                                 bushy_level_strings, extract_nice,
-                                 extract_twocol, is_compatible, kappa, ncol,
-                                 verify_extraction)
+from branchlab import suite, trees
+from branchlab.colorings import (EVEN, GRADED, Coloring, EVEN_SHAPE,
+                                 GRADED_SHAPE, bushy_level_strings,
+                                 extract_nice, extract_twocol, is_compatible,
+                                 kappa, ncol, verify_extraction)
 from branchlab.errors import BudgetError, ShapeError
-from branchlab.trees import leaves
+from branchlab.gen import random_kappa_tree
+from branchlab.trees import (Tree, leaves, level_map, successors,
+                             tree_uniform_level)
 
 
 def test_even_shape_levels():
@@ -242,3 +246,311 @@ def test_verify_extraction_rejects_mutants():
     broken = t1 - {sorted(t1)[-1]}
     assert not verify_extraction(GRADED_SHAPE, lambda k: kappa(1, k),
                                  1, c, d, broken)
+    # a fanout of 0 below level n: leaves at level 1 of a level-2 check
+    short = {"", "00", "01"}
+    assert not _naive_verify_extraction(EVEN_SHAPE, lambda k: 2 - 2 * k, 2,
+                                        Coloring({}, 2), 0, short)
+    assert not verify_extraction(EVEN_SHAPE, lambda k: 2 - 2 * k, 2,
+                                 Coloring({}, 2), 0, short)
+
+
+# The string-keyed propagation and the index-based verifier that the
+# level arrays and the shape check replaced, kept as oracles.
+
+def _naive_propagate(counts_src, parents, child_of):
+    out = {}
+    for p in parents:
+        kids = child_of(p)
+        tally = {}
+        blanks = 0
+        for k in kids:
+            c = counts_src.get(k)
+            if c is None:
+                blanks += 1
+            else:
+                tally[c] = tally.get(c, 0) + 1
+        winner = None
+        for c, cnt in tally.items():
+            if 2 * cnt > len(kids):
+                winner = c
+                break
+        if winner is not None:
+            out[p] = winner
+        elif blanks == len(kids):
+            out[p] = None
+        else:
+            out[p] = 0
+    return out
+
+
+def _naive_extract_twocol(shape, n, c):
+    if shape.variant != EVEN:
+        raise ShapeError("two-colour extraction runs on the even shape")
+    if c.num_colors != 2:
+        raise ShapeError("expected a 2-colouring")
+    level_sets = [bushy_level_strings(shape, k) for k in range(n + 1)]
+    col = {s: c.assignment.get(s) for s in level_sets[n]}
+    missing = [s for s, x in col.items() if x is None]
+    if missing:
+        raise ShapeError(f"leaf {missing[0]!r} is uncoloured")
+    per_level = [col]
+    for k in range(n - 1, -1, -1):
+        col = _naive_propagate(col, level_sets[k], shape.successor_strings)
+        per_level.append(col)
+    per_level.reverse()
+    root_colour = per_level[0][""]
+    d = 0 if root_colour != 0 else 1
+    if root_colour is None:
+        d = 0
+    sub = {""}
+    frontier = [""]
+    for k in range(n):
+        nxt = []
+        for s in frontier:
+            ok = [x for x in shape.successor_strings(s)
+                  if per_level[k + 1][x] != d]
+            if len(ok) < 2:
+                raise ShapeError(f"no two clean successors under {s!r}")
+            nxt.extend(sorted(ok)[:2])
+        sub.update(nxt)
+        frontier = nxt
+    return d, frozenset(sub)
+
+
+def _naive_extract_nice(shape, i, t0, c):
+    if shape.variant != GRADED:
+        raise ShapeError("graded shape required")
+    t0 = frozenset(t0)
+    if not is_compatible(shape, t0, lambda k: kappa(i, k)):
+        raise ShapeError("input tree is not kappa(i)-compatible")
+    if c.num_colors != ncol(i):
+        raise ShapeError(f"expected an ncol({i})-colouring")
+    n = tree_uniform_level(t0)
+    if n is None:
+        raise ShapeError("leaves sit at mixed levels")
+    col = {s: c.get(s) for s in leaves(t0)}
+    lm = level_map(t0)
+    per_level = {n: col}
+    for k in range(n - 1, i - 1, -1):
+        per_level[k] = _naive_propagate(per_level[k + 1], lm[k],
+                                        lambda p: successors(t0, p))
+    base_level = min(n, i)
+    base_cols = {per_level[base_level].get(s)
+                 for s in lm[base_level]} - {None}
+    d = next(x for x in range(ncol(i)) if x not in base_cols)
+    t1 = set()
+    for k in range(base_level + 1):
+        t1.update(lm[k])
+    frontier = list(lm[base_level])
+    for k in range(base_level, n):
+        want = kappa(i + 1, k)
+        nxt = []
+        for s in frontier:
+            ok = [x for x in successors(t0, s)
+                  if per_level[k + 1].get(x) != d]
+            if len(ok) < want:
+                raise ShapeError(f"not enough clean successors under {s!r}")
+            nxt.extend(sorted(ok)[:want])
+        t1.update(nxt)
+        frontier = nxt
+    return d, frozenset(t1)
+
+
+def _naive_verify_extraction(shape, f_target, n, c, d, sub):
+    sub = frozenset(sub)
+    if not sub or not is_compatible(shape, sub, f_target):
+        return False
+    if tree_uniform_level(sub) != n:
+        return False
+    return all(c.get(lf) != d for lf in leaves(sub))
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ShapeError it raised."""
+    try:
+        return fn(*args)
+    except ShapeError as e:
+        return type(e), str(e)
+
+
+_FANOUTS = {"two": lambda k: 2, "one": lambda k: 1,
+            "kappa0": lambda k: kappa(0, k), "kappa1": lambda k: kappa(1, k),
+            "kappa2": lambda k: kappa(2, k)}
+
+
+def _shape_subtree(rng, shape, f, n):
+    """A random level-n subtree of the shape with fanout f, capped at
+    the shape's branching."""
+    t, frontier = {""}, [""]
+    for k in range(n):
+        nxt = []
+        for s in frontier:
+            kids = shape.successor_strings(s)
+            nxt += rng.sample(kids, min(f(k), len(kids)))
+        t.update(nxt)
+        frontier = nxt
+    return t, frontier
+
+
+def _perturb(rng, shape, t, frontier, n, how):
+    t = set(t)
+    inner = sorted(m for m in t if m not in frontier)
+    if how == "drop-leaf":
+        t.discard(rng.choice(frontier))
+    elif how == "off-level":  # one past a shape level is on none
+        t.add(rng.choice(sorted(t)) + rng.choice("01"))
+    elif how == "missing-parent" and inner:
+        t.discard(rng.choice(inner))
+    elif how == "extra-child" and inner:
+        p = rng.choice(inner)
+        t.update(rng.sample(shape.successor_strings(p), 1))
+    elif how == "orphan" and n >= 2:
+        # swap a parent of leaves for a spare sibling: every count still
+        # agrees, but the leaves under it lose their shape parent
+        up = rng.choice(frontier)[:shape.level_length(n - 1)]
+        spare = [x for x in shape.successor_strings(
+            up[:shape.level_length(n - 2)]) if x not in t]
+        if spare:
+            t.discard(up)
+            t.add(rng.choice(spare))
+    return t
+
+
+def _verifier_case(rng, arbitrary):
+    shape = rng.choice((EVEN_SHAPE, GRADED_SHAPE))
+    f = _FANOUTS[rng.choice(sorted(_FANOUTS))]
+    num = rng.choice((2, 4))
+    d = rng.randrange(num)
+    if arbitrary is not None:
+        n = rng.randint(0, 3)
+        t = set(arbitrary)
+        leaves_ = sorted(t)
+    else:
+        n = rng.randint(0, 3 if shape.variant == EVEN else 2)
+        build = f if rng.random() < 0.7 else _FANOUTS[
+            rng.choice(sorted(_FANOUTS))]
+        t, leaves_ = _shape_subtree(rng, shape, build, n)
+        how = rng.choice(("none", "none", "drop-leaf", "off-level",
+                          "missing-parent", "extra-child", "orphan",
+                          "recolour"))
+        t = _perturb(rng, shape, t, leaves_, n, how)
+        if rng.random() < 0.15:
+            n += rng.choice((-1, 1))
+    clean = rng.random() < 0.6
+    colors = {}
+    for s in leaves_:
+        if rng.random() < 0.1:
+            continue  # left uncoloured
+        colors[s] = rng.choice([x for x in range(num)
+                                if not clean or x != d])
+    if arbitrary is None and how == "recolour" and leaves_:
+        colors[rng.choice(leaves_)] = d
+    return shape, f, n, Coloring(colors, num), d, t
+
+
+@given(hst.integers(0, 1 << 32),
+       hst.none() | hst.frozensets(hst.text("01", max_size=6), max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_shape_verifier_matches_the_index_verifier(seed, arbitrary):
+    shape, f, n, c, d, t = _verifier_case(random.Random(seed), arbitrary)
+    assert (verify_extraction(shape, f, n, c, d, t)
+            == _naive_verify_extraction(shape, f, n, c, d, t))
+
+
+def test_shape_verifier_sweep_sees_both_verdicts():
+    # the same cases, seeded, with enough of each verdict to mean something
+    verdicts = []
+    for seed in range(600):
+        shape, f, n, c, d, t = _verifier_case(random.Random(seed), None)
+        got = verify_extraction(shape, f, n, c, d, t)
+        assert got == _naive_verify_extraction(shape, f, n, c, d, t), seed
+        verdicts.append(got)
+    assert 150 < sum(verdicts) < 450
+
+
+def _twocol_cases(rng):
+    for n in range(4):
+        lvl = bushy_level_strings(EVEN_SHAPE, n)
+        for _ in range(60):
+            colors = {s: rng.getrandbits(1) for s in lvl}
+            if rng.random() < 0.2:  # an uncoloured leaf, named in the error
+                del colors[rng.choice(lvl)]
+            if rng.random() < 0.2:  # strings off the leaf level are ignored
+                colors[rng.choice(("", "0", "011"))] = rng.getrandbits(1)
+            yield EVEN_SHAPE, n, Coloring(colors, 2)
+    yield GRADED_SHAPE, 1, Coloring({}, 2)
+    yield EVEN_SHAPE, 1, Coloring({}, 3)
+
+
+def test_extract_twocol_matches_naive_extraction():
+    rng = random.Random(2024)
+    errors = 0
+    for shape, n, c in _twocol_cases(rng):
+        got = _outcome(extract_twocol, shape, n, c)
+        assert got == _outcome(_naive_extract_twocol, shape, n, c)
+        errors += got[0] is ShapeError
+    assert errors > 20
+
+
+def _nice_cases(rng):
+    for i, n in itertools.product(range(4), range(4)):
+        if n - i > 2:
+            continue  # keeps the trees small
+        for _ in range(12):
+            t0 = set(random_kappa_tree(rng, i, n))
+            roll = rng.random()
+            if roll < 0.1:  # another schedule: not kappa(i)-compatible
+                t0 = set(random_kappa_tree(rng, i + 1, n))
+            elif roll < 0.2 and n >= 2:  # a cut branch: mixed leaf levels
+                cut = rng.choice(sorted(m for m in t0 if len(m) == 2))
+                t0 = {m for m in t0 if m == cut or not m.startswith(cut)}
+            lvs = [m for m in t0 if GRADED_SHAPE.level_of_length(len(m)) == n]
+            kept = rng.choice((1, 0.85, 0.85, 0.2))  # some leaves uncoloured
+            colors = {s: rng.randrange(ncol(i)) for s in lvs
+                      if rng.random() < kept}
+            if rng.random() < 0.2:  # few colours, so majorities form
+                colors = {s: rng.randrange(2) for s in lvs}
+            yield GRADED_SHAPE, i, frozenset(t0), Coloring(colors, ncol(i))
+    t = frozenset(random_kappa_tree(rng, 0, 1))
+    yield GRADED_SHAPE, 0, t, Coloring({}, 4)
+    yield EVEN_SHAPE, 0, t, Coloring({}, 2)
+
+
+def test_extract_nice_matches_naive_extraction():
+    rng = random.Random(77)
+    kinds = set()
+    for shape, i, t0, c in _nice_cases(rng):
+        got = _outcome(extract_nice, shape, i, t0, c)
+        assert got == _outcome(_naive_extract_nice, shape, i, t0, c)
+        kinds.add(got[1] if got[0] is ShapeError else "ok")
+    assert kinds == {"ok", "input tree is not kappa(i)-compatible",
+                     "leaves sit at mixed levels", "expected an ncol(0)-colouring",
+                     "graded shape required"}
+
+
+def test_extraction_checks_build_no_index(monkeypatch):
+    builds = []
+    real = trees._build_index
+    monkeypatch.setattr(trees, "_build_index",
+                        lambda t: builds.append(len(t)) or real(t))
+    rng = random.Random(5)
+    lvl = bushy_level_strings(EVEN_SHAPE, 3)
+    for _ in range(20):
+        c = Coloring({s: rng.getrandbits(1) for s in lvl}, 2)
+        d, sub = extract_twocol(EVEN_SHAPE, 3, c)
+        assert verify_extraction(EVEN_SHAPE, lambda k: 2, 3, c, d, sub)
+        assert not verify_extraction(EVEN_SHAPE, lambda k: 2, 3, c, 1 - d,
+                                     Tree(sub | {"0"}))
+    assert builds == []
+    for i, n in ((0, 2), (1, 3)):
+        t0 = random_kappa_tree(rng, i, n)
+        c = Coloring({s: rng.randrange(ncol(i)) for s in leaves(t0)}, ncol(i))
+        builds.clear()
+        d, t1 = extract_nice(GRADED_SHAPE, i, t0, c)
+        assert builds == []  # t0 was indexed by the leaves() call above
+        assert verify_extraction(GRADED_SHAPE, lambda k: kappa(i + 1, k), n,
+                                 c, d, t1)
+        assert builds == []
+    assert [ln.status for ln in suite._chk_twocol_exhaustive(None, 1)] \
+        == ["PASS"]
+    assert builds == []

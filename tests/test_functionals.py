@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
+from branchlab.gen import random_functional_table
 from branchlab.functionals import (FunctionalTable, _outputs,
                                    _require_two_branching, applicable, build_weak_splitting_tree,
                                    effective_axiom,
@@ -619,3 +620,41 @@ def test_branch_word_cases_reach_success_and_the_main_errors():
             got = _outcome(pullback_tree, f, t, t2, hat)
             seen.add(got[0] if got[0] == "ok" else got[1].split()[0])
     assert seen == {"ok", "table", "input", "refinement"}
+
+
+def _naive_random_functional_table(rng, axioms=10, max_sigma_len=4,
+                                   max_arg=3, max_value=9, max_steps=3):
+    """The generator that rebuilt and revalidated the whole table for
+    every candidate, kept as the oracle of the incremental one."""
+    kept = []
+    tbl = FunctionalTable(())
+    for _ in range(axioms):
+        sigma = "".join(rng.choice("01")
+                        for _ in range(rng.randint(0, max_sigma_len)))
+        cand = (sigma, rng.randint(0, max_arg), rng.randint(0, max_value),
+                rng.randint(1, max_steps))
+        try:
+            tbl = FunctionalTable(tuple(kept) + (cand,))
+        except ConsistencyError:
+            continue
+        kept.append(cand)
+    return tbl
+
+
+@pytest.mark.parametrize("kw", [
+    {"axioms": 5}, {"axioms": 40}, {"axioms": 200}, {"axioms": 12},
+    {"axioms": 30, "max_steps": 6}, {"axioms": 12, "max_value": 1},
+    {"axioms": 40, "max_sigma_len": 2, "max_value": 3, "max_steps": 1},
+    {"axioms": 0}])
+def test_incremental_generator_matches_the_rebuilding_one(kw):
+    # the suite's and the benchmark's parameter sets: the same table and
+    # the same generator state afterwards, so later draws do not move
+    dropped = 0  # clashing or repeated candidates
+    for seed in range(60 if kw["axioms"] < 100 else 15):
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = random_functional_table(fast, **kw)
+        want = _naive_random_functional_table(slow, **kw)
+        assert got == want and got.axioms == want.axioms
+        assert fast.getstate() == slow.getstate()
+        dropped += kw["axioms"] - len(got.axioms)
+    assert dropped > 0 or kw["axioms"] < 10
