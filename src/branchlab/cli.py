@@ -11,7 +11,7 @@ import random
 import shlex
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .colorings import EVEN_SHAPE, bushy_level_strings, kappa
 from .cupping import SEARCH_MAX_LEVEL, bundle, find_pi_member
@@ -244,9 +244,28 @@ def _h_check_split(ns, sc, rng):
                    f"{show_string(v[0])},{show_string(v[1])}")]
 
 
+def _require_scan_budget(length: int, max_length: int,
+                         tables: Sequence[FunctionalTable]) -> None:
+    """Refuse a scan that evaluates tables on all 2^(length+1) strings up
+    to length, before it starts: past max_length, or past 2^21 strings
+    times axioms, as one evaluation may read every axiom at its
+    argument."""
+    if length > max_length:
+        raise BudgetError(f"strings up to length {length} exceed the "
+                          f"budget of length {max_length}")
+    strings = 1 << max(length + 1, 0)
+    axioms = sum(len(f.axioms) for f in tables)
+    if strings * axioms > 1 << 21:
+        raise BudgetError(f"{strings} strings against {axioms} axioms "
+                          f"exceed {1 << 21}")
+
+
 def _h_check_weaksplit(ns, sc, rng):
     psi = _functional(sc, ns.psi)
     phi = _functional(sc, ns.phi)
+    # with tables that converge at every argument on every oracle bit,
+    # --budget 13 takes about 2 s and each step doubles it
+    _require_scan_budget(ns.budget, 13, (psi, phi))
     w = build_weak_splitting_tree(psi, phi, ns.budget)
     v = weak_splitting_violation(w, psi, parse_string(ns.path))
     check_id = f"weaksplit-{ns.psi}-{ns.phi}"
@@ -284,6 +303,11 @@ def _trace_lines(ts: TraceSystem, prefix: str) -> list[ReportLine]:
 
 def _thin_trace(ns, sc) -> TraceSystem:
     psi = _functional(sc, ns.psi)
+    # the level tree's stages copy it once per member; with a psi whose
+    # guarded output grows at every bit, every string is a member, so
+    # --maxlen 10 takes about 0.4 s at 100 MiB and each step quadruples
+    # the memory
+    _require_scan_budget(ns.maxlen, 10, (psi,))
     sub = _any_tree(sc, ns.sub)
     return trace_from_thin(psi, hat_level_stages(psi, ns.maxlen), sub)
 

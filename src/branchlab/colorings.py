@@ -19,12 +19,18 @@ fan successors, the successors of rank r are ranks fan*r to
 fan*r + fan - 1 of level k + 1, so a majority step and the unwind
 work on ranks alone and read strings only for what they return.
 
+is_compatible, the input check of extract_nice and of the witness
+search's nodes, reads the tree index (trees._index) level by level:
+the member lengths and successor counts it checks are the index's
+levels and successor map, and f is called once per level.
+
 verify_extraction checks the extracted tree by the shape rather than
 by a tree index: trees.graded_successor_counts places every member on
 the shape level of its length, after checking that its prefix at the
 previous level length is a member too, and counts each member's
 successors in the same pass.  It shares no code with the extractions
-it checks.
+it checks, and it stays independent of the index, so that a fault in
+the index cannot hide a faulty extraction.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from typing import Callable, Iterable, Optional
 from .errors import BudgetError, ShapeError
 # level_of is not called here; the benchmark's tracer test checks that
 # tracing restores colorings.level_of
-from .trees import (Tree, graded_successor_counts, level_map,  # noqa: F401
-                    level_of, successors, tree_uniform_level)
+from .trees import (Tree, _index, graded_successor_counts,  # noqa: F401
+                    level_map, level_of, tree_uniform_level)
 
 EVEN = "even"
 GRADED = "graded"
@@ -137,18 +143,19 @@ Fanout = Callable[[int], int]  # the successor count wanted per level
 def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
     """Subtree discipline: levels agree with the shape and non-leaves
     have exactly f(level) successors."""
-    sub = Tree(sub)
-    if not sub:
+    idx = _index(sub)
+    if not idx.levels:
         return False
     # a successor sits one tree level down, so checking every member's
     # own length also places each successor on the next shape level
-    for lv, members in level_map(sub).items():
-        want = shape.level_length(lv)
+    succ = idx.successors
+    for lv, members in enumerate(idx.levels):
+        want, fan = shape.level_length(lv), f(lv)
         for m in members:
             if len(m) != want:
                 return False
-            succ = successors(sub, m)
-            if succ and len(succ) != f(lv):
+            kids = len(succ[m])
+            if kids and kids != fan:
                 return False
     return True
 

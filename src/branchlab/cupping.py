@@ -219,11 +219,11 @@ def stage_filter(node: PiStarNode, adv: AdversaryBundle, s: int) -> bool:
     if node.level != s:
         raise ShapeError("stage must equal the node level")
     for i in range(min(s, len(adv.psi_i))):
-        table = adv.psi_i[i]
+        table, cols, want = adv.psi_i[i], ncol(i), node.psi_values[i]
         memo: dict = {}
         for sigma in node.t_tau:
             v = hat_eval(table, sigma, i, memo)
-            if v is not None and v < ncol(i) and v == node.psi_values[i]:
+            if v is not None and v < cols and v == want:
                 return False
     return True
 
@@ -232,14 +232,15 @@ def adversary_coloring(adv: AdversaryBundle, i: int,
                        leaf_strings: Iterable[str]) -> Coloring:
     """Colour leaves by the i-th guarded value where it lands in range."""
     assignment: dict[str, int] = {}
+    cols = ncol(i)
     if i < len(adv.psi_i):
         table = adv.psi_i[i]
         memo: dict = {}
         for lf in leaf_strings:
             v = hat_eval(table, lf, i, memo)
-            if v is not None and v < ncol(i):
+            if v is not None and v < cols:
                 assignment[lf] = v
-    return Coloring(assignment, ncol(i))
+    return Coloring(assignment, cols)
 
 
 def ancestor_chain(node: PiStarNode) -> tuple[PiStarNode, ...]:

@@ -12,6 +12,13 @@ computation beats the oracle length (steps < len(tau)) and the guarded
 value at every smaller argument is already defined on tau minus its
 last bit.  This makes definedness monotone in the oracle and downward
 closed in the argument, which the property tests pin down.
+
+A table's horizon H is the largest max(len(sigma), steps + 1) over its
+axioms (0 for the empty table).  On a tau of length at least H every
+axiom has been read to its end and every step count beats the oracle
+length, so no further bit changes the outcome: by induction on n,
+hat_eval(f, tau, n) == hat_eval(f, tau[:H + n], n) whenever
+len(tau) >= H + n, and hat_eval evaluates that prefix instead.
 """
 
 from __future__ import annotations
@@ -45,7 +52,18 @@ class FunctionalTable:
 
     def __post_init__(self):
         axs = tuple(sorted(set(self.axioms), key=_axiom_key))
-        for sigma, arg, value, steps in axs:
+        # one pass validates each axiom, takes the horizon and tests the
+        # axiom against the earlier ones at its argument whose sigma is
+        # a prefix of its own, its only compatible predecessors in table
+        # order.  At the current argument, seen maps each sigma to [its
+        # first index, its first index with another value], and lengths
+        # lists the sigma lengths so far, none longer than this sigma.
+        seen: dict[str, list] = {}
+        lengths: list[int] = []
+        seen_arg = None
+        clash = None  # the least (i, j), which a pairwise scan names
+        horizon = 0
+        for j, (sigma, arg, value, steps) in enumerate(axs):
             check_bits(sigma)
             if arg < 0 or value < 0:
                 raise ShapeError(f"axiom {(sigma, arg, value, steps)}: "
@@ -53,20 +71,35 @@ class FunctionalTable:
             if steps < 1:
                 raise ShapeError(f"axiom {(sigma, arg, value, steps)}: "
                                  "steps must be at least 1")
-        by_arg: dict[int, list[Axiom]] = {}
-        for ax in axs:
-            by_arg.setdefault(ax[1], []).append(ax)
-        for group in by_arg.values():
-            for i, a in enumerate(group):
-                for b in group[i + 1:]:
-                    if _clashes(a, b):
-                        raise ConsistencyError(
-                            f"axioms {a} and {b} clash", first=a, second=b)
+            if arg != seen_arg:
+                seen, lengths, seen_arg = {}, [], arg
+            for k in lengths:
+                hit = seen.get(sigma[:k])
+                if hit is not None:
+                    i = hit[0] if axs[hit[0]][2] != value else hit[1]
+                    if i is not None and (clash is None or i < clash[0]):
+                        clash = (i, j)
+            own = seen.get(sigma)
+            if own is None:
+                seen[sigma] = [j, None]
+                if not lengths or lengths[-1] != len(sigma):
+                    lengths.append(len(sigma))
+            elif own[1] is None and axs[own[0]][2] != value:
+                own[1] = j
+            if len(sigma) > horizon:
+                horizon = len(sigma)
+            if steps >= horizon:
+                horizon = steps + 1
+        if clash is not None:
+            a, b = axs[clash[0]], axs[clash[1]]
+            raise ConsistencyError(f"axioms {a} and {b} clash",
+                                   first=a, second=b)
         object.__setattr__(self, "axioms", axs)
-        # the argument column, for _at_arg, and the hash, which is the
-        # one the dataclass would compute; not fields, so eq and repr
-        # ignore them
+        # the argument column, for _at_arg, the horizon, for hat_eval,
+        # and the hash, which is the one the dataclass would compute;
+        # not fields, so eq and repr ignore them
         object.__setattr__(self, "_args", tuple(ax[1] for ax in axs))
+        object.__setattr__(self, "_horizon", horizon)
         object.__setattr__(self, "_hash", hash((axs,)))
 
     def __hash__(self) -> int:
@@ -130,9 +163,16 @@ def hat_eval(f: FunctionalTable, tau: str, n: int,
     _memo maps (tau, n) to the guarded value.  One memo may be shared
     across strings and calls, but only under one table: the guard entry
     is never read back, because the recursion only ever shortens tau.
+    tau is cut to the table's horizon plus n first (the module
+    docstring's lemma), so the memo holds no string longer than the
+    horizon plus the largest argument asked for, and strings that
+    agree up to there share their entries.
     """
     if _memo is None:
         _memo = {}
+    cut = f._horizon + n
+    if len(tau) > cut:
+        tau = tau[:cut]
     key = (tau, n)
     if key in _memo:
         return _memo[key]

@@ -18,7 +18,8 @@ from .colorings import (EVEN_SHAPE, GRADED_SHAPE, Coloring,
 from .cupping import (EMPTY_BUNDLE, bundle, find_pi_member,
                       materialize_pi_star, pi_membership_violation)
 from .errors import ScenarioError
-from .functionals import FunctionalTable, image_tree, pullback_tree
+from .functionals import (FunctionalTable, _checked_outputs, _image_tree,
+                          _pullback_tree)
 from .gen import (odd_readback_psi, random_functional_table,
                   random_kappa_tree, random_pi_staging,
                   random_readback_splitting_subtree,
@@ -560,8 +561,9 @@ def _chk_pullback_image(rng, count):
         a = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
         t0 = Tree(_random_two_branching_sub(rng, oplus_tree(a)))
         psi = odd_readback_psi(a)
-        img = image_tree(psi, t0)
-        back = pullback_tree(psi, t0, img)
+        outs = _checked_outputs(psi, t0, hat=False)
+        img = _image_tree(t0, outs)
+        back = _pullback_tree(t0, img, outs, split_checked=True)
         if back != t0:
             bad = f"case {k}: pullback lost {len(t0 ^ back)} strings"
             break

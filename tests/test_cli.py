@@ -1,6 +1,7 @@
 """Command dispatch: worked examples, error surfacing, determinism."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -445,3 +446,80 @@ def test_cupping_search_budget_at_its_edge(capsys):
         "ERROR\trun-cupping-error\tlevel 5 exceeds the search budget"]
     assert time.monotonic() - t0 < 1
 
+
+# psi and phi converge to 0 at every argument on every oracle bit, so
+# the guarded output grows with each bit: every string is a member of
+# the level tree, and the weak splitting scan evaluates the most values
+_GROWING = [f"axiom e {n} 0 1" for n in range(25)]
+
+
+def _identity(depth):
+    """Axioms copying each oracle bit at once: 2^(depth+1) - 2 of them,
+    up to 2^depth at one argument."""
+    return [f"axiom {s}{b} {n} {b} 1" for n in range(depth)
+            for s in ("".join(p) for p in itertools.product("01", repeat=n))
+            for b in "01"]
+
+
+def _scan_scenario(tmp_path, axioms):
+    f = tmp_path / "scan.scn"
+    f.write_text("\n".join(
+        [f"[functional {name}]\n" + "\n".join(axioms)
+         for name in ("psi", "phi")]
+        + ["[tree S]\n" + "\n".join(f"node {'0' * k or 'e'}"
+                                     for k in (0, *range(2, 10)))]))
+    return str(f)
+
+
+def _at_the_edge(cmd, lines, ceiling):
+    t0 = time.monotonic()
+    rep = cli.run_command(cmd, empty_scenario())
+    assert [ln.render() for ln in rep.lines] == lines
+    assert time.monotonic() - t0 < ceiling
+
+
+def test_weaksplit_scan_budget_at_its_edges(tmp_path):
+    # the length: 2^14 strings up to length 13 are scanned with the
+    # growing tables; 14 is refused unscanned
+    f = _scan_scenario(tmp_path, _GROWING)
+    _at_the_edge(["check", "weaksplit", "--budget", "13", "--scenario", f],
+                 ["PASS\tweaksplit-psi-phi\tmembers=44"], 10)
+    _at_the_edge(["check", "weaksplit", "--budget", "14", "--scenario", f],
+                 ["ERROR\tcheck-weaksplit-error\tstrings up to length 14 "
+                  "exceed the budget of length 13"], 1)
+    # the work: 2^9 strings against 2 x 2046 identity axioms run, twice
+    # as many strings are refused
+    f = _scan_scenario(tmp_path, _identity(10))
+    _at_the_edge(["check", "weaksplit", "--budget", "8", "--scenario", f],
+                 ["PASS\tweaksplit-psi-phi\tmembers=504"], 10)
+    _at_the_edge(["check", "weaksplit", "--budget", "9", "--scenario", f],
+                 ["ERROR\tcheck-weaksplit-error\t1024 strings against 4092 "
+                  "axioms exceed 2097152"], 1)
+
+
+# the chain S up to 0^9 sits at levels 0 to 8 of both level trees
+_CHAIN_TRACE = [f"PASS\ttrace-{n:02d}\tp={2 << n} values=0"
+                for n in range(8)]
+
+
+def test_thin_trace_scan_budget_at_its_edges(tmp_path):
+    # at --maxlen 10 the growing psi's level tree holds 2045 strings;
+    # 11 is refused before it is built, by both commands that build it
+    f = _scan_scenario(tmp_path, _GROWING)
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "10",
+                  "--scenario", f],
+                 _CHAIN_TRACE, 10)
+    for cmd in ("from-thin", "rescale"):
+        _at_the_edge(["trace", cmd, "--sub", "S", "--maxlen", "11",
+                      "--scenario", f],
+                     [f"ERROR\ttrace-{cmd}-error\tstrings up to length 11 "
+                      "exceed the budget of length 10"], 1)
+    # the work: 2^10 strings against 2046 identity axioms run, twice as
+    # many are refused
+    f = _scan_scenario(tmp_path, _identity(10))
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "9",
+                  "--scenario", f], _CHAIN_TRACE, 10)
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "10",
+                  "--scenario", f],
+                 ["ERROR\ttrace-from-thin-error\t2048 strings against 2046 "
+                  "axioms exceed 2097152"], 1)

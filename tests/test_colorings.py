@@ -321,7 +321,7 @@ def _naive_extract_nice(shape, i, t0, c):
     if shape.variant != GRADED:
         raise ShapeError("graded shape required")
     t0 = frozenset(t0)
-    if not is_compatible(shape, t0, lambda k: kappa(i, k)):
+    if not _naive_is_compatible(shape, t0, lambda k: kappa(i, k)):
         raise ShapeError("input tree is not kappa(i)-compatible")
     if c.num_colors != ncol(i):
         raise ShapeError(f"expected an ncol({i})-colouring")
@@ -356,9 +356,27 @@ def _naive_extract_nice(shape, i, t0, c):
     return d, frozenset(t1)
 
 
+# is_compatible before it read the tree index directly: one level_map
+# and then a successors() query per member, kept as an oracle.
+
+def _naive_is_compatible(shape, sub, f):
+    sub = frozenset(sub)
+    if not sub:
+        return False
+    for lv, members in level_map(sub).items():
+        want = shape.level_length(lv)
+        for m in members:
+            if len(m) != want:
+                return False
+            succ = successors(sub, m)
+            if succ and len(succ) != f(lv):
+                return False
+    return True
+
+
 def _naive_verify_extraction(shape, f_target, n, c, d, sub):
     sub = frozenset(sub)
-    if not sub or not is_compatible(shape, sub, f_target):
+    if not sub or not _naive_is_compatible(shape, sub, f_target):
         return False
     if tree_uniform_level(sub) != n:
         return False
@@ -455,6 +473,28 @@ def test_shape_verifier_matches_the_index_verifier(seed, arbitrary):
     shape, f, n, c, d, t = _verifier_case(random.Random(seed), arbitrary)
     assert (verify_extraction(shape, f, n, c, d, t)
             == _naive_verify_extraction(shape, f, n, c, d, t))
+
+
+@given(hst.integers(0, 1 << 32),
+       hst.none() | hst.frozensets(hst.text("01", max_size=6), max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_index_compatibility_matches_the_per_member_check(seed, arbitrary):
+    # both shapes, fanouts 1, 2 and kappa(i), on perturbed shape
+    # subtrees and on arbitrary string sets
+    shape, f, _, _, _, t = _verifier_case(random.Random(seed), arbitrary)
+    assert is_compatible(shape, t, f) == _naive_is_compatible(shape, t, f)
+    assert is_compatible(shape, Tree(t), f) == _naive_is_compatible(
+        shape, t, f)
+
+
+def test_index_compatibility_sweep_sees_both_verdicts():
+    verdicts = []
+    for seed in range(600):
+        shape, f, _, _, _, t = _verifier_case(random.Random(seed), None)
+        got = is_compatible(shape, t, f)
+        assert got == _naive_is_compatible(shape, t, f), seed
+        verdicts.append(got)
+    assert 150 < sum(verdicts) < 450
 
 
 def test_shape_verifier_sweep_sees_both_verdicts():

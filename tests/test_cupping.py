@@ -11,11 +11,12 @@ from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                find_pi_member, full_graded_tree, gamma_code,
                                gamma_decode, gamma_split, materialize_pi_star,
                                pi_membership_violation, pi_star_successors,
-                               pi_survivors, realize, stage_filter)
+                               adversary_coloring, pi_survivors, realize,
+                               stage_filter)
 from branchlab.errors import BudgetError, ConsistencyError, ShapeError
 from branchlab.functionals import table
 from branchlab.strings import lenlex_key
-from branchlab.trees import restrict_to_level
+from branchlab.trees import leaves, restrict_to_level
 
 
 def test_gamma_code_values():
@@ -258,3 +259,28 @@ def test_ancestor_chain_builds_each_restriction_once(monkeypatch):
     calls.clear()
     ancestor_chain(node)
     assert sorted(calls) == [0, 1, 2]
+
+
+def test_leaf_colouring_memo_stays_within_the_horizon(monkeypatch):
+    # guarded values at arguments 0-2 from the first two bits: horizon 2
+    tab = table([(s, k, (int(s, 2) + k) % ncol(k), 1)
+                 for k in range(3) for s in ("00", "01", "10", "11")])
+    assert tab._horizon == 2
+    memos = []
+    real = cupping.hat_eval
+    monkeypatch.setattr(cupping, "hat_eval",
+                        lambda f, tau, n, memo: memos.append(memo)
+                        or real(f, tau, n, memo))
+    lvs = leaves(full_graded_tree(3))
+    assert len(lvs) == 512
+    for i in range(3):
+        memos.clear()
+        c = adversary_coloring(bundle([tab] * 3), i, lvs)
+        assert c.assignment == {lf: (int(lf[:2], 2) + i) % ncol(i)
+                                for lf in lvs}
+        memo = memos[0]
+        assert len(memos) == 512 and all(m is memo for m in memos)
+        # the 9-bit leaves share the entries of their first 2 + i bits
+        assert max(len(x) for x, _ in memo) == tab._horizon + i
+        assert len(memo) == sum(1 << (tab._horizon + k)
+                                for k in range(i + 1))

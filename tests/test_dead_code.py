@@ -18,6 +18,10 @@ KEPT = {
     "is_splitting_pair",
     # drives the traceable construction to a horizon in its tests
     "run_to_horizon",
+    # the checked public pullback, which the naive driver stage and the
+    # pullback tests call; the suite and the driver stage share their
+    # outputs with the image and call its body, _pullback_tree
+    "pullback_tree",
     # a driver-stage fixture on which nothing ever splits
     "constant_psi",
     # the enumeration-discipline verifier for staged trees

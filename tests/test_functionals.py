@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -298,19 +299,24 @@ def _naive_min_steps(f, tau, n):
     return best
 
 
-@st.composite
-def big_tables(draw):
-    # 0-200 drawn axioms, seeded, since hypothesis's own lists stay
-    # short; most values follow the argument so that few clash
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+def _seeded_axioms(rng, count, max_steps=4):
+    # most values follow the argument so that few clash
     axioms = []
-    for _ in range(draw(st.integers(0, 200))):
+    for _ in range(count):
         arg = rng.randint(0, 6)
         axioms.append(("".join(rng.choice("01")
                                for _ in range(rng.randint(0, 6))),
                        arg, arg if rng.random() < 0.8 else rng.randint(0, 3),
-                       rng.randint(1, 4)))
-    return table(_repair(axioms))
+                       rng.randint(1, max_steps)))
+    return axioms
+
+
+@st.composite
+def big_tables(draw, max_steps=4):
+    # 0-200 drawn axioms, seeded, since hypothesis's own lists stay short
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return table(_repair(_seeded_axioms(rng, draw(st.integers(0, 200)),
+                                        max_steps)))
 
 
 @given(big_tables(), st.text(alphabet="01", max_size=8), st.integers(0, 9))
@@ -351,9 +357,14 @@ def _naive_hat_eval(f, tau, n, _memo=None):
     return val
 
 
-@given(big_tables(), st.text(alphabet="01", max_size=8), st.integers(0, 9))
-@settings(max_examples=200)
+@given(big_tables(max_steps=9), st.text(alphabet="01", max_size=16),
+       st.integers(0, 9))
+@settings(max_examples=300)
 def test_hat_eval_matches_the_two_scan_version(f, tau, n):
+    # the oracle reads tau whole, so strings past the horizon plus the
+    # argument test the cut
+    assert f._horizon == max((max(len(ax[0]), ax[3] + 1)
+                              for ax in f.axioms), default=0)
     memo, naive_memo = {}, {}
     for k in range(n + 1):
         want = _naive_hat_eval(f, tau, k)
@@ -362,12 +373,28 @@ def test_hat_eval_matches_the_two_scan_version(f, tau, n):
         for x in (tau, tau[:-1]):
             assert hat_eval(f, x, k, memo) == _naive_hat_eval(f, x, k,
                                                               naive_memo)
+    assert all(len(x) <= f._horizon + k for x, k in memo)
+
+
+def test_hat_eval_past_the_horizon_at_its_edges():
+    # horizon 3 from the steps; arguments 0 and 1 converge on every
+    # oracle of length past 2, and argument 1 one bit after argument 0
+    f = table([("", 0, 5, 2), ("1", 1, 6, 1)])
+    assert f._horizon == 3
+    assert [hat_eval(f, "1" * k, 0) for k in range(6)] == \
+        [None, None, None, 5, 5, 5]
+    assert [hat_eval(f, "1" * k, 1) for k in range(6)] == \
+        [None, None, None, None, 6, 6]
+    assert hat_eval(f, "0111", 1) is None
+    assert table([("0110", 0, 1, 1)])._horizon == 4
 
 
 def test_table_identity_ignores_the_index():
     axs = [("01", 2, 1, 1), ("", 0, 3, 2), ("1", 0, 3, 1)]
     f, g = table(axs), table(reversed(axs))
     assert f == g and hash(f) == hash(g)
+    assert f._horizon == g._horizon == 3
+    assert [fl.name for fl in dataclasses.fields(f)] == ["axioms"]
     # the stored hash is the one the dataclass would compute, so set
     # and dict orders keyed by tables do not move
     assert hash(f) == hash((f.axioms,))
@@ -375,6 +402,69 @@ def test_table_identity_ignores_the_index():
     assert repr(f) == ("FunctionalTable(axioms=(('', 0, 3, 2), "
                        "('1', 0, 3, 1), ('01', 2, 1, 1)))")
     assert FunctionalTable(()).max_arg == -1
+    assert FunctionalTable(())._horizon == 0
+
+
+# The pairwise consistency scan that the per-argument prefix lookup
+# replaced, kept as an oracle: the table's own validation first, then
+# each argument's group in table order, the least i, then the least j.
+
+def _naive_table_error(axioms):
+    axs = sorted(set(axioms), key=lambda ax: (ax[1], len(ax[0]), ax[0],
+                                               ax[3], ax[2]))
+    for sigma, arg, value, steps in axs:
+        if not set(sigma) <= {"0", "1"}:
+            return ValueError, f"not a binary string: {sigma!r}"
+        if arg < 0 or value < 0:
+            return ShapeError, (f"axiom {(sigma, arg, value, steps)}: "
+                                "argument and value must be naturals")
+        if steps < 1:
+            return ShapeError, (f"axiom {(sigma, arg, value, steps)}: "
+                                "steps must be at least 1")
+    by_arg = {}
+    for ax in axs:
+        by_arg.setdefault(ax[1], []).append(ax)
+    for group in by_arg.values():
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if a[2] != b[2] and compatible(a[0], b[0]):
+                    return ConsistencyError, f"axioms {a} and {b} clash", a, b
+    return None
+
+
+def _table_error(axioms):
+    try:
+        FunctionalTable(tuple(axioms))
+    except ConsistencyError as e:
+        return type(e), str(e), e.first, e.second
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 60))
+@settings(max_examples=400)
+def test_consistency_check_names_the_pairwise_scans_clash(seed, count):
+    rng = random.Random(seed)
+    axioms = _seeded_axioms(rng, count)
+    if rng.random() < 0.5:
+        # an axiom on the empty oracle is compatible with every other,
+        # so it would be the first axiom of nearly every clash
+        axioms = [ax for ax in axioms if ax[0]]
+    if rng.random() < 0.1:  # a malformed axiom wins over any clash
+        axioms.append(rng.choice((("", 0, 0, 0), ("2", 0, 0, 1),
+                                  ("", -1, 0, 1))))
+    assert _table_error(axioms) == _naive_table_error(axioms)
+
+
+def test_consistency_check_prefers_the_least_first_axiom():
+    # the pair ("1", "10") has the lower second axiom, but the pair
+    # ("0", "000") the lower first one
+    axs = [("0", 0, 1, 1), ("1", 0, 2, 1), ("10", 0, 3, 1),
+           ("000", 0, 5, 1)]
+    got = _table_error(axs)
+    assert got == _naive_table_error(axs)
+    assert got[2:] == (("0", 0, 1, 1), ("000", 0, 5, 1))
 
 
 # --- weak splitting witnesses -------------------------------------------
