@@ -31,7 +31,7 @@ from .suite import (_nice_outcome, _pi6_gaps, _selfdelim_roundtrip,
 from .thin import (TraceSystem, dnr_trace, hat_level_stages, rescale_trace,
                    thin_violation, trace_from_bounded_splitting,
                    trace_from_thin)
-from .traceable import declared_counts, frontier, init_state, run_stage
+from .traceable import declared_counts, run_to_horizon
 from .trees import successors
 
 
@@ -166,13 +166,7 @@ def _h_run_traceable(ns, sc, rng):
         raise BudgetError(f"horizon {ns.horizon} exceeds the budget of "
                           "16 stages")
     adv = _bundle_of(sc)
-    st = init_state()
-    stalled = None
-    for s in range(ns.horizon):
-        st = run_stage(st, adv)
-        if not frontier(st):
-            stalled = s + 1
-            break
+    st, stalled = run_to_horizon(adv, ns.horizon)
     lines = [passed("traceable-frontier", f"stages={ns.horizon}")
              if stalled is None
              else failed("traceable-frontier", f"empty at stage {stalled}")]
@@ -317,6 +311,11 @@ def _h_trace_from_thin(ns, sc, rng):
 
 
 def _h_trace_rescale(ns, sc, rng):
+    # each target position is one output line: rescaling a small trace
+    # to 2^16 positions and rendering it takes about 1.5 s
+    if ns.target is not None and ns.target > 1 << 16:
+        raise BudgetError(f"target {ns.target} exceeds the budget of "
+                          f"{1 << 16} positions")
     target = tuple(range(ns.target)) if ns.target is not None else None
     return _trace_lines(rescale_trace(_thin_trace(ns, sc), target), "rescale")
 

@@ -188,10 +188,10 @@ def hat_eval(f: FunctionalTable, tau: str, n: int,
                 steps = ax[3]
     if steps is None or steps >= len(tau):
         return None
-    parent = tau[:-1]
-    for k in range(n):
-        if hat_eval(f, parent, k, _memo) is None:
-            return None
+    # definedness is downward closed in the argument, so the parent
+    # defined at n - 1 is defined at every k < n
+    if n and hat_eval(f, tau[:-1], n - 1, _memo) is None:
+        return None
     _memo[key] = val
     return val
 

@@ -4,13 +4,21 @@ Each registered check draws from its own deterministically seeded
 generator, so a fixed seed reproduces the report byte for byte.  The
 fast level sticks to exhaustive small cases and smoke runs; the full
 level runs every check at its acceptance scale.
+
+A loop check is a lazy stream of verdicts, one per case: None for a
+clean case, the reason for a flawed one.  _tally is the one place that
+counts cases and renders the line, PASS N/N or FAIL with the first
+flaw.  The first flaw ends the stream before the next case is drawn,
+so every case up to it made the draws of a clean run, and the FAIL
+line names that case.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 
 from .colorings import (EVEN_SHAPE, GRADED_SHAPE, Coloring,
                         bushy_level_strings, extract_nice, extract_twocol,
@@ -34,16 +42,28 @@ from .thin import (TraceSystem, encode_tuple, hat_level_stages, is_thin,
                    rescale_trace, selfdelim_decode, selfdelim_encode,
                    spaced_level, spacing_bound_limit, spacing_bound_partial,
                    splitting_to_thin, thin_from_trace, trace_from_thin)
-from .traceable import (declared_counts, extract_trace, frontier, init_state,
-                        node_count_bound, run_stage, trace_bound_pair,
-                        verify_final_nodes)
+from .traceable import (declared_counts, extract_trace, node_count_bound,
+                        run_to_horizon, trace_bound_pair, verify_final_nodes)
 from .trees import Tree, leaves, level_map, level_of, successors
 
 
-def _tally(check_id: str, total: int, first_bad) -> ReportLine:
-    if first_bad is None:
-        return passed(check_id, f"{total}/{total}")
-    return failed(check_id, _clean(first_bad))
+def _tally(check_id: str, verdicts) -> ReportLine:
+    """PASS N/N over N clean verdicts, or FAIL with the first flaw; the
+    stream is not read past that flaw."""
+    total = 0
+    for bad in verdicts:
+        if bad is not None:
+            return failed(check_id, _clean(bad))
+        total += 1
+    return passed(check_id, f"{total}/{total}")
+
+
+def _cases(count: int, judge, *args):
+    """The verdicts of count cases, each drawn and judged by
+    judge(*args); a flaw is prefixed with its case as "case K: "."""
+    for k in range(count):
+        bad = judge(*args)
+        yield None if bad is None else f"case {k}: {bad}"
 
 
 # -- colourings ---------------------------------------------------------------
@@ -124,28 +144,23 @@ def _pi6_gaps(ctx, final):
                                 if is_proper_prefix(p, m))]
 
 
-def _twocol_tally(check_id: str, n: int, colourings, total: int):
+def _twocol_flaws(n: int, colourings):
     for colors in colourings:
         d, bad = _twocol_outcome(n, colors)
-        if bad is not None:
-            return [failed(check_id, bad if d is None else "colouring " + bad)]
-    return [passed(check_id, f"{total}/{total}")]
+        yield bad if d is None or bad is None else "colouring " + bad
 
 
 def _chk_twocol_exhaustive(rng, n):
     lvs = bushy_level_strings(EVEN_SHAPE, n)
-    total = 1 << len(lvs)
-    return _twocol_tally(
-        f"twocol-exh-n{n}", n,
-        ({s: (idx >> k) & 1 for k, s in enumerate(lvs)}
-         for idx in range(total)), total)
+    return [_tally(f"twocol-exh-n{n}", _twocol_flaws(
+        n, ({s: (idx >> k) & 1 for k, s in enumerate(lvs)}
+            for idx in range(1 << len(lvs)))))]
 
 
 def _chk_twocol_random(rng, n, count):
     lvs = bushy_level_strings(EVEN_SHAPE, n)
-    return _twocol_tally(
-        f"twocol-rand-n{n}", n,
-        ({s: rng.getrandbits(1) for s in lvs} for _ in range(count)), count)
+    return [_tally(f"twocol-rand-n{n}", _twocol_flaws(
+        n, ({s: rng.getrandbits(1) for s in lvs} for _ in range(count))))]
 
 
 def _chk_twocol_mutant(rng):
@@ -163,32 +178,26 @@ def _chk_twocol_mutant(rng):
                    f"flipped {show_string(leaf)} to colour {d}")]
 
 
+def _nice_flaw(rng, i: int, n: int, t0: Tree):
+    d, bad = _nice_outcome(rng, i, n, t0)
+    return bad if d is None or bad is None else bad + " rejected"
+
+
 def _chk_nice(rng, i_max, per_cell):
     lines = []
     for i in range(i_max + 1):
         for n in range(i, i + 3):
             t0 = random_kappa_tree(rng, i, n)
-            bad = None
-            for _ in range(per_cell):
-                d, bad = _nice_outcome(rng, i, n, t0)
-                if bad is not None:
-                    if d is not None:
-                        bad += " rejected"
-                    break
-            lines.append(_tally(f"nice-i{i}-n{n}", per_cell, bad))
+            lines.append(_tally(f"nice-i{i}-n{n}", (
+                _nice_flaw(rng, i, n, t0) for _ in range(per_cell))))
     return lines
 
 
 def _chk_kappa(rng, imax, nmax):
-    bad = None
-    cases = 0
-    for i in range(imax + 1):
-        for n in range(i, nmax + 1):
-            cases += 1
-            if kappa(i, n) != 1 << (n - i + 2):
-                bad = f"kappa({i},{n}) = {kappa(i, n)}"
-                break
-    return [_tally("kappa-closed-form", cases, bad)]
+    return [_tally("kappa-closed-form", (
+        None if kappa(i, n) == 1 << (n - i + 2)
+        else f"kappa({i},{n}) = {kappa(i, n)}"
+        for i in range(imax + 1) for n in range(i, nmax + 1)))]
 
 
 # -- cupping ------------------------------------------------------------------
@@ -224,29 +233,30 @@ def _chk_cupping_corpus(rng, bundles, nmax):
                   for _ in range(rng.randint(1, 3))]
         corpus.append(bundle(tables))
     star1 = {0: set(materialize_pi_star(0)), 1: set(materialize_pi_star(1))}
-    bad = None
-    for k, adv in enumerate(corpus):
-        for n in range(nmax + 1):
-            try:
-                node = find_pi_member(n, adv)
-            except (ValueError, RuntimeError) as e:
-                bad = f"bundle {k} n={n}: {_clean(e)}"
-                break
-            if pi_membership_violation(node, adv) is not None:
-                bad = f"bundle {k} n={n}: filtered out"
-                break
-            if n <= 1 and node not in star1[n]:
-                bad = f"bundle {k} n={n}: outside the materialized class"
-                break
-        if bad is not None:
-            break
-    return [_tally("cupping-corpus", len(corpus) * (nmax + 1), bad)]
+    return [_tally("cupping-corpus", (
+        _pi_member_flaw(k, n, adv, star1)
+        for k, adv in enumerate(corpus) for n in range(nmax + 1)))]
+
+
+def _pi_member_flaw(k: int, n: int, adv, star1):
+    """Why the level-n pi member found against bundle k, adv, is wrong,
+    or None; star1 holds the materialized classes of levels 0 and 1."""
+    try:
+        node = find_pi_member(n, adv)
+    except (ValueError, RuntimeError) as e:
+        return f"bundle {k} n={n}: {_clean(e)}"
+    if pi_membership_violation(node, adv) is not None:
+        return f"bundle {k} n={n}: filtered out"
+    if n <= 1 and node not in star1[n]:
+        return f"bundle {k} n={n}: outside the materialized class"
+    return None
 
 
 # -- traceable ----------------------------------------------------------------
 
 def _chk_traceable(rng, runs, horizon):
-    frontier_bad = counts_bad = size_bad = pdiag_bad = None
+    # every run reaches the horizon; each of its four verdicts has a line
+    rows = []
     for k in range(runs):
         if k % 3 == 0:
             adv = EMPTY_BUNDLE
@@ -254,36 +264,24 @@ def _chk_traceable(rng, runs, horizon):
             adv = bundle([random_functional_table(rng,
                                                   axioms=rng.randint(2, 30))
                           for _ in range(rng.randint(1, 2))])
-        st = init_state()
-        for s in range(horizon):
-            st = run_stage(st, adv)
-            if frontier_bad is None and not frontier(st):
-                frontier_bad = f"run {k}: empty frontier at stage {s + 1}"
+        st, stalled = run_to_horizon(adv, horizon)
         over, fat, final_ok = _traceable_flaws(st, adv)
-        if counts_bad is None and over is not None:
-            n, c, bound = over
-            counts_bad = f"run {k}: {c} nodes at level {n} exceed {bound}"
-        if size_bad is None and fat is not None:
-            i, n, size = fat
-            size_bad = f"run {k}: trace ({i},{n}) holds {size} values"
-        if pdiag_bad is None and not final_ok:
-            pdiag_bad = f"run {k}: a guarded branch survived"
-    return [_tally("traceable-frontier", runs, frontier_bad),
-            _tally("traceable-counts", runs, counts_bad),
-            _tally("traceable-tracesize", runs, size_bad),
-            _tally("traceable-pdiag", runs, pdiag_bad)]
+        rows.append([None if bad is None else f"run {k}: {bad}" for bad in (
+            stalled and f"empty frontier at stage {stalled}",
+            over and "{1} nodes at level {0} exceed {2}".format(*over),
+            fat and "trace ({0},{1}) holds {2} values".format(*fat),
+            None if final_ok else "a guarded branch survived")])
+    return [_tally(f"traceable-{name}", (row[c] for row in rows))
+            for c, name in enumerate(("frontier", "counts", "tracesize",
+                                      "pdiag"))]
 
 
 def _chk_factorial_identity(rng, nmax):
-    import math
-    bad = None
-    for n in range(nmax + 1):
-        lhs = 2 * (n + 2) * (1 << n) * math.factorial(n + 1)
-        rhs = (1 << (n + 1)) * math.factorial(n + 2)
-        if lhs != rhs:
-            bad = f"n={n}: {lhs} != {rhs}"
-            break
-    return [_tally("traceable-identity", nmax + 1, bad)]
+    sides = ((n, 2 * (n + 2) * (1 << n) * math.factorial(n + 1),
+              (1 << (n + 1)) * math.factorial(n + 2)) for n in range(nmax + 1))
+    return [_tally("traceable-identity", (
+        None if lhs == rhs else f"n={n}: {lhs} != {rhs}"
+        for n, lhs, rhs in sides))]
 
 
 # -- thin / trace arms ---------------------------------------------------------
@@ -300,43 +298,41 @@ def _random_two_branching_sub(rng, t):
     return sub
 
 
+def _trace_size_flaw(rng):
+    psi = random_functional_table(rng, axioms=rng.randint(4, 16))
+    stages = hat_level_stages(psi, 5)
+    sub = _random_two_branching_sub(rng, stages.final)
+    if not is_thin(stages.final, sub):
+        return "spine subtree not thin"
+    ts = trace_from_thin(psi, stages, sub)
+    return next((f"{len(vals)} values at position {n}"
+                 for n, vals in ts.w.items() if len(vals) > 1 << (n + 1)),
+                None)
+
+
 def _chk_trace_size_bound(rng, count):
-    bad = None
-    for k in range(count):
-        psi = random_functional_table(rng, axioms=rng.randint(4, 16))
-        stages = hat_level_stages(psi, 5)
-        sub = _random_two_branching_sub(rng, stages.final)
-        if not is_thin(stages.final, sub):
-            bad = f"case {k}: spine subtree not thin"
-            break
-        ts = trace_from_thin(psi, stages, sub)
-        for n, vals in ts.w.items():
-            if len(vals) > 1 << (n + 1):
-                bad = f"case {k}: {len(vals)} values at position {n}"
-                break
-        if bad is not None:
-            break
-    return [_tally("trace-size-bound", count, bad)]
+    return [_tally("trace-size-bound", _cases(count, _trace_size_flaw, rng))]
+
+
+def _thin_from_trace_flaw(rng, depth):
+    st_tree = spined_weak_tree(rng, depth=rng.randint(4, depth),
+                               shoots=rng.randint(2, 8))
+    buckets = level_map(st_tree.final)
+    w = {}
+    for n in range(4):
+        pool = list(buckets.get(spaced_level(n), ()))
+        rng.shuffle(pool)
+        w[n] = frozenset(string_to_nat(s)
+                         for s in pool[:rng.randint(1, max(1, n))])
+    ts = TraceSystem(tuple(max(1, n) for n in range(4)), w)
+    tp = thin_from_trace(st_tree, ts)
+    return (None if "" in tp and is_thin(st_tree.final, tp)
+            else "output not thin")
 
 
 def _chk_thin_from_trace(rng, count, depth):
-    bad = None
-    for k in range(count):
-        st_tree = spined_weak_tree(rng, depth=rng.randint(4, depth),
-                                   shoots=rng.randint(2, 8))
-        buckets = level_map(st_tree.final)
-        w = {}
-        for n in range(4):
-            pool = list(buckets.get(spaced_level(n), ()))
-            rng.shuffle(pool)
-            w[n] = frozenset(string_to_nat(s)
-                             for s in pool[:rng.randint(1, max(1, n))])
-        ts = TraceSystem(tuple(max(1, n) for n in range(4)), w)
-        tp = thin_from_trace(st_tree, ts)
-        if "" not in tp or not is_thin(st_tree.final, tp):
-            bad = f"case {k}: output not thin"
-            break
-    return [_tally("thin-from-trace", count, bad)]
+    return [_tally("thin-from-trace",
+                   _cases(count, _thin_from_trace_flaw, rng, depth))]
 
 
 def _chk_spacing_bound(rng):
@@ -350,54 +346,49 @@ def _chk_spacing_bound(rng):
             else failed("kraft-four-ninths", str(lim))]
 
 
+def _rescale_flaw(rng):
+    cuts = sorted({rng.randint(1, 2)}
+                  | set(rng.sample(range(3, 14), rng.randint(2, 4))))
+    p = (0, *cuts)
+    horizon = len(p)
+    f = tuple(rng.randrange(50) for _ in range(p[-1] + horizon))
+    w = {}
+    for m in range(horizon):
+        need = p[m + 1] if m + 1 < horizon else max(horizon, p[-1] + 1)
+        vals = {encode_tuple(f[:need])}
+        w[m] = frozenset(vals if p[m] else ())
+    out = rescale_trace(TraceSystem(p, w))
+    return next((f"position {n} misses f or runs fat"
+                 for n in range(p[1], horizon)
+                 if f[n] not in out.values_at(n)
+                 or len(out.values_at(n)) > n), None)
+
+
 def _chk_rescale_sizes(rng, count):
-    bad = None
-    for k in range(count):
-        cuts = sorted({rng.randint(1, 2)}
-                      | set(rng.sample(range(3, 14), rng.randint(2, 4))))
-        p = (0, *cuts)
-        horizon = len(p)
-        f = tuple(rng.randrange(50) for _ in range(p[-1] + horizon))
-        w = {}
-        for m in range(horizon):
-            need = p[m + 1] if m + 1 < horizon else max(horizon, p[-1] + 1)
-            vals = {encode_tuple(f[:need])}
-            w[m] = frozenset(vals if p[m] else ())
-        out = rescale_trace(TraceSystem(p, w))
-        for n in range(p[1], horizon):
-            if f[n] not in out.values_at(n) or len(out.values_at(n)) > n:
-                bad = f"case {k}: position {n} misses f or runs fat"
-                break
-        if bad is not None:
-            break
-    return [_tally("rescale-size-bound", count, bad)]
+    return [_tally("rescale-size-bound", _cases(count, _rescale_flaw, rng))]
+
+
+def _selfdelim_flaw(n: int, m: int):
+    code, ok = _selfdelim_roundtrip(n, m)
+    return None if ok else f"({n},{m}) -> {code}"
 
 
 def _chk_selfdelim(rng, top):
-    bad = None
-    for n in range(1, top + 1):
-        for m in range(1, top + 1):
-            code, ok = _selfdelim_roundtrip(n, m)
-            if not ok:
-                bad = f"({n},{m}) -> {code}"
-                break
-        if bad is not None:
-            break
-    return [_tally("sd-roundtrip", top * top, bad)]
+    return [_tally("sd-roundtrip", starmap(
+        _selfdelim_flaw, product(range(1, top + 1), repeat=2)))]
 
 
 # -- splitting reductions ------------------------------------------------------
 
+def _split_thin_flaw(rng):
+    st_tree = random_weak_staged_tree(rng, steps=rng.randint(12, 25))
+    sub = random_readback_splitting_subtree(rng, st_tree.final)
+    r = splitting_to_thin(st_tree, sub)
+    return None if r.thin_ok and r.witness is None else str(r.witness)
+
+
 def _chk_split_thin(rng, count):
-    bad = None
-    for k in range(count):
-        st_tree = random_weak_staged_tree(rng, steps=rng.randint(12, 25))
-        sub = random_readback_splitting_subtree(rng, st_tree.final)
-        r = splitting_to_thin(st_tree, sub)
-        if not r.thin_ok or r.witness is not None:
-            bad = f"case {k}: {r.witness}"
-            break
-    return [_tally("split-thin", count, bad)]
+    return [_tally("split-thin", _cases(count, _split_thin_flaw, rng))]
 
 
 def _chk_split_mutant(rng, tries):
@@ -499,78 +490,63 @@ def _chk_selection_twostar(rng):
             else failed("select-twostar", str(res.sigma_pairs))]
 
 
+def _selection_random_flaw(rng):
+    ctx, tau, nodes, sigma = random_selection_scenario(rng)
+    res = select_extensions(ctx, tau, nodes, sigma)
+    return (_selection_flaw(ctx, tau, nodes, sigma, res)
+            or _selection_exhaustive_flaw(ctx, tau, nodes, sigma, res))
+
+
 def _chk_selection_random(rng, count):
-    bad = None
-    oracle_hits = 0
-    for k in range(count):
-        ctx, tau, nodes, sigma = random_selection_scenario(rng)
-        res = select_extensions(ctx, tau, nodes, sigma)
-        bad = _selection_flaw(ctx, tau, nodes, sigma, res)
-        if bad is None:
-            flaw = _selection_exhaustive_flaw(ctx, tau, nodes, sigma, res)
-            if flaw is not None:
-                bad = f"case {k}: {flaw}"
-            else:
-                oracle_hits += 1
-        else:
-            bad = f"case {k}: {bad}"
-        if bad is not None:
-            break
-    line = _tally("select-random", count, bad)
-    if bad is None:
-        line = passed("select-random", f"{count}/{count} "
-                                       f"oracle={oracle_hits}")
+    # every clean case also passed the oracle, so its count is N of N/N
+    line = _tally("select-random", _cases(count, _selection_random_flaw, rng))
+    if line.status == "PASS":
+        line = passed("select-random", f"{line.witness} "
+                                       f"oracle={line.witness.split('/')[0]}")
     return [line]
 
 
 # -- readback round trip --------------------------------------------------------
 
+def _theta_flaw(rng):
+    ctx, st, succ = random_pi_staging(rng)
+    tp, theta = build_tprime(ctx, st, succ)
+    by_target: dict[str, list[str]] = {}
+    for src, tgt in theta.axioms.items():
+        by_target.setdefault(tgt, []).append(src)
+    for tgt, srcs in by_target.items():
+        if any(compatible(a, b) for a, b in combinations(sorted(srcs), 2)):
+            return f"codes for {show_string(tgt)} not prefix-free"
+    return next((f"leaf {show_string(leaf)} decodes off the path to "
+                 f"{show_string(x)}"
+                 for x, _, leaf in _theta_chains(st.final, tp, theta)
+                 if leaf is not None), None)
+
+
 def _chk_theta_roundtrip(rng, count):
-    bad = None
-    for k in range(count):
-        ctx, st, succ = random_pi_staging(rng)
-        tp, theta = build_tprime(ctx, st, succ)
-        by_target: dict[str, list[str]] = {}
-        for src, tgt in theta.axioms.items():
-            by_target.setdefault(tgt, []).append(src)
-        for tgt, srcs in by_target.items():
-            for a, b in combinations(sorted(srcs), 2):
-                if compatible(a, b):
-                    bad = (f"case {k}: codes for {show_string(tgt)} "
-                           "not prefix-free")
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            break
-        for x, _, leaf in _theta_chains(st.final, tp, theta):
-            if leaf is not None:
-                bad = (f"case {k}: leaf {show_string(leaf)} decodes "
-                       f"off the path to {show_string(x)}")
-                break
-        if bad is not None:
-            break
-    return [_tally("theta-roundtrip", count, bad)]
+    return [_tally("theta-roundtrip", _cases(count, _theta_flaw, rng))]
 
 
 # -- image / pullback ------------------------------------------------------------
 
+def _pullback_flaw(rng):
+    a = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+    t0 = Tree(_random_two_branching_sub(rng, oplus_tree(a)))
+    outs = _checked_outputs(odd_readback_psi(a), t0, hat=False)
+    img = _image_tree(t0, outs)
+    back = _pullback_tree(t0, img, outs, split_checked=True)
+    if back != t0:
+        return f"pullback lost {len(t0 ^ back)} strings"
+    return _two_branching_flaw(img, "image")
+
+
+def _two_branching_flaw(t: Tree, what: str):
+    return (f"{what} not two-branching"
+            if any(len(successors(t, m)) not in (0, 2) for m in t) else None)
+
+
 def _chk_pullback_image(rng, count):
-    bad = None
-    for k in range(count):
-        a = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-        t0 = Tree(_random_two_branching_sub(rng, oplus_tree(a)))
-        psi = odd_readback_psi(a)
-        outs = _checked_outputs(psi, t0, hat=False)
-        img = _image_tree(t0, outs)
-        back = _pullback_tree(t0, img, outs, split_checked=True)
-        if back != t0:
-            bad = f"case {k}: pullback lost {len(t0 ^ back)} strings"
-            break
-        if any(len(successors(img, m)) not in (0, 2) for m in img):
-            bad = f"case {k}: image not two-branching"
-            break
-    return [_tally("pullback-image", count, bad)]
+    return [_tally("pullback-image", _cases(count, _pullback_flaw, rng))]
 
 
 # -- enumeration / driver smoke ---------------------------------------------------
@@ -585,24 +561,22 @@ def _chk_pi6_chain(rng):
                                               for m in sort_lenlex(st.final)))]
 
 
+def _smc_driver_flaw(rng):
+    a = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
+    t = oplus_tree(a)
+    psi = FunctionalTable(tuple(
+        (m, len(m) // 2 - 1, rng.getrandbits(1), 1)
+        for m in sort_lenlex(t) if m))
+    res = smc_driver_stage(("", t), psi, 64)
+    if res.b_next not in res.t_next or not res.t_next <= t:
+        return "stage left the tree"
+    if res.branch == "splitting-subtree":
+        return _two_branching_flaw(res.t_next, "subtree")
+    return None
+
+
 def _chk_smc_driver(rng, count):
-    bad = None
-    for k in range(count):
-        a = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
-        t = oplus_tree(a)
-        psi = FunctionalTable(tuple(
-            (m, len(m) // 2 - 1, rng.getrandbits(1), 1)
-            for m in sort_lenlex(t) if m))
-        res = smc_driver_stage(("", t), psi, 64)
-        if res.b_next not in res.t_next or not res.t_next <= t:
-            bad = f"case {k}: stage left the tree"
-            break
-        if res.branch == "splitting-subtree" and any(
-                len(successors(res.t_next, m)) not in (0, 2)
-                for m in res.t_next):
-            bad = f"case {k}: subtree not two-branching"
-            break
-    return [_tally("smc-driver", count, bad)]
+    return [_tally("smc-driver", _cases(count, _smc_driver_flaw, rng))]
 
 
 # -- determinism -----------------------------------------------------------------

@@ -299,6 +299,12 @@ def _modules_that_can_act(adv: AdversaryBundle, level: int,
 def run_stage(st: ConstructionState,
               adv: AdversaryBundle = EMPTY_BUNDLE) -> ConstructionState:
     """One full stage: run modules node by node, then grow the tree."""
+    return _stage(st, adv)[0]
+
+
+def _stage(st: ConstructionState, adv: AdversaryBundle,
+           ) -> tuple[ConstructionState, tuple[str, ...]]:
+    """run_stage, and the frontier it grew: the new state's frontier."""
     s = st.stage
     snapshot = sorted(((nf.level, lenlex_key(tau), tau, nf.generation)
                        for tau, nf in st.nodes.items()
@@ -324,7 +330,8 @@ def run_stage(st: ConstructionState,
                 break  # one action per node per stage
     nodes = dict(cur.nodes)
     log: list = []
-    for gen, tau in enumerate(frontier(cur, s + 1), cur.next_generation):
+    live = frontier(cur, s + 1)
+    for gen, tau in enumerate(live, cur.next_generation):
         level = _nearest_node_level(nodes, tau) + 1
         _declare(nodes, log, tau, level, gen, s + 1)
     return replace(
@@ -332,14 +339,28 @@ def run_stage(st: ConstructionState,
         stage=s + 1,
         nodes=nodes,
         declared_log=cur.declared_log + tuple(log),
-    )
+    ), live
 
 
-def run_to_horizon(adv: AdversaryBundle, horizon: int) -> ConstructionState:
+def stage_run(adv: AdversaryBundle, horizon: int):
+    """The state after each of the first horizon stages from the initial
+    state, with its frontier."""
     st = init_state()
-    while st.stage < horizon:
-        st = run_stage(st, adv)
-    return st
+    for _ in range(horizon):
+        st, live = _stage(st, adv)
+        yield st, live
+
+
+def run_to_horizon(adv: AdversaryBundle, horizon: int,
+                   ) -> tuple[ConstructionState, Optional[int]]:
+    """The state after horizon stages, and the first stage whose
+    frontier is empty (None if none is).  Every stage runs, stalled or
+    not."""
+    st, stalled = init_state(), None
+    for st, live in stage_run(adv, horizon):
+        if stalled is None and not live:
+            stalled = st.stage
+    return st, stalled
 
 
 @dataclass(frozen=True)

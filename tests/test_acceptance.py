@@ -10,18 +10,42 @@ one.
 import random
 import time
 
+from branchlab.colorings import EVEN_SHAPE, bushy_level_strings
 from branchlab.suite import _CHECKS, run_suite
 
 _FULL = {name: (fn, full) for name, fn, _, full in _CHECKS}
 
+# the case count a loop check's PASS line reports, from its kwargs;
+# checks with a count kwarg run that many cases
+_CASES = {
+    "twocol-exh-n2":
+        lambda kw: 1 << len(bushy_level_strings(EVEN_SHAPE, kw["n"])),
+    "nice": lambda kw: kw["per_cell"],
+    "kappa-closed-form":
+        lambda kw: sum(kw["nmax"] - i + 1 for i in range(kw["imax"] + 1)),
+    "cupping-corpus": lambda kw: kw["bundles"] * (kw["nmax"] + 1),
+    "traceable": lambda kw: kw["runs"],
+    "traceable-identity": lambda kw: kw["nmax"] + 1,
+    "sd-roundtrip": lambda kw: kw["top"] ** 2,
+}
+_ORACLE = {"select-random"}  # also reports its oracle passes
+_NOT_LOOPS = {"cupping-exh", "kraft-four-ninths", "split-mutant-detect",
+              "select-twostar"}
+
 
 def _run(tag, *names):
     """Run the named registry checks at full scale, each on a fresh
-    generator seeded with the criterion's tag."""
+    generator seeded with the criterion's tag; each loop check's PASS
+    line must count every case its kwargs ask for, once."""
     for name in names:
         fn, kwargs = _FULL[name]
         for ln in fn(random.Random(f"acceptance:{tag}"), **kwargs):
             assert ln.status == "PASS", ln.render()
+            if name in _NOT_LOOPS:
+                continue
+            n = _CASES[name](kwargs) if name in _CASES else kwargs["count"]
+            assert ln.witness == f"{n}/{n}" + (f" oracle={n}"
+                                               if name in _ORACLE else "")
 
 
 def test_criterion_01_twocol_exhaustive_and_random():

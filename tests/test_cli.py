@@ -7,9 +7,10 @@ import time
 
 import pytest
 
-from branchlab import cli, suite
+from branchlab import cli, suite, traceable
 from branchlab.errors import ScenarioError
 from branchlab.scenario import empty_scenario, parse_scenario
+from branchlab.thin import TraceSystem, encode_tuple, rescale_trace
 
 DEMO = """\
 [functional psi]
@@ -347,6 +348,24 @@ def test_traceable_fail_lines_of_run_and_suite(monkeypatch):
         "FAIL\ttraceable-pdiag\trun 0: a guarded branch survived"]
 
 
+def test_traceable_frontier_fail_lines_of_run_and_suite(monkeypatch):
+    # both run every stage and name the first whose frontier is empty
+    real = traceable._stage
+
+    def starved(st, adv):
+        nxt, live = real(st, adv)
+        return nxt, live if nxt.stage < 3 else ()
+
+    monkeypatch.setattr(traceable, "_stage", starved)
+    rep = cli.run_command("run traceable --horizon 5", empty_scenario())
+    assert [ln.render() for ln in rep.lines] == [
+        "FAIL\ttraceable-frontier\tempty at stage 3",
+        "PASS\ttraceable-counts\t0:1 1:2 2:4 3:8 4:16 5:32",
+        "PASS\ttraceable-tracesize", "PASS\ttraceable-final"]
+    assert suite._chk_traceable(random.Random(1), 3, 4)[0].render() == (
+        "FAIL\ttraceable-frontier\trun 0: empty frontier at stage 3")
+
+
 def test_nice_tree_budget_at_its_edge(capsys):
     # kappa(0) fanout 4, 8, 16, ... gives 2^14 leaves at level 4 and
     # 2^20 at level 5, which is refused before the tree is built
@@ -523,3 +542,29 @@ def test_thin_trace_scan_budget_at_its_edges(tmp_path):
                   "--scenario", f],
                  ["ERROR\ttrace-from-thin-error\t2048 strings against 2046 "
                   "axioms exceed 2097152"], 1)
+
+
+def test_rescale_target_budget_at_its_edge(tmp_path):
+    # 2^16 target positions are accepted; the command then stops on the
+    # thin trace's bounds, which never start at 0.  One more position is
+    # refused before the target is built
+    f = _scan_scenario(tmp_path, _GROWING)
+    _at_the_edge(["trace", "rescale", "--sub", "S", "--maxlen", "10",
+                  "--target", "65536", "--scenario", f],
+                 ["ERROR\ttrace-rescale-error\tbounds must start at 0 and "
+                  "strictly increase"], 10)
+    _at_the_edge(["trace", "rescale", "--sub", "S", "--maxlen", "10",
+                  "--target", "65537", "--scenario", f],
+                 ["ERROR\ttrace-rescale-error\ttarget 65537 exceeds the "
+                  "budget of 65536 positions"], 1)
+    # a trace whose bounds do start at 0, rescaled to the largest target
+    # and rendered as the command renders it
+    t0 = time.monotonic()
+    p = (0, 2, 4, 8, 16)
+    w = {m: frozenset({encode_tuple(tuple(range(p[m + 1] if m < 4 else 20)))}
+                      if p[m] else ()) for m in range(5)}
+    lines = cli._trace_lines(rescale_trace(TraceSystem(p, w),
+                                           tuple(range(1 << 16))), "rescale")
+    assert len(lines) == 1 << 16
+    assert lines[19].render() == "PASS\trescale-19\tp=19 values=19"
+    assert time.monotonic() - t0 < 10

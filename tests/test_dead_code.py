@@ -16,8 +16,6 @@ KEPT = {
     # the pairwise oracle of the naive driver stage smc_driver_stage is
     # tested against
     "is_splitting_pair",
-    # drives the traceable construction to a horizon in its tests
-    "run_to_horizon",
     # the checked public pullback, which the naive driver stage and the
     # pullback tests call; the suite and the driver stage share their
     # outputs with the image and call its body, _pullback_tree

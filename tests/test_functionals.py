@@ -389,6 +389,24 @@ def test_hat_eval_past_the_horizon_at_its_edges():
     assert table([("0110", 0, 1, 1)])._horizon == 4
 
 
+def test_hat_eval_asks_the_parent_only_at_the_argument_below(monkeypatch):
+    # definedness is downward closed in the argument, so a call on a
+    # fresh memo recurses once per argument below n: n + 1 calls in all
+    real = branchlab.functionals.hat_eval
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(branchlab.functionals, "hat_eval", counted)
+    f = table([("", k, k, 1) for k in range(8)])
+    for n in range(8):
+        calls.clear()
+        assert counted(f, "0" * 12, n) == n
+        assert len(calls) <= n + 1, calls
+
+
 def test_table_identity_ignores_the_index():
     axs = [("01", 2, 1, 1), ("", 0, 3, 2), ("1", 0, 3, 1)]
     f, g = table(axs), table(reversed(axs))

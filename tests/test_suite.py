@@ -1,0 +1,95 @@
+"""The suite's loop checks: each forced flaw names the case it spoils.
+
+Each test below spoils one dependency of one check in the `suite`
+namespace, runs the check at its fast scale, and pins the FAIL line.
+The spoiled dependency still runs, so the draws stay the ones a clean
+run makes, and the pinned witness names the same case it would name
+in a full report.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from branchlab import suite
+from branchlab.colorings import kappa
+from branchlab.thin import TraceSystem
+
+_FAST = {name: (fn, fast) for name, fn, fast, _ in suite._CHECKS}
+
+
+def _spoil(monkeypatch, name, bad, at):
+    """Patch suite.<name> so that its call number `at` (from 0) hands
+    back bad(result) instead of the result."""
+    real = getattr(suite, name)
+    calls = itertools.count()
+
+    def spoiled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return bad(out) if next(calls) == at else out
+
+    monkeypatch.setattr(suite, name, spoiled)
+
+
+def _raise(out):
+    raise ValueError("no\n  member")
+
+
+def _fast_lines(name):
+    fn, kwargs = _FAST[name]
+    return [ln.render() for ln in fn(random.Random(1), **kwargs)]
+
+
+# (check, suite name spoiled, spoiler, call spoiled, pinned FAIL line)
+_SPOILED_CALLS = [
+    ("cupping-corpus", "find_pi_member", _raise, 7,
+     "FAIL\tcupping-corpus\tbundle 2 n=1: no member"),
+    ("trace-size-bound", "trace_from_thin",
+     lambda ts: TraceSystem((), {0: frozenset(range(3))}), 3,
+     "FAIL\ttrace-size-bound\tcase 3: 3 values at position 0"),
+    ("thin-from-trace", "thin_from_trace", lambda tp: frozenset(), 4,
+     "FAIL\tthin-from-trace\tcase 4: output not thin"),
+    ("rescale-size-bound", "rescale_trace",
+     lambda out: TraceSystem(out.p, {}), 2,
+     "FAIL\trescale-size-bound\tcase 2: position 2 misses f or runs fat"),
+    ("sd-roundtrip", "selfdelim_decode", lambda out: None, 70,
+     "FAIL\tsd-roundtrip\t(5,7) -> 100011111"),
+    ("split-thin", "splitting_to_thin",
+     lambda r: r._replace(witness=("0", "1")), 3,
+     "FAIL\tsplit-thin\tcase 3: ('0', '1')"),
+    ("select-random", "_selection_exhaustive_flaw", lambda f: "spoiled", 2,
+     "FAIL\tselect-random\tcase 2: spoiled"),
+    ("theta-roundtrip", "theta_decode", lambda chain: (), 12,
+     "FAIL\ttheta-roundtrip\tcase 4: leaf 10 decodes off the path to 10"),
+    ("theta-roundtrip", "compatible", lambda out: True, 1,
+     "FAIL\ttheta-roundtrip\tcase 1: codes for 11 not prefix-free"),
+    ("pullback-image", "_pullback_tree",
+     lambda back: frozenset(back) - {""}, 5,
+     "FAIL\tpullback-image\tcase 5: pullback lost 1 strings"),
+    ("smc-driver", "smc_driver_stage", lambda res: res._replace(b_next="2"),
+     1, "FAIL\tsmc-driver\tcase 1: stage left the tree"),
+]
+
+
+@pytest.mark.parametrize("check, name, bad, at, line", _SPOILED_CALLS,
+                         ids=[f"{c[0]}:{c[1]}" for c in _SPOILED_CALLS])
+def test_a_spoiled_case_gives_the_pinned_fail_line(monkeypatch, check, name,
+                                                   bad, at, line):
+    _spoil(monkeypatch, name, bad, at)
+    assert _fast_lines(check) == [line]
+
+
+def test_kappa_fail_line_names_the_spoiled_cell(monkeypatch):
+    monkeypatch.setattr(suite, "kappa",
+                        lambda i, n: kappa(i, n) + ((i, n) == (2, 5)))
+    assert _fast_lines("kappa-closed-form") == [
+        "FAIL\tkappa-closed-form\tkappa(2,5) = 33"]
+
+
+def test_identity_fail_line_names_the_spoiled_n(monkeypatch):
+    real = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda k: real(k) + (k == 5))
+    assert _fast_lines("traceable-identity") == [
+        "FAIL\ttraceable-identity\tn=3: 1920 != 1936"]

@@ -22,7 +22,7 @@ from branchlab.traceable import (ConstructionState, ModuleId,
                                  frontier, init_state, is_terminal,
                                  module_set, node_count_bound,
                                  oracle_output_bits, p_module, run_stage,
-                                 run_to_horizon, trace_bound_pair,
+                                 run_to_horizon, stage_run, trace_bound_pair,
                                  verify_final_nodes)
 from branchlab.trees import sort_lenlex, successors
 
@@ -95,7 +95,7 @@ def test_c_module_first_action():
 
 def test_c_action_inside_run_stage():
     adv = bundle([table([("", 0, 7, 1)])])
-    st = run_to_horizon(adv, 3)
+    st = run_to_horizon(adv, 3)[0]
     assert (0, 0, 7) in st.tuples
     rows = [r for r in st.tuple_log if (r[0], r[1]) == (0, 0)]
     assert len(rows) == 1
@@ -112,7 +112,7 @@ def test_oracle_output_bits():
 def test_p_module_prunes_followed_side():
     # the adversary's empty-oracle output goes through "0"
     adv = bundle([table([("", k, 0, 1) for k in range(4)])])
-    st = run_to_horizon(adv, 4)
+    st = run_to_horizon(adv, 4)[0]
     assert is_terminal(st, "0")
     assert all(s.startswith("1") for s in frontier(st))
     assert frontier(st)
@@ -136,7 +136,7 @@ def test_p_module_grace_and_absence():
 
 
 def test_p_module_protocol_errors():
-    st = run_to_horizon(EMPTY_BUNDLE, 2)
+    st = run_to_horizon(EMPTY_BUNDLE, 2)[0]
     with pytest.raises(ProtocolError):
         act_p_module(st, "", c_module(0, 0), EMPTY_BUNDLE)  # wrong kind
     with pytest.raises(ProtocolError):
@@ -146,8 +146,31 @@ def test_p_module_protocol_errors():
 def test_extract_trace():
     assert extract_trace(init_state()).per_i == {}
     adv = bundle([table([("", 0, 7, 1)])])
-    rep = extract_trace(run_to_horizon(adv, 3))
+    rep = extract_trace(run_to_horizon(adv, 3)[0])
     assert rep.per_i[0][0] == frozenset([7])
+
+
+def test_stage_run_hands_back_each_stage_and_its_frontier():
+    adv = _random_bundle(random.Random(7))
+    st = init_state()
+    for got, live in stage_run(adv, 6):
+        st = run_stage(st, adv)
+        assert got == st and live == frontier(st)
+    assert run_to_horizon(adv, 6) == (st, None)
+    assert run_to_horizon(adv, 0) == (init_state(), None)
+
+
+def test_run_to_horizon_names_the_first_empty_frontier_and_runs_on(
+        monkeypatch):
+    real = traceable._stage
+
+    def starved(st, adv):
+        nxt, live = real(st, adv)
+        return nxt, live if nxt.stage < 3 else ()
+
+    monkeypatch.setattr(traceable, "_stage", starved)
+    st, stalled = run_to_horizon(EMPTY_BUNDLE, 5)
+    assert (st.stage, stalled) == (5, 3)
 
 
 def _random_bundle(rng, width=2):
@@ -186,7 +209,7 @@ def test_terminal_monotone_and_frontier_nonempty():
 def test_node_invariants_over_runs():
     rng = random.Random(6)
     for _ in range(10):
-        st = run_to_horizon(_random_bundle(rng), 7)
+        st = run_to_horizon(_random_bundle(rng), 7)[0]
         for tau, info in st.nodes.items():
             assert info.modules == module_set(info.level)
             assert len(tau) <= st.stage and not is_terminal(st, tau)
@@ -195,7 +218,7 @@ def test_node_invariants_over_runs():
 def test_counting_bounds():
     rng = random.Random(7)
     for _ in range(10):
-        st = run_to_horizon(_random_bundle(rng, width=3), 8)
+        st = run_to_horizon(_random_bundle(rng, width=3), 8)[0]
         counts = declared_counts(st)
         for level in range(5):
             assert counts.get(level, 0) <= node_count_bound(level)
@@ -214,7 +237,7 @@ def test_step_bound_identity():
 def test_tuple_provenance():
     rng = random.Random(8)
     for _ in range(10):
-        st = run_to_horizon(_random_bundle(rng, width=3), 7)
+        st = run_to_horizon(_random_bundle(rng, width=3), 7)[0]
         seen = set()
         for i, n, _, tau, level, gen in st.tuple_log:
             assert level == i + n
@@ -228,7 +251,7 @@ def test_incomputability_surrogate():
     horizon = 6
     for _ in range(10):
         adv = _random_bundle(rng)
-        st = run_to_horizon(adv, horizon)
+        st = run_to_horizon(adv, horizon)[0]
         for i in range(len(adv.psi_i)):
             out = oracle_output_bits(adv.psi_i[i], horizon)
             if len(out) < horizon:
@@ -241,18 +264,18 @@ def test_incomputability_surrogate():
 
 def test_determinism():
     adv = bundle([table([("", 0, 3, 2), ("0", 1, 1, 1)])])
-    a = run_to_horizon(adv, 6)
-    b = run_to_horizon(adv, 6)
+    a = run_to_horizon(adv, 6)[0]
+    b = run_to_horizon(adv, 6)[0]
     assert a == b
 
 
 def test_verify_final_nodes_empty_adversary():
-    st = run_to_horizon(EMPTY_BUNDLE, 4)
+    st = run_to_horizon(EMPTY_BUNDLE, 4)[0]
     assert final_node_violation(st, EMPTY_BUNDLE) is None
 
 
 def test_successor_nodes_shape():
-    st = run_to_horizon(EMPTY_BUNDLE, 3)
+    st = run_to_horizon(EMPTY_BUNDLE, 3)[0]
     assert successors(frozenset(st.nodes), "") == ("0", "1")
     assert successors(frozenset(st.nodes), "0") == ("00", "01")
 
@@ -261,7 +284,7 @@ def test_p_module_follows_node_successors_not_string_children():
     # C(0, 0) acts at stage 2 and makes "00" and "01" the root's
     # successor nodes; the output "01" then follows the node "01"
     adv = bundle([table([("", 0, 0, 2), ("", 1, 1, 2)])])
-    st = run_to_horizon(adv, 3)
+    st = run_to_horizon(adv, 3)[0]
     assert successors(frozenset(st.nodes), "") == ("00", "01")
     st = run_stage(st, adv)
     assert ("", p_module(0), 1) in st.acted
@@ -334,7 +357,7 @@ def test_verify_random_quiescent():
     for _ in range(8):
         adv = _random_bundle(rng)
         # run far enough that all axioms (steps < 5) are long settled
-        st = run_to_horizon(adv, 7)
+        st = run_to_horizon(adv, 7)[0]
         assert verify_final_nodes(st, adv), final_node_violation(st, adv)
 
 
@@ -472,7 +495,7 @@ def _p_module_cases(horizon):
 def test_c_module_searches_candidates_in_length_lex_order():
     # nothing has acted at stage 3 under the empty bundle; "1" comes
     # before "00", and "0" before "1"
-    st = run_to_horizon(EMPTY_BUNDLE, 3)
+    st = run_to_horizon(EMPTY_BUNDLE, 3)[0]
     for axioms, picks in ((["00", "1"], ("100", "101")),
                           (["1", "0"], ("000", "001"))):
         adv = bundle([table([(sigma, 0, k, 1)
@@ -564,7 +587,7 @@ def test_final_node_check_builds_the_frontier_once(monkeypatch):
 
     monkeypatch.setattr(traceable, "frontier", counted)
     for adv in _table_bundles():
-        st = run_to_horizon(adv, 8)
+        st = run_to_horizon(adv, 8)[0]
         calls.clear()
         final_node_violation(st, adv)
         assert len(calls) <= 1
@@ -647,7 +670,7 @@ def test_final_node_check_scans_only_the_strings_above_each_node(
     monkeypatch.setattr(traceable, "frontier", lambda st, length=None: tuple(
         _CountingStr(x) for x in real(st, length)))
     for adv in _table_bundles():
-        st = run_to_horizon(adv, 8)
+        st = run_to_horizon(adv, 8)[0]
         _CountingStr.calls[0] = 0
         assert final_node_violation(st, adv) is None
         live = real(st)
@@ -669,13 +692,13 @@ def test_module_set_matches_a_fresh_build():
 
 
 def test_is_terminal_skips_the_scan_when_nothing_is_terminal():
-    st = run_to_horizon(EMPTY_BUNDLE, 4)
+    st = run_to_horizon(EMPTY_BUNDLE, 4)[0]
     assert st.terminal == frozenset()
     counted = replace(st, terminal=_CountingSet())
     assert not any(is_terminal(counted, x) for x in _naive_live(st))
     assert counted.terminal.iterations == 0
     for adv in _table_bundles():
-        st = run_to_horizon(adv, 5)
+        st = run_to_horizon(adv, 5)[0]
         for x in [""] + [format(k, f"0{n}b")
                          for n in range(1, 6) for k in range(1 << n)]:
             assert is_terminal(st, x) == any(x.startswith(m)
@@ -819,7 +842,7 @@ def test_empty_bundle_stages_dispatch_no_module(monkeypatch):
 
 
 def test_final_node_check_reads_each_level_output_once(monkeypatch):
-    cases = [(run_to_horizon(adv, 7), adv) for adv in _seeded_bundles()]
+    cases = [(run_to_horizon(adv, 7)[0], adv) for adv in _seeded_bundles()]
     calls = []
     real = traceable.oracle_output_bits
     monkeypatch.setattr(traceable, "oracle_output_bits",
