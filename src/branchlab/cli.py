@@ -186,8 +186,13 @@ def _h_run_traceable(ns, sc, rng):
 
 
 def _h_run_smc(ns, sc, rng):
-    psi = _functional(sc, ns.psi)
     a = nat_to_string(_param(ns.oracle, sc, "oracle", 0))
+    # the oplus tree of an n-bit oracle has 2^(n+1) - 1 members: at 13
+    # bits, 16,383 of them, a stage takes about 1.5 s and 70 MiB
+    if len(a) > 13:
+        raise BudgetError(f"an oracle of {len(a)} bits exceeds the budget "
+                          "of 13 bits")
+    psi = _functional(sc, ns.psi)
     budget = _param(ns.budget, sc, "budget", 8)
     dagger = _any_tree(sc, ns.dagger) if ns.dagger else None
     try:
@@ -204,6 +209,10 @@ def _h_run_pi6(ns, sc, rng):
     flen = _param(ns.flen, sc, "flen", 9)
     a = nat_to_string(_param(ns.oracle, sc, "oracle", 0))
     stages = _param(ns.stages, sc, "stages", 3)
+    # stage s walks all 2^s strings of its length: 13 stages take about
+    # 1.5 s on a small profile table, and each stage doubles that
+    if stages > 13:
+        raise BudgetError(f"{stages} stages exceed the budget of 13")
     ctx = OmegaContext(phi, tuple(range(flen)), a)
     res = enumerate_pi(ctx, stages)
     lines = []

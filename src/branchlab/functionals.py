@@ -19,12 +19,33 @@ axiom has been read to its end and every step count beats the oracle
 length, so no further bit changes the outcome: by induction on n,
 hat_eval(f, tau, n) == hat_eval(f, tau[:H + n], n) whenever
 len(tau) >= H + n, and hat_eval evaluates that prefix instead.
+
+Axiom lookup goes by sigma.  At one argument, the axioms applicable at
+tau are those whose sigma is one of tau's prefixes.  So the table maps
+each sigma to its effective axiom at each argument, and each argument
+to the sorted lengths of its sigmas, and a lookup probes tau[:k] for
+each such k up to len(tau).  The effective axiom of a sigma at an
+argument is its first in table order: the table sorts those axioms by
+steps, and a consistent table gives them one value.  Applicable axioms all have
+prefixes of tau as oracles, so they too agree on the value, and the
+convergence time is the least steps among the sigmas hit.
+
+Outputs grow along the tree.  On a consistent table, x a prefix of y
+implies out(x) a prefix of out(y), plain or guarded: every axiom that
+applies at x applies at y with the same value, and guarded definedness
+is monotone in the oracle.  So if an incompatible pair (a, b) fails to
+split, so does every incompatible pair (a', b') of members below them,
+and in particular the two distinct successors of their deepest common
+member, or their two roots when they have none.  A tree is therefore
+splitting iff every two successors of one member, and every two
+roots, split: a linear check on two-branching trees.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import ConsistencyError, ShapeError
@@ -52,12 +73,17 @@ class FunctionalTable:
 
     def __post_init__(self):
         axs = tuple(sorted(set(self.axioms), key=_axiom_key))
-        # one pass validates each axiom, takes the horizon and tests the
-        # axiom against the earlier ones at its argument whose sigma is
-        # a prefix of its own, its only compatible predecessors in table
-        # order.  At the current argument, seen maps each sigma to [its
-        # first index, its first index with another value], and lengths
-        # lists the sigma lengths so far, none longer than this sigma.
+        # one pass validates each axiom, takes the horizon, builds the
+        # sigma index and tests the axiom against the earlier ones at its
+        # argument whose sigma is a prefix of its own, its only
+        # compatible predecessors in table order.  At the current
+        # argument, seen maps each sigma to [its first index, its first
+        # index with another value], and lengths lists the sigma lengths
+        # so far, none longer than this sigma.  index maps each sigma to
+        # the first axiom at each argument, and by_arg each argument to
+        # its lengths.
+        index: dict[str, dict[int, Axiom]] = {}
+        by_arg: dict[int, list[int]] = {}
         seen: dict[str, list] = {}
         lengths: list[int] = []
         seen_arg = None
@@ -73,6 +99,7 @@ class FunctionalTable:
                                  "steps must be at least 1")
             if arg != seen_arg:
                 seen, lengths, seen_arg = {}, [], arg
+                by_arg[arg] = lengths
             for k in lengths:
                 hit = seen.get(sigma[:k])
                 if hit is not None:
@@ -82,6 +109,7 @@ class FunctionalTable:
             own = seen.get(sigma)
             if own is None:
                 seen[sigma] = [j, None]
+                index.setdefault(sigma, {})[arg] = axs[j]
                 if not lengths or lengths[-1] != len(sigma):
                     lengths.append(len(sigma))
             elif own[1] is None and axs[own[0]][2] != value:
@@ -95,10 +123,15 @@ class FunctionalTable:
             raise ConsistencyError(f"axioms {a} and {b} clash",
                                    first=a, second=b)
         object.__setattr__(self, "axioms", axs)
-        # the argument column, for _at_arg, the horizon, for hat_eval,
-        # and the hash, which is the one the dataclass would compute;
-        # not fields, so eq and repr ignore them
-        object.__setattr__(self, "_args", tuple(ax[1] for ax in axs))
+        # the sigma index, its lengths per argument (one tuple for all
+        # arguments with the same lengths) and the horizon, for the
+        # lookups below, and the hash, which is the one the dataclass
+        # would compute; not fields, so eq and repr ignore them
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        object.__setattr__(self, "_sigma_index", index)
+        object.__setattr__(self, "_lengths", {
+            arg: shared.setdefault(tuple(ls), tuple(ls))
+            for arg, ls in by_arg.items()})
         object.__setattr__(self, "_horizon", horizon)
         object.__setattr__(self, "_hash", hash((axs,)))
 
@@ -107,17 +140,28 @@ class FunctionalTable:
 
     @property
     def max_arg(self) -> int:
-        return self._args[-1] if self._args else -1
+        return self.axioms[-1][1] if self.axioms else -1
 
 
-def _at_arg(f: FunctionalTable, n: int) -> tuple[Axiom, ...]:
-    """The axioms at argument n, in table order.
+_NONE: dict[int, Axiom] = {}
 
-    Table order sorts by argument first, so they are one slice of the
-    table, found by bisecting the argument column.
-    """
-    lo = bisect_left(f._args, n)
-    return f.axioms[lo:bisect_right(f._args, n, lo)]
+
+def _has_axiom_at(f: FunctionalTable, n: int) -> bool:
+    return n in f._lengths
+
+
+def _applicable(f: FunctionalTable, tau: str, n: int) -> list[Axiom]:
+    """The effective axiom of each sigma at argument n that tau extends,
+    shortest sigma first: one probe per sigma length up to len(tau)."""
+    index = f._sigma_index
+    hits = []
+    for k in f._lengths.get(n, ()):
+        if k > len(tau):
+            break
+        ax = index.get(tau[:k], _NONE).get(n)
+        if ax is not None:
+            hits.append(ax)
+    return hits
 
 
 EMPTY_TABLE = FunctionalTable(())
@@ -127,33 +171,22 @@ def table(axioms: Iterable[Axiom]) -> FunctionalTable:
     return FunctionalTable(tuple(axioms))
 
 
-def applicable(f: FunctionalTable, tau: str, n: int) -> tuple[Axiom, ...]:
-    return tuple(ax for ax in _at_arg(f, n) if tau.startswith(ax[0]))
-
-
 def eval_at(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
     """Converged value at (tau, n), or None."""
-    for ax in _at_arg(f, n):
-        if tau.startswith(ax[0]):
-            return ax[2]
-    return None
+    hits = _applicable(f, tau, n)
+    return hits[0][2] if hits else None
 
 
 def min_steps(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
     """Convergence time at (tau, n): least steps among applicable axioms."""
-    best = None
-    for ax in applicable(f, tau, n):
-        if best is None or ax[3] < best:
-            best = ax[3]
-    return best
+    ax = effective_axiom(f, tau, n)
+    return None if ax is None else ax[3]
 
 
 def effective_axiom(f: FunctionalTable, tau: str, n: int) -> Optional[Axiom]:
     """The axiom that fires first: least (steps, oracle length)."""
-    cands = applicable(f, tau, n)
-    if not cands:
-        return None
-    return min(cands, key=lambda ax: (ax[3], len(ax[0]), ax[0]))
+    # hits come shortest sigma first, and min keeps the first of a tie
+    return min(_applicable(f, tau, n), key=itemgetter(3), default=None)
 
 
 def hat_eval(f: FunctionalTable, tau: str, n: int,
@@ -177,23 +210,25 @@ def hat_eval(f: FunctionalTable, tau: str, n: int,
     if key in _memo:
         return _memo[key]
     _memo[key] = None  # guard; the recursion only ever shortens tau
-    # one pass for min_steps and eval_at: the least steps, and the
-    # value of the first applicable axiom
-    steps = val = None
-    for ax in _at_arg(f, n):
-        if tau.startswith(ax[0]):
-            if steps is None:
-                steps, val = ax[3], ax[2]
-            elif ax[3] < steps:
-                steps = ax[3]
-    if steps is None or steps >= len(tau):
+    # the least steps among the sigmas hit, and the value, which
+    # applicable axioms share: effective_axiom, inlined
+    steps = len(tau)
+    index = f._sigma_index
+    ax = None
+    for k in f._lengths.get(n, ()):
+        if k > len(tau):
+            break
+        hit = index.get(tau[:k], _NONE).get(n)
+        if hit is not None and hit[3] < steps:
+            ax, steps = hit, hit[3]
+    if ax is None:  # no applicable axiom converges within len(tau) steps
         return None
     # definedness is downward closed in the argument, so the parent
     # defined at n - 1 is defined at every k < n
     if n and hat_eval(f, tau[:-1], n - 1, _memo) is None:
         return None
-    _memo[key] = val
-    return val
+    _memo[key] = ax[2]
+    return ax[2]
 
 
 def output_prefix(f: FunctionalTable, tau: str, hat: bool = False,
@@ -256,9 +291,27 @@ def splitting_violation(f: FunctionalTable, t: Iterable[str],
     return _splitting_violation(t, _outputs(f, t, hat=hat), delayed)
 
 
+def _siblings_split(t: Tree, outs: dict[str, tuple[int, ...]]) -> bool:
+    """Whether every two roots, and every two successors of one member,
+    split: by the module docstring's lemma, whether t is splitting."""
+    idx = _index(t)
+    for group in chain(idx.levels[:1], idx.successors.values()):
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if not outputs_split(outs[a], outs[b]):
+                    return False
+    return True
+
+
 def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
                          delayed: bool = False) -> Optional[tuple[str, str]]:
-    """splitting_violation over precomputed outputs of t's members."""
+    """splitting_violation over precomputed outputs of t's members.
+
+    In plain mode the sibling pairs decide; only a tree that fails
+    there is scanned pairwise, for the first pair to name.
+    """
+    if not delayed and _siblings_split(t, outs):
+        return None
     mems = sorted_members(t)
     for i, a in enumerate(mems):
         for b in mems[i + 1:]:

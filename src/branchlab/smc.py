@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -414,6 +415,11 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     and move to its least leaf.  Guarded outputs are used throughout,
     each computed once per stage.  Each leaf split spends one unit of
     budget.
+
+    Outputs grow along the tree (the functionals module docstring's
+    lemma), so the hunt tests, per base, that the outputs above it form
+    a chain, and the greedy subtree's self-check compares sibling pairs
+    only: each is linear in the members above the base.
     """
     b_s, t_s = state
     t_s = Tree(t_s)
@@ -428,19 +434,20 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     for tau in sort_lenlex(base_exts):
         above = _lex_extensions(mems, tau)
         # t_s branches in twos, so tau has incompatible extensions
-        # exactly when it has proper ones
-        if len(above) > 1 and not any(
-                _splits(outs, a, b) for a_i, a in enumerate(above)
-                for b in above[a_i + 1:]):
-            return DriverResult(min(above[1:], key=lenlex_key), t_s,
-                                "no-splittings")
+        # exactly when it has proper ones; outputs grow along the tree,
+        # so no pair above tau splits exactly when all their outputs
+        # are prefixes of the longest one
+        if len(above) > 1:
+            longest = max((outs[x] for x in above), key=len)
+            if all(outs[x] == longest[:len(outs[x])] for x in above):
+                return DriverResult(min(above[1:], key=lenlex_key), t_s,
+                                    "no-splittings")
 
     ops = 0
     built = {b_s}
-    frontier = [b_s]
+    frontier = [lenlex_key(b_s)]  # a heap: the length-lex least first
     while frontier:
-        frontier.sort(key=lenlex_key)
-        x = frontier.pop(0)
+        x = heappop(frontier)[1]
         exts = sort_lenlex(_lex_extensions(mems, x))
         picked = next(((a, b) for a in exts for b in exts
                        if _splits(outs, a, b)), None)
@@ -450,7 +457,8 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
         if ops > dagger_budget:
             raise BudgetError(f"needed more than {dagger_budget} splits")
         built.update(picked)
-        frontier.extend(picked)
+        for y in picked:
+            heappush(frontier, lenlex_key(y))
     t_built = Tree(built)
     if _splitting_violation(t_built, outs) is not None:
         raise ProtocolError("greedy subtree fails its own splitting check")

@@ -12,6 +12,7 @@ Everything runs on exact rationals: the weight-1 boundary is sharp.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -181,21 +182,18 @@ def rescale_trace(ts: TraceSystem,
     p = ts.p
     if not p or p[0] != 0 or any(p[i + 1] <= p[i] for i in range(len(p) - 1)):
         raise ShapeError("bounds must start at 0 and strictly increase")
-
-    def k(n: int) -> int:
-        return max(m for m in range(len(p)) if p[m] <= n)
-
     horizon = len(p) if p_target is None else len(p_target)
-    w: dict[int, set[int]] = {}
+    blocks: dict[int, list[tuple[int, ...]]] = {}  # m: its codes, decoded
+    w: dict[int, frozenset[int]] = {}
     for n in range(horizon):
-        got = set()
-        for code in ts.values_at(k(n)):
-            decoded = decode_tuple(code)
-            if decoded is not None and len(decoded) > n:
-                got.add(decoded[n])
-        w[n] = got
+        m = bisect_right(p, n) - 1  # k(n); p[0] = 0 <= n
+        block = blocks.get(m)
+        if block is None:
+            block = blocks[m] = [t for t in map(decode_tuple, ts.values_at(m))
+                                 if t is not None]
+        w[n] = frozenset(t[n] for t in block if len(t) > n)
     out_p = tuple(range(horizon)) if p_target is None else tuple(p_target)
-    return TraceSystem(out_p, {n: frozenset(v) for n, v in w.items()})
+    return TraceSystem(out_p, w)
 
 
 def spaced_level(n: int) -> int:

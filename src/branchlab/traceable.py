@@ -32,7 +32,7 @@ from typing import Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
-from .functionals import (EMPTY_TABLE, FunctionalTable, _at_arg,
+from .functionals import (EMPTY_TABLE, FunctionalTable, _has_axiom_at,
                           effective_axiom)
 from .strings import (_lex_extensions, bits_of_values, compatible, is_prefix,
                       lenlex_key)
@@ -207,7 +207,7 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
     if mid.kind != "C":
         raise ProtocolError("expected a C module")
     table = _adversary_table(adv, mid.i)
-    if not _at_arg(table, mid.n):
+    if not _has_axiom_at(table, mid.n):
         return None  # no axiom at the argument: nothing can converge
     s = st.stage
     found = None
@@ -290,7 +290,7 @@ def _modules_that_can_act(adv: AdversaryBundle, level: int,
     """
     mods = [c_module(i, level - i)
             for i, f in enumerate(adv.psi_i[:level + 1])
-            if _at_arg(f, level - i)]
+            if _has_axiom_at(f, level - i)]
     if oracle_output_bits(_adversary_table(adv, level), s):
         mods.append(p_module(level))
     return tuple(mods)
@@ -306,19 +306,18 @@ def _stage(st: ConstructionState, adv: AdversaryBundle,
            ) -> tuple[ConstructionState, tuple[str, ...]]:
     """run_stage, and the frontier it grew: the new state's frontier."""
     s = st.stage
+    # only nodes at levels with a module that can act go in the snapshot
+    acting = {level: _modules_that_can_act(adv, level, s)
+              for level in {nf.level for nf in st.nodes.values()}}
     snapshot = sorted(((nf.level, lenlex_key(tau), tau, nf.generation)
                        for tau, nf in st.nodes.items()
-                       if nf.declared_stage <= s))
-    acting: dict[int, tuple[ModuleId, ...]] = {}
+                       if nf.declared_stage <= s and acting[nf.level]))
     cur = st
     for level, _, tau, gen in snapshot:
         nf = cur.nodes.get(tau)
         if nf is None or nf.generation != gen:
             continue  # reshaped away earlier in this stage
-        mods = acting.get(level)
-        if mods is None:
-            mods = acting[level] = _modules_that_can_act(adv, level, s)
-        for mid in mods:
+        for mid in acting[level]:
             if (tau, mid, gen) in cur.acted:
                 continue
             if mid.kind == "C":

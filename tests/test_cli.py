@@ -9,7 +9,9 @@ import pytest
 
 from branchlab import cli, suite, traceable
 from branchlab.errors import ScenarioError
+from branchlab.gen import constant_psi, odd_readback_psi
 from branchlab.scenario import empty_scenario, parse_scenario
+from branchlab.strings import string_to_nat
 from branchlab.thin import TraceSystem, encode_tuple, rescale_trace
 
 DEMO = """\
@@ -568,3 +570,46 @@ def test_rescale_target_budget_at_its_edge(tmp_path):
     assert len(lines) == 1 << 16
     assert lines[19].render() == "PASS\trescale-19\tp=19 values=19"
     assert time.monotonic() - t0 < 10
+
+
+def _oplus_scenario(tmp_path, a, psi):
+    f = tmp_path / "oplus.scn"
+    f.write_text("[functional psi]\n" + "\n".join(
+        f"axiom {s} {n} {v} {k}" for s, n, v, k in psi.axioms)
+        + f"\n[params]\noracle {string_to_nat(a)}\n")
+    return str(f)
+
+
+def test_smc_oracle_budget_at_its_edge(tmp_path):
+    # a 13-bit oracle gives a 16,383-member tree, on which the driver
+    # stage splits all 8,191 inner members under the odd-bit readback
+    # and finds nothing to split under a constant psi; a 14-bit oracle
+    # is refused before its tree is built
+    a = "10" * 6 + "1"
+    f = _oplus_scenario(tmp_path, a, odd_readback_psi(a))
+    _at_the_edge(["run", "smc", "--budget", "8191", "--scenario", f],
+                 ["PASS\tsmc-driver\tsplitting-subtree b="
+                  + "".join(c + "0" for c in a) + " tree=16383"], 10)
+    f = _oplus_scenario(tmp_path, a, constant_psi(a))
+    _at_the_edge(["run", "smc", "--budget", "8191", "--scenario", f],
+                 ["PASS\tsmc-driver\tno-splittings b=10 tree=16383"], 10)
+    _at_the_edge(["run", "smc", "--oracle", str(string_to_nat(a + "0")),
+                  "--scenario", f],
+                 ["ERROR\trun-smc-error\tan oracle of 14 bits exceeds the "
+                  "budget of 13 bits"], 1)
+
+
+def test_pi6_stage_budget_at_its_edge(tmp_path):
+    # stage s walks all 2^s strings: 13 stages run, 14 are refused before
+    # the first
+    f = tmp_path / "prof.scn"
+    f.write_text(_profile_scenario())
+    _at_the_edge(["run", "pi6", "--stages", "13", "--scenario", str(f)],
+                 ["PASS\tpi6-admit-e\tstage=0 level=0",
+                  "PASS\tpi6-admit-00\tstage=2 level=2",
+                  "PASS\tpi6-admit-10\tstage=2 level=2",
+                  "PASS\tpi6-admit-100\tstage=3 level=4", "PASS\tpi6-gap"],
+                 10)
+    _at_the_edge(["run", "pi6", "--stages", "14", "--scenario", str(f)],
+                 ["ERROR\trun-pi6-error\t14 stages exceed the budget of 13"],
+                 1)

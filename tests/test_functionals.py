@@ -3,15 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
-from branchlab.gen import random_functional_table
+from branchlab.gen import odd_readback_psi, random_functional_table
 from branchlab.functionals import (FunctionalTable, _outputs,
-                                   _require_two_branching, applicable, build_weak_splitting_tree,
+                                   _applicable, _require_two_branching,
+                                   build_weak_splitting_tree,
                                    effective_axiom,
                                    eval_at, hat_eval,
                                    image_tree, is_splitting_pair,
@@ -19,9 +21,10 @@ from branchlab.functionals import (FunctionalTable, _outputs,
                                    output_prefix, outputs_split,
                                    pullback_tree, splitting_violation, table,
                                    weak_splitting_violation)
+from branchlab.smc import oplus_tree
 from branchlab.strings import (bits_of_values, compatible, is_prefix,
                                is_proper_prefix, sort_lenlex)
-from branchlab.trees import successors
+from branchlab.trees import Tree, _index, successors
 
 
 def test_eval_picks_applicable_axiom():
@@ -327,12 +330,86 @@ def test_axiom_lookup_matches_full_table_scan(f, tau, n):
     assert f.max_arg == _naive_max_arg(f)
     for k in range(n + 1):
         cands = _naive_applicable(f, tau, k)
-        assert applicable(f, tau, k) == cands
+        # the index keeps each sigma's first axiom in table order
+        assert _applicable(f, tau, k) == [
+            ax for i, ax in enumerate(cands)
+            if all(ax[0] != c[0] for c in cands[:i])]
         assert eval_at(f, tau, k) == _naive_eval_at(f, tau, k)
         assert min_steps(f, tau, k) == _naive_min_steps(f, tau, k)
-        assert effective_axiom(f, tau, k) == (min(
-            cands, key=lambda ax: (ax[3], len(ax[0]), ax[0]))
-            if cands else None)
+        assert effective_axiom(f, tau, k) == _naive_effective_axiom(f, tau, k)
+
+
+def _naive_effective_axiom(f, tau, n):
+    cands = _naive_applicable(f, tau, n)
+    if not cands:
+        return None
+    return min(cands, key=lambda ax: (ax[3], len(ax[0]), ax[0]))
+
+
+def _repeating_table(rng):
+    """A table whose sigmas each recur at up to four step counts with
+    one value, so that the index must keep each sigma's fastest axiom."""
+    axioms = []
+    for _ in range(rng.randint(1, 25)):
+        sigma = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+        arg, value = rng.randint(0, 3), rng.randint(0, 2)
+        for steps in rng.sample(range(1, 9), rng.randint(1, 4)):
+            axioms.append((sigma, arg, value, steps))
+    return table(_repair(axioms))
+
+
+def test_lookups_match_naive_scans_when_sigmas_repeat():
+    repeated = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        f = _repeating_table(rng)
+        keys = Counter(ax[:2] for ax in f.axioms)
+        repeated += sum(c > 1 for c in keys.values())
+        for _ in range(20):
+            tau = "".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
+            memo, naive_memo = {}, {}
+            for n in range(5):
+                assert eval_at(f, tau, n) == _naive_eval_at(f, tau, n)
+                assert min_steps(f, tau, n) == _naive_min_steps(f, tau, n)
+                assert effective_axiom(f, tau, n) == \
+                    _naive_effective_axiom(f, tau, n)
+                assert hat_eval(f, tau, n, memo) == \
+                    _naive_hat_eval(f, tau, n, naive_memo)
+    assert repeated > 300
+
+
+def test_lookups_probe_tau_prefixes_not_the_axioms():
+    # argument 11 of the depth-12 identity table holds 4,096 axioms, all
+    # with sigmas of length 12: a lookup probes tau[:12] once, and a
+    # guarded one once per argument its recursion visits
+    assert not hasattr(branchlab.functionals, "_at_arg")
+    probes = []
+
+    class Counting(dict):
+        def get(self, key, default=None):
+            probes.append(key)
+            return dict.get(self, key, default)
+
+    def counted(f):
+        object.__setattr__(f, "_sigma_index", Counting(f._sigma_index))
+        return f
+
+    f = counted(_ident_table(12))
+    tau = "0110" * 4
+    assert effective_axiom(f, tau, 11) == (tau[:12], 11, 0, 1)
+    assert probes == [tau[:12]]
+    probes.clear()
+    assert hat_eval(f, tau, 11) == 0
+    assert sorted(probes, key=len) == [tau[:k] for k in range(1, 13)]
+    # in general a lookup probes at most once per length up to len(tau)
+    rng = random.Random(7)
+    for _ in range(20):
+        g = counted(table(_repair(_seeded_axioms(rng, 200))))
+        for _ in range(20):
+            tau = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
+            probes.clear()
+            effective_axiom(g, tau, rng.randint(0, 6))
+            assert len(probes) <= len(tau) + 1
 
 
 # hat_eval before it read the axioms at its argument in one pass, kept
@@ -345,14 +422,14 @@ def _naive_hat_eval(f, tau, n, _memo=None):
     if key in _memo:
         return _memo[key]
     _memo[key] = None
-    steps = min_steps(f, tau, n)
+    steps = _naive_min_steps(f, tau, n)
     if steps is None or steps >= len(tau):
         return None
     parent = tau[:-1]
     for k in range(n):
         if _naive_hat_eval(f, parent, k, _memo) is None:
             return None
-    val = eval_at(f, tau, n)
+    val = _naive_eval_at(f, tau, n)
     _memo[key] = val
     return val
 
@@ -647,6 +724,66 @@ def _outcome(fn, *args):
         return ("ok", fn(*args))
     except Exception as e:  # noqa: BLE001 - the type and message are compared
         return (type(e).__name__, str(e))
+
+
+def _sibling_groups(t):
+    idx = _index(Tree(t))
+    return (idx.levels[0], *idx.successors.values()) if t else ()
+
+
+def _splitting_case(rng):
+    """An arbitrary set of strings, often with several roots or a member
+    with three successors, and a table that outputs some of each
+    member's bits, a few flipped, at random step counts, so that pairs
+    split or fail at any depth."""
+    t = frozenset("".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
+                  for _ in range(rng.randint(1, 14)))
+    axioms = [(m[:n + 1], n, int(m[n]) ^ (rng.random() < 0.1),
+               rng.randint(1, 4))
+              for m in t for n in range(len(m)) if rng.random() < 0.7]
+    return t, table(_repair(axioms))
+
+
+@pytest.mark.parametrize("hat", [False, True])
+def test_sibling_pair_check_names_the_pairwise_scans_pair(hat):
+    # in plain mode the first failing pair of the pairwise scan is always
+    # a sibling pair: a failing pair's siblings below it fail too and sort
+    # no later.  Delayed mode keeps the scan, and as it exempts the
+    # successors of a branch point it never names a sibling pair
+    seen = Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        t, f = _splitting_case(rng)
+        groups = _sibling_groups(t)
+        seen["roots"] += len(groups[0]) > 1
+        seen["three"] += any(len(g) == 3 for g in groups[1:])
+        for delayed in (False, True):
+            got = splitting_violation(f, t, delayed=delayed, hat=hat)
+            assert got == _naive_splitting_violation(f, t, delayed=delayed,
+                                                     hat=hat)
+            if got is None:
+                seen["splitting", delayed] += 1
+                continue
+            sibling = any(got[0] in g and got[1] in g for g in groups)
+            assert sibling or delayed
+            seen["fails", delayed, sibling] += 1
+    assert min(seen.values()) > 10 and len(seen) == 6, seen
+    assert seen["fails", True, False] and seen["fails", False, True]
+
+
+def test_splitting_check_compares_each_sibling_pair_once(monkeypatch):
+    # on a two-branching splitting tree of m members the check compares
+    # the m // 2 sibling pairs, not the incompatible pairs
+    calls = []
+    real = branchlab.functionals.outputs_split
+    monkeypatch.setattr(branchlab.functionals, "outputs_split",
+                        lambda a, b: calls.append(1) or real(a, b))
+    for a in ("1", "10", "0110", "101101"):
+        t, psi = oplus_tree(a), odd_readback_psi(a)
+        for hat in (False, True):
+            calls.clear()
+            assert is_splitting_tree(psi, t, hat=hat)
+            assert len(calls) == len(t) // 2
 
 
 @given(st.lists(st.integers(0, 2), max_size=5),

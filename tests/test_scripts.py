@@ -1,7 +1,10 @@
 """Smoke tests: each example script runs to the end and prints what it
 printed when it was written."""
 
+import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +34,60 @@ def test_script_runs_and_prints_its_pinned_line(script, args, line):
     proc = _run(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def _check_bench_schema(record):
+    assert set(record) == {"schema", "head", "dirty", "python", "cpu_count",
+                           "src_lines", "commands", "perfbench"}
+    assert record["schema"] == 1
+    assert record["head"] is None or re.fullmatch("[0-9a-f]{40}",
+                                                  record["head"])
+    assert isinstance(record["dirty"], bool)
+    assert re.fullmatch(r"\d+\.\d+\.\d+\S*", record["python"])
+    assert record["cpu_count"] >= 1 and record["src_lines"] > 0
+    for row in record["commands"].values():
+        assert set(row) == {"wall_s", "exit", "sha256"}
+        assert row["wall_s"] > 0 and row["exit"] == 0
+        assert re.fullmatch("[0-9a-f]{64}", row["sha256"])
+    bench = record["perfbench"]
+    if bench is None:
+        return
+    assert set(bench) == {"seconds", "seeds", "workloads"}
+    assert set(bench["workloads"]) == {"extract", "witness", "stages",
+                                       "packing"}
+    for row in bench["workloads"].values():
+        assert row["failed"] == 0 and row["attempted"] > 0
+        assert len(row["metrics"]) == 5
+        for m in row["metrics"].values():
+            assert len(m["values"]) == row["runs"]
+            assert min(m["values"]) <= m["median"] <= max(m["values"])
+
+
+def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    # two quick commands, run once, stand in for the five run thrice
+    monkeypatch.setattr(bench, "COMMANDS", (
+        ("suite", "fast"), ("run", "traceable", "--horizon", "6")))
+    monkeypatch.setattr(bench, "REPEAT", 1)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--dry-run", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    _check_bench_schema(record)
+    assert record["perfbench"] is None
+    assert list(record["commands"]) == ["suite fast",
+                                        "run traceable --horizon 6"]
+    assert record["commands"]["suite fast"]["sha256"] == (
+        "636cc231a8407c4e1484df40cf397f2713b078ee808d53db00f34651be236440")
+
+
+def test_committed_bench_files_have_the_schema():
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for f in files:
+        record = json.loads(f.read_text())
+        _check_bench_schema(record)
+        assert record["perfbench"] is not None
+        assert len(record["commands"]) == 5

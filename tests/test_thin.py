@@ -1,6 +1,8 @@
 """Thin subtrees, trace systems, and the reductions between them."""
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -268,6 +270,86 @@ def test_rescale_rejects_bad_bounds():
         rescale_trace(TraceSystem((1, 2), {}))
     with pytest.raises(ShapeError):
         rescale_trace(TraceSystem((0, 3, 3), {}))
+
+
+# rescale_trace before it decoded each block once and bisected the
+# bounds, kept as an oracle.
+
+def _naive_rescale_trace(ts, p_target=None):
+    p = ts.p
+    if not p or p[0] != 0 or any(p[i + 1] <= p[i] for i in range(len(p) - 1)):
+        raise ShapeError("bounds must start at 0 and strictly increase")
+
+    def k(n):
+        return max(m for m in range(len(p)) if p[m] <= n)
+
+    horizon = len(p) if p_target is None else len(p_target)
+    w = {}
+    for n in range(horizon):
+        got = set()
+        for code in ts.values_at(k(n)):
+            decoded = decode_tuple(code)
+            if decoded is not None and len(decoded) > n:
+                got.add(decoded[n])
+        w[n] = got
+    out_p = tuple(range(horizon)) if p_target is None else tuple(p_target)
+    return TraceSystem(out_p, {n: frozenset(v) for n, v in w.items()})
+
+
+def _rescale_outcome(fn, ts, target):
+    try:
+        out = fn(ts, target)
+    except ShapeError as e:
+        return str(e)
+    return out.p, out.w
+
+
+def test_rescale_matches_the_per_position_scan():
+    # random bounds (some not starting at 0 or not increasing), blocks
+    # of parseable and unparseable codes, and targets shorter or longer
+    # than the bounds, with loose bounds so that no target refuses
+    outcomes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        p = sorted(rng.sample(range(12), rng.randint(1, 6)))
+        if rng.random() < 0.8:
+            p[0] = 0
+        if rng.random() < 0.1:
+            p.append(p[-1])
+        w = {m: frozenset(encode_tuple(tuple(rng.randrange(9) for _ in
+                                             range(rng.randint(0, 14))))
+                          if rng.random() < 0.8 else rng.randrange(64)
+                          for _ in range(rng.randint(0, 3)))
+             for m in range(len(p)) if rng.random() < 0.8}
+        ts = TraceSystem(tuple(p), {m: v for m, v in w.items()
+                                    if len(v) <= p[m]})
+        target = (None if rng.random() < 0.3 else
+                  tuple(range(4, rng.randint(4, 24))))
+        got = _rescale_outcome(rescale_trace, ts, target)
+        assert got == _rescale_outcome(_naive_rescale_trace, ts, target)
+        outcomes[type(got)] += 1
+        if isinstance(got, tuple):
+            outcomes["values"] += sum(map(len, got[1].values()))
+    assert outcomes[str] > 20 and outcomes[tuple] > 200
+    assert outcomes["values"] > 150
+
+
+def test_rescale_decodes_each_block_once():
+    # 16 codes of 1,034-entry tuples in the last of 513 blocks, rescaled
+    # to 2,048 positions: the per-position scan decoded every code again
+    # at each of the 1,024 positions past the last bound
+    rng = random.Random(5)
+    p = tuple(range(0, 1025, 2))
+    rows = [tuple(rng.randrange(100) for _ in range(1034))
+            for _ in range(16)]
+    ts = TraceSystem(p, {len(p) - 1: frozenset(map(encode_tuple, rows))})
+    t0 = time.monotonic()
+    out = rescale_trace(ts, tuple(range(2048)))
+    assert time.monotonic() - t0 < 1
+    assert all(out.values_at(n) == frozenset() for n in range(1024))
+    assert all(out.values_at(n) == {r[n] for r in rows}
+               for n in range(1024, 1034))
+    assert all(out.values_at(n) == frozenset() for n in range(1034, 2048))
 
 
 # -- spacing -------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as hst
 from branchlab import traceable, trees
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.errors import ConsistencyError, ProtocolError
-from branchlab.functionals import _at_arg, applicable, effective_axiom, table
+from branchlab.functionals import _has_axiom_at, effective_axiom, table
 from branchlab.gen import random_functional_table
 from branchlab.strings import bits_of_values, compatible
 from branchlab.traceable import (ConstructionState, ModuleId,
@@ -303,7 +303,8 @@ def _naive_successor_nodes(st, tau):
 
 
 def _naive_bounded_value(f, tau, n, steps):
-    axs = [ax for ax in applicable(f, tau, n) if ax[3] <= steps]
+    axs = [ax for ax in f.axioms
+           if ax[1] == n and tau.startswith(ax[0]) and ax[3] <= steps]
     if not axs:
         return None
     return min(axs, key=lambda ax: (ax[3], len(ax[0]), ax[0]))[2]
@@ -385,7 +386,7 @@ def _naive_act_c_module(st, side, tau, mid, adv):
     if mid.kind != "C":
         raise ProtocolError("expected a C module")
     f = _adversary_table(adv, mid.i)
-    if not _at_arg(f, mid.n):
+    if all(ax[1] != mid.n for ax in f.axioms):
         return None
     s = st.stage
     found = None
@@ -568,7 +569,7 @@ def test_c_module_without_an_axiom_at_its_argument_never_descends(
     monkeypatch.setattr(traceable, "_live_levels", counted)
     idle = 0
     for st, _, tau, mid, adv in _c_module_cases(6):
-        if _at_arg(_adversary_table(adv, mid.i), mid.n):
+        if _has_axiom_at(_adversary_table(adv, mid.i), mid.n):
             continue
         walks.clear()
         assert act_c_module(st, tau, mid, adv) is None
@@ -839,6 +840,24 @@ def test_empty_bundle_stages_dispatch_no_module(monkeypatch):
     assert len(st.nodes) == (1 << 9) - 1
     assert "act_c_module" not in calls and "act_p_module" not in calls
     assert "index" not in calls
+
+
+def test_stage_snapshot_holds_only_nodes_that_can_act(monkeypatch):
+    # against the empty bundle no node is sorted into a stage's snapshot;
+    # with one axiom at argument 0 only C(0, 0), at the root, can act,
+    # so the root is the one node sorted, once per stage
+    keys = []
+    real = traceable.lenlex_key
+    monkeypatch.setattr(traceable, "lenlex_key",
+                        lambda s: keys.append(s) or real(s))
+    for adv, want in ((EMPTY_BUNDLE, []),
+                      (bundle([table([("", 0, 5, 1)])]), [""] * 8)):
+        keys.clear()
+        st = init_state()
+        for _ in range(8):
+            st = run_stage(st, adv)
+        assert len(st.nodes) == (1 << 9) - 1
+        assert keys == want
 
 
 def test_final_node_check_reads_each_level_output_once(monkeypatch):
