@@ -397,9 +397,28 @@ class DriverResult(NamedTuple):
     branch: str
 
 
-def _splits(outs: dict[str, tuple[int, ...]], a: str, b: str) -> bool:
-    """is_splitting_pair with guarded outputs, read from outs."""
-    return not compatible(a, b) and outputs_split(outs[a], outs[b])
+def _first_split(exts: Sequence[str], outs: dict[str, tuple[int, ...]],
+                 ) -> Optional[tuple[str, str]]:
+    """The first splitting pair (a, b) of exts, taking a and then b in
+    the order of exts, or None.
+
+    Outputs grow along the tree, so two members split exactly when their
+    outputs are incomparable.  Every output is a prefix of a maximal
+    one, so it is comparable with every other exactly when there is one
+    maximal output, or it is no longer than the longest common prefix
+    of the maximal ones.  So one pass finds a and another its first
+    partner b.
+    """
+    ranked = sorted({outs[x] for x in exts})
+    tops = [o for o, nxt in zip(ranked, ranked[1:]) if nxt[:len(o)] != o]
+    if not tops:
+        return None  # one maximal output, ranked[-1]
+    first, last = tops[0], ranked[-1]
+    k = 0  # two maximal outputs are incomparable: they differ at some k
+    while first[k] == last[k]:
+        k += 1
+    a = next(x for x in exts if len(outs[x]) > k)
+    return a, next(b for b in exts if outputs_split(outs[a], outs[b]))
 
 
 def smc_driver_stage(state: tuple[str, Iterable[str]],
@@ -417,9 +436,10 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     budget.
 
     Outputs grow along the tree (the functionals module docstring's
-    lemma), so the hunt tests, per base, that the outputs above it form
-    a chain, and the greedy subtree's self-check compares sibling pairs
-    only: each is linear in the members above the base.
+    lemma).  So the hunt tests, per base, that the outputs above it form
+    a chain; the greedy finds each split in two passes over the members
+    above the leaf it splits (_first_split); and the self-check on the
+    greedy subtree compares sibling pairs only.
     """
     b_s, t_s = state
     t_s = Tree(t_s)
@@ -449,8 +469,7 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     while frontier:
         x = heappop(frontier)[1]
         exts = sort_lenlex(_lex_extensions(mems, x))
-        picked = next(((a, b) for a in exts for b in exts
-                       if _splits(outs, a, b)), None)
+        picked = _first_split(exts, outs)
         if picked is None:
             continue
         ops += 1

@@ -9,8 +9,10 @@ import pytest
 
 from branchlab import cli, suite, traceable
 from branchlab.errors import ScenarioError
+from branchlab.functionals import FunctionalTable
 from branchlab.gen import constant_psi, odd_readback_psi
 from branchlab.scenario import empty_scenario, parse_scenario
+from branchlab.smc import oplus_tree
 from branchlab.strings import string_to_nat
 from branchlab.thin import TraceSystem, encode_tuple, rescale_trace
 
@@ -582,14 +584,21 @@ def _oplus_scenario(tmp_path, a, psi):
 
 def test_smc_oracle_budget_at_its_edge(tmp_path):
     # a 13-bit oracle gives a 16,383-member tree, on which the driver
-    # stage splits all 8,191 inner members under the odd-bit readback
-    # and finds nothing to split under a constant psi; a 14-bit oracle
-    # is refused before its tree is built
+    # stage splits all 8,191 inner members under the odd-bit readback,
+    # finds nothing to split under a constant psi, and under a psi that
+    # reads the leaves alone splits the root above its first leaf; a
+    # 14-bit oracle is refused before its tree is built
     a = "10" * 6 + "1"
+    least_leaf = "".join(c + "0" for c in a)
     f = _oplus_scenario(tmp_path, a, odd_readback_psi(a))
     _at_the_edge(["run", "smc", "--budget", "8191", "--scenario", f],
-                 ["PASS\tsmc-driver\tsplitting-subtree b="
-                  + "".join(c + "0" for c in a) + " tree=16383"], 10)
+                 [f"PASS\tsmc-driver\tsplitting-subtree b={least_leaf} "
+                  "tree=16383"], 10)
+    f = _oplus_scenario(tmp_path, a, FunctionalTable(tuple(
+        (m, 0, int(m[-1]), 1) for m in oplus_tree(a) if len(m) == 26)))
+    _at_the_edge(["run", "smc", "--budget", "8191", "--scenario", f],
+                 [f"PASS\tsmc-driver\tsplitting-subtree b={least_leaf} "
+                  "tree=3"], 10)
     f = _oplus_scenario(tmp_path, a, constant_psi(a))
     _at_the_edge(["run", "smc", "--budget", "8191", "--scenario", f],
                  ["PASS\tsmc-driver\tno-splittings b=10 tree=16383"], 10)

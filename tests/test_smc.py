@@ -639,6 +639,18 @@ def _driver_cases():
         dagger = (_random_refinement(rng, img)
                   if img is not None and rng.random() < 0.5 else None)
         yield (rng.choice(sorted(t)), t), psi, 64, dagger
+    for _ in range(30):
+        # tables that read the last bit of the leaves, and perhaps of the
+        # members of one more length, only, so that the first member with
+        # a splitting partner sits deep above the base, after many
+        # members with none
+        a = "".join(rng.choice("01") for _ in range(rng.randint(2, 5)))
+        t = oplus_tree(a)
+        deep = sorted({len(a), rng.randint(1, len(a))})
+        psi = FunctionalTable(tuple(
+            (m, n, int(m[-1]), 1)
+            for n, d in enumerate(deep) for m in t if len(m) == 2 * d))
+        yield (rng.choice(("", rng.choice(sorted(t)))), t), psi, 64, None
 
 
 def test_driver_stage_matches_naive_stage():
