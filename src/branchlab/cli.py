@@ -251,8 +251,7 @@ def _require_scan_budget(length: int, max_length: int,
                          tables: Sequence[FunctionalTable]) -> None:
     """Refuse a scan that evaluates tables on all 2^(length+1) strings up
     to length, before it starts: past max_length, or past 2^21 strings
-    times axioms, as one evaluation may read every axiom at its
-    argument."""
+    times axioms."""
     if length > max_length:
         raise BudgetError(f"strings up to length {length} exceed the "
                           f"budget of length {max_length}")

@@ -728,7 +728,7 @@ def _outcome(fn, *args):
 
 def _sibling_groups(t):
     idx = _index(Tree(t))
-    return (idx.levels[0], *idx.successors.values()) if t else ()
+    return (idx.levels[0], *idx.successors.values())
 
 
 def _splitting_case(rng):
