@@ -3,11 +3,17 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench.py --out BENCH_14.json
+    python3 scripts/bench.py --out BENCH_15.json
     python3 scripts/bench.py --out /tmp/bench.json --dry-run
 
 The file records:
 
+- tier1: the wall time, exit status and passed and failed counts of
+  one run of the tier-1 tests (`python -m pytest -q
+  --continue-on-collection-errors` with src on the path);
+- acceptance: the wall time and exit status of one run of
+  tests/test_acceptance.py, and the call time of each criterion as
+  pytest's `--durations` reports it;
 - commands: the wall time (median of three runs), exit status and
   stdout sha256 of `suite fast`, `suite full --seed 0` and `run
   traceable --horizon 12/14/16`, each in a fresh interpreter;
@@ -29,6 +35,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -36,11 +43,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 1
+SCHEMA = 2
 REPEAT = 3  # runs of each command
 SEEDS = (0, 1, 2)  # one perfbench run per seed and workload
 SECONDS = 8  # per perfbench run
 WORKLOADS = ("extract", "witness", "stages", "packing")
+TIER1 = ("-q", "--continue-on-collection-errors")
+ACCEPTANCE = ("tests/test_acceptance.py",)
 COMMANDS = (
     ("suite", "fast"),
     ("suite", "full", "--seed", "0"),
@@ -64,6 +73,35 @@ def _git(*args: str):
                               text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def _pytest(args: tuple[str, ...]) -> tuple[dict, str]:
+    """One pytest run in a fresh interpreter: its wall time, exit
+    status and passed and failed counts, and its stdout."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-p",
+                           "no:cacheprovider", *args], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
+    counts = re.findall(r"(\d+) (passed|failed|errors?)\b", summary)
+    passed = sum(int(n) for n, kind in counts if kind == "passed")
+    return {"wall_s": round(wall, 3), "exit": proc.returncode,
+            "passed": passed,
+            "failed": sum(int(n) for n, _ in counts) - passed}, proc.stdout
+
+
+def tier1() -> dict:
+    return _pytest(TIER1)[0]
+
+
+def acceptance() -> dict:
+    """The acceptance run, with each test's call time in seconds."""
+    row, out = _pytest((*ACCEPTANCE, "-q", "--durations=0",
+                        "--durations-min=0"))
+    row["durations"] = {name: float(secs) for secs, name in re.findall(
+        r"^([\d.]+)s call\s+\S+::(\S+)$", out, re.M)}
+    return row
 
 
 def time_command(argv: tuple[str, ...]) -> dict:
@@ -121,6 +159,8 @@ def collect(dry_run: bool) -> dict:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "src_lines": src_lines(),
+        "tier1": tier1(),
+        "acceptance": acceptance(),
         "commands": {" ".join(argv): time_command(argv) for argv in COMMANDS},
         "perfbench": None if dry_run else {
             "seconds": SECONDS, "seeds": list(SEEDS),

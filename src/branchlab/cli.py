@@ -17,7 +17,8 @@ from .colorings import EVEN_SHAPE, bushy_level_strings, kappa
 from .cupping import SEARCH_MAX_LEVEL, bundle, find_pi_member
 from .errors import BudgetError, ProtocolError, ScenarioError
 from .functionals import (FunctionalTable, build_weak_splitting_tree,
-                          splitting_violation, weak_splitting_violation)
+                          lookup_probes, splitting_violation,
+                          weak_splitting_violation)
 from .gen import random_kappa_tree
 from .report import Report, ReportLine, _clean, errored, failed, passed
 from .scenario import (Scenario, empty_scenario, parse_scenario,
@@ -204,16 +205,33 @@ def _h_run_smc(ns, sc, rng):
                    f"tree={len(res.t_next)}")]
 
 
+MAX_FLEN = 1 << 12
+
+
+def _omega_context(ns, sc, phi: FunctionalTable) -> OmegaContext:
+    """The context of the --flen identity majorant and the oracle.
+
+    The majorant is built, checked, hashed and compared whole, so a
+    length past MAX_FLEN is refused before it is built.  Nothing is
+    lost: under the identity majorant a certified level n takes the
+    full binary tree of depth n, 2^(n+1) - 1 settled strings.
+    """
+    flen = _param(ns.flen, sc, "flen", 9)
+    if flen > MAX_FLEN:
+        raise BudgetError(f"a majorant of length {flen} exceeds the budget "
+                          f"of {MAX_FLEN}")
+    a = nat_to_string(_param(ns.oracle, sc, "oracle", 0))
+    return OmegaContext(phi, tuple(range(flen)), a)
+
+
 def _h_run_pi6(ns, sc, rng):
     phi = _functional(sc, ns.phi)
-    flen = _param(ns.flen, sc, "flen", 9)
-    a = nat_to_string(_param(ns.oracle, sc, "oracle", 0))
     stages = _param(ns.stages, sc, "stages", 3)
     # stage s walks all 2^s strings of its length: 13 stages take about
     # 1.5 s on a small profile table, and each stage doubles that
     if stages > 13:
         raise BudgetError(f"{stages} stages exceed the budget of 13")
-    ctx = OmegaContext(phi, tuple(range(flen)), a)
+    ctx = _omega_context(ns, sc, phi)
     res = enumerate_pi(ctx, stages)
     lines = []
     for m in sort_lenlex(res.final):
@@ -251,14 +269,15 @@ def _require_scan_budget(length: int, max_length: int,
                          tables: Sequence[FunctionalTable]) -> None:
     """Refuse a scan that evaluates tables on all 2^(length+1) strings up
     to length, before it starts: past max_length, or past 2^21 strings
-    times axioms."""
+    times the sigma-index probes of looking every table up once at
+    each argument."""
     if length > max_length:
         raise BudgetError(f"strings up to length {length} exceed the "
                           f"budget of length {max_length}")
     strings = 1 << max(length + 1, 0)
-    axioms = sum(len(f.axioms) for f in tables)
-    if strings * axioms > 1 << 21:
-        raise BudgetError(f"{strings} strings against {axioms} axioms "
+    probes = sum(map(lookup_probes, tables))
+    if strings * probes > 1 << 21:
+        raise BudgetError(f"{strings} strings at {probes} probes each "
                           f"exceed {1 << 21}")
 
 
@@ -266,9 +285,10 @@ def _h_check_weaksplit(ns, sc, rng):
     psi = _functional(sc, ns.psi)
     phi = _functional(sc, ns.phi)
     # with tables that converge at every argument on every oracle bit,
-    # --budget 13 takes about 2 s and each step doubles it
+    # --budget 13 takes about 2 s and each step doubles it; the verifier
+    # compares every pair of members, about 3 s for 2^10 of them
     _require_scan_budget(ns.budget, 13, (psi, phi))
-    w = build_weak_splitting_tree(psi, phi, ns.budget)
+    w = build_weak_splitting_tree(psi, phi, ns.budget, max_members=1 << 10)
     v = weak_splitting_violation(w, psi, parse_string(ns.path))
     check_id = f"weaksplit-{ns.psi}-{ns.phi}"
     return [passed(check_id, f"members={len(w.tree)}") if v is None
@@ -278,9 +298,7 @@ def _h_check_weaksplit(ns, sc, rng):
 def _h_check_theta(ns, sc, rng):
     phi = _functional(sc, ns.phi)
     st = _staged(sc, ns.staging)
-    flen = _param(ns.flen, sc, "flen", 9)
-    a = nat_to_string(_param(ns.oracle, sc, "oracle", 0))
-    ctx = OmegaContext(phi, tuple(range(flen)), a)
+    ctx = _omega_context(ns, sc, phi)
     succ = {m: frozenset(successors(st.final, m)) for m in st.final}
     tp, theta = build_tprime(ctx, st, succ)
     lines = [passed("theta-consistency", f"axioms={len(theta.axioms)}")]

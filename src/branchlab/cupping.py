@@ -11,6 +11,15 @@ and find_pi_member hunts down a node that survives the filter along
 its whole ancestor chain by thinning the full graded tree one colour
 index at a time.
 
+The chain is checked in one pass over the node's tree.  The ancestor
+at level k carries the node's tree cut at level k and the first k
+colours, and the filter at stage k rejects it exactly when some table
+i < k has a guarded value equal to colour i on some member of level
+at most k.  So a hit for colour index i on a member of tree level j
+rejects the ancestors from level max(i + 1, j) up, and the node is a
+member iff no table hits its colour anywhere in the tree; the first
+ancestor rejected is the least max(i + 1, j) over the hits.
+
 Node labels are prefix-free codes of the successor index j: binary of
 j+1 preceded by one zero per following bit.  These are pairwise
 incompatible and length-lex increasing in j, and they stay short even
@@ -28,9 +37,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .colorings import (Coloring, GRADED_SHAPE, bushy_level_strings,
                         is_compatible, ncol, extract_nice)
 from .errors import BudgetError, ProtocolError, ShapeError
-from .functionals import FunctionalTable, hat_eval
+from .functionals import FunctionalTable, hat_values
 from .strings import check_bits, show_string, sort_lenlex
-from .trees import Tree, leaves, restrict_to_level, tree_uniform_level
+from .trees import (Tree, _index, leaves, restrict_to_level,
+                    tree_uniform_level)
 
 
 def gamma_code(j: int) -> str:
@@ -218,14 +228,9 @@ def stage_filter(node: PiStarNode, adv: AdversaryBundle, s: int) -> bool:
     """
     if node.level != s:
         raise ShapeError("stage must equal the node level")
-    for i in range(min(s, len(adv.psi_i))):
-        table, cols, want = adv.psi_i[i], ncol(i), node.psi_values[i]
-        memo: dict = {}
-        for sigma in node.t_tau:
-            v = hat_eval(table, sigma, i, memo)
-            if v is not None and v < cols and v == want:
-                return False
-    return True
+    # a node's colours lie in range, so an equal value does too
+    return not any(node.psi_values[i] in hat_values(table, node.t_tau, i)
+                   for i, table in enumerate(adv.psi_i[:s]))
 
 
 def adversary_coloring(adv: AdversaryBundle, i: int,
@@ -234,10 +239,8 @@ def adversary_coloring(adv: AdversaryBundle, i: int,
     assignment: dict[str, int] = {}
     cols = ncol(i)
     if i < len(adv.psi_i):
-        table = adv.psi_i[i]
-        memo: dict = {}
-        for lf in leaf_strings:
-            v = hat_eval(table, lf, i, memo)
+        lvs = tuple(leaf_strings)
+        for lf, v in zip(lvs, hat_values(adv.psi_i[i], lvs, i)):
             if v is not None and v < cols:
                 assignment[lf] = v
     return Coloring(assignment, cols)
@@ -252,11 +255,27 @@ def ancestor_chain(node: PiStarNode) -> tuple[PiStarNode, ...]:
 
 def pi_membership_violation(node: PiStarNode,
                             adv: AdversaryBundle) -> Optional[str]:
-    for anc in ancestor_chain(node):
-        if not stage_filter(anc, adv, anc.level):
-            return (f"stage {anc.level} filter rejects "
-                    f"{show_string(anc.tau)}")
-    return None
+    """The first stage filter along the node's ancestor chain that
+    rejects its ancestor, or None: one pass over the node's tree by the
+    chain lemma of the module docstring, with one memo per table."""
+    f = node.psi_values
+    tables = adv.psi_i[:node.level]
+    memos: list[dict] = [{} for _ in tables]
+    first = None  # the least max(i + 1, j) over the hits so far
+    for j, members in enumerate(_index(node.t_tau).levels):
+        if first is not None and j >= first:
+            break
+        for i, table in enumerate(tables):
+            k = max(i + 1, j)
+            if first is not None and k >= first:
+                break
+            if f[i] in hat_values(table, members, i, memos[i]):
+                first = k
+                break
+    if first is None:
+        return None
+    return (f"stage {first} filter rejects "
+            f"{show_string(ancestor_chain(node)[first].tau)}")
 
 
 SEARCH_MAX_LEVEL = 4  # level 4 takes about 0.3 s; each level multiplies it

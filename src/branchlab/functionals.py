@@ -48,7 +48,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .errors import ConsistencyError, ShapeError
+from .errors import BudgetError, ConsistencyError, ShapeError
 from .strings import (bits_of_values, check_bits, compatible, is_prefix,
                       lenlex_key)
 from .trees import Tree, _index, sorted_members
@@ -150,6 +150,12 @@ def _has_axiom_at(f: FunctionalTable, n: int) -> bool:
     return n in f._lengths
 
 
+def lookup_probes(f: FunctionalTable) -> int:
+    """The most sigma-index probes that looking f up once at each of
+    its arguments makes: one per sigma length at the argument."""
+    return sum(map(len, f._lengths.values()))
+
+
 def _applicable(f: FunctionalTable, tau: str, n: int) -> list[Axiom]:
     """The effective axiom of each sigma at argument n that tau extends,
     shortest sigma first: one probe per sigma length up to len(tau)."""
@@ -231,6 +237,20 @@ def hat_eval(f: FunctionalTable, tau: str, n: int,
     return ax[2]
 
 
+def hat_values(f: FunctionalTable, strings: Iterable[str], n: int,
+               _memo: Optional[dict] = None) -> list[Optional[int]]:
+    """hat_eval(f, s, n) for each s, in order, evaluated once per
+    distinct prefix s[:H + n], which by the module docstring's lemma
+    fixes the value.  _memo is passed on to hat_eval, under its
+    sharing rule."""
+    if _memo is None:
+        _memo = {}
+    cut = f._horizon + n
+    cuts = [s[:cut] for s in strings]
+    value = {p: hat_eval(f, p, n, _memo) for p in dict.fromkeys(cuts)}
+    return list(map(value.__getitem__, cuts))
+
+
 def output_prefix(f: FunctionalTable, tau: str, hat: bool = False,
                   _memo: Optional[dict] = None) -> tuple[int, ...]:
     """Values at arguments 0, 1, ... while defined.
@@ -291,45 +311,52 @@ def splitting_violation(f: FunctionalTable, t: Iterable[str],
     return _splitting_violation(t, _outputs(f, t, hat=hat), delayed)
 
 
-def _siblings_split(t: Tree, outs: dict[str, tuple[int, ...]]) -> bool:
-    """Whether every two roots, and every two successors of one member,
-    split: by the module docstring's lemma, whether t is splitting."""
-    idx = _index(t)
-    for group in chain(idx.levels[:1], idx.successors.values()):
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                if not outputs_split(outs[a], outs[b]):
-                    return False
-    return True
-
-
 def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
                          delayed: bool = False) -> Optional[tuple[str, str]]:
     """splitting_violation over precomputed outputs of t's members.
 
-    In plain mode the sibling pairs decide; only a tree that fails
-    there is scanned pairwise, for the first pair to name.
+    In plain mode the sibling pairs decide, by the module docstring's
+    lemma, and the pair named is the first failing one in length-lex
+    order, which is the first failing pair of the pairwise scan: the
+    siblings below a failing pair fail too and sort no later.  Delayed
+    mode scans the pairs.
     """
-    if not delayed and _siblings_split(t, outs):
-        return None
+    if not delayed:
+        return _first_failing_sibling_pair(t, outs)
     mems = sorted_members(t)
     for i, a in enumerate(mems):
         for b in mems[i + 1:]:
             if b.startswith(a):  # a sorts first, so only a can be a prefix
                 continue
-            if delayed:
-                # a pair is exempt while either member is a successor of
-                # the branch point itself: only "grandchildren" must split
-                k = 0
-                while k < min(len(a), len(b)) and a[k] == b[k]:
-                    k += 1
-                if not any(a[:j] in t for j in range(k + 1, len(a))):
-                    continue
-                if not any(b[:j] in t for j in range(k + 1, len(b))):
-                    continue
+            # a pair is exempt while either member is a successor of
+            # the branch point itself: only "grandchildren" must split
+            k = 0
+            while k < min(len(a), len(b)) and a[k] == b[k]:
+                k += 1
+            if not any(a[:j] in t for j in range(k + 1, len(a))):
+                continue
+            if not any(b[:j] in t for j in range(k + 1, len(b))):
+                continue
             if not outputs_split(outs[a], outs[b]):
                 return (a, b)
     return None
+
+
+def _first_failing_sibling_pair(t: Tree, outs: dict[str, tuple[int, ...]]
+                                ) -> Optional[tuple[str, str]]:
+    """The length-lex first pair of roots, or of successors of one
+    member, whose outputs fail to split, or None.  Each group of
+    siblings is length-lex sorted, so its first failing pair comes
+    first."""
+    idx = _index(t)
+    fails = []
+    for group in chain(idx.levels[:1], idx.successors.values()):
+        pair = next(((a, b) for i, a in enumerate(group) for b in group[i + 1:]
+                     if not outputs_split(outs[a], outs[b])), None)
+        if pair is not None:
+            fails.append(pair)
+    return min(fails, key=lambda p: (lenlex_key(p[0]), lenlex_key(p[1])),
+               default=None)
 
 
 def is_splitting_tree(f: FunctionalTable, t: Iterable[str],
@@ -377,12 +404,15 @@ def _agreement(phi_t: FunctionalTable, psi_t: FunctionalTable,
 
 
 def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
-                              length_budget: int) -> WeakSplitWitness:
+                              length_budget: int,
+                              max_members: Optional[int] = None
+                              ) -> WeakSplitWitness:
     """Scan all strings up to the length budget for qualifying members.
 
     A string enters the tree when its composed-agreement level strictly
     exceeds that of every proper initial segment; phi records that
-    level and psi the largest oracle argument consulted below it.
+    level and psi the largest oracle argument consulted below it.  The
+    scan stops with a BudgetError once the tree grows past max_members.
     """
     agree: dict[str, int] = {}
     members: list[str] = []
@@ -397,6 +427,9 @@ def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
                        default=-1)
             agree[tau] = max(a if a is not None else -1, prev)
             if a is not None and a > prev:
+                if max_members is not None and len(members) == max_members:
+                    raise BudgetError(f"the tree grows past {max_members} "
+                                      "members")
                 members.append(tau)
                 phi_map[tau] = a
                 oracle = bits_of_values(output_prefix(psi, tau, hat=True))

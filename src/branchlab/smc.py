@@ -1,8 +1,8 @@
 """Finite-extension cover driver and the packing combinatorics behind it.
 
 A two-place table phi names, for each oracle prefix tau, a tree
-T(tau) of candidate strings.  The omega predicate certifies that
-T(tau) looks healthy up to a level, pi collects the prefixes whose
+T(tau) of candidate strings.  The certified level omega_level says up
+to which level T(tau) looks healthy, pi collects the prefixes whose
 certified level jumps by two over everything seen before, and the
 selection routine packs pairwise incompatible picks for a prefix-free
 family, paying for each settled member out of an exact budget r_m.
@@ -26,7 +26,7 @@ from .strings import (_lex_extensions, check_bits, compatible, is_prefix,
                       is_proper_prefix, lenlex_key, show_string, sort_lenlex,
                       string_to_nat)
 from .trees import (StagedTree, Tree, branching_stats, is_prefix_free,
-                    leaves, level_of, level_map, max_level, sorted_members,
+                    leaves, level_of, level_map, sorted_members,
                     successors)
 
 
@@ -44,6 +44,13 @@ class OmegaContext:
         check_bits(self.a_prefix)
         if any(b <= a for a, b in zip(self.f, self.f[1:])):
             raise ShapeError("majorant must be strictly increasing")
+        # the dataclass's hash, kept: the majorant can be long, and the
+        # omega_level cache hashes the context on every call
+        object.__setattr__(self, "_hash",
+                           hash((self.phi, self.f, self.a_prefix)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @lru_cache(maxsize=4096)
@@ -94,38 +101,39 @@ def oplus_tree(a_prefix: str) -> Tree:
     return Tree(members)
 
 
-def omega(ctx: OmegaContext, tau: str, n: int) -> bool:
-    """Certificate that the tree at tau is trustworthy up to level n.
-
-    Levels must reach n, branch exactly two ways below n, and every
-    level up to n must stay within the majorant.  Levels beyond the
-    finite majorant can never be certified.
-    """
-    if n == 0:
-        return True
-    if n >= len(ctx.f):
-        return False
-    t = t_of(ctx.phi, tau)
-    if not t or max_level(t) < n:
-        return False
-    if branching_stats(t)[2] < n:
-        return False
-    buckets = level_map(t)
-    return all(max(len(s) for s in buckets[k]) <= ctx.f[k]
-               for k in range(n + 1))
-
-
 @lru_cache(maxsize=4096)
 def omega_level(ctx: OmegaContext, tau: str) -> int:
-    for n in range(len(ctx.f) - 1, 0, -1):
-        if omega(ctx, tau, n):
-            return n
-    return 0
+    """The certified level of the tree at tau: the largest n below the
+    majorant's length such that the tree's levels reach n, branch
+    exactly two ways below n, and stay within the majorant up to n; 0
+    when there is none.
+
+    Each condition that holds at n holds below n, so this is the least
+    of len(f) - 1, the max level, the two-branching depth and the last
+    level up to which every level fits f, read off the levels in one
+    pass.
+    """
+    if len(ctx.f) < 2:
+        return 0
+    t = t_of(ctx.phi, tau)
+    if not t:
+        return 0
+    levels = level_map(t)
+    top = min(len(ctx.f) - 1, len(levels) - 1, branching_stats(t)[2])
+    # each level is length-lex sorted, so its longest member is its last
+    return max(0, next((k for k in range(top + 1)
+                        if len(levels[k][-1]) > ctx.f[k]), top + 1) - 1)
 
 
 def enumerate_pi(ctx: OmegaContext, max_stage: int) -> StagedTree:
     """Stage s admits the length-s strings whose certified level beats
-    every admitted prefix by two, with the new levels long enough."""
+    every admitted prefix by two, with the new levels long enough.
+
+    Every level from n + 2 up to the certified one is certified, and a
+    level's shortest member is longer than the level before's, so a
+    string is admitted exactly when its certified level is at least
+    n + 2 and that level's shortest member reaches the floor.
+    """
     pi = [""]
     snaps = [Tree(pi)]
     for s in range(1, max_stage + 1):
@@ -135,14 +143,12 @@ def enumerate_pi(ctx: OmegaContext, max_stage: int) -> StagedTree:
                     if is_proper_prefix(p, tau))
             if n + 2 >= len(ctx.f):
                 continue
-            t = t_of(ctx.phi, tau)
-            floor = ctx.f[n + 2]
-            buckets = level_map(t) if t else {}
-            for nn in range(n + 2, len(ctx.f)):
-                if omega(ctx, tau, nn) and all(len(s2) >= floor
-                                               for s2 in buckets[nn]):
-                    pi.append(tau)
-                    break
+            top = omega_level(ctx, tau)
+            if top < n + 2:
+                continue
+            shortest = level_map(t_of(ctx.phi, tau))[top][0]
+            if len(shortest) >= ctx.f[n + 2]:
+                pi.append(tau)
         snaps.append(Tree(pi))
     return StagedTree(tuple(snaps))
 

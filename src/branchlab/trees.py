@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MemberError, ShapeError
-from .strings import sort_lenlex
+from .strings import lenlex_key, sort_lenlex
 
 
 class _TreeIndex(NamedTuple):
@@ -137,9 +137,30 @@ def max_level(t: Iterable[str]) -> int:
 
 
 def restrict_to_level(t: Iterable[str], n: int) -> Tree:
-    """Members of level at most n."""
-    levels = _index(t).levels
-    return Tree(m for ms in levels[:max(n + 1, 0)] for m in ms)
+    """Members of level at most n, with an index sliced from t's.
+
+    A member's parent lies below it, so cutting t at level n keeps
+    every kept member's parent and level: the restriction's levels are
+    t's first n + 1, its successors are t's with the level-n members'
+    emptied, and its leaves are t's below level n plus all of level n.
+    """
+    idx = _index(t)
+    kept = idx.levels[:max(n + 1, 0)]
+    level = {m: k for k, ms in enumerate(kept) for m in ms}
+    # each level is length-lex sorted, so the levels in turn are too
+    # unless a level starts below where the one before it ends
+    if any(lenlex_key(a[-1]) > lenlex_key(b[0])
+           for a, b in zip(kept, kept[1:])):
+        level = {m: level[m] for m in sort_lenlex(level)}
+    top, succ = len(kept) - 1, idx.successors
+    kids = {m: succ[m] if k < top else () for m, k in level.items()}
+    sub = Tree(level)
+    sub._idx = _TreeIndex(
+        level=MappingProxyType(level),
+        successors=MappingProxyType(kids),
+        leaves=tuple(m for m, ks in kids.items() if not ks),
+        levels=kept)
+    return sub
 
 
 def is_prefix_free(strings: Iterable[str]) -> bool:

@@ -484,6 +484,14 @@ def _identity(depth):
             for b in "01"]
 
 
+def _ladder(depth, args):
+    """Axioms with value 0 on 0^k for every k <= depth at each argument
+    below args: depth + 1 sigma lengths, so as many probes, per
+    argument."""
+    return [f"axiom {'0' * k or 'e'} {n} 0 1" for n in range(args)
+            for k in range(depth + 1)]
+
+
 def _scan_scenario(tmp_path, axioms):
     f = tmp_path / "scan.scn"
     f.write_text("\n".join(
@@ -510,14 +518,23 @@ def test_weaksplit_scan_budget_at_its_edges(tmp_path):
     _at_the_edge(["check", "weaksplit", "--budget", "14", "--scenario", f],
                  ["ERROR\tcheck-weaksplit-error\tstrings up to length 14 "
                   "exceed the budget of length 13"], 1)
-    # the work: 2^9 strings against 2 x 2046 identity axioms run, twice
-    # as many strings are refused
+    # the members: every string up to length 9 of the identity tables
+    # is a member, 1016 of them, and the verifier compares every pair;
+    # at length 10 the scan stops as the tree passes 2^10 members
     f = _scan_scenario(tmp_path, _identity(10))
-    _at_the_edge(["check", "weaksplit", "--budget", "8", "--scenario", f],
-                 ["PASS\tweaksplit-psi-phi\tmembers=504"], 10)
     _at_the_edge(["check", "weaksplit", "--budget", "9", "--scenario", f],
-                 ["ERROR\tcheck-weaksplit-error\t1024 strings against 4092 "
-                  "axioms exceed 2097152"], 1)
+                 ["PASS\tweaksplit-psi-phi\tmembers=1016"], 10)
+    _at_the_edge(["check", "weaksplit", "--budget", "10", "--scenario", f],
+                 ["ERROR\tcheck-weaksplit-error\tthe tree grows past 1024 "
+                  "members"], 1)
+    # the work: 2^12 strings at 2 x 256 sigma-index probes run, twice as
+    # many strings are refused unscanned
+    f = _scan_scenario(tmp_path, _ladder(15, 16))
+    _at_the_edge(["check", "weaksplit", "--budget", "11", "--scenario", f],
+                 ["PASS\tweaksplit-psi-phi\tmembers=36"], 10)
+    _at_the_edge(["check", "weaksplit", "--budget", "12", "--scenario", f],
+                 ["ERROR\tcheck-weaksplit-error\t8192 strings at 512 probes "
+                  "each exceed 2097152"], 1)
 
 
 # the chain S up to 0^9 sits at levels 0 to 8 of both level trees
@@ -537,15 +554,20 @@ def test_thin_trace_scan_budget_at_its_edges(tmp_path):
                       "--scenario", f],
                      [f"ERROR\ttrace-{cmd}-error\tstrings up to length 11 "
                       "exceed the budget of length 10"], 1)
-    # the work: 2^10 strings against 2046 identity axioms run, twice as
-    # many are refused
+    # an identity psi, 2046 axioms with one sigma length per argument,
+    # costs a probe per argument and runs up to the length budget
     f = _scan_scenario(tmp_path, _identity(10))
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "10",
+                  "--scenario", f], _CHAIN_TRACE, 10)
+    # the work: 2^10 strings at 1312 sigma-index probes run, twice as
+    # many are refused
+    f = _scan_scenario(tmp_path, _ladder(40, 32))
     _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "9",
                   "--scenario", f], _CHAIN_TRACE, 10)
     _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "10",
                   "--scenario", f],
-                 ["ERROR\ttrace-from-thin-error\t2048 strings against 2046 "
-                  "axioms exceed 2097152"], 1)
+                 ["ERROR\ttrace-from-thin-error\t2048 strings at 1312 probes "
+                  "each exceed 2097152"], 1)
 
 
 def test_rescale_target_budget_at_its_edge(tmp_path):
@@ -622,3 +644,26 @@ def test_pi6_stage_budget_at_its_edge(tmp_path):
     _at_the_edge(["run", "pi6", "--stages", "14", "--scenario", str(f)],
                  ["ERROR\trun-pi6-error\t14 stages exceed the budget of 13"],
                  1)
+
+
+def test_majorant_length_budget_at_its_edge(tmp_path):
+    # a majorant of 2^12 entries is built and certifies what the default
+    # one does; one more entry is refused before the majorant is built
+    f = tmp_path / "prof.scn"
+    f.write_text(_profile_scenario())
+    scn = ["--flen", "4096", "--scenario", str(f)]
+    _at_the_edge(["run", "pi6", "--stages", "3", *scn],
+                 ["PASS\tpi6-admit-e\tstage=0 level=0",
+                  "PASS\tpi6-admit-00\tstage=2 level=2",
+                  "PASS\tpi6-admit-10\tstage=2 level=2",
+                  "PASS\tpi6-admit-100\tstage=3 level=4", "PASS\tpi6-gap"],
+                 1)
+    _at_the_edge(["check", "theta", "--staging", "G", *scn],
+                 ["PASS\ttheta-consistency\taxioms=8", "PASS\ttheta-00\t00",
+                  "PASS\ttheta-10\t10", "PASS\ttheta-100\t10,100"], 1)
+    scn[1] = "4097"
+    for cmd, extra in (("run-pi6", ["run", "pi6", "--stages", "3"]),
+                       ("check-theta", ["check", "theta", "--staging", "G"])):
+        _at_the_edge([*extra, *scn],
+                     [f"ERROR\t{cmd}-error\ta majorant of length 4097 "
+                      "exceeds the budget of 4096"], 1)

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from branchlab import cupping
-from branchlab.colorings import ncol
+from branchlab import cupping, functionals, trees
+from branchlab.colorings import Coloring, ncol
 from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                ROOT_NODE, ancestor_chain, bundle,
                                count_extension_trees,
@@ -14,9 +15,9 @@ from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                adversary_coloring, pi_survivors, realize,
                                stage_filter)
 from branchlab.errors import BudgetError, ConsistencyError, ShapeError
-from branchlab.functionals import table
-from branchlab.strings import lenlex_key
-from branchlab.trees import leaves, restrict_to_level
+from branchlab.functionals import hat_eval, table
+from branchlab.strings import lenlex_key, show_string
+from branchlab.trees import _index, leaves, restrict_to_level
 
 
 def test_gamma_code_values():
@@ -266,21 +267,153 @@ def test_leaf_colouring_memo_stays_within_the_horizon(monkeypatch):
     tab = table([(s, k, (int(s, 2) + k) % ncol(k), 1)
                  for k in range(3) for s in ("00", "01", "10", "11")])
     assert tab._horizon == 2
-    memos = []
-    real = cupping.hat_eval
-    monkeypatch.setattr(cupping, "hat_eval",
-                        lambda f, tau, n, memo: memos.append(memo)
+    calls = []
+    real = functionals.hat_eval
+    monkeypatch.setattr(functionals, "hat_eval",
+                        lambda f, tau, n, memo: calls.append((tau, n, memo))
                         or real(f, tau, n, memo))
     lvs = leaves(full_graded_tree(3))
     assert len(lvs) == 512
     for i in range(3):
-        memos.clear()
+        calls.clear()
         c = adversary_coloring(bundle([tab] * 3), i, lvs)
         assert c.assignment == {lf: (int(lf[:2], 2) + i) % ncol(i)
                                 for lf in lvs}
-        memo = memos[0]
-        assert len(memos) == 512 and all(m is memo for m in memos)
-        # the 9-bit leaves share the entries of their first 2 + i bits
+        memo = calls[0][2]
+        assert all(m is memo for _, _, m in calls)
+        # one guarded value per distinct cut prefix of the 9-bit leaves,
+        # which share the entries of their first 2 + i bits
+        asked = [tau for tau, n, _ in calls if n == i]
+        assert sorted(asked) == sorted({lf[:tab._horizon + i] for lf in lvs})
+        assert len(asked) == 1 << (tab._horizon + i)
         assert max(len(x) for x, _ in memo) == tab._horizon + i
         assert len(memo) == sum(1 << (tab._horizon + k)
                                 for k in range(i + 1))
+
+
+# The stage filter, the leaf colouring and the membership check as they
+# were before the one-pass chain check and the grouped guarded values,
+# kept as oracles: every ancestor is built and filtered, and every
+# string gets its own hat_eval call.
+
+def _naive_stage_filter(node, adv, s):
+    if node.level != s:
+        raise ShapeError("stage must equal the node level")
+    for i in range(min(s, len(adv.psi_i))):
+        tab, cols, want = adv.psi_i[i], ncol(i), node.psi_values[i]
+        memo = {}
+        for sigma in node.t_tau:
+            v = hat_eval(tab, sigma, i, memo)
+            if v is not None and v < cols and v == want:
+                return False
+    return True
+
+
+def _naive_adversary_coloring(adv, i, leaf_strings):
+    assignment = {}
+    cols = ncol(i)
+    if i < len(adv.psi_i):
+        memo = {}
+        for lf in leaf_strings:
+            v = hat_eval(adv.psi_i[i], lf, i, memo)
+            if v is not None and v < cols:
+                assignment[lf] = v
+    return Coloring(assignment, cols)
+
+
+def _naive_pi_membership_violation(node, adv):
+    for anc in _naive_ancestor_chain(node):
+        if not _naive_stage_filter(anc, adv, anc.level):
+            return (f"stage {anc.level} filter rejects "
+                    f"{show_string(anc.tau)}")
+    return None
+
+
+def _membership_cases(rng):
+    """Nodes of levels 0 to 3 with the bundles to check them against:
+    successors of small nodes, which non-empty bundles often reject at
+    some stage, and witnesses found against other bundles."""
+    level1 = pi_star_successors(ROOT_NODE)
+    nodes = [ROOT_NODE, *level1]
+    for parent in rng.sample(level1, 3):
+        nodes += rng.sample(pi_star_successors(parent, 4000), 20)
+    for n in range(4):
+        nodes += [find_pi_member(n, _random_bundle(rng, n)) for _ in range(4)]
+    for node in nodes:
+        for _ in range(3):
+            yield node, _random_bundle(rng, rng.randint(0, 4))
+        if node.level:
+            yield node, _crafted(node, rng.randrange(node.level),
+                                 rng.randint(1, node.level))
+
+
+def _crafted(node, i, j):
+    """A bundle whose table i returns colour i of the node on its tree
+    members of level j >= 1, guarded by constant axioms at the smaller
+    arguments, and whose other tables are empty: it rejects the node's
+    ancestors from level max(i + 1, j) up."""
+    hits = _index(node.t_tau).levels[j]
+    tab = table([("", a, 0, 1) for a in range(i)]
+                + [(m, i, node.psi_values[i], 1) for m in hits])
+    return bundle([table([])] * i + [tab])
+
+
+def test_membership_check_matches_the_ancestor_chain_filters():
+    rng = random.Random(41)
+    seen = Counter()
+    for node, adv in _membership_cases(rng):
+        got = pi_membership_violation(node, adv)
+        assert got == _naive_pi_membership_violation(node, adv)
+        assert stage_filter(node, adv, node.level) == \
+            _naive_stage_filter(node, adv, node.level)
+        seen[node.level, got is None] += 1
+        if got is not None:
+            seen["stage", int(got.split()[1])] += 1
+    # every level passes and fails, and failures name stages 1 to 3
+    assert all(seen[n, ok] for n in range(1, 4) for ok in (True, False)), seen
+    assert all(seen["stage", k] for k in (1, 2, 3)), seen
+
+
+def test_grouped_colouring_matches_per_leaf_colouring():
+    rng = random.Random(43)
+    lvs = leaves(full_graded_tree(3))
+    for _ in range(20):
+        adv = _random_bundle(rng, 3)
+        for i in range(4):
+            sub = rng.sample(lvs, rng.randint(0, 64))
+            for strings in (lvs, sub):
+                assert adversary_coloring(adv, i, iter(strings)) == \
+                    _naive_adversary_coloring(adv, i, strings)
+
+
+def test_passing_membership_check_builds_no_index_and_no_node(monkeypatch):
+    rng = random.Random(47)
+    cases = [(find_pi_member(3, adv), adv)
+             for adv in [EMPTY_BUNDLE] + [_random_bundle(rng, 3)
+                                          for _ in range(5)]]
+    builds, nodes = [], []
+    real_build = trees._build_index
+    monkeypatch.setattr(trees, "_build_index",
+                        lambda t: builds.append(t) or real_build(t))
+    real_init = PiStarNode.__post_init__
+    monkeypatch.setattr(PiStarNode, "__post_init__",
+                        lambda nd: nodes.append(nd) or real_init(nd))
+    for node, adv in cases:
+        assert pi_membership_violation(node, adv) is None
+    assert builds == [] and nodes == []
+
+
+def test_witness_search_builds_no_index_for_a_restriction(monkeypatch):
+    # the three thinned trees and nothing else: realize and both
+    # membership checks slice their restrictions from the node's index
+    full_graded_tree(3)
+    builds = []
+    real_build = trees._build_index
+    monkeypatch.setattr(trees, "_build_index",
+                        lambda t: builds.append(len(t)) or real_build(t))
+    rng = random.Random(53)
+    for adv in [EMPTY_BUNDLE] + [_random_bundle(rng, 3) for _ in range(3)]:
+        builds.clear()
+        node = find_pi_member(3, adv)
+        assert pi_membership_violation(node, adv) is None
+        assert len(builds) == 3 and builds[-1] == len(node.t_tau)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -784,6 +785,26 @@ def test_splitting_check_compares_each_sibling_pair_once(monkeypatch):
             calls.clear()
             assert is_splitting_tree(psi, t, hat=hat)
             assert len(calls) == len(t) // 2
+
+
+def test_failing_splitting_check_names_its_pair_in_one_pass(monkeypatch):
+    # the odd-bit readback on a 2,047-member oplus tree, with the
+    # lex-last leaf pair reading one value: the pairwise scan took over
+    # a second to name that pair, the sibling pass compares each of the
+    # 1,023 sibling pairs once
+    a = "1011011101"
+    t = oplus_tree(a)
+    last = max(m for m in t if len(m) == 2 * len(a))
+    psi = table((s, n, 0 if s == last else v, k)
+                for s, n, v, k in odd_readback_psi(a).axioms)
+    calls = []
+    real = branchlab.functionals.outputs_split
+    monkeypatch.setattr(branchlab.functionals, "outputs_split",
+                        lambda x, y: calls.append(1) or real(x, y))
+    t0 = time.monotonic()
+    assert splitting_violation(psi, t) == (last[:-1] + "0", last)
+    assert time.monotonic() - t0 < 0.5
+    assert len(t) == 2047 and len(calls) == len(t) // 2
 
 
 @given(st.lists(st.integers(0, 2), max_size=5),

@@ -37,9 +37,22 @@ def test_script_runs_and_prints_its_pinned_line(script, args, line):
 
 
 def _check_bench_schema(record):
-    assert set(record) == {"schema", "head", "dirty", "python", "cpu_count",
-                           "src_lines", "commands", "perfbench"}
-    assert record["schema"] == 1
+    # schema 2 adds the tier-1 run and the acceptance durations
+    keys = {"schema", "head", "dirty", "python", "cpu_count", "src_lines",
+            "commands", "perfbench"}
+    assert record["schema"] in (1, 2)
+    if record["schema"] == 2:
+        keys |= {"tier1", "acceptance"}
+        for row in (record["tier1"], record["acceptance"]):
+            assert {"wall_s", "exit", "passed", "failed"} <= set(row)
+            assert row["wall_s"] > 0 and row["exit"] == 0
+            assert row["passed"] > 0 and row["failed"] == 0
+        durations = record["acceptance"]["durations"]
+        assert set(record["acceptance"]) == {"wall_s", "exit", "passed",
+                                             "failed", "durations"}
+        assert len(durations) == record["acceptance"]["passed"]
+        assert all(secs >= 0 for secs in durations.values())
+    assert set(record) == keys
     assert record["head"] is None or re.fullmatch("[0-9a-f]{40}",
                                                   record["head"])
     assert isinstance(record["dirty"], bool)
@@ -72,11 +85,20 @@ def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "COMMANDS", (
         ("suite", "fast"), ("run", "traceable", "--horizon", "6")))
     monkeypatch.setattr(bench, "REPEAT", 1)
+    # and one quick test file for each pytest run, which must not run
+    # this test again
+    quick = "tests/test_dead_code.py"
+    monkeypatch.setattr(bench, "TIER1", ("-q", quick))
+    monkeypatch.setattr(bench, "ACCEPTANCE", (quick,))
     out = tmp_path / "bench.json"
     assert bench.main(["--dry-run", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     _check_bench_schema(record)
-    assert record["perfbench"] is None
+    assert record["schema"] == 2 and record["perfbench"] is None
+    assert record["tier1"]["passed"] == 2
+    assert set(record["acceptance"]["durations"]) == {
+        "test_every_public_definition_has_a_caller",
+        "test_kept_helpers_are_still_defined_and_otherwise_unused"}
     assert list(record["commands"]) == ["suite fast",
                                         "run traceable --horizon 6"]
     assert record["commands"]["suite fast"]["sha256"] == (
@@ -91,3 +113,7 @@ def test_committed_bench_files_have_the_schema():
         _check_bench_schema(record)
         assert record["perfbench"] is not None
         assert len(record["commands"]) == 5
+        if record["schema"] == 2:
+            assert sorted(record["acceptance"]["durations"]) == re.findall(
+                r"^def (test_criterion_\w+)",
+                (ROOT / "tests" / "test_acceptance.py").read_text(), re.M)

@@ -21,7 +21,7 @@ from branchlab.gen import (constant_psi, odd_readback_psi, phi_for_profile,
                            random_functional_table, random_selection_scenario,
                            staged_context)
 from branchlab.smc import (OmegaContext, ThetaAxioms, build_tprime,
-                           enumerate_pi, omega, omega_level,
+                           enumerate_pi, omega_level,
                            oplus_tree, select_extensions, smc_driver_stage,
                            t_of, theta_decode)
 from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
@@ -29,7 +29,7 @@ from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
                                string_to_nat)
 from branchlab.thin import is_thin
 from branchlab.trees import (StagedTree, Tree, branching_stats, leaves,
-                             level_of, max_level, successors)
+                             level_map, level_of, max_level, successors)
 
 
 def all_strings(n):
@@ -90,6 +90,123 @@ class TestOplus:
 
 
 # -- certificates ------------------------------------------------------------
+
+# The certificate predicate, the top-down search for the certified level
+# and the enumeration that tried every certified level, which the
+# one-pass certified level replaced, kept as oracles.
+
+def omega(ctx, tau, n):
+    if n == 0:
+        return True
+    if n >= len(ctx.f):
+        return False
+    t = t_of(ctx.phi, tau)
+    if not t or max_level(t) < n:
+        return False
+    if branching_stats(t)[2] < n:
+        return False
+    buckets = level_map(t)
+    return all(max(len(s) for s in buckets[k]) <= ctx.f[k]
+               for k in range(n + 1))
+
+
+def _naive_omega_level(ctx, tau):
+    for n in range(len(ctx.f) - 1, 0, -1):
+        if omega(ctx, tau, n):
+            return n
+    return 0
+
+
+def _naive_enumerate_pi(ctx, max_stage):
+    pi = [""]
+    snaps = [Tree(pi)]
+    for s in range(1, max_stage + 1):
+        for bits in product("01", repeat=s):
+            tau = "".join(bits)
+            n = max(_naive_omega_level(ctx, p) for p in pi
+                    if is_proper_prefix(p, tau))
+            if n + 2 >= len(ctx.f):
+                continue
+            t = t_of(ctx.phi, tau)
+            floor = ctx.f[n + 2]
+            buckets = level_map(t) if t else {}
+            for nn in range(n + 2, len(ctx.f)):
+                if omega(ctx, tau, nn) and all(len(s2) >= floor
+                                               for s2 in buckets[nn]):
+                    pi.append(tau)
+                    break
+        snaps.append(Tree(pi))
+    return StagedTree(tuple(snaps))
+
+
+def _random_members(rng, depth):
+    """A tree rooted at the empty string whose members have at most two
+    successors each, one to three bits longer; now and then a stray
+    string is added, which t_of may refuse."""
+    members, todo = {""}, [""]
+    while todo:
+        x = todo.pop()
+        for _ in range(rng.choice((0, 1, 2, 2, 2))):
+            y = x + "".join(rng.choice("01")
+                            for _ in range(rng.choice((1, 1, 2, 3))))
+            if len(y) <= depth and y not in members and not any(
+                    m != x and m.startswith(x) and (
+                        y.startswith(m) or m.startswith(y))
+                    for m in members):
+                members.add(y)
+                todo.append(y)
+    if rng.random() < 0.1:
+        members.add("".join(rng.choice("01")
+                            for _ in range(rng.randint(1, depth))))
+    if rng.random() < 0.05:
+        members.discard("")
+    return members
+
+
+def _random_context(rng):
+    """A profile of a few checkpoints, each a full depth or a random
+    tree, under a random strictly increasing majorant."""
+    while True:
+        profile = {}
+        for c in rng.sample(all_strings(3), rng.randint(1, 5)):
+            profile[c] = (rng.randint(0, 4) if rng.random() < 0.3
+                          else _random_members(rng, rng.randint(1, 7)))
+        try:
+            phi = phi_for_profile(profile)
+        except ShapeError:
+            continue
+        f, x = [], rng.randint(0, 2)
+        for _ in range(rng.randint(0, 9)):
+            f.append(x)
+            x += rng.choice((1, 1, 2, 3))
+        return OmegaContext(phi, tuple(f))
+
+
+def test_certified_level_matches_the_top_down_search():
+    rng = random.Random(17)
+    levels = set()
+    for _ in range(300):
+        ctx = _random_context(rng)
+        for tau in all_strings(4):
+            got = _outcome(omega_level, ctx, tau)
+            assert got == _outcome(_naive_omega_level, ctx, tau)
+            levels.add(got[1] if got[0] == "ok" else got[0])
+    assert levels >= {0, 1, 2, 3, 4, "ShapeError"}, levels
+
+
+def test_enumeration_matches_trying_every_certified_level():
+    rng = random.Random(19)
+    admitted = 0
+    for _ in range(150):
+        # depth profiles under the identity majorant admit more often
+        ctx = _random_context(rng) if rng.random() < 0.5 else staged_context(
+            {c: rng.randint(0, 2 * len(c) + 1)
+             for c in rng.sample(all_strings(3), rng.randint(1, 8))})
+        got = _outcome(enumerate_pi, ctx, 4)
+        assert got == _outcome(_naive_enumerate_pi, ctx, 4)
+        admitted += got[0] == "ok" and len(got[1].final) > 1
+    assert admitted > 20
+
 
 class TestOmega:
     def test_level_zero_holds_unconditionally(self):

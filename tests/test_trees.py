@@ -125,6 +125,32 @@ def _check_against_naive_scans(t, members):
             m for m in members if levels[m] <= n)
 
 
+def _index_items(idx):
+    """An index as plain data, mapping order included."""
+    return (list(idx.level.items()), list(idx.successors.items()),
+            idx.leaves, idx.levels)
+
+
+@given(st.lists(bitstrings, max_size=16), st.integers(-2, 7))
+def test_restriction_index_matches_a_fresh_build(members, n):
+    # several roots and members of one level at many lengths come up
+    t = Tree(members)
+    sub = restrict_to_level(t, n)
+    assert sub._idx is not None
+    assert _index_items(sub._idx) == _index_items(trees._build_index(sub))
+    assert sub == frozenset(m for m in t if level_of(t, m) <= n)
+
+
+def test_restriction_builds_no_index(monkeypatch):
+    t = Tree(["", "0", "1", "000", "01", "010", "1111"])
+    leaves(t)
+    builds = _count_builds(monkeypatch)
+    for n in range(-1, 5):
+        sub = restrict_to_level(t, n)
+        leaves(sub), level_map(sub), restrict_to_level(sub, n - 1)
+    assert builds == []
+
+
 def test_tree_wraps_once_and_stays_a_set():
     t = Tree(["", "0", "1"])
     assert Tree(t) is t
