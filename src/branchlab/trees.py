@@ -56,14 +56,22 @@ def _build_index(t: frozenset[str]) -> _TreeIndex:
 
     Members are visited in length-lex order, so every parent is placed
     before its children and each successor list and level list comes
-    out sorted.  Everything returned is read-only.
+    out sorted.  A parent's length is that of some earlier member, so
+    only those lengths are probed, longest first.  Everything returned
+    is read-only.
     """
     level: dict[str, int] = {}
     kids: dict[str, list[str]] = {}
     levels: list[list[str]] = []
+    shorter: list[int] = []  # the member lengths below the current one
+    length = -1
     for m in sort_lenlex(t):
+        if len(m) != length:
+            if length >= 0:
+                shorter.insert(0, length)
+            length = len(m)
         lv = 0
-        for k in range(len(m) - 1, -1, -1):
+        for k in shorter:
             p = m[:k]
             if p in t:
                 lv = level[p] + 1
@@ -123,13 +131,14 @@ def _nonempty_index(t: Iterable[str]) -> _TreeIndex:
 def tree_uniform_level(t: Iterable[str]) -> Optional[int]:
     """The common level of all leaves, or None if leaves disagree.
 
-    A tree "of level n" has every leaf at level n.
+    A tree "of level n" has every leaf at level n.  The members of the
+    top level are all leaves, so the leaves agree exactly when there
+    are no others.
     """
     idx = _nonempty_index(t)
-    lv = {idx.level[m] for m in idx.leaves}
-    if len(lv) != 1:
+    if len(idx.leaves) != len(idx.levels[-1]):
         return None
-    return lv.pop()
+    return len(idx.levels) - 1
 
 
 def max_level(t: Iterable[str]) -> int:
