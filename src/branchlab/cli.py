@@ -285,10 +285,9 @@ def _h_check_weaksplit(ns, sc, rng):
     psi = _functional(sc, ns.psi)
     phi = _functional(sc, ns.phi)
     # with tables that converge at every argument on every oracle bit,
-    # --budget 13 takes about 2 s and each step doubles it; the verifier
-    # compares every pair of members, about 3 s for 2^10 of them
+    # --budget 13 takes about 2 s and each step doubles it
     _require_scan_budget(ns.budget, 13, (psi, phi))
-    w = build_weak_splitting_tree(psi, phi, ns.budget, max_members=1 << 10)
+    w = build_weak_splitting_tree(psi, phi, ns.budget)
     v = weak_splitting_violation(w, psi, parse_string(ns.path))
     check_id = f"weaksplit-{ns.psi}-{ns.phi}"
     return [passed(check_id, f"members={len(w.tree)}") if v is None

@@ -403,16 +403,20 @@ def _agreement(phi_t: FunctionalTable, psi_t: FunctionalTable,
     return best
 
 
+# weak_splitting_violation compares every pair of members: about 3 s
+# for this many
+WEAK_MAX_MEMBERS = 1 << 10
+
+
 def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
-                              length_budget: int,
-                              max_members: Optional[int] = None
-                              ) -> WeakSplitWitness:
+                              length_budget: int) -> WeakSplitWitness:
     """Scan all strings up to the length budget for qualifying members.
 
     A string enters the tree when its composed-agreement level strictly
     exceeds that of every proper initial segment; phi records that
     level and psi the largest oracle argument consulted below it.  The
-    scan stops with a BudgetError once the tree grows past max_members.
+    scan stops with a BudgetError once the tree would grow past
+    WEAK_MAX_MEMBERS.
     """
     agree: dict[str, int] = {}
     members: list[str] = []
@@ -427,9 +431,9 @@ def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
                        default=-1)
             agree[tau] = max(a if a is not None else -1, prev)
             if a is not None and a > prev:
-                if max_members is not None and len(members) == max_members:
-                    raise BudgetError(f"the tree grows past {max_members} "
-                                      "members")
+                if len(members) == WEAK_MAX_MEMBERS:
+                    raise BudgetError(f"the tree grows past "
+                                      f"{WEAK_MAX_MEMBERS} members")
                 members.append(tau)
                 phi_map[tau] = a
                 oracle = bits_of_values(output_prefix(psi, tau, hat=True))
