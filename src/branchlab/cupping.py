@@ -261,17 +261,11 @@ def pi_membership_violation(node: PiStarNode,
     f = node.psi_values
     tables = adv.psi_i[:node.level]
     memos: list[dict] = [{} for _ in tables]
-    first = None  # the least max(i + 1, j) over the hits so far
-    for j, members in enumerate(_index(node.t_tau).levels):
-        if first is not None and j >= first:
-            break
-        for i, table in enumerate(tables):
-            k = max(i + 1, j)
-            if first is not None and k >= first:
-                break
-            if f[i] in hat_values(table, members, i, memos[i]):
-                first = k
-                break
+    first = min((max(i + 1, j)
+                 for j, members in enumerate(_index(node.t_tau).levels)
+                 for i, table in enumerate(tables)
+                 if f[i] in hat_values(table, members, i, memos[i])),
+                default=None)
     if first is None:
         return None
     return (f"stage {first} filter rejects "

@@ -345,17 +345,13 @@ def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
 def _first_failing_sibling_pair(t: Tree, outs: dict[str, tuple[int, ...]]
                                 ) -> Optional[tuple[str, str]]:
     """The length-lex first pair of roots, or of successors of one
-    member, whose outputs fail to split, or None.  Each group of
-    siblings is length-lex sorted, so its first failing pair comes
-    first."""
+    member, whose outputs fail to split, or None."""
     idx = _index(t)
-    fails = []
-    for group in chain(idx.levels[:1], idx.successors.values()):
-        pair = next(((a, b) for i, a in enumerate(group) for b in group[i + 1:]
-                     if not outputs_split(outs[a], outs[b])), None)
-        if pair is not None:
-            fails.append(pair)
-    return min(fails, key=lambda p: (lenlex_key(p[0]), lenlex_key(p[1])),
+    return min(((a, b)
+                for group in chain(idx.levels[:1], idx.successors.values())
+                for i, a in enumerate(group) for b in group[i + 1:]
+                if not outputs_split(outs[a], outs[b])),
+               key=lambda pair: (lenlex_key(pair[0]), lenlex_key(pair[1])),
                default=None)
 
 

@@ -787,6 +787,24 @@ def test_splitting_check_compares_each_sibling_pair_once(monkeypatch):
             assert len(calls) == len(t) // 2
 
 
+@pytest.mark.parametrize("hat", [False, True])
+def test_sibling_pass_names_the_pairwise_scans_pair_on_oplus_trees(hat):
+    # the odd-bit readback with a few values flipped fails at sibling
+    # pairs all over the tree; both name the same first pair
+    fails = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        a = "".join(rng.choice("01") for _ in range(rng.randint(1, 5)))
+        flips = rng.randint(0, 3)
+        psi = table((s, n, v ^ (rng.random() < flips / 16), k)
+                    for s, n, v, k in odd_readback_psi(a).axioms)
+        t = oplus_tree(a)
+        got = splitting_violation(psi, t, hat=hat)
+        assert got == _naive_splitting_violation(psi, t, hat=hat)
+        fails += got is not None
+    assert 20 < fails < 80
+
+
 def test_failing_splitting_check_names_its_pair_in_one_pass(monkeypatch):
     # the odd-bit readback on a 2,047-member oplus tree, with the
     # lex-last leaf pair reading one value: the pairwise scan took over
