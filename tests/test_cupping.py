@@ -350,8 +350,9 @@ def _membership_cases(rng):
 def _crafted(node, i, j):
     """A bundle whose table i returns colour i of the node on its tree
     members of level j >= 1, guarded by constant axioms at the smaller
-    arguments, and whose other tables are empty: it rejects the node's
-    ancestors from level max(i + 1, j) up."""
+    arguments, and whose other tables are empty: where the guard lets
+    those values through, it rejects the node's ancestors from level
+    max(i + 1, j) up."""
     hits = _index(node.t_tau).levels[j]
     tab = table([("", a, 0, 1) for a in range(i)]
                 + [(m, i, node.psi_values[i], 1) for m in hits])

@@ -133,7 +133,6 @@ def _index_items(idx):
 
 @given(st.lists(bitstrings, max_size=16), st.integers(-2, 7))
 def test_restriction_index_matches_a_fresh_build(members, n):
-    # several roots and members of one level at many lengths come up
     t = Tree(members)
     sub = restrict_to_level(t, n)
     assert sub._idx is not None
@@ -142,13 +141,15 @@ def test_restriction_index_matches_a_fresh_build(members, n):
 
 
 def test_restriction_builds_no_index(monkeypatch):
+    # level 2 ends with 1111, past level 3's 010 in length-lex order
     t = Tree(["", "0", "1", "000", "01", "010", "1111"])
     leaves(t)
     builds = _count_builds(monkeypatch)
-    for n in range(-1, 5):
-        sub = restrict_to_level(t, n)
-        leaves(sub), level_map(sub), restrict_to_level(sub, n - 1)
+    subs = [restrict_to_level(t, n) for n in range(-1, 5)]
+    subs += [restrict_to_level(sub, 2) for sub in subs]
     assert builds == []
+    for sub in subs:
+        assert _index_items(sub._idx) == _index_items(trees._build_index(sub))
 
 
 def test_tree_wraps_once_and_stays_a_set():
