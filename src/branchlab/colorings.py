@@ -22,7 +22,14 @@ work on ranks alone and read strings only for what they return.
 is_compatible, the input check of extract_nice and of the witness
 search's nodes, reads the tree index (trees._index) level by level:
 the member lengths and successor counts it checks are the index's
-levels and successor map, and f is called once per level.
+levels and successor map, and f is called once per level.  The
+verdict is kept in the index's memo, keyed by the shape and f's value
+at each level, so a Tree is scanned once per question: the witness
+search's cached full graded tree once per process, and its final tree
+once for realize and the node it makes.  extract_nice holds every
+level of its result as a rank-ordered list, with the kept successors
+of each member, so it hands its result that index
+(trees._with_index) rather than leaving it to be rebuilt.
 
 verify_extraction checks the extracted tree by the shape rather than
 by a tree index: trees.graded_successor_counts places every member on
@@ -44,8 +51,8 @@ from typing import Callable, Iterable, Optional
 from .errors import BudgetError, ShapeError
 # level_of is not called here; the benchmark's tracer test checks that
 # tracing restores colorings.level_of
-from .trees import (Tree, _index, graded_successor_counts,  # noqa: F401
-                    level_map, level_of, tree_uniform_level)
+from .trees import (Tree, _TreeIndex, _index, _with_index,  # noqa: F401
+                    graded_successor_counts, level_of, tree_uniform_level)
 
 EVEN = "even"
 GRADED = "graded"
@@ -146,11 +153,20 @@ def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
     idx = _index(sub)
     if not idx.levels:
         return False
+    key = (shape, tuple(map(f, range(len(idx.levels)))))
+    ok = idx.memo.get(key)
+    if ok is None:
+        ok = idx.memo[key] = _compatible_scan(shape, idx, key[1])
+    return ok
+
+
+def _compatible_scan(shape: BushyShape, idx: _TreeIndex,
+                     fans: tuple[int, ...]) -> bool:
     # a successor sits one tree level down, so checking every member's
     # own length also places each successor on the next shape level
     succ = idx.successors
-    for lv, members in enumerate(idx.levels):
-        want, fan = shape.level_length(lv), f(lv)
+    for lv, (members, fan) in enumerate(zip(idx.levels, fans)):
+        want = shape.level_length(lv)
         for m in members:
             if len(m) != want:
                 return False
@@ -239,27 +255,38 @@ def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
     n = tree_uniform_level(t0)
     if n is None:
         raise ShapeError("leaves sit at mixed levels")
-    lm = level_map(t0)  # every member below level n has kappa(i, k) kids
+    idx = _index(t0)
+    lm = idx.levels  # every member below level n has kappa(i, k) kids
     per_level = {n: list(map(c.assignment.get, lm[n], repeat(_BLANK)))}
     for k in range(n - 1, i - 1, -1):
         per_level[k] = _majority_step(per_level[k + 1], kappa(i, k))
     base_level = min(n, i)
     base_cols = set(per_level[base_level])
     d = next(x for x in range(ncol(i)) if x not in base_cols)
-    t1 = [m for k in range(base_level + 1) for m in lm[k]]
+    # t1 keeps levels up to base_level whole and below them picks
+    # successors by rank, so each of its levels and successor tuples
+    # comes out lex-sorted, and its levels in turn length-lex sorted
+    levels = list(lm[:base_level + 1])
+    kids = {m: idx.successors[m] for ms in levels[:-1] for m in ms}
     frontier = range(len(lm[base_level]))  # ranks of the picked members
     for k in range(base_level, n):
         fan, want, below = kappa(i, k), kappa(i + 1, k), per_level[k + 1]
+        row, up = lm[k], lm[k + 1]
         nxt: list[int] = []
         for r in frontier:
             ok = [x for x in range(fan * r, fan * r + fan) if below[x] != d]
             if len(ok) < want:
                 raise ShapeError(
-                    f"not enough clean successors under {lm[k][r]!r}")
-            nxt += ok[:want]
-        t1 += [lm[k + 1][x] for x in nxt]
+                    f"not enough clean successors under {row[r]!r}")
+            del ok[want:]
+            kids[row[r]] = tuple(map(up.__getitem__, ok))
+            nxt += ok
+        levels.append(tuple(map(up.__getitem__, nxt)))
         frontier = nxt
-    return d, Tree(t1)
+    top = levels[-1]  # every leaf of t0 is on level n, and so of t1
+    kids.update(dict.fromkeys(top, ()))
+    level = {m: k for k, ms in enumerate(levels) for m in ms}
+    return d, _with_index(level, kids, top, tuple(levels))
 
 
 def verify_extraction(shape: BushyShape, f_target: Fanout, n: int,

@@ -283,18 +283,6 @@ def outputs_split(a_out: tuple[int, ...], b_out: tuple[int, ...]) -> bool:
     return a_out[:len(b_out)] != b_out[:len(a_out)]
 
 
-def is_splitting_pair(f: FunctionalTable, a: str, b: str,
-                      hat: bool = False) -> bool:
-    """True iff the outputs on a and b disagree at a common argument.
-
-    Only incompatible strings can form a splitting pair.
-    """
-    if compatible(a, b):
-        raise ShapeError(f"{a!r} and {b!r} are compatible")
-    return outputs_split(output_prefix(f, a, hat=hat),
-                         output_prefix(f, b, hat=hat))
-
-
 def splitting_violation(f: FunctionalTable, t: Iterable[str],
                         delayed: bool = False,
                         hat: bool = False) -> Optional[tuple[str, str]]:
@@ -532,14 +520,6 @@ def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]],
     img = Tree(bits_of_values(outs[m]) for m in t)
     _require_two_branching(img, "image output")
     return img
-
-
-def pullback_tree(f: FunctionalTable, t0: Iterable[str], t2: Iterable[str],
-                  hat: bool = False) -> Tree:
-    """Members of t0 whose outputs land in t2."""
-    t0 = Tree(t0)
-    t2 = Tree(t2)
-    return _pullback_tree(t0, t2, _checked_outputs(f, t0, hat))
 
 
 def _pullback_tree(t0: Tree, t2: Tree, outs: dict[str, tuple[int, ...]],

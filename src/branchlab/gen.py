@@ -137,13 +137,6 @@ def odd_readback_psi(a_prefix: str) -> FunctionalTable:
     return FunctionalTable(tuple(axioms))
 
 
-def constant_psi(a_prefix: str, value: int = 0) -> FunctionalTable:
-    """Same support, constant outputs: nothing ever splits."""
-    axioms = [(m, len(m) // 2 - 1, value, 1)
-              for m in oplus_tree(a_prefix) if m]
-    return FunctionalTable(tuple(axioms))
-
-
 def random_functional_table(rng: random.Random, axioms: int = 10,
                             max_sigma_len: int = 4, max_arg: int = 3,
                             max_value: int = 9,

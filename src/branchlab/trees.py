@@ -15,6 +15,12 @@ parent.  Every query here also accepts any iterable of strings and
 wraps it in a fresh Tree, whose index lives only as long as that call:
 a caller that queries one set more than once should keep a Tree, which
 is what every tree constructor in the package returns.
+
+Two constructors hand their result an index instead of leaving it to
+be built: restrict_to_level slices its parent's index, and
+colorings.extract_nice lays its result out level by level as it thins
+its input.  The index also holds a memo, which lives exactly as long
+as the tree, for answers other modules derive from the index.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ class _TreeIndex(NamedTuple):
     successors: Mapping[str, tuple[str, ...]]
     leaves: tuple[str, ...]
     levels: tuple[tuple[str, ...], ...]  # levels[n]: level-n members
+    memo: dict  # answers derived from this index, such as is_compatible's
 
 
 class Tree(frozenset):
@@ -87,7 +94,20 @@ def _build_index(t: frozenset[str]) -> _TreeIndex:
         level=MappingProxyType(level),
         successors=MappingProxyType(succ),
         leaves=tuple(m for m, ks in succ.items() if not ks),
-        levels=tuple(map(tuple, levels)))
+        levels=tuple(map(tuple, levels)),
+        memo={})
+
+
+def _with_index(level: dict[str, int], kids: dict[str, tuple[str, ...]],
+                leaves: tuple[str, ...],
+                levels: tuple[tuple[str, ...], ...]) -> Tree:
+    """The Tree of level's keys, handed the index its constructor laid
+    out: the caller vouches that it is the one _build_index would
+    build, mapping order included."""
+    t = Tree(level)
+    t._idx = _TreeIndex(MappingProxyType(level), MappingProxyType(kids),
+                        leaves, levels, {})
+    return t
 
 
 def _index(t: Iterable[str]) -> _TreeIndex:
@@ -163,13 +183,8 @@ def restrict_to_level(t: Iterable[str], n: int) -> Tree:
         level = {m: level[m] for m in sort_lenlex(level)}
     top, succ = len(kept) - 1, idx.successors
     kids = {m: succ[m] if k < top else () for m, k in level.items()}
-    sub = Tree(level)
-    sub._idx = _TreeIndex(
-        level=MappingProxyType(level),
-        successors=MappingProxyType(kids),
-        leaves=tuple(m for m, ks in kids.items() if not ks),
-        levels=kept)
-    return sub
+    return _with_index(level, kids,
+                       tuple(m for m, ks in kids.items() if not ks), kept)
 
 
 def is_prefix_free(strings: Iterable[str]) -> bool:
@@ -215,42 +230,6 @@ class StagedTree:
         if not self.stages:
             raise ShapeError("staged tree with no stages")
         return self.stages[-1]
-
-
-def staged_ce_violation(st: StagedTree, weak: bool = False) -> Optional[str]:
-    """First violation of the enumeration discipline, or None.
-
-    Plain mode: one string at stage 0 and every later string extends a
-    leaf of the previous snapshot.  Weak mode: stage 0 is exactly the
-    root, at most one string arrives per stage, and each arrival is a
-    leaf of the snapshot it joins.
-    """
-    stages = st.stages
-    if not stages:
-        return "no stages"
-    if weak:
-        if stages[0] != frozenset({""}):
-            return "stage 0 must be exactly the empty string"
-    else:
-        if len(stages[0]) != 1:
-            return "stage 0 must hold exactly one string"
-    for s in range(1, len(stages)):
-        prev, cur = stages[s - 1], stages[s]
-        if not prev <= cur:
-            gone = sort_lenlex(prev - cur)[0]
-            return f"stage {s} dropped {gone!r}"
-        new = cur - prev
-        if weak and len(new) > 1:
-            return f"stage {s} added {len(new)} strings"
-        for tau in sort_lenlex(new):
-            if weak:
-                if successors(cur, tau):
-                    return f"stage {s}: {tau!r} is not a leaf of its snapshot"
-            else:
-                prev_leaves = leaves(prev) if prev else ()
-                if not any(tau.startswith(lf) and tau != lf for lf in prev_leaves):
-                    return f"stage {s}: {tau!r} extends no leaf of the previous snapshot"
-    return None
 
 
 def sorted_members(t: Iterable[str]) -> tuple[str, ...]:

@@ -10,11 +10,12 @@ import pytest
 from branchlab import cli, suite, traceable
 from branchlab.errors import ScenarioError
 from branchlab.functionals import FunctionalTable
-from branchlab.gen import constant_psi, odd_readback_psi
+from branchlab.gen import odd_readback_psi
 from branchlab.scenario import empty_scenario, parse_scenario
 from branchlab.smc import oplus_tree
 from branchlab.strings import string_to_nat
 from branchlab.thin import TraceSystem, encode_tuple, rescale_trace
+from helpers import constant_psi
 
 DEMO = """\
 [functional psi]

@@ -497,6 +497,24 @@ def test_index_compatibility_sweep_sees_both_verdicts():
     assert 150 < sum(verdicts) < 450
 
 
+def test_memoized_compatibility_answers_each_question_afresh():
+    # one Tree asked under every schedule, each question twice and in
+    # shuffled order, so that memo hits and misses follow each verdict
+    rng = random.Random(83)
+    fanouts = [lambda k, i=i: kappa(i, k) for i in range(4)]
+    fanouts.append(lambda k: 2)
+    turns = set()
+    for _ in range(40):
+        t = Tree(random_kappa_tree(rng, rng.randrange(4), rng.randrange(4)))
+        asked = fanouts * 2
+        rng.shuffle(asked)
+        got = [is_compatible(GRADED_SHAPE, t, f) for f in asked]
+        assert got == [_naive_is_compatible(GRADED_SHAPE, t, f)
+                       for f in asked]
+        turns.update(zip(got, got[1:]))
+    assert {(True, False), (False, True)} <= turns
+
+
 def test_shape_verifier_sweep_sees_both_verdicts():
     # the same cases, seeded, with enough of each verdict to mean something
     verdicts = []
@@ -556,6 +574,11 @@ def _nice_cases(rng):
     yield EVEN_SHAPE, 0, t, Coloring({}, 2)
 
 
+def _index_items(idx):
+    return (list(idx.level.items()), list(idx.successors.items()),
+            idx.leaves, idx.levels)
+
+
 def test_extract_nice_matches_naive_extraction():
     rng = random.Random(77)
     kinds = set()
@@ -563,7 +586,14 @@ def test_extract_nice_matches_naive_extraction():
         got = _outcome(extract_nice, shape, i, t0, c)
         assert got == _outcome(_naive_extract_nice, shape, i, t0, c)
         kinds.add(got[1] if got[0] is ShapeError else "ok")
-    assert kinds == {"ok", "input tree is not kappa(i)-compatible",
+        if got[0] is not ShapeError:
+            # the index extract_nice hands over is the one a build gives
+            t1 = got[1]
+            assert _index_items(t1._idx) == \
+                _index_items(trees._build_index(t1))
+            kinds.add("kept whole" if t1 == t0 else "thinned")
+    assert kinds == {"ok", "kept whole", "thinned",
+                     "input tree is not kappa(i)-compatible",
                      "leaves sit at mixed levels", "expected an ncol(0)-colouring",
                      "graded shape required"}
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from branchlab import cupping, functionals, trees
+from branchlab import colorings, cupping, functionals, trees
 from branchlab.colorings import Coloring, ncol
 from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                ROOT_NODE, ancestor_chain, bundle,
@@ -405,16 +405,60 @@ def test_passing_membership_check_builds_no_index_and_no_node(monkeypatch):
 
 
 def test_witness_search_builds_no_index_for_a_restriction(monkeypatch):
-    # the three thinned trees and nothing else: realize and both
-    # membership checks slice their restrictions from the node's index
-    full_graded_tree(3)
+    # extract_nice hands each thinned tree its index, and realize and
+    # both membership checks slice their restrictions from the node's
+    _index(full_graded_tree(3))
     builds = []
     real_build = trees._build_index
     monkeypatch.setattr(trees, "_build_index",
                         lambda t: builds.append(len(t)) or real_build(t))
     rng = random.Random(53)
     for adv in [EMPTY_BUNDLE] + [_random_bundle(rng, 3) for _ in range(3)]:
-        builds.clear()
         node = find_pi_member(3, adv)
         assert pi_membership_violation(node, adv) is None
-        assert len(builds) == 3 and builds[-1] == len(node.t_tau)
+    assert builds == []
+
+
+def test_witness_search_scans_each_tree_once(monkeypatch):
+    # the full graded tree on its first search only, then each thinned
+    # tree once; the final tree's scan in realize serves its node too
+    full_graded_tree.cache_clear()
+    scanned = []
+    real_scan = colorings._compatible_scan
+    monkeypatch.setattr(colorings, "_compatible_scan",
+                        lambda shape, idx, fans: scanned.append(idx)
+                        or real_scan(shape, idx, fans))
+    rng = random.Random(59)
+    for k, adv in enumerate([EMPTY_BUNDLE]
+                            + [_random_bundle(rng, 3) for _ in range(3)]):
+        scanned.clear()
+        node = find_pi_member(3, adv)
+        assert [len(idx.level) for idx in scanned] == \
+            [549, 75, 23, 15][bool(k):]
+        assert scanned[-1] is _index(node.t_tau)
+        assert len({id(idx) for idx in scanned}) == len(scanned)
+
+
+def _index_items(idx):
+    return (list(idx.level.items()), list(idx.successors.items()),
+            idx.leaves, idx.levels)
+
+
+def test_thinned_trees_carry_the_index_a_fresh_build_gives(monkeypatch):
+    thinned = []
+    real_extract = cupping.extract_nice
+
+    def recording(*args):
+        d, t = real_extract(*args)
+        thinned.append(t)
+        return d, t
+
+    monkeypatch.setattr(cupping, "extract_nice", recording)
+    rng = random.Random(61)
+    for n in range(4):
+        for adv in [EMPTY_BUNDLE] + [_random_bundle(rng, n)
+                                     for _ in range(4)]:
+            find_pi_member(n, adv)
+    assert len(thinned) == 5 * (0 + 1 + 2 + 3)
+    for t in thinned:
+        assert _index_items(t._idx) == _index_items(trees._build_index(t))

@@ -13,17 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 KEPT = {
-    # the pairwise oracle of the naive driver stage smc_driver_stage is
-    # tested against
-    "is_splitting_pair",
-    # the checked public pullback, which the naive driver stage and the
-    # pullback tests call; the suite and the driver stage share their
-    # outputs with the image and call its body, _pullback_tree
-    "pullback_tree",
-    # a driver-stage fixture on which nothing ever splits
-    "constant_psi",
-    # the enumeration-discipline verifier for staged trees
-    "staged_ce_violation",
     # the canonical scenario writer the README documents
     "serialize_scenario",
 }

@@ -17,15 +17,15 @@ from branchlab.functionals import (FunctionalTable, _outputs,
                                    build_weak_splitting_tree,
                                    effective_axiom,
                                    eval_at, hat_eval,
-                                   image_tree, is_splitting_pair,
-                                   is_splitting_tree, min_steps,
+                                   image_tree, is_splitting_tree, min_steps,
                                    output_prefix, outputs_split,
-                                   pullback_tree, splitting_violation, table,
+                                   splitting_violation, table,
                                    weak_splitting_violation)
 from branchlab.smc import oplus_tree
 from branchlab.strings import (bits_of_values, compatible, is_prefix,
                                is_proper_prefix, sort_lenlex)
 from branchlab.trees import Tree, _index, successors
+from helpers import is_splitting_pair, pullback_tree
 
 
 def test_eval_picks_applicable_axiom():

@@ -15,9 +15,8 @@ from branchlab import functionals, smc
 from branchlab.errors import (BudgetError, MemberError, ProtocolError,
                               ShapeError)
 from branchlab.functionals import (FunctionalTable, _require_two_branching,
-                                   image_tree, is_splitting_pair,
-                                   is_splitting_tree, pullback_tree)
-from branchlab.gen import (constant_psi, odd_readback_psi, phi_for_profile,
+                                   image_tree, is_splitting_tree)
+from branchlab.gen import (odd_readback_psi, phi_for_profile,
                            random_functional_table, random_selection_scenario,
                            staged_context)
 from branchlab.smc import (OmegaContext, ThetaAxioms, build_tprime,
@@ -30,6 +29,7 @@ from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
 from branchlab.thin import is_thin
 from branchlab.trees import (StagedTree, Tree, branching_stats, leaves,
                              level_map, level_of, max_level, successors)
+from helpers import constant_psi, is_splitting_pair, pullback_tree
 
 
 def all_strings(n):

@@ -7,6 +7,7 @@ run makes, and the pinned witness names the same case it would name
 in a full report.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ import pytest
 
 from branchlab import suite
 from branchlab.colorings import kappa
+from branchlab.cupping import gamma_code
 from branchlab.thin import TraceSystem
 
 _FAST = {name: (fn, fast) for name, fn, fast, _ in suite._CHECKS}
@@ -79,6 +81,16 @@ def test_a_spoiled_case_gives_the_pinned_fail_line(monkeypatch, check, name,
                                                    bad, at, line):
     _spoil(monkeypatch, name, bad, at)
     assert _fast_lines(check) == [line]
+
+
+def test_exhaustive_cupping_fails_on_a_node_outside_the_class(monkeypatch):
+    # the level-1 node with the found tree and colour but label 12: the
+    # class holds 12 level-1 nodes, labelled 0 to 11
+    _spoil(monkeypatch, "find_pi_member",
+           lambda node: dataclasses.replace(node, tau=gamma_code(12)), 1)
+    assert _fast_lines("cupping-exh") == [
+        "PASS\tcupping-exh-n0\te", "FAIL\tcupping-exh-n1\t0001101",
+        "PASS\tcupping-pi1-size\t12"]
 
 
 def test_kappa_fail_line_names_the_spoiled_cell(monkeypatch):

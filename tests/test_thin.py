@@ -24,8 +24,8 @@ from branchlab.thin import (TraceSystem, decode_tuple, dnr_trace, encode_tuple,
                             splitting_to_thin, thin_from_trace,
                             thin_violation, trace_from_bounded_splitting,
                             trace_from_thin)
-from branchlab.trees import (StagedTree, level_map, level_of,
-                             staged_ce_violation, successors)
+from branchlab.trees import StagedTree, level_map, level_of, successors
+from helpers import staged_ce_violation
 
 
 def staged(*strings):

@@ -10,9 +10,9 @@ from branchlab.strings import (bits_of_values, is_proper_prefix,
                                sort_lenlex, string_to_nat)
 from branchlab.trees import (StagedTree, Tree, branching_stats,
                              graded_successor_counts, is_prefix_free, leaves, level_map, level_of,
-                             max_level, restrict_to_level,
-                             staged_ce_violation, sorted_members, successors,
-                             tree_uniform_level)
+                             max_level, restrict_to_level, sorted_members,
+                             successors, tree_uniform_level)
+from helpers import staged_ce_violation
 
 FULL2 = frozenset(["", "0", "1", "00", "01", "10", "11"])
 
