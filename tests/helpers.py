@@ -1,5 +1,6 @@
 """Library-level helpers that only the tests call: two oracles, a
-checked pullback and a driver-stage fixture."""
+checked pullback, a driver-stage fixture, and a tree index as plain
+data."""
 
 from __future__ import annotations
 
@@ -78,3 +79,9 @@ def staged_ce_violation(st: StagedTree, weak: bool = False) -> Optional[str]:
                 if not any(tau.startswith(lf) and tau != lf for lf in prev_leaves):
                     return f"stage {s}: {tau!r} extends no leaf of the previous snapshot"
     return None
+
+
+def index_items(idx) -> tuple:
+    """A tree index as plain data, mapping order included."""
+    return (list(idx.level.items()), list(idx.successors.items()),
+            idx.leaves, idx.levels)

@@ -13,6 +13,7 @@ from branchlab.errors import BudgetError, ShapeError
 from branchlab.gen import random_kappa_tree
 from branchlab.trees import (Tree, leaves, level_map, successors,
                              tree_uniform_level)
+from helpers import index_items
 
 
 def test_even_shape_levels():
@@ -574,11 +575,6 @@ def _nice_cases(rng):
     yield EVEN_SHAPE, 0, t, Coloring({}, 2)
 
 
-def _index_items(idx):
-    return (list(idx.level.items()), list(idx.successors.items()),
-            idx.leaves, idx.levels)
-
-
 def test_extract_nice_matches_naive_extraction():
     rng = random.Random(77)
     kinds = set()
@@ -589,8 +585,8 @@ def test_extract_nice_matches_naive_extraction():
         if got[0] is not ShapeError:
             # the index extract_nice hands over is the one a build gives
             t1 = got[1]
-            assert _index_items(t1._idx) == \
-                _index_items(trees._build_index(t1))
+            assert index_items(t1._idx) == \
+                index_items(trees._build_index(t1))
             kinds.add("kept whole" if t1 == t0 else "thinned")
     assert kinds == {"ok", "kept whole", "thinned",
                      "input tree is not kappa(i)-compatible",

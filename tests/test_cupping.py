@@ -18,6 +18,7 @@ from branchlab.errors import BudgetError, ConsistencyError, ShapeError
 from branchlab.functionals import hat_eval, table
 from branchlab.strings import lenlex_key, show_string
 from branchlab.trees import _index, leaves, restrict_to_level
+from helpers import index_items
 
 
 def test_gamma_code_values():
@@ -439,11 +440,6 @@ def test_witness_search_scans_each_tree_once(monkeypatch):
         assert len({id(idx) for idx in scanned}) == len(scanned)
 
 
-def _index_items(idx):
-    return (list(idx.level.items()), list(idx.successors.items()),
-            idx.leaves, idx.levels)
-
-
 def test_thinned_trees_carry_the_index_a_fresh_build_gives(monkeypatch):
     thinned = []
     real_extract = cupping.extract_nice
@@ -461,4 +457,4 @@ def test_thinned_trees_carry_the_index_a_fresh_build_gives(monkeypatch):
             find_pi_member(n, adv)
     assert len(thinned) == 5 * (0 + 1 + 2 + 3)
     for t in thinned:
-        assert _index_items(t._idx) == _index_items(trees._build_index(t))
+        assert index_items(t._idx) == index_items(trees._build_index(t))

@@ -12,7 +12,7 @@ from branchlab.trees import (StagedTree, Tree, branching_stats,
                              graded_successor_counts, is_prefix_free, leaves, level_map, level_of,
                              max_level, restrict_to_level, sorted_members,
                              successors, tree_uniform_level)
-from helpers import staged_ce_violation
+from helpers import index_items, staged_ce_violation
 
 FULL2 = frozenset(["", "0", "1", "00", "01", "10", "11"])
 
@@ -125,18 +125,12 @@ def _check_against_naive_scans(t, members):
             m for m in members if levels[m] <= n)
 
 
-def _index_items(idx):
-    """An index as plain data, mapping order included."""
-    return (list(idx.level.items()), list(idx.successors.items()),
-            idx.leaves, idx.levels)
-
-
 @given(st.lists(bitstrings, max_size=16), st.integers(-2, 7))
 def test_restriction_index_matches_a_fresh_build(members, n):
     t = Tree(members)
     sub = restrict_to_level(t, n)
     assert sub._idx is not None
-    assert _index_items(sub._idx) == _index_items(trees._build_index(sub))
+    assert index_items(sub._idx) == index_items(trees._build_index(sub))
     assert sub == frozenset(m for m in t if level_of(t, m) <= n)
 
 
@@ -149,7 +143,7 @@ def test_restriction_builds_no_index(monkeypatch):
     subs += [restrict_to_level(sub, 2) for sub in subs]
     assert builds == []
     for sub in subs:
-        assert _index_items(sub._idx) == _index_items(trees._build_index(sub))
+        assert index_items(sub._idx) == index_items(trees._build_index(sub))
 
 
 def test_tree_wraps_once_and_stays_a_set():
