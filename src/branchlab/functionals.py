@@ -20,6 +20,12 @@ length, so no further bit changes the outcome: by induction on n,
 hat_eval(f, tau, n) == hat_eval(f, tau[:H + n], n) whenever
 len(tau) >= H + n, and hat_eval evaluates that prefix instead.
 
+Guarded outputs grow by at most one value per oracle bit, since
+definedness at n + 1 needs the parent's at n: out(tau) is out(tau[:-1])
+plus the value at m = len(out(tau[:-1])) when an applicable axiom there
+has steps < len(tau).  output_prefix walks tau so, one lookup per bit,
+up to its prefix of length H + max_arg + 1, which by the lemma suffices.
+
 Axiom lookup goes by sigma.  At one argument, the axioms applicable at
 tau are those whose sigma is one of tau's prefixes.  So the table maps
 each sigma to its effective axiom at each argument, and each argument
@@ -255,25 +261,37 @@ def output_prefix(f: FunctionalTable, tau: str, hat: bool = False,
                   _memo: Optional[dict] = None) -> tuple[int, ...]:
     """Values at arguments 0, 1, ... while defined.
 
-    _memo is passed on to hat_eval, under the same sharing rule.
+    The guarded output is the module docstring's walk, from the longest
+    prefix of the cut tau in _memo, which maps each cut string walked to
+    its guarded output: shareable under one table, but not with hat_eval.
     """
-    out = []
-    if _memo is None:
-        _memo = {}
-    n = 0
-    limit = f.max_arg + 1
-    while n <= limit:
-        v = hat_eval(f, tau, n, _memo) if hat else eval_at(f, tau, n)
-        if v is None:
-            break
-        out.append(v)
-        n += 1
-    return tuple(out)
+    if not hat:
+        out: tuple[int, ...] = ()
+        while (v := eval_at(f, tau, len(out))) is not None:
+            out += (v,)
+        return out
+    memo = {} if _memo is None else _memo
+    tau = tau[:f._horizon + f.max_arg + 1]
+    k = len(tau)
+    while k and tau[:k] not in memo:
+        k -= 1
+    out = memo.get(tau[:k], ())
+    for j in range(k + 1, len(tau) + 1):
+        n = len(out)
+        for s in f._lengths.get(n, ()):
+            if s > j:
+                break
+            hit = f._sigma_index.get(tau[:s], _NONE).get(n)
+            if hit is not None and hit[3] < j:
+                out += (hit[2],)
+                break
+        memo[tau[:j]] = out
+    return out
 
 
 def _outputs(f: FunctionalTable, t: Iterable[str],
              hat: bool = False) -> dict[str, tuple[int, ...]]:
-    """Each member's output_prefix, through one hat_eval memo."""
+    """Each member's output_prefix, through one memo."""
     memo: dict = {}
     return {m: output_prefix(f, m, hat=hat, _memo=memo) for m in t}
 
@@ -373,10 +391,8 @@ def _axiom_use(ax: Axiom) -> int:
     return len(ax[0]) - 1  # highest oracle position read; -1 if none
 
 
-def _agreement(phi_t: FunctionalTable, psi_t: FunctionalTable,
-               tau: str) -> Optional[int]:
-    """Greatest n with the composed guarded output matching tau on 0..n."""
-    oracle = bits_of_values(output_prefix(psi_t, tau, hat=True))
+def _agreement(phi_t: FunctionalTable, oracle: str, tau: str) -> Optional[int]:
+    """Greatest n with phi_t's guarded output on oracle matching tau."""
     best = None
     memo: dict = {}
     for n in range(len(tau)):
@@ -406,13 +422,15 @@ def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
     members: list[str] = []
     phi_map: dict[str, int] = {}
     psi_map: dict[str, int] = {}
+    psi_memo: dict = {}  # breadth first: each parent is walked first
     frontier = [""]
     for _ in range(length_budget + 1):
         nxt = []
         for tau in frontier:
-            a = _agreement(phi, psi, tau)
-            prev = max((agree.get(tau[:k], -1) for k in range(len(tau))),
-                       default=-1)
+            oracle = bits_of_values(output_prefix(psi, tau, hat=True,
+                                                  _memo=psi_memo))
+            a = _agreement(phi, oracle, tau)
+            prev = agree[tau[:-1]] if tau else -1  # a running maximum
             agree[tau] = max(a if a is not None else -1, prev)
             if a is not None and a > prev:
                 if len(members) == WEAK_MAX_MEMBERS:
@@ -420,13 +438,9 @@ def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
                                       f"{WEAK_MAX_MEMBERS} members")
                 members.append(tau)
                 phi_map[tau] = a
-                oracle = bits_of_values(output_prefix(psi, tau, hat=True))
-                use = 0
-                for n in range(a + 1):
-                    ax = effective_axiom(phi, oracle, n)
-                    if ax is not None:
-                        use = max(use, _axiom_use(ax))
-                psi_map[tau] = max(use, 0)
+                psi_map[tau] = max([0] + [
+                    _axiom_use(ax) for n in range(a + 1)
+                    if (ax := effective_axiom(phi, oracle, n)) is not None])
             if len(tau) < length_budget:
                 nxt.extend((tau + "0", tau + "1"))
         frontier = nxt

@@ -34,8 +34,8 @@ from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
 from .functionals import (EMPTY_TABLE, FunctionalTable, _has_axiom_at,
                           effective_axiom)
-from .strings import (_lex_extensions, bits_of_values, compatible, is_prefix,
-                      lenlex_key)
+from .strings import (bits_of_values, compatible, is_prefix, lenlex_key,
+                      sort_lenlex)
 from .trees import Tree, successors
 
 
@@ -179,12 +179,19 @@ def _check_allocated(st: ConstructionState, tau: str, mid: ModuleId) -> NodeInfo
     return info
 
 
-def _nearest_node_level(nodes: dict[str, NodeInfo], s: str) -> int:
+def _parent_node(nodes: dict[str, NodeInfo], s: str) -> Optional[str]:
+    """The longest proper prefix of s among the nodes, or None."""
     for k in range(len(s) - 1, -1, -1):
-        info = nodes.get(s[:k])
-        if info is not None:
-            return info.level
-    raise ProtocolError(f"no node below {s!r}")
+        if s[:k] in nodes:
+            return s[:k]
+    return None
+
+
+def _nearest_node_level(nodes: dict[str, NodeInfo], s: str) -> int:
+    p = _parent_node(nodes, s)
+    if p is None:
+        raise ProtocolError(f"no node below {s!r}")
+    return nodes[p].level
 
 
 def _declare(nodes: dict[str, NodeInfo], log: list, tau: str, level: int,
@@ -401,27 +408,36 @@ def final_node_violation(st: ConstructionState,
     module, and every live frontier string above the node must pass
     through a successor.  Only meaningful once the adversary has no
     convergences pending.
+
+    A frontier string passes through a successor of a node below it iff
+    a node lies between them, the string included: it can miss only its
+    deepest proper node prefix's successors, and only if it is no node.
     """
     horizon = st.stage
-    nodes = st.node_tree
-    live = frontier(st, horizon)  # lex-sorted, as _lex_extensions needs
+    nodes = st.nodes
+    order = sort_lenlex(nodes)  # parents first, successors in order
+    succs: dict[str, list[str]] = {tau: [] for tau in order}
+    for x in order:
+        succs.get(_parent_node(nodes, x), []).append(x)
+    # each node's lex-first missing string: the frontier is lex-sorted
+    missed = {_parent_node(nodes, x): x
+              for x in reversed(frontier(st, horizon)) if x not in nodes}
     outs: dict[int, str] = {}  # the watched output, per node level
-    for tau, info in sorted(st.nodes.items(), key=lambda kv: lenlex_key(kv[0])):
+    for tau in order:
         if len(tau) >= horizon or is_terminal(st, tau):
             continue
-        succ = successors(nodes, tau)
-        if not succ:
+        if not succs[tau]:
             return f"node {tau!r} has no surviving successor node"
-        out = outs.get(info.level)
+        level = nodes[tau].level
+        out = outs.get(level)
         if out is None:
-            out = outs[info.level] = oracle_output_bits(
-                _adversary_table(adv, info.level), horizon)
-        for x in succ:
+            out = outs[level] = oracle_output_bits(
+                _adversary_table(adv, level), horizon)
+        for x in succs[tau]:
             if is_prefix(x, out):
                 return f"successor {x!r} of {tau!r} sits inside the output"
-        for leaf in _lex_extensions(live, tau):
-            if not leaf.startswith(succ):
-                return f"frontier string {leaf!r} misses the successors of {tau!r}"
+        if tau in missed:
+            return f"frontier string {missed[tau]!r} misses the successors of {tau!r}"
     return None
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
 from branchlab.gen import odd_readback_psi, random_functional_table
-from branchlab.functionals import (FunctionalTable, _outputs,
+from branchlab.functionals import (EMPTY_TABLE, FunctionalTable, _outputs,
                                    _applicable, _require_two_branching,
                                    build_weak_splitting_tree,
                                    effective_axiom,
@@ -22,6 +23,7 @@ from branchlab.functionals import (FunctionalTable, _outputs,
                                    splitting_violation, table,
                                    weak_splitting_violation)
 from branchlab.smc import oplus_tree
+from branchlab.thin import hat_level_tree
 from branchlab.strings import (bits_of_values, compatible, is_prefix,
                                is_proper_prefix, sort_lenlex)
 from branchlab.trees import Tree, _index, successors
@@ -662,6 +664,93 @@ def test_shared_memo_outputs_match_fresh_output_prefix(f, t, hat):
     # the memo fills in whatever order the members come
     assert _outputs(f, sort_lenlex(t), hat=hat) == fresh
     assert _outputs(f, sort_lenlex(t)[::-1], hat=hat) == fresh
+
+
+# output_prefix's guarded branch before it walked the string one bit at
+# a time: one hat_eval per argument, kept as an oracle.
+
+def _naive_hat_output_prefix(f, tau, _memo=None):
+    if _memo is None:
+        _memo = {}
+    out = []
+    n = 0
+    while n <= f.max_arg + 1:
+        v = hat_eval(f, tau, n, _memo)
+        if v is None:
+            break
+        out.append(v)
+        n += 1
+    return tuple(out)
+
+
+def _walk_tables(rng):
+    yield EMPTY_TABLE
+    yield table([("", 0, 5, 2), ("1", 1, 6, 1)])
+    for _ in range(300):
+        yield random_functional_table(rng, axioms=rng.randint(0, 30),
+                                      max_steps=rng.randint(1, 6))
+    for _ in range(100):
+        yield table(_repair(_seeded_axioms(rng, rng.randint(0, 120), 9)))
+
+
+def test_guarded_walk_matches_the_hat_eval_loop():
+    # strings on both sides of the cut at the horizon plus the largest
+    # argument plus one, through fresh memos and one shared per table
+    rng = random.Random(17)
+    sides = Counter()
+    for f in _walk_tables(rng):
+        cut = f._horizon + f.max_arg + 1
+        shared, naive_shared = {}, {}
+        for _ in range(30):
+            tau = "".join(rng.choice("01")
+                          for _ in range(rng.randint(0, cut + 4)))
+            want = _naive_hat_output_prefix(f, tau)
+            assert output_prefix(f, tau, hat=True) == want
+            assert output_prefix(f, tau, hat=True, _memo=shared) == want
+            assert _naive_hat_output_prefix(f, tau, naive_shared) == want
+            sides[(len(tau) > cut) - (len(tau) < cut)] += 1
+        # the memo holds cut strings, each with its own output, and the
+        # output grows by at most one value per bit
+        for x, out in shared.items():
+            assert len(x) <= cut
+            assert out == _naive_hat_output_prefix(f, x)
+            assert len(out) - len(shared.get(x[:-1], ())) in (0, 1)
+    assert min(sides.values()) > 500, sides
+
+
+def test_guarded_walk_matches_the_hat_eval_loop_on_oplus_trees():
+    # the odd-bit readback, exact and with a few values flipped, on
+    # trees up to 2,047 members
+    rng = random.Random(23)
+    for a in ("1", "10", "0110", "101101", "1011011101"):
+        t = oplus_tree(a)
+        for flips in (0, 1, 3):
+            psi = table((s, n, v ^ (rng.random() < flips / 16), k)
+                        for s, n, v, k in odd_readback_psi(a).axioms)
+            memo: dict = {}
+            want = {m: _naive_hat_output_prefix(psi, m, memo) for m in t}
+            assert _outputs(psi, t, hat=True) == want
+            assert _outputs(psi, sort_lenlex(t)[::-1], hat=True) == want
+
+
+def _naive_hat_level_tree(psi, max_length):
+    def out_len(tau):
+        return len(_naive_hat_output_prefix(psi, tau))
+
+    return {"".join(bits) for length in range(max_length + 1)
+            for bits in product("01", repeat=length)
+            if not bits or out_len("".join(bits)) > out_len(
+                "".join(bits[:-1]))}
+
+
+def test_hat_level_tree_matches_the_hat_eval_loop():
+    # hat_level_tree shares one output memo across its whole scan
+    rng = random.Random(29)
+    tables = list(_walk_tables(rng))[::8] + [_ident_table(4)]
+    for f in tables:
+        for max_length in (0, 3, 6):
+            assert hat_level_tree(f, max_length) == \
+                _naive_hat_level_tree(f, max_length)
 
 
 # The pairwise scan, and the bodies that computed each member's output

@@ -1,7 +1,7 @@
 import math
 import random
 from dataclasses import fields, replace
-from itertools import chain, product
+from itertools import product
 from typing import NamedTuple
 
 import pytest
@@ -622,7 +622,9 @@ def _naive_final_node_violation(st, adv):
 def _final_check_cases(horizons):
     """States at each horizon under the seeded bundles, each checked
     against its own bundle and the next one, and with one node, the
-    nodes above one node, or one frontier string taken away."""
+    nodes above one node or on one side of it, one frontier string, or
+    some frontier nodes above one node taken away, or with stray nodes
+    put in below those."""
     bundles = list(_seeded_bundles())
     rng = random.Random(14)
     for k, adv in enumerate(bundles):
@@ -644,6 +646,27 @@ def _final_check_cases(horizons):
             if live:
                 yield replace(st, terminal=st.terminal
                               | {rng.choice(live)}), adv
+                # frontier strings above a node that are no nodes, and
+                # stray nodes between the node and the frontier
+                tau = rng.choice(sorted(x for x in st.nodes
+                                        if len(x) < st.stage))
+                above = [x for x in live if x.startswith(tau)]
+                if not above:
+                    continue
+                stray = set(rng.sample(above, rng.randint(1, len(above))))
+                yield replace(st, nodes={x: nf for x, nf in st.nodes.items()
+                                         if x not in stray}), adv
+                nodes = dict(st.nodes)
+                info = replace(nodes[tau], level=nodes[tau].level + 1)
+                for x in stray:
+                    nodes.setdefault(x[:rng.randint(len(tau) + 1, len(x))],
+                                     info)
+                yield replace(st, nodes=nodes), adv
+                # the nodes on one side of the node taken away, so that
+                # several frontier strings miss its other successor
+                side = tau + rng.choice("01")
+                yield replace(st, nodes={x: nf for x, nf in st.nodes.items()
+                                         if not x.startswith(side)}), adv
 
 
 def test_final_node_range_scan_matches_naive_scan():
@@ -665,23 +688,43 @@ class _CountingStr(str):
         return super().startswith(*args)
 
 
-def test_final_node_check_scans_only_the_strings_above_each_node(
+class _CountingNodes(dict):
+    """A node map that counts its lookups."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def test_final_node_check_probes_each_string_at_most_stage_times(
         monkeypatch):
     real = traceable.frontier
     monkeypatch.setattr(traceable, "frontier", lambda st, length=None: tuple(
         _CountingStr(x) for x in real(st, length)))
     for adv in _table_bundles():
         st = run_to_horizon(adv, 8)[0]
+        counted = replace(st, nodes=_CountingNodes(st.nodes))
         _CountingStr.calls[0] = 0
-        assert final_node_violation(st, adv) is None
-        live = real(st)
-        checked = [tau for tau in st.nodes
-                   if len(tau) < st.stage and not is_terminal(st, tau)]
-        # one call per frontier string above each checked node, where
-        # the old scan made one per frontier string per node
-        assert _CountingStr.calls[0] == sum(
-            x.startswith(tau) for tau in checked for x in live)
-        assert _CountingStr.calls[0] <= len(live) * st.stage
+        assert final_node_violation(counted, adv) is None
+        # no frontier string is scanned, where the range scan made one
+        # startswith call per frontier string above each node (2,048 on
+        # the empty bundle); parents and deepest node prefixes come from
+        # at most stage lookups per frontier string and per node
+        assert _CountingStr.calls[0] == 0
+        assert 0 < counted.nodes.probes <= st.stage * (
+            len(real(st)) + len(st.nodes))
 
 
 def test_module_set_matches_a_fresh_build():

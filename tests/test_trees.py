@@ -186,14 +186,15 @@ def test_a_tree_builds_its_index_once(monkeypatch):
     assert builds == [7, 7, 7, 7]
 
 
-@pytest.mark.parametrize("name", ["nice", "traceable", "thin-from-trace",
+@pytest.mark.parametrize("name", ["nice", "thin-from-trace",
                                   "split-thin", "pullback-image",
                                   "smc-driver"])
 def test_a_suite_check_builds_the_same_indexes_when_run_again(
         monkeypatch, name):
     # the checks whose trees no process-lifetime cache keeps: run twice
     # in one process, the second run builds every index the first did
-    # (the two-colour checks build none at all; see test_colorings)
+    # (the two-colour checks build none at all, see test_colorings, and
+    # nor does the traceable check, below)
     builds = _count_builds(monkeypatch)
     _, fn, fast_kw, _ = next(c for c in suite._CHECKS if c[0] == name)
     runs = []
@@ -202,6 +203,17 @@ def test_a_suite_check_builds_the_same_indexes_when_run_again(
         lines = fn(random.Random(f"0:{name}"), **fast_kw)
         runs.append((lines, sorted(builds)))
     assert runs[0] == runs[1] and runs[0][1]
+
+
+def test_the_traceable_check_builds_no_index(monkeypatch):
+    # its final-node check finds successors by prefix lookup
+    builds = _count_builds(monkeypatch)
+    _, fn, fast_kw, full_kw = next(c for c in suite._CHECKS
+                                   if c[0] == "traceable")
+    for kw in (fast_kw, full_kw):
+        lines = fn(random.Random("0:traceable"), **kw)
+        assert lines and all(ln.status == "PASS" for ln in lines)
+    assert builds == []
 
 
 def test_level_map_hands_back_a_fresh_dict():
