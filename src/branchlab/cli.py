@@ -29,9 +29,8 @@ from .strings import nat_to_string, parse_string, show_string, sort_lenlex
 from .suite import (_nice_outcome, _pi6_gaps, _selfdelim_roundtrip,
                     _theta_chains, _traceable_flaws, _twocol_outcome,
                     run_suite)
-from .thin import (TraceSystem, dnr_trace, hat_level_stages, rescale_trace,
-                   thin_violation, trace_from_bounded_splitting,
-                   trace_from_thin)
+from .thin import (TraceSystem, dnr_trace, hat_level_tree, thin_violation,
+                   trace_from_bounded_splitting, trace_from_thin)
 from .traceable import declared_counts, run_to_horizon
 from .trees import successors
 
@@ -265,15 +264,17 @@ def _h_check_split(ns, sc, rng):
                    f"{show_string(v[0])},{show_string(v[1])}")]
 
 
-def _require_scan_budget(length: int, max_length: int,
+def _require_scan_budget(length: int,
                          tables: Sequence[FunctionalTable]) -> None:
     """Refuse a scan that evaluates tables on all 2^(length+1) strings up
-    to length, before it starts: past max_length, or past 2^21 strings
+    to length, before it starts: past length 13, or past 2^21 strings
     times the sigma-index probes of looking every table up once at
     each argument."""
-    if length > max_length:
+    # with tables that converge at every argument on every oracle bit,
+    # check weaksplit --budget 13 takes about 2 s and each step doubles it
+    if length > 13:
         raise BudgetError(f"strings up to length {length} exceed the "
-                          f"budget of length {max_length}")
+                          "budget of length 13")
     strings = 1 << max(length + 1, 0)
     probes = sum(map(lookup_probes, tables))
     if strings * probes > 1 << 21:
@@ -284,9 +285,7 @@ def _require_scan_budget(length: int, max_length: int,
 def _h_check_weaksplit(ns, sc, rng):
     psi = _functional(sc, ns.psi)
     phi = _functional(sc, ns.phi)
-    # with tables that converge at every argument on every oracle bit,
-    # --budget 13 takes about 2 s and each step doubles it
-    _require_scan_budget(ns.budget, 13, (psi, phi))
+    _require_scan_budget(ns.budget, (psi, phi))
     w = build_weak_splitting_tree(psi, phi, ns.budget)
     v = weak_splitting_violation(w, psi, parse_string(ns.path))
     check_id = f"weaksplit-{ns.psi}-{ns.phi}"
@@ -320,29 +319,12 @@ def _trace_lines(ts: TraceSystem, prefix: str) -> list[ReportLine]:
     return lines
 
 
-def _thin_trace(ns, sc) -> TraceSystem:
-    psi = _functional(sc, ns.psi)
-    # the level tree's stages copy it once per member; with a psi whose
-    # guarded output grows at every bit, every string is a member, so
-    # --maxlen 10 takes about 0.4 s at 100 MiB and each step quadruples
-    # the memory
-    _require_scan_budget(ns.maxlen, 10, (psi,))
-    sub = _any_tree(sc, ns.sub)
-    return trace_from_thin(psi, hat_level_stages(psi, ns.maxlen), sub)
-
-
 def _h_trace_from_thin(ns, sc, rng):
-    return _trace_lines(_thin_trace(ns, sc), "trace")
-
-
-def _h_trace_rescale(ns, sc, rng):
-    # each target position is one output line: rescaling a small trace
-    # to 2^16 positions and rendering it takes about 1.5 s
-    if ns.target is not None and ns.target > 1 << 16:
-        raise BudgetError(f"target {ns.target} exceeds the budget of "
-                          f"{1 << 16} positions")
-    target = tuple(range(ns.target)) if ns.target is not None else None
-    return _trace_lines(rescale_trace(_thin_trace(ns, sc), target), "rescale")
+    psi = _functional(sc, ns.psi)
+    _require_scan_budget(ns.maxlen, (psi,))
+    sub = _any_tree(sc, ns.sub)
+    return _trace_lines(trace_from_thin(psi, hat_level_tree(psi, ns.maxlen),
+                                        sub), "trace")
 
 
 def _h_trace_from_split(ns, sc, rng):
@@ -466,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="psi")
     p.add_argument("--sub", required=True)
     p.add_argument("--maxlen", type=int, default=6)
-
-    p = leaf(trace, "rescale", _h_trace_rescale)
-    p.add_argument("--psi", default="psi")
-    p.add_argument("--sub", required=True)
-    p.add_argument("--maxlen", type=int, default=6)
-    p.add_argument("--target", type=int, default=None)
 
     p = leaf(trace, "from-split", _h_trace_from_split)
     p.add_argument("--psi", default="psi")

@@ -275,8 +275,7 @@ def pi_membership_violation(node: PiStarNode,
 SEARCH_MAX_LEVEL = 4  # level 4 takes about 0.3 s; each level multiplies it
 
 
-def find_pi_member(n: int, adv: AdversaryBundle,
-                   max_level: int = SEARCH_MAX_LEVEL) -> PiStarNode:
+def find_pi_member(n: int, adv: AdversaryBundle) -> PiStarNode:
     """A level-n node surviving the stage filter along its whole chain.
 
     Thins the full graded tree once per colour index: leaves are
@@ -284,7 +283,7 @@ def find_pi_member(n: int, adv: AdversaryBundle,
     extracted as unrealized, and the surviving subtree moves on.  The
     final tree is two-branching and realize turns it into a node.
     """
-    if n > max_level:
+    if n > SEARCH_MAX_LEVEL:
         raise BudgetError(f"level {n} exceeds the search budget")
     t = full_graded_tree(n)
     ds = []
@@ -299,22 +298,21 @@ def find_pi_member(n: int, adv: AdversaryBundle,
     return node
 
 
-def materialize_pi_star(n: int,
-                        max_nodes: int = 100_000) -> tuple[PiStarNode, ...]:
+def materialize_pi_star(n: int) -> tuple[PiStarNode, ...]:
     """Every level-n node: the empty bundle filters none.  Small n only."""
-    return pi_survivors(n, EMPTY_BUNDLE, max_nodes)
+    return pi_survivors(n, EMPTY_BUNDLE)
 
 
-def pi_survivors(n: int, adv: AdversaryBundle,
-                 max_nodes: int = 100_000) -> tuple[PiStarNode, ...]:
-    """Level-n nodes passing the stage filter at every level so far."""
+def pi_survivors(n: int, adv: AdversaryBundle) -> tuple[PiStarNode, ...]:
+    """Level-n nodes passing the stage filter at every level so far,
+    refused once a frontier passes 100,000 nodes."""
     frontier = [ROOT_NODE]
     for s in range(n):
         nxt: list[PiStarNode] = []
         for node in frontier:
             if stage_filter(node, adv, s):
-                nxt.extend(pi_star_successors(node, max_nodes))
-            if len(nxt) > max_nodes:
+                nxt.extend(pi_star_successors(node))
+            if len(nxt) > 100_000:
                 raise BudgetError("node frontier exceeds the budget")
         frontier = nxt
     return tuple(node for node in frontier if stage_filter(node, adv, n))

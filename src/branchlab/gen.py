@@ -19,9 +19,8 @@ from .strings import (check_bits, compatible, is_prefix, is_proper_prefix,
 from .trees import StagedTree, Tree, level_of, successors
 
 
-def random_weak_staged_tree(rng: random.Random, steps: int = 20,
-                            grow_bias: float = 0.7,
-                            max_jump: int = 3) -> StagedTree:
+def random_weak_staged_tree(rng: random.Random,
+                            steps: int = 20) -> StagedTree:
     """A staged tree obeying the one-string-per-stage discipline.
 
     Mostly extends existing leaves (so trees gain depth), sometimes
@@ -31,10 +30,10 @@ def random_weak_staged_tree(rng: random.Random, steps: int = 20,
     stages = [Tree(members)]
     for _ in range(steps):
         new: Optional[str] = None
-        if rng.random() < grow_bias:
+        if rng.random() < 0.7:
             base = rng.choice(sorted(members))
             cand = base + "".join(rng.choice("01")
-                                  for _ in range(rng.randint(1, max_jump)))
+                                  for _ in range(rng.randint(1, 3)))
             if cand not in members and not any(
                     is_proper_prefix(cand, m) for m in members):
                 new = cand
@@ -118,15 +117,15 @@ def phi_for_profile(profile: Profile) -> FunctionalTable:
     return FunctionalTable(tuple(axioms))
 
 
-def staged_context(depths: Profile, f: Optional[tuple[int, ...]] = None,
-                   a_prefix: str = "") -> OmegaContext:
+def staged_context(depths: Profile,
+                   f: Optional[tuple[int, ...]] = None) -> OmegaContext:
     """An OmegaContext over a profile, bounded by the identity majorant."""
     phi = phi_for_profile(depths)
     if f is None:
         top = max((v for v in depths.values() if isinstance(v, int)),
                   default=0)
         f = tuple(range(top + 3))
-    return OmegaContext(phi, f, a_prefix)
+    return OmegaContext(phi, f)
 
 
 def odd_readback_psi(a_prefix: str) -> FunctionalTable:
@@ -138,8 +137,7 @@ def odd_readback_psi(a_prefix: str) -> FunctionalTable:
 
 
 def random_functional_table(rng: random.Random, axioms: int = 10,
-                            max_sigma_len: int = 4, max_arg: int = 3,
-                            max_value: int = 9,
+                            max_sigma_len: int = 4, max_value: int = 9,
                             max_steps: int = 3) -> FunctionalTable:
     """Greedily grow a consistent table from random axiom candidates.
 
@@ -151,7 +149,7 @@ def random_functional_table(rng: random.Random, axioms: int = 10,
     for _ in range(axioms):
         sigma = "".join(rng.choice("01")
                         for _ in range(rng.randint(0, max_sigma_len)))
-        cand = (sigma, rng.randint(0, max_arg), rng.randint(0, max_value),
+        cand = (sigma, rng.randint(0, 3), rng.randint(0, max_value),
                 rng.randint(1, max_steps))
         same_arg = kept.setdefault(cand[1], [])
         if not any(_clashes(ax, cand) for ax in same_arg):
@@ -175,7 +173,7 @@ def random_kappa_tree(rng: random.Random, i: int, n: int) -> Tree:
     return Tree(t)
 
 
-def random_selection_scenario(rng: random.Random, max_nodes: int = 3):
+def random_selection_scenario(rng: random.Random):
     """A context plus a well-posed extension-selection problem over it.
 
     The node family is prefix-free by construction (one shared length),
@@ -183,7 +181,7 @@ def random_selection_scenario(rng: random.Random, max_nodes: int = 3):
     checkpoint profile may carry headroom beyond the required gap.
     """
     names = rng.sample(["100", "101", "110", "111"],
-                       rng.randint(1, max_nodes))
+                       rng.randint(1, 3))
     names.sort()
     while True:
         ds = [rng.randint(1, 2) for _ in names]
@@ -198,8 +196,7 @@ def random_selection_scenario(rng: random.Random, max_nodes: int = 3):
 
 
 def random_readback_splitting_subtree(rng: random.Random,
-                                      final: frozenset[str],
-                                      want: int = 6) -> Tree:
+                                      final: frozenset[str]) -> Tree:
     """Grow a subtree that splits the level-readback functional.
 
     Two incompatible picks must differ inside the first min-level
@@ -210,7 +207,7 @@ def random_readback_splitting_subtree(rng: random.Random,
     pool = [m for m in sort_lenlex(final) if m != ""]
     rng.shuffle(pool)
     for cand in pool:
-        if len(chosen) > want:
+        if len(chosen) > 6:
             break
         ok = True
         for x in chosen:

@@ -38,7 +38,7 @@ from .smc import (build_tprime, enumerate_pi, omega_level, oplus_tree,
                   select_extensions, smc_driver_stage, t_of, theta_decode)
 from .strings import (compatible, is_proper_prefix, show_string, sort_lenlex,
                       string_to_nat)
-from .thin import (TraceSystem, encode_tuple, hat_level_stages, is_thin,
+from .thin import (TraceSystem, encode_tuple, hat_level_tree, is_thin,
                    rescale_trace, selfdelim_decode, selfdelim_encode,
                    spaced_level, spacing_bound_limit, spacing_bound_partial,
                    splitting_to_thin, thin_from_trace, trace_from_thin)
@@ -300,11 +300,11 @@ def _random_two_branching_sub(rng, t):
 
 def _trace_size_flaw(rng):
     psi = random_functional_table(rng, axioms=rng.randint(4, 16))
-    stages = hat_level_stages(psi, 5)
-    sub = _random_two_branching_sub(rng, stages.final)
-    if not is_thin(stages.final, sub):
+    t = hat_level_tree(psi, 5)
+    sub = _random_two_branching_sub(rng, t)
+    if not is_thin(t, sub):
         return "spine subtree not thin"
-    ts = trace_from_thin(psi, stages, sub)
+    ts = trace_from_thin(psi, t, sub)
     return next((f"{len(vals)} values at position {n}"
                  for n, vals in ts.w.items() if len(vals) > 1 << (n + 1)),
                 None)
@@ -315,9 +315,9 @@ def _chk_trace_size_bound(rng, count):
 
 
 def _thin_from_trace_flaw(rng, depth):
-    st_tree = spined_weak_tree(rng, depth=rng.randint(4, depth),
-                               shoots=rng.randint(2, 8))
-    buckets = level_map(st_tree.final)
+    t = spined_weak_tree(rng, depth=rng.randint(4, depth),
+                         shoots=rng.randint(2, 8)).final
+    buckets = level_map(t)
     w = {}
     for n in range(4):
         pool = list(buckets.get(spaced_level(n), ()))
@@ -325,8 +325,8 @@ def _thin_from_trace_flaw(rng, depth):
         w[n] = frozenset(string_to_nat(s)
                          for s in pool[:rng.randint(1, max(1, n))])
     ts = TraceSystem(tuple(max(1, n) for n in range(4)), w)
-    tp = thin_from_trace(st_tree, ts)
-    return (None if "" in tp and is_thin(st_tree.final, tp)
+    tp = thin_from_trace(t, ts)
+    return (None if "" in tp and is_thin(t, tp)
             else "output not thin")
 
 
@@ -381,9 +381,9 @@ def _chk_selfdelim(rng, top):
 # -- splitting reductions ------------------------------------------------------
 
 def _split_thin_flaw(rng):
-    st_tree = random_weak_staged_tree(rng, steps=rng.randint(12, 25))
-    sub = random_readback_splitting_subtree(rng, st_tree.final)
-    r = splitting_to_thin(st_tree, sub)
+    t = random_weak_staged_tree(rng, steps=rng.randint(12, 25)).final
+    sub = random_readback_splitting_subtree(rng, t)
+    r = splitting_to_thin(t, sub)
     return None if r.thin_ok and r.witness is None else str(r.witness)
 
 
@@ -396,8 +396,7 @@ def _chk_split_mutant(rng, tries):
     # make sure the reduction reports the break
     found = 0
     for _ in range(tries):
-        st_tree = random_weak_staged_tree(rng, steps=20)
-        final = st_tree.final
+        final = random_weak_staged_tree(rng, steps=20).final
         sub = set(random_readback_splitting_subtree(rng, final))
         spoil = None
         for cand in sort_lenlex(final - sub):
@@ -411,7 +410,7 @@ def _chk_split_mutant(rng, tries):
                 break
         if spoil is None:
             continue
-        r = splitting_to_thin(st_tree, sub | {spoil})
+        r = splitting_to_thin(final, sub | {spoil})
         if r.witness is None:
             return [failed("split-mutant-detect",
                            f"broken split at {show_string(spoil)} "

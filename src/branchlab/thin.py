@@ -22,8 +22,7 @@ from .errors import MemberError, ShapeError
 from .functionals import (FunctionalTable, eval_at, hat_eval, is_splitting_tree,
                           output_prefix, splitting_violation)
 from .strings import nat_to_string, show_string, sort_lenlex, string_to_nat
-from .trees import (StagedTree, Tree, branching_stats, level_of, max_level,
-                    successors)
+from .trees import Tree, branching_stats, level_of, max_level, successors
 
 
 def _raw_antichain_weights(t: Tree, tp: Tree) -> dict[str, Fraction]:
@@ -96,27 +95,14 @@ def hat_level_tree(psi: FunctionalTable, max_length: int) -> Tree:
     return Tree(members)
 
 
-def hat_level_stages(psi: FunctionalTable, max_length: int) -> StagedTree:
-    """The level tree enumerated one string per stage, length-lex."""
-    ordered = sort_lenlex(hat_level_tree(psi, max_length))
-    stages = [Tree([""])]
-    acc = {""}
-    for tau in ordered:
-        if tau == "":
-            continue
-        acc.add(tau)
-        stages.append(Tree(acc))
-    return StagedTree(tuple(stages))
-
-
-def trace_from_thin(psi: FunctionalTable, t_levels: StagedTree,
+def trace_from_thin(psi: FunctionalTable, t: Iterable[str],
                     tp: Iterable[str]) -> TraceSystem:
-    """Collect the outputs of a thin subtree of the level tree.
+    """Collect the outputs of a thin subtree of the level tree t.
 
     Members of level n+1 contribute their output value at argument n;
     thinness caps each set at 2^(n+1), a bound independent of psi.
     """
-    t = t_levels.final
+    t = Tree(t)
     tp = Tree(tp)
     bad = thin_violation(t, tp)
     if bad is not None:
@@ -170,8 +156,7 @@ def decode_tuple(code: int) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
-def rescale_trace(ts: TraceSystem,
-                  p_target: Optional[Sequence[int]] = None) -> TraceSystem:
+def rescale_trace(ts: TraceSystem) -> TraceSystem:
     """Turn a p-bounded trace of coded blocks into an identity-bounded one.
 
     The input traces block codes: its value at m codes a tuple long
@@ -182,18 +167,16 @@ def rescale_trace(ts: TraceSystem,
     p = ts.p
     if not p or p[0] != 0 or any(p[i + 1] <= p[i] for i in range(len(p) - 1)):
         raise ShapeError("bounds must start at 0 and strictly increase")
-    horizon = len(p) if p_target is None else len(p_target)
     blocks: dict[int, list[tuple[int, ...]]] = {}  # m: its codes, decoded
     w: dict[int, frozenset[int]] = {}
-    for n in range(horizon):
+    for n in range(len(p)):
         m = bisect_right(p, n) - 1  # k(n); p[0] = 0 <= n
         block = blocks.get(m)
         if block is None:
             block = blocks[m] = [t for t in map(decode_tuple, ts.values_at(m))
                                  if t is not None]
         w[n] = frozenset(t[n] for t in block if len(t) > n)
-    out_p = tuple(range(horizon)) if p_target is None else tuple(p_target)
-    return TraceSystem(out_p, w)
+    return TraceSystem(tuple(range(len(p))), w)
 
 
 def spaced_level(n: int) -> int:
@@ -212,13 +195,13 @@ def spacing_bound_limit(n: int) -> Fraction:
     return x ** (n + 1) * ((n + 1) - n * x) / (1 - x) ** 2
 
 
-def thin_from_trace(t: StagedTree, ts: TraceSystem) -> Tree:
-    """Decode an identity-bounded trace into a thin subtree.
+def thin_from_trace(t: Iterable[str], ts: TraceSystem) -> Tree:
+    """Decode an identity-bounded trace into a thin subtree of t.
 
     Codes at n must name members sitting at spaced level n, i.e. at
     ambient level n(n+1); the widening gaps pay for the growing sets.
     """
-    final = t.final
+    t = Tree(t)
     for n, vals in ts.w.items():
         if len(vals) > max(1, n):
             raise ShapeError(f"{len(vals)} values at {n} break the "
@@ -227,10 +210,10 @@ def thin_from_trace(t: StagedTree, ts: TraceSystem) -> Tree:
     for n, vals in sorted(ts.w.items()):
         for code in vals:
             s = nat_to_string(code)
-            if s not in final:
+            if s not in t:
                 raise ShapeError(f"code {code} names {show_string(s)} "
                                  "which is outside the tree")
-            if level_of(final, s) != spaced_level(n):
+            if level_of(t, s) != spaced_level(n):
                 raise ShapeError(f"code {code} sits at the wrong level")
             members.add(s)
     return Tree(members)
@@ -288,23 +271,24 @@ def level_functional(t: Iterable[str]) -> FunctionalTable:
     return FunctionalTable(tuple(axioms))
 
 
-def splitting_to_thin(t: StagedTree, split_sub: Iterable[str]) -> SplittingReduction:
-    """Build the level-readback functional and test the subtree.
+def splitting_to_thin(t: Iterable[str],
+                      split_sub: Iterable[str]) -> SplittingReduction:
+    """Build the level-readback functional of t and test the subtree.
 
     A subtree that splits this functional is thin; a non-splitting
     subtree is reported with the offending pair.
     """
-    final = t.final
+    t = Tree(t)
     split_sub = Tree(split_sub)
-    if not split_sub <= final:
+    if not split_sub <= t:
         raise MemberError("subtree members must come from the tree")
     if "" not in split_sub:
         raise MemberError("subtree must contain the empty string")
-    psi = level_functional(final)
+    psi = level_functional(t)
     witness = splitting_violation(psi, split_sub)
     if witness is not None:
         return SplittingReduction(psi, False, witness)
-    return SplittingReduction(psi, is_thin(final, split_sub), None)
+    return SplittingReduction(psi, is_thin(t, split_sub), None)
 
 
 def trace_from_bounded_splitting(psi: FunctionalTable, t: Iterable[str],

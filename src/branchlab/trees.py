@@ -188,12 +188,13 @@ def restrict_to_level(t: Iterable[str], n: int) -> Tree:
 
 
 def is_prefix_free(strings: Iterable[str]) -> bool:
-    ss = sort_lenlex(set(strings))
-    for i, a in enumerate(ss):
-        for b in ss[i + 1:]:
-            if b.startswith(a):
-                return False
-    return True
+    """No string is a proper prefix of another.
+
+    A string that sorts lexicographically between a and an extension
+    of a extends a too, so it is enough to compare lex-order neighbours.
+    """
+    ss = sorted(set(strings))
+    return not any(b.startswith(a) for a, b in zip(ss, ss[1:]))
 
 
 def branching_stats(t: Iterable[str]) -> tuple[int, bool, int]:

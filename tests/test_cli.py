@@ -14,7 +14,6 @@ from branchlab.gen import odd_readback_psi
 from branchlab.scenario import empty_scenario, parse_scenario
 from branchlab.smc import oplus_tree
 from branchlab.strings import string_to_nat
-from branchlab.thin import TraceSystem, encode_tuple, rescale_trace
 from helpers import constant_psi
 
 DEMO = """\
@@ -544,24 +543,33 @@ _CHAIN_TRACE = [f"PASS\ttrace-{n:02d}\tp={2 << n} values=0"
 
 
 def test_thin_trace_scan_budget_at_its_edges(tmp_path):
-    # at --maxlen 10 the growing psi's level tree holds 2045 strings;
-    # 11 is refused before it is built, by both commands that build it
+    # at --maxlen 13 the growing psi's level tree holds 16381 strings;
+    # 14 is refused before it is built
     f = _scan_scenario(tmp_path, _GROWING)
-    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "10",
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "13",
                   "--scenario", f],
                  _CHAIN_TRACE, 10)
-    for cmd in ("from-thin", "rescale"):
-        _at_the_edge(["trace", cmd, "--sub", "S", "--maxlen", "11",
-                      "--scenario", f],
-                     [f"ERROR\ttrace-{cmd}-error\tstrings up to length 11 "
-                      "exceed the budget of length 10"], 1)
-    # an identity psi, 2046 axioms with one sigma length per argument,
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "14",
+                  "--scenario", f],
+                 ["ERROR\ttrace-from-thin-error\tstrings up to length 14 "
+                  "exceed the budget of length 13"], 1)
+    # an identity psi, 16382 axioms with one sigma length per argument,
     # costs a probe per argument and runs up to the length budget
-    f = _scan_scenario(tmp_path, _identity(10))
-    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "10",
+    f = _scan_scenario(tmp_path, _identity(13))
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "13",
                   "--scenario", f], _CHAIN_TRACE, 10)
-    # the work: 2^10 strings at 1312 sigma-index probes run, twice as
-    # many are refused
+    # the work: 2^14 strings at 8 x 16 probes, the most the budget takes
+    # at length 13, run; one probe more is refused
+    f = _scan_scenario(tmp_path, _ladder(7, 16))
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "13",
+                  "--scenario", f], _CHAIN_TRACE, 10)
+    f = _scan_scenario(tmp_path, _ladder(2, 43))
+    _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "13",
+                  "--scenario", f],
+                 ["ERROR\ttrace-from-thin-error\t16384 strings at 129 probes "
+                  "each exceed 2097152"], 1)
+    # 2^10 strings at 1312 sigma-index probes run, twice as many are
+    # refused
     f = _scan_scenario(tmp_path, _ladder(40, 32))
     _at_the_edge(["trace", "from-thin", "--sub", "S", "--maxlen", "9",
                   "--scenario", f], _CHAIN_TRACE, 10)
@@ -571,30 +579,34 @@ def test_thin_trace_scan_budget_at_its_edges(tmp_path):
                   "each exceed 2097152"], 1)
 
 
-def test_rescale_target_budget_at_its_edge(tmp_path):
-    # 2^16 target positions are accepted; the command then stops on the
-    # thin trace's bounds, which never start at 0.  One more position is
-    # refused before the target is built
-    f = _scan_scenario(tmp_path, _GROWING)
-    _at_the_edge(["trace", "rescale", "--sub", "S", "--maxlen", "10",
-                  "--target", "65536", "--scenario", f],
-                 ["ERROR\ttrace-rescale-error\tbounds must start at 0 and "
-                  "strictly increase"], 10)
-    _at_the_edge(["trace", "rescale", "--sub", "S", "--maxlen", "10",
-                  "--target", "65537", "--scenario", f],
-                 ["ERROR\ttrace-rescale-error\ttarget 65537 exceeds the "
-                  "budget of 65536 positions"], 1)
-    # a trace whose bounds do start at 0, rescaled to the largest target
-    # and rendered as the command renders it
-    t0 = time.monotonic()
-    p = (0, 2, 4, 8, 16)
-    w = {m: frozenset({encode_tuple(tuple(range(p[m + 1] if m < 4 else 20)))}
-                      if p[m] else ()) for m in range(5)}
-    lines = cli._trace_lines(rescale_trace(TraceSystem(p, w),
-                                           tuple(range(1 << 16))), "rescale")
-    assert len(lines) == 1 << 16
-    assert lines[19].render() == "PASS\trescale-19\tp=19 values=19"
-    assert time.monotonic() - t0 < 10
+# sha256 prefixes of the reports trace from-thin printed at --maxlen 0
+# to 10, in order, while it built the level tree stage by stage and
+# took lengths up to 10: reading the final tree alone prints the same
+_FROM_THIN_PINS = {
+    ("growing", "S"): "346da29fd0dfca51",
+    ("growing", "B"): "e8333b11f8444d5e",
+    ("identity", "S"): "346da29fd0dfca51",
+    ("identity", "B"): "81e166a143313be1",
+    ("ladder", "S"): "ae97fa9ad1b4a5f4",
+    ("ladder", "B"): "6b2ba9abcc54a5bf",
+}
+
+
+def test_thin_trace_reports_are_pinned(tmp_path):
+    tables = {"growing": _GROWING, "identity": _identity(10),
+              "ladder": _ladder(40, 32)}
+    branching = "".join(f"\nnode {s}" for s in
+                        ("e", "00", "10", "001", "100", "0010", "1001"))
+    for (name, sub), pin in _FROM_THIN_PINS.items():
+        f = _scan_scenario(tmp_path, tables[name])
+        with open(f, "a") as fh:
+            fh.write("\n[tree B]" + branching)
+        h = hashlib.sha256()
+        for maxlen in range(11):
+            h.update(cli.run_command(
+                ["trace", "from-thin", "--sub", sub, "--maxlen", str(maxlen),
+                 "--scenario", f], empty_scenario()).render().encode())
+        assert h.hexdigest()[:16] == pin, (name, sub)
 
 
 def _oplus_scenario(tmp_path, a, psi):

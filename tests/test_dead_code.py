@@ -1,10 +1,17 @@
-"""Every public top-level function and class of the library has a caller.
+"""Every public top-level function and class of the library has a caller,
+and every optional parameter a caller that passes it.
 
 A name counts as used when code under src/, scripts/ or perfbench/
 mentions it (as a bare name or as an attribute) outside the top-level
 definition of that name.  Tests do not count: a helper that only its
 own tests call is dead code, unless KEPT lists it with the reason it
 stays.
+
+An optional parameter of a public function, or of a class's
+__init__, counts as used when some call of that name under src/,
+scripts/, perfbench/ or tests/ passes it, by position or by keyword;
+a call that spreads *args or **kwargs passes everything.  A parameter
+no call passes is a constant.
 """
 
 import ast
@@ -56,3 +63,57 @@ def test_kept_helpers_are_still_defined_and_otherwise_unused():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert KEPT <= defined
     assert KEPT & used == set()
+
+
+def _calls_by_name():
+    calls = {}
+    for top in ("src", "scripts", "perfbench", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _optional_params(fn, bound):
+    """(name, position among the call's arguments or None) of each
+    parameter with a default; bound counts the leading self."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for i, arg in enumerate(pos[first:], first):
+        yield arg.arg, i - bound
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position):
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    calls = _calls_by_name()
+    unset = []
+    for path in sorted((ROOT / "src" / "branchlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                fns = [(node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(m, 1) for m in node.body
+                       if isinstance(m, ast.FunctionDef)
+                       and m.name == "__init__"]
+            else:
+                continue
+            for fn, bound in fns:
+                for param, position in _optional_params(fn, bound):
+                    if not any(_passes(c, param, position)
+                               for c in calls.get(node.name, ())):
+                        unset.append(f"{path.name}:{fn.lineno} "
+                                     f"{node.name}({param})")
+    assert unset == []

@@ -996,7 +996,7 @@ def test_branch_word_cases_reach_success_and_the_main_errors():
 
 
 def _naive_random_functional_table(rng, axioms=10, max_sigma_len=4,
-                                   max_arg=3, max_value=9, max_steps=3):
+                                   max_value=9, max_steps=3):
     """The generator that rebuilt and revalidated the whole table for
     every candidate, kept as the oracle of the incremental one."""
     kept = []
@@ -1004,7 +1004,7 @@ def _naive_random_functional_table(rng, axioms=10, max_sigma_len=4,
     for _ in range(axioms):
         sigma = "".join(rng.choice("01")
                         for _ in range(rng.randint(0, max_sigma_len)))
-        cand = (sigma, rng.randint(0, max_arg), rng.randint(0, max_value),
+        cand = (sigma, rng.randint(0, 3), rng.randint(0, max_value),
                 rng.randint(1, max_steps))
         try:
             tbl = FunctionalTable(tuple(kept) + (cand,))

@@ -17,25 +17,13 @@ from branchlab.gen import (random_functional_table,
                            random_weak_staged_tree, spined_weak_tree)
 from branchlab.strings import string_to_nat
 from branchlab.thin import (TraceSystem, decode_tuple, dnr_trace, encode_tuple,
-                            hat_level_stages, hat_level_tree, is_thin,
-                            level_functional, rescale_trace,
-                            selfdelim_decode, selfdelim_encode, spaced_level,
-                            spacing_bound_limit, spacing_bound_partial,
-                            splitting_to_thin, thin_from_trace,
-                            thin_violation, trace_from_bounded_splitting,
-                            trace_from_thin)
-from branchlab.trees import StagedTree, level_map, level_of, successors
-from helpers import staged_ce_violation
-
-
-def staged(*strings):
-    """Cumulative one-per-stage staging from an explicit add order."""
-    acc = {""}
-    stages = [frozenset(acc)]
-    for s in strings:
-        acc.add(s)
-        stages.append(frozenset(acc))
-    return StagedTree(tuple(stages))
+                            hat_level_tree, is_thin, level_functional,
+                            rescale_trace, selfdelim_decode, selfdelim_encode,
+                            spaced_level, spacing_bound_limit,
+                            spacing_bound_partial, splitting_to_thin,
+                            thin_from_trace, thin_violation,
+                            trace_from_bounded_splitting, trace_from_thin)
+from branchlab.trees import level_map, level_of, successors
 
 
 def identity_table(max_len):
@@ -124,54 +112,45 @@ def test_identity_level_tree_levels_track_output_length():
         assert level_of(t, tau) == len(output_prefix(psi, tau, hat=True))
 
 
-def test_hat_level_stages_are_weakly_enumerable():
-    psi = identity_table(3)
-    st_tree = hat_level_stages(psi, 3)
-    assert staged_ce_violation(st_tree, weak=True) is None
-    assert st_tree.final == hat_level_tree(psi, 3)
-
-
 # -- traces out of thin subtrees ----------------------------------------
 
 def test_trace_from_thin_root_only():
     psi = identity_table(3)
-    ts = trace_from_thin(psi, hat_level_stages(psi, 3), {""})
+    ts = trace_from_thin(psi, hat_level_tree(psi, 3), {""})
     assert ts.p == () and ts.w == {}
 
 
 def test_trace_from_thin_chain_gives_singletons():
     psi = identity_table(4)
-    st_tree = hat_level_stages(psi, 4)
-    ts = trace_from_thin(psi, st_tree, {"", "00", "000", "0000"})
+    ts = trace_from_thin(psi, hat_level_tree(psi, 4),
+                         {"", "00", "000", "0000"})
     assert ts.p == (2, 4, 8)
     assert ts.w == {0: frozenset({0}), 1: frozenset({0}), 2: frozenset({0})}
 
 
 def test_trace_from_thin_collects_distinct_values():
     psi = identity_table(2)
-    ts = trace_from_thin(psi, hat_level_stages(psi, 2), {"", "00", "10"})
+    ts = trace_from_thin(psi, hat_level_tree(psi, 2), {"", "00", "10"})
     assert ts.values_at(0) == frozenset({0, 1})
 
 
 def test_trace_from_thin_rejects_short_outputs():
-    st_tree = staged("0", "1")
+    t = {"", "0", "1"}
     with pytest.raises(ShapeError, match="output"):
-        trace_from_thin(FunctionalTable(()), st_tree, {"", "0", "1"})
+        trace_from_thin(FunctionalTable(()), t, t)
 
 
 def test_trace_from_thin_rejects_fat_subtrees():
     psi = identity_table(2)
-    st_tree = hat_level_stages(psi, 2)
     with pytest.raises(ShapeError, match="thin"):
-        trace_from_thin(psi, st_tree, {"", "00", "01", "10"})
+        trace_from_thin(psi, hat_level_tree(psi, 2), {"", "00", "01", "10"})
 
 
 def test_trace_from_thin_random_two_branching_subtrees():
     rng = random.Random(977)
     for _ in range(20):
         psi = random_functional_table(rng, axioms=12)
-        stages = hat_level_stages(psi, 5)
-        t = stages.final
+        t = hat_level_tree(psi, 5)
         tp, frontier = {""}, [""]
         while frontier:
             node = frontier.pop()
@@ -181,7 +160,7 @@ def test_trace_from_thin_random_two_branching_subtrees():
                 tp.add(kid)
                 frontier.append(kid)
         assert is_thin(t, tp)
-        ts = trace_from_thin(psi, stages, tp)
+        ts = trace_from_thin(psi, t, tp)
         memo = {}
         for n, vals in ts.w.items():
             assert len(vals) <= 1 << (n + 1)
@@ -249,20 +228,15 @@ def test_rescale_blocks_cover_every_position():
     assert checked >= 25
 
 
-def test_rescale_respects_target_bounds():
-    ts = TraceSystem((0, 1), {1: frozenset({encode_tuple((4, 6, 1))})})
-    out = rescale_trace(ts, p_target=(1, 1, 2))
-    assert out.p == (1, 1, 2)
-    assert out.values_at(0) == frozenset()
-    assert out.values_at(1) == frozenset({6})
-    assert out.values_at(2) == frozenset({1})
-
-
 def test_rescale_skips_unparseable_codes():
-    ts = TraceSystem((0, 2), {1: frozenset({1, encode_tuple((4, 6, 9))})})
-    out = rescale_trace(ts, p_target=(0, 1, 2))
+    # block 1 covers positions 2 and 3; the code 1 does not parse
+    ts = TraceSystem((0, 2, 5, 6),
+                     {1: frozenset({1, encode_tuple((4, 6, 9, 7))})})
+    out = rescale_trace(ts)
+    assert out.p == (0, 1, 2, 3)
     assert out.values_at(1) == frozenset()
     assert out.values_at(2) == frozenset({9})
+    assert out.values_at(3) == frozenset({7})
 
 
 def test_rescale_rejects_bad_bounds():
@@ -275,7 +249,7 @@ def test_rescale_rejects_bad_bounds():
 # rescale_trace before it decoded each block once and bisected the
 # bounds, kept as an oracle.
 
-def _naive_rescale_trace(ts, p_target=None):
+def _naive_rescale_trace(ts):
     p = ts.p
     if not p or p[0] != 0 or any(p[i + 1] <= p[i] for i in range(len(p) - 1)):
         raise ShapeError("bounds must start at 0 and strictly increase")
@@ -283,35 +257,34 @@ def _naive_rescale_trace(ts, p_target=None):
     def k(n):
         return max(m for m in range(len(p)) if p[m] <= n)
 
-    horizon = len(p) if p_target is None else len(p_target)
     w = {}
-    for n in range(horizon):
+    for n in range(len(p)):
         got = set()
         for code in ts.values_at(k(n)):
             decoded = decode_tuple(code)
             if decoded is not None and len(decoded) > n:
                 got.add(decoded[n])
         w[n] = got
-    out_p = tuple(range(horizon)) if p_target is None else tuple(p_target)
-    return TraceSystem(out_p, {n: frozenset(v) for n, v in w.items()})
+    return TraceSystem(tuple(range(len(p))),
+                       {n: frozenset(v) for n, v in w.items()})
 
 
-def _rescale_outcome(fn, ts, target):
+def _rescale_outcome(fn, ts):
     try:
-        out = fn(ts, target)
+        out = fn(ts)
     except ShapeError as e:
         return str(e)
     return out.p, out.w
 
 
 def test_rescale_matches_the_per_position_scan():
-    # random bounds (some not starting at 0 or not increasing), blocks
-    # of parseable and unparseable codes, and targets shorter or longer
-    # than the bounds, with loose bounds so that no target refuses
+    # random bounds (some not starting at 0 or not increasing, some
+    # with wide gaps, so that one block covers many positions) and
+    # blocks of parseable and unparseable codes
     outcomes = Counter()
     for seed in range(300):
         rng = random.Random(seed)
-        p = sorted(rng.sample(range(12), rng.randint(1, 6)))
+        p = sorted(rng.sample(range(24), rng.randint(1, 12)))
         if rng.random() < 0.8:
             p[0] = 0
         if rng.random() < 0.1:
@@ -323,10 +296,8 @@ def test_rescale_matches_the_per_position_scan():
              for m in range(len(p)) if rng.random() < 0.8}
         ts = TraceSystem(tuple(p), {m: v for m, v in w.items()
                                     if len(v) <= p[m]})
-        target = (None if rng.random() < 0.3 else
-                  tuple(range(4, rng.randint(4, 24))))
-        got = _rescale_outcome(rescale_trace, ts, target)
-        assert got == _rescale_outcome(_naive_rescale_trace, ts, target)
+        got = _rescale_outcome(rescale_trace, ts)
+        assert got == _rescale_outcome(_naive_rescale_trace, ts)
         outcomes[type(got)] += 1
         if isinstance(got, tuple):
             outcomes["values"] += sum(map(len, got[1].values()))
@@ -335,20 +306,22 @@ def test_rescale_matches_the_per_position_scan():
 
 
 def test_rescale_decodes_each_block_once():
-    # 16 codes of 1,034-entry tuples in the last of 513 blocks, rescaled
-    # to 2,048 positions: the per-position scan decoded every code again
-    # at each of the 1,024 positions past the last bound
+    # 16 codes of 1,034-entry tuples in block 1,023 of 2,048, whose
+    # bounds jump from 1,023 to 3,000: that block covers the 1,025
+    # positions from 1,023 on, and the per-position scan decoded every
+    # code again at each of them
     rng = random.Random(5)
-    p = tuple(range(0, 1025, 2))
+    p = (*range(1024), *range(3000, 4024))
     rows = [tuple(rng.randrange(100) for _ in range(1034))
             for _ in range(16)]
-    ts = TraceSystem(p, {len(p) - 1: frozenset(map(encode_tuple, rows))})
+    ts = TraceSystem(p, {1023: frozenset(map(encode_tuple, rows))})
     t0 = time.monotonic()
-    out = rescale_trace(ts, tuple(range(2048)))
+    out = rescale_trace(ts)
     assert time.monotonic() - t0 < 1
-    assert all(out.values_at(n) == frozenset() for n in range(1024))
+    assert out.p == tuple(range(2048))
+    assert all(out.values_at(n) == frozenset() for n in range(1023))
     assert all(out.values_at(n) == {r[n] for r in rows}
-               for n in range(1024, 1034))
+               for n in range(1023, 1034))
     assert all(out.values_at(n) == frozenset() for n in range(1034, 2048))
 
 
@@ -367,14 +340,13 @@ def test_spaced_levels_and_bounds():
 
 
 def test_thin_from_trace_empty_is_root():
-    assert thin_from_trace(staged("0"), TraceSystem((), {})) == frozenset({""})
+    assert thin_from_trace({"", "0"}, TraceSystem((), {})) == frozenset({""})
 
 
 def test_thin_from_trace_random_admissible_traces_are_thin():
     rng = random.Random(515)
     for _ in range(15):
-        st_tree = spined_weak_tree(rng, depth=12, shoots=8)
-        final = st_tree.final
+        final = spined_weak_tree(rng, depth=12, shoots=8).final
         buckets = level_map(final)
         w = {}
         for n in range(4):
@@ -383,22 +355,22 @@ def test_thin_from_trace_random_admissible_traces_are_thin():
             picks = pool[:rng.randint(1, max(1, n))]
             w[n] = frozenset(string_to_nat(s) for s in picks)
         ts = TraceSystem(tuple(max(1, n) for n in range(4)), w)
-        tp = thin_from_trace(st_tree, ts)
+        tp = thin_from_trace(final, ts)
         assert is_thin(final, tp)
         assert "" in tp
 
 
 def test_thin_from_trace_rejects_bad_codes():
-    st_tree = staged("0", "00", "000", "0000", "00000", "000000")
+    chain = {"0" * k for k in range(7)}
     outside = TraceSystem((1, 1), {1: frozenset({string_to_nat("11")})})
     with pytest.raises(ShapeError, match="outside"):
-        thin_from_trace(st_tree, outside)
+        thin_from_trace(chain, outside)
     shallow = TraceSystem((1, 1), {1: frozenset({string_to_nat("0")})})
     with pytest.raises(ShapeError, match="level"):
-        thin_from_trace(st_tree, shallow)
+        thin_from_trace(chain, shallow)
     fat = TraceSystem((1, 1, 3), {2: frozenset({1, 2, 3})})
     with pytest.raises(ShapeError, match="identity bound"):
-        thin_from_trace(st_tree, fat)
+        thin_from_trace(chain, fat)
 
 
 # -- diagonal traces -----------------------------------------------------
@@ -452,27 +424,27 @@ def test_level_functional_reads_back_prefixes():
 
 
 def test_splitting_to_thin_trivial_and_witness():
-    r = splitting_to_thin(staged(), {""})
+    r = splitting_to_thin({""}, {""})
     assert r.thin_ok and r.witness is None
-    r = splitting_to_thin(staged("00", "01"), {"", "00", "01"})
+    r = splitting_to_thin({"", "00", "01"}, {"", "00", "01"})
     assert not r.thin_ok and r.witness == ("00", "01")
-    r = splitting_to_thin(staged("00", "11"), {"", "00", "11"})
+    r = splitting_to_thin({"", "00", "11"}, {"", "00", "11"})
     assert r.thin_ok and r.witness is None
 
 
 def test_splitting_to_thin_membership_errors():
     with pytest.raises(MemberError):
-        splitting_to_thin(staged("00"), {"", "01"})
+        splitting_to_thin({"", "00"}, {"", "01"})
     with pytest.raises(MemberError):
-        splitting_to_thin(staged("00"), {"00"})
+        splitting_to_thin({"", "00"}, {"00"})
 
 
 def test_random_splitting_subtrees_are_thin():
     rng = random.Random(8846)
     for _ in range(30):
-        st_tree = random_weak_staged_tree(rng, steps=rng.randint(15, 25))
-        sub = random_readback_splitting_subtree(rng, st_tree.final)
-        r = splitting_to_thin(st_tree, sub)
+        t = random_weak_staged_tree(rng, steps=rng.randint(15, 25)).final
+        sub = random_readback_splitting_subtree(rng, t)
+        r = splitting_to_thin(t, sub)
         assert r.witness is None
         assert r.thin_ok
 
@@ -481,8 +453,7 @@ def test_breaking_a_splitting_subtree_is_reported():
     rng = random.Random(303)
     found = 0
     for _ in range(60):
-        st_tree = random_weak_staged_tree(rng, steps=20)
-        final = st_tree.final
+        final = random_weak_staged_tree(rng, steps=20).final
         sub = set(random_readback_splitting_subtree(rng, final))
         spoil = None
         for cand in final - sub:
@@ -497,7 +468,7 @@ def test_breaking_a_splitting_subtree_is_reported():
         if spoil is None:
             continue
         found += 1
-        assert splitting_to_thin(st_tree, sub | {spoil}).witness is not None
+        assert splitting_to_thin(final, sub | {spoil}).witness is not None
     assert found >= 10
 
 

@@ -47,6 +47,29 @@ def test_prefix_free():
     assert is_prefix_free([])
 
 
+# The pairwise scan that lex-order neighbours replaced, kept as an oracle.
+
+def _naive_is_prefix_free(strings):
+    ss = sorted(set(strings), key=lambda s: (len(s), s))
+    return not any(b.startswith(a)
+                   for i, a in enumerate(ss) for b in ss[i + 1:])
+
+
+def test_prefix_free_matches_the_pairwise_scan():
+    # short strings, so that prefixes are common, with repeats and the
+    # empty string
+    rng = random.Random(4242)
+    seen = {True: 0, False: 0}
+    for _ in range(4000):
+        strings = ["".join(rng.choice("01")
+                           for _ in range(rng.randint(0, 5)))
+                   for _ in range(rng.randint(0, 9))]
+        want = _naive_is_prefix_free(strings)
+        assert is_prefix_free(strings) == want, strings
+        seen[want] += 1
+    assert min(seen.values()) > 500
+
+
 @given(st.lists(bitstrings, min_size=1, max_size=8))
 def test_level_bounded_by_size(ss):
     t = frozenset(ss)
