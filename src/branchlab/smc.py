@@ -5,8 +5,11 @@ T(tau) of candidate strings.  The certified level omega_level says up
 to which level T(tau) looks healthy, pi collects the prefixes whose
 certified level jumps by two over everything seen before, and the
 selection routine packs pairwise incompatible picks for a prefix-free
-family, paying for each settled member out of an exact budget r_m.
-The driver consumes the resulting trees one stage at a time.
+family, paying for each settled member out of an exact budget r_m,
+kept in integers over a power of two.  Admission to pi reads only a
+string's own prefixes in the walk, and the readback theta is checked
+for consistency along source paths.  The driver consumes the resulting
+trees one stage at a time.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from .errors import BudgetError, MemberError, ProtocolError, ShapeError
 from .functionals import (FunctionalTable, _outputs, _pullback_tree,
                           _require_two_branching, _splitting_violation,
                           eval_at, min_steps, outputs_split)
-from .strings import (_lex_extensions, check_bits, compatible, is_prefix,
+from .strings import (_lex_extensions, check_bits, compatible,
                       is_proper_prefix, lenlex_key, show_string, sort_lenlex,
                       string_to_nat)
-from .trees import (StagedTree, Tree, branching_stats, is_prefix_free,
+from .trees import (StagedTree, Tree, _index, branching_stats, is_prefix_free,
                     leaves, level_of, level_map, sorted_members,
                     successors)
 
@@ -125,32 +128,41 @@ def omega_level(ctx: OmegaContext, tau: str) -> int:
                         if len(levels[k][-1]) > ctx.f[k]), top + 1) - 1)
 
 
-def enumerate_pi(ctx: OmegaContext, max_stage: int) -> StagedTree:
-    """Stage s admits the length-s strings whose certified level beats
-    every admitted prefix by two, with the new levels long enough.
+def _admission_walk(ctx: OmegaContext,
+                    max_stage: int) -> dict[str, tuple[int, int]]:
+    """Pi up to max_stage, in stage order: each admitted string's
+    certified level and count of admitted proper prefixes.
 
-    Every level from n + 2 up to the certified one is certified, and a
-    level's shortest member is longer than the level before's, so a
-    string is admitted exactly when its certified level is at least
-    n + 2 and that level's shortest member reaches the floor.
+    Stage s admits the length-s strings whose certified level beats
+    the n of every admitted prefix by two, with the new levels long
+    enough.  Levels n + 2 up to the certified one are all certified and
+    each level's shortest member outgrows the last's, so that is the
+    certified level's shortest member reaching f[n + 2].  Each string
+    hands n and its count on to its extensions, and every string with
+    n + 2 inside the majorant has its tree built and checked.
     """
-    pi = [""]
-    snaps = [Tree(pi)]
-    for s in range(1, max_stage + 1):
-        for bits in product("01", repeat=s):
-            tau = "".join(bits)
-            n = max(omega_level(ctx, p) for p in pi
-                    if is_proper_prefix(p, tau))
-            if n + 2 >= len(ctx.f):
-                continue
-            top = omega_level(ctx, tau)
-            if top < n + 2:
-                continue
-            shortest = level_map(t_of(ctx.phi, tau))[top][0]
-            if len(shortest) >= ctx.f[n + 2]:
-                pi.append(tau)
-        snaps.append(Tree(pi))
-    return StagedTree(tuple(snaps))
+    # the root's level is read only by its extensions
+    admitted = {"": (omega_level(ctx, "") if max_stage else 0, 0)}
+    # n and the count for each string of the last length, itself counted
+    reach = {"": (admitted[""][0], 1)}
+    for _ in range(max_stage):
+        nxt = {}
+        for x, (n, count) in reach.items():
+            for tau in (x + "0", x + "1"):
+                top = omega_level(ctx, tau) if n + 2 < len(ctx.f) else n
+                if top >= n + 2 and len(
+                        level_map(t_of(ctx.phi, tau))[top][0]) >= ctx.f[n + 2]:
+                    admitted[tau] = (top, count)
+                nxt[tau] = (top, count + 1) if tau in admitted else (n, count)
+        reach = nxt
+    return admitted
+
+
+def enumerate_pi(ctx: OmegaContext, max_stage: int) -> StagedTree:
+    """Pi after each stage up to max_stage (see _admission_walk)."""
+    pi = list(_admission_walk(ctx, max_stage))
+    return StagedTree(tuple(Tree(m for m in pi if len(m) <= s)
+                            for s in range(max_stage + 1)))
 
 
 # -- packing pairwise incompatible picks -----------------------------------
@@ -172,8 +184,13 @@ def _state_dump(settled, pools, m):
 
 def _level_members(t: Tree, level: int,
                    bases: tuple[str, ...]) -> tuple[str, ...]:
-    """Level-`level` members of t extending one of bases, length-lex."""
-    return tuple(x for x in level_map(t).get(level, ()) if x.startswith(bases))
+    """Level-`level` members of t extending one of bases, length-lex:
+    each base's run in the level sorted lex, which t's memo keeps."""
+    memo = _index(t).memo
+    if ("lex-level", level) not in memo:
+        memo["lex-level", level] = tuple(sorted(level_map(t).get(level, ())))
+    run = memo["lex-level", level]
+    return sort_lenlex({x for b in bases for x in _lex_extensions(run, b)})
 
 
 def select_extensions(ctx: OmegaContext, tau: str,
@@ -218,9 +235,9 @@ def select_extensions(ctx: OmegaContext, tau: str,
     settled: dict[int, tuple[str, str]] = {}
     settled_pool: dict[int, frozenset[str]] = {}
     pools: dict[int, list[str]] = {i: [sigma] for i in range(len(names))}
-    r = Fraction(0)
-    r_seq = []
     depth = max(d for _, d in lambda_nodes)
+    one = 1 << depth  # r_m is r / one, with r an integer
+    r, r_seq = 0, []
 
     def prune(pick: str, m: int) -> None:
         for i, pool in pools.items():
@@ -247,10 +264,10 @@ def select_extensions(ctx: OmegaContext, tau: str,
             pools[i] = grown
         stars = sorted((i for i, (_, d) in enumerate(lambda_nodes) if d == m),
                        key=lambda i: lenlex_key(names[i]))
-        r += Fraction(len(stars), 1 << m)
-        if r > 1:
-            raise ShapeError(f"budget r_{m} = {r} exceeds 1: the family is "
-                             "too crowded to be thin")
+        r += len(stars) << (depth - m)
+        if r > one:
+            raise ShapeError(f"budget r_{m} = {Fraction(r, one)} exceeds 1: "
+                             "the family is too crowded to be thin")
         for i in stars:
             cands = _level_members(trees[i], n_i[i], tuple(pools[i]))
             first = next(iter(cands), None)
@@ -265,13 +282,13 @@ def select_extensions(ctx: OmegaContext, tau: str,
             settled_pool[i] = frozenset(pools.pop(i))
             prune(first, m)
             prune(second, m)
-        floor = (1 - r) * (1 << (m + 1))
+        floor = (one - r) << (m + 1)  # (1 - r_m) 2^(m+1), times one
         for i, pool in pools.items():
-            if len(pool) < floor:
+            if len(pool) * one < floor:
                 raise ProtocolError(
                     f"pool for {show_string(names[i])} fell to {len(pool)} "
-                    f"below the floor {floor}; " + _state_dump(settled,
-                                                               pools, m))
+                    f"below the floor {Fraction(floor, one)}; "
+                    + _state_dump(settled, pools, m))
         r_seq.append(r)
 
     picks = [s for pair in settled.values() for s in pair]
@@ -283,7 +300,7 @@ def select_extensions(ctx: OmegaContext, tau: str,
                                     + _state_dump(settled, pools, depth))
     return SelectionResult(dict(sorted(settled.items())),
                            dict(sorted(settled_pool.items())),
-                           tuple(r_seq))
+                           tuple(Fraction(x, one) for x in r_seq))
 
 
 # -- enumerating the cover tree -------------------------------------------
@@ -293,7 +310,8 @@ class ThetaAxioms:
     """String-to-string axioms read off the cover tree's leaves.
 
     Nested sources must name nested targets, which is what makes the
-    readback single-valued along any path.
+    readback single-valued along any path.  Each source is checked
+    against its prefixes; the first pair by position is named.
     """
 
     axioms: dict[str, str]
@@ -302,19 +320,20 @@ class ThetaAxioms:
         for src, dst in self.axioms.items():
             check_bits(src)
             check_bits(dst)
-        for a in self.axioms:
-            for b in self.axioms:
-                if is_proper_prefix(a, b) and not is_prefix(
-                        self.axioms[a], self.axioms[b]):
-                    raise ShapeError(
-                        f"axioms at {show_string(a)} and {show_string(b)} "
-                        "disagree along a path")
+        pos = {src: i for i, src in enumerate(self.axioms)}
+        bad = min(((pos[a], pos[b], a, b) for b, dst in self.axioms.items()
+                   for a in (b[:k] for k in range(len(b)))
+                   if a in pos and not dst.startswith(self.axioms[a])),
+                  default=None)
+        if bad:
+            raise ShapeError(f"axioms at {show_string(bad[2])} and "
+                             f"{show_string(bad[3])} disagree along a path")
 
 
 def theta_decode(theta: ThetaAxioms, c: str) -> tuple[str, ...]:
     """The chain of targets named along the prefixes of c."""
-    hits = sorted((src for src in theta.axioms if is_prefix(src, c)), key=len)
-    return tuple(theta.axioms[src] for src in hits)
+    axioms = theta.axioms
+    return tuple(axioms[c[:k]] for k in range(len(c) + 1) if c[:k] in axioms)
 
 
 def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
@@ -338,9 +357,9 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
     if set(succ_codes) != set(final):
         raise ShapeError("successor codes name strings outside the "
                          "enumeration")
-    pi_final = enumerate_pi(ctx, max(len(m) for m in final)).final
+    admitted = _admission_walk(ctx, max(len(m) for m in final))
     for tau in sorted_members(final):
-        if tau not in pi_final:
+        if tau not in admitted:
             raise ShapeError(f"{show_string(tau)} was never admitted by "
                              "the ambient enumeration")
 
@@ -350,8 +369,8 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
         new = sort_lenlex(stages[s] - stages[s - 1])
         if not new:
             continue
-        owners = {x: max((p for p in stages[s - 1] if is_proper_prefix(p, x)),
-                         key=len, default=None) for x in new}
+        owners = {x: next((x[:k] for k in range(len(x) - 1, -1, -1)
+                           if x[:k] in stages[s - 1]), None) for x in new}
         tau = owners[new[0]]
         if tau is None or any(o != tau for o in owners.values()):
             raise ShapeError(f"stage {s} must extend exactly one leaf")
@@ -364,8 +383,10 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
                     raise ShapeError(f"stage {s} additions {show_string(a)} "
                                      f"and {show_string(b)} are compatible")
         base = tprime[tau]
-        depths = [level_of(pi_final, x) - level_of(pi_final, tau)
-                  for x in new]
+        try:  # admitted proper prefixes, the levels in pi
+            depths = [admitted[x][1] - admitted[tau][1] for x in new]
+        except KeyError as e:
+            raise MemberError(f"{e.args[0]!r} not in tree") from None
         nodes = list(zip(new, depths))
         grown: dict[str, set[str]] = {x: set(base) for x in new}
         for leaf in sort_lenlex(leaves(base)):

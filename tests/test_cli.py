@@ -2,18 +2,22 @@
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import branchlab
 from branchlab import cli, suite, traceable
 from branchlab.errors import ScenarioError
 from branchlab.functionals import FunctionalTable
-from branchlab.gen import odd_readback_psi
+from branchlab.gen import odd_readback_psi, phi_for_profile
 from branchlab.scenario import empty_scenario, parse_scenario
 from branchlab.smc import oplus_tree
-from branchlab.strings import string_to_nat
+from branchlab.strings import show_string, string_to_nat
 from helpers import constant_psi
 
 DEMO = """\
@@ -310,6 +314,48 @@ def test_folded_handlers_report_bytes_are_pinned(tmp_path, capsys):
     for cmd, out in expected:
         assert cli.main(cmd.split()) == 0, cmd
         assert capsys.readouterr().out == out, cmd
+
+
+def _off_path_scenario():
+    """phi's tree at the oracle 0, off the staged path e, 1, gives the
+    root three successors."""
+    phi = phi_for_profile({"": 0, "1": 2, "0": ["", "00", "01", "10"]})
+    lines = ["[functional phi]"] + [f"axiom {show_string(s)} {n} {v} {k}"
+                                    for s, n, v, k in phi.axioms]
+    lines += ["", "[staged G]", "stage", "node e", "stage", "node 1",
+              "", "[params]", "seed 4", ""]
+    return "\n".join(lines)
+
+
+def test_off_path_tables_are_still_checked(tmp_path, capsys):
+    # the enumeration builds and checks the tree of every string it
+    # reaches, so a malformed tree off the staged path is still refused
+    f = tmp_path / "offpath.scn"
+    f.write_text(_off_path_scenario())
+    for cmd in (["check", "theta", "--staging", "G"],
+                ["run", "pi6", "--stages", "3"]):
+        assert cli.main([*cmd, "--phi", "phi", "--scenario", str(f)]) == 1
+        assert capsys.readouterr().out == (
+            f"# seed 4\nERROR\t{cmd[0]}-{cmd[1]}-error\te has more than two "
+            "successors in the tree at 0\n")
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # 4,000 colourings print about 100 KB, more than a pipe buffer holds,
+    # so the report is still being written when the reader leaves
+    src = os.path.dirname(os.path.dirname(branchlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "branchlab.cli", "verify", "nice", "--i", "1",
+         "--n", "2", "--count", "4000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline() == b"# seed 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0  # every line passes
+    assert b"Traceback" not in err and err == b""
 
 
 def test_nice_fail_lines_of_verify_and_suite(monkeypatch):

@@ -3,6 +3,7 @@ finite-extension driver."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -208,6 +209,56 @@ def test_enumeration_matches_trying_every_certified_level():
     assert admitted > 20
 
 
+def _naive_asked(ctx, final, max_stage):
+    """The strings whose certified level the enumeration must ask for,
+    in order: the root once a stage runs, then every string whose
+    admitted proper prefixes in final leave n + 2 inside the majorant."""
+    asked = [""] if max_stage else []
+    for s in range(1, max_stage + 1):
+        for bits in product("01", repeat=s):
+            tau = "".join(bits)
+            n = max(_naive_omega_level(ctx, p) for p in final
+                    if is_proper_prefix(p, tau))
+            if n + 2 < len(ctx.f):
+                asked.append(tau)
+    return asked
+
+
+def test_admission_walk_matches_the_naive_enumeration(monkeypatch):
+    # the walk's admitted set in stage order, each string's certified
+    # level and count of admitted proper prefixes (the depths that
+    # build_tprime reads), enumerate_pi's snapshots, and every string
+    # whose tree is built and checked, in order
+    real = smc.omega_level
+    asked = []
+    monkeypatch.setattr(smc, "omega_level",
+                        lambda ctx, tau: asked.append(tau) or real(ctx, tau))
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(150):
+        ctx = _random_context(rng) if rng.random() < 0.5 else staged_context(
+            {c: rng.randint(0, 2 * len(c) + 1)
+             for c in rng.sample(all_strings(3), rng.randint(1, 8))})
+        max_stage = rng.randint(0, 4)
+        want = _outcome(_naive_enumerate_pi, ctx, max_stage)
+        asked.clear()
+        got = _outcome(smc._admission_walk, ctx, max_stage)
+        assert got[0] == want[0]
+        kinds.add(got[0] if got[0] != "ok" else len(got[1]) > 1)
+        if got[0] != "ok":
+            assert got == want
+            continue
+        final = want[1].final
+        assert list(got[1]) == list(sort_lenlex(final))
+        for x, (level, below) in got[1].items():
+            assert below == level_of(final, x)
+            if x or max_stage:  # with no stage the root's level is unread
+                assert level == _naive_omega_level(ctx, x)
+        assert asked == _naive_asked(ctx, final, max_stage)
+        assert enumerate_pi(ctx, max_stage) == want[1]
+    assert kinds == {False, True, "ShapeError"}, kinds
+
+
 class TestOmega:
     def test_level_zero_holds_unconditionally(self):
         ctx = staged_context({"": 0})
@@ -383,6 +434,89 @@ class TestSelect:
                     assert pick.startswith(sigma)
 
 
+# The Fraction arithmetic that the integer budget replaced, kept as an
+# oracle: r_m and the pool floor (1 - r_m) 2^(m+1).
+
+def _fraction_budget(nodes):
+    r, seq = Fraction(0), []
+    for m in range(1, max(d for _, d in nodes) + 1):
+        r += Fraction(sum(d == m for _, d in nodes), 1 << m)
+        seq.append(r)
+    return seq
+
+
+def _random_family(rng):
+    """A prefix-free family above 1 of full-depth trees, crowded or not,
+    and a level-2 base; every pool grows, so the budget decides."""
+    while True:
+        names = sorted({"1" + "".join(rng.choice("01")
+                                      for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 5))})
+        if all(not b.startswith(a) for a, b in zip(names, names[1:])):
+            break
+    nodes = [(nm, rng.choice((1, 1, 2))) for nm in names]
+    ctx = staged_context({"": 0, "1": 2, **{nm: 2 + 2 * d for nm, d in nodes}})
+    return ctx, nodes, format(rng.randrange(4), "02b")
+
+
+def test_integer_budget_matches_the_fraction_budget():
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(200):
+        ctx, nodes, sigma = _random_family(rng)
+        seq = _fraction_budget(nodes)
+        over = next((m for m, r in enumerate(seq, 1) if r > 1), None)
+        got = _outcome(select_extensions, ctx, "1", nodes, sigma)
+        if over is None:
+            assert got[0] == "ok" and got[1].r == tuple(seq)
+        else:
+            assert got == ("ShapeError", f"budget r_{over} = {seq[over - 1]} "
+                           "exceeds 1: the family is too crowded to be thin")
+        kinds.add(over)
+    assert kinds >= {None, 1, 2}, kinds
+
+
+_FLOOR = re.compile(r"pool for (\w+) fell to (\d+) below the floor (\S+); "
+                    r"at step (\d+):")
+
+
+def test_floor_message_matches_the_fraction_floor(monkeypatch):
+    # settled picks knock at most two strings out of a pool each step
+    # while it quadruples, so no pool ever falls below the floor; one
+    # string less is counted in every pool, once pools grow, to reach
+    # the message
+    real_members, real_len, growing = smc._level_members, len, []
+
+    def members(*args):
+        growing.append(True)
+        return real_members(*args)
+
+    def short_len(x):
+        n = real_len(x)
+        return n - 1 if (growing and type(x) is list and n
+                         and type(x[0]) is str) else n
+
+    monkeypatch.setattr(smc, "_level_members", members)
+    monkeypatch.setattr(smc, "len", short_len, raising=False)
+    rng = random.Random(20261021)
+    floors = 0
+    for _ in range(200):
+        ctx, nodes, sigma = _random_family(rng)
+        seq = _fraction_budget(nodes)
+        growing.clear()
+        got = _outcome(select_extensions, ctx, "1", nodes, sigma)
+        hit = _FLOOR.match(got[1]) if got[0] == "ProtocolError" else None
+        if hit is None:
+            continue
+        name, size, floor, m = hit.groups()
+        m = int(m)
+        want = (1 - seq[m - 1]) * (1 << (m + 1))
+        assert floor == str(want) and int(size) < want
+        assert dict(nodes)[name] > m
+        floors += 1
+    assert floors > 20
+
+
 # The whole-tree scan that the selection's level lists replaced, kept as
 # an oracle.
 
@@ -411,6 +545,36 @@ def test_selection_level_members_match_naive_scan(monkeypatch):
     assert len(calls) > 100 and 0 < min(calls) < max(calls)
 
 
+# The filter of a whole tree level that the bisected runs replaced, kept
+# as an oracle.
+
+def _linear_level_members(t, level, bases):
+    return tuple(x for x in level_map(t).get(level, ()) if x.startswith(bases))
+
+
+def test_level_members_match_the_linear_filter():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        t = Tree(_random_members(rng, rng.randint(1, 7))
+                 if rng.random() < 0.95 else ())
+        top = max_level(t) if t else -1
+        for _ in range(6):
+            # members, strings off the tree, nested and repeated bases
+            bases = tuple(rng.choice(sorted(t)) if t and rng.random() < 0.5
+                          else "".join(rng.choice("01")
+                                       for _ in range(rng.randint(0, 4)))
+                          for _ in range(rng.choice((1, 1, 2, 3, 5))))
+            for level in (rng.randint(-1, top + 2), top + 1):
+                got = smc._level_members(t, level, bases)
+                assert got == _linear_level_members(t, level, bases)
+                # the second ask reads the memo
+                assert smc._level_members(t, level, bases) == got
+                seen.add((len(bases) > 1, bool(got), level > top))
+    assert seen >= {(False, True, False), (True, True, False),
+                    (False, False, True), (True, False, True)}, seen
+
+
 # -- readback axioms ----------------------------------------------------------
 
 class TestTheta:
@@ -425,6 +589,59 @@ class TestTheta:
         theta = ThetaAxioms({"00": "0", "0000": "00"})
         assert theta_decode(theta, "000001") == ("0", "00")
         assert theta_decode(theta, "11") == ()
+
+
+# The pairwise check of every two sources and the decoder's sorted scan
+# of every axiom, which the probes along source paths replaced, kept as
+# oracles.
+
+def _pairwise_theta_violation(axioms):
+    for a in axioms:
+        for b in axioms:
+            if is_proper_prefix(a, b) and not is_prefix(axioms[a], axioms[b]):
+                return (f"axioms at {show_string(a)} and {show_string(b)} "
+                        "disagree along a path")
+    return None
+
+
+def _sorted_theta_decode(theta, c):
+    hits = sorted((src for src in theta.axioms if is_prefix(src, c)), key=len)
+    return tuple(theta.axioms[src] for src in hits)
+
+
+def _random_axioms(rng):
+    """Sources up to length 5 in random order; each target extends its
+    nearest source prefix's, until a few are redrawn at random."""
+    srcs = sort_lenlex(rng.sample(all_strings(5), rng.randint(1, 14)))
+    tgt = {}
+    for s in srcs:
+        below = max((tgt[p] for p in srcs if is_proper_prefix(p, s)),
+                    key=len, default="")
+        tgt[s] = below + "".join(rng.choice("01")
+                                 for _ in range(rng.randint(0, 2)))
+    for s in rng.sample(srcs, min(len(srcs), rng.choice((0, 0, 1, 2, 3)))):
+        tgt[s] = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+    return {s: tgt[s] for s in rng.sample(srcs, len(srcs))}
+
+
+def test_theta_checks_match_the_pairwise_scan():
+    rng = random.Random(20261022)
+    verdicts = {"ok": 0, "several": 0, "one": 0}
+    for _ in range(1500):
+        axioms = _random_axioms(rng)
+        want = _pairwise_theta_violation(axioms)
+        got = _outcome(ThetaAxioms, axioms)
+        assert got == (("ok", ThetaAxioms(axioms)) if want is None
+                       else ("ShapeError", want))
+        bad = sum(is_proper_prefix(a, b)
+                  and not is_prefix(axioms[a], axioms[b])
+                  for a in axioms for b in axioms)
+        verdicts["ok" if not bad else "one" if bad == 1 else "several"] += 1
+        if want is None:
+            theta = got[1]
+            for c in ("", *rng.sample(all_strings(6), 20), *axioms):
+                assert theta_decode(theta, c) == _sorted_theta_decode(theta, c)
+    assert min(verdicts.values()) > 100, verdicts
 
 
 # -- the packed cover ---------------------------------------------------------
