@@ -16,6 +16,13 @@ strings plus the live ones, every non-terminal string of length at
 most the stage, which one descent walks; the traced tuples, the next
 generation and a node's modules follow from the logs and levels.
 
+A stage's module acts change one working copy of the state in place,
+frozen once.  No node is ever terminal, so a walk of the live strings
+above a node meets every node above it: a C reshape drops them on the
+walk it makes for the newly terminal strings, a P module finds its
+successor nodes on a walk stopped at each node, and the final check
+reads each string's deepest node prefix off one descent.
+
 Stage numbering: a state with stage S has completed S growth steps,
 so strings present have length at most S.  The next run_stage call
 works with search length S and step bound S, then grows the tree to
@@ -25,18 +32,16 @@ length S+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice, product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
 from .functionals import (EMPTY_TABLE, FunctionalTable, _has_axiom_at,
                           effective_axiom)
-from .strings import (bits_of_values, compatible, is_prefix, lenlex_key,
-                      sort_lenlex)
-from .trees import Tree, successors
+from .strings import bits_of_values, compatible, is_prefix, lenlex_key
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,7 @@ def module_set(level: int) -> frozenset[ModuleId]:
     return frozenset(mods)
 
 
-@dataclass(frozen=True)
-class NodeInfo:
+class NodeInfo(NamedTuple):
     level: int
     generation: int
     declared_stage: int
@@ -106,10 +110,25 @@ class ConstructionState:
         """Generations count declarations from 1, one per log row."""
         return len(self.declared_log) + 1
 
-    @cached_property
-    def node_tree(self) -> Tree:
-        """The nodes as a tree, built once per state."""
-        return Tree(self.nodes)
+
+class WorkingState:
+    """A mutable copy of a state's fields, which the acts of one stage
+    change in place; freeze() hands back the state."""
+
+    def __init__(self, st: ConstructionState):
+        self.stage, self.nodes = st.stage, dict(st.nodes)
+        self.terminal, self.acted = set(st.terminal), set(st.acted)
+        self.declared_log = list(st.declared_log)
+        self.tuple_log = list(st.tuple_log)
+
+    next_generation = ConstructionState.next_generation
+
+    def freeze(self) -> ConstructionState:
+        return ConstructionState(self.stage, self.nodes,
+                                 frozenset(self.terminal),
+                                 frozenset(self.acted),
+                                 tuple(self.declared_log),
+                                 tuple(self.tuple_log))
 
 
 def init_state() -> ConstructionState:
@@ -122,7 +141,7 @@ def init_state() -> ConstructionState:
     )
 
 
-def is_terminal(st: ConstructionState, s: str) -> bool:
+def is_terminal(st: ConstructionState | WorkingState, s: str) -> bool:
     """True iff some prefix of s, s included, is terminal."""
     terminal = st.terminal
     if not terminal:
@@ -130,22 +149,30 @@ def is_terminal(st: ConstructionState, s: str) -> bool:
     return any(s[:k] in terminal for k in range(len(s) + 1))
 
 
-def _live_levels(st: ConstructionState, tau: str, length: int):
+def _live_levels(st: ConstructionState | WorkingState, tau: str,
+                 length: int):
     """The non-terminal extensions of tau, one lex-ordered list per
     length up to the given one: a string is terminal iff a prefix is,
     so the descent drops each terminal child, by lookups alone."""
     if length < len(tau):
         return
-    terminal = st.terminal
     level = [] if is_terminal(st, tau) else [tau]
     yield level
     for _ in range(len(tau), length):
-        level = [y for x in level for y in (x + "0", x + "1")
-                 if y not in terminal]
+        level = _live_children(st, level)
         yield level
 
 
-def frontier(st: ConstructionState, length: Optional[int] = None) -> tuple[str, ...]:
+def _live_children(st: ConstructionState | WorkingState,
+                   level: list[str]) -> list[str]:
+    """The non-terminal one-bit extensions of the strings, in order."""
+    terminal = st.terminal
+    return [y for x in level for y in (x + "0", x + "1")
+            if y not in terminal]
+
+
+def frontier(st: ConstructionState | WorkingState,
+             length: Optional[int] = None) -> tuple[str, ...]:
     """Non-terminal strings of the given length (default: the stage),
     in lex order."""
     level: list[str] = []
@@ -170,7 +197,8 @@ def oracle_output_bits(f: FunctionalTable, steps: int) -> str:
     return bits_of_values(vals)
 
 
-def _check_allocated(st: ConstructionState, tau: str, mid: ModuleId) -> NodeInfo:
+def _check_allocated(st: ConstructionState | WorkingState, tau: str,
+                     mid: ModuleId) -> NodeInfo:
     info = st.nodes.get(tau)
     if info is None or mid not in info.modules:
         raise ProtocolError(f"{mid} is not allocated to {tau!r}")
@@ -200,9 +228,9 @@ def _declare(nodes: dict[str, NodeInfo], log: list, tau: str, level: int,
     log.append((level, tau, gen, stage))
 
 
-def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
-                 adv: AdversaryBundle) -> Optional[ConstructionState]:
-    """Fire a C module if its convergence search succeeds.
+def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
+                 adv: AdversaryBundle) -> bool:
+    """Fire a C module if its convergence search succeeds: True iff so.
 
     The search descends the live strings above the node, length-lex,
     for a tau' where the adversary converges within the stage's step
@@ -210,80 +238,86 @@ def act_c_module(st: ConstructionState, tau: str, mid: ModuleId,
     extensions of the search length.  Acting reshapes everything above
     the node.
     """
-    info = _check_allocated(st, tau, mid)
+    info = _check_allocated(work, tau, mid)
     if mid.kind != "C":
         raise ProtocolError("expected a C module")
     table = _adversary_table(adv, mid.i)
     if not _has_axiom_at(table, mid.n):
-        return None  # no axiom at the argument: nothing can converge
-    s = st.stage
+        return False  # no axiom at the argument: nothing can converge
+    s = work.stage
     found = None
-    for cand in chain.from_iterable(_live_levels(st, tau, s - 1)):
+    for cand in chain.from_iterable(_live_levels(work, tau, s - 1)):
         ax = effective_axiom(table, cand, mid.n)
         if ax is None or ax[3] > s:
             continue
         ext = (cand + "".join(b) for b in product("01", repeat=s - len(cand)))
-        live = list(islice((e for e in ext if not is_terminal(st, e)), 2))
+        live = list(islice((e for e in ext if not is_terminal(work, e)), 2))
         if len(live) == 2:
             found = (live, ax[2])
             break
     if found is None:
-        return None
+        return False
     (t0, t1), value = found
 
-    nodes = {x: nf for x, nf in st.nodes.items()
-             if not (x != tau and x.startswith(tau))}
-    newly_terminal = {p for p in chain.from_iterable(_live_levels(st, tau, s))
-                      if not compatible(p, t0) and not compatible(p, t1)}
-    log: list = []
-    gen = st.next_generation
+    nodes = work.nodes
+    # walked whole before the terminal set changes; tau, first, stays
+    for p in list(chain.from_iterable(_live_levels(work, tau, s)))[1:]:
+        nodes.pop(p, None)
+        if not compatible(p, t0) and not compatible(p, t1):
+            work.terminal.add(p)
+    gen = work.next_generation
     j = info.level + 1
-    _declare(nodes, log, t0, j, gen, s + 1)
-    _declare(nodes, log, t1, j, gen + 1, s + 1)
-    return replace(
-        st,
-        nodes=nodes,
-        terminal=st.terminal | newly_terminal,
-        acted=st.acted | {(tau, mid, info.generation)},
-        declared_log=st.declared_log + tuple(log),
-        tuple_log=st.tuple_log + ((mid.i, mid.n, value, tau, info.level,
-                                   info.generation),),
-    )
+    _declare(nodes, work.declared_log, t0, j, gen, s + 1)
+    _declare(nodes, work.declared_log, t1, j, gen + 1, s + 1)
+    work.acted.add((tau, mid, info.generation))
+    work.tuple_log.append((mid.i, mid.n, value, tau, info.level,
+                           info.generation))
+    return True
 
 
-def act_p_module(st: ConstructionState, tau: str, mid: ModuleId,
-                 adv: AdversaryBundle) -> Optional[ConstructionState]:
-    """Fire a P module if the adversary's output follows a successor.
+def _successor_nodes(st: WorkingState, tau: str) -> list[str]:
+    """The nodes above tau with no node between, length-lex: the walk
+    of the live strings above tau, stopped at each node it meets."""
+    succ, level = [], [tau]
+    for _ in range(len(tau), st.stage):
+        level = _live_children(st, level)
+        succ += [y for y in level if y in st.nodes]
+        level = [y for y in level if y not in st.nodes]
+    return succ
+
+
+def act_p_module(work: WorkingState, tau: str, mid: ModuleId,
+                 adv: AdversaryBundle) -> bool:
+    """Fire a P module if the adversary's output follows a successor:
+    True iff so.
 
     The module waits two stages after its node was declared, needs
     exactly two successor nodes, and when the output at the empty
     oracle extends one of them it terminates that whole side.
     """
-    info = _check_allocated(st, tau, mid)
+    info = _check_allocated(work, tau, mid)
     if mid.kind != "P":
         raise ProtocolError("expected a P module")
-    s = st.stage
+    s = work.stage
     if s + 1 < info.declared_stage + 2:
-        return None
-    succ = successors(st.node_tree, tau)
+        return False
+    succ = _successor_nodes(work, tau)
     if len(succ) != 2:
-        return None
+        return False
     out = oracle_output_bits(_adversary_table(adv, mid.i), s)
     if is_prefix(succ[0], out):
         keep = succ[1]
     elif is_prefix(succ[1], out):
         keep = succ[0]
     else:
-        return None
-    doomed = {p for p in chain.from_iterable(_live_levels(st, tau, s))
-              if not compatible(p, keep)}
-    nodes = {x: nf for x, nf in st.nodes.items() if x not in doomed}
-    return replace(
-        st,
-        nodes=nodes,
-        terminal=st.terminal | doomed,
-        acted=st.acted | {(tau, mid, info.generation)},
-    )
+        return False
+    doomed = [p for p in chain.from_iterable(_live_levels(work, tau, s))
+              if not compatible(p, keep)]
+    work.terminal.update(doomed)
+    for p in doomed:
+        work.nodes.pop(p, None)
+    work.acted.add((tau, mid, info.generation))
+    return True
 
 
 def _modules_that_can_act(adv: AdversaryBundle, level: int,
@@ -293,7 +327,7 @@ def _modules_that_can_act(adv: AdversaryBundle, level: int,
 
     A C(i, n) module needs an axiom at argument n in table i, and a
     P(i) module a non-empty output, since an empty one extends no
-    successor; every other module's action returns None.
+    successor; no other module can fire.
     """
     mods = [c_module(i, level - i)
             for i, f in enumerate(adv.psi_i[:level + 1])
@@ -319,33 +353,24 @@ def _stage(st: ConstructionState, adv: AdversaryBundle,
     snapshot = sorted(((nf.level, lenlex_key(tau), tau, nf.generation)
                        for tau, nf in st.nodes.items()
                        if nf.declared_stage <= s and acting[nf.level]))
-    cur = st
+    work = WorkingState(st)
     for level, _, tau, gen in snapshot:
-        nf = cur.nodes.get(tau)
+        nf = work.nodes.get(tau)
         if nf is None or nf.generation != gen:
             continue  # reshaped away earlier in this stage
         for mid in acting[level]:
-            if (tau, mid, gen) in cur.acted:
+            if (tau, mid, gen) in work.acted:
                 continue
-            if mid.kind == "C":
-                res = act_c_module(cur, tau, mid, adv)
-            else:
-                res = act_p_module(cur, tau, mid, adv)
-            if res is not None:
-                cur = res
+            act = act_c_module if mid.kind == "C" else act_p_module
+            if act(work, tau, mid, adv):
                 break  # one action per node per stage
-    nodes = dict(cur.nodes)
-    log: list = []
-    live = frontier(cur, s + 1)
-    for gen, tau in enumerate(live, cur.next_generation):
+    nodes = work.nodes
+    live = frontier(work, s + 1)
+    for gen, tau in enumerate(live, work.next_generation):
         level = _nearest_node_level(nodes, tau) + 1
-        _declare(nodes, log, tau, level, gen, s + 1)
-    return replace(
-        cur,
-        stage=s + 1,
-        nodes=nodes,
-        declared_log=cur.declared_log + tuple(log),
-    ), live
+        _declare(nodes, work.declared_log, tau, level, gen, s + 1)
+    work.stage = s + 1
+    return work.freeze(), live
 
 
 def stage_run(adv: AdversaryBundle, horizon: int):
@@ -412,21 +437,35 @@ def final_node_violation(st: ConstructionState,
     A frontier string passes through a successor of a node below it iff
     a node lies between them, the string included: it can miss only its
     deepest proper node prefix's successors, and only if it is no node.
+    One descent of the live strings, carrying that prefix, meets the
+    live nodes length-lex and gives each node its successors and its
+    lex-first missing frontier string.  A node it cannot reach is
+    terminal, so goes unchecked, but is a successor of its parent node.
     """
-    horizon = st.stage
-    nodes = st.nodes
-    order = sort_lenlex(nodes)  # parents first, successors in order
-    succs: dict[str, list[str]] = {tau: [] for tau in order}
-    for x in order:
-        succs.get(_parent_node(nodes, x), []).append(x)
-    # each node's lex-first missing string: the frontier is lex-sorted
-    missed = {_parent_node(nodes, x): x
-              for x in reversed(frontier(st, horizon)) if x not in nodes}
+    horizon, nodes = st.stage, st.nodes
+    order, succs, missed = [], {}, {}
+    deep = {}  # each live string that is no node: its deepest node prefix
+    for layer in _live_levels(st, "", horizon):
+        for x in layer:
+            p = x[:-1]
+            below = (p if p in nodes else deep[p]) if x else None
+            if x in nodes:
+                order.append(x)
+                succs.setdefault(below, []).append(x)
+            else:
+                deep[x] = below
+                if len(x) == horizon:
+                    missed.setdefault(below, x)
+    if len(order) < len(nodes):
+        # successors are pairwise incomparable, so their order never
+        # changes a verdict: at most one sits inside an output
+        for x in nodes.keys() - set(order):
+            succs.setdefault(_parent_node(nodes, x), []).append(x)
     outs: dict[int, str] = {}  # the watched output, per node level
     for tau in order:
-        if len(tau) >= horizon or is_terminal(st, tau):
-            continue
-        if not succs[tau]:
+        if len(tau) >= horizon:
+            break  # length-lex: every later node is at the horizon too
+        if tau not in succs:
             return f"node {tau!r} has no surviving successor node"
         level = nodes[tau].level
         out = outs.get(level)

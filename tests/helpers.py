@@ -1,6 +1,6 @@
 """Library-level helpers that only the tests call: two oracles, a
-checked pullback, a driver-stage fixture, and a tree index as plain
-data."""
+checked pullback, a driver-stage fixture, a tree index as plain data,
+and one traceable act as a whole-state step."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from branchlab.functionals import (FunctionalTable, _checked_outputs,
                                    outputs_split)
 from branchlab.smc import oplus_tree
 from branchlab.strings import compatible, sort_lenlex
+from branchlab.traceable import ConstructionState, WorkingState
 from branchlab.trees import StagedTree, Tree, leaves, successors
 
 
@@ -85,3 +86,12 @@ def index_items(idx) -> tuple:
     """A tree index as plain data, mapping order included."""
     return (list(idx.level.items()), list(idx.successors.items()),
             idx.leaves, idx.levels)
+
+
+def act_frozen(act, st: ConstructionState,
+               *args) -> Optional[ConstructionState]:
+    """The state after act (act_c_module or act_p_module) fires on a
+    working copy of st, or None if it does not fire: one act as a step
+    from state to state, to set beside the naive acts."""
+    work = WorkingState(st)
+    return work.freeze() if act(work, *args) else None

@@ -1,7 +1,7 @@
 import math
 import random
 from dataclasses import fields, replace
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple
 
 import pytest
@@ -13,7 +13,7 @@ from branchlab.errors import ConsistencyError, ProtocolError
 from branchlab.functionals import _has_axiom_at, effective_axiom, table
 from branchlab.gen import random_functional_table
 from branchlab.strings import bits_of_values, compatible
-from branchlab.traceable import (ConstructionState, ModuleId,
+from branchlab.traceable import (ConstructionState, ModuleId, WorkingState,
                                  _adversary_table, _check_allocated, _declare,
                                  _nearest_node_level,
                                  act_c_module, act_p_module, c_module,
@@ -25,6 +25,7 @@ from branchlab.traceable import (ConstructionState, ModuleId,
                                  run_to_horizon, stage_run, trace_bound_pair,
                                  verify_final_nodes)
 from branchlab.trees import sort_lenlex, successors
+from helpers import act_frozen
 
 
 def test_init_state():
@@ -40,7 +41,7 @@ def test_init_state():
 def test_state_stores_only_what_it_cannot_derive():
     assert [f.name for f in fields(ConstructionState)] == [
         "stage", "nodes", "terminal", "acted", "declared_log", "tuple_log"]
-    assert [f.name for f in fields(traceable.NodeInfo)] == [
+    assert list(traceable.NodeInfo._fields) == [
         "level", "generation", "declared_stage"]
 
 
@@ -67,17 +68,18 @@ def test_one_stage_from_init():
 
 def test_c_module_absent_without_convergence():
     st = init_state()
-    assert act_c_module(st, "", c_module(0, 0), EMPTY_BUNDLE) is None
+    assert act_frozen(act_c_module, st, "", c_module(0, 0),
+                      EMPTY_BUNDLE) is None
     adv = bundle([table([("", 0, 7, 1)])])
     # steps bound is the stage, so nothing converges at stage 0
-    assert act_c_module(st, "", c_module(0, 0), adv) is None
+    assert act_frozen(act_c_module, st, "", c_module(0, 0), adv) is None
 
 
 def test_c_module_first_action():
     adv = bundle([table([("", 0, 7, 1)])])
     st1 = run_stage(init_state(), adv)
     old_gens = {tau: st1.nodes[tau].generation for tau in ("0", "1")}
-    st2 = act_c_module(st1, "", c_module(0, 0), adv)
+    st2 = act_frozen(act_c_module, st1, "", c_module(0, 0), adv)
     assert st2 is not None
     assert st2.tuples == frozenset([(0, 0, 7)])
     for tau in ("0", "1"):
@@ -87,10 +89,10 @@ def test_c_module_first_action():
         assert info.declared_stage == 2
         assert info.modules == frozenset(
             [p_module(1), c_module(0, 1), c_module(1, 0)])
-    with pytest.raises(ProtocolError):
-        act_c_module(st2, "", c_module(0, 0), adv)  # already acted
-    with pytest.raises(ProtocolError):
-        act_c_module(st2, "", c_module(3, 3), adv)  # never allocated
+    with pytest.raises(ProtocolError):  # already acted
+        act_frozen(act_c_module, st2, "", c_module(0, 0), adv)
+    with pytest.raises(ProtocolError):  # never allocated
+        act_frozen(act_c_module, st2, "", c_module(3, 3), adv)
 
 
 def test_c_action_inside_run_stage():
@@ -124,12 +126,13 @@ def test_p_module_grace_and_absence():
     adv = bundle([table([("", k, 0, 1) for k in range(4)])])
     st = init_state()
     # too early: the node was just declared
-    assert act_p_module(st, "", p_module(0), adv) is None
+    assert act_frozen(act_p_module, st, "", p_module(0), adv) is None
     st = run_stage(st, EMPTY_BUNDLE)
     st = run_stage(st, EMPTY_BUNDLE)
     # undefined output never acts
-    assert act_p_module(st, "", p_module(0), EMPTY_BUNDLE) is None
-    st2 = act_p_module(st, "", p_module(0), adv)
+    assert act_frozen(act_p_module, st, "", p_module(0),
+                      EMPTY_BUNDLE) is None
+    st2 = act_frozen(act_p_module, st, "", p_module(0), adv)
     assert st2 is not None
     assert is_terminal(st2, "0") and not is_terminal(st2, "1")
     assert "0" not in st2.nodes and "00" not in st2.nodes
@@ -137,10 +140,10 @@ def test_p_module_grace_and_absence():
 
 def test_p_module_protocol_errors():
     st = run_to_horizon(EMPTY_BUNDLE, 2)[0]
-    with pytest.raises(ProtocolError):
-        act_p_module(st, "", c_module(0, 0), EMPTY_BUNDLE)  # wrong kind
-    with pytest.raises(ProtocolError):
-        act_p_module(st, "0", p_module(0), EMPTY_BUNDLE)  # P(0) not at "0"
+    with pytest.raises(ProtocolError):  # wrong kind
+        act_frozen(act_p_module, st, "", c_module(0, 0), EMPTY_BUNDLE)
+    with pytest.raises(ProtocolError):  # P(0) not at "0"
+        act_frozen(act_p_module, st, "0", p_module(0), EMPTY_BUNDLE)
 
 
 def test_extract_trace():
@@ -501,7 +504,7 @@ def test_c_module_searches_candidates_in_length_lex_order():
                           (["1", "0"], ("000", "001"))):
         adv = bundle([table([(sigma, 0, k, 1)
                              for k, sigma in enumerate(axioms)])])
-        got = act_c_module(st, "", c_module(0, 0), adv)
+        got = act_frozen(act_c_module, st, "", c_module(0, 0), adv)
         side = _Side(st.terminal | _naive_live(st), st.tuples,
                      st.next_generation)
         assert got == _naive_act_c_module(st, side, "", c_module(0, 0),
@@ -516,7 +519,7 @@ def _first(pair):
 def test_c_module_walk_matches_naive_scan():
     acted = 0
     for st, side, tau, mid, adv in _c_module_cases(7):
-        got = act_c_module(st, tau, mid, adv)
+        got = act_frozen(act_c_module, st, tau, mid, adv)
         assert got == _first(_naive_act_c_module(st, side, tau, mid, adv))
         acted += got is not None
     assert acted > 50
@@ -525,14 +528,14 @@ def test_c_module_walk_matches_naive_scan():
 def test_p_module_walk_matches_naive_scan():
     acted = 0
     for st, side, tau, mid, adv in _p_module_cases(7):
-        got = act_p_module(st, tau, mid, adv)
+        got = act_frozen(act_p_module, st, tau, mid, adv)
         assert got == _first(_naive_act_p_module(st, side, tau, mid, adv))
         acted += got is not None
     assert acted > 20
 
 
-class _CountingSet(frozenset):
-    """A frozenset that counts how often it is iterated."""
+class _CountingSet(set):
+    """A set that counts how often it is iterated."""
 
     iterations = 0
 
@@ -549,11 +552,13 @@ def test_module_walks_never_iterate_terminal():
     for cases, act in ((_c_module_cases(6), act_c_module),
                        (_p_module_cases(6), act_p_module)):
         for st, _, tau, mid, adv in cases:
-            counted = replace(st, terminal=_CountingSet(st.terminal))
-            got = act(counted, tau, mid, adv)
-            assert counted.terminal.iterations == 0
-            assert got == act(st, tau, mid, adv)
-            acted[mid.kind] += got is not None
+            work = WorkingState(st)
+            work.terminal = _CountingSet(work.terminal)
+            fired = act(work, tau, mid, adv)
+            assert work.terminal.iterations == 0
+            assert (work.freeze() if fired else None) == \
+                act_frozen(act, st, tau, mid, adv)
+            acted[mid.kind] += fired
     assert acted["C"] > 20 and acted["P"] > 10
 
 
@@ -572,7 +577,7 @@ def test_c_module_without_an_axiom_at_its_argument_never_descends(
         if _has_axiom_at(_adversary_table(adv, mid.i), mid.n):
             continue
         walks.clear()
-        assert act_c_module(st, tau, mid, adv) is None
+        assert act_frozen(act_c_module, st, tau, mid, adv) is None
         assert walks == []
         idle += 1
     assert idle > 1000
@@ -619,14 +624,17 @@ def _naive_final_node_violation(st, adv):
     return None
 
 
-def _final_check_cases(horizons):
-    """States at each horizon under the seeded bundles, each checked
-    against its own bundle and the next one, and with one node, the
-    nodes above one node or on one side of it, one frontier string, or
-    some frontier nodes above one node taken away, or with stray nodes
-    put in below those."""
-    bundles = list(_seeded_bundles())
-    rng = random.Random(14)
+def _final_check_cases(horizons, bundles=None):
+    """States at each horizon under the bundles (default: the seeded
+    ones), each checked against its own bundle and the next one, and
+    with one node, the nodes above one node or on one side of it, one
+    frontier string, or some frontier nodes above one node taken away,
+    with one node short of the horizon made terminal, or with stray
+    nodes put in below those."""
+    bundles = list(_seeded_bundles()) if bundles is None else bundles
+    # the terminal-node states draw from their own generator, so
+    # adding them moved no draw of rng
+    rng, inner_rng = random.Random(14), random.Random(15)
     for k, adv in enumerate(bundles):
         other = bundles[(k + 1) % len(bundles)]
         st = init_state()
@@ -642,6 +650,11 @@ def _final_check_cases(horizons):
             yield replace(st, nodes={x: nf for x, nf in st.nodes.items()
                                      if x == tau or not x.startswith(tau)}
                           ), adv
+            # a terminal node with node children, which the descent of
+            # the live strings never reaches
+            inner = inner_rng.choice(sorted(x for x in st.nodes
+                                            if len(x) < st.stage))
+            yield replace(st, terminal=st.terminal | {inner}), adv
             live = frontier(st)
             if live:
                 yield replace(st, terminal=st.terminal
@@ -657,7 +670,7 @@ def _final_check_cases(horizons):
                 yield replace(st, nodes={x: nf for x, nf in st.nodes.items()
                                          if x not in stray}), adv
                 nodes = dict(st.nodes)
-                info = replace(nodes[tau], level=nodes[tau].level + 1)
+                info = nodes[tau]._replace(level=nodes[tau].level + 1)
                 for x in stray:
                     nodes.setdefault(x[:rng.randint(len(tau) + 1, len(x))],
                                      info)
@@ -670,12 +683,19 @@ def _final_check_cases(horizons):
 
 
 def test_final_node_range_scan_matches_naive_scan():
-    verdicts = set()
-    for st, adv in _final_check_cases(range(1, 9)):
+    verdicts, unreached = set(), 0
+    deep = list(_seeded_bundles())[1:3]
+    for st, adv in chain(_final_check_cases(range(1, 9)),
+                         _final_check_cases(range(9, 11), deep)):
         got = final_node_violation(st, adv)
         assert got == _naive_final_node_violation(st, adv)
         verdicts.add(got.split()[0] if got else None)
+        # a terminal node with a node above it
+        unreached += any(y != x and y.startswith(x)
+                         for x in st.nodes.keys() & st.terminal
+                         for y in st.nodes)
     assert verdicts == {None, "node", "successor", "frontier"}
+    assert unreached > 50
 
 
 class _CountingStr(str):
@@ -818,7 +838,8 @@ def _wide_bundles():
 def test_run_stage_matches_naive_stage():
     # whole states, stage by stage, each side grown on its own; the
     # dataclass equality covers the logs, and the side fields the state
-    # no longer stores must be what it derives
+    # no longer stores must be what it derives.  No node is ever
+    # terminal: a reshape and the final check walk only live strings
     kinds = []
     for adv in list(_table_bundles()) + list(_seeded_bundles()) + \
             _wide_bundles():
@@ -833,8 +854,41 @@ def test_run_stage_matches_naive_stage():
             assert side.next_generation == st.next_generation
             for info in st.nodes.values():
                 assert info.modules == module_set(info.level)
+            assert not any(is_terminal(st, tau) for tau in st.nodes)
         kinds += [mid.kind for _, mid, _ in st.acted]
     assert kinds.count("C") > 100 and kinds.count("P") >= 5
+
+
+def test_a_stage_builds_one_state(monkeypatch):
+    # three C modules and a P module act in this stage, each on the one
+    # working copy, which is frozen once at the end
+    adv = list(_seeded_bundles())[2]
+    st = run_to_horizon(adv, 6)[0]
+    built = []
+    real = ConstructionState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConstructionState, "__init__", counted)
+    nxt = run_stage(st, adv)
+    assert sorted(mid.kind for _, mid, _ in nxt.acted - st.acted) == \
+        ["C", "C", "C", "P"]
+    assert len(built) == 1
+
+
+def test_growth_from_a_string_that_is_no_node_matches_naive_stage():
+    # the grown strings above "000" and "01" take their level from the
+    # nearest node below, as the naive stage does
+    st = run_to_horizon(EMPTY_BUNDLE, 3)[0]
+    st = replace(st, nodes={x: nf for x, nf in st.nodes.items()
+                            if x not in ("000", "01", "010")})
+    side = _Side(st.terminal | _naive_live(st), st.tuples,
+                 st.next_generation)
+    got = run_stage(st)
+    assert got == _naive_run_stage(st, side)[0]
+    assert (got.nodes["0000"].level, got.nodes["0100"].level) == (3, 2)
 
 
 _BITS = hst.text(alphabet="01", max_size=7)
@@ -879,7 +933,6 @@ def test_empty_bundle_stages_dispatch_no_module(monkeypatch):
     st = init_state()
     while st.stage < 8:
         st = run_stage(st, EMPTY_BUNDLE)
-        assert "node_tree" not in vars(st)
     assert len(st.nodes) == (1 << 9) - 1
     assert "act_c_module" not in calls and "act_p_module" not in calls
     assert "index" not in calls
