@@ -27,9 +27,9 @@ from .scenario import (Scenario, empty_scenario, parse_scenario,
 from .smc import (OmegaContext, build_tprime, enumerate_pi, omega_level,
                   oplus_tree, smc_driver_stage)
 from .strings import nat_to_string, parse_string, show_string, sort_lenlex
-from .suite import (_nice_outcome, _pi6_gaps, _selfdelim_roundtrip,
-                    _theta_chains, _traceable_flaws, _twocol_outcome,
-                    run_suite)
+from .suite import (_kappa_cells, _nice_outcome, _pi6_gaps,
+                    _selfdelim_roundtrip, _theta_chains, _traceable_flaws,
+                    _twocol_outcome, _twocolourings, run_suite)
 from .thin import (TraceSystem, dnr_trace, hat_level_tree, thin_violation,
                    trace_from_bounded_splitting, trace_from_thin)
 from .traceable import declared_counts, run_to_horizon
@@ -91,23 +91,14 @@ def _h_verify_twocol(ns, sc, rng):
     if not ns.exhaustive:  # before the leaves are built
         _require_work_budget(ns.count, 1 << EVEN_SHAPE.level_length(ns.n))
     lvs = bushy_level_strings(EVEN_SHAPE, ns.n)
-    lines = []
-    if ns.exhaustive:
-        if len(lvs) > 16:
-            raise BudgetError(f"{len(lvs)} leaves is too many to "
-                              "enumerate exhaustively")
-        width = len(str((1 << len(lvs)) - 1))
-        for idx in range(1 << len(lvs)):
-            colors = {s: (idx >> k) & 1 for k, s in enumerate(lvs)}
-            lines.append(_extraction_line(f"twocol-exh-{idx:0{width}d}",
-                                          _twocol_outcome(ns.n, colors)))
-    else:
-        width = len(str(ns.count - 1)) if ns.count > 1 else 1
-        for i in range(ns.count):
-            colors = {s: rng.getrandbits(1) for s in lvs}
-            lines.append(_extraction_line(f"twocol-rand-{i:0{width}d}",
-                                          _twocol_outcome(ns.n, colors)))
-    return lines
+    if ns.exhaustive and len(lvs) > 16:
+        raise BudgetError(f"{len(lvs)} leaves is too many to "
+                          "enumerate exhaustively")
+    mode, count = ("exh", None) if ns.exhaustive else ("rand", ns.count)
+    width = len(str((1 << len(lvs) if count is None else count) - 1))
+    return [_extraction_line(f"twocol-{mode}-{k:0{width}d}",
+                             _twocol_outcome(ns.n, colors))
+            for k, colors in enumerate(_twocolourings(rng, lvs, count))]
 
 
 def _h_verify_nice(ns, sc, rng):
@@ -127,15 +118,9 @@ def _h_verify_nice(ns, sc, rng):
 
 
 def _h_verify_kappa(ns, sc, rng):
-    lines = []
-    for i in range(ns.imax + 1):
-        for n in range(i, ns.nmax + 1):
-            got = kappa(i, n)
-            want = 1 << (n - i + 2)
-            check_id = f"kappa-{i}-{n}"
-            lines.append(passed(check_id, str(got)) if got == want
-                         else failed(check_id, f"{got} != {want}"))
-    return lines
+    return [passed(f"kappa-{i}-{n}", str(got)) if got == want
+            else failed(f"kappa-{i}-{n}", f"{got} != {want}")
+            for i, n, got, want in _kappa_cells(ns.imax, ns.nmax)]
 
 
 # -- run ---------------------------------------------------------------------
@@ -372,99 +357,91 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="branchlab", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, handler, **kwargs):
-        p = group.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler, key=f"{group_name[id(group)]}:{name}")
+    subs: dict[str, argparse._SubParsersAction] = {}
+
+    def leaf(group, name, handler):
+        if group not in subs:
+            subs[group] = groups.add_parser(group).add_subparsers(
+                dest="sub", required=True)
+        p = subs[group].add_parser(name)
+        p.set_defaults(handler=handler, key=f"{group}:{name}")
         _common(p)
         return p
 
-    group_name: dict[int, str] = {}
-
-    def make_group(name):
-        g = groups.add_parser(name).add_subparsers(dest="sub", required=True)
-        group_name[id(g)] = name
-        return g
-
-    verify = make_group("verify")
-    p = leaf(verify, "twocol", _h_verify_twocol)
+    p = leaf("verify", "twocol", _h_verify_twocol)
     p.add_argument("--n", type=int, default=1)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--count", type=int, default=100)
 
-    p = leaf(verify, "nice", _h_verify_nice)
+    p = leaf("verify", "nice", _h_verify_nice)
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--count", type=int, default=100)
 
-    p = leaf(verify, "kappa", _h_verify_kappa)
+    p = leaf("verify", "kappa", _h_verify_kappa)
     p.add_argument("--imax", type=int, default=6)
     p.add_argument("--nmax", type=int, default=10)
 
-    run = make_group("run")
-    p = leaf(run, "cupping", _h_run_cupping)
+    p = leaf("run", "cupping", _h_run_cupping)
     p.add_argument("--n", type=int, default=2)
 
-    p = leaf(run, "traceable", _h_run_traceable)
+    p = leaf("run", "traceable", _h_run_traceable)
     p.add_argument("--horizon", type=int, default=6)
 
-    p = leaf(run, "smc", _h_run_smc)
+    p = leaf("run", "smc", _h_run_smc)
     p.add_argument("--psi", default="psi")
     p.add_argument("--dagger", default=None)
     p.add_argument("--oracle", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
 
-    p = leaf(run, "pi6", _h_run_pi6)
+    p = leaf("run", "pi6", _h_run_pi6)
     p.add_argument("--phi", default="phi")
     p.add_argument("--stages", type=int, default=None)
     p.add_argument("--flen", type=int, default=None)
     p.add_argument("--oracle", type=int, default=None)
 
-    check = make_group("check")
-    p = leaf(check, "thin", _h_check_thin)
+    p = leaf("check", "thin", _h_check_thin)
     p.add_argument("--tree", required=True)
     p.add_argument("--sub", required=True)
 
-    p = leaf(check, "split", _h_check_split)
+    p = leaf("check", "split", _h_check_split)
     p.add_argument("--psi", default="psi")
     p.add_argument("--tree", required=True)
     p.add_argument("--delayed", action="store_true")
     p.add_argument("--hat", action="store_true")
 
-    p = leaf(check, "weaksplit", _h_check_weaksplit)
+    p = leaf("check", "weaksplit", _h_check_weaksplit)
     p.add_argument("--psi", default="psi")
     p.add_argument("--phi", default="phi")
     p.add_argument("--budget", type=int, default=6)
     p.add_argument("--path", default="e")
 
-    p = leaf(check, "theta", _h_check_theta)
+    p = leaf("check", "theta", _h_check_theta)
     p.add_argument("--phi", default="phi")
     p.add_argument("--staging", required=True)
     p.add_argument("--flen", type=int, default=None)
     p.add_argument("--oracle", type=int, default=None)
 
-    trace = make_group("trace")
-    p = leaf(trace, "from-thin", _h_trace_from_thin)
+    p = leaf("trace", "from-thin", _h_trace_from_thin)
     p.add_argument("--psi", default="psi")
     p.add_argument("--sub", required=True)
     p.add_argument("--maxlen", type=int, default=6)
 
-    p = leaf(trace, "from-split", _h_trace_from_split)
+    p = leaf("trace", "from-split", _h_trace_from_split)
     p.add_argument("--psi", default="psi")
     p.add_argument("--tree", required=True)
     p.add_argument("--m", type=int, default=2)
 
-    leaf(trace, "dnr", _h_trace_dnr)
+    leaf("trace", "dnr", _h_trace_dnr)
 
-    encode = make_group("encode")
-    p = leaf(encode, "sd", _h_encode_sd)
+    p = leaf("encode", "sd", _h_encode_sd)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
 
-    suite = make_group("suite")
-    p = leaf(suite, "fast", _h_suite)
+    p = leaf("suite", "fast", _h_suite)
     p.set_defaults(level="fast")
-    p = leaf(suite, "full", _h_suite)
+    p = leaf("suite", "full", _h_suite)
     p.set_defaults(level="full")
 
     return top

@@ -26,10 +26,11 @@ levels and successor map, and f is called once per level.  The
 verdict is kept in the index's memo, keyed by the shape and f's value
 at each level, so a Tree is scanned once per question: the witness
 search's cached full graded tree once per process, and its final tree
-once for realize and the node it makes.  extract_nice holds every
-level of its result as a rank-ordered list, with the kept successors
-of each member, so it hands its result that index
-(trees._with_index) rather than leaving it to be rebuilt.
+once for the node input check, which realize and then the node it
+makes both run.  extract_nice holds every level of its result as a
+rank-ordered list, with the kept successors of each member, so it
+hands its result that index (trees._with_index) rather than leaving
+it to be rebuilt.
 
 verify_extraction checks the extracted tree by the shape rather than
 by a tree index: trees.graded_successor_counts places every member on

@@ -84,6 +84,19 @@ def _two_branching(t: Tree) -> bool:
     return is_compatible(GRADED_SHAPE, t, lambda k: 2)
 
 
+def _check_node_input(n: int, f: tuple[int, ...], t: Tree) -> None:
+    """Refuse a colour vector f or a tree t that no level-n node has."""
+    if len(f) != n:
+        raise ShapeError("colour vector length must equal the level")
+    for i, v in enumerate(f):
+        if not 0 <= v < ncol(i):
+            raise ShapeError(f"colour {v} out of range at index {i}")
+    if not _two_branching(t):
+        raise ShapeError("node tree is not two-branching in the shape")
+    if tree_uniform_level(t) != n:
+        raise ShapeError("node tree level does not match the node level")
+
+
 @dataclass(frozen=True)
 class PiStarNode:
     """A recursion-tree node: label, tree, and colour vector."""
@@ -98,15 +111,7 @@ class PiStarNode:
         check_bits(self.tau)
         if len(gamma_decode(self.tau)) != self.level:
             raise ShapeError("label does not decode to the node level")
-        if len(self.psi_values) != self.level:
-            raise ShapeError("colour vector length must equal the level")
-        for i, v in enumerate(self.psi_values):
-            if not 0 <= v < ncol(i):
-                raise ShapeError(f"colour {v} out of range at index {i}")
-        if not _two_branching(self.t_tau):
-            raise ShapeError("node tree is not two-branching in the shape")
-        if tree_uniform_level(self.t_tau) != self.level:
-            raise ShapeError("node tree level does not match the node level")
+        _check_node_input(self.level, self.psi_values, self.t_tau)
 
 
 ROOT_NODE = PiStarNode("", 0, Tree([""]), ())
@@ -192,13 +197,7 @@ def realize(n: int, f: Sequence[int], t: Iterable[str]) -> PiStarNode:
     """The unique node with tree t and colour vector f."""
     t = Tree(t)
     f = tuple(f)
-    if len(f) != n:
-        raise ShapeError("colour vector length must equal the level")
-    for i, v in enumerate(f):
-        if not 0 <= v < ncol(i):
-            raise ShapeError(f"colour {v} out of range at index {i}")
-    if not _two_branching(t) or tree_uniform_level(t) != n:
-        raise ShapeError("tree is not two-branching of the stated level")
+    _check_node_input(n, f, t)  # before the walk indexes f
     return PiStarNode(_level_walk(n, f, t)[-1][0], n, t, f)
 
 

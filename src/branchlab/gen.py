@@ -195,29 +195,28 @@ def random_selection_scenario(rng: random.Random):
     return ctx, "1", list(zip(names, ds)), sigma
 
 
+def breaks_readback_split(final: frozenset[str], a: str, b: str) -> bool:
+    """Whether members a and b of final may not both be in a subtree
+    that splits the level-readback functional: they are incompatible
+    but agree on their first m bits, m the lesser of their levels in
+    final."""
+    if compatible(a, b):
+        return False
+    cut = min(level_of(final, a), level_of(final, b))
+    return a[:cut] == b[:cut]
+
+
 def random_readback_splitting_subtree(rng: random.Random,
                                       final: frozenset[str]) -> Tree:
-    """Grow a subtree that splits the level-readback functional.
-
-    Two incompatible picks must differ inside the first min-level
-    bits; compatible picks need nothing.  Greedy over a shuffled
-    member order.
-    """
+    """Grow a subtree that splits the level-readback functional, greedy
+    over a shuffled member order."""
     chosen = [""]
     pool = [m for m in sort_lenlex(final) if m != ""]
     rng.shuffle(pool)
     for cand in pool:
         if len(chosen) > 6:
             break
-        ok = True
-        for x in chosen:
-            if compatible(cand, x):
-                continue
-            cut = min(level_of(final, cand), level_of(final, x))
-            if cand[:cut] == x[:cut]:
-                ok = False
-                break
-        if ok:
+        if not any(breaks_readback_split(final, cand, x) for x in chosen):
             chosen.append(cand)
     return Tree(chosen)
 

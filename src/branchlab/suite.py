@@ -3,14 +3,16 @@
 Each registered check draws from its own deterministically seeded
 generator, so a fixed seed reproduces the report byte for byte.  The
 fast level sticks to exhaustive small cases and smoke runs; the full
-level runs every check at its acceptance scale.
+level runs every check at its acceptance scale.  The registry,
+_CHECKS, is the one place a check is named and scaled: run_suite
+hands each check its id.
 
 A loop check is a lazy stream of verdicts, one per case: None for a
-clean case, the reason for a flawed one.  _tally is the one place that
-counts cases and renders the line, PASS N/N or FAIL with the first
-flaw.  The first flaw ends the stream before the next case is drawn,
-so every case up to it made the draws of a clean run, and the FAIL
-line names that case.
+clean case, the reason for a flawed one, and it is registered by its
+per-case judge.  _tally is the one place that counts cases and renders
+the line, PASS N/N or FAIL with the first flaw.  The first flaw ends
+the stream before the next case is drawn, so every case up to it made
+the draws of a clean run, and the FAIL line names that case.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .cupping import (EMPTY_BUNDLE, bundle, find_pi_member,
 from .errors import ScenarioError
 from .functionals import (FunctionalTable, _checked_outputs, _image_tree,
                           _pullback_tree)
-from .gen import (odd_readback_psi, random_functional_table,
-                  random_kappa_tree, random_pi_staging,
-                  random_readback_splitting_subtree,
+from .gen import (breaks_readback_split, odd_readback_psi,
+                  random_functional_table, random_kappa_tree,
+                  random_pi_staging, random_readback_splitting_subtree,
                   random_selection_scenario, random_weak_staged_tree,
                   spined_weak_tree, staged_context)
 from .report import Report, ReportLine, _clean, errored, failed, passed
@@ -58,12 +60,21 @@ def _tally(check_id: str, verdicts) -> ReportLine:
     return passed(check_id, f"{total}/{total}")
 
 
-def _cases(count: int, judge, *args):
+def _cases(count: int, judge, *args, **kwargs):
     """The verdicts of count cases, each drawn and judged by
-    judge(*args); a flaw is prefixed with its case as "case K: "."""
+    judge(*args, **kwargs); a flaw is prefixed with its case as
+    "case K: "."""
     for k in range(count):
-        bad = judge(*args)
+        bad = judge(*args, **kwargs)
         yield None if bad is None else f"case {k}: {bad}"
+
+
+def _loop(judge):
+    """The check of count cases, each drawn and judged by
+    judge(rng, **kwargs)."""
+    def check(check_id, rng, count, **kwargs):
+        return [_tally(check_id, _cases(count, judge, rng, **kwargs))]
+    return check
 
 
 # -- colourings ---------------------------------------------------------------
@@ -144,26 +155,32 @@ def _pi6_gaps(ctx, final):
                                 if is_proper_prefix(p, m))]
 
 
-def _twocol_flaws(n: int, colourings):
-    for colors in colourings:
-        d, bad = _twocol_outcome(n, colors)
-        yield bad if d is None or bad is None else "colouring " + bad
+def _twocolourings(rng, lvs, count):
+    """count two-colourings of the strings lvs drawn from rng, or, when
+    count is None, every one in index order: bit k of the index
+    colours lvs[k]."""
+    if count is None:
+        return ({s: (idx >> k) & 1 for k, s in enumerate(lvs)}
+                for idx in range(1 << len(lvs)))
+    return ({s: rng.getrandbits(1) for s in lvs} for _ in range(count))
 
 
-def _chk_twocol_exhaustive(rng, n):
-    lvs = bushy_level_strings(EVEN_SHAPE, n)
-    return [_tally(f"twocol-exh-n{n}", _twocol_flaws(
-        n, ({s: (idx >> k) & 1 for k, s in enumerate(lvs)}
-            for idx in range(1 << len(lvs)))))]
+def _kappa_cells(imax: int, nmax: int):
+    """(i, n, kappa(i, n), its closed form 2^(n-i+2)) for i <= imax and
+    i <= n <= nmax."""
+    return ((i, n, kappa(i, n), 1 << (n - i + 2))
+            for i in range(imax + 1) for n in range(i, nmax + 1))
 
 
-def _chk_twocol_random(rng, n, count):
-    lvs = bushy_level_strings(EVEN_SHAPE, n)
-    return [_tally(f"twocol-rand-n{n}", _twocol_flaws(
-        n, ({s: rng.getrandbits(1) for s in lvs} for _ in range(count))))]
+def _chk_twocol(check_id, rng, n, count=None):
+    # every colouring of level n unless a count is given
+    outcomes = (_twocol_outcome(n, colors) for colors in _twocolourings(
+        rng, bushy_level_strings(EVEN_SHAPE, n), count))
+    return [_tally(check_id, (bad if d is None or bad is None
+                              else "colouring " + bad for d, bad in outcomes))]
 
 
-def _chk_twocol_mutant(rng):
+def _chk_twocol_mutant(check_id, rng):
     # deliberately spoil one extraction; the verifier must notice
     lvs = bushy_level_strings(EVEN_SHAPE, 1)
     colors = {s: rng.getrandbits(1) for s in lvs}
@@ -173,9 +190,8 @@ def _chk_twocol_mutant(rng):
     flipped[leaf] = d
     if verify_extraction(EVEN_SHAPE, lambda k: 2, 1,
                          Coloring(flipped, 2), d, sub):
-        return [errored("twocol-mutant", "flipped colour went undetected")]
-    return [failed("twocol-mutant",
-                   f"flipped {show_string(leaf)} to colour {d}")]
+        return [errored(check_id, "flipped colour went undetected")]
+    return [failed(check_id, f"flipped {show_string(leaf)} to colour {d}")]
 
 
 def _nice_flaw(rng, i: int, n: int, t0: Tree):
@@ -183,21 +199,20 @@ def _nice_flaw(rng, i: int, n: int, t0: Tree):
     return bad if d is None or bad is None else bad + " rejected"
 
 
-def _chk_nice(rng, i_max, per_cell):
+def _chk_nice(check_id, rng, i_max, per_cell):
     lines = []
     for i in range(i_max + 1):
         for n in range(i, i + 3):
             t0 = random_kappa_tree(rng, i, n)
-            lines.append(_tally(f"nice-i{i}-n{n}", (
+            lines.append(_tally(f"{check_id}-i{i}-n{n}", (
                 _nice_flaw(rng, i, n, t0) for _ in range(per_cell))))
     return lines
 
 
-def _chk_kappa(rng, imax, nmax):
-    return [_tally("kappa-closed-form", (
-        None if kappa(i, n) == 1 << (n - i + 2)
-        else f"kappa({i},{n}) = {kappa(i, n)}"
-        for i in range(imax + 1) for n in range(i, nmax + 1)))]
+def _chk_kappa(check_id, rng, imax, nmax):
+    return [_tally(check_id, (
+        None if got == want else f"kappa({i},{n}) = {got}"
+        for i, n, got, want in _kappa_cells(imax, nmax)))]
 
 
 # -- cupping ------------------------------------------------------------------
@@ -209,23 +224,22 @@ def _crafted_blockers():
     return [bundle([const]), bundle([readback]), bundle([const, readback])]
 
 
-def _chk_cupping_exhaustive(rng):
+def _chk_cupping_exhaustive(check_id, rng):
     lines = []
     for n in (0, 1):
         star = materialize_pi_star(n)
         node = find_pi_member(n, EMPTY_BUNDLE)
         ok = node in star and pi_membership_violation(node,
                                                       EMPTY_BUNDLE) is None
-        lines.append(passed(f"cupping-exh-n{n}", show_string(node.tau))
-                     if ok else failed(f"cupping-exh-n{n}",
-                                       show_string(node.tau)))
+        lines.append((passed if ok else failed)(f"{check_id}-n{n}",
+                                                show_string(node.tau)))
     size = len(materialize_pi_star(1))
-    lines.append(passed("cupping-pi1-size", str(size)) if size == 12
-                 else failed("cupping-pi1-size", str(size)))
+    lines.append((passed if size == 12 else failed)("cupping-pi1-size",
+                                                    str(size)))
     return lines
 
 
-def _chk_cupping_corpus(rng, bundles, nmax):
+def _chk_cupping_corpus(check_id, rng, bundles, nmax):
     corpus = [EMPTY_BUNDLE] + _crafted_blockers()
     while len(corpus) < bundles:
         tables = [random_functional_table(rng,
@@ -233,7 +247,7 @@ def _chk_cupping_corpus(rng, bundles, nmax):
                   for _ in range(rng.randint(1, 3))]
         corpus.append(bundle(tables))
     star1 = {0: set(materialize_pi_star(0)), 1: set(materialize_pi_star(1))}
-    return [_tally("cupping-corpus", (
+    return [_tally(check_id, (
         _pi_member_flaw(k, n, adv, star1)
         for k, adv in enumerate(corpus) for n in range(nmax + 1)))]
 
@@ -254,7 +268,7 @@ def _pi_member_flaw(k: int, n: int, adv, star1):
 
 # -- traceable ----------------------------------------------------------------
 
-def _chk_traceable(rng, runs, horizon):
+def _chk_traceable(check_id, rng, runs, horizon):
     # every run reaches the horizon; each of its four verdicts has a line
     rows = []
     for k in range(runs):
@@ -271,15 +285,15 @@ def _chk_traceable(rng, runs, horizon):
             over and "{1} nodes at level {0} exceed {2}".format(*over),
             fat and "trace ({0},{1}) holds {2} values".format(*fat),
             None if final_ok else "a guarded branch survived")])
-    return [_tally(f"traceable-{name}", (row[c] for row in rows))
+    return [_tally(f"{check_id}-{name}", (row[c] for row in rows))
             for c, name in enumerate(("frontier", "counts", "tracesize",
                                       "pdiag"))]
 
 
-def _chk_factorial_identity(rng, nmax):
+def _chk_factorial_identity(check_id, rng, nmax):
     sides = ((n, 2 * (n + 2) * (1 << n) * math.factorial(n + 1),
               (1 << (n + 1)) * math.factorial(n + 2)) for n in range(nmax + 1))
-    return [_tally("traceable-identity", (
+    return [_tally(check_id, (
         None if lhs == rhs else f"n={n}: {lhs} != {rhs}"
         for n, lhs, rhs in sides))]
 
@@ -310,10 +324,6 @@ def _trace_size_flaw(rng):
                 None)
 
 
-def _chk_trace_size_bound(rng, count):
-    return [_tally("trace-size-bound", _cases(count, _trace_size_flaw, rng))]
-
-
 def _thin_from_trace_flaw(rng, depth):
     t = spined_weak_tree(rng, depth=rng.randint(4, depth),
                          shoots=rng.randint(2, 8)).final
@@ -330,20 +340,14 @@ def _thin_from_trace_flaw(rng, depth):
             else "output not thin")
 
 
-def _chk_thin_from_trace(rng, count, depth):
-    return [_tally("thin-from-trace",
-                   _cases(count, _thin_from_trace_flaw, rng, depth))]
-
-
-def _chk_spacing_bound(rng):
+def _chk_spacing_bound(check_id, rng):
     lim = spacing_bound_limit(0)
     parts = [spacing_bound_partial(0, k) for k in range(1, 40)]
     ok = (lim == Fraction(4, 9) < 1
           and all(a < b for a, b in zip(parts, parts[1:]))
           and all(p < lim for p in parts)
           and lim - parts[-1] < Fraction(1, 10 ** 9))
-    return [passed("kraft-four-ninths", str(lim)) if ok
-            else failed("kraft-four-ninths", str(lim))]
+    return [(passed if ok else failed)(check_id, str(lim))]
 
 
 def _rescale_flaw(rng):
@@ -364,17 +368,13 @@ def _rescale_flaw(rng):
                  or len(out.values_at(n)) > n), None)
 
 
-def _chk_rescale_sizes(rng, count):
-    return [_tally("rescale-size-bound", _cases(count, _rescale_flaw, rng))]
-
-
 def _selfdelim_flaw(n: int, m: int):
     code, ok = _selfdelim_roundtrip(n, m)
     return None if ok else f"({n},{m}) -> {code}"
 
 
-def _chk_selfdelim(rng, top):
-    return [_tally("sd-roundtrip", starmap(
+def _chk_selfdelim(check_id, rng, top):
+    return [_tally(check_id, starmap(
         _selfdelim_flaw, product(range(1, top + 1), repeat=2)))]
 
 
@@ -387,38 +387,26 @@ def _split_thin_flaw(rng):
     return None if r.thin_ok and r.witness is None else str(r.witness)
 
 
-def _chk_split_thin(rng, count):
-    return [_tally("split-thin", _cases(count, _split_thin_flaw, rng))]
-
-
-def _chk_split_mutant(rng, tries):
+def _chk_split_mutant(check_id, rng, tries):
     # graft a compatible-image string onto a clean splitting subset and
     # make sure the reduction reports the break
     found = 0
     for _ in range(tries):
         final = random_weak_staged_tree(rng, steps=20).final
         sub = set(random_readback_splitting_subtree(rng, final))
-        spoil = None
-        for cand in sort_lenlex(final - sub):
-            for y in sorted(sub):
-                if y and not compatible(cand, y):
-                    cut = min(level_of(final, cand), level_of(final, y))
-                    if cand[:cut] == y[:cut]:
-                        spoil = cand
-                        break
-            if spoil:
-                break
+        spoil = next((cand for cand in sort_lenlex(final - sub)
+                      if any(breaks_readback_split(final, cand, y)
+                             for y in sub)), None)
         if spoil is None:
             continue
         r = splitting_to_thin(final, sub | {spoil})
         if r.witness is None:
-            return [failed("split-mutant-detect",
-                           f"broken split at {show_string(spoil)} "
-                           "went unreported")]
+            return [failed(check_id, f"broken split at {show_string(spoil)} "
+                                     "went unreported")]
         found += 1
     if found == 0:
-        return [errored("split-mutant-detect", "no mutant constructed")]
-    return [passed("split-mutant-detect", f"{found} mutants caught")]
+        return [errored(check_id, "no mutant constructed")]
+    return [passed(check_id, f"{found} mutants caught")]
 
 
 # -- packing selection ----------------------------------------------------------
@@ -477,7 +465,7 @@ def _selection_exhaustive_flaw(ctx, tau, nodes, sigma, res):
     return None
 
 
-def _chk_selection_twostar(rng):
+def _chk_selection_twostar(check_id, rng):
     ctx = staged_context({"": 0, "1": 2, "10": 4, "11": 4})
     nodes = [("10", 1), ("11", 1)]
     res = select_extensions(ctx, "1", nodes, "00")
@@ -485,8 +473,8 @@ def _chk_selection_twostar(rng):
           and res.r == (Fraction(1),)
           and _selection_flaw(ctx, "1", nodes, "00", res) is None
           and _selection_exhaustive_flaw(ctx, "1", nodes, "00", res) is None)
-    return [passed("select-twostar", "r=1") if ok
-            else failed("select-twostar", str(res.sigma_pairs))]
+    return [passed(check_id, "r=1") if ok
+            else failed(check_id, str(res.sigma_pairs))]
 
 
 def _selection_random_flaw(rng):
@@ -496,12 +484,12 @@ def _selection_random_flaw(rng):
             or _selection_exhaustive_flaw(ctx, tau, nodes, sigma, res))
 
 
-def _chk_selection_random(rng, count):
+def _chk_selection_random(check_id, rng, count):
     # every clean case also passed the oracle, so its count is N of N/N
-    line = _tally("select-random", _cases(count, _selection_random_flaw, rng))
+    line = _tally(check_id, _cases(count, _selection_random_flaw, rng))
     if line.status == "PASS":
-        line = passed("select-random", f"{line.witness} "
-                                       f"oracle={line.witness.split('/')[0]}")
+        line = passed(check_id, f"{line.witness} "
+                                f"oracle={line.witness.split('/')[0]}")
     return [line]
 
 
@@ -522,10 +510,6 @@ def _theta_flaw(rng):
                  if leaf is not None), None)
 
 
-def _chk_theta_roundtrip(rng, count):
-    return [_tally("theta-roundtrip", _cases(count, _theta_flaw, rng))]
-
-
 # -- image / pullback ------------------------------------------------------------
 
 def _pullback_flaw(rng):
@@ -544,20 +528,16 @@ def _two_branching_flaw(t: Tree, what: str):
             if any(len(successors(t, m)) not in (0, 2) for m in t) else None)
 
 
-def _chk_pullback_image(rng, count):
-    return [_tally("pullback-image", _cases(count, _pullback_flaw, rng))]
-
-
 # -- enumeration / driver smoke ---------------------------------------------------
 
-def _chk_pi6_chain(rng):
+def _chk_pi6_chain(check_id, rng):
     ctx = staged_context({"": 0, "1": 2, "11": 4, "111": 6})
     st = enumerate_pi(ctx, 3)
     ok = (st.final == frozenset({"", "1", "11", "111"})
           and not _pi6_gaps(ctx, st.final))
-    return [passed("pi6-chain", "4 admitted") if ok
-            else failed("pi6-chain", ",".join(show_string(m)
-                                              for m in sort_lenlex(st.final)))]
+    return [passed(check_id, "4 admitted") if ok
+            else failed(check_id, ",".join(show_string(m)
+                                           for m in sort_lenlex(st.final)))]
 
 
 def _smc_driver_flaw(rng):
@@ -574,34 +554,33 @@ def _smc_driver_flaw(rng):
     return None
 
 
-def _chk_smc_driver(rng, count):
-    return [_tally("smc-driver", _cases(count, _smc_driver_flaw, rng))]
-
-
 # -- determinism -----------------------------------------------------------------
 
-def _chk_determinism(rng):
+def _chk_determinism(check_id, rng):
     probe_seed = rng.randrange(1 << 30)
 
     def render_once():
         sub = random.Random(f"{probe_seed}:probe")
-        lines = _chk_selection_random(sub, 3) + _chk_split_thin(sub, 5)
+        lines = (_chk_selection_random("select-random", sub, 3)
+                 + [_tally("split-thin", _cases(5, _split_thin_flaw, sub))])
         return Report(probe_seed, tuple(lines)).render()
 
     first, second = render_once(), render_once()
-    return [passed("report-determinism", f"bytes={len(first)}")
-            if first == second else failed("report-determinism")]
+    return [passed(check_id, f"bytes={len(first)}")
+            if first == second else failed(check_id)]
 
 
 # -- registry ---------------------------------------------------------------------
 
-# (name, fn, fast kwargs or None, full kwargs or None)
+# (id, check, fast kwargs or None, full kwargs or None); each check is
+# called as check(id, rng, **kwargs), and a loop check is registered
+# by its per-case judge as _loop(judge), with the case count in kwargs
 _CHECKS = (
-    ("twocol-exh-n0", _chk_twocol_exhaustive, {"n": 0}, {"n": 0}),
-    ("twocol-exh-n1", _chk_twocol_exhaustive, {"n": 1}, {"n": 1}),
-    ("twocol-exh-n2", _chk_twocol_exhaustive, None, {"n": 2}),
-    ("twocol-rand-n2", _chk_twocol_random, {"n": 2, "count": 50}, None),
-    ("twocol-rand-n3", _chk_twocol_random, None, {"n": 3, "count": 10_000}),
+    ("twocol-exh-n0", _chk_twocol, {"n": 0}, {"n": 0}),
+    ("twocol-exh-n1", _chk_twocol, {"n": 1}, {"n": 1}),
+    ("twocol-exh-n2", _chk_twocol, None, {"n": 2}),
+    ("twocol-rand-n2", _chk_twocol, {"n": 2, "count": 50}, None),
+    ("twocol-rand-n3", _chk_twocol, None, {"n": 3, "count": 10_000}),
     ("nice", _chk_nice, {"i_max": 1, "per_cell": 25},
      {"i_max": 2, "per_cell": 1112}),
     ("kappa-closed-form", _chk_kappa, {"imax": 3, "nmax": 6},
@@ -613,23 +592,23 @@ _CHECKS = (
      {"runs": 100, "horizon": 8}),
     ("traceable-identity", _chk_factorial_identity, {"nmax": 8},
      {"nmax": 8}),
-    ("trace-size-bound", _chk_trace_size_bound, {"count": 20},
+    ("trace-size-bound", _loop(_trace_size_flaw), {"count": 20},
      {"count": 100}),
-    ("thin-from-trace", _chk_thin_from_trace, {"count": 30, "depth": 8},
-     {"count": 1000, "depth": 12}),
+    ("thin-from-trace", _loop(_thin_from_trace_flaw),
+     {"count": 30, "depth": 8}, {"count": 1000, "depth": 12}),
     ("kraft-four-ninths", _chk_spacing_bound, {}, {}),
-    ("rescale-size-bound", _chk_rescale_sizes, {"count": 20},
+    ("rescale-size-bound", _loop(_rescale_flaw), {"count": 20},
      {"count": 100}),
     ("sd-roundtrip", _chk_selfdelim, {"top": 16}, {"top": 64}),
-    ("split-thin", _chk_split_thin, {"count": 100}, {"count": 1000}),
+    ("split-thin", _loop(_split_thin_flaw), {"count": 100}, {"count": 1000}),
     ("split-mutant-detect", _chk_split_mutant, {"tries": 40},
      {"tries": 120}),
     ("select-twostar", _chk_selection_twostar, {}, {}),
     ("select-random", _chk_selection_random, {"count": 10}, {"count": 50}),
-    ("theta-roundtrip", _chk_theta_roundtrip, {"count": 5}, {"count": 50}),
-    ("pullback-image", _chk_pullback_image, {"count": 100}, {"count": 1000}),
+    ("theta-roundtrip", _loop(_theta_flaw), {"count": 5}, {"count": 50}),
+    ("pullback-image", _loop(_pullback_flaw), {"count": 100}, {"count": 1000}),
     ("pi6-chain", _chk_pi6_chain, {}, {}),
-    ("smc-driver", _chk_smc_driver, {"count": 10}, {"count": 30}),
+    ("smc-driver", _loop(_smc_driver_flaw), {"count": 10}, {"count": 30}),
     ("report-determinism", _chk_determinism, {}, {}),
 )
 
@@ -639,16 +618,17 @@ def run_suite(level: str, seed: int = 0, mutate: int = 0) -> Report:
     if level not in ("fast", "full"):
         raise ScenarioError(f"unknown suite level {level!r}")
     lines: list[ReportLine] = []
-    for name, fn, fast_kw, full_kw in _CHECKS:
+    for name, check, fast_kw, full_kw in _CHECKS:
         kwargs = fast_kw if level == "fast" else full_kw
         if kwargs is None:
             continue
         rng = random.Random(f"{seed}:{name}")
         try:
-            lines.extend(fn(rng, **kwargs))
+            lines.extend(check(name, rng, **kwargs))
         except (ValueError, RuntimeError) as e:
             lines.append(errored(name, _clean(e)))
     if mutate:
-        lines.extend(_chk_twocol_mutant(random.Random(f"{seed}:mutant")))
+        lines.extend(_chk_twocol_mutant("twocol-mutant",
+                                        random.Random(f"{seed}:mutant")))
     lines.sort(key=lambda ln: ln.check_id)
     return Report(seed, tuple(lines))

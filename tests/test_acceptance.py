@@ -39,7 +39,7 @@ def _run(tag, *names):
     line must count every case its kwargs ask for, once."""
     for name in names:
         fn, kwargs = _FULL[name]
-        for ln in fn(random.Random(f"acceptance:{tag}"), **kwargs):
+        for ln in fn(name, random.Random(f"acceptance:{tag}"), **kwargs):
             assert ln.status == "PASS", ln.render()
             if name in _NOT_LOOPS:
                 continue

@@ -1,5 +1,6 @@
 """Command dispatch: worked examples, error surfacing, determinism."""
 
+import argparse
 import hashlib
 import itertools
 import os
@@ -160,7 +161,8 @@ def test_twocol_fail_lines_of_verify_and_suite(monkeypatch):
     rep = cli.run_command("verify twocol --n 0 --exhaustive", empty_scenario())
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\ttwocol-exh-0\t0", "FAIL\ttwocol-exh-1\t1"]
-    assert [ln.render() for ln in suite._chk_twocol_exhaustive(None, 0)] \
+    assert [ln.render()
+            for ln in suite._chk_twocol("twocol-exh-n0", None, 0)] \
         == ["FAIL\ttwocol-exh-n0\tcolouring 0"]
 
     def broken(*args):
@@ -170,7 +172,8 @@ def test_twocol_fail_lines_of_verify_and_suite(monkeypatch):
     rep = cli.run_command("verify twocol --n 0 --exhaustive", empty_scenario())
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\ttwocol-exh-0\tbad shape", "FAIL\ttwocol-exh-1\tbad shape"]
-    assert [ln.render() for ln in suite._chk_twocol_exhaustive(None, 0)] \
+    assert [ln.render()
+            for ln in suite._chk_twocol("twocol-exh-n0", None, 0)] \
         == ["FAIL\ttwocol-exh-n0\tbad shape"]
 
 
@@ -193,6 +196,86 @@ def test_suite_fast_report_bytes_are_pinned(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == ("636cc231a8407c4e1484df40cf397f27"
                       "13b078ee808d53db00f34651be236440")
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_a_mutated_suite_reports_the_flipped_colour(monkeypatch, tmp_path,
+                                                    capsys, level):
+    # the mutant line does not depend on the level; full runs no other
+    # check here, to keep it cheap
+    if level == "full":
+        monkeypatch.setattr(suite, "_CHECKS", ())
+    f = tmp_path / "m.scn"
+    f.write_text("[params]\nmutate 1\n")
+    assert cli.main(["suite", level, "--scenario", str(f)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if not ln.startswith("PASS")] == [
+        "# seed 0", "FAIL\ttwocol-mutant\tflipped 00 to colour 1"]
+
+
+def _leaf_surfaces(parser):
+    """One line per leaf command: its key, handler, extra defaults, each
+    option (or positional) with its default or "!" when required, and
+    each set of mutually exclusive options in brackets."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _leaf_surfaces(sub)
+            return
+    words = [parser.get_default("key"), parser.get_default("handler").__name__]
+    words += [f"{k}={v}" for k, v in sorted(parser._defaults.items())
+              if k not in ("key", "handler")]
+    for a in parser._actions:
+        if a.default != argparse.SUPPRESS:
+            name = "|".join(a.option_strings) or a.dest
+            words.append(f"{name}!" if a.required else f"{name}={a.default}")
+    words += ["[" + "|".join(a.option_strings[0] for a in g._group_actions)
+              + "]" for g in parser._mutually_exclusive_groups]
+    yield " ".join(words)
+
+
+def test_every_leaf_keeps_its_key_options_and_defaults():
+    # ns.key seeds each command's generator and names its -error line
+    parser = cli.build_parser()
+    surfaces = list(_leaf_surfaces(parser))
+    common = "--scenario=None --seed=None"
+    assert surfaces == [
+        f"verify:twocol _h_verify_twocol {common} --n=1 --exhaustive=False "
+        "--count=100 [--exhaustive|--count]",
+        f"verify:nice _h_verify_nice {common} --i=0 --n=2 --count=100",
+        f"verify:kappa _h_verify_kappa {common} --imax=6 --nmax=10",
+        f"run:cupping _h_run_cupping {common} --n=2",
+        f"run:traceable _h_run_traceable {common} --horizon=6",
+        f"run:smc _h_run_smc {common} --psi=psi --dagger=None --oracle=None "
+        "--budget=None",
+        f"run:pi6 _h_run_pi6 {common} --phi=phi --stages=None --flen=None "
+        "--oracle=None",
+        f"check:thin _h_check_thin {common} --tree! --sub!",
+        f"check:split _h_check_split {common} --psi=psi --tree! "
+        "--delayed=False --hat=False",
+        f"check:weaksplit _h_check_weaksplit {common} --psi=psi --phi=phi "
+        "--budget=6 --path=e",
+        f"check:theta _h_check_theta {common} --phi=phi --staging! "
+        "--flen=None --oracle=None",
+        f"trace:from-thin _h_trace_from_thin {common} --psi=psi --sub! "
+        "--maxlen=6",
+        f"trace:from-split _h_trace_from_split {common} --psi=psi --tree! "
+        "--m=2",
+        f"trace:dnr _h_trace_dnr {common}",
+        f"encode:sd _h_encode_sd {common} n! m!",
+        f"suite:fast _h_suite level=fast {common}",
+        f"suite:full _h_suite level=full {common}",
+    ]
+    # each leaf is reached by its group and name (the option --sub of
+    # check thin and trace from-thin overwrites the dest sub)
+    for line in surfaces:
+        key, *words = line.split()
+        argv = key.split(":")
+        for w in words:
+            if w.endswith("!"):  # a required option or positional
+                argv += [w[:-1], "1"] if w.startswith("--") else ["1"]
+        ns = parser.parse_args(argv)
+        assert (ns.group, ns.key) == (argv[0], key)
 
 
 def test_traceable_and_smc_runs(sc):
@@ -364,7 +447,8 @@ def test_nice_fail_lines_of_verify_and_suite(monkeypatch):
     rep = cli.run_command("verify nice --i 1 --n 2 --count 2", sc)
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\tnice-i1-n2-0\td=1", "FAIL\tnice-i1-n2-1\td=1"]
-    assert [ln.render() for ln in suite._chk_nice(random.Random(1), 0, 2)] \
+    assert [ln.render()
+            for ln in suite._chk_nice("nice", random.Random(1), 0, 2)] \
         == ["FAIL\tnice-i0-n0\td=1 rejected", "FAIL\tnice-i0-n1\td=0 rejected",
             "FAIL\tnice-i0-n2\td=0 rejected"]
 
@@ -375,7 +459,8 @@ def test_nice_fail_lines_of_verify_and_suite(monkeypatch):
     rep = cli.run_command("verify nice --i 1 --n 2 --count 2", sc)
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\tnice-i1-n2-0\tbad shape", "FAIL\tnice-i1-n2-1\tbad shape"]
-    assert [ln.render() for ln in suite._chk_nice(random.Random(1), 0, 1)] \
+    assert [ln.render()
+            for ln in suite._chk_nice("nice", random.Random(1), 0, 1)] \
         == ["FAIL\tnice-i0-n0\tbad shape", "FAIL\tnice-i0-n1\tbad shape",
             "FAIL\tnice-i0-n2\tbad shape"]
 
@@ -390,8 +475,8 @@ def test_traceable_fail_lines_of_run_and_suite(monkeypatch):
         "PASS\ttraceable-frontier\tstages=6",
         "FAIL\ttraceable-counts\tlevel 0 has 1 > 0",
         "FAIL\ttraceable-tracesize", "FAIL\ttraceable-final"]
-    assert [ln.render()
-            for ln in suite._chk_traceable(random.Random(1), 3, 4)] == [
+    assert [ln.render() for ln in suite._chk_traceable(
+        "traceable", random.Random(1), 3, 4)] == [
         "PASS\ttraceable-frontier\t3/3",
         "FAIL\ttraceable-counts\trun 0: 1 nodes at level 0 exceed 0",
         "FAIL\ttraceable-tracesize\trun 1: trace (0,0) holds 1 values",
@@ -412,7 +497,8 @@ def test_traceable_frontier_fail_lines_of_run_and_suite(monkeypatch):
         "FAIL\ttraceable-frontier\tempty at stage 3",
         "PASS\ttraceable-counts\t0:1 1:2 2:4 3:8 4:16 5:32",
         "PASS\ttraceable-tracesize", "PASS\ttraceable-final"]
-    assert suite._chk_traceable(random.Random(1), 3, 4)[0].render() == (
+    assert suite._chk_traceable("traceable", random.Random(1), 3,
+                                4)[0].render() == (
         "FAIL\ttraceable-frontier\trun 0: empty frontier at stage 3")
 
 

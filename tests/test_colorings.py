@@ -617,6 +617,6 @@ def test_extraction_checks_build_no_index(monkeypatch):
         assert verify_extraction(GRADED_SHAPE, lambda k: kappa(i + 1, k), n,
                                  c, d, t1)
         assert builds == []
-    assert [ln.status for ln in suite._chk_twocol_exhaustive(None, 1)] \
+    assert [ln.status for ln in suite._chk_twocol("twocol-exh-n1", None, 1)] \
         == ["PASS"]
     assert builds == []

@@ -43,7 +43,7 @@ def _raise(out):
 
 def _fast_lines(name):
     fn, kwargs = _FAST[name]
-    return [ln.render() for ln in fn(random.Random(1), **kwargs)]
+    return [ln.render() for ln in fn(name, random.Random(1), **kwargs)]
 
 
 # (check, suite name spoiled, spoiler, call spoiled, pinned FAIL line)
@@ -84,8 +84,9 @@ _SPOILED_CALLS = [
     ("pi6-chain", "enumerate_pi",
      lambda st: StagedTree(st.stages[:-1] + (st.final - {"111"},)), 0,
      "FAIL\tpi6-chain\te,1,11"),
-    # the second of the two renders loses its split-thin line
-    ("report-determinism", "_chk_split_thin", lambda lines: [], 1,
+    # the second of the two renders fails its first split-thin case
+    ("report-determinism", "splitting_to_thin",
+     lambda r: r._replace(witness=("0", "1")), 5,
      "FAIL\treport-determinism"),
 ]
 

@@ -223,7 +223,7 @@ def test_a_suite_check_builds_the_same_indexes_when_run_again(
     runs = []
     for _ in range(2):
         builds.clear()
-        lines = fn(random.Random(f"0:{name}"), **fast_kw)
+        lines = fn(name, random.Random(f"0:{name}"), **fast_kw)
         runs.append((lines, sorted(builds)))
     assert runs[0] == runs[1] and runs[0][1]
 
@@ -234,7 +234,7 @@ def test_the_traceable_check_builds_no_index(monkeypatch):
     _, fn, fast_kw, full_kw = next(c for c in suite._CHECKS
                                    if c[0] == "traceable")
     for kw in (fast_kw, full_kw):
-        lines = fn(random.Random("0:traceable"), **kw)
+        lines = fn("traceable", random.Random("0:traceable"), **kw)
         assert lines and all(ln.status == "PASS" for ln in lines)
     assert builds == []
 
