@@ -812,3 +812,177 @@ def test_majorant_length_budget_at_its_edge(tmp_path):
         _at_the_edge([*extra, *scn],
                      [f"ERROR\t{cmd}-error\ta majorant of length 4097 "
                       "exceeds the budget of 4096"], 1)
+
+
+def _corpus_files(tmp_path):
+    """Scenario files for the argv corpus: demo's [tree] names S, T, W
+    and [staged] names R, U interleave, read stages D's tree as E, and
+    pp joins the readback and profile tables under [params] that set
+    every fallback."""
+    read, prof = _readback_scenario(), _profile_scenario()
+    texts = {
+        "demo": DEMO + "\n[staged R]\nstage\nnode e\nstage\nnode 0\n"
+                       "node 1\n\n[staged U]\nstage\nnode e\n",
+        "read": read + "\n[staged E]\nstage\nnode e\nstage\nnode 0\n"
+                       "node 1\nnode 00\nnode 01\n",
+        "prof": prof,
+        "adv": ADVERSARY,
+        "pp": read.split("[params]")[0] + prof.split("[params]")[0]
+              + "[params]\noracle 12\nflen 6\nstages 2\nbudget 3\nseed 1\n",
+        "bare": "[tree T]\nnode e\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.scn").write_text(text)
+    return {name: str(tmp_path / f"{name}.scn") for name in texts}
+
+
+# each argv with its exit code and, on exit 2, its stderr, else the
+# first 16 hex digits of its stdout's sha256; {name} is a scenario file
+_CORPUS = [
+    # every leaf
+    ("verify twocol --n 1 --count 5", 0, "18018f0cba62786b"),
+    ("verify twocol --n 1 --exhaustive", 0, "6eff6e53bf0f0e42"),
+    ("verify nice --i 1 --n 2 --count 3", 0, "e263c4398efe1ccb"),
+    ("verify kappa --imax 2 --nmax 3", 0, "4964abb5315f8192"),
+    ("run cupping --n 1", 0, "8280db504be065b0"),
+    ("run traceable --horizon 4 --scenario {adv}", 0, "91cc7b3b9655e91c"),
+    ("run smc --scenario {read}", 0, "4c3379f2e9d623bc"),
+    ("run smc --dagger D --budget 16 --scenario {read}",
+     0, "29e2b1419b4a0833"),
+    ("run pi6 --scenario {prof}", 0, "8a66a48941087571"),
+    ("check thin --tree T --sub S --scenario {demo}", 0, "ed965c7bfb9d32c8"),
+    ("check split --tree T --scenario {demo}", 0, "983f83ad6efedb7d"),
+    ("check weaksplit --phi flat --scenario {demo}", 0, "f2a6fab1beef0494"),
+    ("check theta --staging G --scenario {prof}", 0, "502bfb88c919f0f7"),
+    ("trace from-thin --sub S --maxlen 3 --scenario {demo}",
+     1, "727767500cdf296e"),
+    ("trace from-split --tree T --scenario {demo}", 1, "f960acdf1977b80b"),
+    ("trace dnr --scenario {adv}", 0, "c4fe227763891f70"),
+    ("encode sd 5 2", 0, "b3d3ae9aafa82734"),
+    ("suite fast", 0, "636cc231a8407c4e"),
+    ("suite full --seed 0", 0, "8799b02076404240"),
+    # each budget refusal
+    ("verify twocol --n 2 --count 100000", 1, "4e6dfe24f0491b1a"),
+    ("verify twocol --n 3 --exhaustive", 1, "fd36b56d2daadd9b"),
+    ("verify nice --i 0 --n 5 --count 1", 1, "bdbe1aa01fbb8b66"),
+    ("verify nice --i 0 --n 4 --count 65", 1, "a3a4379d57143896"),
+    ("run cupping --n 5", 1, "9f4efa09ce297291"),
+    ("run traceable --horizon 17", 1, "01a52fd7dc248c6c"),
+    ("run smc --oracle 99999 --scenario {read}", 1, "c487426e33c75e35"),
+    ("run pi6 --stages 14 --scenario {prof}", 1, "485f556893368b55"),
+    ("run pi6 --flen 4097 --scenario {prof}", 1, "f9b27e6d11bc1446"),
+    ("check theta --staging G --flen 4097 --scenario {prof}",
+     1, "43819b994bc56345"),
+    ("check weaksplit --phi flat --budget 14 --scenario {demo}",
+     1, "74565edf3aa9dbc7"),
+    ("trace from-thin --sub S --maxlen 14 --scenario {demo}",
+     1, "25d218cdbc525983"),
+    # missing names of each kind, and staged names where trees go
+    ("run smc --psi nope --scenario {read}", 1, "f6d4c4b3193ee18f"),
+    ("run smc --dagger nope --scenario {read}", 1, "9932adaee5ceb69e"),
+    ("run smc --dagger E --budget 16 --scenario {read}",
+     0, "29e2b1419b4a0833"),
+    ("run pi6 --phi nope --scenario {prof}", 1, "18db01008e74c199"),
+    ("check thin --tree R --sub S --scenario {demo}", 0, "257df57a9aa2af1f"),
+    ("check thin --tree T --sub nope --scenario {demo}",
+     1, "4a55708f1b8ca795"),
+    ("check thin --tree T --sub S --scenario {bare}", 1, "8bdd97860e2ac2eb"),
+    ("check split --psi nope --tree T --scenario {demo}",
+     1, "c1ae5a5ca9e9862e"),
+    ("check theta --staging T --scenario {pp}", 1, "b4799392f467987b"),
+    ("check theta --staging G --scenario {demo}", 1, "d4ddf321e5db704d"),
+    ("trace from-split --tree nope --scenario {demo}", 1, "d82777f55e471ba8"),
+    ("trace dnr", 1, "6300deea3664d8b9"),
+    # [params] fallbacks against flags
+    ("run smc --scenario {pp}", 1, "4e036fac4c9e213e"),
+    ("run smc --budget 16 --scenario {pp}", 0, "04b6c35a945d0d6f"),
+    ("run smc --oracle 0 --budget 16 --scenario {pp}", 0, "62f5252fcf7c7d62"),
+    ("run pi6 --scenario {pp}", 0, "1c154c7f2058a39b"),
+    ("run pi6 --stages 4 --flen 7 --oracle 0 --scenario {pp}",
+     0, "5a0bdd4dc9155b48"),
+    ("check theta --staging G --scenario {pp}", 0, "b9f292dc670597d1"),
+    ("check theta --staging G --flen 7 --oracle 0 --scenario {pp}",
+     0, "b9f292dc670597d1"),
+    ("check weaksplit --scenario {pp}", 0, "06bfc9b4749aca88"),
+    # two faults: the first the handler meets is reported
+    ("run smc --oracle 99999 --psi nope --scenario {read}",
+     1, "c487426e33c75e35"),
+    ("run smc --psi nope --dagger nope --scenario {read}",
+     1, "f6d4c4b3193ee18f"),
+    ("run pi6 --stages 14 --phi nope --scenario {prof}",
+     1, "18db01008e74c199"),
+    ("run pi6 --stages 14 --flen 5000 --scenario {prof}",
+     1, "485f556893368b55"),
+    ("check theta --phi nope --staging nope --scenario {prof}",
+     1, "3ebf786396c8bc3a"),
+    ("check theta --staging nope --flen 5000 --scenario {prof}",
+     1, "d321f8aa597e7ab7"),
+    ("check thin --tree nope --sub none --scenario {demo}",
+     1, "4a55708f1b8ca795"),
+    ("check weaksplit --phi nope --budget 14 --scenario {demo}",
+     1, "329f640f80b24732"),
+    ("trace from-thin --psi nope --sub S --maxlen 14 --scenario {demo}",
+     1, "4cec739b903eb19b"),
+    # usage errors
+    ("", 2, "error: the following arguments are required: group\n"),
+    ("verify", 2, "error: the following arguments are required: sub\n"),
+    ("polish trees", 2,
+     "error: argument group: invalid choice: 'polish' (choose from "
+     "'verify', 'run', 'check', 'trace', 'encode', 'suite')\n"),
+    ("check thin --tree T", 2,
+     "error: the following arguments are required: --sub\n"),
+    ("verify twocol --exhaustive --count 3", 2,
+     "error: argument --count: not allowed with argument --exhaustive\n"),
+    ("encode sd 5", 2, "error: the following arguments are required: m\n"),
+    ("run smc --oracle x", 2,
+     "error: argument --oracle: invalid int value: 'x'\n"),
+    ("verify kappa --bogus", 2, "error: unrecognized arguments: --bogus\n"),
+    # every help page
+    ("--help", 0, "a09ca75cb758f9cf"),
+    ("verify --help", 0, "232d896f2d13cb84"),
+    ("run --help", 0, "424659c6b12d437d"),
+    ("check --help", 0, "b9d59706c81f1a1d"),
+    ("trace --help", 0, "1917f2e189d6e16d"),
+    ("encode --help", 0, "808033d671d536f5"),
+    ("suite --help", 0, "04306164f04743d6"),
+    ("verify twocol --help", 0, "996ee3fd5e481284"),
+    ("verify nice --help", 0, "683a4c582cc4ce6a"),
+    ("verify kappa --help", 0, "e43e3cff31676b2b"),
+    ("run cupping --help", 0, "1cae5c275e90d6c0"),
+    ("run traceable --help", 0, "cee121c96a59eac3"),
+    ("run smc --help", 0, "05264eee003333cc"),
+    ("run pi6 --help", 0, "2b78d4d9ece7ba1f"),
+    ("check thin --help", 0, "69aa49deaeae828e"),
+    ("check split --help", 0, "cffdc834d5d1e039"),
+    ("check weaksplit --help", 0, "ec40750b2db54ccf"),
+    ("check theta --help", 0, "7a322bd612f5962d"),
+    ("trace from-thin --help", 0, "0a1a8bf1ac9e1cf4"),
+    ("trace from-split --help", 0, "3b4ec85277f2ccf8"),
+    ("trace dnr --help", 0, "8e5f7838c0079a78"),
+    ("encode sd --help", 0, "9bd35821fee2354d"),
+    ("suite fast --help", 0, "45a219b67c87254c"),
+    ("suite full --help", 0, "2fab09f625c88164"),
+]
+
+
+def _corpus_outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # --help
+        code = e.code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        return code, err
+    assert err == ""
+    return code, hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+def test_the_argv_corpus_prints_pinned_bytes(tmp_path, capsys, monkeypatch):
+    # stdout, stderr and exit code of every leaf, budget refusal, missing
+    # name, [params] fallback, two-fault argv, usage error and help page
+    monkeypatch.setenv("COLUMNS", "80")
+    files = _corpus_files(tmp_path)
+    for cmd, code, pin in _CORPUS:
+        argv = [w.format(**files) for w in cmd.split()]
+        assert _corpus_outcome(argv, capsys) == (code, pin), cmd
