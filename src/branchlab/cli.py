@@ -12,7 +12,7 @@ import random
 import shlex
 import sys
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .colorings import EVEN_SHAPE, bushy_level_strings, kappa
 from .cupping import SEARCH_MAX_LEVEL, bundle, find_pi_member
@@ -38,36 +38,17 @@ from .trees import successors
 
 # -- scenario name resolution ------------------------------------------------
 
-def _functional(sc: Scenario, name: str) -> FunctionalTable:
-    if name not in sc.functionals:
-        raise ScenarioError(
-            f"no functional named {name!r} (have: "
-            f"{sorted(sc.functionals) or 'none'})")
-    return sc.functionals[name]
-
-
-def _any_tree(sc: Scenario, name: str) -> frozenset[str]:
-    if name in sc.trees:
-        return sc.trees[name]
-    if name in sc.staged:
-        return sc.staged[name].final
-    raise ScenarioError(
-        f"no tree named {name!r} (have: "
-        f"{sorted(sc.trees) + sorted(sc.staged) or 'none'})")
-
-
-def _staged(sc: Scenario, name: str):
-    if name not in sc.staged:
-        raise ScenarioError(
-            f"no staged tree named {name!r} (have: "
-            f"{sorted(sc.staged) or 'none'})")
-    return sc.staged[name]
-
-
-def _param(flag: Optional[int], sc: Scenario, key: str, default: int) -> int:
-    if flag is not None:
-        return flag
-    return sc.params.get(key, default)
+def _named(sc: Scenario, kind: str, name: str):
+    """The scenario's "functional", "tree" or "staged tree" of this
+    name; a staged tree's name also stands for its final tree."""
+    tables = {"functional": (sc.functionals,), "staged tree": (sc.staged,),
+              "tree": (sc.trees,
+                       {k: st.final for k, st in sc.staged.items()})}[kind]
+    for table in tables:
+        if name in table:
+            return table[name]
+    have = [k for table in tables for k in sorted(table)]
+    raise ScenarioError(f"no {kind} named {name!r} (have: {have or 'none'})")
 
 
 # -- verify ------------------------------------------------------------------
@@ -172,17 +153,16 @@ def _h_run_traceable(ns, sc, rng):
 
 
 def _h_run_smc(ns, sc, rng):
-    a = nat_to_string(_param(ns.oracle, sc, "oracle", 0))
+    a = nat_to_string(ns.oracle)
     # the oplus tree of an n-bit oracle has 2^(n+1) - 1 members: at 13
     # bits, 16,383 of them, a stage takes about 1.5 s and 70 MiB
     if len(a) > 13:
         raise BudgetError(f"an oracle of {len(a)} bits exceeds the budget "
                           "of 13 bits")
-    psi = _functional(sc, ns.psi)
-    budget = _param(ns.budget, sc, "budget", 8)
-    dagger = _any_tree(sc, ns.dagger) if ns.dagger else None
+    psi = _named(sc, "functional", ns.psi)
+    dagger = _named(sc, "tree", ns.dagger) if ns.dagger else None
     try:
-        res = smc_driver_stage(("", oplus_tree(a)), psi, budget, dagger)
+        res = smc_driver_stage(("", oplus_tree(a)), psi, ns.budget, dagger)
     except BudgetError as e:
         return [failed("smc-driver", _clean(e))]
     return [passed("smc-driver",
@@ -193,7 +173,7 @@ def _h_run_smc(ns, sc, rng):
 MAX_FLEN = 1 << 12
 
 
-def _omega_context(ns, sc, phi: FunctionalTable) -> OmegaContext:
+def _omega_context(ns, phi: FunctionalTable) -> OmegaContext:
     """The context of the --flen identity majorant and the oracle.
 
     The majorant is built, checked, hashed and compared whole, so a
@@ -201,23 +181,20 @@ def _omega_context(ns, sc, phi: FunctionalTable) -> OmegaContext:
     lost: under the identity majorant a certified level n takes the
     full binary tree of depth n, 2^(n+1) - 1 settled strings.
     """
-    flen = _param(ns.flen, sc, "flen", 9)
-    if flen > MAX_FLEN:
-        raise BudgetError(f"a majorant of length {flen} exceeds the budget "
-                          f"of {MAX_FLEN}")
-    a = nat_to_string(_param(ns.oracle, sc, "oracle", 0))
-    return OmegaContext(phi, tuple(range(flen)), a)
+    if ns.flen > MAX_FLEN:
+        raise BudgetError(f"a majorant of length {ns.flen} exceeds the "
+                          f"budget of {MAX_FLEN}")
+    return OmegaContext(phi, tuple(range(ns.flen)), nat_to_string(ns.oracle))
 
 
 def _h_run_pi6(ns, sc, rng):
-    phi = _functional(sc, ns.phi)
-    stages = _param(ns.stages, sc, "stages", 3)
+    phi = _named(sc, "functional", ns.phi)
     # stage s walks all 2^s strings of its length: 13 stages take about
     # 1.5 s on a small profile table, and each stage doubles that
-    if stages > 13:
-        raise BudgetError(f"{stages} stages exceed the budget of 13")
-    ctx = _omega_context(ns, sc, phi)
-    final = enumerate_pi(ctx, stages).final
+    if ns.stages > 13:
+        raise BudgetError(f"{ns.stages} stages exceed the budget of 13")
+    ctx = _omega_context(ns, phi)
+    final = enumerate_pi(ctx, ns.stages).final
     # stage s admits strings of length s only
     lines = [passed(f"pi6-admit-{show_string(m)}",
                     f"stage={len(m)} level={omega_level(ctx, m)}")
@@ -231,16 +208,16 @@ def _h_run_pi6(ns, sc, rng):
 # -- check -------------------------------------------------------------------
 
 def _h_check_thin(ns, sc, rng):
-    t = _any_tree(sc, ns.tree)
-    sub = _any_tree(sc, ns.sub)
+    t = _named(sc, "tree", ns.tree)
+    sub = _named(sc, "tree", ns.subtree)
     v = thin_violation(t, sub)
-    check_id = f"thin-{ns.tree}-{ns.sub}"
+    check_id = f"thin-{ns.tree}-{ns.subtree}"
     return [passed(check_id) if v is None else failed(check_id, _clean(v))]
 
 
 def _h_check_split(ns, sc, rng):
-    psi = _functional(sc, ns.psi)
-    t = _any_tree(sc, ns.tree)
+    psi = _named(sc, "functional", ns.psi)
+    t = _named(sc, "tree", ns.tree)
     v = splitting_violation(psi, t, delayed=ns.delayed, hat=ns.hat)
     check_id = f"split-{ns.psi}-{ns.tree}"
     if v is None:
@@ -268,8 +245,8 @@ def _require_scan_budget(length: int,
 
 
 def _h_check_weaksplit(ns, sc, rng):
-    psi = _functional(sc, ns.psi)
-    phi = _functional(sc, ns.phi)
+    psi = _named(sc, "functional", ns.psi)
+    phi = _named(sc, "functional", ns.phi)
     _require_scan_budget(ns.budget, (psi, phi))
     w = build_weak_splitting_tree(psi, phi, ns.budget)
     v = weak_splitting_violation(w, psi, parse_string(ns.path))
@@ -279,9 +256,9 @@ def _h_check_weaksplit(ns, sc, rng):
 
 
 def _h_check_theta(ns, sc, rng):
-    phi = _functional(sc, ns.phi)
-    st = _staged(sc, ns.staging)
-    ctx = _omega_context(ns, sc, phi)
+    phi = _named(sc, "functional", ns.phi)
+    st = _named(sc, "staged tree", ns.staging)
+    ctx = _omega_context(ns, phi)
     succ = {m: frozenset(successors(st.final, m)) for m in st.final}
     tp, theta = build_tprime(ctx, st, succ)
     lines = [passed("theta-consistency", f"axioms={len(theta.axioms)}")]
@@ -305,16 +282,16 @@ def _trace_lines(ts: TraceSystem, prefix: str) -> list[ReportLine]:
 
 
 def _h_trace_from_thin(ns, sc, rng):
-    psi = _functional(sc, ns.psi)
+    psi = _named(sc, "functional", ns.psi)
     _require_scan_budget(ns.maxlen, (psi,))
-    sub = _any_tree(sc, ns.sub)
+    sub = _named(sc, "tree", ns.subtree)
     return _trace_lines(trace_from_thin(psi, hat_level_tree(psi, ns.maxlen),
                                         sub), "trace")
 
 
 def _h_trace_from_split(ns, sc, rng):
-    psi = _functional(sc, ns.psi)
-    t = _any_tree(sc, ns.tree)
+    psi = _named(sc, "functional", ns.psi)
+    t = _named(sc, "tree", ns.tree)
     return _trace_lines(trace_from_bounded_splitting(psi, t, ns.m),
                         "tracesplit")
 
@@ -353,103 +330,76 @@ def _common(p):
                    help="override the scenario seed")
 
 
+def _int(default=None) -> dict:
+    return {"type": int, "default": default}
+
+
+_FLAG = {"action": "store_true"}
+# options that several leaves take; --sub keeps off the dest sub, which
+# holds the leaf's name
+_PSI = ("--psi", {"default": "psi"})
+_PHI = ("--phi", {"default": "phi"})
+_TREE = ("--tree", {"required": True})
+_SUB = ("--sub", {"required": True, "dest": "subtree", "metavar": "SUB"})
+_ORACLE = ("--oracle", _int())
+_FLEN = ("--flen", _int())
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="branchlab", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
 
     subs: dict[str, argparse._SubParsersAction] = {}
 
-    def leaf(group, name, handler):
+    def leaf(group, name, handler, *options):
         if group not in subs:
             subs[group] = groups.add_parser(group).add_subparsers(
                 dest="sub", required=True)
         p = subs[group].add_parser(name)
         p.set_defaults(handler=handler, key=f"{group}:{name}")
         _common(p)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
         return p
 
-    p = leaf("verify", "twocol", _h_verify_twocol)
-    p.add_argument("--n", type=int, default=1)
+    p = leaf("verify", "twocol", _h_verify_twocol, ("--n", _int(1)))
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--count", type=int, default=100)
-
-    p = leaf("verify", "nice", _h_verify_nice)
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--count", type=int, default=100)
-
-    p = leaf("verify", "kappa", _h_verify_kappa)
-    p.add_argument("--imax", type=int, default=6)
-    p.add_argument("--nmax", type=int, default=10)
-
-    p = leaf("run", "cupping", _h_run_cupping)
-    p.add_argument("--n", type=int, default=2)
-
-    p = leaf("run", "traceable", _h_run_traceable)
-    p.add_argument("--horizon", type=int, default=6)
-
-    p = leaf("run", "smc", _h_run_smc)
-    p.add_argument("--psi", default="psi")
-    p.add_argument("--dagger", default=None)
-    p.add_argument("--oracle", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = leaf("run", "pi6", _h_run_pi6)
-    p.add_argument("--phi", default="phi")
-    p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--flen", type=int, default=None)
-    p.add_argument("--oracle", type=int, default=None)
-
-    p = leaf("check", "thin", _h_check_thin)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--sub", required=True)
-
-    p = leaf("check", "split", _h_check_split)
-    p.add_argument("--psi", default="psi")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--delayed", action="store_true")
-    p.add_argument("--hat", action="store_true")
-
-    p = leaf("check", "weaksplit", _h_check_weaksplit)
-    p.add_argument("--psi", default="psi")
-    p.add_argument("--phi", default="phi")
-    p.add_argument("--budget", type=int, default=6)
-    p.add_argument("--path", default="e")
-
-    p = leaf("check", "theta", _h_check_theta)
-    p.add_argument("--phi", default="phi")
-    p.add_argument("--staging", required=True)
-    p.add_argument("--flen", type=int, default=None)
-    p.add_argument("--oracle", type=int, default=None)
-
-    p = leaf("trace", "from-thin", _h_trace_from_thin)
-    p.add_argument("--psi", default="psi")
-    p.add_argument("--sub", required=True)
-    p.add_argument("--maxlen", type=int, default=6)
-
-    p = leaf("trace", "from-split", _h_trace_from_split)
-    p.add_argument("--psi", default="psi")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--m", type=int, default=2)
-
+    mode.add_argument("--exhaustive", **_FLAG)
+    mode.add_argument("--count", **_int(100))
+    leaf("verify", "nice", _h_verify_nice,
+         ("--i", _int(0)), ("--n", _int(2)), ("--count", _int(100)))
+    leaf("verify", "kappa", _h_verify_kappa,
+         ("--imax", _int(6)), ("--nmax", _int(10)))
+    leaf("run", "cupping", _h_run_cupping, ("--n", _int(2)))
+    leaf("run", "traceable", _h_run_traceable, ("--horizon", _int(6)))
+    leaf("run", "smc", _h_run_smc,
+         _PSI, ("--dagger", {}), _ORACLE, ("--budget", _int()))
+    leaf("run", "pi6", _h_run_pi6, _PHI, ("--stages", _int()), _FLEN, _ORACLE)
+    leaf("check", "thin", _h_check_thin, _TREE, _SUB)
+    leaf("check", "split", _h_check_split,
+         _PSI, _TREE, ("--delayed", _FLAG), ("--hat", _FLAG))
+    leaf("check", "weaksplit", _h_check_weaksplit,
+         _PSI, _PHI, ("--budget", _int(6)), ("--path", {"default": "e"}))
+    leaf("check", "theta", _h_check_theta,
+         _PHI, ("--staging", {"required": True}), _FLEN, _ORACLE)
+    leaf("trace", "from-thin", _h_trace_from_thin,
+         _PSI, _SUB, ("--maxlen", _int(6)))
+    leaf("trace", "from-split", _h_trace_from_split,
+         _PSI, _TREE, ("--m", _int(2)))
     leaf("trace", "dnr", _h_trace_dnr)
-
-    p = leaf("encode", "sd", _h_encode_sd)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
-    p = leaf("suite", "fast", _h_suite)
-    p.set_defaults(level="fast")
-    p = leaf("suite", "full", _h_suite)
-    p.set_defaults(level="full")
-
+    leaf("encode", "sd", _h_encode_sd, ("n", _int()), ("m", _int()))
+    leaf("suite", "fast", _h_suite).set_defaults(level="fast")
+    leaf("suite", "full", _h_suite).set_defaults(level="full")
     return top
 
 
 @lru_cache(maxsize=1)
 def _parser():
     return build_parser()
+
+
+# options left unset fall back to the scenario's [params], then to these
+_PARAM_DEFAULTS = {"oracle": 0, "flen": 9, "stages": 3, "budget": 8}
 
 
 def run_command(cmd, scenario: Scenario) -> Report:
@@ -467,6 +417,9 @@ def run_command(cmd, scenario: Scenario) -> Report:
         sc = parse_scenario(data)
     if ns.seed is not None:
         sc = scenario_with_seed(sc, ns.seed)
+    for key, default in _PARAM_DEFAULTS.items():
+        if getattr(ns, key, default) is None:
+            setattr(ns, key, sc.params.get(key, default))
     rng = random.Random(f"{sc.seed}:{ns.key}")
     try:
         lines = ns.handler(ns, sc, rng)

@@ -189,12 +189,6 @@ def eval_at(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
     return hits[0][2] if hits else None
 
 
-def min_steps(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
-    """Convergence time at (tau, n): least steps among applicable axioms."""
-    ax = effective_axiom(f, tau, n)
-    return None if ax is None else ax[3]
-
-
 def effective_axiom(f: FunctionalTable, tau: str, n: int) -> Optional[Axiom]:
     """The axiom that fires first: least (steps, oracle length)."""
     # hits come shortest sigma first, and min keeps the first of a tie

@@ -19,6 +19,12 @@ from .strings import (check_bits, compatible, is_prefix, is_proper_prefix,
 from .trees import StagedTree, Tree, level_of, successors
 
 
+def _is_fresh(cand: str, members) -> bool:
+    """cand is not a member, and no member extends it."""
+    return cand not in members and not any(
+        is_proper_prefix(cand, m) for m in members)
+
+
 def random_weak_staged_tree(rng: random.Random,
                             steps: int = 20) -> StagedTree:
     """A staged tree obeying the one-string-per-stage discipline.
@@ -29,22 +35,15 @@ def random_weak_staged_tree(rng: random.Random,
     members = {""}
     stages = [Tree(members)]
     for _ in range(steps):
-        new: Optional[str] = None
         if rng.random() < 0.7:
             base = rng.choice(sorted(members))
             cand = base + "".join(rng.choice("01")
                                   for _ in range(rng.randint(1, 3)))
-            if cand not in members and not any(
-                    is_proper_prefix(cand, m) for m in members):
-                new = cand
         else:
             cand = "".join(rng.choice("01")
                            for _ in range(rng.randint(1, 6)))
-            if cand not in members and not any(
-                    is_proper_prefix(cand, m) for m in members):
-                new = cand
-        if new is not None:
-            members.add(new)
+        if _is_fresh(cand, members):
+            members.add(cand)
         stages.append(Tree(members))
     return StagedTree(tuple(stages))
 
@@ -68,8 +67,7 @@ def spined_weak_tree(rng: random.Random, depth: int,
         side = spine[:k] + ("1" if spine[k] == "0" else "0")
         cand = side + "".join(rng.choice("01")
                               for _ in range(rng.randint(0, 2)))
-        if cand not in members and not any(
-                is_proper_prefix(cand, m) for m in members):
+        if _is_fresh(cand, members):
             members.add(cand)
             stages.append(Tree(members))
     return StagedTree(tuple(stages))

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import BudgetError, MemberError, ProtocolError, ShapeError
 from .functionals import (FunctionalTable, _outputs, _pullback_tree,
                           _require_two_branching, _splitting_violation,
-                          eval_at, min_steps, outputs_split)
+                          effective_axiom, outputs_split)
 from .strings import (_lex_extensions, check_bits, compatible,
                       is_proper_prefix, lenlex_key, show_string, sort_lenlex,
                       string_to_nat)
@@ -72,11 +72,13 @@ def t_of(phi: FunctionalTable, tau: str) -> Tree:
         layer = []
         for bits in product("01", repeat=length):
             s = "".join(bits)
-            steps = min_steps(phi, tau, string_to_nat(s))
-            if steps is None or steps > len(tau):
+            # the fastest axiom's value is every applicable one's, as
+            # the table is consistent
+            ax = effective_axiom(phi, tau, string_to_nat(s))
+            if ax is None or ax[3] > len(tau):
                 layer = None
                 break
-            if eval_at(phi, tau, string_to_nat(s)) == 1:
+            if ax[2] == 1:
                 layer.append(s)
         if layer is None:
             break

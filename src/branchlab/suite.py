@@ -38,8 +38,7 @@ from .gen import (breaks_readback_split, odd_readback_psi,
 from .report import Report, ReportLine, _clean, errored, failed, passed
 from .smc import (build_tprime, enumerate_pi, omega_level, oplus_tree,
                   select_extensions, smc_driver_stage, t_of, theta_decode)
-from .strings import (compatible, is_proper_prefix, show_string, sort_lenlex,
-                      string_to_nat)
+from .strings import compatible, show_string, sort_lenlex, string_to_nat
 from .thin import (TraceSystem, encode_tuple, hat_level_tree, is_thin,
                    rescale_trace, selfdelim_decode, selfdelim_encode,
                    spaced_level, spacing_bound_limit, spacing_bound_partial,
@@ -139,8 +138,7 @@ def _theta_chains(final, tp, theta):
     for x in sort_lenlex(final):
         if x == "":
             continue
-        chain = tuple(sorted((p for p in final
-                              if p != "" and x.startswith(p)), key=len))
+        chain = tuple(x[:k] for k in range(1, len(x) + 1) if x[:k] in final)
         bad = next((leaf for leaf in leaves(tp[x])
                     if theta_decode(theta, leaf) != chain), None)
         yield x, chain, bad
@@ -151,8 +149,8 @@ def _pi6_gaps(ctx, final):
     above every proper prefix's in final (final holds the root)."""
     lv = {m: omega_level(ctx, m) for m in final}
     return [m for m in final if m != ""
-            and lv[m] < 2 + max(lv[p] for p in final
-                                if is_proper_prefix(p, m))]
+            and lv[m] < 2 + max(lv[m[:k]] for k in range(len(m))
+                                if m[:k] in lv)]
 
 
 def _twocolourings(rng, lvs, count):

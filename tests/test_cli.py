@@ -266,8 +266,7 @@ def test_every_leaf_keeps_its_key_options_and_defaults():
         f"suite:fast _h_suite level=fast {common}",
         f"suite:full _h_suite level=full {common}",
     ]
-    # each leaf is reached by its group and name (the option --sub of
-    # check thin and trace from-thin overwrites the dest sub)
+    # each leaf is reached by its group and name
     for line in surfaces:
         key, *words = line.split()
         argv = key.split(":")
@@ -275,7 +274,7 @@ def test_every_leaf_keeps_its_key_options_and_defaults():
             if w.endswith("!"):  # a required option or positional
                 argv += [w[:-1], "1"] if w.startswith("--") else ["1"]
         ns = parser.parse_args(argv)
-        assert (ns.group, ns.key) == (argv[0], key)
+        assert (ns.group, ns.sub, ns.key) == (*key.split(":"), key)
 
 
 def test_traceable_and_smc_runs(sc):
@@ -816,10 +815,13 @@ def test_majorant_length_budget_at_its_edge(tmp_path):
 
 def _corpus_files(tmp_path):
     """Scenario files for the argv corpus: demo's [tree] names S, T, W
-    and [staged] names R, U interleave, read stages D's tree as E, and
-    pp joins the readback and profile tables under [params] that set
-    every fallback."""
+    and [staged] names R, U interleave, read stages D's tree as E, pp
+    joins the readback and profile tables under [params] that set every
+    fallback, and odd's oracle needs more splits than the default
+    budget allows."""
     read, prof = _readback_scenario(), _profile_scenario()
+    odd = "".join(f"axiom {show_string(s)} {n} {v} {k}\n"
+                  for s, n, v, k in odd_readback_psi("1011").axioms)
     texts = {
         "demo": DEMO + "\n[staged R]\nstage\nnode e\nstage\nnode 0\n"
                        "node 1\n\n[staged U]\nstage\nnode e\n",
@@ -828,7 +830,9 @@ def _corpus_files(tmp_path):
         "prof": prof,
         "adv": ADVERSARY,
         "pp": read.split("[params]")[0] + prof.split("[params]")[0]
-              + "[params]\noracle 12\nflen 6\nstages 2\nbudget 3\nseed 1\n",
+              + "[params]\noracle 12\nflen 4\nstages 2\nbudget 3\nseed 1\n",
+        "odd": f"[functional psi]\n{odd}[params]\n"
+               f"oracle {string_to_nat('1011')}\n",
         "bare": "[tree T]\nnode e\n",
     }
     for name, text in texts.items():
@@ -897,12 +901,14 @@ _CORPUS = [
     ("run smc --scenario {pp}", 1, "4e036fac4c9e213e"),
     ("run smc --budget 16 --scenario {pp}", 0, "04b6c35a945d0d6f"),
     ("run smc --oracle 0 --budget 16 --scenario {pp}", 0, "62f5252fcf7c7d62"),
+    ("run pi6 --flen 7 --scenario {pp}", 0, "1c154c7f2058a39b"),
     ("run pi6 --scenario {pp}", 0, "1c154c7f2058a39b"),
     ("run pi6 --stages 4 --flen 7 --oracle 0 --scenario {pp}",
      0, "5a0bdd4dc9155b48"),
-    ("check theta --staging G --scenario {pp}", 0, "b9f292dc670597d1"),
+    ("check theta --staging G --scenario {pp}", 1, "b200da2ff8f2ff19"),
     ("check theta --staging G --flen 7 --oracle 0 --scenario {pp}",
      0, "b9f292dc670597d1"),
+    ("run smc --scenario {odd}", 1, "8562e272bb3938f4"),
     ("check weaksplit --scenario {pp}", 0, "06bfc9b4749aca88"),
     # two faults: the first the handler meets is reported
     ("run smc --oracle 99999 --psi nope --scenario {read}",

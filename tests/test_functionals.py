@@ -18,7 +18,7 @@ from branchlab.functionals import (EMPTY_TABLE, FunctionalTable, _outputs,
                                    build_weak_splitting_tree,
                                    effective_axiom,
                                    eval_at, hat_eval,
-                                   image_tree, is_splitting_tree, min_steps,
+                                   image_tree, is_splitting_tree,
                                    output_prefix, outputs_split,
                                    splitting_violation, table,
                                    weak_splitting_violation)
@@ -45,8 +45,8 @@ def test_consistency_error_on_clash():
 def test_nested_axioms_with_equal_values_are_fine():
     f = table([("0", 0, 5, 3), ("01", 0, 5, 1)])
     assert eval_at(f, "01", 0) == 5
-    assert min_steps(f, "01", 0) == 1
-    assert min_steps(f, "00", 0) == 3
+    assert effective_axiom(f, "01", 0)[3] == 1
+    assert effective_axiom(f, "00", 0)[3] == 3
 
 
 def test_steps_must_be_positive():
@@ -338,8 +338,9 @@ def test_axiom_lookup_matches_full_table_scan(f, tau, n):
             ax for i, ax in enumerate(cands)
             if all(ax[0] != c[0] for c in cands[:i])]
         assert eval_at(f, tau, k) == _naive_eval_at(f, tau, k)
-        assert min_steps(f, tau, k) == _naive_min_steps(f, tau, k)
-        assert effective_axiom(f, tau, k) == _naive_effective_axiom(f, tau, k)
+        ax = effective_axiom(f, tau, k)
+        assert ax == _naive_effective_axiom(f, tau, k)
+        assert (ax and ax[3]) == _naive_min_steps(f, tau, k)
 
 
 def _naive_effective_axiom(f, tau, n):
@@ -373,9 +374,9 @@ def test_lookups_match_naive_scans_when_sigmas_repeat():
             memo, naive_memo = {}, {}
             for n in range(5):
                 assert eval_at(f, tau, n) == _naive_eval_at(f, tau, n)
-                assert min_steps(f, tau, n) == _naive_min_steps(f, tau, n)
-                assert effective_axiom(f, tau, n) == \
-                    _naive_effective_axiom(f, tau, n)
+                ax = effective_axiom(f, tau, n)
+                assert ax == _naive_effective_axiom(f, tau, n)
+                assert (ax and ax[3]) == _naive_min_steps(f, tau, n)
                 assert hat_eval(f, tau, n, memo) == \
                     _naive_hat_eval(f, tau, n, naive_memo)
     assert repeated > 300

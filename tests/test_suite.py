@@ -18,8 +18,11 @@ import pytest
 from branchlab import suite
 from branchlab.colorings import kappa
 from branchlab.cupping import gamma_code
+from branchlab.gen import random_pi_staging
+from branchlab.smc import build_tprime, omega_level, theta_decode
+from branchlab.strings import is_proper_prefix, sort_lenlex
 from branchlab.thin import TraceSystem
-from branchlab.trees import StagedTree
+from branchlab.trees import StagedTree, leaves
 
 _FAST = {name: (fn, fast) for name, fn, fast, _ in suite._CHECKS}
 
@@ -121,3 +124,47 @@ def test_identity_fail_line_names_the_spoiled_n(monkeypatch):
     monkeypatch.setattr(math, "factorial", lambda k: real(k) + (k == 5))
     assert _fast_lines("traceable-identity") == [
         "FAIL\ttraceable-identity\tn=3: 1920 != 1936"]
+
+
+# The whole-tree scans that suite._theta_chains and suite._pi6_gaps
+# replaced with prefix probes, kept as oracles.
+
+def _scanned_theta_chains(final, tp, theta):
+    for x in sort_lenlex(final):
+        if x == "":
+            continue
+        chain = tuple(sorted((p for p in final
+                              if p != "" and x.startswith(p)), key=len))
+        bad = next((leaf for leaf in leaves(tp[x])
+                    if theta_decode(theta, leaf) != chain), None)
+        yield x, chain, bad
+
+
+def _scanned_pi6_gaps(ctx, final):
+    lv = {m: omega_level(ctx, m) for m in final}
+    return [m for m in final if m != ""
+            and lv[m] < 2 + max(lv[p] for p in final
+                                if is_proper_prefix(p, m))]
+
+
+def test_prefix_probes_match_the_whole_tree_scans():
+    # chains over each draw's final tree and over a subset keeping the
+    # root, which skips members and so spoils readbacks; gaps over the
+    # final tree and over it with one-bit extensions, which open gaps
+    spoiled = gaps = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        ctx, st, succ = random_pi_staging(rng)
+        tp, theta = build_tprime(ctx, st, succ)
+        part = frozenset({""} | {m for m in st.final if rng.random() < 0.6})
+        for final in (st.final, part):
+            got = list(suite._theta_chains(final, tp, theta))
+            assert got == list(_scanned_theta_chains(final, tp, theta))
+            spoiled += sum(bad is not None for _, _, bad in got)
+        grown = st.final | {m + rng.choice("01") for m in st.final
+                            if rng.random() < 0.5}
+        for final in (st.final, grown):
+            got = suite._pi6_gaps(ctx, final)
+            assert got == _scanned_pi6_gaps(ctx, final)
+            gaps += len(got)
+    assert spoiled and gaps
