@@ -80,10 +80,6 @@ def full_graded_tree(n: int) -> Tree:
     return Tree(members)
 
 
-def _two_branching(t: Tree) -> bool:
-    return is_compatible(GRADED_SHAPE, t, lambda k: 2)
-
-
 def _check_node_input(n: int, f: tuple[int, ...], t: Tree) -> None:
     """Refuse a colour vector f or a tree t that no level-n node has."""
     if len(f) != n:
@@ -91,7 +87,7 @@ def _check_node_input(n: int, f: tuple[int, ...], t: Tree) -> None:
     for i, v in enumerate(f):
         if not 0 <= v < ncol(i):
             raise ShapeError(f"colour {v} out of range at index {i}")
-    if not _two_branching(t):
+    if not is_compatible(GRADED_SHAPE, t, lambda k: 2):
         raise ShapeError("node tree is not two-branching in the shape")
     if tree_uniform_level(t) != n:
         raise ShapeError("node tree level does not match the node level")

@@ -29,12 +29,14 @@ up to its prefix of length H + max_arg + 1, which by the lemma suffices.
 Axiom lookup goes by sigma.  At one argument, the axioms applicable at
 tau are those whose sigma is one of tau's prefixes.  So the table maps
 each sigma to its effective axiom at each argument, and each argument
-to the sorted lengths of its sigmas, and a lookup probes tau[:k] for
-each such k up to len(tau).  The effective axiom of a sigma at an
-argument is its first in table order: the table sorts those axioms by
-steps, and a consistent table gives them one value.  Applicable axioms all have
-prefixes of tau as oracles, so they too agree on the value, and the
-convergence time is the least steps among the sigmas hit.
+to the sorted lengths of its sigmas, and effective_axiom, the one probe
+loop, probes tau[:k] for each such k up to len(tau).  The effective
+axiom of a sigma at an argument is its first in table order: the table
+sorts those axioms by steps, and a consistent table gives them one
+value.  Applicable axioms all have prefixes of tau as oracles, so they
+too agree on the value, and the convergence time is the least steps
+among the sigmas hit.  value_within and hat_eval hold the only
+comparisons of that time with a step bound.
 
 Outputs grow along the tree.  On a consistent table, x a prefix of y
 implies out(x) a prefix of out(y), plain or guarded: every axiom that
@@ -51,13 +53,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetError, ConsistencyError, ShapeError
 from .strings import (bits_of_values, check_bits, compatible, is_prefix,
-                      lenlex_key)
-from .trees import Tree, _index, sorted_members
+                      lenlex_key, sort_lenlex)
+from .trees import Tree, _index
 
 Axiom = tuple[str, int, int, int]  # (sigma, arg, value, steps)
 
@@ -162,20 +163,6 @@ def lookup_probes(f: FunctionalTable) -> int:
     return sum(map(len, f._lengths.values()))
 
 
-def _applicable(f: FunctionalTable, tau: str, n: int) -> list[Axiom]:
-    """The effective axiom of each sigma at argument n that tau extends,
-    shortest sigma first: one probe per sigma length up to len(tau)."""
-    index = f._sigma_index
-    hits = []
-    for k in f._lengths.get(n, ()):
-        if k > len(tau):
-            break
-        ax = index.get(tau[:k], _NONE).get(n)
-        if ax is not None:
-            hits.append(ax)
-    return hits
-
-
 EMPTY_TABLE = FunctionalTable(())
 
 
@@ -183,16 +170,35 @@ def table(axioms: Iterable[Axiom]) -> FunctionalTable:
     return FunctionalTable(tuple(axioms))
 
 
+def effective_axiom(f: FunctionalTable, tau: str, n: int) -> Optional[Axiom]:
+    """The axiom that fires first: least (steps, oracle length).  One
+    probe per sigma length at argument n up to len(tau)."""
+    index = f._sigma_index
+    ax = None
+    for k in f._lengths.get(n, ()):
+        if k > len(tau):
+            break
+        hit = index.get(tau[:k], _NONE).get(n)
+        # hits come shortest sigma first, and < keeps the first of a tie
+        if hit is not None and (ax is None or hit[3] < ax[3]):
+            ax = hit
+    return ax
+
+
+def value_within(f: FunctionalTable, tau: str, n: int,
+                 steps: int) -> Optional[int]:
+    """The value at (tau, n) when the computation converges within
+    steps steps, or None."""
+    ax = effective_axiom(f, tau, n)
+    if ax is None or ax[3] > steps:
+        return None
+    return ax[2]
+
+
 def eval_at(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
     """Converged value at (tau, n), or None."""
-    hits = _applicable(f, tau, n)
-    return hits[0][2] if hits else None
-
-
-def effective_axiom(f: FunctionalTable, tau: str, n: int) -> Optional[Axiom]:
-    """The axiom that fires first: least (steps, oracle length)."""
-    # hits come shortest sigma first, and min keeps the first of a tie
-    return min(_applicable(f, tau, n), key=itemgetter(3), default=None)
+    # every axiom's steps are below the horizon
+    return value_within(f, tau, n, f._horizon)
 
 
 def hat_eval(f: FunctionalTable, tau: str, n: int,
@@ -216,18 +222,8 @@ def hat_eval(f: FunctionalTable, tau: str, n: int,
     if key in _memo:
         return _memo[key]
     _memo[key] = None  # guard; the recursion only ever shortens tau
-    # the least steps among the sigmas hit, and the value, which
-    # applicable axioms share: effective_axiom, inlined
-    steps = len(tau)
-    index = f._sigma_index
-    ax = None
-    for k in f._lengths.get(n, ()):
-        if k > len(tau):
-            break
-        hit = index.get(tau[:k], _NONE).get(n)
-        if hit is not None and hit[3] < steps:
-            ax, steps = hit, hit[3]
-    if ax is None:  # no applicable axiom converges within len(tau) steps
+    ax = effective_axiom(f, tau, n)
+    if ax is None or ax[3] >= len(tau):  # not within len(tau) - 1 steps
         return None
     # definedness is downward closed in the argument, so the parent
     # defined at n - 1 is defined at every k < n
@@ -271,14 +267,9 @@ def output_prefix(f: FunctionalTable, tau: str, hat: bool = False,
         k -= 1
     out = memo.get(tau[:k], ())
     for j in range(k + 1, len(tau) + 1):
-        n = len(out)
-        for s in f._lengths.get(n, ()):
-            if s > j:
-                break
-            hit = f._sigma_index.get(tau[:s], _NONE).get(n)
-            if hit is not None and hit[3] < j:
-                out += (hit[2],)
-                break
+        v = value_within(f, tau[:j], len(out), j - 1)
+        if v is not None:
+            out += (v,)
         memo[tau[:j]] = out
     return out
 
@@ -323,7 +314,7 @@ def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
     """
     if not delayed:
         return _first_failing_sibling_pair(t, outs)
-    mems = sorted_members(t)
+    mems = sort_lenlex(t)
     for i, a in enumerate(mems):
         for b in mems[i + 1:]:
             if b.startswith(a):  # a sorts first, so only a can be a prefix
@@ -378,7 +369,7 @@ class WeakSplitWitness:
     psi: dict[str, int]
 
     def members(self) -> tuple[str, ...]:
-        return sorted_members(self.tree)
+        return sort_lenlex(self.tree)
 
 
 def _axiom_use(ax: Axiom) -> int:

@@ -24,13 +24,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import BudgetError, MemberError, ProtocolError, ShapeError
 from .functionals import (FunctionalTable, _outputs, _pullback_tree,
                           _require_two_branching, _splitting_violation,
-                          effective_axiom, outputs_split)
+                          outputs_split, value_within)
 from .strings import (_lex_extensions, check_bits, compatible,
                       is_proper_prefix, lenlex_key, show_string, sort_lenlex,
                       string_to_nat)
 from .trees import (StagedTree, Tree, _index, branching_stats, is_prefix_free,
-                    leaves, level_of, level_map, sorted_members,
-                    successors)
+                    leaves, level_of, level_map, successors)
 
 
 # -- oracle-indexed trees --------------------------------------------------
@@ -72,20 +71,18 @@ def t_of(phi: FunctionalTable, tau: str) -> Tree:
         layer = []
         for bits in product("01", repeat=length):
             s = "".join(bits)
-            # the fastest axiom's value is every applicable one's, as
-            # the table is consistent
-            ax = effective_axiom(phi, tau, string_to_nat(s))
-            if ax is None or ax[3] > len(tau):
+            v = value_within(phi, tau, string_to_nat(s), len(tau))
+            if v is None:
                 layer = None
                 break
-            if ax[2] == 1:
+            if v == 1:
                 layer.append(s)
         if layer is None:
             break
         members.extend(layer)
         length += 1
     t = Tree(members)
-    for m in sorted_members(t):
+    for m in sort_lenlex(t):
         if level_of(t, m) == 0 and m != "":
             raise ShapeError(f"level-0 member {show_string(m)} of the tree "
                              f"at {show_string(tau)} is not the empty string")
@@ -352,7 +349,7 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
     if not stages or stages[0] != frozenset({""}):
         raise ShapeError("enumeration must start from the empty string")
     final = pistar_stages.final
-    for tau in sorted_members(final):
+    for tau in sort_lenlex(final):
         if succ_codes.get(tau) != frozenset(successors(final, tau)):
             raise ShapeError(f"successor code for {show_string(tau)} does "
                              "not match the enumeration")
@@ -360,7 +357,7 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
         raise ShapeError("successor codes name strings outside the "
                          "enumeration")
     admitted = _admission_walk(ctx, max(len(m) for m in final))
-    for tau in sorted_members(final):
+    for tau in sort_lenlex(final):
         if tau not in admitted:
             raise ShapeError(f"{show_string(tau)} was never admitted by "
                              "the ambient enumeration")

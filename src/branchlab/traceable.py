@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
 from .functionals import (EMPTY_TABLE, FunctionalTable, _has_axiom_at,
-                          effective_axiom)
+                          value_within)
 from .strings import bits_of_values, compatible, is_prefix, lenlex_key
 
 
@@ -189,11 +189,8 @@ def oracle_output_bits(f: FunctionalTable, steps: int) -> str:
     """Argwise output at the empty oracle, truncated at the first
     missing or non-bit value."""
     vals = []
-    while True:
-        ax = effective_axiom(f, "", len(vals))
-        if ax is None or ax[3] > steps:
-            break
-        vals.append(ax[2])
+    while (v := value_within(f, "", len(vals), steps)) is not None:
+        vals.append(v)
     return bits_of_values(vals)
 
 
@@ -247,13 +244,12 @@ def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
     s = work.stage
     found = None
     for cand in chain.from_iterable(_live_levels(work, tau, s - 1)):
-        ax = effective_axiom(table, cand, mid.n)
-        if ax is None or ax[3] > s:
+        value = value_within(table, cand, mid.n, s)
+        if value is None:
             continue
-        ext = (cand + "".join(b) for b in product("01", repeat=s - len(cand)))
-        live = list(islice((e for e in ext if not is_terminal(work, e)), 2))
-        if len(live) == 2:
-            found = (live, ax[2])
+        *_, ext = _live_levels(work, cand, s)
+        if len(ext) >= 2:
+            found = (ext[:2], value)
             break
     if found is None:
         return False

@@ -233,10 +233,6 @@ class StagedTree:
         return self.stages[-1]
 
 
-def sorted_members(t: Iterable[str]) -> tuple[str, ...]:
-    return sort_lenlex(Tree(t))
-
-
 def level_map(t: Iterable[str]) -> dict[int, tuple[str, ...]]:
     """Members by level, each level length-lex sorted; a fresh dict."""
     return dict(enumerate(_index(t).levels))

@@ -1,4 +1,4 @@
-"""Library-level helpers that only the tests call: two oracles, a
+"""Library-level helpers that only the tests call: three oracles, a
 checked pullback, a driver-stage fixture, a tree index as plain data,
 and one traceable act as a whole-state step."""
 
@@ -14,6 +14,17 @@ from branchlab.smc import oplus_tree
 from branchlab.strings import compatible, sort_lenlex
 from branchlab.traceable import ConstructionState, WorkingState
 from branchlab.trees import StagedTree, Tree, leaves, successors
+
+
+def _naive_bounded_value(f: FunctionalTable, tau: str, n: int,
+                         steps: int) -> Optional[int]:
+    """The value at (tau, n) within steps steps, by a full-table scan:
+    the oracle of functionals.value_within."""
+    axs = [ax for ax in f.axioms
+           if ax[1] == n and tau.startswith(ax[0]) and ax[3] <= steps]
+    if not axs:
+        return None
+    return min(axs, key=lambda ax: (ax[3], len(ax[0]), ax[0]))[2]
 
 
 def is_splitting_pair(f: FunctionalTable, a: str, b: str,

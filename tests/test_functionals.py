@@ -14,20 +14,20 @@ import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
 from branchlab.gen import odd_readback_psi, random_functional_table
 from branchlab.functionals import (EMPTY_TABLE, FunctionalTable, _outputs,
-                                   _applicable, _require_two_branching,
+                                   _require_two_branching,
                                    build_weak_splitting_tree,
                                    effective_axiom,
                                    eval_at, hat_eval,
                                    image_tree, is_splitting_tree,
                                    output_prefix, outputs_split,
                                    splitting_violation, table,
-                                   weak_splitting_violation)
+                                   value_within, weak_splitting_violation)
 from branchlab.smc import oplus_tree
 from branchlab.thin import hat_level_tree
 from branchlab.strings import (bits_of_values, compatible, is_prefix,
                                is_proper_prefix, sort_lenlex)
 from branchlab.trees import Tree, _index, successors
-from helpers import is_splitting_pair, pullback_tree
+from helpers import _naive_bounded_value, is_splitting_pair, pullback_tree
 
 
 def test_eval_picks_applicable_axiom():
@@ -332,15 +332,17 @@ def test_axiom_lookup_matches_full_table_scan(f, tau, n):
     # shorter than any sigma
     assert f.max_arg == _naive_max_arg(f)
     for k in range(n + 1):
-        cands = _naive_applicable(f, tau, k)
-        # the index keeps each sigma's first axiom in table order
-        assert _applicable(f, tau, k) == [
-            ax for i, ax in enumerate(cands)
-            if all(ax[0] != c[0] for c in cands[:i])]
         assert eval_at(f, tau, k) == _naive_eval_at(f, tau, k)
         ax = effective_axiom(f, tau, k)
         assert ax == _naive_effective_axiom(f, tau, k)
-        assert (ax and ax[3]) == _naive_min_steps(f, tau, k)
+        steps = _naive_min_steps(f, tau, k)
+        assert (ax and ax[3]) == steps
+        # bounds just short of, at and past the convergence time, or
+        # around one step when nothing converges
+        at = steps or 1
+        for bound in (at - 1, at, at + 1):
+            assert value_within(f, tau, k, bound) == \
+                _naive_bounded_value(f, tau, k, bound)
 
 
 def _naive_effective_axiom(f, tau, n):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as hst
 from branchlab import traceable, trees
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.errors import ConsistencyError, ProtocolError
-from branchlab.functionals import _has_axiom_at, effective_axiom, table
+from branchlab.functionals import _has_axiom_at, table, value_within
 from branchlab.gen import random_functional_table
 from branchlab.strings import bits_of_values, compatible
 from branchlab.traceable import (ConstructionState, ModuleId, WorkingState,
@@ -25,7 +25,7 @@ from branchlab.traceable import (ConstructionState, ModuleId, WorkingState,
                                  run_to_horizon, stage_run, trace_bound_pair,
                                  verify_final_nodes)
 from branchlab.trees import sort_lenlex, successors
-from helpers import act_frozen
+from helpers import _naive_bounded_value, act_frozen
 
 
 def test_init_state():
@@ -108,7 +108,7 @@ def test_oracle_output_bits():
     f = table([("", 0, 0, 1), ("", 1, 0, 1), ("", 2, 1, 2), ("", 3, 5, 1)])
     assert oracle_output_bits(f, 1) == "00"   # the 2-step axiom is gated
     assert oracle_output_bits(f, 2) == "001"  # then the non-bit truncates
-    assert effective_axiom(f, "", 2)[3] > 1  # no value within one step
+    assert value_within(f, "", 2, 1) is None  # no value within one step
 
 
 def test_p_module_prunes_followed_side():
@@ -295,22 +295,13 @@ def test_p_module_follows_node_successors_not_string_children():
     assert verify_final_nodes(st, adv)
 
 
-# The per-state scans that trees.successors and effective_axiom
-# replaced, kept as oracles.
+# The per-state scan that trees.successors replaced, kept as an oracle.
 
 def _naive_successor_nodes(st, tau):
     above = [x for x in st.nodes if x != tau and x.startswith(tau)]
     return sort_lenlex([x for x in above
                         if not any(x != o and x.startswith(o)
                                    for o in above)])
-
-
-def _naive_bounded_value(f, tau, n, steps):
-    axs = [ax for ax in f.axioms
-           if ax[1] == n and tau.startswith(ax[0]) and ax[3] <= steps]
-    if not axs:
-        return None
-    return min(axs, key=lambda ax: (ax[3], len(ax[0]), ax[0]))[2]
 
 
 def _naive_oracle_output_bits(f, steps):
@@ -351,9 +342,8 @@ def test_node_successors_and_bounded_values_match_naive_scans():
                     _naive_oracle_output_bits(f, steps)
                 for tau in strings:
                     for n in range(f.max_arg + 2):
-                        ax = effective_axiom(f, tau, n)
-                        got = ax[2] if ax and ax[3] <= steps else None
-                        assert got == _naive_bounded_value(f, tau, n, steps)
+                        assert value_within(f, tau, n, steps) == \
+                            _naive_bounded_value(f, tau, n, steps)
 
 
 def test_verify_random_quiescent():
@@ -394,15 +384,15 @@ def _naive_act_c_module(st, side, tau, mid, adv):
     s = st.stage
     found = None
     for cand in sort_lenlex(x for x in side.pi if x.startswith(tau)):
-        if len(cand) >= s or is_terminal(st, cand):
+        if len(cand) >= s or _naive_is_terminal(st, cand):
             continue
-        ax = effective_axiom(f, cand, mid.n)
-        if ax is None or ax[3] > s:
+        value = _naive_bounded_value(f, cand, mid.n, s)
+        if value is None:
             continue
         ext = [cand + "".join(b) for b in product("01", repeat=s - len(cand))]
-        live = [e for e in ext if not is_terminal(st, e)]
+        live = [e for e in ext if not _naive_is_terminal(st, e)]
         if len(live) >= 2:
-            found = (sort_lenlex(live)[:2], ax[2])
+            found = (sort_lenlex(live)[:2], value)
             break
     if found is None:
         return None

@@ -10,7 +10,7 @@ from branchlab.strings import (bits_of_values, is_proper_prefix,
                                sort_lenlex, string_to_nat)
 from branchlab.trees import (StagedTree, Tree, branching_stats,
                              graded_successor_counts, is_prefix_free, leaves, level_map, level_of,
-                             max_level, restrict_to_level, sorted_members,
+                             max_level, restrict_to_level,
                              successors, tree_uniform_level)
 from helpers import index_items, staged_ce_violation
 
@@ -128,7 +128,6 @@ def _check_against_naive_scans(t, members):
         assert successors(t, m) == _naive_successors(members, m)
     assert leaves(t) == _naive_leaves(members)
     assert level_map(t) == _naive_level_map(members)
-    assert sorted_members(t) == sort_lenlex(members)
     with pytest.raises(MemberError):
         level_of(t, "0" * 7)
     with pytest.raises(MemberError):
@@ -199,7 +198,7 @@ def test_a_tree_builds_its_index_once(monkeypatch):
             level_of(t, m)
             successors(t, m)
         leaves(t), level_map(t), max_level(t), branching_stats(t)
-        tree_uniform_level(t), restrict_to_level(t, 1), sorted_members(t)
+        tree_uniform_level(t), restrict_to_level(t, 1)
     assert builds == [7]
     # no cache keyed by content: an equal plain set is indexed afresh on
     # every query, and so is an equal Tree held in another object
