@@ -313,7 +313,13 @@ def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
     mode scans the pairs.
     """
     if not delayed:
-        return _first_failing_sibling_pair(t, outs)
+        idx = _index(t)
+        return min(((a, b)
+                    for group in chain(idx.levels[:1], idx.successors.values())
+                    for i, a in enumerate(group) for b in group[i + 1:]
+                    if not outputs_split(outs[a], outs[b])),
+                   key=lambda pair: (lenlex_key(pair[0]), lenlex_key(pair[1])),
+                   default=None)
     mems = sort_lenlex(t)
     for i, a in enumerate(mems):
         for b in mems[i + 1:]:
@@ -331,19 +337,6 @@ def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
             if not outputs_split(outs[a], outs[b]):
                 return (a, b)
     return None
-
-
-def _first_failing_sibling_pair(t: Tree, outs: dict[str, tuple[int, ...]]
-                                ) -> Optional[tuple[str, str]]:
-    """The length-lex first pair of roots, or of successors of one
-    member, whose outputs fail to split, or None."""
-    idx = _index(t)
-    return min(((a, b)
-                for group in chain(idx.levels[:1], idx.successors.values())
-                for i, a in enumerate(group) for b in group[i + 1:]
-                if not outputs_split(outs[a], outs[b])),
-               key=lambda pair: (lenlex_key(pair[0]), lenlex_key(pair[1])),
-               default=None)
 
 
 def is_splitting_tree(f: FunctionalTable, t: Iterable[str],
@@ -370,10 +363,6 @@ class WeakSplitWitness:
 
     def members(self) -> tuple[str, ...]:
         return sort_lenlex(self.tree)
-
-
-def _axiom_use(ax: Axiom) -> int:
-    return len(ax[0]) - 1  # highest oracle position read; -1 if none
 
 
 def _agreement(phi_t: FunctionalTable, oracle: str, tau: str) -> Optional[int]:
@@ -423,8 +412,9 @@ def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
                                       f"{WEAK_MAX_MEMBERS} members")
                 members.append(tau)
                 phi_map[tau] = a
+                # the highest oracle position an axiom reads: -1 if none
                 psi_map[tau] = max([0] + [
-                    _axiom_use(ax) for n in range(a + 1)
+                    len(ax[0]) - 1 for n in range(a + 1)
                     if (ax := effective_axiom(phi, oracle, n)) is not None])
             if len(tau) < length_budget:
                 nxt.extend((tau + "0", tau + "1"))
@@ -503,12 +493,12 @@ def image_tree(f: FunctionalTable, t: Iterable[str],
     two-branching again.
     """
     t = Tree(t)
-    return _image_tree(t, _checked_outputs(f, t, hat))
+    return _image_tree(t, _checked_outputs(f, t, hat))[0]
 
 
 def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]],
-                split_checked: bool = False) -> Tree:
-    """image_tree over precomputed outputs of t's members.
+                split_checked: bool = False) -> tuple[Tree, dict[str, str]]:
+    """image_tree over t's precomputed outputs, and each member's image.
 
     split_checked skips the splitting check, for a caller that has
     already made it on t with the same outputs.
@@ -516,19 +506,20 @@ def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]],
     _require_two_branching(t, "image input")
     if not split_checked and _splitting_violation(t, outs) is not None:
         raise ShapeError("input tree is not a splitting tree")
-    img = Tree(bits_of_values(outs[m]) for m in t)
+    imgs = {m: bits_of_values(outs[m]) for m in t}
+    img = Tree(imgs.values())
     _require_two_branching(img, "image output")
-    return img
+    return img, imgs
 
 
 def _pullback_tree(t0: Tree, t2: Tree, outs: dict[str, tuple[int, ...]],
                    split_checked: bool = False) -> Tree:
     """pullback_tree over precomputed outputs of t0's members;
     split_checked as for _image_tree."""
-    img = _image_tree(t0, outs, split_checked)
+    img, imgs = _image_tree(t0, outs, split_checked)
     if not t2 <= img:
         raise ShapeError("refinement tree is not a subset of the image")
     _require_two_branching(t2, "refinement tree")
-    t3 = Tree(m for m in t0 if bits_of_values(outs[m]) in t2)
+    t3 = Tree(m for m, s in imgs.items() if s in t2)
     _require_two_branching(t3, "pullback output")
     return t3

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, MemberError, ProtocolError, ShapeError
 from .functionals import (FunctionalTable, _outputs, _pullback_tree,
@@ -423,28 +423,44 @@ class DriverResult(NamedTuple):
     branch: str
 
 
-def _first_split(exts: Sequence[str], outs: dict[str, tuple[int, ...]],
-                 ) -> Optional[tuple[str, str]]:
-    """The first splitting pair (a, b) of exts, taking a and then b in
-    the order of exts, or None.
+def _output_summary(succ: Mapping[str, tuple[str, ...]], exts: list[str],
+                    outs: dict[str, tuple[int, ...]]) -> dict[str, tuple]:
+    """For each member x of exts, length-lex and closed upward in a
+    two-branching tree, the lex-least maximal output lo and the
+    lex-greatest output hi above x, which is maximal: lo == hi exactly
+    when the outputs above x form a chain.
 
-    Outputs grow along the tree, so two members split exactly when their
-    outputs are incomparable.  Every output is a prefix of a maximal
-    one, so it is comparable with every other exactly when there is one
-    maximal output, or it is no longer than the longest common prefix
-    of the maximal ones.  So one pass finds a and another its first
-    partner b.
+    Outputs grow along the tree, so x's successors' pairs decide: hi is
+    the greater hi, and lo the longer lo when one extends the other (the
+    other maximal outputs of the shorter's part leave it before its end,
+    so sort after the longer), else the lesser, which stays maximal (an
+    output of the other part extending it would sort below that part's
+    lo).
     """
-    ranked = sorted({outs[x] for x in exts})
-    tops = [o for o, nxt in zip(ranked, ranked[1:]) if nxt[:len(o)] != o]
-    if not tops:
-        return None  # one maximal output, ranked[-1]
-    first, last = tops[0], ranked[-1]
-    k = 0  # two maximal outputs are incomparable: they differ at some k
-    while first[k] == last[k]:
-        k += 1
-    a = next(x for x in exts if len(outs[x]) > k)
-    return a, next(b for b in exts if outputs_split(outs[a], outs[b]))
+    summary = {}
+    for x in reversed(exts):
+        kids = succ[x]
+        if not kids:
+            summary[x] = (outs[x], outs[x])
+            continue
+        (lo, hi), (lo2, hi2) = summary[kids[0]], summary[kids[1]]
+        if lo == lo2[:len(lo)]:
+            lo = lo2
+        elif lo2 != lo[:len(lo2)]:
+            lo = min(lo, lo2)
+        summary[x] = (lo, max(hi, hi2))
+    return summary
+
+
+def _above(succ: Mapping[str, tuple[str, ...]], x: str) -> Iterator[str]:
+    """The members above x, x first, length-lex: a heap walk up the
+    successor lists, which reads only as far as it is asked."""
+    heap = [(len(x), x)]
+    while heap:
+        y = heappop(heap)[1]
+        yield y
+        for z in succ[y]:
+            heappush(heap, (len(z), z))
 
 
 def smc_driver_stage(state: tuple[str, Iterable[str]],
@@ -462,47 +478,47 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     budget.
 
     Outputs grow along the tree (the functionals module docstring's
-    lemma).  So the hunt tests, per base, that the outputs above it form
-    a chain; the greedy finds each split in two passes over the members
-    above the leaf it splits (_first_split); and the self-check on the
-    greedy subtree compares sibling pairs only.
+    lemma), so two members split exactly when their outputs are
+    incomparable, and one bottom-up pass (_output_summary) serves the
+    hunt and the greedy.  The self-check on the greedy subtree compares
+    sibling pairs only.
     """
     b_s, t_s = state
     t_s = Tree(t_s)
     _require_two_branching(t_s, "driver tree")
     if b_s not in t_s:
         raise MemberError(f"base {show_string(b_s)} is not on the tree")
-    mems = tuple(sorted(t_s))
-    # every string the stage looks at extends b_s
-    base_exts = _lex_extensions(mems, b_s)
-    outs = _outputs(psi_s, base_exts, hat=True)
+    succ = _index(t_s).successors
+    # every string the stage looks at extends b_s; the index is length-lex
+    exts = [m for m in succ if m.startswith(b_s)]
+    outs = _outputs(psi_s, exts, hat=True)
+    summary = _output_summary(succ, exts, outs)
 
-    for tau in sort_lenlex(base_exts):
-        above = _lex_extensions(mems, tau)
-        # t_s branches in twos, so tau has incompatible extensions
-        # exactly when it has proper ones; outputs grow along the tree,
-        # so no pair above tau splits exactly when all their outputs
-        # are prefixes of the longest one
-        if len(above) > 1:
-            longest = max((outs[x] for x in above), key=len)
-            if all(outs[x] == longest[:len(outs[x])] for x in above):
-                return DriverResult(min(above[1:], key=lenlex_key), t_s,
-                                    "no-splittings")
+    for tau in exts:
+        if succ[tau] and summary[tau][0] == summary[tau][1]:
+            return DriverResult(succ[tau][0], t_s, "no-splittings")
 
     ops = 0
     built = {b_s}
     frontier = [lenlex_key(b_s)]  # a heap: the length-lex least first
     while frontier:
         x = heappop(frontier)[1]
-        exts = sort_lenlex(_lex_extensions(mems, x))
-        picked = _first_split(exts, outs)
-        if picked is None:
+        lo, hi = summary[x]
+        if lo == hi:
             continue
+        # the pairwise scan's first pair: lo and hi differ first at k, a
+        # is the first member above x with an output longer than k, and
+        # b the first to split with a, later in the walk: the maximal
+        # outputs sort from lo to hi, so all start with lo[:k]
+        k = next(i for i, (p, q) in enumerate(zip(lo, hi)) if p != q)
+        walk = _above(succ, x)
+        a = next(y for y in walk if len(outs[y]) > k)
+        b = next(y for y in walk if outputs_split(outs[a], outs[y]))
         ops += 1
         if ops > dagger_budget:
             raise BudgetError(f"needed more than {dagger_budget} splits")
-        built.update(picked)
-        for y in picked:
+        built.update((a, b))
+        for y in (a, b):
             heappush(frontier, lenlex_key(y))
     t_built = Tree(built)
     if _splitting_violation(t_built, outs) is not None:

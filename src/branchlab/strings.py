@@ -14,12 +14,8 @@ from typing import Iterable, Sequence
 EMPTY_TOKEN = "e"
 
 
-def is_bits(s: str) -> bool:
-    return all(c in "01" for c in s)
-
-
 def check_bits(s: str) -> str:
-    if not isinstance(s, str) or not is_bits(s):
+    if not isinstance(s, str) or not all(c in "01" for c in s):
         raise ValueError(f"not a binary string: {s!r}")
     return s
 

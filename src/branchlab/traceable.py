@@ -206,17 +206,16 @@ def _check_allocated(st: ConstructionState | WorkingState, tau: str,
 
 def _parent_node(nodes: dict[str, NodeInfo], s: str) -> Optional[str]:
     """The longest proper prefix of s among the nodes, or None."""
-    for k in range(len(s) - 1, -1, -1):
-        if s[:k] in nodes:
-            return s[:k]
-    return None
+    return next((s[:k] for k in range(len(s) - 1, -1, -1) if s[:k] in nodes),
+                None)
 
 
 def _nearest_node_level(nodes: dict[str, NodeInfo], s: str) -> int:
-    p = _parent_node(nodes, s)
-    if p is None:
-        raise ProtocolError(f"no node below {s!r}")
-    return nodes[p].level
+    for k in range(len(s) - 1, -1, -1):
+        info = nodes.get(s[:k])
+        if info is not None:
+            return info.level
+    raise ProtocolError(f"no node below {s!r}")
 
 
 def _declare(nodes: dict[str, NodeInfo], log: list, tau: str, level: int,

@@ -985,6 +985,41 @@ def _driver_cases():
             (m, n, int(m[-1]), 1)
             for n, d in enumerate(deep) for m in t if len(m) == 2 * d))
         yield (rng.choice(("", rng.choice(sorted(t)))), t), psi, 64, None
+    for n in (6, 7):
+        # oplus trees of 6- and 7-bit oracles, under the odd-bit readback
+        # and under random bits, each with and without a refinement, on
+        # a budget one below the splits the naive greedy makes and on
+        # exactly that many
+        a = "".join(rng.choice("01") for _ in range(n))
+        t = oplus_tree(a)
+        for psi in (odd_readback_psi(a), _leaf_split_table(rng, t),
+                    _leaf_split_table(rng, t, delay=0.3)):
+            built = _naive_smc_driver_stage(("", t), psi, len(t)).t_next
+            img = image_tree(psi, built, hat=True)
+            for dagger in (None, _random_refinement(rng, img)):
+                for budget in (len(built) // 2 - 1, len(built) // 2):
+                    yield ("", t), psi, budget, dagger
+
+
+def _leaf_split_table(rng, t, delay=0.0):
+    """Random bits, each at its member's level, with the two leaves of
+    every parent told apart: something splits above every inner member,
+    and a split skips the levels whose two values agree.  With a delay,
+    that share of the members two levels or more above the leaves hand
+    their axiom to their successors, so that outputs grow unevenly and
+    the length-lex first member with an output of some length need not
+    be the lex first."""
+    mems = sort_lenlex(m for m in t if m)
+    depth = len(mems[-1])
+    flip = {m[:-1]: rng.getrandbits(1) for m in mems if len(m) == depth}
+    axioms = []
+    for m in mems:
+        value = (int(m[-1]) ^ flip[m[:-1]] if len(m) == depth
+                 else rng.getrandbits(1))
+        late = len(m) <= depth - 4 and rng.random() < delay
+        axioms += [(s, len(m) // 2 - 1, value, 1)
+                   for s in (successors(t, m) if late else (m,))]
+    return FunctionalTable(tuple(axioms))
 
 
 def test_driver_stage_matches_naive_stage():
@@ -1017,6 +1052,62 @@ def test_driver_stage_computes_each_output_once(monkeypatch):
         assert len(calls) == len(set(calls))
         assert set(calls) <= set(t)
     assert stages > 50
+
+
+def test_driver_stage_lists_and_sorts_the_members_once(monkeypatch):
+    # the members above the base are listed and sorted at most once,
+    # not once for each member the stage looks at
+    calls = []
+    for name in ("_lex_extensions", "sort_lenlex"):
+        real = getattr(smc, name)
+        monkeypatch.setattr(smc, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
+    stages = 0
+    for state, psi, budget, dagger in _driver_cases():
+        calls.clear()
+        stages += _outcome(smc_driver_stage, state, psi, budget,
+                           dagger)[0] == "ok"
+        assert len(calls) <= 1
+    assert stages > 50
+
+
+def test_driver_stage_reads_each_image_string_once(monkeypatch):
+    # the pullback computes each member's image once, for the image
+    # tree and for the filter alike
+    calls = []
+    real = functionals.bits_of_values
+    monkeypatch.setattr(functionals, "bits_of_values",
+                        lambda vals: calls.append(vals) or real(vals))
+    refined = 0
+    for state, psi, budget, dagger in _driver_cases():
+        got = _outcome(smc_driver_stage, state, psi, budget, dagger)
+        if (dagger is None or got[0] != "ok"
+                or got[1].branch != "splitting-subtree"):
+            continue
+        calls.clear()
+        built = smc_driver_stage(state, psi, budget).t_next
+        assert calls == []
+        smc_driver_stage(state, psi, budget, dagger)
+        assert len(calls) == len(built)
+        refined += 1
+    assert refined > 10
+
+
+def test_driver_stage_split_tests_stay_linear(monkeypatch):
+    # the 13-bit odd-readback stage splits all 8,191 inner members of
+    # its 16,383, testing two pairs per inner member: a and its sibling
+    # on the walk to b, and again in the final check; a scan of the
+    # members above each one would test about 13 pairs per member
+    calls = []
+    real = functionals.outputs_split
+    counted = lambda a_out, b_out: calls.append(1) or real(a_out, b_out)
+    monkeypatch.setattr(functionals, "outputs_split", counted)
+    monkeypatch.setattr(smc, "outputs_split", counted)
+    a = "10" * 6 + "1"
+    t = oplus_tree(a)
+    res = smc_driver_stage(("", t), odd_readback_psi(a), 8191)
+    assert res.t_next == t
+    assert len(calls) <= len(t)
 
 
 def test_driver_stage_checks_its_greedy_subtree_once(monkeypatch):
