@@ -128,7 +128,7 @@ def _h_run_cupping(ns, sc, rng):
 
 def _h_run_traceable(ns, sc, rng):
     # each stage can double the tree, and so the time and memory: a
-    # 16-stage run takes about 2 s and 110 MiB
+    # 16-stage run takes 0.5 to 0.7 s of CPU and 85 MiB at peak
     if ns.horizon > 16:
         raise BudgetError(f"horizon {ns.horizon} exceeds the budget of "
                           "16 stages")
@@ -189,8 +189,9 @@ def _omega_context(ns, phi: FunctionalTable) -> OmegaContext:
 
 def _h_run_pi6(ns, sc, rng):
     phi = _named(sc, "functional", ns.phi)
-    # stage s walks all 2^s strings of its length: 13 stages take about
-    # 1.5 s on a small profile table, and each stage doubles that
+    # stage s walks all 2^s strings of its length, one cached lookup each
+    # once s passes the table's horizon: 13 stages take 0.07 s of CPU on
+    # a small profile table and 0.3 s on 4,095 axioms; each doubles that
     if ns.stages > 13:
         raise BudgetError(f"{ns.stages} stages exceed the budget of 13")
     ctx = _omega_context(ns, phi)

@@ -131,11 +131,7 @@ def enumerate_extension_trees(t: Tree) -> Iterator[Tree]:
     pair_lists = [list(combinations(GRADED_SHAPE.successor_strings(lf), 2))
                   for lf in lvs]
     for choice in product(*pair_lists):
-        grown = set(t)
-        for a, b in choice:
-            grown.add(a)
-            grown.add(b)
-        yield Tree(grown)
+        yield Tree(set(t).union(*choice))
 
 
 def extension_rank(t: Tree, grown: Tree) -> int:
@@ -163,15 +159,10 @@ def pi_star_successors(node: PiStarNode,
     cols = ncol(node.level)
     if m * cols > max_successors:
         raise BudgetError(f"{m * cols} successors exceed the budget")
-    out = []
-    j = 0
-    for grown in enumerate_extension_trees(node.t_tau):
-        for c in range(cols):
-            out.append(PiStarNode(node.tau + gamma_code(j),
-                                  node.level + 1, grown,
-                                  node.psi_values + (c,)))
-            j += 1
-    return tuple(out)
+    pairs = product(enumerate_extension_trees(node.t_tau), range(cols))
+    return tuple(PiStarNode(node.tau + gamma_code(j), node.level + 1, grown,
+                            node.psi_values + (c,))
+                 for j, (grown, c) in enumerate(pairs))
 
 
 def _level_walk(n: int, f: Sequence[int], t: Tree) -> list[tuple[str, Tree]]:

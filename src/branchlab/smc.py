@@ -14,6 +14,7 @@ trees one stage at a time.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,8 +64,12 @@ def t_of(phi: FunctionalTable, tau: str) -> Tree:
     result is cut at the first length where some value is still out.
     The tree must branch at most two ways and root at the empty
     string; anything else is a malformed table, reported at its
-    length-lex first offending member.
+    length-lex first offending member.  Past phi's horizon H no bit is
+    read, and every step count is within |tau|: tau[:H] names the tree.
     """
+    if len(tau) > phi._horizon:
+        with suppress(ShapeError):  # else refused below, naming tau
+            return _T_OF(phi, tau[:phi._horizon])
     members = []
     length = 0
     while True:
@@ -113,11 +118,14 @@ def omega_level(ctx: OmegaContext, tau: str) -> int:
     Each condition that holds at n holds below n, so this is the least
     of len(f) - 1, the max level, the two-branching depth and the last
     level up to which every level fits f, read off the levels in one
-    pass.
+    pass.  It reads tau through its tree alone, so past phi's horizon
+    the level at tau is the level at its prefix there.
     """
     if len(ctx.f) < 2:
         return 0
-    t = t_of(ctx.phi, tau)
+    t = t_of(ctx.phi, tau)  # which refuses a bad tau naming it
+    if len(tau) > ctx.phi._horizon:
+        return _OMEGA_LEVEL(ctx, tau[:ctx.phi._horizon])
     if not t:
         return 0
     levels = level_map(t)
@@ -125,6 +133,10 @@ def omega_level(ctx: OmegaContext, tau: str) -> int:
     # each level is length-lex sorted, so its longest member is its last
     return max(0, next((k for k in range(top + 1)
                         if len(levels[k][-1]) > ctx.f[k]), top + 1) - 1)
+
+
+# the caches, which the cut lookups call past any rebinding of the names
+_T_OF, _OMEGA_LEVEL = t_of, omega_level
 
 
 def _admission_walk(ctx: OmegaContext,

@@ -21,7 +21,9 @@ frozen once.  No node is ever terminal, so a walk of the live strings
 above a node meets every node above it: a C reshape drops them on the
 walk it makes for the newly terminal strings, a P module finds its
 successor nodes on a walk stopped at each node, and the final check
-reads each string's deepest node prefix off one descent.
+reads each string's deepest node prefix off one descent.  An act makes
+each live string it kills terminal, so a stage grows from its frontier
+less the terminal set, and the new state keeps the frontier it grew.
 
 Stage numbering: a state with stage S has completed S growth steps,
 so strings present have length at most S.  The next run_stage call
@@ -32,9 +34,11 @@ length S+1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .cupping import AdversaryBundle, EMPTY_BUNDLE
@@ -99,6 +103,7 @@ class ConstructionState:
     declared_log: tuple[tuple[int, str, int, int], ...]  # (level, tau, gen, stage)
     tuple_log: tuple[tuple[int, int, int, str, int, int], ...] = ()
     # tuple_log rows: (i, n, value, node, node level, node generation)
+    _frontier = None  # what the stage that made it grew; eq ignores it
 
     @property
     def tuples(self) -> frozenset[tuple[int, int, int]]:
@@ -171,13 +176,12 @@ def _live_children(st: ConstructionState | WorkingState,
             if y not in terminal]
 
 
-def frontier(st: ConstructionState | WorkingState,
-             length: Optional[int] = None) -> tuple[str, ...]:
-    """Non-terminal strings of the given length (default: the stage),
-    in lex order."""
-    level: list[str] = []
-    for level in _live_levels(st, "", st.stage if length is None else length):
-        pass  # down to the last level
+def frontier(st: ConstructionState) -> tuple[str, ...]:
+    """Non-terminal strings of the stage's length, in lex order: the
+    ones its stage grew, which a state keeps, or one descent."""
+    if st._frontier is not None:
+        return st._frontier
+    *_, level = _live_levels(st, "", st.stage)
     return tuple(level)
 
 
@@ -210,20 +214,6 @@ def _parent_node(nodes: dict[str, NodeInfo], s: str) -> Optional[str]:
                 None)
 
 
-def _nearest_node_level(nodes: dict[str, NodeInfo], s: str) -> int:
-    for k in range(len(s) - 1, -1, -1):
-        info = nodes.get(s[:k])
-        if info is not None:
-            return info.level
-    raise ProtocolError(f"no node below {s!r}")
-
-
-def _declare(nodes: dict[str, NodeInfo], log: list, tau: str, level: int,
-             gen: int, stage: int) -> None:
-    nodes[tau] = NodeInfo(level, gen, stage)
-    log.append((level, tau, gen, stage))
-
-
 def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
                  adv: AdversaryBundle) -> bool:
     """Fire a C module if its convergence search succeeds: True iff so.
@@ -232,7 +222,9 @@ def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
     for a tau' where the adversary converges within the stage's step
     budget and which still has two incompatible non-terminal
     extensions of the search length.  Acting reshapes everything above
-    the node.
+    the node.  Past the node and the longest sigma at the argument, a
+    candidate converges as its prefix there does, with no more live
+    extensions, so the search stops there.
     """
     info = _check_allocated(work, tau, mid)
     if mid.kind != "C":
@@ -242,7 +234,8 @@ def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
         return False  # no axiom at the argument: nothing can converge
     s = work.stage
     found = None
-    for cand in chain.from_iterable(_live_levels(work, tau, s - 1)):
+    depth = min(s - 1, max(len(tau), table._lengths[mid.n][-1]))
+    for cand in chain.from_iterable(_live_levels(work, tau, depth)):
         value = value_within(table, cand, mid.n, s)
         if value is None:
             continue
@@ -260,10 +253,9 @@ def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
         nodes.pop(p, None)
         if not compatible(p, t0) and not compatible(p, t1):
             work.terminal.add(p)
-    gen = work.next_generation
-    j = info.level + 1
-    _declare(nodes, work.declared_log, t0, j, gen, s + 1)
-    _declare(nodes, work.declared_log, t1, j, gen + 1, s + 1)
+    for gen, t in enumerate((t0, t1), work.next_generation):
+        nodes[t] = NodeInfo(info.level + 1, gen, s + 1)
+        work.declared_log.append((info.level + 1, t, gen, s + 1))
     work.acted.add((tau, mid, info.generation))
     work.tuple_log.append((mid.i, mid.n, value, tau, info.level,
                            info.generation))
@@ -340,8 +332,9 @@ def run_stage(st: ConstructionState,
 
 def _stage(st: ConstructionState, adv: AdversaryBundle,
            ) -> tuple[ConstructionState, tuple[str, ...]]:
-    """run_stage, and the frontier it grew: the new state's frontier."""
+    """run_stage, and the frontier it grew, which the new state keeps."""
     s = st.stage
+    live = frontier(st)
     # only nodes at levels with a module that can act go in the snapshot
     acting = {level: _modules_that_can_act(adv, level, s)
               for level in {nf.level for nf in st.nodes.values()}}
@@ -359,13 +352,19 @@ def _stage(st: ConstructionState, adv: AdversaryBundle,
             act = act_c_module if mid.kind == "C" else act_p_module
             if act(work, tau, mid, adv):
                 break  # one action per node per stage
-    nodes = work.nodes
-    live = frontier(work, s + 1)
+    nodes, log, terminal = work.nodes, work.declared_log, work.terminal
+    live = tuple(_live_children(work, [x for x in live
+                                       if x not in terminal]))
     for gen, tau in enumerate(live, work.next_generation):
-        level = _nearest_node_level(nodes, tau) + 1
-        _declare(nodes, work.declared_log, tau, level, gen, s + 1)
+        # a live parent is a node, unless the state was built without it
+        parent = nodes.get(tau[:-1]) or nodes[_parent_node(nodes, tau)]
+        level = parent.level + 1
+        nodes[tau] = NodeInfo(level, gen, s + 1)
+        log.append((level, tau, gen, s + 1))
     work.stage = s + 1
-    return work.freeze(), live
+    grown = work.freeze()
+    object.__setattr__(grown, "_frontier", live)
+    return grown, live
 
 
 def stage_run(adv: AdversaryBundle, horizon: int):
@@ -403,10 +402,7 @@ def extract_trace(st: ConstructionState) -> TraceReport:
 
 
 def declared_counts(st: ConstructionState) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for level, _, _, _ in st.declared_log:
-        out[level] = out.get(level, 0) + 1
-    return out
+    return Counter(map(itemgetter(0), st.declared_log))
 
 
 def node_count_bound(n: int) -> int:
@@ -467,7 +463,7 @@ def final_node_violation(st: ConstructionState,
         if out is None:
             out = outs[level] = oracle_output_bits(
                 _adversary_table(adv, level), horizon)
-        for x in succs[tau]:
+        for x in succs[tau] if out else ():  # none is inside ""
             if is_prefix(x, out):
                 return f"successor {x!r} of {tau!r} sits inside the output"
         if tau in missed:

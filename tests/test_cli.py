@@ -790,6 +790,22 @@ def test_pi6_stage_budget_at_its_edge(tmp_path):
                  1)
 
 
+def test_pi6_on_a_deep_table_reads_no_bit_past_its_horizon(tmp_path):
+    # phi settles the full tree of depth 11 at every oracle from one
+    # axiom per argument, so its horizon is 2: every longer oracle
+    # string is answered from its prefix there, and 13 stages finish
+    # where 8 once took 15 s, with the lines 6 stages gave before
+    f = tmp_path / "deep.scn"
+    f.write_text("[functional phi]\n" + "".join(
+        f"axiom e {n} 1 1\n" for n in range(4095)))
+    lines = ["PASS\tpi6-admit-e\tstage=0 level=0",
+             "PASS\tpi6-admit-0\tstage=1 level=11",
+             "PASS\tpi6-admit-1\tstage=1 level=11", "PASS\tpi6-gap"]
+    for stages in ("13", "6"):
+        _at_the_edge(["run", "pi6", "--stages", stages, "--flen", "30",
+                      "--scenario", str(f)], lines, 1)
+
+
 def test_majorant_length_budget_at_its_edge(tmp_path):
     # a majorant of 2^12 entries is built and certifies what the default
     # one does; one more entry is refused before the majorant is built

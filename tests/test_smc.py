@@ -195,6 +195,93 @@ def test_certified_level_matches_the_top_down_search():
     assert levels >= {0, 1, 2, 3, 4, "ShapeError"}, levels
 
 
+# t_of and omega_level before they answered a tau past the table's
+# horizon from its prefix there, kept as oracles.
+
+def _uncut_t_of(phi, tau):
+    members, length = [], 0
+    while True:
+        layer = []
+        for bits in product("01", repeat=length):
+            s = "".join(bits)
+            v = functionals.value_within(phi, tau, string_to_nat(s),
+                                         len(tau))
+            if v is None:
+                layer = None
+                break
+            if v == 1:
+                layer.append(s)
+        if layer is None:
+            break
+        members.extend(layer)
+        length += 1
+    t = Tree(members)
+    for m in sort_lenlex(t):
+        if level_of(t, m) == 0 and m != "":
+            raise ShapeError(f"level-0 member {show_string(m)} of the tree "
+                             f"at {show_string(tau)} is not the empty string")
+        if len(successors(t, m)) > 2:
+            raise ShapeError(f"{show_string(m)} has more than two successors "
+                             f"in the tree at {show_string(tau)}")
+    return t
+
+
+def _uncut_omega_level(ctx, tau):
+    if len(ctx.f) < 2:
+        return 0
+    t = _uncut_t_of(ctx.phi, tau)
+    if not t:
+        return 0
+    levels = level_map(t)
+    top = min(len(ctx.f) - 1, len(levels) - 1, branching_stats(t)[2])
+    return max(0, next((k for k in range(top + 1)
+                        if len(levels[k][-1]) > ctx.f[k]), top + 1) - 1)
+
+
+def _cut_contexts(rng, count):
+    """Profile contexts, whose step counts set the horizon H, random
+    tables, and tables whose one sigma settles a small tree at every
+    oracle through it, where the longest sigma sets H."""
+    for k in range(count):
+        if k % 3 == 0:
+            yield _random_context(rng)
+            continue
+        if k % 3 == 1:
+            phi = random_functional_table(rng, axioms=rng.randint(1, 12),
+                                          max_sigma_len=6, max_value=1,
+                                          max_steps=2)
+        else:
+            sigma = "".join(rng.choice("01")
+                            for _ in range(rng.randint(2, 6)))
+            phi = FunctionalTable(tuple(
+                (sigma, n, int(rng.random() < 0.8), 1) for n in range(7)))
+        yield OmegaContext(phi, tuple(range(rng.randint(0, 6))))
+
+
+def test_cut_at_the_horizon_matches_the_uncut_trees_and_levels():
+    # taus shorter than H, as long and longer, each through a longest
+    # sigma so that its axioms apply; a refusal names the tau asked
+    # for, not its prefix at H
+    rng = random.Random(37)
+    seen, levels = set(), set()
+    for ctx in _cut_contexts(rng, 450):
+        horizon = ctx.phi._horizon
+        deep = max((ax[0] for ax in ctx.phi.axioms), key=len, default="")
+        for length in (rng.randrange(horizon + 1), horizon,
+                       horizon + rng.randint(1, 6)):
+            tau = (deep + "".join(rng.choice("01")
+                                  for _ in range(length)))[:length]
+            got = _outcome(t_of, ctx.phi, tau)
+            assert got == _outcome(_uncut_t_of, ctx.phi, tau)
+            level = _outcome(omega_level, ctx, tau)
+            assert level == _outcome(_uncut_omega_level, ctx, tau)
+            seen.add(((length > horizon) - (length < horizon), got[0]))
+            levels.add(level[1])
+    assert seen >= {(-1, "ok"), (0, "ok"), (1, "ok"), (0, "ShapeError"),
+                    (1, "ShapeError")}, seen
+    assert {0, 1, 2} <= levels, levels
+
+
 def test_enumeration_matches_trying_every_certified_level():
     rng = random.Random(19)
     admitted = 0

@@ -13,9 +13,9 @@ from branchlab.errors import ConsistencyError, ProtocolError
 from branchlab.functionals import _has_axiom_at, table, value_within
 from branchlab.gen import random_functional_table
 from branchlab.strings import bits_of_values, compatible
-from branchlab.traceable import (ConstructionState, ModuleId, WorkingState,
-                                 _adversary_table, _check_allocated, _declare,
-                                 _nearest_node_level,
+from branchlab.traceable import (ConstructionState, ModuleId, NodeInfo,
+                                 WorkingState, _adversary_table,
+                                 _check_allocated,
                                  act_c_module, act_p_module, c_module,
                                  declared_counts,
                                  extract_trace, final_node_violation,
@@ -355,6 +355,23 @@ def test_verify_random_quiescent():
         assert verify_final_nodes(st, adv), final_node_violation(st, adv)
 
 
+# A node's declaration, and the per-string search for the nearest node
+# below a grown string, which growth ran for every string before it read
+# the parent node alone; kept for the oracles below.
+
+def _declare(nodes, log, tau, level, gen, stage):
+    nodes[tau] = NodeInfo(level, gen, stage)
+    log.append((level, tau, gen, stage))
+
+
+def _nearest_node_level(nodes, s):
+    for k in range(len(s) - 1, -1, -1):
+        info = nodes.get(s[:k])
+        if info is not None:
+            return info.level
+    raise ProtocolError(f"no node below {s!r}")
+
+
 # The state once stored pi, the traced tuples and the next generation
 # as fields.  The naive acts and stage below carry them beside the
 # state, with the whole-pi scans and full extension lists that the
@@ -577,9 +594,9 @@ def test_final_node_check_builds_the_frontier_once(monkeypatch):
     calls = []
     real = traceable.frontier
 
-    def counted(st, length=None):
-        calls.append(length)
-        return real(st, length)
+    def counted(st):
+        calls.append(st.stage)
+        return real(st)
 
     monkeypatch.setattr(traceable, "frontier", counted)
     for adv in _table_bundles():
@@ -595,7 +612,7 @@ def test_final_node_check_builds_the_frontier_once(monkeypatch):
 def _naive_final_node_violation(st, adv):
     horizon = st.stage
     nodes = frozenset(st.nodes)
-    live = frontier(st, horizon)
+    live = frontier(st)
     for tau, info in sorted(st.nodes.items(), key=lambda kv: (len(kv[0]),
                                                                kv[0])):
         if len(tau) >= horizon or is_terminal(st, tau):
@@ -721,8 +738,8 @@ class _CountingNodes(dict):
 def test_final_node_check_probes_each_string_at_most_stage_times(
         monkeypatch):
     real = traceable.frontier
-    monkeypatch.setattr(traceable, "frontier", lambda st, length=None: tuple(
-        _CountingStr(x) for x in real(st, length)))
+    monkeypatch.setattr(traceable, "frontier", lambda st: tuple(
+        _CountingStr(x) for x in real(st)))
     for adv in _table_bundles():
         st = run_to_horizon(adv, 8)[0]
         counted = replace(st, nodes=_CountingNodes(st.nodes))
@@ -891,9 +908,8 @@ def test_frontier_and_is_terminal_match_naive_scans(terminal, stage, s):
     # builds: a terminal string may sit above or below another
     st = replace(init_state(), stage=stage, terminal=terminal)
     assert is_terminal(st, s) == _naive_is_terminal(st, s)
-    assert frontier(st) == _naive_frontier(st)
     for n in range(stage + 1):
-        assert frontier(st, n) == _naive_frontier(st, n)
+        assert frontier(replace(st, stage=n)) == _naive_frontier(st, n)
 
 
 @given(hst.frozensets(_BITS, max_size=12), _BITS, hst.integers(-1, 6))
@@ -956,3 +972,165 @@ def test_final_node_check_reads_each_level_output_once(monkeypatch):
         calls.clear()
         final_node_violation(st, adv)
         assert len(calls) <= len({nf.level for nf in st.nodes.values()})
+
+
+# The stage before each new string read its level off its parent node:
+# the per-string search for the nearest node below (_nearest_node_level,
+# above), growth from a root-down walk of the live strings, a C search
+# run to the stage's search length, and a Python loop counting the
+# declarations per level.  All four are kept as oracles.
+
+def _walked_frontier(st, length=None):
+    level = []
+    for level in traceable._live_levels(
+            st, "", st.stage if length is None else length):
+        pass
+    return tuple(level)
+
+
+def _unbounded_act_c_module(work, tau, mid, adv):
+    info = _check_allocated(work, tau, mid)
+    table_i = _adversary_table(adv, mid.i)
+    if not _has_axiom_at(table_i, mid.n):
+        return False
+    s = work.stage
+    found = None
+    for cand in chain.from_iterable(traceable._live_levels(work, tau,
+                                                           s - 1)):
+        value = value_within(table_i, cand, mid.n, s)
+        if value is None:
+            continue
+        *_, ext = traceable._live_levels(work, cand, s)
+        if len(ext) >= 2:
+            found = (ext[:2], value)
+            break
+    if found is None:
+        return False
+    (t0, t1), value = found
+    nodes = work.nodes
+    for p in list(chain.from_iterable(traceable._live_levels(work, tau,
+                                                             s)))[1:]:
+        nodes.pop(p, None)
+        if not compatible(p, t0) and not compatible(p, t1):
+            work.terminal.add(p)
+    gen = work.next_generation
+    j = info.level + 1
+    _declare(nodes, work.declared_log, t0, j, gen, s + 1)
+    _declare(nodes, work.declared_log, t1, j, gen + 1, s + 1)
+    work.acted.add((tau, mid, info.generation))
+    work.tuple_log.append((mid.i, mid.n, value, tau, info.level,
+                           info.generation))
+    return True
+
+
+def _per_string_stage(st, adv):
+    s = st.stage
+    acting = {level: traceable._modules_that_can_act(adv, level, s)
+              for level in {nf.level for nf in st.nodes.values()}}
+    snapshot = sorted(((nf.level, (len(tau), tau), tau, nf.generation)
+                       for tau, nf in st.nodes.items()
+                       if nf.declared_stage <= s and acting[nf.level]))
+    work = WorkingState(st)
+    for level, _, tau, gen in snapshot:
+        nf = work.nodes.get(tau)
+        if nf is None or nf.generation != gen:
+            continue
+        for mid in acting[level]:
+            if (tau, mid, gen) in work.acted:
+                continue
+            act = (_unbounded_act_c_module if mid.kind == "C"
+                   else act_p_module)
+            if act(work, tau, mid, adv):
+                break
+    live = _walked_frontier(work, s + 1)
+    for gen, tau in enumerate(live, work.next_generation):
+        level = _nearest_node_level(work.nodes, tau) + 1
+        _declare(work.nodes, work.declared_log, tau, level, gen, s + 1)
+    work.stage = s + 1
+    return work.freeze(), live
+
+
+def _looped_declared_counts(st):
+    out = {}
+    for level, _, _, _ in st.declared_log:
+        out[level] = out.get(level, 0) + 1
+    return out
+
+
+def _workload_bundles(count):
+    # the draw of the benchmark's random pruning cases
+    rng = random.Random(23)
+    for _ in range(count):
+        yield bundle(random_functional_table(rng, axioms=rng.randint(2, 30))
+                     for _ in range(rng.randint(1, 2)))
+
+
+def test_stages_match_per_string_growth_and_the_unbounded_search():
+    # whole states, stage by stage, each run on its own: the dataclass
+    # equality covers the nodes, both logs, the terminal set and the
+    # acts, and the tuples and the frontier each state keeps are checked
+    # beside it
+    fired = {"C": 0, "P": 0}
+    runs = ([(adv, 8) for adv in _table_bundles()]
+            + [(adv, 8) for adv in _workload_bundles(200)]
+            + [(EMPTY_BUNDLE, 12)])
+    for adv, horizon in runs:
+        want = init_state()
+        for got, live in stage_run(adv, horizon):
+            want, want_live = _per_string_stage(want, adv)
+            assert got == want
+            assert got.tuples == want.tuples
+            assert frontier(got) == live == want_live
+            assert want_live == _walked_frontier(got)
+            assert declared_counts(got) == _looped_declared_counts(want)
+        for _, mid, _ in got.acted:
+            fired[mid.kind] += 1
+    assert fired["C"] > 1000 and fired["P"] > 0, fired
+
+
+def test_c_module_search_matches_the_unbounded_search():
+    fired = 0
+    for st, _, tau, mid, adv in _c_module_cases(6):
+        got = act_frozen(act_c_module, st, tau, mid, adv)
+        assert got == act_frozen(_unbounded_act_c_module, st, tau, mid, adv)
+        fired += got is not None
+    assert fired > 50
+
+
+def test_frontier_of_a_staged_state_is_a_lookup(monkeypatch):
+    # a state from a stage keeps the frontier the stage grew; a state
+    # built by hand walks once
+    states = [run_to_horizon(adv, 6)[0] for adv in _table_bundles()]
+    walks = []
+    real = traceable._live_levels
+    monkeypatch.setattr(traceable, "_live_levels",
+                        lambda st, tau, length: walks.append(tau)
+                        or real(st, tau, length))
+    for st in states:
+        walks.clear()
+        assert frontier(st) == _naive_frontier(st)
+        assert walks == []
+        assert frontier(replace(st)) == frontier(st)
+        assert walks == [""]
+
+
+def test_c_module_search_stops_at_the_longest_sigma(monkeypatch):
+    # past the longest sigma at the argument, or past the node, no
+    # candidate is tried: every candidate the search reads a value at
+    # is at most max(len(tau), L) long, where L is that sigma's length
+    read = []
+    real = traceable.value_within
+    monkeypatch.setattr(traceable, "value_within",
+                        lambda f, tau, n, steps: read.append(tau)
+                        or real(f, tau, n, steps))
+    cut = 0
+    for st, _, tau, mid, adv in _c_module_cases(6):
+        f = _adversary_table(adv, mid.i)
+        if not _has_axiom_at(f, mid.n):
+            continue
+        longest = max(len(ax[0]) for ax in f.axioms if ax[1] == mid.n)
+        read.clear()
+        act_frozen(act_c_module, st, tau, mid, adv)
+        assert all(len(x) <= max(len(tau), longest) for x in read)
+        cut += max(len(tau), longest) < st.stage - 1
+    assert cut > 100
