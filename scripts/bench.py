@@ -20,9 +20,11 @@ The file records:
 - perfbench: for each workload, the median of every end-to-end metric
   over three 8-second runs of `perfbench/run.py --trace 0`, on seeds 0,
   1 and 2, with the failed and attempted case counts summed;
-- the line count of src/branchlab/*.py, the CPU count, the Python
-  version, and HEAD with whether tracked files had changes (null and
-  true outside a git work tree).
+- the line count of src/branchlab/*.py, and its code lines: those
+  neither blank, a comment nor in a docstring, which packing a loop
+  onto one line moves but deleting a docstring does not;
+- the CPU count, the Python version, and HEAD with whether tracked
+  files had changes (null and true outside a git work tree).
 
 --dry-run skips perfbench and records null in its place.  Only the
 standard library is used.
@@ -31,6 +33,7 @@ standard library is used.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -43,7 +46,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 2
+SCHEMA = 3
 REPEAT = 3  # runs of each command
 SEEDS = (0, 1, 2)  # one perfbench run per seed and workload
 SECONDS = 8  # per perfbench run
@@ -146,9 +149,31 @@ def perfbench(workload: str) -> dict:
                         for name, v in values.items()}}
 
 
+def _sources() -> list[str]:
+    return [p.read_text()
+            for p in sorted((ROOT / "src" / "branchlab").glob("*.py"))]
+
+
 def src_lines() -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in sorted((ROOT / "src" / "branchlab").glob("*.py")))
+    return sum(len(text.splitlines()) for text in _sources())
+
+
+def src_code_lines() -> int:
+    """The non-blank lines of src/branchlab/*.py that are neither a
+    comment nor in a docstring, which the AST locates."""
+    total = 0
+    for text in _sources():
+        doc = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                doc.update(range(node.body[0].lineno,
+                                 node.body[0].end_lineno + 1))
+        total += sum(1 for k, line in enumerate(text.splitlines(), 1)
+                     if line.strip() and not line.lstrip().startswith("#")
+                     and k not in doc)
+    return total
 
 
 def collect(dry_run: bool) -> dict:
@@ -159,6 +184,7 @@ def collect(dry_run: bool) -> dict:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "src_lines": src_lines(),
+        "src_code_lines": src_code_lines(),
         "tier1": tier1(),
         "acceptance": acceptance(),
         "commands": {" ".join(argv): time_command(argv) for argv in COMMANDS},

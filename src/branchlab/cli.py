@@ -61,10 +61,12 @@ def _extraction_line(check_id: str, outcome) -> ReportLine:
 
 
 def _require_work_budget(count: int, leaf_count: int) -> None:
-    """Each colouring costs about its leaf count, so the work of an
-    extraction command is bounded by count x leaves."""
-    if count * leaf_count > 1 << 20:
-        raise BudgetError(f"{count} colourings of {leaf_count} leaves "
+    """Each colouring costs about its leaf count, and no less than 16
+    leaves' worth, so the work of an extraction command is bounded by
+    count x max(leaves, 16)."""
+    if count * max(leaf_count, 16) > 1 << 20:
+        floor = ", at 16 a colouring," if leaf_count < 16 else ""
+        raise BudgetError(f"{count} colourings of {leaf_count} leaves{floor} "
                           f"exceed {1 << 20} coloured leaves")
 
 
@@ -99,6 +101,13 @@ def _h_verify_nice(ns, sc, rng):
 
 
 def _h_verify_kappa(ns, sc, rng):
+    # cells with i <= imax, i <= n <= nmax, each printing at most nmax + 3
+    # bits, bound the work and the output before any cell is made
+    m = min(ns.imax, ns.nmax)
+    cells = (m + 1) * (2 * ns.nmax - m + 2) // 2 if m >= 0 else 0
+    if cells * (ns.nmax + 3) > 1 << 20:
+        raise BudgetError(f"{cells} kappa cells of up to {ns.nmax + 3} bits "
+                          f"exceed {1 << 20} bits")
     return [passed(f"kappa-{i}-{n}", str(got)) if got == want
             else failed(f"kappa-{i}-{n}", f"{got} != {want}")
             for i, n, got, want in _kappa_cells(ns.imax, ns.nmax)]

@@ -27,8 +27,8 @@ from .functionals import (FunctionalTable, _outputs, _pullback_tree,
                           _require_two_branching, _splitting_violation,
                           outputs_split, value_within)
 from .strings import (_lex_extensions, check_bits, compatible,
-                      is_proper_prefix, lenlex_key, show_string, sort_lenlex,
-                      string_to_nat)
+                      is_proper_prefix, lenlex_key, longest_proper_prefix,
+                      show_string, sort_lenlex, string_to_nat)
 from .trees import (StagedTree, Tree, _index, branching_stats, is_prefix_free,
                     leaves, level_of, level_map, successors)
 
@@ -129,7 +129,7 @@ def omega_level(ctx: OmegaContext, tau: str) -> int:
     if not t:
         return 0
     levels = level_map(t)
-    top = min(len(ctx.f) - 1, len(levels) - 1, branching_stats(t)[2])
+    top = min(len(ctx.f) - 1, len(levels) - 1, branching_stats(t)[1])
     # each level is length-lex sorted, so its longest member is its last
     return max(0, next((k for k in range(top + 1)
                         if len(levels[k][-1]) > ctx.f[k]), top + 1) - 1)
@@ -380,8 +380,7 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
         new = sort_lenlex(stages[s] - stages[s - 1])
         if not new:
             continue
-        owners = {x: next((x[:k] for k in range(len(x) - 1, -1, -1)
-                           if x[:k] in stages[s - 1]), None) for x in new}
+        owners = {x: longest_proper_prefix(x, stages[s - 1]) for x in new}
         tau = owners[new[0]]
         if tau is None or any(o != tau for o in owners.values()):
             raise ShapeError(f"stage {s} must extend exactly one leaf")
@@ -413,7 +412,7 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
         m1 = level_of(final, new[0])
         for x in new:
             t_new = Tree(grown[x])
-            if branching_stats(t_new)[2] < m1:
+            if branching_stats(t_new)[1] < m1:
                 raise ProtocolError(f"tree for {show_string(x)} is not "
                                     f"two-branching below level {m1}")
             t_x = t_of(ctx.phi, x)

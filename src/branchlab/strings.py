@@ -9,7 +9,7 @@ lexicographic order, which makes all tie-breaking deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 EMPTY_TOKEN = "e"
 
@@ -42,6 +42,12 @@ def is_proper_prefix(a: str, b: str) -> bool:
 def compatible(a: str, b: str) -> bool:
     """True iff one string is an initial segment of the other."""
     return a.startswith(b) or b.startswith(a)
+
+
+def longest_proper_prefix(s: str, members: Container[str]) -> Optional[str]:
+    """The longest proper prefix of s among the members, or None."""
+    return next((s[:k] for k in range(len(s) - 1, -1, -1) if s[:k] in members),
+                None)
 
 
 def _lex_extensions(lex_sorted: Sequence[str], tau: str) -> Sequence[str]:

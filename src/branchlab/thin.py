@@ -295,7 +295,7 @@ def trace_from_bounded_splitting(psi: FunctionalTable, t: Iterable[str],
                                  m: int) -> TraceSystem:
     """Guarded values of an m-branching splitting tree, level by level."""
     t = Tree(t)
-    max_succ, _, _ = branching_stats(t)
+    max_succ, _ = branching_stats(t)
     if max_succ > m:
         raise ShapeError(f"branching {max_succ} exceeds the stated bound {m}")
     if not is_splitting_tree(psi, t, hat=True):

@@ -45,43 +45,31 @@ from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
 from .functionals import (EMPTY_TABLE, FunctionalTable, _has_axiom_at,
                           value_within)
-from .strings import bits_of_values, compatible, is_prefix, lenlex_key
+from .strings import (bits_of_values, compatible, is_prefix, lenlex_key,
+                      longest_proper_prefix)
 
 
-@dataclass(frozen=True)
-class ModuleId:
-    """C(i, n) waits for a convergence; P(i) guards a successor pair."""
+class ModuleId(NamedTuple):
+    """C(i, n) waits for a convergence; P(i) guards a successor pair.
+    Only module_set's modules are allocated, so an act refuses any
+    other kind or index."""
 
     kind: str
     i: int
     n: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("C", "P"):
-            raise ProtocolError(f"unknown module kind {self.kind!r}")
-        if self.i < 0 or self.n < 0:
-            raise ProtocolError("negative module index")
-
     def __str__(self) -> str:
         if self.kind == "C":
             return f"C({self.i},{self.n})"
-        return f"P({self.i})"
-
-
-def c_module(i: int, n: int) -> ModuleId:
-    return ModuleId("C", i, n)
-
-
-def p_module(i: int) -> ModuleId:
-    return ModuleId("P", i)
+        return f"{self.kind}({self.i})"
 
 
 @lru_cache(maxsize=256)
-def module_set(level: int) -> frozenset[ModuleId]:
-    """The modules a node of this level carries; shared, so immutable."""
-    mods = {c_module(j, level - j) for j in range(level + 1)}
-    mods.add(p_module(level))
-    return frozenset(mods)
+def module_set(level: int) -> tuple[ModuleId, ...]:
+    """The modules a node of this level carries, in the order a stage
+    tries them: C(i, level - i) by i, then P(level)."""
+    return (*(ModuleId("C", i, level - i) for i in range(level + 1)),
+            ModuleId("P", level))
 
 
 class NodeInfo(NamedTuple):
@@ -90,7 +78,7 @@ class NodeInfo(NamedTuple):
     declared_stage: int
 
     @property
-    def modules(self) -> frozenset[ModuleId]:
+    def modules(self) -> tuple[ModuleId, ...]:
         return module_set(self.level)
 
 
@@ -208,12 +196,6 @@ def _check_allocated(st: ConstructionState | WorkingState, tau: str,
     return info
 
 
-def _parent_node(nodes: dict[str, NodeInfo], s: str) -> Optional[str]:
-    """The longest proper prefix of s among the nodes, or None."""
-    return next((s[:k] for k in range(len(s) - 1, -1, -1) if s[:k] in nodes),
-                None)
-
-
 def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
                  adv: AdversaryBundle) -> bool:
     """Fire a C module if its convergence search succeeds: True iff so.
@@ -309,19 +291,17 @@ def act_p_module(work: WorkingState, tau: str, mid: ModuleId,
 
 def _modules_that_can_act(adv: AdversaryBundle, level: int,
                           s: int) -> tuple[ModuleId, ...]:
-    """The modules of a node at this level that may fire at stage s,
-    in the order a stage tries them: C modules by i, then the P module.
+    """The modules of a node at this level that may fire at stage s, in
+    module_set's order.
 
     A C(i, n) module needs an axiom at argument n in table i, and a
     P(i) module a non-empty output, since an empty one extends no
     successor; no other module can fire.
     """
-    mods = [c_module(i, level - i)
-            for i, f in enumerate(adv.psi_i[:level + 1])
-            if _has_axiom_at(f, level - i)]
-    if oracle_output_bits(_adversary_table(adv, level), s):
-        mods.append(p_module(level))
-    return tuple(mods)
+    return tuple(m for m in module_set(level)
+                 if (_has_axiom_at(_adversary_table(adv, m.i), m.n)
+                     if m.kind == "C"
+                     else oracle_output_bits(_adversary_table(adv, m.i), s)))
 
 
 def run_stage(st: ConstructionState,
@@ -357,7 +337,8 @@ def _stage(st: ConstructionState, adv: AdversaryBundle,
                                        if x not in terminal]))
     for gen, tau in enumerate(live, work.next_generation):
         # a live parent is a node, unless the state was built without it
-        parent = nodes.get(tau[:-1]) or nodes[_parent_node(nodes, tau)]
+        parent = nodes.get(tau[:-1]) or nodes[longest_proper_prefix(
+            tau, nodes)]
         level = parent.level + 1
         nodes[tau] = NodeInfo(level, gen, s + 1)
         log.append((level, tau, gen, s + 1))
@@ -451,7 +432,7 @@ def final_node_violation(st: ConstructionState,
         # successors are pairwise incomparable, so their order never
         # changes a verdict: at most one sits inside an output
         for x in nodes.keys() - set(order):
-            succs.setdefault(_parent_node(nodes, x), []).append(x)
+            succs.setdefault(longest_proper_prefix(x, nodes), []).append(x)
     outs: dict[int, str] = {}  # the watched output, per node level
     for tau in order:
         if len(tau) >= horizon:

@@ -197,24 +197,19 @@ def is_prefix_free(strings: Iterable[str]) -> bool:
     return not any(b.startswith(a) for a, b in zip(ss, ss[1:]))
 
 
-def branching_stats(t: Iterable[str]) -> tuple[int, bool, int]:
-    """(max successor count, perfect?, two-branching-below level).
-
-    perfect: every non-leaf member has at least two successors (a tree
-    with no non-leaves counts as perfect).  The third component is the
-    largest n such that every member of level < n has exactly two
-    successors.
-    """
+def branching_stats(t: Iterable[str]) -> tuple[int, int]:
+    """(max successor count, two-branching-below level): the second is
+    the largest n such that every member of level < n has exactly two
+    successors."""
     idx = _index(t)
     if not idx.levels:
         raise ShapeError("empty tree")
-    counts = [len(ks) for ks in idx.successors.values()]
     two_below = 0
     for ms in idx.levels:
         if any(len(idx.successors[m]) != 2 for m in ms):
             break
         two_below += 1
-    return (max(counts), 1 not in counts, two_below)
+    return max(map(len, idx.successors.values())), two_below
 
 
 @dataclass(frozen=True)

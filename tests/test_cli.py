@@ -586,6 +586,55 @@ def test_twocol_work_budget_at_its_edge(capsys):
     assert time.monotonic() - t0 < 1
 
 
+@pytest.mark.parametrize("argv, check", [
+    (["verify", "twocol", "--n", "0"], "twocol-rand-"),
+    (["verify", "nice", "--i", "0", "--n", "0"], "nice-i0-n0-"),
+])
+def test_one_leaf_work_budget_at_its_edge(capsys, argv, check):
+    # a colouring costs at least 16 leaves' worth: 2^16 colourings of one
+    # leaf run, one more, or a million, are refused before any is drawn
+    t0 = time.monotonic()
+    assert cli.main(argv + ["--count", "65536"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 65537 and all(ln.startswith("PASS\t" + check)
+                                       for ln in lines[1:])
+    assert time.monotonic() - t0 < 10
+    for count in (65537, 1000000):
+        t0 = time.monotonic()
+        assert cli.main(argv + ["--count", str(count)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"ERROR\tverify-{argv[1]}-error\t{count} colourings of 1 "
+            "leaves, at 16 a colouring, exceed 1048576 coloured leaves"]
+        assert time.monotonic() - t0 < 1
+
+
+def test_kappa_cell_budget_at_its_edge(capsys):
+    # cells x (nmax + 3) bits is capped at 2^20: 126 x 126 gives 8,128
+    # cells of up to 129 bits, and 127 x 127 is refused before any cell
+    t0 = time.monotonic()
+    assert cli.main(["verify", "kappa", "--imax", "126",
+                     "--nmax", "126"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8129 and lines[-1] == "PASS\tkappa-126-126\t4"
+    assert lines[126] == f"PASS\tkappa-0-125\t{1 << 127}"
+    assert time.monotonic() - t0 < 5
+    for n, cells in ((127, 8256), (1000, 501501), (2000, 2003001)):
+        t0 = time.monotonic()
+        assert cli.main(["verify", "kappa", "--imax", str(n),
+                         "--nmax", str(n)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"ERROR\tverify-kappa-error\t{cells} kappa cells of up to "
+            f"{n + 3} bits exceed 1048576 bits"]
+        assert time.monotonic() - t0 < 1
+    # one row reaches further: nmax 1022 runs and 1023 is refused
+    assert cli.main(["verify", "kappa", "--imax", "0",
+                     "--nmax", "1022"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"PASS\tkappa-0-1022\t{1 << 1024}")
+    assert cli.main(["verify", "kappa", "--imax", "0",
+                     "--nmax", "1023"]) == 1
+
+
 def test_cupping_search_budget_at_its_edge(capsys):
     # level 4 is the deepest search; level 5 is refused before level 0
     t0 = time.monotonic()

@@ -37,11 +37,15 @@ def test_script_runs_and_prints_its_pinned_line(script, args, line):
 
 
 def _check_bench_schema(record):
-    # schema 2 adds the tier-1 run and the acceptance durations
+    # schema 2 adds the tier-1 run and the acceptance durations, and
+    # schema 3 the code lines of src
     keys = {"schema", "head", "dirty", "python", "cpu_count", "src_lines",
             "commands", "perfbench"}
-    assert record["schema"] in (1, 2)
-    if record["schema"] == 2:
+    assert record["schema"] in (1, 2, 3)
+    if record["schema"] == 3:
+        keys.add("src_code_lines")
+        assert 0 < record["src_code_lines"] < record["src_lines"]
+    if record["schema"] >= 2:
         keys |= {"tier1", "acceptance"}
         for row in (record["tier1"], record["acceptance"]):
             assert {"wall_s", "exit", "passed", "failed"} <= set(row)
@@ -76,11 +80,28 @@ def _check_bench_schema(record):
             assert min(m["values"]) <= m["median"] <= max(m["values"])
 
 
-def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
+def _bench():
     spec = importlib.util.spec_from_file_location(
         "bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_src_code_lines_skip_blanks_comments_and_docstrings(monkeypatch):
+    bench = _bench()
+    text = ('"""A module\ndocstring."""\n\n# a comment\nx = 1  # kept\n\n'
+            'class K:\n    """One line."""\n\n    def f(self):\n'
+            '        """Two\n        lines."""\n        s = """not a\n'
+            '        docstring"""\n        return s\n')
+    monkeypatch.setattr(bench, "_sources", lambda: [text, "y = 2\n"])
+    assert bench.src_lines() == 16
+    # x = 1, class K, def f, the two lines of s, return s, and y = 2
+    assert bench.src_code_lines() == 7
+
+
+def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
+    bench = _bench()
     # two quick commands, run once, stand in for the five run thrice
     monkeypatch.setattr(bench, "COMMANDS", (
         ("suite", "fast"), ("run", "traceable", "--horizon", "6")))
@@ -94,7 +115,7 @@ def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
     assert bench.main(["--dry-run", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     _check_bench_schema(record)
-    assert record["schema"] == 2 and record["perfbench"] is None
+    assert record["schema"] == 3 and record["perfbench"] is None
     assert record["tier1"]["passed"] == 3
     assert set(record["acceptance"]["durations"]) == {
         "test_every_public_definition_has_a_caller",
@@ -114,7 +135,7 @@ def test_committed_bench_files_have_the_schema():
         _check_bench_schema(record)
         assert record["perfbench"] is not None
         assert len(record["commands"]) == 5
-        if record["schema"] == 2:
+        if record["schema"] >= 2:
             assert sorted(record["acceptance"]["durations"]) == re.findall(
                 r"^def (test_criterion_\w+)",
                 (ROOT / "tests" / "test_acceptance.py").read_text(), re.M)

@@ -84,7 +84,7 @@ class TestOplus:
         assert t == frozenset({"", "10", "11", "1000", "1001", "1100",
                                "1101"})
         assert all(len(m) % 2 == 0 for m in t)
-        assert branching_stats(t)[2] == max_level(t) == 2
+        assert branching_stats(t)[1] == max_level(t) == 2
 
     def test_interleave_tree_trivial_oracle(self):
         assert oplus_tree("") == frozenset({""})
@@ -104,7 +104,7 @@ def omega(ctx, tau, n):
     t = t_of(ctx.phi, tau)
     if not t or max_level(t) < n:
         return False
-    if branching_stats(t)[2] < n:
+    if branching_stats(t)[1] < n:
         return False
     buckets = level_map(t)
     return all(max(len(s) for s in buckets[k]) <= ctx.f[k]
@@ -233,7 +233,7 @@ def _uncut_omega_level(ctx, tau):
     if not t:
         return 0
     levels = level_map(t)
-    top = min(len(ctx.f) - 1, len(levels) - 1, branching_stats(t)[2])
+    top = min(len(ctx.f) - 1, len(levels) - 1, branching_stats(t)[1])
     return max(0, next((k for k in range(top + 1)
                         if len(levels[k][-1]) > ctx.f[k]), top + 1) - 1)
 
@@ -775,7 +775,7 @@ class TestBuildCover:
             n_x = omega_level(ctx, x)
             assert all(level_of(t_x, leaf) == n_x
                        for leaf in leaves(tp[x]))
-            assert branching_stats(tp[x])[2] == max_level(tp[x])
+            assert branching_stats(tp[x])[1] == max_level(tp[x])
 
     def test_fork_trees_are_cross_incompatible(self):
         ctx, st, succ = fork_setup()

@@ -16,16 +16,24 @@ from branchlab.strings import bits_of_values, compatible
 from branchlab.traceable import (ConstructionState, ModuleId, NodeInfo,
                                  WorkingState, _adversary_table,
                                  _check_allocated,
-                                 act_c_module, act_p_module, c_module,
+                                 act_c_module, act_p_module,
                                  declared_counts,
                                  extract_trace, final_node_violation,
                                  frontier, init_state, is_terminal,
                                  module_set, node_count_bound,
-                                 oracle_output_bits, p_module, run_stage,
+                                 oracle_output_bits, run_stage,
                                  run_to_horizon, stage_run, trace_bound_pair,
                                  verify_final_nodes)
 from branchlab.trees import sort_lenlex, successors
 from helpers import _naive_bounded_value, act_frozen
+
+
+def c_module(i, n):
+    return ModuleId("C", i, n)
+
+
+def p_module(i):
+    return ModuleId("P", i)
 
 
 def test_init_state():
@@ -33,7 +41,7 @@ def test_init_state():
     assert frontier(st) == ("",) and st.terminal == frozenset()
     assert st.next_generation == 2
     assert st.nodes[""].level == 0
-    assert st.nodes[""].modules == frozenset([c_module(0, 0), p_module(0)])
+    assert st.nodes[""].modules == (c_module(0, 0), p_module(0))
     assert st.tuples == frozenset()
     assert init_state() == st
 
@@ -46,15 +54,19 @@ def test_state_stores_only_what_it_cannot_derive():
 
 
 def test_module_set_level1():
-    assert module_set(1) == frozenset(
-        [p_module(1), c_module(0, 1), c_module(1, 0)])
+    assert module_set(1) == (c_module(0, 1), c_module(1, 0), p_module(1))
 
 
 def test_module_id_validation():
-    with pytest.raises(ProtocolError):
-        ModuleId("Q", 0, 0)
-    with pytest.raises(ProtocolError):
-        ModuleId("C", -1, 0)
+    # no node carries an unknown kind or a negative index, so no act
+    # takes one
+    st = run_stage(init_state())
+    for mid in (ModuleId("Q", 0, 0), ModuleId("C", -1, 1)):
+        for act in (act_c_module, act_p_module):
+            with pytest.raises(ProtocolError, match="is not allocated"):
+                act_frozen(act, st, "", mid, EMPTY_BUNDLE)
+    assert str(ModuleId("Q", 0, 0)) == "Q(0)"
+    assert str(ModuleId("C", -1, 1)) == "C(-1,1)"
 
 
 def test_one_stage_from_init():
@@ -87,8 +99,8 @@ def test_c_module_first_action():
         assert info.level == 1
         assert info.generation != old_gens[tau]
         assert info.declared_stage == 2
-        assert info.modules == frozenset(
-            [p_module(1), c_module(0, 1), c_module(1, 0)])
+        assert info.modules == (c_module(0, 1), c_module(1, 0),
+                                p_module(1))
     with pytest.raises(ProtocolError):  # already acted
         act_frozen(act_c_module, st2, "", c_module(0, 0), adv)
     with pytest.raises(ProtocolError):  # never allocated
@@ -756,10 +768,35 @@ def test_final_node_check_probes_each_string_at_most_stage_times(
 
 def test_module_set_matches_a_fresh_build():
     for level in range(13):
-        fresh = frozenset({c_module(j, level - j) for j in range(level + 1)}
-                          | {p_module(level)})
-        assert module_set(level) == fresh
+        fresh = tuple(c_module(j, level - j) for j in range(level + 1))
+        assert module_set(level) == fresh + (p_module(level),)
         assert module_set(level) is module_set(level)
+
+
+def _naive_modules_that_can_act(adv, level, s):
+    # every C(i, level - i) whose table has an axiom at level - i, by a
+    # scan of its axioms, then P(level) if its output at the empty
+    # oracle within s steps is non-empty
+    tables = list(adv.psi_i)
+    mods = [c_module(i, level - i) for i in range(level + 1)
+            if i < len(tables)
+            and any(ax[1] == level - i for ax in tables[i].axioms)]
+    if level < len(tables):
+        values = []
+        while (v := _naive_bounded_value(tables[level], "", len(values),
+                                         s)) is not None:
+            values.append(v)
+        if bits_of_values(values):
+            mods.append(p_module(level))
+    return tuple(mods)
+
+
+def test_modules_that_can_act_match_the_naive_filter():
+    for adv in _table_bundles():
+        for level in range(13):
+            for s in range(17):
+                assert traceable._modules_that_can_act(adv, level, s) == \
+                    _naive_modules_that_can_act(adv, level, s)
 
 
 def test_is_terminal_skips_the_scan_when_nothing_is_terminal():

@@ -254,17 +254,16 @@ def test_level_map_without_root():
 
 
 def test_branching_stats_single_root():
-    assert branching_stats(frozenset([""])) == (0, True, 0)
+    assert branching_stats(frozenset([""])) == (0, 0)
 
 
 def test_branching_stats_full_depth2():
-    assert branching_stats(FULL2) == (2, True, 2)
+    assert branching_stats(FULL2) == (2, 2)
 
 
 def test_branching_stats_lopsided():
     t = frozenset(["", "0", "1", "00"])
-    max_succ, perfect, below = branching_stats(t)
-    assert max_succ == 2 and not perfect and below == 1
+    assert branching_stats(t) == (2, 1)
 
 
 def _naive_branching_stats(t):
@@ -275,7 +274,6 @@ def _naive_branching_stats(t):
     succ = {m: _naive_successors(t, m) for m in t}
     levels = {m: _naive_level_of(t, m) for m in t}
     max_succ = max(len(s) for s in succ.values())
-    perfect = all(len(s) >= 2 for m, s in succ.items() if len(s) > 0)
     top = max(levels.values())
     two_below = 0
     for n in range(1, top + 2):
@@ -283,7 +281,7 @@ def _naive_branching_stats(t):
             two_below = n
         else:
             break
-    return (max_succ, perfect, two_below)
+    return (max_succ, two_below)
 
 
 @given(st.lists(bitstrings, max_size=16), st.booleans())
@@ -298,10 +296,10 @@ def test_branching_stats_matches_naive(ss, with_root):
 
 
 @pytest.mark.parametrize("t, want", [
-    (["0", "1"], (0, True, 0)),
-    (["0", "00", "01", "1", "10", "11"], (2, True, 1)),
-    (["0", "00", "01", "1", "10"], (2, False, 0)),
-    (["", "0", "1", "000", "001", "01"], (3, True, 1)),
+    (["0", "1"], (0, 0)),
+    (["0", "00", "01", "1", "10", "11"], (2, 1)),
+    (["0", "00", "01", "1", "10"], (2, 0)),
+    (["", "0", "1", "000", "001", "01"], (3, 1)),
 ])
 def test_branching_stats_several_roots_and_gaps(t, want):
     assert branching_stats(t) == want == _naive_branching_stats(t)
