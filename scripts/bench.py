@@ -26,6 +26,11 @@ The file records:
 - the CPU count, the Python version, and HEAD with whether tracked
   files had changes (null and true outside a git work tree).
 
+Every Python subprocess runs with src on the path and its bytecode
+cache (PYTHONPYCACHEPREFIX) in a fresh temporary directory, so each
+one compiles what it imports and a stale __pycache__ in the checkout
+cannot move a timing.
+
 --dry-run skips perfbench and records null in its place.  Only the
 standard library is used.
 """
@@ -42,7 +47,9 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,11 +69,15 @@ COMMANDS = (
 )
 
 
-def _env() -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return env
+@contextmanager
+def _env():
+    """The environment of one Python subprocess, with an empty bytecode
+    cache that goes when the block ends."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        yield env
 
 
 def _git(*args: str):
@@ -81,11 +92,12 @@ def _git(*args: str):
 def _pytest(args: tuple[str, ...]) -> tuple[dict, str]:
     """One pytest run in a fresh interpreter: its wall time, exit
     status and passed and failed counts, and its stdout."""
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-p",
-                           "no:cacheprovider", *args], cwd=ROOT, env=_env(),
-                          capture_output=True, text=True)
-    wall = time.perf_counter() - t0
+    with _env() as env:
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-p",
+                               "no:cacheprovider", *args], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        wall = time.perf_counter() - t0
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
     counts = re.findall(r"(\d+) (passed|failed|errors?)\b", summary)
     passed = sum(int(n) for n, kind in counts if kind == "passed")
@@ -112,10 +124,12 @@ def time_command(argv: tuple[str, ...]) -> dict:
     the sha256 of its stdout, which every run must repeat."""
     walls, outs, codes = [], set(), set()
     for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "branchlab.cli", *argv],
-                              cwd=ROOT, env=_env(), capture_output=True)
-        walls.append(time.perf_counter() - t0)
+        with _env() as env:
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "branchlab.cli",
+                                   *argv], cwd=ROOT, env=env,
+                                  capture_output=True)
+            walls.append(time.perf_counter() - t0)
         outs.add(hashlib.sha256(proc.stdout).hexdigest())
         codes.add(proc.returncode)
     if len(outs) != 1 or len(codes) != 1:
@@ -130,10 +144,12 @@ def perfbench(workload: str) -> dict:
     units: dict[str, str] = {}
     failed = attempted = 0
     for seed in SEEDS:
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload,
-             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-            cwd=ROOT, env=_env(), capture_output=True, text=True)
+        with _env() as env:
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", workload,
+                 "--seed", str(seed), "--seconds", str(SECONDS),
+                 "--trace", "0"],
+                cwd=ROOT, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"perfbench {workload} seed {seed}: "
                              f"{proc.stderr.strip()[-500:]}")

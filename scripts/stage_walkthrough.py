@@ -12,8 +12,8 @@ import random
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.gen import random_functional_table
 from branchlab.strings import show_string
-from branchlab.traceable import (declared_counts, extract_trace, init_state,
-                                 node_count_bound, stage_run,
+from branchlab.traceable import (declared_counts, extract_trace, frontier,
+                                 init_state, node_count_bound, stage_run,
                                  trace_bound_pair, verify_final_nodes)
 
 
@@ -33,7 +33,8 @@ def main() -> int:
         adv = EMPTY_BUNDLE
 
     st = init_state()
-    for st, live in stage_run(adv, args.horizon):
+    for st in stage_run(adv, args.horizon):
+        live = frontier(st)
         print(f"stage {st.stage}: frontier {len(live)} "
               f"({' '.join(show_string(x) for x in live[:6])}"
               f"{' ...' if len(live) > 6 else ''})")

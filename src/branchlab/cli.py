@@ -183,7 +183,7 @@ MAX_FLEN = 1 << 12
 
 
 def _omega_context(ns, phi: FunctionalTable) -> OmegaContext:
-    """The context of the --flen identity majorant and the oracle.
+    """The context of the --flen identity majorant.
 
     The majorant is built, checked, hashed and compared whole, so a
     length past MAX_FLEN is refused before it is built.  Nothing is
@@ -193,7 +193,7 @@ def _omega_context(ns, phi: FunctionalTable) -> OmegaContext:
     if ns.flen > MAX_FLEN:
         raise BudgetError(f"a majorant of length {ns.flen} exceeds the "
                           f"budget of {MAX_FLEN}")
-    return OmegaContext(phi, tuple(range(ns.flen)), nat_to_string(ns.oracle))
+    return OmegaContext(phi, tuple(range(ns.flen)))
 
 
 def _h_run_pi6(ns, sc, rng):
@@ -351,7 +351,6 @@ _PSI = ("--psi", {"default": "psi"})
 _PHI = ("--phi", {"default": "phi"})
 _TREE = ("--tree", {"required": True})
 _SUB = ("--sub", {"required": True, "dest": "subtree", "metavar": "SUB"})
-_ORACLE = ("--oracle", _int())
 _FLEN = ("--flen", _int())
 
 
@@ -383,15 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     leaf("run", "cupping", _h_run_cupping, ("--n", _int(2)))
     leaf("run", "traceable", _h_run_traceable, ("--horizon", _int(6)))
     leaf("run", "smc", _h_run_smc,
-         _PSI, ("--dagger", {}), _ORACLE, ("--budget", _int()))
-    leaf("run", "pi6", _h_run_pi6, _PHI, ("--stages", _int()), _FLEN, _ORACLE)
+         _PSI, ("--dagger", {}), ("--oracle", _int()), ("--budget", _int()))
+    leaf("run", "pi6", _h_run_pi6, _PHI, ("--stages", _int()), _FLEN)
     leaf("check", "thin", _h_check_thin, _TREE, _SUB)
     leaf("check", "split", _h_check_split,
          _PSI, _TREE, ("--delayed", _FLAG), ("--hat", _FLAG))
     leaf("check", "weaksplit", _h_check_weaksplit,
          _PSI, _PHI, ("--budget", _int(6)), ("--path", {"default": "e"}))
     leaf("check", "theta", _h_check_theta,
-         _PHI, ("--staging", {"required": True}), _FLEN, _ORACLE)
+         _PHI, ("--staging", {"required": True}), _FLEN)
     leaf("trace", "from-thin", _h_trace_from_thin,
          _PSI, _SUB, ("--maxlen", _int(6)))
     leaf("trace", "from-split", _h_trace_from_split,

@@ -188,21 +188,14 @@ def realize(n: int, f: Sequence[int], t: Iterable[str]) -> PiStarNode:
     return PiStarNode(_level_walk(n, f, t)[-1][0], n, t, f)
 
 
-@dataclass(frozen=True)
-class AdversaryBundle:
-    """A finite list of opposing functionals, one per colour index."""
+# a finite list of opposing functionals, one per colour index
+AdversaryBundle = tuple[FunctionalTable, ...]
 
-    psi_i: tuple[FunctionalTable, ...]
-
-    def __len__(self) -> int:
-        return len(self.psi_i)
-
-
-EMPTY_BUNDLE = AdversaryBundle(())
+EMPTY_BUNDLE: AdversaryBundle = ()
 
 
 def bundle(tables: Iterable[FunctionalTable]) -> AdversaryBundle:
-    return AdversaryBundle(tuple(tables))
+    return tuple(tables)
 
 
 def stage_filter(node: PiStarNode, adv: AdversaryBundle, s: int) -> bool:
@@ -216,7 +209,7 @@ def stage_filter(node: PiStarNode, adv: AdversaryBundle, s: int) -> bool:
         raise ShapeError("stage must equal the node level")
     # a node's colours lie in range, so an equal value does too
     return not any(node.psi_values[i] in hat_values(table, node.t_tau, i)
-                   for i, table in enumerate(adv.psi_i[:s]))
+                   for i, table in enumerate(adv[:s]))
 
 
 def adversary_coloring(adv: AdversaryBundle, i: int,
@@ -224,9 +217,9 @@ def adversary_coloring(adv: AdversaryBundle, i: int,
     """Colour leaves by the i-th guarded value where it lands in range."""
     assignment: dict[str, int] = {}
     cols = ncol(i)
-    if i < len(adv.psi_i):
+    if i < len(adv):
         lvs = tuple(leaf_strings)
-        for lf, v in zip(lvs, hat_values(adv.psi_i[i], lvs, i)):
+        for lf, v in zip(lvs, hat_values(adv[i], lvs, i)):
             if v is not None and v < cols:
                 assignment[lf] = v
     return Coloring(assignment, cols)
@@ -245,7 +238,7 @@ def pi_membership_violation(node: PiStarNode,
     rejects its ancestor, or None: one pass over the node's tree by the
     chain lemma of the module docstring, with one memo per table."""
     f = node.psi_values
-    tables = adv.psi_i[:node.level]
+    tables = adv[:node.level]
     memos: list[dict] = [{} for _ in tables]
     first = min((max(i + 1, j)
                  for j, members in enumerate(_index(node.t_tau).levels)

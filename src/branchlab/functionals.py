@@ -514,8 +514,10 @@ def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]],
 
 def _pullback_tree(t0: Tree, t2: Tree, outs: dict[str, tuple[int, ...]],
                    split_checked: bool = False) -> Tree:
-    """pullback_tree over precomputed outputs of t0's members;
-    split_checked as for _image_tree."""
+    """The members of t0 whose images, read off the precomputed
+    outputs, lie in t2.  t2 must be a two-branching subset of t0's
+    image, and so must the result be two-branching; split_checked as
+    for _image_tree."""
     img, imgs = _image_tree(t0, outs, split_checked)
     if not t2 <= img:
         raise ShapeError("refinement tree is not a subset of the image")

@@ -37,20 +37,17 @@ from .trees import (StagedTree, Tree, _index, branching_stats, is_prefix_free,
 
 @dataclass(frozen=True)
 class OmegaContext:
-    """A two-place table, a finite majorant, and an oracle stand-in."""
+    """A two-place table and a finite majorant."""
 
     phi: FunctionalTable
     f: tuple[int, ...]
-    a_prefix: str = ""
 
     def __post_init__(self):
-        check_bits(self.a_prefix)
         if any(b <= a for a, b in zip(self.f, self.f[1:])):
             raise ShapeError("majorant must be strictly increasing")
         # the dataclass's hash, kept: the majorant can be long, and the
         # omega_level cache hashes the context on every call
-        object.__setattr__(self, "_hash",
-                           hash((self.phi, self.f, self.a_prefix)))
+        object.__setattr__(self, "_hash", hash((self.phi, self.f)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -250,7 +247,7 @@ def select_extensions(ctx: OmegaContext, tau: str,
     one = 1 << depth  # r_m is r / one, with r an integer
     r, r_seq = 0, []
 
-    def prune(pick: str, m: int) -> None:
+    def prune(pick: str) -> None:
         for i, pool in pools.items():
             hits = [p for p in pool if compatible(p, pick)]
             if len(hits) > 1:
@@ -291,8 +288,8 @@ def select_extensions(ctx: OmegaContext, tau: str,
                                     + _state_dump(settled, pools, m))
             settled[i] = (first, second)
             settled_pool[i] = frozenset(pools.pop(i))
-            prune(first, m)
-            prune(second, m)
+            prune(first)
+            prune(second)
         floor = (one - r) << (m + 1)  # (1 - r_m) 2^(m+1), times one
         for i, pool in pools.items():
             if len(pool) * one < floor:

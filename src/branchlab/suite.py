@@ -164,9 +164,9 @@ def _twocolourings(rng, lvs, count):
 
 
 def _kappa_cells(imax: int, nmax: int):
-    """(i, n, kappa(i, n), its closed form 2^(n-i+2)) for i <= imax and
-    i <= n <= nmax."""
-    return ((i, n, kappa(i, n), 1 << (n - i + 2))
+    """(i, n, kappa(i, n), the graded shape's branching at level n - i)
+    for i <= imax and i <= n <= nmax."""
+    return ((i, n, kappa(i, n), GRADED_SHAPE.branching(n - i))
             for i in range(imax + 1) for n in range(i, nmax + 1))
 
 
@@ -409,7 +409,7 @@ def _chk_split_mutant(check_id, rng, tries):
 
 # -- packing selection ----------------------------------------------------------
 
-def _selection_flaw(ctx, tau, nodes, sigma, res):
+def _selection_flaw(ctx, nodes, sigma, res):
     picks = [s for pair in res.sigma_pairs.values() for s in pair]
     if set(res.sigma_pairs) != set(range(len(nodes))):
         return "member indices off"
@@ -439,7 +439,7 @@ def _selection_flaw(ctx, tau, nodes, sigma, res):
     return None
 
 
-def _selection_exhaustive_flaw(ctx, tau, nodes, sigma, res):
+def _selection_exhaustive_flaw(ctx, nodes, sigma, res):
     cands = []
     for nm, _ in nodes:
         t_i = t_of(ctx.phi, nm)
@@ -469,8 +469,8 @@ def _chk_selection_twostar(check_id, rng):
     res = select_extensions(ctx, "1", nodes, "00")
     ok = (res.sigma_pairs == {0: ("0000", "0001"), 1: ("0010", "0011")}
           and res.r == (Fraction(1),)
-          and _selection_flaw(ctx, "1", nodes, "00", res) is None
-          and _selection_exhaustive_flaw(ctx, "1", nodes, "00", res) is None)
+          and _selection_flaw(ctx, nodes, "00", res) is None
+          and _selection_exhaustive_flaw(ctx, nodes, "00", res) is None)
     return [passed(check_id, "r=1") if ok
             else failed(check_id, str(res.sigma_pairs))]
 
@@ -478,8 +478,8 @@ def _chk_selection_twostar(check_id, rng):
 def _selection_random_flaw(rng):
     ctx, tau, nodes, sigma = random_selection_scenario(rng)
     res = select_extensions(ctx, tau, nodes, sigma)
-    return (_selection_flaw(ctx, tau, nodes, sigma, res)
-            or _selection_exhaustive_flaw(ctx, tau, nodes, sigma, res))
+    return (_selection_flaw(ctx, nodes, sigma, res)
+            or _selection_exhaustive_flaw(ctx, nodes, sigma, res))
 
 
 def _chk_selection_random(check_id, rng, count):

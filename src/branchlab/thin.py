@@ -256,7 +256,6 @@ def selfdelim_decode(s: str) -> tuple[int, int]:
 
 
 class SplittingReduction(NamedTuple):
-    psi: FunctionalTable
     thin_ok: bool
     witness: Optional[tuple[str, str]]
 
@@ -284,11 +283,9 @@ def splitting_to_thin(t: Iterable[str],
         raise MemberError("subtree members must come from the tree")
     if "" not in split_sub:
         raise MemberError("subtree must contain the empty string")
-    psi = level_functional(t)
-    witness = splitting_violation(psi, split_sub)
-    if witness is not None:
-        return SplittingReduction(psi, False, witness)
-    return SplittingReduction(psi, is_thin(t, split_sub), None)
+    witness = splitting_violation(level_functional(t), split_sub)
+    return SplittingReduction(witness is None and is_thin(t, split_sub),
+                              witness)
 
 
 def trace_from_bounded_splitting(psi: FunctionalTable, t: Iterable[str],

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .cupping import AdversaryBundle, EMPTY_BUNDLE
 from .errors import ProtocolError
 from .functionals import (EMPTY_TABLE, FunctionalTable, _has_axiom_at,
                           value_within)
@@ -173,8 +172,9 @@ def frontier(st: ConstructionState) -> tuple[str, ...]:
     return tuple(level)
 
 
-def _adversary_table(adv: AdversaryBundle, i: int) -> FunctionalTable:
-    return adv.psi_i[i] if i < len(adv.psi_i) else EMPTY_TABLE
+def _adversary_table(adv: Sequence[FunctionalTable],
+                     i: int) -> FunctionalTable:
+    return adv[i] if i < len(adv) else EMPTY_TABLE
 
 
 def oracle_output_bits(f: FunctionalTable, steps: int) -> str:
@@ -197,7 +197,7 @@ def _check_allocated(st: ConstructionState | WorkingState, tau: str,
 
 
 def act_c_module(work: WorkingState, tau: str, mid: ModuleId,
-                 adv: AdversaryBundle) -> bool:
+                 adv: Sequence[FunctionalTable]) -> bool:
     """Fire a C module if its convergence search succeeds: True iff so.
 
     The search descends the live strings above the node, length-lex,
@@ -256,7 +256,7 @@ def _successor_nodes(st: WorkingState, tau: str) -> list[str]:
 
 
 def act_p_module(work: WorkingState, tau: str, mid: ModuleId,
-                 adv: AdversaryBundle) -> bool:
+                 adv: Sequence[FunctionalTable]) -> bool:
     """Fire a P module if the adversary's output follows a successor:
     True iff so.
 
@@ -289,7 +289,7 @@ def act_p_module(work: WorkingState, tau: str, mid: ModuleId,
     return True
 
 
-def _modules_that_can_act(adv: AdversaryBundle, level: int,
+def _modules_that_can_act(adv: Sequence[FunctionalTable], level: int,
                           s: int) -> tuple[ModuleId, ...]:
     """The modules of a node at this level that may fire at stage s, in
     module_set's order.
@@ -305,14 +305,9 @@ def _modules_that_can_act(adv: AdversaryBundle, level: int,
 
 
 def run_stage(st: ConstructionState,
-              adv: AdversaryBundle = EMPTY_BUNDLE) -> ConstructionState:
-    """One full stage: run modules node by node, then grow the tree."""
-    return _stage(st, adv)[0]
-
-
-def _stage(st: ConstructionState, adv: AdversaryBundle,
-           ) -> tuple[ConstructionState, tuple[str, ...]]:
-    """run_stage, and the frontier it grew, which the new state keeps."""
+              adv: Sequence[FunctionalTable] = ()) -> ConstructionState:
+    """One full stage: run modules node by node, then grow the tree from
+    the frontier, which the new state keeps."""
     s = st.stage
     live = frontier(st)
     # only nodes at levels with a module that can act go in the snapshot
@@ -345,26 +340,25 @@ def _stage(st: ConstructionState, adv: AdversaryBundle,
     work.stage = s + 1
     grown = work.freeze()
     object.__setattr__(grown, "_frontier", live)
-    return grown, live
+    return grown
 
 
-def stage_run(adv: AdversaryBundle, horizon: int):
-    """The state after each of the first horizon stages from the initial
-    state, with its frontier."""
+def stage_run(adv: Sequence[FunctionalTable], horizon: int):
+    """The state after each of the first horizon stages from the start."""
     st = init_state()
     for _ in range(horizon):
-        st, live = _stage(st, adv)
-        yield st, live
+        st = run_stage(st, adv)
+        yield st
 
 
-def run_to_horizon(adv: AdversaryBundle, horizon: int,
+def run_to_horizon(adv: Sequence[FunctionalTable], horizon: int,
                    ) -> tuple[ConstructionState, Optional[int]]:
     """The state after horizon stages, and the first stage whose
     frontier is empty (None if none is).  Every stage runs, stalled or
     not."""
     st, stalled = init_state(), None
-    for st, live in stage_run(adv, horizon):
-        if stalled is None and not live:
+    for st in stage_run(adv, horizon):
+        if stalled is None and not frontier(st):
             stalled = st.stage
     return st, stalled
 
@@ -397,7 +391,7 @@ def trace_bound_pair(i: int, n: int) -> tuple[int, int]:
 
 
 def final_node_violation(st: ConstructionState,
-                         adv: AdversaryBundle) -> Optional[str]:
+                         adv: Sequence[FunctionalTable]) -> Optional[str]:
     """Check the horizon conditions on every node short of the frontier.
 
     Each such node must keep a surviving successor node, no successor
@@ -452,5 +446,5 @@ def final_node_violation(st: ConstructionState,
     return None
 
 
-def verify_final_nodes(st: ConstructionState, adv: AdversaryBundle) -> bool:
+def verify_final_nodes(st: ConstructionState, adv: Sequence[FunctionalTable]) -> bool:
     return final_node_violation(st, adv) is None

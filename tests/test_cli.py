@@ -1,6 +1,7 @@
 """Command dispatch: worked examples, error surfacing, determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -248,15 +249,14 @@ def test_every_leaf_keeps_its_key_options_and_defaults():
         f"run:traceable _h_run_traceable {common} --horizon=6",
         f"run:smc _h_run_smc {common} --psi=psi --dagger=None --oracle=None "
         "--budget=None",
-        f"run:pi6 _h_run_pi6 {common} --phi=phi --stages=None --flen=None "
-        "--oracle=None",
+        f"run:pi6 _h_run_pi6 {common} --phi=phi --stages=None --flen=None",
         f"check:thin _h_check_thin {common} --tree! --sub!",
         f"check:split _h_check_split {common} --psi=psi --tree! "
         "--delayed=False --hat=False",
         f"check:weaksplit _h_check_weaksplit {common} --psi=psi --phi=phi "
         "--budget=6 --path=e",
         f"check:theta _h_check_theta {common} --phi=phi --staging! "
-        "--flen=None --oracle=None",
+        "--flen=None",
         f"trace:from-thin _h_trace_from_thin {common} --psi=psi --sub! "
         "--maxlen=6",
         f"trace:from-split _h_trace_from_split {common} --psi=psi --tree! "
@@ -484,13 +484,16 @@ def test_traceable_fail_lines_of_run_and_suite(monkeypatch):
 
 def test_traceable_frontier_fail_lines_of_run_and_suite(monkeypatch):
     # both run every stage and name the first whose frontier is empty
-    real = traceable._stage
+    real = traceable.run_stage
 
     def starved(st, adv):
-        nxt, live = real(st, adv)
-        return nxt, live if nxt.stage < 3 else ()
+        # each stage grows from a copy, whose frontier is walked anew
+        nxt = real(dataclasses.replace(st), adv)
+        if nxt.stage >= 3:
+            object.__setattr__(nxt, "_frontier", ())
+        return nxt
 
-    monkeypatch.setattr(traceable, "_stage", starved)
+    monkeypatch.setattr(traceable, "run_stage", starved)
     rep = cli.run_command("run traceable --horizon 5", empty_scenario())
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\ttraceable-frontier\tempty at stage 3",
@@ -968,10 +971,9 @@ _CORPUS = [
     ("run smc --oracle 0 --budget 16 --scenario {pp}", 0, "62f5252fcf7c7d62"),
     ("run pi6 --flen 7 --scenario {pp}", 0, "1c154c7f2058a39b"),
     ("run pi6 --scenario {pp}", 0, "1c154c7f2058a39b"),
-    ("run pi6 --stages 4 --flen 7 --oracle 0 --scenario {pp}",
-     0, "5a0bdd4dc9155b48"),
+    ("run pi6 --stages 4 --flen 7 --scenario {pp}", 0, "5a0bdd4dc9155b48"),
     ("check theta --staging G --scenario {pp}", 1, "b200da2ff8f2ff19"),
-    ("check theta --staging G --flen 7 --oracle 0 --scenario {pp}",
+    ("check theta --staging G --flen 7 --scenario {pp}",
      0, "b9f292dc670597d1"),
     ("run smc --scenario {odd}", 1, "8562e272bb3938f4"),
     ("check weaksplit --scenario {pp}", 0, "06bfc9b4749aca88"),
@@ -1008,6 +1010,11 @@ _CORPUS = [
     ("run smc --oracle x", 2,
      "error: argument --oracle: invalid int value: 'x'\n"),
     ("verify kappa --bogus", 2, "error: unrecognized arguments: --bogus\n"),
+    # only run smc takes an oracle
+    ("run pi6 --stages 4 --flen 7 --oracle 0 --scenario {pp}", 2,
+     "error: unrecognized arguments: --oracle 0\n"),
+    ("check theta --staging G --flen 7 --oracle 0 --scenario {pp}", 2,
+     "error: unrecognized arguments: --oracle 0\n"),
     # every help page
     ("--help", 0, "a09ca75cb758f9cf"),
     ("verify --help", 0, "232d896f2d13cb84"),
@@ -1022,11 +1029,11 @@ _CORPUS = [
     ("run cupping --help", 0, "1cae5c275e90d6c0"),
     ("run traceable --help", 0, "cee121c96a59eac3"),
     ("run smc --help", 0, "05264eee003333cc"),
-    ("run pi6 --help", 0, "2b78d4d9ece7ba1f"),
+    ("run pi6 --help", 0, "de96e4ab452964cc"),
     ("check thin --help", 0, "69aa49deaeae828e"),
     ("check split --help", 0, "cffdc834d5d1e039"),
     ("check weaksplit --help", 0, "ec40750b2db54ccf"),
-    ("check theta --help", 0, "7a322bd612f5962d"),
+    ("check theta --help", 0, "6932f4580a780287"),
     ("trace from-thin --help", 0, "0a1a8bf1ac9e1cf4"),
     ("trace from-split --help", 0, "3b4ec85277f2ccf8"),
     ("trace dnr --help", 0, "8e5f7838c0079a78"),

@@ -113,6 +113,13 @@ def test_realize_root_and_bad_colour():
     assert node.tau == gamma_code(1)
 
 
+def test_a_bundle_is_the_tuple_of_its_tables():
+    ts = [table([("0", 0, 1, 1)]), table([("", 1, 0, 2)])]
+    assert bundle(ts) == tuple(ts)
+    assert bundle(iter(ts)) == tuple(ts)
+    assert EMPTY_BUNDLE == () == bundle([])
+
+
 def test_stage_filter_examples():
     node = pi_star_successors(ROOT_NODE)[1]  # colours (1,)
     assert stage_filter(node, EMPTY_BUNDLE, 1)
@@ -300,8 +307,8 @@ def test_leaf_colouring_memo_stays_within_the_horizon(monkeypatch):
 def _naive_stage_filter(node, adv, s):
     if node.level != s:
         raise ShapeError("stage must equal the node level")
-    for i in range(min(s, len(adv.psi_i))):
-        tab, cols, want = adv.psi_i[i], ncol(i), node.psi_values[i]
+    for i in range(min(s, len(adv))):
+        tab, cols, want = adv[i], ncol(i), node.psi_values[i]
         memo = {}
         for sigma in node.t_tau:
             v = hat_eval(tab, sigma, i, memo)
@@ -313,10 +320,10 @@ def _naive_stage_filter(node, adv, s):
 def _naive_adversary_coloring(adv, i, leaf_strings):
     assignment = {}
     cols = ncol(i)
-    if i < len(adv.psi_i):
+    if i < len(adv):
         memo = {}
         for lf in leaf_strings:
-            v = hat_eval(adv.psi_i[i], lf, i, memo)
+            v = hat_eval(adv[i], lf, i, memo)
             if v is not None and v < cols:
                 assignment[lf] = v
     return Coloring(assignment, cols)

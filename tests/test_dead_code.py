@@ -12,6 +12,12 @@ __init__, counts as used when some call of that name under src/,
 scripts/, perfbench/ or tests/ passes it, by position or by keyword;
 a call that spreads *args or **kwargs passes everything.  A parameter
 no call passes is a constant.
+
+Every parameter of every function defined with def under src/ is read
+in that function's body, nested functions included.  A method's
+receiver is exempt, and so are the two dispatch protocols, whose
+signature the dispatcher fixes: CLI handlers _h_*(ns, sc, rng) and
+suite checks _chk_*(check_id, rng, ...).
 """
 
 import ast
@@ -117,3 +123,34 @@ def test_every_optional_parameter_is_passed_somewhere():
                         unset.append(f"{path.name}:{fn.lineno} "
                                      f"{node.name}({param})")
     assert unset == []
+
+
+# the parameters each dispatch protocol passes, read or not
+_PROTOCOLS = {"_h_": {"ns", "sc", "rng"}, "_chk_": {"check_id", "rng"}}
+
+
+def _unread_params(fn, exempt):
+    a = fn.args
+    params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                              a.vararg, a.kwarg) if p is not None]
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name)}
+    return [p for p in params if p not in read | exempt]
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "branchlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        receivers = {id(m): m.args.args[0].arg for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for m in cls.body
+                     if isinstance(m, ast.FunctionDef) and m.args.args}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            exempt = {receivers.get(id(fn))}.union(*(
+                names for prefix, names in _PROTOCOLS.items()
+                if fn.name.startswith(prefix)))
+            unread += [f"{path.name}:{fn.lineno} {fn.name}({p})"
+                       for p in _unread_params(fn, exempt)]
+    assert unread == []

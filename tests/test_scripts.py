@@ -111,16 +111,32 @@ def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
     quick = "tests/test_dead_code.py"
     monkeypatch.setattr(bench, "TIER1", ("-q", quick))
     monkeypatch.setattr(bench, "ACCEPTANCE", (quick,))
+    # every Python subprocess starts on an empty bytecode cache of its
+    # own, outside the checkout, which is gone once it has run
+    caches, real = [], subprocess.run
+
+    def run(argv, **kwargs):
+        if argv[0] == sys.executable:
+            cache = Path(kwargs["env"]["PYTHONPYCACHEPREFIX"])
+            assert cache.is_dir() and not any(cache.iterdir())
+            assert ROOT not in cache.parents
+            caches.append(cache)
+        return real(argv, **kwargs)
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
     out = tmp_path / "bench.json"
     assert bench.main(["--dry-run", "--out", str(out)]) == 0
+    assert len(caches) == len(set(caches)) == 4
+    assert not any(cache.exists() for cache in caches)
     record = json.loads(out.read_text())
     _check_bench_schema(record)
     assert record["schema"] == 3 and record["perfbench"] is None
-    assert record["tier1"]["passed"] == 3
+    assert record["tier1"]["passed"] == 4
     assert set(record["acceptance"]["durations"]) == {
         "test_every_public_definition_has_a_caller",
         "test_kept_helpers_are_still_defined_and_otherwise_unused",
-        "test_every_optional_parameter_is_passed_somewhere"}
+        "test_every_optional_parameter_is_passed_somewhere",
+        "test_every_parameter_is_read"}
     assert list(record["commands"]) == ["suite fast",
                                         "run traceable --horizon 6"]
     assert record["commands"]["suite fast"]["sha256"] == (

@@ -1,6 +1,7 @@
 """Certificates, enumeration, packing selection, cover trees, and the
 finite-extension driver."""
 
+import dataclasses
 import os
 import random
 import re
@@ -362,10 +363,18 @@ class TestOmega:
         assert not omega(ctx, "0", 5)
         assert omega_level(ctx, "0") == 4
 
+    def test_a_context_holds_the_table_and_the_majorant_alone(self):
+        phi = phi_for_profile({"1": {"", "00"}})
+        ctx = OmegaContext(phi, (0, 1, 2))
+        assert [f.name for f in dataclasses.fields(OmegaContext)] == [
+            "phi", "f"]
+        assert hash(ctx) == hash((phi, (0, 1, 2)))
+        assert ctx == OmegaContext(phi, (0, 1, 2))
+
     def test_majorant_cuts_the_certificate(self):
         phi = phi_for_profile({"1": {"", "00", "111111"}})
-        assert not omega(OmegaContext(phi, (0, 1, 2), ""), "1", 1)
-        assert omega(OmegaContext(phi, (0, 6, 7), ""), "1", 1)
+        assert not omega(OmegaContext(phi, (0, 1, 2)), "1", 1)
+        assert omega(OmegaContext(phi, (0, 6, 7)), "1", 1)
 
     def test_levels_beyond_the_majorant_never_certify(self):
         ctx = staged_context({"": 4}, f=(0, 1, 2))

@@ -11,14 +11,16 @@ import dataclasses
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from branchlab import suite
+from branchlab import cli, suite
 from branchlab.colorings import kappa
 from branchlab.cupping import gamma_code
 from branchlab.gen import random_pi_staging
+from branchlab.scenario import empty_scenario
 from branchlab.smc import build_tprime, omega_level, theta_decode
 from branchlab.strings import is_proper_prefix, sort_lenlex
 from branchlab.thin import TraceSystem
@@ -117,6 +119,19 @@ def test_kappa_fail_line_names_the_spoiled_cell(monkeypatch):
                         lambda i, n: kappa(i, n) + ((i, n) == (2, 5)))
     assert _fast_lines("kappa-closed-form") == [
         "FAIL\tkappa-closed-form\tkappa(2,5) = 33"]
+
+
+def test_kappa_cells_are_checked_against_the_graded_shape(monkeypatch):
+    # a shape whose fan is one too wide at level 3 spoils every cell
+    # with n - i = 3, and both the suite check and verify kappa see it
+    real = suite.GRADED_SHAPE
+    monkeypatch.setattr(suite, "GRADED_SHAPE", types.SimpleNamespace(
+        branching=lambda n: real.branching(n) + (n == 3)))
+    assert _fast_lines("kappa-closed-form") == [
+        "FAIL\tkappa-closed-form\tkappa(0,3) = 32"]
+    rep = cli.run_command("verify kappa --imax 1 --nmax 4", empty_scenario())
+    assert [ln.render() for ln in rep.lines if ln.status == "FAIL"] == [
+        "FAIL\tkappa-0-3\t32 != 33", "FAIL\tkappa-1-4\t32 != 33"]
 
 
 def test_identity_fail_line_names_the_spoiled_n(monkeypatch):

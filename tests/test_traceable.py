@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 from dataclasses import fields, replace
 from itertools import chain, product
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -26,6 +28,15 @@ from branchlab.traceable import (ConstructionState, ModuleId, NodeInfo,
                                  verify_final_nodes)
 from branchlab.trees import sort_lenlex, successors
 from helpers import _naive_bounded_value, act_frozen
+
+
+def test_traceable_imports_nothing_from_cupping():
+    # a bundle is a plain tuple of tables, so the pruning tree needs no
+    # witness-search module
+    tree = ast.parse(Path(traceable.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "cupping"] == []
 
 
 def c_module(i, n):
@@ -168,22 +179,26 @@ def test_extract_trace():
 def test_stage_run_hands_back_each_stage_and_its_frontier():
     adv = _random_bundle(random.Random(7))
     st = init_state()
-    for got, live in stage_run(adv, 6):
+    for got in stage_run(adv, 6):
         st = run_stage(st, adv)
-        assert got == st and live == frontier(st)
+        # replace() drops the kept frontier, so frontier() walks it anew
+        assert got == st and frontier(got) == frontier(replace(st))
     assert run_to_horizon(adv, 6) == (st, None)
     assert run_to_horizon(adv, 0) == (init_state(), None)
 
 
 def test_run_to_horizon_names_the_first_empty_frontier_and_runs_on(
         monkeypatch):
-    real = traceable._stage
+    real = traceable.run_stage
 
     def starved(st, adv):
-        nxt, live = real(st, adv)
-        return nxt, live if nxt.stage < 3 else ()
+        # each stage grows from a copy, whose frontier is walked anew
+        nxt = real(replace(st), adv)
+        if nxt.stage >= 3:
+            object.__setattr__(nxt, "_frontier", ())
+        return nxt
 
-    monkeypatch.setattr(traceable, "_stage", starved)
+    monkeypatch.setattr(traceable, "run_stage", starved)
     st, stalled = run_to_horizon(EMPTY_BUNDLE, 5)
     assert (st.stage, stalled) == (5, 3)
 
@@ -267,8 +282,8 @@ def test_incomputability_surrogate():
     for _ in range(10):
         adv = _random_bundle(rng)
         st = run_to_horizon(adv, horizon)[0]
-        for i in range(len(adv.psi_i)):
-            out = oracle_output_bits(adv.psi_i[i], horizon)
+        for i in range(len(adv)):
+            out = oracle_output_bits(adv[i], horizon)
             if len(out) < horizon:
                 continue
             # acting is owed only to P modules whose node level is i
@@ -348,7 +363,7 @@ def test_node_successors_and_bounded_values_match_naive_scans():
             for tau in st.nodes:
                 assert successors(nodes, tau) == \
                     _naive_successor_nodes(st, tau)
-        for f in adv.psi_i:
+        for f in adv:
             for steps in range(5):
                 assert oracle_output_bits(f, steps) == \
                     _naive_oracle_output_bits(f, steps)
@@ -777,7 +792,7 @@ def _naive_modules_that_can_act(adv, level, s):
     # every C(i, level - i) whose table has an axiom at level - i, by a
     # scan of its axioms, then P(level) if its output at the empty
     # oracle within s steps is non-empty
-    tables = list(adv.psi_i)
+    tables = list(adv)
     mods = [c_module(i, level - i) for i in range(level + 1)
             if i < len(tables)
             and any(ax[1] == level - i for ax in tables[i].axioms)]
@@ -1113,11 +1128,11 @@ def test_stages_match_per_string_growth_and_the_unbounded_search():
             + [(EMPTY_BUNDLE, 12)])
     for adv, horizon in runs:
         want = init_state()
-        for got, live in stage_run(adv, horizon):
+        for got in stage_run(adv, horizon):
             want, want_live = _per_string_stage(want, adv)
             assert got == want
             assert got.tuples == want.tuples
-            assert frontier(got) == live == want_live
+            assert frontier(got) == want_live
             assert want_live == _walked_frontier(got)
             assert declared_counts(got) == _looped_declared_counts(want)
         for _, mid, _ in got.acted:
