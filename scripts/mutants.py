@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Run each mutant of the table against the tests expected to catch it.
+
+A mutant replaces one exact snippet of one file under src/ with a
+faulty version.  Each is applied alone to a temporary copy of src/,
+and its tests run with that copy first on the import path.  A mutant
+is killed when a test fails and survives when all of them pass; the
+tests are first run once on src/ itself, where all must pass.  A
+pytest run still going after TIMEOUT seconds is stopped; a mutant
+stopped so, a loop that never ends say, counts as killed.  The script
+prints one line per mutant and then the survivors, and exits with
+status 1 when any mutant survives, errs or misses its snippet.
+
+    python3 scripts/mutants.py                    # every mutant
+    python3 scripts/mutants.py hat-step-guard     # the ones named
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Iterable, NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120.0  # seconds per pytest run; each takes a few at most
+
+
+class Mutant(NamedTuple):
+    id: str
+    path: str  # under src/
+    snippet: str  # occurs exactly once in src/
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the root
+
+
+_FUNCTIONALS = "branchlab/functionals.py"
+_T = "tests/test_functionals.py::"
+
+MUTANTS = (
+    Mutant("value-within-bound", _FUNCTIONALS,
+           "if ax is None or ax[3] > steps:",
+           "if ax is None or ax[3] >= steps:",
+           (_T + "test_identity_table_outputs",)),
+    Mutant("effective-axiom-tie", _FUNCTIONALS,
+           "(ax is None or hit[3] < ax[3])",
+           "(ax is None or hit[3] <= ax[3])",
+           (_T + "test_axiom_lookup_matches_full_table_scan",)),
+    Mutant("hat-step-guard", _FUNCTIONALS,
+           "if ax is None or ax[3] >= len(tau) or (",
+           "if ax is None or ax[3] > len(tau) or (",
+           (_T + "test_hat_needs_steps_below_oracle_length",)),
+    # the table's guarded values keyed by the cut string alone
+    Mutant("hat-values-key-without-argument", _FUNCTIONALS,
+           "key = (tau, n)",
+           "key = tau",
+           (_T + "test_lookups_match_naive_scans_when_sigmas_repeat",)),
+    # the guarded walk, and so its kept outputs, over the uncut tau
+    Mutant("hat-outputs-key-uncut", _FUNCTIONALS,
+           "tau = tau[:f._horizon + f.max_arg + 1]",
+           "tau = tau[:]",
+           (_T + "test_guarded_walk_matches_the_hat_eval_loop",)),
+    # the parent asked at every argument below n, not at n - 1 alone
+    Mutant("hat-parent-at-every-argument", _FUNCTIONALS,
+           "n and hat_eval(f, tau[:-1], n - 1) is None):",
+           "n and any(hat_eval(f, tau[:-1], k) is None\n"
+           "                       for k in range(n))):",
+           (_T + "test_hat_eval_asks_the_parent_only_at_the_argument"
+            "_below",)),
+    # a None stored before the recursion, which an interrupt leaves
+    Mutant("hat-early-none-guard", _FUNCTIONALS,
+           "    ax = effective_axiom(f, tau, n)\n    # defined when",
+           "    memo[key] = None\n"
+           "    ax = effective_axiom(f, tau, n)\n    # defined when",
+           (_T + "test_an_interrupted_hat_eval_leaves_no_wrong_entry",)),
+)
+
+
+def occurrences(snippet: str) -> int:
+    """How often the snippet occurs across the files of src/."""
+    return sum(p.read_text().count(snippet)
+               for p in (ROOT / "src").rglob("*.py"))
+
+
+def _pytest(src: Path, tests: Iterable[str]) -> Optional[int]:
+    """pytest's exit status on the tests, with src first on the path:
+    1 when a test failed, 0 when all passed, None when it was stopped
+    after TIMEOUT seconds."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                 if p]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True,
+            timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run_mutant(m: Mutant) -> str:
+    """'killed', 'killed (timeout)', 'survived', or 'error: ...' for
+    one mutant."""
+    if occurrences(m.snippet) != 1 or m.snippet not in (
+            ROOT / "src" / m.path).read_text():
+        return "error: the snippet does not occur exactly once in src/"
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / m.path
+        target.write_text(target.read_text().replace(m.snippet,
+                                                     m.replacement))
+        code = _pytest(src, m.tests)
+    return {1: "killed", 0: "survived", None: "killed (timeout)"}.get(
+        code, f"error: pytest exit {code}")
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.id in argv]
+    unknown = set(argv) - {m.id for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}")
+        return 2
+    # a verdict means something only if the tests pass unmutated
+    code = _pytest(ROOT / "src", dict.fromkeys(t for m in chosen
+                                                for t in m.tests))
+    if code != 0:
+        print("the tests fail on src/ itself: "
+              + (f"pytest exit {code}" if code is not None else
+                 f"stopped after {TIMEOUT:g} s"))
+        return 1
+    verdicts = {}
+    for m in chosen:
+        verdicts[m.id] = run_mutant(m)
+        print(f"{m.id}: {verdicts[m.id]}", flush=True)
+    survivors = [i for i, v in verdicts.items() if v == "survived"]
+    print(f"survivors: {', '.join(survivors) or 'none'}")
+    return 0 if all(v.startswith("killed") for v in verdicts.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -307,7 +307,7 @@ def _h_trace_from_split(ns, sc, rng):
 
 
 def _h_trace_dnr(ns, sc, rng):
-    tables = [sc.functionals[k] for k in sorted(sc.functionals)]
+    tables = _bundle_of(sc)
     if not tables:
         raise ScenarioError("dnr needs at least one functional")
     return _trace_lines(dnr_trace(tables), "dnr")

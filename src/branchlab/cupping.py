@@ -236,14 +236,12 @@ def pi_membership_violation(node: PiStarNode,
                             adv: AdversaryBundle) -> Optional[str]:
     """The first stage filter along the node's ancestor chain that
     rejects its ancestor, or None: one pass over the node's tree by the
-    chain lemma of the module docstring, with one memo per table."""
+    chain lemma of the module docstring."""
     f = node.psi_values
-    tables = adv[:node.level]
-    memos: list[dict] = [{} for _ in tables]
     first = min((max(i + 1, j)
                  for j, members in enumerate(_index(node.t_tau).levels)
-                 for i, table in enumerate(tables)
-                 if f[i] in hat_values(table, members, i, memos[i])),
+                 for i, table in enumerate(adv[:node.level])
+                 if f[i] in hat_values(table, members, i)),
                 default=None)
     if first is None:
         return None

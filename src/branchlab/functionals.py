@@ -18,7 +18,10 @@ axioms (0 for the empty table).  On a tau of length at least H every
 axiom has been read to its end and every step count beats the oracle
 length, so no further bit changes the outcome: by induction on n,
 hat_eval(f, tau, n) == hat_eval(f, tau[:H + n], n) whenever
-len(tau) >= H + n, and hat_eval evaluates that prefix instead.
+len(tau) >= H + n, and hat_eval evaluates that prefix instead.  A
+table keeps the guarded values and outputs it has computed, each keyed
+by its cut string, for as long as it lives, so no function takes a
+memo.
 
 Guarded outputs grow by at most one value per oracle bit, since
 definedness at n + 1 needs the parent's at n: out(tau) is out(tau[:-1])
@@ -141,6 +144,11 @@ class FunctionalTable:
             for arg, ls in by_arg.items()})
         object.__setattr__(self, "_horizon", horizon)
         object.__setattr__(self, "_hash", hash((axs,)))
+        # the guarded values hat_eval has computed, keyed by (tau cut to
+        # H + n, n), and the guarded outputs output_prefix has walked,
+        # keyed by tau cut to H + max_arg + 1: kept as long as the table
+        object.__setattr__(self, "_hat_values", {})
+        object.__setattr__(self, "_hat_outputs", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -164,10 +172,6 @@ def lookup_probes(f: FunctionalTable) -> int:
 
 
 EMPTY_TABLE = FunctionalTable(())
-
-
-def table(axioms: Iterable[Axiom]) -> FunctionalTable:
-    return FunctionalTable(tuple(axioms))
 
 
 def effective_axiom(f: FunctionalTable, tau: str, n: int) -> Optional[Axiom]:
@@ -201,66 +205,57 @@ def eval_at(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
     return value_within(f, tau, n, f._horizon)
 
 
-def hat_eval(f: FunctionalTable, tau: str, n: int,
-             _memo: Optional[dict] = None) -> Optional[int]:
+def hat_eval(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
     """Guarded value at (tau, n), or None.
 
-    _memo maps (tau, n) to the guarded value.  One memo may be shared
-    across strings and calls, but only under one table: the guard entry
-    is never read back, because the recursion only ever shortens tau.
     tau is cut to the table's horizon plus n first (the module
-    docstring's lemma), so the memo holds no string longer than the
-    horizon plus the largest argument asked for, and strings that
-    agree up to there share their entries.
+    docstring's lemma), so strings that agree up to there share the
+    table's kept value.
     """
-    if _memo is None:
-        _memo = {}
     cut = f._horizon + n
     if len(tau) > cut:
         tau = tau[:cut]
+    memo = f._hat_values
     key = (tau, n)
-    if key in _memo:
-        return _memo[key]
-    _memo[key] = None  # guard; the recursion only ever shortens tau
+    if key in memo:
+        return memo[key]
     ax = effective_axiom(f, tau, n)
-    if ax is None or ax[3] >= len(tau):  # not within len(tau) - 1 steps
-        return None
-    # definedness is downward closed in the argument, so the parent
-    # defined at n - 1 is defined at every k < n
-    if n and hat_eval(f, tau[:-1], n - 1, _memo) is None:
-        return None
-    _memo[key] = ax[2]
-    return ax[2]
+    # defined when the computation converges within len(tau) - 1 steps
+    # and, definedness being downward closed in the argument, the parent
+    # is defined at n - 1
+    if ax is None or ax[3] >= len(tau) or (
+            n and hat_eval(f, tau[:-1], n - 1) is None):
+        v = None
+    else:
+        v = ax[2]
+    memo[key] = v  # stored only once known
+    return v
 
 
-def hat_values(f: FunctionalTable, strings: Iterable[str], n: int,
-               _memo: Optional[dict] = None) -> list[Optional[int]]:
+def hat_values(f: FunctionalTable, strings: Iterable[str],
+               n: int) -> list[Optional[int]]:
     """hat_eval(f, s, n) for each s, in order, evaluated once per
     distinct prefix s[:H + n], which by the module docstring's lemma
-    fixes the value.  _memo is passed on to hat_eval, under its
-    sharing rule."""
-    if _memo is None:
-        _memo = {}
+    fixes the value."""
     cut = f._horizon + n
     cuts = [s[:cut] for s in strings]
-    value = {p: hat_eval(f, p, n, _memo) for p in dict.fromkeys(cuts)}
+    value = {p: hat_eval(f, p, n) for p in dict.fromkeys(cuts)}
     return list(map(value.__getitem__, cuts))
 
 
-def output_prefix(f: FunctionalTable, tau: str, hat: bool = False,
-                  _memo: Optional[dict] = None) -> tuple[int, ...]:
+def output_prefix(f: FunctionalTable, tau: str,
+                  hat: bool = False) -> tuple[int, ...]:
     """Values at arguments 0, 1, ... while defined.
 
     The guarded output is the module docstring's walk, from the longest
-    prefix of the cut tau in _memo, which maps each cut string walked to
-    its guarded output: shareable under one table, but not with hat_eval.
+    prefix of the cut tau whose output the table keeps.
     """
     if not hat:
         out: tuple[int, ...] = ()
         while (v := eval_at(f, tau, len(out))) is not None:
             out += (v,)
         return out
-    memo = {} if _memo is None else _memo
+    memo = f._hat_outputs
     tau = tau[:f._horizon + f.max_arg + 1]
     k = len(tau)
     while k and tau[:k] not in memo:
@@ -276,9 +271,8 @@ def output_prefix(f: FunctionalTable, tau: str, hat: bool = False,
 
 def _outputs(f: FunctionalTable, t: Iterable[str],
              hat: bool = False) -> dict[str, tuple[int, ...]]:
-    """Each member's output_prefix, through one memo."""
-    memo: dict = {}
-    return {m: output_prefix(f, m, hat=hat, _memo=memo) for m in t}
+    """Each member's output_prefix."""
+    return {m: output_prefix(f, m, hat=hat) for m in t}
 
 
 def outputs_split(a_out: tuple[int, ...], b_out: tuple[int, ...]) -> bool:
@@ -368,9 +362,8 @@ class WeakSplitWitness:
 def _agreement(phi_t: FunctionalTable, oracle: str, tau: str) -> Optional[int]:
     """Greatest n with phi_t's guarded output on oracle matching tau."""
     best = None
-    memo: dict = {}
     for n in range(len(tau)):
-        v = hat_eval(phi_t, oracle, n, memo)
+        v = hat_eval(phi_t, oracle, n)
         if v is None or v != int(tau[n]):
             break
         best = n
@@ -396,13 +389,11 @@ def build_weak_splitting_tree(psi: FunctionalTable, phi: FunctionalTable,
     members: list[str] = []
     phi_map: dict[str, int] = {}
     psi_map: dict[str, int] = {}
-    psi_memo: dict = {}  # breadth first: each parent is walked first
     frontier = [""]
     for _ in range(length_budget + 1):
         nxt = []
         for tau in frontier:
-            oracle = bits_of_values(output_prefix(psi, tau, hat=True,
-                                                  _memo=psi_memo))
+            oracle = bits_of_values(output_prefix(psi, tau, hat=True))
             a = _agreement(phi, oracle, tau)
             prev = agree[tau[:-1]] if tau else -1  # a running maximum
             agree[tau] = max(a if a is not None else -1, prev)

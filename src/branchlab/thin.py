@@ -81,10 +81,8 @@ def hat_level_tree(psi: FunctionalTable, max_length: int) -> Tree:
     Output lengths grow by at most one per oracle bit, so these
     milestones form a tree whose level equals the output length.
     """
-    memo: dict = {}
-
     def out_len(tau: str) -> int:
-        return len(output_prefix(psi, tau, hat=True, _memo=memo))
+        return len(output_prefix(psi, tau, hat=True))
 
     members = {""}
     for length in range(1, max_length + 1):
@@ -299,12 +297,11 @@ def trace_from_bounded_splitting(psi: FunctionalTable, t: Iterable[str],
         raise ShapeError("tree does not split the functional")
     depth = max_level(t)
     w: dict[int, set[int]] = {n: set() for n in range(depth)}
-    memo: dict = {}
     for tau in t:
         lv = level_of(t, tau)
         if lv == 0:
             continue
-        v = hat_eval(psi, tau, lv - 1, memo)
+        v = hat_eval(psi, tau, lv - 1)
         if v is not None:
             w[lv - 1].add(v)
     return TraceSystem(tuple(m ** (n + 1) for n in range(depth)),

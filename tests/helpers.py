@@ -1,19 +1,24 @@
 """Library-level helpers that only the tests call: three oracles, a
 checked pullback, a driver-stage fixture, a tree index as plain data,
-and one traceable act as a whole-state step."""
+one traceable act as a whole-state step, and a table constructor."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
 from branchlab.errors import ShapeError
-from branchlab.functionals import (FunctionalTable, _checked_outputs,
+from branchlab.functionals import (Axiom, FunctionalTable, _checked_outputs,
                                    _pullback_tree, output_prefix,
                                    outputs_split)
 from branchlab.smc import oplus_tree
 from branchlab.strings import compatible, sort_lenlex
 from branchlab.traceable import ConstructionState, WorkingState
 from branchlab.trees import StagedTree, Tree, leaves, successors
+
+
+def table(axioms: Iterable[Axiom]) -> FunctionalTable:
+    """The table of the axioms, from any iterable of them."""
+    return FunctionalTable(tuple(axioms))
 
 
 def _naive_bounded_value(f: FunctionalTable, tau: str, n: int,

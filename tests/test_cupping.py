@@ -15,10 +15,10 @@ from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                adversary_coloring, pi_survivors, realize,
                                stage_filter)
 from branchlab.errors import BudgetError, ConsistencyError, ShapeError
-from branchlab.functionals import hat_eval, table
+from branchlab.functionals import hat_eval
 from branchlab.strings import lenlex_key, show_string
 from branchlab.trees import _index, leaves, restrict_to_level
-from helpers import index_items
+from helpers import index_items, table
 
 
 def test_gamma_code_values():
@@ -278,20 +278,20 @@ def test_leaf_colouring_memo_stays_within_the_horizon(monkeypatch):
     calls = []
     real = functionals.hat_eval
     monkeypatch.setattr(functionals, "hat_eval",
-                        lambda f, tau, n, memo: calls.append((tau, n, memo))
-                        or real(f, tau, n, memo))
+                        lambda f, tau, n: calls.append((tau, n))
+                        or real(f, tau, n))
     lvs = leaves(full_graded_tree(3))
     assert len(lvs) == 512
+    memo = tab._hat_values
     for i in range(3):
         calls.clear()
         c = adversary_coloring(bundle([tab] * 3), i, lvs)
         assert c.assignment == {lf: (int(lf[:2], 2) + i) % ncol(i)
                                 for lf in lvs}
-        memo = calls[0][2]
-        assert all(m is memo for _, _, m in calls)
         # one guarded value per distinct cut prefix of the 9-bit leaves,
-        # which share the entries of their first 2 + i bits
-        asked = [tau for tau, n, _ in calls if n == i]
+        # which share the entries of their first 2 + i bits; the table
+        # keeps them, and the values below i from the earlier colourings
+        asked = [tau for tau, n in calls if n == i]
         assert sorted(asked) == sorted({lf[:tab._horizon + i] for lf in lvs})
         assert len(asked) == 1 << (tab._horizon + i)
         assert max(len(x) for x, _ in memo) == tab._horizon + i
@@ -309,9 +309,8 @@ def _naive_stage_filter(node, adv, s):
         raise ShapeError("stage must equal the node level")
     for i in range(min(s, len(adv))):
         tab, cols, want = adv[i], ncol(i), node.psi_values[i]
-        memo = {}
         for sigma in node.t_tau:
-            v = hat_eval(tab, sigma, i, memo)
+            v = hat_eval(tab, sigma, i)
             if v is not None and v < cols and v == want:
                 return False
     return True
@@ -321,9 +320,8 @@ def _naive_adversary_coloring(adv, i, leaf_strings):
     assignment = {}
     cols = ncol(i)
     if i < len(adv):
-        memo = {}
         for lf in leaf_strings:
-            v = hat_eval(adv[i], lf, i, memo)
+            v = hat_eval(adv[i], lf, i)
             if v is not None and v < cols:
                 assignment[lf] = v
     return Coloring(assignment, cols)
@@ -381,6 +379,25 @@ def test_membership_check_matches_the_ancestor_chain_filters():
     # every level passes and fails, and failures name stages 1 to 3
     assert all(seen[n, ok] for n in range(1, 4) for ok in (True, False)), seen
     assert all(seen["stage", k] for k in (1, 2, 3)), seen
+
+
+def test_a_second_membership_check_reads_the_kept_values(monkeypatch):
+    # each table keeps the guarded values the first check computed
+    rng = random.Random(53)
+    cases = list(_membership_cases(rng))[::5]
+    calls = []
+    real = functionals.effective_axiom
+    monkeypatch.setattr(functionals, "effective_axiom",
+                        lambda *args: calls.append(args) or real(*args))
+    asked = 0
+    for node, adv in cases:
+        calls.clear()
+        got = pi_membership_violation(node, adv)
+        asked += len(calls)
+        calls.clear()
+        assert pi_membership_violation(node, adv) == got
+        assert calls == []
+    assert asked > 100
 
 
 def test_grouped_colouring_matches_per_leaf_colouring():

@@ -2,10 +2,11 @@
 and every optional parameter a caller that passes it.
 
 A name counts as used when code under src/, scripts/ or perfbench/
-mentions it (as a bare name or as an attribute) outside the top-level
-definition of that name.  Tests do not count: a helper that only its
-own tests call is dead code, unless KEPT lists it with the reason it
-stays.
+imports it from its module or reads it as module.name, or when its
+own module loads it outside the top-level definition of that name.  A
+like-named local elsewhere does not count.  Tests do not count either:
+a helper that only its own tests call is dead code, unless KEPT lists
+it with the reason it stays.
 
 An optional parameter of a public function, or of a class's
 __init__, counts as used when some call of that name under src/,
@@ -18,12 +19,15 @@ in that function's body, nested functions included.  A method's
 receiver is exempt, and so are the two dispatch protocols, whose
 signature the dispatcher fixes: CLI handlers _h_*(ns, sc, rng) and
 suite checks _chk_*(check_id, rng, ...).
+
+No function takes a memo: an object keeps its own derived answers.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PKG = ROOT / "src" / "branchlab"
 
 KEPT = {
     # the canonical scenario writer the README documents
@@ -32,43 +36,53 @@ KEPT = {
 
 
 def _used_names():
+    """The (module, name) pairs used, by the rule of the module
+    docstring."""
     used = set()
     for top in ("src", "scripts", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
+            here = path.stem if path.parent == PKG else None
             for stmt in ast.parse(path.read_text()).body:
                 own = getattr(stmt, "name", None)
                 for node in ast.walk(stmt):
-                    if isinstance(node, ast.Name):
-                        name = node.id
+                    if isinstance(node, ast.ImportFrom) and node.module:
+                        mod = node.module.rpartition(".")[2]
+                        used.update((mod, a.name) for a in node.names)
                     elif isinstance(node, ast.Attribute):
-                        name = node.attr
-                    else:
-                        continue
-                    if name != own:
-                        used.add(name)
+                        mod = getattr(node.value, "id",
+                                      getattr(node.value, "attr", None))
+                        used.add((mod, node.attr))
+                    elif (isinstance(node, ast.Name) and here
+                          and isinstance(node.ctx, ast.Load)
+                          and node.id != own):
+                        used.add((here, node.id))
     return used
+
+
+def _public_definitions():
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield path, node
 
 
 def test_every_public_definition_has_a_caller():
     used = _used_names()
     unused = [f"{path.name}:{node.lineno} {node.name}"
-              for path in sorted((ROOT / "src" / "branchlab").glob("*.py"))
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and node.name not in used | KEPT]
+              for path, node in _public_definitions()
+              if (path.stem, node.name) not in used
+              and node.name not in KEPT]
     assert unused == []
 
 
 def test_kept_helpers_are_still_defined_and_otherwise_unused():
     # a kept helper that gains a caller, or goes away, leaves the list
     used = _used_names()
-    defined = {node.name
-               for path in (ROOT / "src" / "branchlab").glob("*.py")
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert KEPT <= defined
-    assert KEPT & used == set()
+    kept = {(path.stem, node.name) for path, node in _public_definitions()
+            if node.name in KEPT}
+    assert {name for _, name in kept} == KEPT
+    assert kept & used == set()
 
 
 def _calls_by_name():
@@ -154,3 +168,16 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{fn.lineno} {fn.name}({p})"
                        for p in _unread_params(fn, exempt)]
     assert unread == []
+
+
+def test_no_function_takes_a_memo():
+    # a table keeps its guarded values and outputs, and a tree its
+    # index's memo, for as long as it lives
+    memos = [f"{path.name}:{fn.lineno} {fn.name}({p.arg})"
+             for path in sorted(PKG.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+             for p in (*fn.args.posonlyargs, *fn.args.args,
+                       *fn.args.kwonlyargs, fn.args.vararg, fn.args.kwarg)
+             if p is not None and p.arg.endswith("memo")]
+    assert memos == []

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,14 +20,15 @@ from branchlab.functionals import (EMPTY_TABLE, FunctionalTable, _outputs,
                                    eval_at, hat_eval,
                                    image_tree, is_splitting_tree,
                                    output_prefix, outputs_split,
-                                   splitting_violation, table,
+                                   splitting_violation,
                                    value_within, weak_splitting_violation)
 from branchlab.smc import oplus_tree
 from branchlab.thin import hat_level_tree
 from branchlab.strings import (bits_of_values, compatible, is_prefix,
                                is_proper_prefix, sort_lenlex)
 from branchlab.trees import Tree, _index, successors
-from helpers import _naive_bounded_value, is_splitting_pair, pullback_tree
+from helpers import (_naive_bounded_value, is_splitting_pair, pullback_tree,
+                     table)
 
 
 def test_eval_picks_applicable_axiom():
@@ -103,9 +104,8 @@ def test_identity_hat_defined_with_room():
 @given(st.text(alphabet="01", min_size=2, max_size=6))
 def test_hat_monotone_in_oracle(tau):
     f = _ident_table(5)
-    memo = {}
     for n in range(4):
-        v = hat_eval(f, tau, n, memo)
+        v = hat_eval(f, tau, n)
         if v is not None:
             for ext in (tau + "0", tau + "1"):
                 assert hat_eval(f, ext, n) == v
@@ -133,8 +133,7 @@ def _repair(axioms):
 @settings(max_examples=200)
 def test_hat_argument_downward_closed(axioms, tau):
     f = table(_repair(axioms))
-    memo = {}
-    defined = [hat_eval(f, tau, n, memo) is not None for n in range(4)]
+    defined = [hat_eval(f, tau, n) is not None for n in range(4)]
     for a, b in zip(defined, defined[1:]):
         assert a or not b
 
@@ -373,13 +372,13 @@ def test_lookups_match_naive_scans_when_sigmas_repeat():
         repeated += sum(c > 1 for c in keys.values())
         for _ in range(20):
             tau = "".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
-            memo, naive_memo = {}, {}
+            naive_memo = {}
             for n in range(5):
                 assert eval_at(f, tau, n) == _naive_eval_at(f, tau, n)
                 ax = effective_axiom(f, tau, n)
                 assert ax == _naive_effective_axiom(f, tau, n)
                 assert (ax and ax[3]) == _naive_min_steps(f, tau, n)
-                assert hat_eval(f, tau, n, memo) == \
+                assert hat_eval(f, tau, n) == \
                     _naive_hat_eval(f, tau, n, naive_memo)
     assert repeated > 300
 
@@ -448,15 +447,15 @@ def test_hat_eval_matches_the_two_scan_version(f, tau, n):
     # argument test the cut
     assert f._horizon == max((max(len(ax[0]), ax[3] + 1)
                               for ax in f.axioms), default=0)
-    memo, naive_memo = {}, {}
+    naive_memo = {}
     for k in range(n + 1):
         want = _naive_hat_eval(f, tau, k)
-        assert hat_eval(f, tau, k) == want
-        # and through memos shared across arguments and prefixes
+        assert hat_eval(FunctionalTable(f.axioms), tau, k) == want
+        # and through the table's values, kept across arguments and
+        # prefixes
         for x in (tau, tau[:-1]):
-            assert hat_eval(f, x, k, memo) == _naive_hat_eval(f, x, k,
-                                                              naive_memo)
-    assert all(len(x) <= f._horizon + k for x, k in memo)
+            assert hat_eval(f, x, k) == _naive_hat_eval(f, x, k, naive_memo)
+    assert all(len(x) <= f._horizon + k for x, k in f._hat_values)
 
 
 def test_hat_eval_past_the_horizon_at_its_edges():
@@ -474,7 +473,7 @@ def test_hat_eval_past_the_horizon_at_its_edges():
 
 def test_hat_eval_asks_the_parent_only_at_the_argument_below(monkeypatch):
     # definedness is downward closed in the argument, so a call on a
-    # fresh memo recurses once per argument below n: n + 1 calls in all
+    # fresh table recurses once per argument below n: n + 1 calls in all
     real = branchlab.functionals.hat_eval
     calls = []
 
@@ -483,11 +482,11 @@ def test_hat_eval_asks_the_parent_only_at_the_argument_below(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(branchlab.functionals, "hat_eval", counted)
-    f = table([("", k, k, 1) for k in range(8)])
     for n in range(8):
+        f = table([("", k, k, 1) for k in range(8)])
         calls.clear()
         assert counted(f, "0" * 12, n) == n
-        assert len(calls) <= n + 1, calls
+        assert len(calls) == n + 1, calls
 
 
 def test_table_identity_ignores_the_index():
@@ -504,6 +503,49 @@ def test_table_identity_ignores_the_index():
                        "('1', 0, 3, 1), ('01', 2, 1, 1)))")
     assert FunctionalTable(()).max_arg == -1
     assert FunctionalTable(())._horizon == 0
+
+
+def test_equal_tables_keep_their_own_guarded_answers():
+    axs = [("", 0, 5, 1), ("", 1, 6, 1), ("0", 2, 7, 3), ("1", 2, 4, 2)]
+    f, g = table(axs), table(reversed(axs))
+    assert f == g and [fl.name for fl in dataclasses.fields(f)] == ["axioms"]
+    strings = ["".join(bits) for k in range(7)
+               for bits in product("01", repeat=k)]
+
+    def answers(h):
+        return [(hat_eval(h, s, n), output_prefix(h, s, hat=True))
+                for s in strings for n in range(3)]
+
+    want = answers(f)
+    assert f._hat_values and f._hat_outputs
+    assert g._hat_values == {} and g._hat_outputs == {}
+    assert answers(g) == want
+    assert f._hat_values == g._hat_values is not f._hat_values
+    assert f._hat_outputs == g._hat_outputs is not f._hat_outputs
+
+
+def test_an_interrupted_hat_eval_leaves_no_wrong_entry(monkeypatch):
+    # the parent lookup of hat_eval(f, "111", 1) is interrupted once: an
+    # entry stored before its value was known would read None for good
+    axs = [("", 0, 5, 1), ("", 1, 6, 1)]
+    f = table(axs)
+    real = branchlab.functionals.effective_axiom
+
+    def interrupted(g, tau, n):
+        if n == 0:
+            monkeypatch.setattr(branchlab.functionals, "effective_axiom",
+                                real)
+            raise KeyboardInterrupt
+        return real(g, tau, n)
+
+    monkeypatch.setattr(branchlab.functionals, "effective_axiom",
+                        interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        hat_eval(f, "111", 1)
+    assert hat_eval(f, "111", 1) == hat_eval(table(axs), "111", 1) == 6
+    fresh = table(axs)
+    assert all(v == hat_eval(fresh, tau, n)
+               for (tau, n), v in f._hat_values.items())
 
 
 # The pairwise consistency scan that the per-argument prefix lookup
@@ -663,10 +705,12 @@ def prefix_closed_sets(draw):
     lambda axs: table(_repair(axs)))), prefix_closed_sets(), st.booleans())
 @settings(max_examples=200)
 def test_shared_memo_outputs_match_fresh_output_prefix(f, t, hat):
-    fresh = {m: output_prefix(f, m, hat=hat) for m in t}
-    # the memo fills in whatever order the members come
+    fresh = {m: output_prefix(FunctionalTable(f.axioms), m, hat=hat)
+             for m in t}
+    # the table's outputs fill in whatever order the members come
     assert _outputs(f, sort_lenlex(t), hat=hat) == fresh
-    assert _outputs(f, sort_lenlex(t)[::-1], hat=hat) == fresh
+    assert _outputs(FunctionalTable(f.axioms), sort_lenlex(t)[::-1],
+                    hat=hat) == fresh
 
 
 # output_prefix's guarded branch before it walked the string one bit at
@@ -678,7 +722,7 @@ def _naive_hat_output_prefix(f, tau, _memo=None):
     out = []
     n = 0
     while n <= f.max_arg + 1:
-        v = hat_eval(f, tau, n, _memo)
+        v = _naive_hat_eval(f, tau, n, _memo)
         if v is None:
             break
         out.append(v)
@@ -698,26 +742,28 @@ def _walk_tables(rng):
 
 def test_guarded_walk_matches_the_hat_eval_loop():
     # strings on both sides of the cut at the horizon plus the largest
-    # argument plus one, through fresh memos and one shared per table
+    # argument plus one, on fresh tables and on one kept per table
     rng = random.Random(17)
     sides = Counter()
     for f in _walk_tables(rng):
         cut = f._horizon + f.max_arg + 1
-        shared, naive_shared = {}, {}
+        naive_shared = {}
         for _ in range(30):
             tau = "".join(rng.choice("01")
                           for _ in range(rng.randint(0, cut + 4)))
             want = _naive_hat_output_prefix(f, tau)
+            assert output_prefix(FunctionalTable(f.axioms), tau,
+                                 hat=True) == want
             assert output_prefix(f, tau, hat=True) == want
-            assert output_prefix(f, tau, hat=True, _memo=shared) == want
             assert _naive_hat_output_prefix(f, tau, naive_shared) == want
             sides[(len(tau) > cut) - (len(tau) < cut)] += 1
-        # the memo holds cut strings, each with its own output, and the
+        # the table keeps cut strings, each with its own output, and the
         # output grows by at most one value per bit
-        for x, out in shared.items():
+        kept = f._hat_outputs
+        for x, out in kept.items():
             assert len(x) <= cut
-            assert out == _naive_hat_output_prefix(f, x)
-            assert len(out) - len(shared.get(x[:-1], ())) in (0, 1)
+            assert out == _naive_hat_output_prefix(f, x, naive_shared)
+            assert len(out) - len(kept.get(x[:-1], ())) in (0, 1)
     assert min(sides.values()) > 500, sides
 
 
@@ -730,10 +776,15 @@ def test_guarded_walk_matches_the_hat_eval_loop_on_oplus_trees():
         for flips in (0, 1, 3):
             psi = table((s, n, v ^ (rng.random() < flips / 16), k)
                         for s, n, v, k in odd_readback_psi(a).axioms)
-            memo: dict = {}
-            want = {m: _naive_hat_output_prefix(psi, m, memo) for m in t}
+            # the hat_eval loop on an equal table of its own: the naive
+            # scans would take seconds on these 2,046 axioms
+            own = FunctionalTable(psi.axioms)
+            want = {m: tuple(takewhile(lambda v: v is not None, (
+                hat_eval(own, m, n) for n in range(own.max_arg + 2))))
+                for m in t}
             assert _outputs(psi, t, hat=True) == want
-            assert _outputs(psi, sort_lenlex(t)[::-1], hat=True) == want
+            assert _outputs(FunctionalTable(psi.axioms), sort_lenlex(t)[::-1],
+                            hat=True) == want
 
 
 def _naive_hat_level_tree(psi, max_length):
@@ -747,7 +798,7 @@ def _naive_hat_level_tree(psi, max_length):
 
 
 def test_hat_level_tree_matches_the_hat_eval_loop():
-    # hat_level_tree shares one output memo across its whole scan
+    # hat_level_tree reads the outputs its table keeps across its scan
     rng = random.Random(29)
     tables = list(_walk_tables(rng))[::8] + [_ident_table(4)]
     for f in tables:

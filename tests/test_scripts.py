@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,16 +81,51 @@ def _check_bench_schema(record):
             assert min(m["values"]) <= m["median"] <= max(m["values"])
 
 
-def _bench():
+def _script(name):
     spec = importlib.util.spec_from_file_location(
-        "bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_each_mutant_names_one_snippet_and_existing_tests():
+    script = _script("mutants")
+    mutants = script.MUTANTS
+    assert len({m.id for m in mutants}) == len(mutants) >= 6
+    for m in mutants:
+        assert script.occurrences(m.snippet) == 1, m.id
+        assert m.snippet in (ROOT / "src" / m.path).read_text(), m.id
+        assert m.replacement != m.snippet
+        for test in m.tests:
+            path, _, name = test.partition("::")
+            assert f"def {name}(" in (ROOT / path).read_text(), test
+
+
+def test_a_cheap_mutant_runs_end_to_end():
+    proc = _run("mutants.py", "value-within-bound")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["value-within-bound: killed",
+                                        "survivors: none"]
+
+
+def test_a_mutant_that_never_ends_is_stopped_and_counted_killed(
+        monkeypatch):
+    script = _script("mutants")
+    monkeypatch.setattr(script, "TIMEOUT", 3.0)
+    # the output walk never shortens its prefix, so it never ends
+    m = script.Mutant(
+        "walk-never-ends", "branchlab/functionals.py",
+        "        k -= 1\n", "        k -= 0\n",
+        ("tests/test_functionals.py::"
+         "test_guarded_walk_matches_the_hat_eval_loop",))
+    start = time.perf_counter()
+    assert script.run_mutant(m) == "killed (timeout)"
+    assert time.perf_counter() - start < 30
 
 
 def test_src_code_lines_skip_blanks_comments_and_docstrings(monkeypatch):
-    bench = _bench()
+    bench = _script("bench")
     text = ('"""A module\ndocstring."""\n\n# a comment\nx = 1  # kept\n\n'
             'class K:\n    """One line."""\n\n    def f(self):\n'
             '        """Two\n        lines."""\n        s = """not a\n'
@@ -101,7 +137,7 @@ def test_src_code_lines_skip_blanks_comments_and_docstrings(monkeypatch):
 
 
 def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
-    bench = _bench()
+    bench = _script("bench")
     # two quick commands, run once, stand in for the five run thrice
     monkeypatch.setattr(bench, "COMMANDS", (
         ("suite", "fast"), ("run", "traceable", "--horizon", "6")))
@@ -131,12 +167,13 @@ def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
     record = json.loads(out.read_text())
     _check_bench_schema(record)
     assert record["schema"] == 3 and record["perfbench"] is None
-    assert record["tier1"]["passed"] == 4
+    assert record["tier1"]["passed"] == 5
     assert set(record["acceptance"]["durations"]) == {
         "test_every_public_definition_has_a_caller",
         "test_kept_helpers_are_still_defined_and_otherwise_unused",
         "test_every_optional_parameter_is_passed_somewhere",
-        "test_every_parameter_is_read"}
+        "test_every_parameter_is_read",
+        "test_no_function_takes_a_memo"}
     assert list(record["commands"]) == ["suite fast",
                                         "run traceable --horizon 6"]
     assert record["commands"]["suite fast"]["sha256"] == (

@@ -1133,9 +1133,9 @@ def test_driver_stage_computes_each_output_once(monkeypatch):
     calls = []
     real = functionals.output_prefix
 
-    def counted(f, tau, hat=False, _memo=None):
+    def counted(f, tau, hat=False):
         calls.append(tau)
-        return real(f, tau, hat=hat, _memo=_memo)
+        return real(f, tau, hat=hat)
 
     monkeypatch.setattr(functionals, "output_prefix", counted)
     stages = 0

@@ -161,10 +161,9 @@ def test_trace_from_thin_random_two_branching_subtrees():
                 frontier.append(kid)
         assert is_thin(t, tp)
         ts = trace_from_thin(psi, t, tp)
-        memo = {}
         for n, vals in ts.w.items():
             assert len(vals) <= 1 << (n + 1)
-            assert vals <= {hat_eval(psi, x, n, memo)
+            assert vals <= {hat_eval(psi, x, n)
                             for x in tp if level_of(t, x) == n + 1}
 
 

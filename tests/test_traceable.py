@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as hst
 from branchlab import traceable, trees
 from branchlab.cupping import EMPTY_BUNDLE, bundle
 from branchlab.errors import ConsistencyError, ProtocolError
-from branchlab.functionals import _has_axiom_at, table, value_within
+from branchlab.functionals import _has_axiom_at, value_within
 from branchlab.gen import random_functional_table
 from branchlab.strings import bits_of_values, compatible
 from branchlab.traceable import (ConstructionState, ModuleId, NodeInfo,
@@ -27,7 +27,7 @@ from branchlab.traceable import (ConstructionState, ModuleId, NodeInfo,
                                  run_to_horizon, stage_run, trace_bound_pair,
                                  verify_final_nodes)
 from branchlab.trees import sort_lenlex, successors
-from helpers import _naive_bounded_value, act_frozen
+from helpers import _naive_bounded_value, act_frozen, table
 
 
 def test_traceable_imports_nothing_from_cupping():
