@@ -38,7 +38,11 @@ class Mutant(NamedTuple):
 
 
 _FUNCTIONALS = "branchlab/functionals.py"
+_CUPPING = "branchlab/cupping.py"
+_COLORINGS = "branchlab/colorings.py"
 _T = "tests/test_functionals.py::"
+_TCUP = "tests/test_cupping.py::"
+_TCOL = "tests/test_colorings.py::"
 
 MUTANTS = (
     Mutant("value-within-bound", _FUNCTIONALS,
@@ -76,6 +80,29 @@ MUTANTS = (
            "    memo[key] = None\n"
            "    ax = effective_axiom(f, tau, n)\n    # defined when",
            (_T + "test_an_interrupted_hat_eval_leaves_no_wrong_entry",)),
+    # the witness colouring read one bit short of the cut prefix
+    Mutant("rank-colours-level-one-bit-short", _CUPPING,
+           "if GRADED_SHAPE.level_length(k) >= cut), n)",
+           "if GRADED_SHAPE.level_length(k) >= cut - 1), n)",
+           (_TCUP + "test_grouped_colouring_matches_per_leaf_colouring",
+            _TCUP + "test_witness_search_matches_the_per_leaf_search")),
+    # the witness colouring repeated down the next index's fans
+    Mutant("rank-colours-next-fans", _CUPPING,
+           "fan = math.prod(kappa(i, j) for j in range(k, n))",
+           "fan = math.prod(kappa(i + 1, j) for j in range(k, n))",
+           (_TCUP + "test_grouped_colouring_matches_per_leaf_colouring",
+            _TCUP + "test_witness_search_matches_the_per_leaf_search")),
+    # a hit at index i taken to reject the ancestor of level i as well
+    Mutant("membership-first-stage", _CUPPING,
+           "first = min((max(i + 1, j)",
+           "first = min((max(i, j)",
+           (_TCUP + "test_membership_check_matches_the_ancestor_chain"
+            "_filters",)),
+    # a tied run taken for a majority
+    Mutant("majority-not-strict", _COLORINGS,
+           "run.count(top) > half",
+           "run.count(top) >= half",
+           (_TCOL + "test_extract_nice_matches_naive_extraction",)),
 )
 
 

@@ -17,17 +17,21 @@ as bushy_level_strings and level_map list them, and the colours of a
 level form one list in that order.  When every member of level k has
 fan successors, the successors of rank r are ranks fan*r to
 fan*r + fan - 1 of level k + 1, so a majority step and the unwind
-work on ranks alone and read strings only for what they return.
+work on ranks alone and read strings only for what they return.  A
+constant run's strict majority is that constant, and an all-blank run
+stays blank, so colours repeated down the fans from a fixed level k
+step back up to level k's own: the witness search colours its trees
+so, and hands the rank core of extract_nice the level-n list directly.
 
-is_compatible, the input check of extract_nice and of the witness
-search's nodes, reads the tree index (trees._index) level by level:
-the member lengths and successor counts it checks are the index's
-levels and successor map, and f is called once per level.  The
-verdict is kept in the index's memo, keyed by the shape and f's value
-at each level, so a Tree is scanned once per question: the witness
-search's cached full graded tree once per process, and its final tree
-once for the node input check, which realize and then the node it
-makes both run.  extract_nice holds every level of its result as a
+is_compatible, the input check of extract_nice, of the trees the
+witness search thins and of its nodes, reads the tree index
+(trees._index) level by level: the member lengths and successor
+counts it checks are the index's levels and successor map, and f is
+called once per level.  The verdict is kept in the index's memo, keyed
+by the shape and f's value at each level, so a Tree is scanned once
+per question: the witness search's cached full graded tree once per
+process, and its final tree once for the node input check, which
+realize and then the node it makes both run.  extract_nice holds every level of its result as a
 rank-ordered list, with the kept successors of each member, so it
 hands its result that index (trees._with_index) rather than leaving
 it to be rebuilt.
@@ -256,9 +260,18 @@ def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
     n = tree_uniform_level(t0)
     if n is None:
         raise ShapeError("leaves sit at mixed levels")
+    return _extract_ranks(i, t0, list(map(c.assignment.get,
+                                          _index(t0).levels[n],
+                                          repeat(_BLANK))))
+
+
+def _extract_ranks(i: int, t0: Tree, top_cols: list[int]) -> tuple[int, Tree]:
+    """extract_nice on a kappa(i)-compatible t0 of uniform level n whose
+    level-n members, in rank order, carry the colours top_cols."""
     idx = _index(t0)
     lm = idx.levels  # every member below level n has kappa(i, k) kids
-    per_level = {n: list(map(c.assignment.get, lm[n], repeat(_BLANK)))}
+    n = len(lm) - 1
+    per_level = {n: top_cols}
     for k in range(n - 1, i - 1, -1):
         per_level[k] = _majority_step(per_level[k + 1], kappa(i, k))
     base_level = min(n, i)

@@ -20,6 +20,15 @@ rejects the ancestors from level max(i + 1, j) up, and the node is a
 member iff no table hits its colour anywhere in the tree; the first
 ancestor rejected is the least max(i + 1, j) over the hits.
 
+The search colours index i's tree once per guarded prefix.  Table i
+with horizon H fixes its value at a string by the string's first H + i
+bits (the functionals docstring's lemma), and every string below a
+member shares the member's prefix, so the level-n colours are those of
+the shallowest level k with H + i bits, each repeated down the
+kappa(i) fans: the kids of rank r sit at ranks fan*r to fan*r + fan - 1.
+Extraction's majority steps then hand level k its own colours back,
+since a constant run's strict majority is that constant.
+
 Node labels are prefix-free codes of the successor index j: binary of
 j+1 preceded by one zero per following bit.  These are pairwise
 incompatible and length-lex increasing in j, and they stay short even
@@ -34,8 +43,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .colorings import (Coloring, GRADED_SHAPE, bushy_level_strings,
-                        is_compatible, ncol, extract_nice)
+from .colorings import (GRADED_SHAPE, _BLANK, _extract_ranks,
+                        bushy_level_strings, is_compatible, kappa, ncol)
 from .errors import BudgetError, ProtocolError, ShapeError
 from .functionals import FunctionalTable, hat_values
 from .strings import check_bits, show_string, sort_lenlex
@@ -212,17 +221,23 @@ def stage_filter(node: PiStarNode, adv: AdversaryBundle, s: int) -> bool:
                    for i, table in enumerate(adv[:s]))
 
 
-def adversary_coloring(adv: AdversaryBundle, i: int,
-                       leaf_strings: Iterable[str]) -> Coloring:
-    """Colour leaves by the i-th guarded value where it lands in range."""
-    assignment: dict[str, int] = {}
-    cols = ncol(i)
-    if i < len(adv):
-        lvs = tuple(leaf_strings)
-        for lf, v in zip(lvs, hat_values(adv[i], lvs, i)):
-            if v is not None and v < cols:
-                assignment[lf] = v
-    return Coloring(assignment, cols)
+def _rank_colours(adv: AdversaryBundle, i: int, t: Tree) -> list[int]:
+    """The i-th guarded values on the level-n members of a
+    kappa(i)-compatible level-n tree t, in rank order, _BLANK where
+    undefined or out of range: read on level k and repeated down the
+    fans, as the module docstring says."""
+    lm = _index(t).levels
+    n = len(lm) - 1
+    if i >= len(adv):
+        return [_BLANK] * len(lm[n])
+    cut, cols = adv[i]._horizon + i, ncol(i)
+    k = next((k for k in range(n)
+              if GRADED_SHAPE.level_length(k) >= cut), n)
+    fan = math.prod(kappa(i, j) for j in range(k, n))
+    out: list[int] = []
+    for v in hat_values(adv[i], lm[k], i):
+        out += [_BLANK if v is None or v >= cols else v] * fan
+    return out
 
 
 def ancestor_chain(node: PiStarNode) -> tuple[PiStarNode, ...]:
@@ -249,24 +264,28 @@ def pi_membership_violation(node: PiStarNode,
             f"{show_string(ancestor_chain(node)[first].tau)}")
 
 
-SEARCH_MAX_LEVEL = 4  # level 4 takes about 0.3 s; each level multiplies it
+# level 5's full graded tree would hold 2^20 leaves; level 4's takes
+# about 0.04 s to build, once per process, and a search 2-3 ms after it
+SEARCH_MAX_LEVEL = 4
 
 
 def find_pi_member(n: int, adv: AdversaryBundle) -> PiStarNode:
     """A level-n node surviving the stage filter along its whole chain.
 
     Thins the full graded tree once per colour index: leaves are
-    coloured by the i-th guarded adversary values, one colour d_i is
-    extracted as unrealized, and the surviving subtree moves on.  The
-    final tree is two-branching and realize turns it into a node.
+    coloured by the i-th guarded adversary values, read by rank as the
+    module docstring says, one colour d_i is extracted as unrealized,
+    and the surviving subtree moves on.  The final tree is
+    two-branching and realize turns it into a node.
     """
     if n > SEARCH_MAX_LEVEL:
         raise BudgetError(f"level {n} exceeds the search budget")
     t = full_graded_tree(n)
     ds = []
     for i in range(n):
-        c = adversary_coloring(adv, i, leaves(t))
-        d, t = extract_nice(GRADED_SHAPE, i, t, c)
+        if not is_compatible(GRADED_SHAPE, t, lambda k: kappa(i, k)):
+            raise ShapeError("input tree is not kappa(i)-compatible")
+        d, t = _extract_ranks(i, t, _rank_colours(adv, i, t))
         ds.append(d)
     node = realize(n, ds, t)
     bad = pi_membership_violation(node, adv)

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from branchlab import colorings, cupping, functionals, trees
-from branchlab.colorings import Coloring, ncol
+from branchlab.colorings import GRADED_SHAPE, Coloring, extract_nice, ncol
 from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                ROOT_NODE, ancestor_chain, bundle,
                                count_extension_trees,
@@ -12,10 +12,12 @@ from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                find_pi_member, full_graded_tree, gamma_code,
                                gamma_decode, gamma_split, materialize_pi_star,
                                pi_membership_violation, pi_star_successors,
-                               adversary_coloring, pi_survivors, realize,
-                               stage_filter)
-from branchlab.errors import BudgetError, ConsistencyError, ShapeError
-from branchlab.functionals import hat_eval
+                               pi_survivors, realize, stage_filter,
+                               _rank_colours)
+from branchlab.errors import (BudgetError, ConsistencyError, ProtocolError,
+                              ShapeError)
+from branchlab.functionals import FunctionalTable, hat_eval
+from branchlab.gen import random_functional_table, random_kappa_tree
 from branchlab.strings import lenlex_key, show_string
 from branchlab.trees import _index, leaves, restrict_to_level
 from helpers import index_items, table
@@ -275,28 +277,35 @@ def test_leaf_colouring_memo_stays_within_the_horizon(monkeypatch):
     tab = table([(s, k, (int(s, 2) + k) % ncol(k), 1)
                  for k in range(3) for s in ("00", "01", "10", "11")])
     assert tab._horizon == 2
-    calls = []
+    calls, given = [], []
     real = functionals.hat_eval
     monkeypatch.setattr(functionals, "hat_eval",
                         lambda f, tau, n: calls.append((tau, n))
                         or real(f, tau, n))
-    lvs = leaves(full_graded_tree(3))
-    assert len(lvs) == 512
+    real_values = cupping.hat_values
+    monkeypatch.setattr(cupping, "hat_values",
+                        lambda f, strings, n: given.append(strings)
+                        or real_values(f, strings, n))
+    rng = random.Random(37)
     memo = tab._hat_values
-    for i in range(3):
+    # the shallowest levels whose 2-, 5- and 5-bit members fix the cut
+    # prefixes of 2, 3 and 4 bits, on the full tree and on thinned ones
+    for i, k in enumerate((1, 2, 2)):
+        t = full_graded_tree(3) if i == 0 else random_kappa_tree(rng, i, 3)
+        lm = _index(t).levels
         calls.clear()
-        c = adversary_coloring(bundle([tab] * 3), i, lvs)
-        assert c.assignment == {lf: (int(lf[:2], 2) + i) % ncol(i)
-                                for lf in lvs}
-        # one guarded value per distinct cut prefix of the 9-bit leaves,
-        # which share the entries of their first 2 + i bits; the table
-        # keeps them, and the values below i from the earlier colourings
+        given.clear()
+        assert _rank_colours(bundle([tab] * 3), i, t) == \
+            [(int(lf[:2], 2) + i) % ncol(i) for lf in lm[3]]
+        assert given == [lm[k]]
+        # one guarded value per distinct cut prefix of the leaves, which
+        # share those of the level-k members above them; the table keeps
+        # them, and the values below i from the earlier colourings
         asked = [tau for tau, n in calls if n == i]
-        assert sorted(asked) == sorted({lf[:tab._horizon + i] for lf in lvs})
-        assert len(asked) == 1 << (tab._horizon + i)
+        assert sorted(asked) == sorted({lf[:tab._horizon + i]
+                                        for lf in lm[3]})
         assert max(len(x) for x, _ in memo) == tab._horizon + i
-        assert len(memo) == sum(1 << (tab._horizon + k)
-                                for k in range(i + 1))
+        assert {x for x, n in memo if n == i} == set(asked)
 
 
 # The stage filter, the leaf colouring and the membership check as they
@@ -400,16 +409,97 @@ def test_a_second_membership_check_reads_the_kept_values(monkeypatch):
     assert asked > 100
 
 
+def _wide_bundle(rng, size):
+    """size tables from the generator, empty ones among them, whose
+    horizons run from 0 to 12 and whose values often land in range."""
+    return bundle(
+        random_functional_table(rng, axioms=rng.choice((0, 5, 40)),
+                                max_sigma_len=rng.randint(0, 12),
+                                max_value=rng.choice((1, 3, 9)),
+                                max_steps=rng.randint(1, 11))
+        for _ in range(size))
+
+
+def _fresh(adv):
+    """An equal bundle whose tables keep no guarded values yet."""
+    return bundle(FunctionalTable(tab.axioms) for tab in adv)
+
+
+def _naive_rank_colours(adv, i, t):
+    """The per-leaf colouring of t's top level, in rank order."""
+    c = _naive_adversary_coloring(_fresh(adv), i, leaves(t))
+    return [c.assignment.get(m, colorings._BLANK)
+            for m in _index(t).levels[-1]]
+
+
 def test_grouped_colouring_matches_per_leaf_colouring():
     rng = random.Random(43)
-    lvs = leaves(full_graded_tree(3))
-    for _ in range(20):
+    full = full_graded_tree(3)
+    # tables whose horizon lies one bit past a level length, so that
+    # the level one bit short would miss their only axiom
+    edges = [bundle([table([("0" * (length + 1), 0, 1, 1)])])
+             for length in (2, 5)]
+    for _ in range(80):
         adv = _random_bundle(rng, 3)
-        for i in range(4):
-            sub = rng.sample(lvs, rng.randint(0, 64))
-            for strings in (lvs, sub):
-                assert adversary_coloring(adv, i, iter(strings)) == \
-                    _naive_adversary_coloring(adv, i, strings)
+        wide = _wide_bundle(rng, 4)
+        for i in range(5):
+            # the full tree is kappa(0)-compatible; thinned trees of
+            # each level carry the fans of index i
+            thinned = [random_kappa_tree(rng, i, n) for n in range(4)]
+            for t in [full] * (i == 0) + thinned:
+                for bun in [adv, wide, *edges]:
+                    assert _rank_colours(bun, i, t) == \
+                        _naive_rank_colours(bun, i, t)
+
+
+# The witness search as it was before it coloured each guarded prefix
+# once at the level that fixes it, kept as an oracle: every leaf gets
+# its own guarded value, and extract_nice takes them as a Coloring.
+
+def _naive_find_pi_member(n, adv):
+    t = full_graded_tree(n)
+    ds = []
+    for i in range(n):
+        c = _naive_adversary_coloring(adv, i, leaves(t))
+        d, t = extract_nice(GRADED_SHAPE, i, t, c)
+        ds.append(d)
+    node = realize(n, ds, t)
+    bad = pi_membership_violation(node, adv)
+    if bad is not None:
+        raise ProtocolError(f"witness self-check failed: {bad}")
+    return node
+
+
+def _search_outcome(search, n, adv):
+    try:
+        node = search(n, adv)
+    except (ValueError, ProtocolError) as e:
+        return type(e), str(e)
+    return node.tau, node.psi_values, node.t_tau
+
+
+def test_witness_search_matches_the_per_leaf_search():
+    rng = random.Random(67)
+    seen = Counter()
+    for _ in range(300):
+        for n in range(4):
+            adv = _wide_bundle(rng, rng.randint(0, n + 2))
+            assert _search_outcome(find_pi_member, n, adv) == \
+                _search_outcome(_naive_find_pi_member, n, _fresh(adv))
+            seen["longer"] += len(adv) > n
+            seen["empty"] += any(not tab.axioms for tab in adv[:n])
+            for i, tab in enumerate(adv[:n]):
+                seen["horizon", tab._horizon] += 1
+                for k in range(1, n + 1):
+                    cut = tab._horizon + i
+                    length = GRADED_SHAPE.level_length(k)
+                    seen[length, (cut > length) - (cut < length)] += 1
+    assert seen["longer"] and seen["empty"], seen
+    # steps are at least 1, so a table with an axiom has horizon >= 2
+    assert all(seen["horizon", h] for h in [0, *range(2, 13)]), seen
+    # the cut falls below, on and above each level length
+    assert all(seen[length, s] for length in (2, 5, 9) for s in (-1, 0, 1)), \
+        seen
 
 
 def test_passing_membership_check_builds_no_index_and_no_node(monkeypatch):
@@ -466,14 +556,14 @@ def test_witness_search_scans_each_tree_once(monkeypatch):
 
 def test_thinned_trees_carry_the_index_a_fresh_build_gives(monkeypatch):
     thinned = []
-    real_extract = cupping.extract_nice
+    real_extract = cupping._extract_ranks
 
     def recording(*args):
         d, t = real_extract(*args)
         thinned.append(t)
         return d, t
 
-    monkeypatch.setattr(cupping, "extract_nice", recording)
+    monkeypatch.setattr(cupping, "_extract_ranks", recording)
     rng = random.Random(61)
     for n in range(4):
         for adv in [EMPTY_BUNDLE] + [_random_bundle(rng, n)
