@@ -40,9 +40,11 @@ class Mutant(NamedTuple):
 _FUNCTIONALS = "branchlab/functionals.py"
 _CUPPING = "branchlab/cupping.py"
 _COLORINGS = "branchlab/colorings.py"
+_SMC = "branchlab/smc.py"
 _T = "tests/test_functionals.py::"
 _TCUP = "tests/test_cupping.py::"
 _TCOL = "tests/test_colorings.py::"
+_TSMC = "tests/test_smc.py::"
 
 MUTANTS = (
     Mutant("value-within-bound", _FUNCTIONALS,
@@ -103,6 +105,24 @@ MUTANTS = (
            "run.count(top) > half",
            "run.count(top) >= half",
            (_TCOL + "test_extract_nice_matches_naive_extraction",)),
+    # delayed splitting over the sibling pairs, not their successors'
+    Mutant("delayed-pairs-from-siblings", _FUNCTIONALS,
+           "for x in succ[u] for y in succ[v]",
+           "for x in (u,) for y in (v,)",
+           (_T + "test_delayed_check_matches_the_naive_scan_on_random_cases",
+            _T + "test_splitting_tree_delayed")),
+    # plain splitting skipping each member's next sibling
+    Mutant("plain-pairs-skip-a-sibling", _FUNCTIONALS,
+           "for i, a in enumerate(group) for b in group[i + 1:]",
+           "for i, a in enumerate(group) for b in group[i + 2:]",
+           (_T + "test_sibling_pair_check_names_the_pairwise_scans_pair",
+            _T + "test_splitting_check_compares_each_sibling_pair_once")),
+    # selection pools grown one tree level per step instead of two
+    Mutant("selection-grown-one-level", _SMC,
+           "ext = _descent(trees[i], (psi,), 2)",
+           "ext = _descent(trees[i], (psi,), 1)",
+           (_TSMC + "test_selection_level_members_match_naive_scan",
+            _TSMC + "test_integer_budget_matches_the_fraction_budget")),
 )
 
 

@@ -50,6 +50,17 @@ and in particular the two distinct successors of their deepest common
 member, or their two roots when they have none.  A tree is therefore
 splitting iff every two successors of one member, and every two
 roots, split: a linear check on two-branching trees.
+
+Delayed mode holds the same one level down.  There an incompatible pair
+(a, b) counts only when each member properly extends a member that
+extends their branch point.  Let a1 and b1 be the successors of their
+deepest common member (or the roots) that a and b extend; both extend
+the branch point, else one would be a deeper common member.  So (a, b)
+counts exactly when a extends a successor a2 of a1 and b a successor b2
+of b1, and then (a2, b2) counts too, fails to split when (a, b) does,
+and sorts no later.  A tree is therefore delayed splitting iff, for
+every two siblings or two roots, each successor of one splits with each
+successor of the other.
 """
 
 from __future__ import annotations
@@ -285,12 +296,10 @@ def splitting_violation(f: FunctionalTable, t: Iterable[str],
                         hat: bool = False) -> Optional[tuple[str, str]]:
     """First incompatible pair whose outputs fail to split, or None.
 
-    delayed mode only inspects pairs lying strictly above their longest
-    common initial segment's successors... in plain mode every
-    incompatible pair of members must split; in delayed mode a pair
-    must split only if each member properly extends some member that
-    already extends the branch point, i.e. the split may arrive one
-    tree step late.
+    In plain mode every incompatible pair of members must split; in
+    delayed mode a pair must split only if each member properly extends
+    some member that already extends the branch point, i.e. the split
+    may arrive one tree step late.
     """
     t = Tree(t)
     return _splitting_violation(t, _outputs(f, t, hat=hat), delayed)
@@ -300,42 +309,33 @@ def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
                          delayed: bool = False) -> Optional[tuple[str, str]]:
     """splitting_violation over precomputed outputs of t's members.
 
-    In plain mode the sibling pairs decide, by the module docstring's
-    lemma, and the pair named is the first failing one in length-lex
-    order, which is the first failing pair of the pairwise scan: the
-    siblings below a failing pair fail too and sort no later.  Delayed
-    mode scans the pairs.
+    The sibling pairs decide in plain mode, and the pairs of their
+    successors in delayed mode, by the module docstring's lemma.  The
+    pair named is the first failing one in length-lex order, which is
+    the first failing pair of the pairwise scan: the pairs below a
+    failing pair fail too and sort no later.
     """
+    idx = _index(t)
+    succ = idx.successors
+    groups = chain(idx.levels[:1], succ.values())
     if not delayed:
-        idx = _index(t)
-        return min(((a, b)
-                    for group in chain(idx.levels[:1], idx.successors.values())
-                    for i, a in enumerate(group) for b in group[i + 1:]
-                    if not outputs_split(outs[a], outs[b])),
-                   key=lambda pair: (lenlex_key(pair[0]), lenlex_key(pair[1])),
-                   default=None)
-    mems = sort_lenlex(t)
-    for i, a in enumerate(mems):
-        for b in mems[i + 1:]:
-            if b.startswith(a):  # a sorts first, so only a can be a prefix
-                continue
-            # a pair is exempt while either member is a successor of
-            # the branch point itself: only "grandchildren" must split
-            k = 0
-            while k < min(len(a), len(b)) and a[k] == b[k]:
-                k += 1
-            if not any(a[:j] in t for j in range(k + 1, len(a))):
-                continue
-            if not any(b[:j] in t for j in range(k + 1, len(b))):
-                continue
-            if not outputs_split(outs[a], outs[b]):
-                return (a, b)
-    return None
+        fails = ((a, b) for group in groups
+                 for i, a in enumerate(group) for b in group[i + 1:]
+                 if not outputs_split(outs[a], outs[b]))
+    else:
+        fails = ((x, y) if lenlex_key(x) < lenlex_key(y) else (y, x)
+                 for group in groups
+                 for i, u in enumerate(group) for v in group[i + 1:]
+                 for x in succ[u] for y in succ[v]
+                 if not outputs_split(outs[x], outs[y]))
+    return min(fails,
+               key=lambda pair: (lenlex_key(pair[0]), lenlex_key(pair[1])),
+               default=None)
 
 
 def is_splitting_tree(f: FunctionalTable, t: Iterable[str],
-                      delayed: bool = False, hat: bool = False) -> bool:
-    return splitting_violation(f, t, delayed=delayed, hat=hat) is None
+                      hat: bool = False) -> bool:
+    return splitting_violation(f, t, hat=hat) is None
 
 
 # ---------------------------------------------------------------------------

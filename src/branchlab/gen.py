@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import ProtocolError, ShapeError
 from .functionals import FunctionalTable, _clashes
@@ -115,15 +115,10 @@ def phi_for_profile(profile: Profile) -> FunctionalTable:
     return FunctionalTable(tuple(axioms))
 
 
-def staged_context(depths: Profile,
-                   f: Optional[tuple[int, ...]] = None) -> OmegaContext:
+def staged_context(depths: Profile) -> OmegaContext:
     """An OmegaContext over a profile, bounded by the identity majorant."""
-    phi = phi_for_profile(depths)
-    if f is None:
-        top = max((v for v in depths.values() if isinstance(v, int)),
-                  default=0)
-        f = tuple(range(top + 3))
-    return OmegaContext(phi, f)
+    top = max((v for v in depths.values() if isinstance(v, int)), default=0)
+    return OmegaContext(phi_for_profile(depths), tuple(range(top + 3)))
 
 
 def odd_readback_psi(a_prefix: str) -> FunctionalTable:

@@ -10,6 +10,15 @@ kept in integers over a power of two.  Admission to pi reads only a
 string's own prefixes in the walk, and the readback theta is checked
 for consistency along source paths.  The driver consumes the resulting
 trees one stage at a time.
+
+Selection grows its pools down the trees' successor lists, and that is
+exact.  Each pool string is a member of its tree T(tau_i) at the pool's
+level: the base is a member of T(tau) at tau's certified level, and as
+tau is a prefix of tau_i and the table is consistent, T(tau) is T(tau_i)
+cut below some length, with the same levels; every later pool string is
+read off T(tau_i).  A member's ancestors are exactly its prefixes in
+the tree, so a member at level L + d extending a level-L member is that
+member's depth-d descendant.
 """
 
 from __future__ import annotations
@@ -26,11 +35,11 @@ from .errors import BudgetError, MemberError, ProtocolError, ShapeError
 from .functionals import (FunctionalTable, _outputs, _pullback_tree,
                           _require_two_branching, _splitting_violation,
                           outputs_split, value_within)
-from .strings import (_lex_extensions, check_bits, compatible,
-                      is_proper_prefix, lenlex_key, longest_proper_prefix,
-                      show_string, sort_lenlex, string_to_nat)
+from .strings import (check_bits, compatible, is_proper_prefix, lenlex_key,
+                      longest_proper_prefix, show_string, sort_lenlex,
+                      string_to_nat)
 from .trees import (StagedTree, Tree, _index, branching_stats, is_prefix_free,
-                    leaves, level_of, level_map, successors)
+                    leaves, level_of, successors)
 
 
 # -- oracle-indexed trees --------------------------------------------------
@@ -125,7 +134,7 @@ def omega_level(ctx: OmegaContext, tau: str) -> int:
         return _OMEGA_LEVEL(ctx, tau[:ctx.phi._horizon])
     if not t:
         return 0
-    levels = level_map(t)
+    levels = _index(t).levels
     top = min(len(ctx.f) - 1, len(levels) - 1, branching_stats(t)[1])
     # each level is length-lex sorted, so its longest member is its last
     return max(0, next((k for k in range(top + 1)
@@ -158,8 +167,8 @@ def _admission_walk(ctx: OmegaContext,
         for x, (n, count) in reach.items():
             for tau in (x + "0", x + "1"):
                 top = omega_level(ctx, tau) if n + 2 < len(ctx.f) else n
-                if top >= n + 2 and len(
-                        level_map(t_of(ctx.phi, tau))[top][0]) >= ctx.f[n + 2]:
+                if top >= n + 2 and len(_index(
+                        t_of(ctx.phi, tau)).levels[top][0]) >= ctx.f[n + 2]:
                     admitted[tau] = (top, count)
                 nxt[tau] = (top, count + 1) if tau in admitted else (n, count)
         reach = nxt
@@ -190,15 +199,13 @@ def _state_dump(settled, pools, m):
             f"pools={ {i: sorted(p) for i, p in sorted(pools.items())} }")
 
 
-def _level_members(t: Tree, level: int,
-                   bases: tuple[str, ...]) -> tuple[str, ...]:
-    """Level-`level` members of t extending one of bases, length-lex:
-    each base's run in the level sorted lex, which t's memo keeps."""
-    memo = _index(t).memo
-    if ("lex-level", level) not in memo:
-        memo["lex-level", level] = tuple(sorted(level_map(t).get(level, ())))
-    run = memo["lex-level", level]
-    return sort_lenlex({x for b in bases for x in _lex_extensions(run, b)})
+def _descent(t: Tree, xs: Sequence[str], depth: int) -> Sequence[str]:
+    """The members of t depth levels below the members xs, read down
+    t's successor lists."""
+    succ = _index(t).successors
+    for _ in range(depth):
+        xs = tuple(y for x in xs for y in succ[x])
+    return xs
 
 
 def select_extensions(ctx: OmegaContext, tau: str,
@@ -262,7 +269,7 @@ def select_extensions(ctx: OmegaContext, tau: str,
         for i, pool in pools.items():
             grown = []
             for psi in pool:
-                ext = _level_members(trees[i], level, (psi,))
+                ext = _descent(trees[i], (psi,), 2)
                 if len(ext) != 4:
                     raise ShapeError(
                         f"{show_string(psi)} has {len(ext)} level-{level} "
@@ -277,7 +284,7 @@ def select_extensions(ctx: OmegaContext, tau: str,
             raise ShapeError(f"budget r_{m} = {Fraction(r, one)} exceeds 1: "
                              "the family is too crowded to be thin")
         for i in stars:
-            cands = _level_members(trees[i], n_i[i], tuple(pools[i]))
+            cands = sort_lenlex(_descent(trees[i], pools[i], n_i[i] - level))
             first = next(iter(cands), None)
             second = next((x for x in cands
                            if first is not None

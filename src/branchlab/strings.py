@@ -8,8 +8,7 @@ lexicographic order, which makes all tie-breaking deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional
 
 EMPTY_TOKEN = "e"
 
@@ -48,17 +47,6 @@ def longest_proper_prefix(s: str, members: Container[str]) -> Optional[str]:
     """The longest proper prefix of s among the members, or None."""
     return next((s[:k] for k in range(len(s) - 1, -1, -1) if s[:k] in members),
                 None)
-
-
-def _lex_extensions(lex_sorted: Sequence[str], tau: str) -> Sequence[str]:
-    """Members of a lex-sorted sequence of binary strings that extend
-    tau, tau included.
-
-    They are one contiguous run, from tau up to tau + "2", which sorts
-    after every binary extension of tau.
-    """
-    lo = bisect_left(lex_sorted, tau)
-    return lex_sorted[lo:bisect_left(lex_sorted, tau + "2", lo)]
 
 
 def show_string(s: str) -> str:

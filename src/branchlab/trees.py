@@ -20,7 +20,8 @@ Two constructors hand their result an index instead of leaving it to
 be built: restrict_to_level slices its parent's index, and
 colorings.extract_nice lays its result out level by level as it thins
 its input.  The index also holds a memo, which lives exactly as long
-as the tree, for answers other modules derive from the index.
+as the tree, for answers other modules derive from the index; only
+colorings.is_compatible keeps one there.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class _TreeIndex(NamedTuple):
     successors: Mapping[str, tuple[str, ...]]
     leaves: tuple[str, ...]
     levels: tuple[tuple[str, ...], ...]  # levels[n]: level-n members
-    memo: dict  # answers derived from this index, such as is_compatible's
+    memo: dict  # answers derived from this index: is_compatible's
 
 
 class Tree(frozenset):

@@ -18,7 +18,7 @@ from branchlab.errors import (BudgetError, ConsistencyError, ProtocolError,
                               ShapeError)
 from branchlab.functionals import FunctionalTable, hat_eval
 from branchlab.gen import random_functional_table, random_kappa_tree
-from branchlab.strings import lenlex_key, show_string
+from branchlab.strings import compatible, lenlex_key, show_string
 from branchlab.trees import _index, leaves, restrict_to_level
 from helpers import index_items, table
 
@@ -174,21 +174,38 @@ def test_materialize_counts():
 
 
 def _random_bundle(rng, n):
-    """n tables, the i-th with a few axioms at argument i whose values
-    run a little past ncol(i)."""
+    """n tables, the i-th with a few axioms at each argument up to i,
+    so that its guarded values at i can be defined, whose values run a
+    little past ncol of their argument; an axiom that would clash with
+    an earlier one is left out."""
     tables = []
     for i in range(n):
         axs = []
-        for _ in range(rng.randrange(8)):
-            k = rng.randrange(1, 6)
-            sigma = "".join(rng.choice("01") for _ in range(k))
-            axs.append((sigma, i, rng.randrange(ncol(i) + 2),
-                        rng.randrange(1, 4)))
-        try:
-            tables.append(table(axs))
-        except ConsistencyError:
-            tables.append(table([]))
+        for arg in range(i + 1):
+            for _ in range(rng.randrange(8)):
+                k = rng.randrange(1, 6)
+                sigma = "".join(rng.choice("01") for _ in range(k))
+                value = rng.randrange(ncol(arg) + 2)
+                if not any(a == arg and v != value and compatible(s, sigma)
+                           for s, a, v, _ in axs):
+                    axs.append((sigma, arg, value, rng.randrange(1, 4)))
+        tables.append(table(axs))
     return bundle(tables)
+
+
+def test_random_bundles_colour_every_index():
+    # a guarded value at i needs the value at i - 1 on the parent string,
+    # which axioms at argument i alone never give
+    rng = random.Random(19)
+    leaf_strings = _index(full_graded_tree(3)).levels[3]
+    coloured = Counter()
+    for _ in range(20):
+        adv = _random_bundle(rng, 3)
+        for i in range(3):
+            coloured[i] += sum(v is not None and v < ncol(i)
+                               for v in (hat_eval(adv[i], lf, i)
+                                         for lf in leaf_strings))
+    assert all(coloured[i] for i in range(3)), coloured
 
 
 def test_find_level2_and_3_with_random_bundles():
@@ -347,7 +364,9 @@ def _naive_pi_membership_violation(node, adv):
 def _membership_cases(rng):
     """Nodes of levels 0 to 3 with the bundles to check them against:
     successors of small nodes, which non-empty bundles often reject at
-    some stage, and witnesses found against other bundles."""
+    some stage, and witnesses found against other bundles.  Each node
+    of level n >= 1 also meets a crafted bundle whose table n - 1 hits
+    from level 1 on, which first rejects it at stage n."""
     level1 = pi_star_successors(ROOT_NODE)
     nodes = [ROOT_NODE, *level1]
     for parent in rng.sample(level1, 3):
@@ -360,6 +379,7 @@ def _membership_cases(rng):
         if node.level:
             yield node, _crafted(node, rng.randrange(node.level),
                                  rng.randint(1, node.level))
+            yield node, _crafted(node, node.level - 1, 1)
 
 
 def _crafted(node, i, j):

@@ -171,7 +171,7 @@ def test_splitting_tree_delayed():
                ("10", 0, 1, 1), ("11", 0, 1, 1)])
     t = ["", "0", "1", "00", "01", "10", "11"]
     assert splitting_violation(f, t) == ("0", "1")
-    assert is_splitting_tree(f, t, delayed=True)
+    assert splitting_violation(f, t, delayed=True) is None
 
 
 # The whole-set scans that the prefix lookups and the tree index
@@ -892,8 +892,8 @@ def _splitting_case(rng):
 def test_sibling_pair_check_names_the_pairwise_scans_pair(hat):
     # in plain mode the first failing pair of the pairwise scan is always
     # a sibling pair: a failing pair's siblings below it fail too and sort
-    # no later.  Delayed mode keeps the scan, and as it exempts the
-    # successors of a branch point it never names a sibling pair
+    # no later.  Delayed mode exempts the successors of a branch point,
+    # so it never names a sibling pair
     seen = Counter()
     for seed in range(400):
         rng = random.Random(seed)
@@ -913,6 +913,58 @@ def test_sibling_pair_check_names_the_pairwise_scans_pair(hat):
             seen["fails", delayed, sibling] += 1
     assert min(seen.values()) > 10 and len(seen) == 6, seen
     assert seen["fails", True, False] and seen["fails", False, True]
+
+
+@pytest.mark.parametrize("hat", [False, True])
+def test_delayed_check_matches_the_naive_scan_on_random_cases(hat):
+    # tables that output some of each member's bits, flipped now and
+    # then, and generated tables on random string sets
+    verdicts = Counter()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        if rng.random() < 0.7:
+            t, f = _splitting_case(rng)
+        else:
+            t = frozenset("".join(rng.choice("01")
+                                  for _ in range(rng.randint(0, 5)))
+                          for _ in range(rng.randint(1, 14)))
+            f = random_functional_table(rng, axioms=rng.randint(0, 12),
+                                        max_value=2)
+        got = splitting_violation(f, t, delayed=True, hat=hat)
+        assert got == _naive_delayed_violation(f, t, hat)
+        verdicts[got is None] += 1
+    assert min(verdicts[True], verdicts[False]) > 100, verdicts
+
+
+def _naive_successors(t):
+    """Each member's successors and the roots, read off the prefixes."""
+    parent = {m: max((p for p in t if is_proper_prefix(p, m)), key=len,
+                     default=None) for m in t}
+    kids = {m: [c for c in t if parent[c] == m] for m in t}
+    return kids, [m for m in t if parent[m] is None]
+
+
+def test_delayed_check_compares_each_successor_pair_once(monkeypatch):
+    # one comparison for each successor of one sibling against each
+    # successor of the other, whatever the verdict
+    calls = []
+    real = branchlab.functionals.outputs_split
+    monkeypatch.setattr(branchlab.functionals, "outputs_split",
+                        lambda a, b: calls.append(1) or real(a, b))
+    cases = [(oplus_tree(a), odd_readback_psi(a))
+             for a in ("1", "10", "0110", "101101")]
+    cases += [_splitting_case(random.Random(seed)) for seed in range(60)]
+    compared = 0
+    for t, f in cases:
+        kids, roots = _naive_successors(t)
+        want = sum(len(kids[u]) * len(kids[v])
+                   for group in [roots, *kids.values()]
+                   for i, u in enumerate(group) for v in group[i + 1:])
+        calls.clear()
+        splitting_violation(f, t, delayed=True)
+        assert len(calls) == want
+        compared += want > 0
+    assert compared > 20
 
 
 def test_splitting_check_compares_each_sibling_pair_once(monkeypatch):

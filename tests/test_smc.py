@@ -377,7 +377,7 @@ class TestOmega:
         assert omega(OmegaContext(phi, (0, 6, 7)), "1", 1)
 
     def test_levels_beyond_the_majorant_never_certify(self):
-        ctx = staged_context({"": 4}, f=(0, 1, 2))
+        ctx = OmegaContext(phi_for_profile({"": 4}), (0, 1, 2))
         assert not omega(ctx, "0", 3)
         assert omega_level(ctx, "0") == 2
 
@@ -400,7 +400,8 @@ class TestEnumerate:
         assert res.final == frozenset({"", "1", "11", "111"})
 
     def test_short_majorant_stalls_the_chain(self):
-        ctx = staged_context({"": 0, "1": 2, "11": 4}, f=(0, 1, 2))
+        ctx = OmegaContext(phi_for_profile({"": 0, "1": 2, "11": 4}),
+                           (0, 1, 2))
         assert enumerate_pi(ctx, 2).final == frozenset({"", "1"})
 
     def test_certified_level_beats_every_prefix_by_two(self):
@@ -581,18 +582,18 @@ def test_floor_message_matches_the_fraction_floor(monkeypatch):
     # while it quadruples, so no pool ever falls below the floor; one
     # string less is counted in every pool, once pools grow, to reach
     # the message
-    real_members, real_len, growing = smc._level_members, len, []
+    real_descent, real_len, growing = smc._descent, len, []
 
-    def members(*args):
+    def descent(*args):
         growing.append(True)
-        return real_members(*args)
+        return real_descent(*args)
 
     def short_len(x):
         n = real_len(x)
         return n - 1 if (growing and type(x) is list and n
                          and type(x[0]) is str) else n
 
-    monkeypatch.setattr(smc, "_level_members", members)
+    monkeypatch.setattr(smc, "_descent", descent)
     monkeypatch.setattr(smc, "len", short_len, raising=False)
     rng = random.Random(20261021)
     floors = 0
@@ -613,8 +614,9 @@ def test_floor_message_matches_the_fraction_floor(monkeypatch):
     assert floors > 20
 
 
-# The whole-tree scan that the selection's level lists replaced, kept as
-# an oracle.
+# The whole-tree scan and the level filter that the selection's level
+# lists replaced, kept as oracles for its descent: the members a level
+# below a level's members are their descendants.
 
 def _naive_level_members(t, level, bases):
     return sort_lenlex(x for x in t
@@ -623,26 +625,25 @@ def _naive_level_members(t, level, bases):
 
 
 def test_selection_level_members_match_naive_scan(monkeypatch):
-    real = smc._level_members
+    real = smc._descent
     calls = []
 
-    def checked(t, level, bases):
-        got = real(t, level, bases)
-        # the asked level, and one past the top
-        for lv in (level, max_level(t) + 1):
-            assert real(t, lv, bases) == _naive_level_members(t, lv, bases)
+    def checked(t, xs, depth):
+        got = real(t, xs, depth)
+        level = level_of(t, xs[0])
+        # the asked depth, and one past the top
+        for d in (depth, max_level(t) + 1 - level):
+            assert sort_lenlex(real(t, xs, d)) == \
+                _naive_level_members(t, level + d, xs)
         calls.append(len(got))
         return got
 
-    monkeypatch.setattr(smc, "_level_members", checked)
+    monkeypatch.setattr(smc, "_descent", checked)
     rng = random.Random(20261018)
     for _ in range(40):
         select_extensions(*random_selection_scenario(rng))
     assert len(calls) > 100 and 0 < min(calls) < max(calls)
 
-
-# The filter of a whole tree level that the bisected runs replaced, kept
-# as an oracle.
 
 def _linear_level_members(t, level, bases):
     return tuple(x for x in level_map(t).get(level, ()) if x.startswith(bases))
@@ -652,21 +653,21 @@ def test_level_members_match_the_linear_filter():
     rng = random.Random(20261019)
     seen = set()
     for _ in range(300):
-        t = Tree(_random_members(rng, rng.randint(1, 7))
-                 if rng.random() < 0.95 else ())
-        top = max_level(t) if t else -1
+        t = Tree(_random_members(rng, rng.randint(1, 7)))
+        if not t:
+            continue
+        levels, top = level_map(t), max_level(t)
         for _ in range(6):
-            # members, strings off the tree, nested and repeated bases
-            bases = tuple(rng.choice(sorted(t)) if t and rng.random() < 0.5
-                          else "".join(rng.choice("01")
-                                       for _ in range(rng.randint(0, 4)))
-                          for _ in range(rng.choice((1, 1, 2, 3, 5))))
-            for level in (rng.randint(-1, top + 2), top + 1):
-                got = smc._level_members(t, level, bases)
-                assert got == _linear_level_members(t, level, bases)
-                # the second ask reads the memo
-                assert smc._level_members(t, level, bases) == got
-                seen.add((len(bases) > 1, bool(got), level > top))
+            # distinct members of one level, one or several
+            level = rng.randint(0, top)
+            bases = rng.sample(levels[level],
+                               min(len(levels[level]),
+                                   rng.choice((1, 1, 2, 3, 5))))
+            for depth in (rng.randint(0, top + 1 - level), top + 1 - level):
+                got = sort_lenlex(smc._descent(t, bases, depth))
+                assert got == _linear_level_members(t, level + depth,
+                                                    tuple(bases))
+                seen.add((len(bases) > 1, bool(got), level + depth > top))
     assert seen >= {(False, True, False), (True, True, False),
                     (False, False, True), (True, False, True)}, seen
 
@@ -1154,10 +1155,9 @@ def test_driver_stage_lists_and_sorts_the_members_once(monkeypatch):
     # the members above the base are listed and sorted at most once,
     # not once for each member the stage looks at
     calls = []
-    for name in ("_lex_extensions", "sort_lenlex"):
-        real = getattr(smc, name)
-        monkeypatch.setattr(smc, name, lambda *args, real=real:
-                            calls.append(args) or real(*args))
+    real = smc.sort_lenlex
+    monkeypatch.setattr(smc, "sort_lenlex",
+                        lambda *args: calls.append(args) or real(*args))
     stages = 0
     for state, psi, budget, dagger in _driver_cases():
         calls.clear()
