@@ -41,10 +41,12 @@ _FUNCTIONALS = "branchlab/functionals.py"
 _CUPPING = "branchlab/cupping.py"
 _COLORINGS = "branchlab/colorings.py"
 _SMC = "branchlab/smc.py"
+_TRACEABLE = "branchlab/traceable.py"
 _T = "tests/test_functionals.py::"
 _TCUP = "tests/test_cupping.py::"
 _TCOL = "tests/test_colorings.py::"
 _TSMC = "tests/test_smc.py::"
+_TTR = "tests/test_traceable.py::"
 
 MUTANTS = (
     Mutant("value-within-bound", _FUNCTIONALS,
@@ -123,6 +125,35 @@ MUTANTS = (
            "ext = _descent(trees[i], (psi,), 1)",
            (_TSMC + "test_selection_level_members_match_naive_scan",
             _TSMC + "test_integer_budget_matches_the_fraction_budget")),
+    # a selection whose budget reaches exactly 1 taken for overspent
+    Mutant("selection-verifier-budget-at-one", _SMC,
+           "or r[-1] > 1:",
+           "or r[-1] >= 1:",
+           (_TSMC + "test_selection_verifier_names_a_compatible_pick_pair",)),
+    # the readback verifier without its per-target prefix-free check
+    Mutant("readback-verifier-skips-prefix-free", _SMC,
+           "if not is_prefix_free(srcs):",
+           "if not srcs:",
+           (_TSMC + "test_readback_verifier_names_nested_codes_for_one"
+            "_target",)),
+    # a pi6 gap of one level taken for enough
+    Mutant("pi6-gap-without-the-two", _SMC,
+           "and lv[m] < 2 + max(",
+           "and lv[m] < max(",
+           (_TSMC + "test_pi6_gaps_name_a_member_short_of_its_prefixs_level"
+            "_by_two",)),
+    # the driver verifier never comparing the image with the refinement
+    Mutant("driver-verifier-skips-the-image", _SMC,
+           "if dagger_subtree is not None and (",
+           "if False and (",
+           (_TSMC + "test_driver_verifier_passes_the_driver_and_names_each"
+            "_spoil",)),
+    # a level holding exactly its bound of nodes taken for over it
+    Mutant("run-count-at-its-bound", _TRACEABLE,
+           "if n <= 4 and c > node_count_bound(n)",
+           "if n <= 4 and c >= node_count_bound(n)",
+           (_TTR + "test_run_flaws_name_the_first_count_and_trace_over"
+            "_their_bounds",)),
 )
 
 

@@ -14,25 +14,26 @@ import sys
 from functools import lru_cache
 from typing import Sequence
 
-from .colorings import EVEN_SHAPE, bushy_level_strings, kappa
+from .colorings import (EVEN_SHAPE, bushy_level_strings, kappa, kappa_cells,
+                        nice_outcome, twocol_outcome)
 from .cupping import SEARCH_MAX_LEVEL, bundle, find_pi_member
 from .errors import BudgetError, ProtocolError, ScenarioError
 from .functionals import (FunctionalTable, build_weak_splitting_tree,
                           lookup_probes, splitting_violation,
                           weak_splitting_violation)
-from .gen import random_kappa_tree
+from .gen import random_kappa_tree, twocolourings
 from .report import Report, ReportLine, _clean, errored, failed, passed
 from .scenario import (Scenario, empty_scenario, parse_scenario,
                        scenario_with_seed)
-from .smc import (OmegaContext, build_tprime, enumerate_pi, omega_level,
-                  oplus_tree, smc_driver_stage)
+from .smc import (OmegaContext, build_tprime, driver_violation, enumerate_pi,
+                  omega_level, oplus_tree, pi6_gaps, readback_chains,
+                  readback_violation, smc_driver_stage)
 from .strings import nat_to_string, parse_string, show_string, sort_lenlex
-from .suite import (_kappa_cells, _nice_outcome, _pi6_gaps,
-                    _selfdelim_roundtrip, _theta_chains, _traceable_flaws,
-                    _twocol_outcome, _twocolourings, run_suite)
-from .thin import (TraceSystem, dnr_trace, hat_level_tree, thin_violation,
-                   trace_from_bounded_splitting, trace_from_thin)
-from .traceable import declared_counts, run_to_horizon
+from .suite import run_suite
+from .thin import (TraceSystem, dnr_trace, hat_level_tree, selfdelim_roundtrip,
+                   thin_violation, trace_from_bounded_splitting,
+                   trace_from_thin)
+from .traceable import declared_counts, run_flaws, run_to_horizon
 from .trees import successors
 
 
@@ -57,7 +58,7 @@ def _extraction_line(check_id: str, outcome) -> ReportLine:
     d, failure = outcome
     if failure is None:
         return passed(check_id, f"d={d}")
-    return failed(check_id, failure)
+    return failed(check_id, _clean(failure))
 
 
 def _require_work_budget(count: int, leaf_count: int) -> None:
@@ -80,8 +81,8 @@ def _h_verify_twocol(ns, sc, rng):
     mode, count = ("exh", None) if ns.exhaustive else ("rand", ns.count)
     width = len(str((1 << len(lvs) if count is None else count) - 1))
     return [_extraction_line(f"twocol-{mode}-{k:0{width}d}",
-                             _twocol_outcome(ns.n, colors))
-            for k, colors in enumerate(_twocolourings(rng, lvs, count))]
+                             twocol_outcome(ns.n, colors))
+            for k, colors in enumerate(twocolourings(rng, lvs, count))]
 
 
 def _h_verify_nice(ns, sc, rng):
@@ -96,7 +97,7 @@ def _h_verify_nice(ns, sc, rng):
     t0 = random_kappa_tree(rng, ns.i, ns.n)
     width = len(str(ns.count - 1)) if ns.count > 1 else 1
     return [_extraction_line(f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}",
-                             _nice_outcome(rng, ns.i, ns.n, t0))
+                             nice_outcome(rng, ns.i, ns.n, t0))
             for k in range(ns.count)]
 
 
@@ -110,7 +111,7 @@ def _h_verify_kappa(ns, sc, rng):
                           f"exceed {1 << 20} bits")
     return [passed(f"kappa-{i}-{n}", str(got)) if got == want
             else failed(f"kappa-{i}-{n}", f"{got} != {want}")
-            for i, n, got, want in _kappa_cells(ns.imax, ns.nmax)]
+            for i, n, got, want in kappa_cells(ns.imax, ns.nmax)]
 
 
 # -- run ---------------------------------------------------------------------
@@ -146,7 +147,7 @@ def _h_run_traceable(ns, sc, rng):
     lines = [passed("traceable-frontier", f"stages={ns.horizon}")
              if stalled is None
              else failed("traceable-frontier", f"empty at stage {stalled}")]
-    over, fat, final_ok = _traceable_flaws(st, adv)
+    over, fat, final_ok = run_flaws(st, adv)
     if over is None:
         lines.append(passed("traceable-counts", " ".join(
             f"{n}:{c}" for n, c in sorted(declared_counts(st).items()))))
@@ -170,10 +171,14 @@ def _h_run_smc(ns, sc, rng):
                           "of 13 bits")
     psi = _named(sc, "functional", ns.psi)
     dagger = _named(sc, "tree", ns.dagger) if ns.dagger else None
+    t = oplus_tree(a)
     try:
-        res = smc_driver_stage(("", oplus_tree(a)), psi, ns.budget, dagger)
+        res = smc_driver_stage(("", t), psi, ns.budget, dagger)
     except BudgetError as e:
         return [failed("smc-driver", _clean(e))]
+    v = driver_violation(psi, t, res, dagger)
+    if v is not None:
+        return [failed("smc-driver", _clean(v))]
     return [passed("smc-driver",
                    f"{res.branch} b={show_string(res.b_next)} "
                    f"tree={len(res.t_next)}")]
@@ -209,7 +214,7 @@ def _h_run_pi6(ns, sc, rng):
     lines = [passed(f"pi6-admit-{show_string(m)}",
                     f"stage={len(m)} level={omega_level(ctx, m)}")
              for m in sort_lenlex(final)]
-    bad = _pi6_gaps(ctx, final)
+    bad = pi6_gaps(ctx, final)
     lines.append(passed("pi6-gap") if not bad
                  else failed("pi6-gap", show_string(sort_lenlex(bad)[0])))
     return lines
@@ -271,8 +276,10 @@ def _h_check_theta(ns, sc, rng):
     ctx = _omega_context(ns, phi)
     succ = {m: frozenset(successors(st.final, m)) for m in st.final}
     tp, theta = build_tprime(ctx, st, succ)
-    lines = [passed("theta-consistency", f"axioms={len(theta.axioms)}")]
-    for x, chain, bad in _theta_chains(st.final, tp, theta):
+    v = readback_violation(st.final, tp, theta)
+    lines = [passed("theta-consistency", f"axioms={len(theta.axioms)}")
+             if v is None else failed("theta-consistency", _clean(v))]
+    for x, chain, bad in readback_chains(st.final, tp, theta):
         check_id = f"theta-{show_string(x)}"
         witness = ",".join(show_string(p) for p in chain)
         lines.append(passed(check_id, witness) if bad is None
@@ -316,7 +323,7 @@ def _h_trace_dnr(ns, sc, rng):
 # -- encode / suite ------------------------------------------------------------
 
 def _h_encode_sd(ns, sc, rng):
-    code, ok = _selfdelim_roundtrip(ns.n, ns.m)
+    code, ok = selfdelim_roundtrip(ns.n, ns.m)
     check_id = f"sd-{ns.n}-{ns.m}"
     return [passed(check_id, code) if ok else failed(check_id, code)]
 

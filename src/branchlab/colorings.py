@@ -57,7 +57,8 @@ from .errors import BudgetError, ShapeError
 # level_of is not called here; the benchmark's tracer test checks that
 # tracing restores colorings.level_of
 from .trees import (Tree, _TreeIndex, _index, _with_index,  # noqa: F401
-                    graded_successor_counts, level_of, tree_uniform_level)
+                    graded_successor_counts, leaves, level_of,
+                    tree_uniform_level)
 
 EVEN = "even"
 GRADED = "graded"
@@ -325,3 +326,42 @@ def verify_extraction(shape: BushyShape, f_target: Fanout, n: int,
         if not want or any(cnt != want for cnt in counts[k].values()):
             return False
     return all(c.get(m) != d for m in counts[n])
+
+
+def twocol_outcome(n: int, colors: dict[str, int]):
+    """(d, failure) for one extraction from a two-colouring of level n
+    of the even shape.
+
+    failure is None when the extraction verifies.  If extraction raises,
+    d is None and failure is the error; if the extracted tree fails to
+    verify, failure is the colouring as bits in sorted-leaf order.
+    """
+    c = Coloring(colors, 2)
+    try:
+        d, sub = extract_twocol(EVEN_SHAPE, n, c)
+    except ValueError as e:
+        return None, str(e)
+    if verify_extraction(EVEN_SHAPE, lambda k: 2, n, c, d, sub):
+        return d, None
+    return d, "".join(str(colors[s]) for s in sorted(colors))
+
+
+def nice_outcome(rng, i: int, n: int, t0: Tree):
+    """(d, failure) for one nice extraction from a colouring of t0's
+    leaves drawn from rng; failure as in twocol_outcome, except that
+    a rejected tree gives "d=<d>"."""
+    c = Coloring({s: rng.randrange(ncol(i)) for s in leaves(t0)}, ncol(i))
+    try:
+        d, t1 = extract_nice(GRADED_SHAPE, i, t0, c)
+    except ValueError as e:
+        return None, str(e)
+    if verify_extraction(GRADED_SHAPE, lambda k: kappa(i + 1, k), n, c, d, t1):
+        return d, None
+    return d, f"d={d}"
+
+
+def kappa_cells(imax: int, nmax: int):
+    """(i, n, kappa(i, n), the graded shape's branching at level n - i)
+    for i <= imax and i <= n <= nmax."""
+    return ((i, n, kappa(i, n), GRADED_SHAPE.branching(n - i))
+            for i in range(imax + 1) for n in range(i, nmax + 1))

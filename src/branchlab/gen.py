@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ProtocolError, ShapeError
 from .functionals import FunctionalTable, _clashes
@@ -254,3 +254,14 @@ def random_pi_staging(rng: random.Random, max_events: int = 3):
         raise ProtocolError("profile admitted an unexpected prefix set")
     succ = {m: frozenset(successors(st.final, m)) for m in st.final}
     return ctx, st, succ
+
+
+def twocolourings(rng: random.Random, lvs: Sequence[str],
+                  count: Optional[int]) -> Iterator[dict[str, int]]:
+    """count two-colourings of the strings lvs drawn from rng, or, when
+    count is None, every one in index order: bit k of the index
+    colours lvs[k]."""
+    if count is None:
+        return ({s: (idx >> k) & 1 for k, s in enumerate(lvs)}
+                for idx in range(1 << len(lvs)))
+    return ({s: rng.getrandbits(1) for s in lvs} for _ in range(count))

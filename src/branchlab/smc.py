@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import product
+from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, MemberError, ProtocolError, ShapeError
 from .functionals import (FunctionalTable, _outputs, _pullback_tree,
                           _require_two_branching, _splitting_violation,
-                          outputs_split, value_within)
+                          image_tree, is_splitting_tree, outputs_split,
+                          value_within)
 from .strings import (check_bits, compatible, is_proper_prefix, lenlex_key,
                       longest_proper_prefix, show_string, sort_lenlex,
                       string_to_nat)
@@ -182,6 +183,15 @@ def enumerate_pi(ctx: OmegaContext, max_stage: int) -> StagedTree:
                             for s in range(max_stage + 1)))
 
 
+def pi6_gaps(ctx: OmegaContext, final: frozenset[str]) -> list[str]:
+    """Non-root members of final whose omega level is not at least 2
+    above every proper prefix's in final (final holds the root)."""
+    lv = {m: omega_level(ctx, m) for m in final}
+    return [m for m in final if m != ""
+            and lv[m] < 2 + max(lv[m[:k]] for k in range(len(m))
+                                if m[:k] in lv)]
+
+
 # -- packing pairwise incompatible picks -----------------------------------
 
 @dataclass(frozen=True)
@@ -318,6 +328,41 @@ def select_extensions(ctx: OmegaContext, tau: str,
                            tuple(Fraction(x, one) for x in r_seq))
 
 
+def selection_violation(ctx: OmegaContext, nodes: Sequence[tuple[str, int]],
+                        sigma: str, res: SelectionResult) -> Optional[str]:
+    """Why res is no valid selection for the family nodes above the
+    base sigma, or None: two picks per member, all distinct and
+    pairwise incompatible, each on its member's certified level above
+    sigma, the budget sequence exact and at most 1, and every pool at
+    its floor."""
+    picks = [s for pair in res.sigma_pairs.values() for s in pair]
+    if set(res.sigma_pairs) != set(range(len(nodes))):
+        return "member indices off"
+    if len(set(picks)) != 2 * len(nodes):
+        return "duplicate pick"
+    if not is_prefix_free(picks):
+        a, b = next(p for p in combinations(picks, 2) if compatible(*p))
+        return f"picks {show_string(a)},{show_string(b)} compatible"
+    # r_m sums 2^-m' over the members of depth m' <= m
+    depth = max(d for _, d in nodes)
+    r = tuple(accumulate(Fraction(sum(d == m for _, d in nodes), 1 << m)
+                         for m in range(1, depth + 1)))
+    if r != res.r or r[-1] > 1:
+        return f"budget sequence {res.r} off"
+    for i, (nm, d) in enumerate(nodes):
+        t_i = t_of(ctx.phi, nm)
+        want = omega_level(ctx, nm)
+        for pick in res.sigma_pairs[i]:
+            if pick not in t_i or level_of(t_i, pick) != want:
+                return f"pick {show_string(pick)} misses level {want}"
+            if not pick.startswith(sigma):
+                return f"pick {show_string(pick)} leaves the base"
+        floor = (1 - res.r[d - 1]) * (1 << (d + 1))
+        if len(res.psi_pool[i]) < floor:
+            return f"pool {i} of {len(res.psi_pool[i])} under {floor}"
+    return None
+
+
 # -- enumerating the cover tree -------------------------------------------
 
 @dataclass(frozen=True)
@@ -428,6 +473,38 @@ def build_tprime(ctx: OmegaContext, pistar_stages: StagedTree,
                                         f"the certified level {n_x}")
             tprime[x] = t_new
     return tprime, ThetaAxioms(theta)
+
+
+def readback_chains(final: frozenset[str], tp: Mapping[str, Tree],
+                    theta: ThetaAxioms,
+                    ) -> Iterator[tuple[str, tuple[str, ...], Optional[str]]]:
+    """(x, chain, bad) per non-root x of final, length-lex: chain is
+    x's non-root prefixes in final, shortest first, and bad the first
+    leaf of tp[x] whose readback decodes off it, or None."""
+    for x in sort_lenlex(final):
+        if x == "":
+            continue
+        chain = tuple(x[:k] for k in range(1, len(x) + 1) if x[:k] in final)
+        bad = next((leaf for leaf in leaves(tp[x])
+                    if theta_decode(theta, leaf) != chain), None)
+        yield x, chain, bad
+
+
+def readback_violation(final: frozenset[str], tp: Mapping[str, Tree],
+                       theta: ThetaAxioms) -> Optional[str]:
+    """Why the readback theta of the packed trees tp over the
+    enumeration final is wrong, or None: the codes for each target must
+    be prefix-free, and each leaf of tp[x] must decode to x's chain."""
+    by_target: dict[str, list[str]] = {}
+    for src, tgt in theta.axioms.items():
+        by_target.setdefault(tgt, []).append(src)
+    for tgt, srcs in by_target.items():
+        if not is_prefix_free(srcs):
+            return f"codes for {show_string(tgt)} not prefix-free"
+    return next((f"leaf {show_string(leaf)} decodes off the path to "
+                 f"{show_string(x)}"
+                 for x, _, leaf in readback_chains(final, tp, theta)
+                 if leaf is not None), None)
 
 
 # -- one driver stage -------------------------------------------------------
@@ -545,3 +622,25 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
         t_next = t_built
     b_next = min(leaves(t_next), key=lenlex_key)
     return DriverResult(b_next, t_next, "splitting-subtree")
+
+
+def driver_violation(psi_s: FunctionalTable, t_s: Tree, res: DriverResult,
+                     dagger_subtree: Optional[Tree] = None) -> Optional[str]:
+    """Why res is no driver stage over the tree t_s, or None: the next
+    base lies on the next tree, which lies in t_s; a splitting subtree
+    must also be two-branching and split psi_s's guarded outputs, and,
+    refined through dagger_subtree, have exactly that image."""
+    if res.b_next not in res.t_next or not res.t_next <= t_s:
+        return "stage left the tree"
+    if res.branch != "splitting-subtree":
+        return None
+    try:
+        _require_two_branching(res.t_next, "subtree")
+        if not is_splitting_tree(psi_s, res.t_next, hat=True):
+            return "subtree does not split"
+        if dagger_subtree is not None and (
+                image_tree(psi_s, res.t_next, hat=True) != dagger_subtree):
+            return "image misses the refinement"
+    except ShapeError as e:
+        return str(e)
+    return None

@@ -7,6 +7,13 @@ level runs every check at its acceptance scale.  The registry,
 _CHECKS, is the one place a check is named and scaled: run_suite
 hands each check its id.
 
+The suite owns the registry, the draws, the brute-force oracles and
+the wording of its lines, not the verifiers: each construction's
+verifier is public in the construction's own module (selection,
+readback, pi6 gaps and the driver stage in smc, a finished run in
+traceable, the extractions in colorings, the pair code in thin), and
+the command line calls the same one.
+
 A loop check is a lazy stream of verdicts, one per case: None for a
 clean case, the reason for a flawed one, and it is registered by its
 per-case judge.  _tally is the one place that counts cases and renders
@@ -22,9 +29,9 @@ import random
 from fractions import Fraction
 from itertools import combinations, product, starmap
 
-from .colorings import (EVEN_SHAPE, GRADED_SHAPE, Coloring,
-                        bushy_level_strings, extract_nice, extract_twocol,
-                        kappa, ncol, verify_extraction)
+from .colorings import (EVEN_SHAPE, Coloring, bushy_level_strings,
+                        extract_twocol, kappa_cells, nice_outcome,
+                        twocol_outcome, verify_extraction)
 from .cupping import (EMPTY_BUNDLE, bundle, find_pi_member,
                       materialize_pi_star, pi_membership_violation)
 from .errors import ScenarioError
@@ -34,17 +41,17 @@ from .gen import (breaks_readback_split, odd_readback_psi,
                   random_functional_table, random_kappa_tree,
                   random_pi_staging, random_readback_splitting_subtree,
                   random_selection_scenario, random_weak_staged_tree,
-                  spined_weak_tree, staged_context)
+                  spined_weak_tree, staged_context, twocolourings)
 from .report import Report, ReportLine, _clean, errored, failed, passed
-from .smc import (build_tprime, enumerate_pi, omega_level, oplus_tree,
-                  select_extensions, smc_driver_stage, t_of, theta_decode)
+from .smc import (build_tprime, driver_violation, enumerate_pi, omega_level,
+                  oplus_tree, pi6_gaps, readback_violation, select_extensions,
+                  selection_violation, smc_driver_stage, t_of)
 from .strings import compatible, show_string, sort_lenlex, string_to_nat
 from .thin import (TraceSystem, encode_tuple, hat_level_tree, is_thin,
-                   rescale_trace, selfdelim_decode, selfdelim_encode,
-                   spaced_level, spacing_bound_limit, spacing_bound_partial,
+                   rescale_trace, selfdelim_roundtrip, spaced_level,
+                   spacing_bound_limit, spacing_bound_partial,
                    splitting_to_thin, thin_from_trace, trace_from_thin)
-from .traceable import (declared_counts, extract_trace, node_count_bound,
-                        run_to_horizon, trace_bound_pair, verify_final_nodes)
+from .traceable import run_flaws, run_to_horizon
 from .trees import Tree, leaves, level_map, level_of, successors
 
 
@@ -78,101 +85,9 @@ def _loop(judge):
 
 # -- colourings ---------------------------------------------------------------
 
-def _twocol_outcome(n: int, colors: dict[str, int]):
-    """(d, failure) for one extraction from a two-colouring of level n.
-
-    failure is None when the extraction verifies.  If extraction raises,
-    d is None and failure is the error; if the extracted tree fails to
-    verify, failure is the colouring as bits in sorted-leaf order.
-    """
-    c = Coloring(colors, 2)
-    try:
-        d, sub = extract_twocol(EVEN_SHAPE, n, c)
-    except ValueError as e:
-        return None, _clean(e)
-    if verify_extraction(EVEN_SHAPE, lambda k: 2, n, c, d, sub):
-        return d, None
-    return d, "".join(str(colors[s]) for s in sorted(colors))
-
-
-def _nice_outcome(rng, i: int, n: int, t0: Tree):
-    """(d, failure) for one nice extraction from a colouring of t0's
-    leaves drawn from rng; failure as in _twocol_outcome, except that
-    a rejected tree gives "d=<d>"."""
-    c = Coloring({s: rng.randrange(ncol(i)) for s in leaves(t0)}, ncol(i))
-    try:
-        d, t1 = extract_nice(GRADED_SHAPE, i, t0, c)
-    except ValueError as e:
-        return None, _clean(e)
-    if verify_extraction(GRADED_SHAPE, lambda k: kappa(i + 1, k), n, c, d, t1):
-        return d, None
-    return d, f"d={d}"
-
-
-def _selfdelim_roundtrip(n: int, m: int) -> tuple[str, bool]:
-    """The code for (n, m), and whether it decodes back at its length."""
-    code = selfdelim_encode(n, m)
-    return code, (selfdelim_decode(code) == (n, m)
-                  and len(code) == 2 * n.bit_length() + m.bit_length())
-
-
-def _traceable_flaws(st, adv):
-    """(over, fat, final_ok) of a finished traceable run: the first
-    (level, count, bound) over node_count_bound at a level <= 4, the
-    first (i, n, size) over trace_bound_pair(i, n)[1], each None if
-    there is none, and verify_final_nodes."""
-    over = next(((n, c, node_count_bound(n))
-                 for n, c in sorted(declared_counts(st).items())
-                 if n <= 4 and c > node_count_bound(n)), None)
-    fat = next(((i, n, len(ds))
-                for i, by_n in extract_trace(st).per_i.items()
-                for n, ds in by_n.items()
-                if len(ds) > trace_bound_pair(i, n)[1]), None)
-    return over, fat, verify_final_nodes(st, adv)
-
-
-def _theta_chains(final, tp, theta):
-    """(x, chain, bad) per non-root x of final, length-lex: chain is
-    x's non-root prefixes in final, shortest first, and bad the first
-    leaf of tp[x] whose readback decodes off it, or None."""
-    for x in sort_lenlex(final):
-        if x == "":
-            continue
-        chain = tuple(x[:k] for k in range(1, len(x) + 1) if x[:k] in final)
-        bad = next((leaf for leaf in leaves(tp[x])
-                    if theta_decode(theta, leaf) != chain), None)
-        yield x, chain, bad
-
-
-def _pi6_gaps(ctx, final):
-    """Non-root members of final whose omega level is not at least 2
-    above every proper prefix's in final (final holds the root)."""
-    lv = {m: omega_level(ctx, m) for m in final}
-    return [m for m in final if m != ""
-            and lv[m] < 2 + max(lv[m[:k]] for k in range(len(m))
-                                if m[:k] in lv)]
-
-
-def _twocolourings(rng, lvs, count):
-    """count two-colourings of the strings lvs drawn from rng, or, when
-    count is None, every one in index order: bit k of the index
-    colours lvs[k]."""
-    if count is None:
-        return ({s: (idx >> k) & 1 for k, s in enumerate(lvs)}
-                for idx in range(1 << len(lvs)))
-    return ({s: rng.getrandbits(1) for s in lvs} for _ in range(count))
-
-
-def _kappa_cells(imax: int, nmax: int):
-    """(i, n, kappa(i, n), the graded shape's branching at level n - i)
-    for i <= imax and i <= n <= nmax."""
-    return ((i, n, kappa(i, n), GRADED_SHAPE.branching(n - i))
-            for i in range(imax + 1) for n in range(i, nmax + 1))
-
-
 def _chk_twocol(check_id, rng, n, count=None):
     # every colouring of level n unless a count is given
-    outcomes = (_twocol_outcome(n, colors) for colors in _twocolourings(
+    outcomes = (twocol_outcome(n, colors) for colors in twocolourings(
         rng, bushy_level_strings(EVEN_SHAPE, n), count))
     return [_tally(check_id, (bad if d is None or bad is None
                               else "colouring " + bad for d, bad in outcomes))]
@@ -193,7 +108,7 @@ def _chk_twocol_mutant(check_id, rng):
 
 
 def _nice_flaw(rng, i: int, n: int, t0: Tree):
-    d, bad = _nice_outcome(rng, i, n, t0)
+    d, bad = nice_outcome(rng, i, n, t0)
     return bad if d is None or bad is None else bad + " rejected"
 
 
@@ -210,7 +125,7 @@ def _chk_nice(check_id, rng, i_max, per_cell):
 def _chk_kappa(check_id, rng, imax, nmax):
     return [_tally(check_id, (
         None if got == want else f"kappa({i},{n}) = {got}"
-        for i, n, got, want in _kappa_cells(imax, nmax)))]
+        for i, n, got, want in kappa_cells(imax, nmax)))]
 
 
 # -- cupping ------------------------------------------------------------------
@@ -277,7 +192,7 @@ def _chk_traceable(check_id, rng, runs, horizon):
                                                   axioms=rng.randint(2, 30))
                           for _ in range(rng.randint(1, 2))])
         st, stalled = run_to_horizon(adv, horizon)
-        over, fat, final_ok = _traceable_flaws(st, adv)
+        over, fat, final_ok = run_flaws(st, adv)
         rows.append([None if bad is None else f"run {k}: {bad}" for bad in (
             stalled and f"empty frontier at stage {stalled}",
             over and "{1} nodes at level {0} exceed {2}".format(*over),
@@ -367,7 +282,7 @@ def _rescale_flaw(rng):
 
 
 def _selfdelim_flaw(n: int, m: int):
-    code, ok = _selfdelim_roundtrip(n, m)
+    code, ok = selfdelim_roundtrip(n, m)
     return None if ok else f"({n},{m}) -> {code}"
 
 
@@ -409,36 +324,6 @@ def _chk_split_mutant(check_id, rng, tries):
 
 # -- packing selection ----------------------------------------------------------
 
-def _selection_flaw(ctx, nodes, sigma, res):
-    picks = [s for pair in res.sigma_pairs.values() for s in pair]
-    if set(res.sigma_pairs) != set(range(len(nodes))):
-        return "member indices off"
-    if len(set(picks)) != 2 * len(nodes):
-        return "duplicate pick"
-    for a, b in combinations(picks, 2):
-        if compatible(a, b):
-            return f"picks {show_string(a)},{show_string(b)} compatible"
-    budget = Fraction(0)
-    seen = []
-    for m in range(1, max(d for _, d in nodes) + 1):
-        budget += Fraction(sum(1 for _, d in nodes if d == m), 1 << m)
-        seen.append(budget)
-    if tuple(seen) != res.r or budget > 1:
-        return f"budget sequence {res.r} off"
-    for i, (nm, d) in enumerate(nodes):
-        t_i = t_of(ctx.phi, nm)
-        want = omega_level(ctx, nm)
-        for pick in res.sigma_pairs[i]:
-            if pick not in t_i or level_of(t_i, pick) != want:
-                return f"pick {show_string(pick)} misses level {want}"
-            if not pick.startswith(sigma):
-                return f"pick {show_string(pick)} leaves the base"
-        floor = (1 - res.r[d - 1]) * (1 << (d + 1))
-        if len(res.psi_pool[i]) < floor:
-            return f"pool {i} of {len(res.psi_pool[i])} under {floor}"
-    return None
-
-
 def _selection_exhaustive_flaw(ctx, nodes, sigma, res):
     cands = []
     for nm, _ in nodes:
@@ -469,7 +354,7 @@ def _chk_selection_twostar(check_id, rng):
     res = select_extensions(ctx, "1", nodes, "00")
     ok = (res.sigma_pairs == {0: ("0000", "0001"), 1: ("0010", "0011")}
           and res.r == (Fraction(1),)
-          and _selection_flaw(ctx, nodes, "00", res) is None
+          and selection_violation(ctx, nodes, "00", res) is None
           and _selection_exhaustive_flaw(ctx, nodes, "00", res) is None)
     return [passed(check_id, "r=1") if ok
             else failed(check_id, str(res.sigma_pairs))]
@@ -478,7 +363,7 @@ def _chk_selection_twostar(check_id, rng):
 def _selection_random_flaw(rng):
     ctx, tau, nodes, sigma = random_selection_scenario(rng)
     res = select_extensions(ctx, tau, nodes, sigma)
-    return (_selection_flaw(ctx, nodes, sigma, res)
+    return (selection_violation(ctx, nodes, sigma, res)
             or _selection_exhaustive_flaw(ctx, nodes, sigma, res))
 
 
@@ -495,17 +380,7 @@ def _chk_selection_random(check_id, rng, count):
 
 def _theta_flaw(rng):
     ctx, st, succ = random_pi_staging(rng)
-    tp, theta = build_tprime(ctx, st, succ)
-    by_target: dict[str, list[str]] = {}
-    for src, tgt in theta.axioms.items():
-        by_target.setdefault(tgt, []).append(src)
-    for tgt, srcs in by_target.items():
-        if any(compatible(a, b) for a, b in combinations(sorted(srcs), 2)):
-            return f"codes for {show_string(tgt)} not prefix-free"
-    return next((f"leaf {show_string(leaf)} decodes off the path to "
-                 f"{show_string(x)}"
-                 for x, _, leaf in _theta_chains(st.final, tp, theta)
-                 if leaf is not None), None)
+    return readback_violation(st.final, *build_tprime(ctx, st, succ))
 
 
 # -- image / pullback ------------------------------------------------------------
@@ -516,14 +391,7 @@ def _pullback_flaw(rng):
     outs = _checked_outputs(odd_readback_psi(a), t0, hat=False)
     img = _image_tree(t0, outs)[0]
     back = _pullback_tree(t0, img, outs, split_checked=True)
-    if back != t0:
-        return f"pullback lost {len(t0 ^ back)} strings"
-    return _two_branching_flaw(img, "image")
-
-
-def _two_branching_flaw(t: Tree, what: str):
-    return (f"{what} not two-branching"
-            if any(len(successors(t, m)) not in (0, 2) for m in t) else None)
+    return f"pullback lost {len(t0 ^ back)} strings" if back != t0 else None
 
 
 # -- enumeration / driver smoke ---------------------------------------------------
@@ -532,7 +400,7 @@ def _chk_pi6_chain(check_id, rng):
     ctx = staged_context({"": 0, "1": 2, "11": 4, "111": 6})
     st = enumerate_pi(ctx, 3)
     ok = (st.final == frozenset({"", "1", "11", "111"})
-          and not _pi6_gaps(ctx, st.final))
+          and not pi6_gaps(ctx, st.final))
     return [passed(check_id, "4 admitted") if ok
             else failed(check_id, ",".join(show_string(m)
                                            for m in sort_lenlex(st.final)))]
@@ -544,12 +412,7 @@ def _smc_driver_flaw(rng):
     psi = FunctionalTable(tuple(
         (m, len(m) // 2 - 1, rng.getrandbits(1), 1)
         for m in sort_lenlex(t) if m))
-    res = smc_driver_stage(("", t), psi, 64)
-    if res.b_next not in res.t_next or not res.t_next <= t:
-        return "stage left the tree"
-    if res.branch == "splitting-subtree":
-        return _two_branching_flaw(res.t_next, "subtree")
-    return None
+    return driver_violation(psi, t, smc_driver_stage(("", t), psi, 64))
 
 
 # -- determinism -----------------------------------------------------------------

@@ -253,6 +253,13 @@ def selfdelim_decode(s: str) -> tuple[int, int]:
     return int("".join(nbits), 2), int(rest, 2)
 
 
+def selfdelim_roundtrip(n: int, m: int) -> tuple[str, bool]:
+    """The code for (n, m), and whether it decodes back at its length."""
+    code = selfdelim_encode(n, m)
+    return code, (selfdelim_decode(code) == (n, m)
+                  and len(code) == 2 * n.bit_length() + m.bit_length())
+
+
 class SplittingReduction(NamedTuple):
     thin_ok: bool
     witness: Optional[tuple[str, str]]

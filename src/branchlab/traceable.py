@@ -390,6 +390,21 @@ def trace_bound_pair(i: int, n: int) -> tuple[int, int]:
             (1 << (n + i)) * math.factorial(n + i + 1))
 
 
+def run_flaws(st: ConstructionState, adv: Sequence[FunctionalTable]):
+    """(over, fat, final_ok) of a finished run: the first (level, count,
+    bound) over node_count_bound at a level <= 4, the first (i, n,
+    size) over trace_bound_pair(i, n)[1], each None if there is none,
+    and verify_final_nodes."""
+    over = next(((n, c, node_count_bound(n))
+                 for n, c in sorted(declared_counts(st).items())
+                 if n <= 4 and c > node_count_bound(n)), None)
+    fat = next(((i, n, len(ds))
+                for i, by_n in extract_trace(st).per_i.items()
+                for n, ds in by_n.items()
+                if len(ds) > trace_bound_pair(i, n)[1]), None)
+    return over, fat, verify_final_nodes(st, adv)
+
+
 def final_node_violation(st: ConstructionState,
                          adv: Sequence[FunctionalTable]) -> Optional[str]:
     """Check the horizon conditions on every node short of the frontier.

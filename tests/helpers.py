@@ -1,6 +1,7 @@
 """Library-level helpers that only the tests call: three oracles, a
-checked pullback, a driver-stage fixture, a tree index as plain data,
-one traceable act as a whole-state step, and a table constructor."""
+checked pullback, a driver-stage fixture, a spoiled readback, a tree
+index as plain data, one traceable act as a whole-state step, and a
+table constructor."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from branchlab.errors import ShapeError
 from branchlab.functionals import (Axiom, FunctionalTable, _checked_outputs,
                                    _pullback_tree, output_prefix,
                                    outputs_split)
-from branchlab.smc import oplus_tree
+from branchlab.smc import ThetaAxioms, oplus_tree
 from branchlab.strings import compatible, sort_lenlex
 from branchlab.traceable import ConstructionState, WorkingState
 from branchlab.trees import StagedTree, Tree, leaves, successors
@@ -60,6 +61,15 @@ def constant_psi(a_prefix: str, value: int = 0) -> FunctionalTable:
     axioms = [(m, len(m) // 2 - 1, value, 1)
               for m in oplus_tree(a_prefix) if m]
     return FunctionalTable(tuple(axioms))
+
+
+def nest_codes(cover: tuple[dict[str, Tree], ThetaAxioms]):
+    """build_tprime's cover with one more code for the target of its
+    longest source: that source extended by a 0, which nests the codes
+    for that target."""
+    tp, theta = cover
+    src = max(theta.axioms, key=len)
+    return tp, ThetaAxioms({**theta.axioms, src + "0": theta.axioms[src]})
 
 
 def staged_ce_violation(st: StagedTree, weak: bool = False) -> Optional[str]:

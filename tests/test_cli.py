@@ -13,14 +13,14 @@ import time
 import pytest
 
 import branchlab
-from branchlab import cli, suite, traceable
+from branchlab import cli, colorings, suite, traceable
 from branchlab.errors import ScenarioError
 from branchlab.functionals import FunctionalTable
 from branchlab.gen import odd_readback_psi, phi_for_profile
 from branchlab.scenario import empty_scenario, parse_scenario
 from branchlab.smc import oplus_tree
 from branchlab.strings import show_string, string_to_nat
-from helpers import constant_psi
+from helpers import constant_psi, nest_codes
 
 DEMO = """\
 [functional psi]
@@ -158,7 +158,7 @@ def test_main_exit_codes_and_output(tmp_path, capsys):
 
 def test_twocol_fail_lines_of_verify_and_suite(monkeypatch):
     # both commands share one extraction check but word failures apart
-    monkeypatch.setattr(suite, "verify_extraction", lambda *a: False)
+    monkeypatch.setattr(colorings, "verify_extraction", lambda *a: False)
     rep = cli.run_command("verify twocol --n 0 --exhaustive", empty_scenario())
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\ttwocol-exh-0\t0", "FAIL\ttwocol-exh-1\t1"]
@@ -169,7 +169,7 @@ def test_twocol_fail_lines_of_verify_and_suite(monkeypatch):
     def broken(*args):
         raise ValueError("bad\n  shape")
 
-    monkeypatch.setattr(suite, "extract_twocol", broken)
+    monkeypatch.setattr(colorings, "extract_twocol", broken)
     rep = cli.run_command("verify twocol --n 0 --exhaustive", empty_scenario())
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\ttwocol-exh-0\tbad shape", "FAIL\ttwocol-exh-1\tbad shape"]
@@ -331,6 +331,29 @@ def test_smc_driver_report_bytes_are_pinned(tmp_path, capsys):
         assert capsys.readouterr().out == f"# seed 3\n{line}\n"
 
 
+def test_check_theta_and_run_smc_fail_through_their_verifiers(
+        tmp_path, capsys, monkeypatch):
+    # check theta handed a readback with nested codes for one target,
+    # and run smc a driver that drops its refinement
+    build, stage = cli.build_tprime, cli.smc_driver_stage
+    monkeypatch.setattr(cli, "build_tprime",
+                        lambda *args: nest_codes(build(*args)))
+    monkeypatch.setattr(cli, "smc_driver_stage",
+                        lambda state, psi, budget, dagger: stage(state, psi,
+                                                                 budget))
+    prof, read = tmp_path / "profile.scn", tmp_path / "readback.scn"
+    prof.write_text(_profile_scenario())
+    read.write_text(_readback_scenario())
+    assert cli.main(["check", "theta", "--staging", "G",
+                     "--scenario", str(prof)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] \
+        == "FAIL\ttheta-consistency\tcodes for 100 not prefix-free"
+    assert cli.main(["run", "smc", "--psi", "psi", "--budget", "16",
+                     "--dagger", "D", "--scenario", str(read)]) == 1
+    assert capsys.readouterr().out \
+        == "# seed 3\nFAIL\tsmc-driver\timage misses the refinement\n"
+
+
 def _profile_scenario():
     """phi grows the certified tree of the oracle e in three steps; G is
     the prefix enumeration of the members 00, 10 and 100 it admits."""
@@ -442,7 +465,7 @@ def test_a_reader_that_leaves_early_gets_no_traceback():
 
 def test_nice_fail_lines_of_verify_and_suite(monkeypatch):
     sc = parse_scenario(_profile_scenario())
-    monkeypatch.setattr(suite, "verify_extraction", lambda *a: False)
+    monkeypatch.setattr(colorings, "verify_extraction", lambda *a: False)
     rep = cli.run_command("verify nice --i 1 --n 2 --count 2", sc)
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\tnice-i1-n2-0\td=1", "FAIL\tnice-i1-n2-1\td=1"]
@@ -454,7 +477,7 @@ def test_nice_fail_lines_of_verify_and_suite(monkeypatch):
     def broken(*args):
         raise ValueError("bad\n  shape")
 
-    monkeypatch.setattr(suite, "extract_nice", broken)
+    monkeypatch.setattr(colorings, "extract_nice", broken)
     rep = cli.run_command("verify nice --i 1 --n 2 --count 2", sc)
     assert [ln.render() for ln in rep.lines] == [
         "FAIL\tnice-i1-n2-0\tbad shape", "FAIL\tnice-i1-n2-1\tbad shape"]
@@ -465,9 +488,9 @@ def test_nice_fail_lines_of_verify_and_suite(monkeypatch):
 
 
 def test_traceable_fail_lines_of_run_and_suite(monkeypatch):
-    monkeypatch.setattr(suite, "node_count_bound", lambda n: 0)
-    monkeypatch.setattr(suite, "trace_bound_pair", lambda i, n: (0, 0))
-    monkeypatch.setattr(suite, "verify_final_nodes", lambda st, adv: False)
+    monkeypatch.setattr(traceable, "node_count_bound", lambda n: 0)
+    monkeypatch.setattr(traceable, "trace_bound_pair", lambda i, n: (0, 0))
+    monkeypatch.setattr(traceable, "verify_final_nodes", lambda st, adv: False)
     rep = cli.run_command("run traceable --horizon 6",
                           parse_scenario(ADVERSARY))
     assert [ln.render() for ln in rep.lines] == [

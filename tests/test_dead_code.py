@@ -21,6 +21,9 @@ signature the dispatcher fixes: CLI handlers _h_*(ns, sc, rng) and
 suite checks _chk_*(check_id, rng, ...).
 
 No function takes a memo: an object keeps its own derived answers.
+
+No module under src/ imports a private name from the suite: a
+construction's verifier lives beside it, and the suite only calls it.
 """
 
 import ast
@@ -181,3 +184,13 @@ def test_no_function_takes_a_memo():
                        *fn.args.kwonlyargs, fn.args.vararg, fn.args.kwarg)
              if p is not None and p.arg.endswith("memo")]
     assert memos == []
+
+
+def test_nothing_imports_a_private_name_from_the_suite():
+    private = [f"{path.name}:{node.lineno} {a.name}"
+               for path in sorted(PKG.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").rpartition(".")[2] == "suite"
+               for a in node.names if a.name.startswith("_")]
+    assert private == []

@@ -167,13 +167,14 @@ def test_bench_dry_run_writes_the_schema(tmp_path, monkeypatch):
     record = json.loads(out.read_text())
     _check_bench_schema(record)
     assert record["schema"] == 3 and record["perfbench"] is None
-    assert record["tier1"]["passed"] == 5
+    assert record["tier1"]["passed"] == 6
     assert set(record["acceptance"]["durations"]) == {
         "test_every_public_definition_has_a_caller",
         "test_kept_helpers_are_still_defined_and_otherwise_unused",
         "test_every_optional_parameter_is_passed_somewhere",
         "test_every_parameter_is_read",
-        "test_no_function_takes_a_memo"}
+        "test_no_function_takes_a_memo",
+        "test_nothing_imports_a_private_name_from_the_suite"}
     assert list(record["commands"]) == ["suite fast",
                                         "run traceable --horizon 6"]
     assert record["commands"]["suite fast"]["sha256"] == (

@@ -19,8 +19,8 @@ from branchlab.errors import (BudgetError, MemberError, ProtocolError,
 from branchlab.functionals import (FunctionalTable, _require_two_branching,
                                    image_tree, is_splitting_tree)
 from branchlab.gen import (odd_readback_psi, phi_for_profile,
-                           random_functional_table, random_selection_scenario,
-                           staged_context)
+                           random_functional_table, random_pi_staging,
+                           random_selection_scenario, staged_context)
 from branchlab.smc import (OmegaContext, ThetaAxioms, build_tprime,
                            enumerate_pi, omega_level,
                            oplus_tree, select_extensions, smc_driver_stage,
@@ -1301,3 +1301,131 @@ def test_walks_name_the_same_offender_under_any_hash_seed():
             [sys.executable, "-c", code, os.path.dirname(__file__)],
             env=env, capture_output=True, text=True, check=True).stdout)
     assert outs == {f"{_FIRST_OFFENDERS}\n"}
+
+
+# -- the verifiers ---------------------------------------------------------
+
+def test_selection_verifier_names_a_compatible_pick_pair():
+    ctx = staged_context({"": 0, "1": 2, "10": 4, "11": 4})
+    nodes = [("10", 1), ("11", 1)]
+    res = select_extensions(ctx, "1", nodes, "00")
+    assert smc.selection_violation(ctx, nodes, "00", res) is None
+    spoiled = dataclasses.replace(
+        res, sigma_pairs={0: ("0000", "0001"), 1: ("0010", "000")})
+    assert smc.selection_violation(ctx, nodes, "00", spoiled) \
+        == "picks 0000,000 compatible"
+
+
+def _pairwise_selection_violation(ctx, nodes, sigma, res):
+    """selection_violation with its pick check done by the pairwise
+    scan it replaced, kept as an oracle; past that check it defers."""
+    picks = [s for pair in res.sigma_pairs.values() for s in pair]
+    if set(res.sigma_pairs) != set(range(len(nodes))):
+        return "member indices off"
+    if len(set(picks)) != 2 * len(nodes):
+        return "duplicate pick"
+    for a, b in combinations(picks, 2):
+        if compatible(a, b):
+            return f"picks {show_string(a)},{show_string(b)} compatible"
+    return smc.selection_violation(ctx, nodes, sigma, res)
+
+
+def test_selection_verifier_matches_the_pairwise_scan():
+    # half the selections get one pick swapped for a prefix or an
+    # extension of another pick, which makes a compatible pair
+    rng = random.Random(20261020)
+    verdicts = {}
+    for _ in range(60):
+        ctx, tau, nodes, sigma = random_selection_scenario(rng)
+        res = select_extensions(ctx, tau, nodes, sigma)
+        if rng.random() < 0.5:
+            picks = [list(pair) for _, pair in sorted(res.sigma_pairs.items())]
+            flat = [(i, j) for i in range(len(picks)) for j in (0, 1)]
+            (i, j), (k, m) = rng.sample(flat, 2)
+            other = picks[k][m]
+            picks[i][j] = (other[:rng.randrange(len(other))] if rng.random()
+                           < 0.5 else other + rng.choice("01"))
+            res = dataclasses.replace(res, sigma_pairs={
+                i: tuple(pair) for i, pair in enumerate(picks)})
+        got = smc.selection_violation(ctx, nodes, sigma, res)
+        assert got == _pairwise_selection_violation(ctx, nodes, sigma, res)
+        key = "clean" if got is None else got.split()[-1]
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert verdicts["clean"] >= 10 and verdicts["compatible"] >= 10, verdicts
+
+
+def test_readback_verifier_names_nested_codes_for_one_target():
+    ctx, st, succ = chain_setup()
+    tp, theta = build_tprime(ctx, st, succ)
+    assert smc.readback_violation(st.final, tp, theta) is None
+    nested = ThetaAxioms({**theta.axioms, "000": "1"})
+    assert smc.readback_violation(st.final, tp, nested) \
+        == "codes for 1 not prefix-free"
+
+
+def _pairwise_readback_violation(final, tp, theta):
+    """readback_violation with its per-target check done by the
+    pairwise scan it replaced, kept as an oracle; past that check it
+    defers."""
+    by_target = {}
+    for src, tgt in theta.axioms.items():
+        by_target.setdefault(tgt, []).append(src)
+    for tgt, srcs in by_target.items():
+        if any(compatible(a, b) for a, b in combinations(sorted(srcs), 2)):
+            return f"codes for {show_string(tgt)} not prefix-free"
+    return smc.readback_violation(final, tp, theta)
+
+
+def test_readback_verifier_matches_the_pairwise_scan():
+    # half the readbacks get one more code for some source's target:
+    # an extension of that source, which nests the codes, or a string
+    # off its path, which may not
+    rng = random.Random(20261021)
+    verdicts = {}
+    for _ in range(40):
+        ctx, st, succ = random_pi_staging(rng)
+        tp, theta = build_tprime(ctx, st, succ)
+        if theta.axioms and rng.random() < 0.5:
+            src = rng.choice(sorted(theta.axioms))
+            extra = (src + rng.choice(("0", "1", "01")) if rng.random() < 0.7
+                     else "".join(rng.choice("01") for _ in range(len(src))))
+            try:
+                theta = ThetaAxioms({extra: theta.axioms[src],
+                                     **theta.axioms})
+            except ShapeError:
+                pass  # the new code disagrees with a source along its path
+        got = smc.readback_violation(st.final, tp, theta)
+        assert got == _pairwise_readback_violation(st.final, tp, theta)
+        key = "clean" if got is None else got.split()[-1]
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert verdicts["clean"] >= 10 and verdicts["prefix-free"] >= 5, verdicts
+
+
+def test_pi6_gaps_name_a_member_short_of_its_prefixs_level_by_two():
+    ctx = staged_context({"": 0, "1": 2, "11": 4, "111": 6})
+    assert smc.pi6_gaps(ctx, frozenset({"", "1", "11", "111"})) == []
+    # 10 certifies level 2, the level of its prefix 1
+    assert smc.pi6_gaps(ctx, frozenset({"", "1", "10"})) == ["10"]
+
+
+def test_driver_verifier_passes_the_driver_and_names_each_spoil():
+    t = oplus_tree("10")
+    psi = odd_readback_psi("10")
+    dagger = Tree({"", "0", "1"})
+    refined = smc_driver_stage(("", t), psi, 3, dagger)
+    assert smc.driver_violation(psi, t, refined, dagger) is None
+    plain = smc_driver_stage(("", t), psi, 3)
+    assert smc.driver_violation(psi, t, plain) is None
+    witness = smc_driver_stage(("", t), constant_psi("10"), 3)
+    assert witness.branch == "no-splittings"
+    assert smc.driver_violation(constant_psi("10"), t, witness) is None
+    # the unrefined subtree's image is the full tree of depth 2
+    assert smc.driver_violation(psi, t, plain, dagger) \
+        == "image misses the refinement"
+    outside = plain._replace(t_next=Tree(plain.t_next | {"00"}))
+    assert smc.driver_violation(psi, t, outside) == "stage left the tree"
+    lopsided = plain._replace(t_next=Tree({"", "10"}), b_next="10")
+    assert smc.driver_violation(psi, t, lopsided) \
+        == "subtree: '' has 1 successors"
+    assert smc.driver_violation(constant_psi("10"), t, plain) \
+        == "subtree does not split"

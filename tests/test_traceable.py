@@ -23,7 +23,7 @@ from branchlab.traceable import (ConstructionState, ModuleId, NodeInfo,
                                  extract_trace, final_node_violation,
                                  frontier, init_state, is_terminal,
                                  module_set, node_count_bound,
-                                 oracle_output_bits, run_stage,
+                                 oracle_output_bits, run_flaws, run_stage,
                                  run_to_horizon, stage_run, trace_bound_pair,
                                  verify_final_nodes)
 from branchlab.trees import sort_lenlex, successors
@@ -256,6 +256,20 @@ def test_counting_bounds():
         for i, by_n in rep.per_i.items():
             for n, ds in by_n.items():
                 assert len(ds) <= trace_bound_pair(i, n)[1]
+
+
+def test_run_flaws_name_the_first_count_and_trace_over_their_bounds():
+    st = run_to_horizon(EMPTY_BUNDLE, 3)[0]  # 2 nodes at level 1, bound 4
+    assert run_flaws(st, EMPTY_BUNDLE) == (None, None, True)
+
+    def declared(k):
+        return replace(st, declared_log=st.declared_log + tuple(
+            (1, "0" * (4 + j), 9 + j, 3) for j in range(k)))
+    assert run_flaws(declared(2), EMPTY_BUNDLE)[0] is None
+    assert run_flaws(declared(3), EMPTY_BUNDLE)[0] == (1, 5, 4)
+    # a second value at (0, 0), whose safe ceiling is 1
+    fat = replace(st, tuple_log=((0, 0, 1, "", 0, 1), (0, 0, 2, "", 0, 1)))
+    assert run_flaws(fat, EMPTY_BUNDLE)[1] == (0, 0, 2)
 
 
 def test_step_bound_identity():
