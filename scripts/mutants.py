@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 _FUNCTIONALS = "branchlab/functionals.py"
 _CUPPING = "branchlab/cupping.py"
+_CLI = "branchlab/cli.py"
 _COLORINGS = "branchlab/colorings.py"
 _SMC = "branchlab/smc.py"
 _TRACEABLE = "branchlab/traceable.py"
@@ -47,6 +48,7 @@ _TCUP = "tests/test_cupping.py::"
 _TCOL = "tests/test_colorings.py::"
 _TSMC = "tests/test_smc.py::"
 _TTR = "tests/test_traceable.py::"
+_TCLI = "tests/test_cli.py::"
 
 MUTANTS = (
     Mutant("value-within-bound", _FUNCTIONALS,
@@ -84,6 +86,11 @@ MUTANTS = (
            "    memo[key] = None\n"
            "    ax = effective_axiom(f, tau, n)\n    # defined when",
            (_T + "test_an_interrupted_hat_eval_leaves_no_wrong_entry",)),
+    # run cupping printing PASS for any node the search returns
+    Mutant("cupping-cli-skips-the-verifier", _CLI,
+           "bad = pi_membership_violation(node, adv)",
+           "bad = None",
+           (_TCLI + "test_run_cupping_fails_through_its_verifier",)),
     # the witness colouring read one bit short of the cut prefix
     Mutant("rank-colours-level-one-bit-short", _CUPPING,
            "if GRADED_SHAPE.level_length(k) >= cut), n)",
@@ -113,6 +120,12 @@ MUTANTS = (
            "for x in (u,) for y in (v,)",
            (_T + "test_delayed_check_matches_the_naive_scan_on_random_cases",
             _T + "test_splitting_tree_delayed")),
+    # the image step trusting its input to split
+    Mutant("image-skips-the-split-check", _FUNCTIONALS,
+           "if _splitting_violation(t, outs) is not None:",
+           "if False:",
+           (_T + "test_branch_word_cases_reach_success_and_the_main_errors",
+            _T + "test_checks_over_one_output_map_match_fresh_outputs")),
     # plain splitting skipping each member's next sibling
     Mutant("plain-pairs-skip-a-sibling", _FUNCTIONALS,
            "for i, a in enumerate(group) for b in group[i + 1:]",
@@ -125,6 +138,12 @@ MUTANTS = (
            "ext = _descent(trees[i], (psi,), 1)",
            (_TSMC + "test_selection_level_members_match_naive_scan",
             _TSMC + "test_integer_budget_matches_the_fraction_budget")),
+    # a pool keeping the string a settled pick is compatible with
+    Mutant("selection-prune-keeps-its-hit", _SMC,
+           "pool.remove(hits[0])",
+           "pass",
+           (_TSMC + "test_selection_verifier_names_a_compatible_pick_pair",
+            _TSMC + "test_readback_verifier_matches_the_pairwise_scan")),
     # a selection whose budget reaches exactly 1 taken for overspent
     Mutant("selection-verifier-budget-at-one", _SMC,
            "or r[-1] > 1:",

@@ -2,12 +2,13 @@
 """Show the extension-packing selection on the worked two-star layout.
 
 Builds the profile where the family below the root has two members,
-runs the selection, and prints the pools, the settled pairs, and the
-exact budget sequence.
+runs the selection, and prints the pools, the settled pairs, the
+exact budget sequence, and the selection verifier's verdict.  Exits 1
+when the verifier finds a flaw.
 """
 
 from branchlab.gen import staged_context
-from branchlab.smc import select_extensions
+from branchlab.smc import select_extensions, selection_violation
 from branchlab.strings import show_string
 
 
@@ -24,7 +25,9 @@ def main() -> int:
         print(f"    pool    {pool}")
         print(f"    settled {show_string(a)}, {show_string(b)}")
     print(f"\nbudget sequence r = {tuple(str(x) for x in res.r)}")
-    return 0
+    bad = selection_violation(ctx, nodes, "00", res)
+    print(f"verifier: {bad or 'valid selection'}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ from typing import Sequence
 
 from .colorings import (EVEN_SHAPE, bushy_level_strings, kappa, kappa_cells,
                         nice_outcome, twocol_outcome)
-from .cupping import SEARCH_MAX_LEVEL, bundle, find_pi_member
-from .errors import BudgetError, ProtocolError, ScenarioError
+from .cupping import (SEARCH_MAX_LEVEL, bundle, find_pi_member,
+                      pi_membership_violation)
+from .errors import BudgetError, ScenarioError
 from .functionals import (FunctionalTable, build_weak_splitting_tree,
                           lookup_probes, splitting_violation,
                           weak_splitting_violation)
@@ -129,10 +130,12 @@ def _h_run_cupping(ns, sc, rng):
         check_id = f"cupping-n{k}"
         try:
             node = find_pi_member(k, adv)
-        except (ValueError, ProtocolError, BudgetError) as e:
+        except (ValueError, BudgetError) as e:
             lines.append(failed(check_id, _clean(e)))
             continue
-        lines.append(passed(check_id, show_string(node.tau)))
+        bad = pi_membership_violation(node, adv)
+        lines.append(passed(check_id, show_string(node.tau)) if bad is None
+                     else failed(check_id, _clean(bad)))
     return lines
 
 

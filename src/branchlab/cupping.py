@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .colorings import (GRADED_SHAPE, _BLANK, _extract_ranks,
                         bushy_level_strings, is_compatible, kappa, ncol)
-from .errors import BudgetError, ProtocolError, ShapeError
+from .errors import BudgetError, ShapeError
 from .functionals import FunctionalTable, hat_values
 from .strings import check_bits, show_string, sort_lenlex
 from .trees import (Tree, _index, leaves, restrict_to_level,
@@ -276,7 +276,8 @@ def find_pi_member(n: int, adv: AdversaryBundle) -> PiStarNode:
     coloured by the i-th guarded adversary values, read by rank as the
     module docstring says, one colour d_i is extracted as unrealized,
     and the surviving subtree moves on.  The final tree is
-    two-branching and realize turns it into a node.
+    two-branching and realize turns it into a node.  The node is not
+    checked here: callers judge it with pi_membership_violation.
     """
     if n > SEARCH_MAX_LEVEL:
         raise BudgetError(f"level {n} exceeds the search budget")
@@ -287,11 +288,7 @@ def find_pi_member(n: int, adv: AdversaryBundle) -> PiStarNode:
             raise ShapeError("input tree is not kappa(i)-compatible")
         d, t = _extract_ranks(i, t, _rank_colours(adv, i, t))
         ds.append(d)
-    node = realize(n, ds, t)
-    bad = pi_membership_violation(node, adv)
-    if bad is not None:
-        raise ProtocolError(f"witness self-check failed: {bad}")
-    return node
+    return realize(n, ds, t)
 
 
 def materialize_pi_star(n: int) -> tuple[PiStarNode, ...]:

@@ -488,14 +488,14 @@ def image_tree(f: FunctionalTable, t: Iterable[str],
 
 
 def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]],
-                split_checked: bool = False) -> tuple[Tree, dict[str, str]]:
+                ) -> tuple[Tree, dict[str, str]]:
     """image_tree over t's precomputed outputs, and each member's image.
 
-    split_checked skips the splitting check, for a caller that has
-    already made it on t with the same outputs.
+    t must be a two-branching splitting tree over those outputs, and
+    this is where that is checked, once per call.
     """
     _require_two_branching(t, "image input")
-    if not split_checked and _splitting_violation(t, outs) is not None:
+    if _splitting_violation(t, outs) is not None:
         raise ShapeError("input tree is not a splitting tree")
     imgs = {m: bits_of_values(outs[m]) for m in t}
     img = Tree(imgs.values())
@@ -503,13 +503,13 @@ def _image_tree(t: Tree, outs: dict[str, tuple[int, ...]],
     return img, imgs
 
 
-def _pullback_tree(t0: Tree, t2: Tree, outs: dict[str, tuple[int, ...]],
-                   split_checked: bool = False) -> Tree:
+def _pullback_tree(t0: Tree, t2: Tree,
+                   outs: dict[str, tuple[int, ...]]) -> Tree:
     """The members of t0 whose images, read off the precomputed
-    outputs, lie in t2.  t2 must be a two-branching subset of t0's
-    image, and so must the result be two-branching; split_checked as
-    for _image_tree."""
-    img, imgs = _image_tree(t0, outs, split_checked)
+    outputs, lie in t2.  t0 must split as for _image_tree, whose image
+    step makes that check; t2 must be a two-branching subset of t0's
+    image, and so must the result be two-branching."""
+    img, imgs = _image_tree(t0, outs)
     if not t2 <= img:
         raise ShapeError("refinement tree is not a subset of the image")
     _require_two_branching(t2, "refinement tree")

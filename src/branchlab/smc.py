@@ -33,9 +33,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, MemberError, ProtocolError, ShapeError
 from .functionals import (FunctionalTable, _outputs, _pullback_tree,
-                          _require_two_branching, _splitting_violation,
-                          image_tree, is_splitting_tree, outputs_split,
-                          value_within)
+                          _require_two_branching, image_tree,
+                          is_splitting_tree, outputs_split, value_within)
 from .strings import (check_bits, compatible, is_proper_prefix, lenlex_key,
                       longest_proper_prefix, show_string, sort_lenlex,
                       string_to_nat)
@@ -228,7 +227,8 @@ def select_extensions(ctx: OmegaContext, tau: str,
     below tau in the enumeration order; members of depth m settle at
     step m out of pools that deepen two tree levels per step.  Settled
     picks knock at most one string out of each pool, and the exact
-    budget r_m = sum 2^-m' |settled at m'| must never pass 1.
+    budget r_m = sum 2^-m' |settled at m'| must never pass 1.  The
+    picks are not re-checked here; selection_violation judges them.
     """
     if not lambda_nodes:
         raise ShapeError("empty family")
@@ -294,15 +294,13 @@ def select_extensions(ctx: OmegaContext, tau: str,
             raise ShapeError(f"budget r_{m} = {Fraction(r, one)} exceeds 1: "
                              "the family is too crowded to be thin")
         for i in stars:
+            # distinct members of one tree level are pairwise incompatible
             cands = sort_lenlex(_descent(trees[i], pools[i], n_i[i] - level))
-            first = next(iter(cands), None)
-            second = next((x for x in cands
-                           if first is not None
-                           and not compatible(x, first)), None)
-            if first is None or second is None:
+            if len(cands) < 2:
                 raise ProtocolError("pool exhausted picking for "
                                     f"{show_string(names[i])}; "
                                     + _state_dump(settled, pools, m))
+            first, second = cands[:2]
             settled[i] = (first, second)
             settled_pool[i] = frozenset(pools.pop(i))
             prune(first)
@@ -315,14 +313,6 @@ def select_extensions(ctx: OmegaContext, tau: str,
                     f"below the floor {Fraction(floor, one)}; "
                     + _state_dump(settled, pools, m))
         r_seq.append(r)
-
-    picks = [s for pair in settled.values() for s in pair]
-    for a_i, a in enumerate(picks):
-        for b in picks[a_i + 1:]:
-            if compatible(a, b):
-                raise ProtocolError(f"selected {show_string(a)} and "
-                                    f"{show_string(b)} are compatible; "
-                                    + _state_dump(settled, pools, depth))
     return SelectionResult(dict(sorted(settled.items())),
                            dict(sorted(settled_pool.items())),
                            tuple(Fraction(x, one) for x in r_seq))
@@ -572,8 +562,9 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
     Outputs grow along the tree (the functionals module docstring's
     lemma), so two members split exactly when their outputs are
     incomparable, and one bottom-up pass (_output_summary) serves the
-    hunt and the greedy.  The self-check on the greedy subtree compares
-    sibling pairs only.
+    hunt and the greedy.  A refined subtree is checked for splitting
+    once, by the image step; the stage makes no check of its own
+    output, which callers judge with driver_violation.
     """
     b_s, t_s = state
     t_s = Tree(t_s)
@@ -613,11 +604,8 @@ def smc_driver_stage(state: tuple[str, Iterable[str]],
         for y in (a, b):
             heappush(frontier, lenlex_key(y))
     t_built = Tree(built)
-    if _splitting_violation(t_built, outs) is not None:
-        raise ProtocolError("greedy subtree fails its own splitting check")
     if dagger_subtree is not None:
-        t_next = _pullback_tree(t_built, Tree(dagger_subtree), outs,
-                                split_checked=True)
+        t_next = _pullback_tree(t_built, Tree(dagger_subtree), outs)
     else:
         t_next = t_built
     b_next = min(leaves(t_next), key=lenlex_key)

@@ -390,7 +390,7 @@ def _pullback_flaw(rng):
     t0 = Tree(_random_two_branching_sub(rng, oplus_tree(a)))
     outs = _checked_outputs(odd_readback_psi(a), t0, hat=False)
     img = _image_tree(t0, outs)[0]
-    back = _pullback_tree(t0, img, outs, split_checked=True)
+    back = _pullback_tree(t0, img, outs)
     return f"pullback lost {len(t0 ^ back)} strings" if back != t0 else None
 
 

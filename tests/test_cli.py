@@ -13,7 +13,7 @@ import time
 import pytest
 
 import branchlab
-from branchlab import cli, colorings, suite, traceable
+from branchlab import cli, colorings, cupping, suite, traceable
 from branchlab.errors import ScenarioError
 from branchlab.functionals import FunctionalTable
 from branchlab.gen import odd_readback_psi, phi_for_profile
@@ -674,6 +674,27 @@ def test_cupping_search_budget_at_its_edge(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "ERROR\trun-cupping-error\tlevel 5 exceeds the search budget"]
     assert time.monotonic() - t0 < 1
+
+
+def test_run_cupping_fails_through_its_verifier(tmp_path, capsys,
+                                                monkeypatch):
+    # the search handed the empty bundle returns colour 0 at index 0,
+    # which the constant-0 functional c blocks from stage 1 on
+    f = tmp_path / "const.scn"
+    f.write_text("[functional c]\n"
+                 + "".join(f"axiom e {n} 0 1\n" for n in range(3)))
+    assert cli.main(["run", "cupping", "--scenario", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "PASS\tcupping-n0\te", "PASS\tcupping-n1\t010",
+        "PASS\tcupping-n2\t0101"]
+    search = cli.find_pi_member
+    monkeypatch.setattr(cli, "find_pi_member",
+                        lambda n, adv: search(n, cupping.EMPTY_BUNDLE))
+    assert cli.main(["run", "cupping", "--scenario", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "PASS\tcupping-n0\te",
+        "FAIL\tcupping-n1\tstage 1 filter rejects 1",
+        "FAIL\tcupping-n2\tstage 1 filter rejects 1"]
 
 
 # psi and phi converge to 0 at every argument on every oracle bit, so

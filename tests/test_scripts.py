@@ -1,6 +1,7 @@
 """Smoke tests: each example script runs to the end and prints what it
 printed when it was written."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -29,12 +30,33 @@ def _run(script, *args):
      "  C(1,0): 1 value(s) [9], size ceiling 4"),
     ("stage_walkthrough.py", ["--horizon", "4", "--tables", "0"],
      "stage 4: frontier 16 (0000 0001 0010 0011 0100 0101 ...)"),
+    # exit 0 here also means the selection verifier passed
     ("packing_demo.py", [], "budget sequence r = ('1',)"),
 ])
 def test_script_runs_and_prints_its_pinned_line(script, args, line):
     proc = _run(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def test_packing_demo_prints_its_verdict_and_exits_1_on_a_flaw(
+        monkeypatch, capsys):
+    demo = _script("packing_demo")
+    assert demo.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "verifier: valid selection"
+    select = demo.select_extensions
+
+    def one_pair_twice(*args):
+        res = select(*args)
+        return dataclasses.replace(
+            res, sigma_pairs=dict.fromkeys(res.sigma_pairs,
+                                           res.sigma_pairs[0]))
+
+    monkeypatch.setattr(demo, "select_extensions", one_pair_twice)
+    assert demo.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "verifier: duplicate pick"
 
 
 def _check_bench_schema(record):

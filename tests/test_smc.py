@@ -1207,8 +1207,8 @@ def test_driver_stage_split_tests_stay_linear(monkeypatch):
 
 
 def test_driver_stage_checks_its_greedy_subtree_once(monkeypatch):
-    # the self-check covers the image step too, which used to repeat it
-    # on the same tree with the same outputs
+    # the image step checks a refined subtree for splitting, and the
+    # stage adds no check of its own: driver_violation judges the rest
     calls = []
     real = functionals._splitting_violation
 
@@ -1217,26 +1217,32 @@ def test_driver_stage_checks_its_greedy_subtree_once(monkeypatch):
         return real(t, outs, delayed)
 
     monkeypatch.setattr(functionals, "_splitting_violation", counted)
-    monkeypatch.setattr(smc, "_splitting_violation", counted)
-    refined = 0
+    refined = plain = 0
     for state, psi, budget, dagger in _driver_cases():
         calls.clear()
         got = _outcome(smc_driver_stage, state, psi, budget, dagger)
         if got[0] != "ok" or got[1].branch != "splitting-subtree":
             continue
-        assert len(calls) == 1
+        assert len(calls) == (dagger is not None)
         refined += dagger is not None
-    assert refined > 10
+        plain += dagger is None
+    assert refined > 10 and plain > 10
 
 
-def test_driver_self_check_failure_is_still_a_protocol_error(monkeypatch):
-    monkeypatch.setattr(smc, "_splitting_violation",
-                        lambda t, outs, delayed=False: ("0", "1"))
-    t = oplus_tree("10")
-    for dagger in (None, frozenset({"", "0", "1"})):
-        with pytest.raises(ProtocolError,
-                           match="greedy subtree fails its own splitting"):
-            smc_driver_stage(("", t), odd_readback_psi("10"), 3, dagger)
+def test_a_greedy_subtree_that_does_not_split_is_caught(monkeypatch):
+    # a greedy trusting every pair to split grows a subtree that does
+    # not: the image step refuses it when there is a refinement, and
+    # the driver's verifier names it when there is none
+    monkeypatch.setattr(smc, "outputs_split", lambda a_out, b_out: True)
+    t = oplus_tree("010")
+    psi = FunctionalTable(tuple(
+        (m, len(m) // 2 - 1, int(v), 1)
+        for m, v in zip(sort_lenlex(t)[1:], "11000101101001")))
+    res = smc_driver_stage(("", t), psi, 64)
+    assert res.branch == "splitting-subtree"
+    assert smc.driver_violation(psi, t, res) == "subtree does not split"
+    with pytest.raises(ShapeError, match="input tree is not a splitting"):
+        smc_driver_stage(("", t), psi, 64, frozenset({"", "0", "1"}))
 
 
 # Failures found by walking a set name the length-lex first offender, so
