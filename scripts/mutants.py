@@ -86,6 +86,12 @@ MUTANTS = (
            "    memo[key] = None\n"
            "    ax = effective_axiom(f, tau, n)\n    # defined when",
            (_T + "test_an_interrupted_hat_eval_leaves_no_wrong_entry",)),
+    # a table or context built anew handed back instead of the live
+    # equal one, so value-keyed cache hits compare whole keys again
+    Mutant("intern-registry", _FUNCTIONALS,
+           "return cls._registry.setdefault(key, obj)",
+           "cls._registry.setdefault(key, obj)\n        return obj",
+           (_TSMC + "test_equal_keys_hit_the_caches_without_a_comparison",)),
     # run cupping printing PASS for any node the search returns
     Mutant("cupping-cli-skips-the-verifier", _CLI,
            "bad = pi_membership_violation(node, adv)",

@@ -21,7 +21,10 @@ hat_eval(f, tau, n) == hat_eval(f, tau[:H + n], n) whenever
 len(tau) >= H + n, and hat_eval evaluates that prefix instead.  A
 table keeps the guarded values and outputs it has computed, each keyed
 by its cut string, for as long as it lives, so no function takes a
-memo.
+memo.  Equal tables are one object: building a table equal to a live
+one hands back the live one, so equal tables share those kept answers,
+which depend on the axioms alone, and a cache keyed by tables matches
+an equal key by identity, without comparing axioms.
 
 Guarded outputs grow by at most one value per oracle bit, since
 definedness at n + 1 needs the parent's at n: out(tau) is out(tau[:-1])
@@ -65,7 +68,8 @@ successor of the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -88,8 +92,27 @@ def _clashes(a: Axiom, b: Axiom) -> bool:
     return a[2] != b[2] and compatible(a[0], b[0])
 
 
+class _Interned(type):
+    """A metaclass for frozen dataclasses whose equal instances are one
+    object (hash-consing).  Calling the class builds and checks an
+    instance as usual, then hands back the live instance with the same
+    field values when there is one.  Each class keeps its live
+    instances in a weak registry keyed by those values, so an instance
+    leaves it when it dies and one refused while built never enters it;
+    equality and hashing stay by value."""
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        cls._registry = weakref.WeakValueDictionary()
+
+    def __call__(cls, *args, **kwargs):
+        obj = super().__call__(*args, **kwargs)
+        key = tuple(getattr(obj, fl.name) for fl in fields(obj))
+        return cls._registry.setdefault(key, obj)
+
+
 @dataclass(frozen=True)
-class FunctionalTable:
+class FunctionalTable(metaclass=_Interned):
     axioms: tuple[Axiom, ...]
 
     def __post_init__(self):

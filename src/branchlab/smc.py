@@ -32,8 +32,8 @@ from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, MemberError, ProtocolError, ShapeError
-from .functionals import (FunctionalTable, _outputs, _pullback_tree,
-                          _require_two_branching, image_tree,
+from .functionals import (FunctionalTable, _Interned, _outputs,
+                          _pullback_tree, _require_two_branching, image_tree,
                           is_splitting_tree, outputs_split, value_within)
 from .strings import (check_bits, compatible, is_proper_prefix, lenlex_key,
                       longest_proper_prefix, show_string, sort_lenlex,
@@ -45,8 +45,14 @@ from .trees import (StagedTree, Tree, _index, branching_stats, is_prefix_free,
 # -- oracle-indexed trees --------------------------------------------------
 
 @dataclass(frozen=True)
-class OmegaContext:
-    """A two-place table and a finite majorant."""
+class OmegaContext(metaclass=_Interned):
+    """A two-place table and a finite majorant.
+
+    Equal contexts are one object, as equal tables are: building one
+    equal to a live context hands back the live one, so the
+    omega_level cache matches an equal key by identity, without
+    comparing majorants.
+    """
 
     phi: FunctionalTable
     f: tuple[int, ...]

@@ -1,7 +1,7 @@
 """Library-level helpers that only the tests call: three oracles, a
 checked pullback, a driver-stage fixture, a spoiled readback, a tree
-index as plain data, one traceable act as a whole-state step, and a
-table constructor."""
+index as plain data, one traceable act as a whole-state step, a
+table constructor and a counter of table and context comparisons."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from branchlab.errors import ShapeError
 from branchlab.functionals import (Axiom, FunctionalTable, _checked_outputs,
                                    _pullback_tree, output_prefix,
                                    outputs_split)
-from branchlab.smc import ThetaAxioms, oplus_tree
+from branchlab.smc import OmegaContext, ThetaAxioms, oplus_tree
 from branchlab.strings import compatible, sort_lenlex
 from branchlab.traceable import ConstructionState, WorkingState
 from branchlab.trees import StagedTree, Tree, leaves, successors
@@ -20,6 +20,19 @@ from branchlab.trees import StagedTree, Tree, leaves, successors
 def table(axioms: Iterable[Axiom]) -> FunctionalTable:
     """The table of the axioms, from any iterable of them."""
     return FunctionalTable(tuple(axioms))
+
+
+def count_comparisons(monkeypatch) -> list[str]:
+    """A list that from now on gets the class name of each table or
+    context whose __eq__ is called."""
+    calls: list[str] = []
+    for cls in (FunctionalTable, OmegaContext):
+        def counted(a, b, real=cls.__eq__):
+            calls.append(type(a).__name__)
+            return real(a, b)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    return calls
 
 
 def _naive_bounded_value(f: FunctionalTable, tau: str, n: int,

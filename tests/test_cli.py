@@ -20,7 +20,7 @@ from branchlab.gen import odd_readback_psi, phi_for_profile
 from branchlab.scenario import empty_scenario, parse_scenario
 from branchlab.smc import oplus_tree
 from branchlab.strings import show_string, string_to_nat
-from helpers import constant_psi, nest_codes
+from helpers import constant_psi, count_comparisons, nest_codes
 
 DEMO = """\
 [functional psi]
@@ -900,6 +900,27 @@ def test_pi6_on_a_deep_table_reads_no_bit_past_its_horizon(tmp_path):
     for stages in ("13", "6"):
         _at_the_edge(["run", "pi6", "--stages", stages, "--flen", "30",
                       "--scenario", str(f)], lines, 1)
+
+
+def test_a_second_pi6_run_reuses_the_first_runs_context(tmp_path,
+                                                        monkeypatch):
+    # the second run parses its table and builds its majorant anew, but
+    # they are equal to the first run's, so its context is the first
+    # run's object and its cache hits compare no table or majorant
+    f = tmp_path / "prof.scn"
+    f.write_text(_profile_scenario())
+    cmd = ["run", "pi6", "--stages", "13", "--flen", "4096",
+           "--scenario", str(f)]
+    built = []
+    real = cli._omega_context
+    monkeypatch.setattr(cli, "_omega_context",
+                        lambda ns, phi: built.append(real(ns, phi))
+                        or built[-1])
+    want = cli.run_command(cmd, empty_scenario()).render()
+    calls = count_comparisons(monkeypatch)
+    assert cli.run_command(cmd, empty_scenario()).render() == want
+    assert len(built) == 2 and built[1] is built[0]
+    assert calls == []
 
 
 def test_majorant_length_budget_at_its_edge(tmp_path):

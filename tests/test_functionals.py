@@ -447,12 +447,11 @@ def test_hat_eval_matches_the_two_scan_version(f, tau, n):
     # argument test the cut
     assert f._horizon == max((max(len(ax[0]), ax[3] + 1)
                               for ax in f.axioms), default=0)
+    # first at n, whose recursion fills the arguments below, and then
+    # at each argument and prefix through the values the table keeps
+    assert hat_eval(f, tau, n) == _naive_hat_eval(f, tau, n)
     naive_memo = {}
     for k in range(n + 1):
-        want = _naive_hat_eval(f, tau, k)
-        assert hat_eval(FunctionalTable(f.axioms), tau, k) == want
-        # and through the table's values, kept across arguments and
-        # prefixes
         for x in (tau, tau[:-1]):
             assert hat_eval(f, x, k) == _naive_hat_eval(f, x, k, naive_memo)
     assert all(len(x) <= f._horizon + k for x, k in f._hat_values)
@@ -473,7 +472,9 @@ def test_hat_eval_past_the_horizon_at_its_edges():
 
 def test_hat_eval_asks_the_parent_only_at_the_argument_below(monkeypatch):
     # definedness is downward closed in the argument, so a call on a
-    # fresh table recurses once per argument below n: n + 1 calls in all
+    # table with no kept answers recurses once per argument below n:
+    # n + 1 calls in all.  Equal tables are one object, so each round's
+    # table differs from the earlier ones at an argument it never asks
     real = branchlab.functionals.hat_eval
     calls = []
 
@@ -483,7 +484,8 @@ def test_hat_eval_asks_the_parent_only_at_the_argument_below(monkeypatch):
 
     monkeypatch.setattr(branchlab.functionals, "hat_eval", counted)
     for n in range(8):
-        f = table([("", k, k, 1) for k in range(8)])
+        f = table([("", k, k, 1) for k in range(8)] + [("", 8, n, 1)])
+        assert f._hat_values == {}
         calls.clear()
         assert counted(f, "0" * 12, n) == n
         assert len(calls) == n + 1, calls
@@ -505,10 +507,10 @@ def test_table_identity_ignores_the_index():
     assert FunctionalTable(())._horizon == 0
 
 
-def test_equal_tables_keep_their_own_guarded_answers():
+def test_equal_tables_are_one_object_and_share_guarded_answers():
     axs = [("", 0, 5, 1), ("", 1, 6, 1), ("0", 2, 7, 3), ("1", 2, 4, 2)]
-    f, g = table(axs), table(reversed(axs))
-    assert f == g and [fl.name for fl in dataclasses.fields(f)] == ["axioms"]
+    f = table(axs)
+    assert [fl.name for fl in dataclasses.fields(f)] == ["axioms"]
     strings = ["".join(bits) for k in range(7)
                for bits in product("01", repeat=k)]
 
@@ -517,11 +519,13 @@ def test_equal_tables_keep_their_own_guarded_answers():
                 for s in strings for n in range(3)]
 
     want = answers(f)
-    assert f._hat_values and f._hat_outputs
-    assert g._hat_values == {} and g._hat_outputs == {}
+    values, outputs = dict(f._hat_values), dict(f._hat_outputs)
+    assert values and outputs
+    # building g leaves f's kept answers in place, and g reads them
+    g = table(reversed(axs))
+    assert g is f
+    assert f._hat_values == values and f._hat_outputs == outputs
     assert answers(g) == want
-    assert f._hat_values == g._hat_values is not f._hat_values
-    assert f._hat_outputs == g._hat_outputs is not f._hat_outputs
 
 
 def test_an_interrupted_hat_eval_leaves_no_wrong_entry(monkeypatch):
@@ -542,9 +546,8 @@ def test_an_interrupted_hat_eval_leaves_no_wrong_entry(monkeypatch):
                         interrupted)
     with pytest.raises(KeyboardInterrupt):
         hat_eval(f, "111", 1)
-    assert hat_eval(f, "111", 1) == hat_eval(table(axs), "111", 1) == 6
-    fresh = table(axs)
-    assert all(v == hat_eval(fresh, tau, n)
+    assert hat_eval(f, "111", 1) == _naive_hat_eval(f, "111", 1) == 6
+    assert all(v == _naive_hat_eval(f, tau, n)
                for (tau, n), v in f._hat_values.items())
 
 

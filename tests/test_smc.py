@@ -2,6 +2,7 @@
 finite-extension driver."""
 
 import dataclasses
+import gc
 import os
 import random
 import re
@@ -14,8 +15,8 @@ import pytest
 
 import branchlab
 from branchlab import functionals, smc
-from branchlab.errors import (BudgetError, MemberError, ProtocolError,
-                              ShapeError)
+from branchlab.errors import (BudgetError, ConsistencyError, MemberError,
+                              ProtocolError, ShapeError)
 from branchlab.functionals import (FunctionalTable, _require_two_branching,
                                    image_tree, is_splitting_tree)
 from branchlab.gen import (odd_readback_psi, phi_for_profile,
@@ -31,7 +32,8 @@ from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
 from branchlab.thin import is_thin
 from branchlab.trees import (StagedTree, Tree, branching_stats, leaves,
                              level_map, level_of, max_level, successors)
-from helpers import constant_psi, is_splitting_pair, pullback_tree
+from helpers import (constant_psi, count_comparisons, is_splitting_pair,
+                     pullback_tree)
 
 
 def all_strings(n):
@@ -380,6 +382,71 @@ class TestOmega:
         ctx = OmegaContext(phi_for_profile({"": 4}), (0, 1, 2))
         assert not omega(ctx, "0", 3)
         assert omega_level(ctx, "0") == 2
+
+
+# -- equal tables and contexts are one object ------------------------------
+
+def test_equal_keys_hit_the_caches_without_a_comparison(monkeypatch):
+    # a table and a context built a second time are the first ones, so
+    # the value-keyed caches match them by identity and call no __eq__
+    phi = phi_for_profile({"": 2, "1": 4})
+    ctx = OmegaContext(phi, tuple(range(8)))
+    taus = ["", "0", "1", "10", "0110", "1" * 9]
+    want = [(t_of(phi, tau), omega_level(ctx, tau)) for tau in taus]
+    calls = count_comparisons(monkeypatch)
+    phi2 = FunctionalTable(tuple(reversed(phi.axioms)))
+    ctx2 = OmegaContext(phi2, tuple(range(8)))
+    hits = t_of.cache_info().hits, omega_level.cache_info().hits
+    assert [(t_of(phi2, tau), omega_level(ctx2, tau)) for tau in taus] \
+        == want
+    assert (t_of.cache_info().hits - hits[0],
+            omega_level.cache_info().hits - hits[1]) == (6, 6)
+    assert calls == []
+    assert phi2 is phi and ctx2 is ctx
+
+
+def test_the_registries_keep_no_object_alive():
+    gc.collect()
+    tables, contexts = FunctionalTable._registry, OmegaContext._registry
+    start = len(tables), len(contexts)
+    held = [OmegaContext(FunctionalTable((("", 0, 10**6 + k, 1),)), (k,))
+            for k in range(1000)]
+    assert (len(tables), len(contexts)) == (start[0] + 1000, start[1] + 1000)
+    del held
+    gc.collect()
+    assert (len(tables), len(contexts)) == start
+
+
+def test_reordered_axioms_and_replace_give_the_live_object():
+    axs = (("", 0, 5, 1), ("1", 1, 6, 2), ("0", 1, 7, 2))
+    f = FunctionalTable(axs)
+    ctx = OmegaContext(f, (0, 2, 5))
+    assert FunctionalTable(axs[::-1]) is f
+    assert FunctionalTable(list(axs + axs)) is f
+    assert dataclasses.replace(f) is f
+    assert dataclasses.replace(f, axioms=axs[::-1]) is f
+    assert OmegaContext(FunctionalTable(axs[1:] + axs[:1]), (0, 2, 5)) is ctx
+    assert dataclasses.replace(ctx, f=(0, 2, 5)) is ctx
+    other = dataclasses.replace(ctx, f=(0, 2, 6))
+    assert other is not ctx and other.phi is f
+
+
+def test_a_refused_table_or_context_leaves_no_entry():
+    phi = FunctionalTable((("", 0, 1, 1),))
+    gc.collect()
+    start = len(FunctionalTable._registry), len(OmegaContext._registry)
+    with pytest.raises(ConsistencyError):
+        FunctionalTable((("", 0, 1, 1), ("0", 0, 2, 1)))
+    with pytest.raises(ShapeError):
+        FunctionalTable((("", 0, 1, 0),))
+    with pytest.raises(ShapeError):
+        FunctionalTable((("", -1, 1, 1),))
+    with pytest.raises(ValueError):
+        FunctionalTable((("2", 0, 1, 1),))
+    with pytest.raises(ShapeError):
+        OmegaContext(phi, (0, 2, 2))
+    assert (len(FunctionalTable._registry),
+            len(OmegaContext._registry)) == start
 
 
 class TestEnumerate:
