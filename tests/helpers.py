@@ -1,10 +1,12 @@
 """Library-level helpers that only the tests call: three oracles, a
 checked pullback, a driver-stage fixture, a spoiled readback, a tree
 index as plain data, one traceable act as a whole-state step, a
-table constructor and a counter of table and context comparisons."""
+table constructor, an equal table with no kept answers and a counter
+of table and context comparisons."""
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Optional
 
 from branchlab.errors import ShapeError
@@ -20,6 +22,16 @@ from branchlab.trees import StagedTree, Tree, leaves, successors
 def table(axioms: Iterable[Axiom]) -> FunctionalTable:
     """The table of the axioms, from any iterable of them."""
     return FunctionalTable(tuple(axioms))
+
+
+def unkept(f: FunctionalTable) -> FunctionalTable:
+    """A table equal to f that is not the live instance and keeps no
+    guarded answers yet: the empty-memo side of a comparison.  A copy
+    skips the class call, so the registry never hands it out."""
+    g = copy.copy(f)
+    object.__setattr__(g, "_hat_values", {})
+    object.__setattr__(g, "_hat_outputs", {})
+    return g
 
 
 def count_comparisons(monkeypatch) -> list[str]:

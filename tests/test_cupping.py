@@ -20,7 +20,7 @@ from branchlab.functionals import FunctionalTable, hat_eval
 from branchlab.gen import random_functional_table, random_kappa_tree
 from branchlab.strings import compatible, lenlex_key, show_string
 from branchlab.trees import _index, leaves, restrict_to_level
-from helpers import index_items, table
+from helpers import index_items, table, unkept
 
 
 def test_gamma_code_values():
@@ -442,7 +442,7 @@ def _wide_bundle(rng, size):
 
 def _fresh(adv):
     """An equal bundle whose tables keep no guarded values yet."""
-    return bundle(FunctionalTable(tab.axioms) for tab in adv)
+    return bundle(unkept(tab) for tab in adv)
 
 
 def _naive_rank_colours(adv, i, t):

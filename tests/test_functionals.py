@@ -28,7 +28,7 @@ from branchlab.strings import (bits_of_values, compatible, is_prefix,
                                is_proper_prefix, sort_lenlex)
 from branchlab.trees import Tree, _index, successors
 from helpers import (_naive_bounded_value, is_splitting_pair, pullback_tree,
-                     table)
+                     table, unkept)
 
 
 def test_eval_picks_applicable_axiom():
@@ -447,11 +447,12 @@ def test_hat_eval_matches_the_two_scan_version(f, tau, n):
     # argument test the cut
     assert f._horizon == max((max(len(ax[0]), ax[3] + 1)
                               for ax in f.axioms), default=0)
-    # first at n, whose recursion fills the arguments below, and then
-    # at each argument and prefix through the values the table keeps
-    assert hat_eval(f, tau, n) == _naive_hat_eval(f, tau, n)
     naive_memo = {}
     for k in range(n + 1):
+        want = _naive_hat_eval(f, tau, k)
+        assert hat_eval(unkept(f), tau, k) == want
+        # and through the table's values, kept across arguments and
+        # prefixes
         for x in (tau, tau[:-1]):
             assert hat_eval(f, x, k) == _naive_hat_eval(f, x, k, naive_memo)
     assert all(len(x) <= f._horizon + k for x, k in f._hat_values)
@@ -526,13 +527,19 @@ def test_equal_tables_are_one_object_and_share_guarded_answers():
     assert g is f
     assert f._hat_values == values and f._hat_outputs == outputs
     assert answers(g) == want
+    # an equal copy with empty memos, which the registry never hands
+    # out, computes the same answers afresh
+    h = unkept(f)
+    assert h == f and h is not f and table(axs) is f
+    assert h._hat_values == {} and h._hat_outputs == {}
+    assert answers(h) == want
+    assert h._hat_values == f._hat_values is not h._hat_values
 
 
 def test_an_interrupted_hat_eval_leaves_no_wrong_entry(monkeypatch):
     # the parent lookup of hat_eval(f, "111", 1) is interrupted once: an
     # entry stored before its value was known would read None for good
-    axs = [("", 0, 5, 1), ("", 1, 6, 1)]
-    f = table(axs)
+    f = unkept(table([("", 0, 5, 1), ("", 1, 6, 1)]))
     real = branchlab.functionals.effective_axiom
 
     def interrupted(g, tau, n):
@@ -546,8 +553,9 @@ def test_an_interrupted_hat_eval_leaves_no_wrong_entry(monkeypatch):
                         interrupted)
     with pytest.raises(KeyboardInterrupt):
         hat_eval(f, "111", 1)
-    assert hat_eval(f, "111", 1) == _naive_hat_eval(f, "111", 1) == 6
-    assert all(v == _naive_hat_eval(f, tau, n)
+    assert hat_eval(f, "111", 1) == hat_eval(unkept(f), "111", 1) == 6
+    fresh = unkept(f)
+    assert all(v == hat_eval(fresh, tau, n)
                for (tau, n), v in f._hat_values.items())
 
 
@@ -708,12 +716,10 @@ def prefix_closed_sets(draw):
     lambda axs: table(_repair(axs)))), prefix_closed_sets(), st.booleans())
 @settings(max_examples=200)
 def test_shared_memo_outputs_match_fresh_output_prefix(f, t, hat):
-    fresh = {m: output_prefix(FunctionalTable(f.axioms), m, hat=hat)
-             for m in t}
+    fresh = {m: output_prefix(unkept(f), m, hat=hat) for m in t}
     # the table's outputs fill in whatever order the members come
     assert _outputs(f, sort_lenlex(t), hat=hat) == fresh
-    assert _outputs(FunctionalTable(f.axioms), sort_lenlex(t)[::-1],
-                    hat=hat) == fresh
+    assert _outputs(unkept(f), sort_lenlex(t)[::-1], hat=hat) == fresh
 
 
 # output_prefix's guarded branch before it walked the string one bit at
@@ -755,8 +761,7 @@ def test_guarded_walk_matches_the_hat_eval_loop():
             tau = "".join(rng.choice("01")
                           for _ in range(rng.randint(0, cut + 4)))
             want = _naive_hat_output_prefix(f, tau)
-            assert output_prefix(FunctionalTable(f.axioms), tau,
-                                 hat=True) == want
+            assert output_prefix(unkept(f), tau, hat=True) == want
             assert output_prefix(f, tau, hat=True) == want
             assert _naive_hat_output_prefix(f, tau, naive_shared) == want
             sides[(len(tau) > cut) - (len(tau) < cut)] += 1
@@ -781,12 +786,12 @@ def test_guarded_walk_matches_the_hat_eval_loop_on_oplus_trees():
                         for s, n, v, k in odd_readback_psi(a).axioms)
             # the hat_eval loop on an equal table of its own: the naive
             # scans would take seconds on these 2,046 axioms
-            own = FunctionalTable(psi.axioms)
+            own = unkept(psi)
             want = {m: tuple(takewhile(lambda v: v is not None, (
                 hat_eval(own, m, n) for n in range(own.max_arg + 2))))
                 for m in t}
             assert _outputs(psi, t, hat=True) == want
-            assert _outputs(FunctionalTable(psi.axioms), sort_lenlex(t)[::-1],
+            assert _outputs(unkept(psi), sort_lenlex(t)[::-1],
                             hat=True) == want
 
 
