@@ -43,17 +43,19 @@ _CLI = "branchlab/cli.py"
 _COLORINGS = "branchlab/colorings.py"
 _SMC = "branchlab/smc.py"
 _TRACEABLE = "branchlab/traceable.py"
+_THIN = "branchlab/thin.py"
 _T = "tests/test_functionals.py::"
 _TCUP = "tests/test_cupping.py::"
 _TCOL = "tests/test_colorings.py::"
 _TSMC = "tests/test_smc.py::"
 _TTR = "tests/test_traceable.py::"
 _TCLI = "tests/test_cli.py::"
+_TTHIN = "tests/test_thin.py::"
 
 MUTANTS = (
     Mutant("value-within-bound", _FUNCTIONALS,
-           "if ax is None or ax[3] > steps:",
-           "if ax is None or ax[3] >= steps:",
+           "if ax is None or ax[3] > steps else",
+           "if ax is None or ax[3] >= steps else",
            (_T + "test_identity_table_outputs",)),
     Mutant("effective-axiom-tie", _FUNCTIONALS,
            "(ax is None or hit[3] < ax[3])",
@@ -179,6 +181,17 @@ MUTANTS = (
            "if n <= 4 and c >= node_count_bound(n)",
            (_TTR + "test_run_flaws_name_the_first_count_and_trace_over"
             "_their_bounds",)),
+    # the last frontier string to miss a node's successors named, not
+    # the length-lex first
+    Mutant("final-node-names-the-last-miss", _TRACEABLE,
+           "missed.setdefault(below, x)",
+           "missed[below] = x",
+           (_TTR + "test_final_node_range_scan_matches_naive_scan",)),
+    # antichain weights at depths measured in the subtree, not the tree
+    Mutant("thin-depth-in-the-subtree", _THIN,
+           "own = Fraction(1, 1 << level_of(t, x))",
+           "own = Fraction(1, 1 << level_of(tp, x))",
+           (_TTHIN + "test_thin_matches_exhaustive_oracle",)),
 )
 
 

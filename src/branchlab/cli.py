@@ -35,7 +35,7 @@ from .thin import (TraceSystem, dnr_trace, hat_level_tree, selfdelim_roundtrip,
                    thin_violation, trace_from_bounded_splitting,
                    trace_from_thin)
 from .traceable import declared_counts, run_flaws, run_to_horizon
-from .trees import successors
+from .trees import _index, successors
 
 
 # -- scenario name resolution ------------------------------------------------
@@ -57,9 +57,8 @@ def _named(sc: Scenario, kind: str, name: str):
 
 def _extraction_line(check_id: str, outcome) -> ReportLine:
     d, failure = outcome
-    if failure is None:
-        return passed(check_id, f"d={d}")
-    return failed(check_id, _clean(failure))
+    return (passed(check_id, f"d={d}") if failure is None
+            else failed(check_id, _clean(failure)))
 
 
 def _require_work_budget(count: int, leaf_count: int) -> None:
@@ -236,12 +235,11 @@ def _h_check_thin(ns, sc, rng):
 def _h_check_split(ns, sc, rng):
     psi = _named(sc, "functional", ns.psi)
     t = _named(sc, "tree", ns.tree)
+    _require_pair_budget(t, ns.delayed)
     v = splitting_violation(psi, t, delayed=ns.delayed, hat=ns.hat)
     check_id = f"split-{ns.psi}-{ns.tree}"
-    if v is None:
-        return [passed(check_id)]
-    return [failed(check_id,
-                   f"{show_string(v[0])},{show_string(v[1])}")]
+    return [passed(check_id) if v is None
+            else failed(check_id, ",".join(map(show_string, v)))]
 
 
 def _require_scan_budget(length: int,
@@ -260,6 +258,24 @@ def _require_scan_budget(length: int,
     if strings * probes > 1 << 21:
         raise BudgetError(f"{strings} strings at {probes} probes each "
                           f"exceed {1 << 21}")
+
+
+def _require_pair_budget(t, delayed: bool = False) -> None:
+    """Refuse a splitting check that compares more than 2^20 pairs of
+    outputs, before any output is computed.  Plain mode compares each
+    two roots and each two successors of one member; delayed mode each
+    successor of one of those siblings with each of the other's."""
+    # a root with 1,448 leaves, whose outputs never split, takes about
+    # 0.5 s in plain mode, and a root with two children of 1,024 leaves
+    # each about 0.7 s in delayed mode; the cost grows with the pairs.
+    # Two siblings weighing 1 or their successor counts give that many
+    # pairs, so a group of weights w gives (sum(w)^2 - sum(w_i^2)) / 2
+    idx = _index(t)
+    weights = ([len(idx.successors[u]) if delayed else 1 for u in group]
+               for group in (*idx.levels[:1], *idx.successors.values()))
+    pairs = sum(sum(w) ** 2 - sum(x * x for x in w) for w in weights) // 2
+    if pairs > 1 << 20:
+        raise BudgetError(f"{pairs} output pairs exceed {1 << 20}")
 
 
 def _h_check_weaksplit(ns, sc, rng):
@@ -312,6 +328,7 @@ def _h_trace_from_thin(ns, sc, rng):
 def _h_trace_from_split(ns, sc, rng):
     psi = _named(sc, "functional", ns.psi)
     t = _named(sc, "tree", ns.tree)
+    _require_pair_budget(t)
     return _trace_lines(trace_from_bounded_splitting(psi, t, ns.m),
                         "tracesplit")
 

@@ -23,8 +23,9 @@ table keeps the guarded values and outputs it has computed, each keyed
 by its cut string, for as long as it lives, so no function takes a
 memo.  Equal tables are one object: building a table equal to a live
 one hands back the live one, so equal tables share those kept answers,
-which depend on the axioms alone, and a cache keyed by tables matches
-an equal key by identity, without comparing axioms.
+which depend on the axioms alone.  Tables compare and hash by identity,
+which interning makes the same as comparing axioms, so a cache keyed by
+tables never compares axioms.
 
 Guarded outputs grow by at most one value per oracle bit, since
 definedness at n + 1 needs the parent's at n: out(tau) is out(tau[:-1])
@@ -98,8 +99,10 @@ class _Interned(type):
     instance as usual, then hands back the live instance with the same
     field values when there is one.  Each class keeps its live
     instances in a weak registry keyed by those values, so an instance
-    leaves it when it dies and one refused while built never enters it;
-    equality and hashing stay by value."""
+    leaves it when it dies and one refused while built never enters it.
+    The registry is the one place that compares field values: the
+    classes declare eq=False, so equality and hashing are identity,
+    which interning makes the same as value equality."""
 
     def __init__(cls, name, bases, ns):
         super().__init__(name, bases, ns)
@@ -111,7 +114,7 @@ class _Interned(type):
         return cls._registry.setdefault(key, obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalTable(metaclass=_Interned):
     axioms: tuple[Axiom, ...]
 
@@ -169,23 +172,18 @@ class FunctionalTable(metaclass=_Interned):
         object.__setattr__(self, "axioms", axs)
         # the sigma index, its lengths per argument (one tuple for all
         # arguments with the same lengths) and the horizon, for the
-        # lookups below, and the hash, which is the one the dataclass
-        # would compute; not fields, so eq and repr ignore them
+        # lookups below; not fields, so the registry and repr ignore them
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         object.__setattr__(self, "_sigma_index", index)
         object.__setattr__(self, "_lengths", {
             arg: shared.setdefault(tuple(ls), tuple(ls))
             for arg, ls in by_arg.items()})
         object.__setattr__(self, "_horizon", horizon)
-        object.__setattr__(self, "_hash", hash((axs,)))
         # the guarded values hat_eval has computed, keyed by (tau cut to
         # H + n, n), and the guarded outputs output_prefix has walked,
         # keyed by tau cut to H + max_arg + 1: kept as long as the table
         object.__setattr__(self, "_hat_values", {})
         object.__setattr__(self, "_hat_outputs", {})
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def max_arg(self) -> int:
@@ -228,9 +226,7 @@ def value_within(f: FunctionalTable, tau: str, n: int,
     """The value at (tau, n) when the computation converges within
     steps steps, or None."""
     ax = effective_axiom(f, tau, n)
-    if ax is None or ax[3] > steps:
-        return None
-    return ax[2]
+    return None if ax is None or ax[3] > steps else ax[2]
 
 
 def eval_at(f: FunctionalTable, tau: str, n: int) -> Optional[int]:
@@ -346,6 +342,8 @@ def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
                  for i, a in enumerate(group) for b in group[i + 1:]
                  if not outputs_split(outs[a], outs[b]))
     else:
+        # a leaf has no successor to pair, so only inner siblings count
+        groups = ([u for u in group if succ[u]] for group in groups)
         fails = ((x, y) if lenlex_key(x) < lenlex_key(y) else (y, x)
                  for group in groups
                  for i, u in enumerate(group) for v in group[i + 1:]

@@ -44,14 +44,15 @@ from .trees import (StagedTree, Tree, _index, branching_stats, is_prefix_free,
 
 # -- oracle-indexed trees --------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaContext(metaclass=_Interned):
     """A two-place table and a finite majorant.
 
     Equal contexts are one object, as equal tables are: building one
-    equal to a live context hands back the live one, so the
-    omega_level cache matches an equal key by identity, without
-    comparing majorants.
+    equal to a live context hands back the live one.  Contexts compare
+    and hash by identity, which interning makes the same as comparing
+    table and majorant, so the omega_level cache never compares
+    majorants.
     """
 
     phi: FunctionalTable
@@ -60,12 +61,6 @@ class OmegaContext(metaclass=_Interned):
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.f, self.f[1:])):
             raise ShapeError("majorant must be strictly increasing")
-        # the dataclass's hash, kept: the majorant can be long, and the
-        # omega_level cache hashes the context on every call
-        object.__setattr__(self, "_hash", hash((self.phi, self.f)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @lru_cache(maxsize=4096)
@@ -99,11 +94,11 @@ def t_of(phi: FunctionalTable, tau: str) -> Tree:
         members.extend(layer)
         length += 1
     t = Tree(members)
-    for m in sort_lenlex(t):
-        if level_of(t, m) == 0 and m != "":
+    for m, kids in _index(t).successors.items():  # in length-lex order
+        if m and "" not in t:  # m, the first member, is a root
             raise ShapeError(f"level-0 member {show_string(m)} of the tree "
                              f"at {show_string(tau)} is not the empty string")
-        if len(successors(t, m)) > 2:
+        if len(kids) > 2:
             raise ShapeError(f"{show_string(m)} has more than two successors "
                              f"in the tree at {show_string(tau)}")
     return t

@@ -1,8 +1,7 @@
 """Library-level helpers that only the tests call: three oracles, a
 checked pullback, a driver-stage fixture, a spoiled readback, a tree
 index as plain data, one traceable act as a whole-state step, a
-table constructor, an equal table with no kept answers and a counter
-of table and context comparisons."""
+table constructor and a copy of a table with no kept answers."""
 
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ from branchlab.errors import ShapeError
 from branchlab.functionals import (Axiom, FunctionalTable, _checked_outputs,
                                    _pullback_tree, output_prefix,
                                    outputs_split)
-from branchlab.smc import OmegaContext, ThetaAxioms, oplus_tree
+from branchlab.smc import ThetaAxioms, oplus_tree
 from branchlab.strings import compatible, sort_lenlex
 from branchlab.traceable import ConstructionState, WorkingState
 from branchlab.trees import StagedTree, Tree, leaves, successors
@@ -25,26 +24,14 @@ def table(axioms: Iterable[Axiom]) -> FunctionalTable:
 
 
 def unkept(f: FunctionalTable) -> FunctionalTable:
-    """A table equal to f that is not the live instance and keeps no
-    guarded answers yet: the empty-memo side of a comparison.  A copy
-    skips the class call, so the registry never hands it out."""
+    """A table with f's axioms that is not the live instance, so not
+    equal to f, and keeps no guarded answers yet: the empty-memo side
+    of a comparison.  A copy skips the class call, so the registry
+    never hands it out."""
     g = copy.copy(f)
     object.__setattr__(g, "_hat_values", {})
     object.__setattr__(g, "_hat_outputs", {})
     return g
-
-
-def count_comparisons(monkeypatch) -> list[str]:
-    """A list that from now on gets the class name of each table or
-    context whose __eq__ is called."""
-    calls: list[str] = []
-    for cls in (FunctionalTable, OmegaContext):
-        def counted(a, b, real=cls.__eq__):
-            calls.append(type(a).__name__)
-            return real(a, b)
-
-        monkeypatch.setattr(cls, "__eq__", counted)
-    return calls
 
 
 def _naive_bounded_value(f: FunctionalTable, tau: str, n: int,

@@ -20,7 +20,7 @@ from branchlab.gen import odd_readback_psi, phi_for_profile
 from branchlab.scenario import empty_scenario, parse_scenario
 from branchlab.smc import oplus_tree
 from branchlab.strings import show_string, string_to_nat
-from helpers import constant_psi, count_comparisons, nest_codes
+from helpers import constant_psi, nest_codes
 
 DEMO = """\
 [functional psi]
@@ -806,6 +806,63 @@ def test_thin_trace_scan_budget_at_its_edges(tmp_path):
                   "each exceed 2097152"], 1)
 
 
+def _star_scenario(k, heads=("",)):
+    """psi's one axiom gives every string of length 1 or more the output
+    0, so no two such strings split.  T holds the root and, below each
+    head, k leaves of 13 bits: a star, or with heads 0 and 1 a star
+    below each of the root's two successors."""
+    nodes = ["e", *filter(None, heads)] + [
+        h + format(i, f"0{13 - len(h)}b") for h in heads for i in range(k)]
+    return ("[functional psi]\naxiom e 0 0 1\n\n[tree T]\n"
+            + "".join(f"node {m}\n" for m in nodes))
+
+
+def test_splitting_pair_budget_at_its_edges(tmp_path):
+    # the pairs compared grow with the square of a sibling group: a star
+    # of 1448 leaves, C(1448, 2) <= 2^20 pairs, is checked and one more
+    # leaf is refused before any output is computed
+    f = tmp_path / "star.scn"
+    for k, plain, trace in (
+            (1448, "FAIL\tsplit-psi-T\t0000000000000,0000000000001",
+             "ERROR\ttrace-from-split-error\ttree does not split the "
+             "functional"),
+            (1449, "ERROR\tcheck-split-error\t1049076 output pairs exceed "
+             "1048576",
+             "ERROR\ttrace-from-split-error\t1049076 output pairs exceed "
+             "1048576")):
+        f.write_text(_star_scenario(k))
+        ceiling = 5 if k == 1448 else 0.5
+        _at_the_edge(["check", "split", "--tree", "T", "--scenario", str(f)],
+                     [plain], ceiling)
+        _at_the_edge(["check", "split", "--tree", "T", "--hat",
+                      "--scenario", str(f)], [plain], ceiling)
+        _at_the_edge(["trace", "from-split", "--tree", "T", "--m", "5000",
+                      "--scenario", str(f)], [trace], ceiling)
+    # delayed mode pairs the successors of two siblings: two stars of
+    # 1024 leaves give 2^20 pairs and are checked, 1025 are refused
+    f.write_text(_star_scenario(1024, ("0", "1")))
+    _at_the_edge(["check", "split", "--tree", "T", "--delayed",
+                  "--scenario", str(f)],
+                 ["FAIL\tsplit-psi-T\t0000000000000,1000000000000"], 5)
+    f.write_text(_star_scenario(1025, ("0", "1")))
+    _at_the_edge(["check", "split", "--tree", "T", "--delayed",
+                  "--scenario", str(f)],
+                 ["ERROR\tcheck-split-error\t1050625 output pairs exceed "
+                  "1048576"], 0.5)
+    # the stars of 4096 and 8192 leaves are refused at once, and in
+    # delayed mode, where leaves have no successors to pair, pass at once
+    for k in (4096, 8192):
+        f.write_text(_star_scenario(k))
+        pairs = f"{k * (k - 1) // 2} output pairs exceed 1048576"
+        _at_the_edge(["check", "split", "--tree", "T", "--scenario", str(f)],
+                     [f"ERROR\tcheck-split-error\t{pairs}"], 0.5)
+        _at_the_edge(["trace", "from-split", "--tree", "T", "--m", "10000",
+                      "--scenario", str(f)],
+                     [f"ERROR\ttrace-from-split-error\t{pairs}"], 0.5)
+        _at_the_edge(["check", "split", "--tree", "T", "--delayed",
+                      "--scenario", str(f)], ["PASS\tsplit-psi-T"], 0.5)
+
+
 # sha256 prefixes of the reports trace from-thin printed at --maxlen 0
 # to 10, in order, while it built the level tree stage by stage and
 # took lengths up to 10: reading the final tree alone prints the same
@@ -906,7 +963,7 @@ def test_a_second_pi6_run_reuses_the_first_runs_context(tmp_path,
                                                         monkeypatch):
     # the second run parses its table and builds its majorant anew, but
     # they are equal to the first run's, so its context is the first
-    # run's object and its cache hits compare no table or majorant
+    # run's object, which the omega_level cache matches by identity
     f = tmp_path / "prof.scn"
     f.write_text(_profile_scenario())
     cmd = ["run", "pi6", "--stages", "13", "--flen", "4096",
@@ -917,10 +974,8 @@ def test_a_second_pi6_run_reuses_the_first_runs_context(tmp_path,
                         lambda ns, phi: built.append(real(ns, phi))
                         or built[-1])
     want = cli.run_command(cmd, empty_scenario()).render()
-    calls = count_comparisons(monkeypatch)
     assert cli.run_command(cmd, empty_scenario()).render() == want
     assert len(built) == 2 and built[1] is built[0]
-    assert calls == []
 
 
 def test_majorant_length_budget_at_its_edge(tmp_path):
@@ -950,8 +1005,9 @@ def _corpus_files(tmp_path):
     """Scenario files for the argv corpus: demo's [tree] names S, T, W
     and [staged] names R, U interleave, read stages D's tree as E, pp
     joins the readback and profile tables under [params] that set every
-    fallback, and odd's oracle needs more splits than the default
-    budget allows."""
+    fallback, odd's oracle needs more splits than the default budget
+    allows, and star4k and star8k are stars of 4096 and 8192 leaves
+    that no table splits."""
     read, prof = _readback_scenario(), _profile_scenario()
     odd = "".join(f"axiom {show_string(s)} {n} {v} {k}\n"
                   for s, n, v, k in odd_readback_psi("1011").axioms)
@@ -967,6 +1023,8 @@ def _corpus_files(tmp_path):
         "odd": f"[functional psi]\n{odd}[params]\n"
                f"oracle {string_to_nat('1011')}\n",
         "bare": "[tree T]\nnode e\n",
+        "star4k": _star_scenario(4096),
+        "star8k": _star_scenario(8192),
     }
     for name, text in texts.items():
         (tmp_path / f"{name}.scn").write_text(text)
@@ -1105,6 +1163,17 @@ _CORPUS = [
     ("encode sd --help", 0, "9bd35821fee2354d"),
     ("suite fast --help", 0, "45a219b67c87254c"),
     ("suite full --help", 0, "2fab09f625c88164"),
+    # the splitting pair budget
+    ("check split --tree T --scenario {star4k}", 1, "2061e21e4f551660"),
+    ("check split --tree T --delayed --scenario {star4k}",
+     0, "1ff99859574c3299"),
+    ("trace from-split --tree T --m 10000 --scenario {star4k}",
+     1, "6d6cf03f21d8797c"),
+    ("check split --tree T --scenario {star8k}", 1, "f598f2a01d4ba298"),
+    ("check split --tree T --delayed --scenario {star8k}",
+     0, "1ff99859574c3299"),
+    ("trace from-split --tree T --m 10000 --scenario {star8k}",
+     1, "6ae97e42d6df24aa"),
 ]
 
 

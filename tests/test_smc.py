@@ -32,8 +32,7 @@ from branchlab.strings import (compatible, is_prefix, is_proper_prefix,
 from branchlab.thin import is_thin
 from branchlab.trees import (StagedTree, Tree, branching_stats, leaves,
                              level_map, level_of, max_level, successors)
-from helpers import (constant_psi, count_comparisons, is_splitting_pair,
-                     pullback_tree)
+from helpers import constant_psi, is_splitting_pair, pullback_tree
 
 
 def all_strings(n):
@@ -370,8 +369,11 @@ class TestOmega:
         ctx = OmegaContext(phi, (0, 1, 2))
         assert [f.name for f in dataclasses.fields(OmegaContext)] == [
             "phi", "f"]
-        assert hash(ctx) == hash((phi, (0, 1, 2)))
-        assert ctx == OmegaContext(phi, (0, 1, 2))
+        # equality and hashing are identity, which interning makes the
+        # same as comparing table and majorant
+        assert OmegaContext(phi, (0, 1, 2)) is ctx
+        assert hash(ctx) == object.__hash__(ctx)
+        assert ctx != OmegaContext(phi, (0, 1, 3))
 
     def test_majorant_cuts_the_certificate(self):
         phi = phi_for_profile({"1": {"", "00", "111111"}})
@@ -386,14 +388,15 @@ class TestOmega:
 
 # -- equal tables and contexts are one object ------------------------------
 
-def test_equal_keys_hit_the_caches_without_a_comparison(monkeypatch):
-    # a table and a context built a second time are the first ones, so
-    # the value-keyed caches match them by identity and call no __eq__
+def test_equal_keys_hit_the_caches_without_a_comparison():
+    # tables and contexts compare and hash by identity alone, and one
+    # built a second time is the first one, so the caches hit on it
+    for cls in (FunctionalTable, OmegaContext):
+        assert (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__)
     phi = phi_for_profile({"": 2, "1": 4})
     ctx = OmegaContext(phi, tuple(range(8)))
     taus = ["", "0", "1", "10", "0110", "1" * 9]
     want = [(t_of(phi, tau), omega_level(ctx, tau)) for tau in taus]
-    calls = count_comparisons(monkeypatch)
     phi2 = FunctionalTable(tuple(reversed(phi.axioms)))
     ctx2 = OmegaContext(phi2, tuple(range(8)))
     hits = t_of.cache_info().hits, omega_level.cache_info().hits
@@ -401,7 +404,6 @@ def test_equal_keys_hit_the_caches_without_a_comparison(monkeypatch):
         == want
     assert (t_of.cache_info().hits - hits[0],
             omega_level.cache_info().hits - hits[1]) == (6, 6)
-    assert calls == []
     assert phi2 is phi and ctx2 is ctx
 
 
