@@ -117,6 +117,19 @@ MUTANTS = (
            "first = min((max(i, j)",
            (_TCUP + "test_membership_check_matches_the_ancestor_chain"
             "_filters",)),
+    # two-colour extraction taking d to be the colour of the root's
+    # majority, which is the colour its tree cannot avoid
+    Mutant("twocol-keeps-the-majority", _COLORINGS,
+           "d = 1 if per_level[0][0] == 0 else 0",
+           "d = 0 if per_level[0][0] == 0 else 1",
+           (_TCOL + "test_extract_twocol_matches_naive_extraction",)),
+    # a member with fewer successors than the fanout taken as compatible,
+    # which lets a one-branching tree through as a node's tree
+    Mutant("compatible-allows-fewer-successors", _COLORINGS,
+           "if kids and kids != fan:",
+           "if kids and kids > fan:",
+           (_TCOL + "test_index_compatibility_sweep_sees_both_verdicts",
+            _TCUP + "test_node_validation")),
     # a tied run taken for a majority
     Mutant("majority-not-strict", _COLORINGS,
            "run.count(top) > half",
@@ -128,6 +141,11 @@ MUTANTS = (
            "for x in (u,) for y in (v,)",
            (_T + "test_delayed_check_matches_the_naive_scan_on_random_cases",
             _T + "test_splitting_tree_delayed")),
+    # weak splitting ignoring a difference at the agreement bound itself
+    Mutant("weak-split-bound-exclusive", _FUNCTIONALS,
+           "top = min(len(a), len(b), k + 1)",
+           "top = min(len(a), len(b), k)",
+           (_T + "test_weak_split_check_at_the_agreement_and_use_bounds",)),
     # the image step trusting its input to split
     Mutant("image-skips-the-split-check", _FUNCTIONALS,
            "if _splitting_violation(t, outs) is not None:",

@@ -20,8 +20,8 @@ from .cupping import (SEARCH_MAX_LEVEL, bundle, find_pi_member,
                       pi_membership_violation)
 from .errors import BudgetError, ScenarioError
 from .functionals import (FunctionalTable, build_weak_splitting_tree,
-                          lookup_probes, splitting_violation,
-                          weak_splitting_violation)
+                          lookup_probes, splitting_pair_count,
+                          splitting_violation, weak_splitting_violation)
 from .gen import random_kappa_tree, twocolourings
 from .report import Report, ReportLine, _clean, errored, failed, passed
 from .scenario import (Scenario, empty_scenario, parse_scenario,
@@ -35,7 +35,7 @@ from .thin import (TraceSystem, dnr_trace, hat_level_tree, selfdelim_roundtrip,
                    thin_violation, trace_from_bounded_splitting,
                    trace_from_thin)
 from .traceable import declared_counts, run_flaws, run_to_horizon
-from .trees import _index, successors
+from .trees import successors
 
 
 # -- scenario name resolution ------------------------------------------------
@@ -262,18 +262,11 @@ def _require_scan_budget(length: int,
 
 def _require_pair_budget(t, delayed: bool = False) -> None:
     """Refuse a splitting check that compares more than 2^20 pairs of
-    outputs, before any output is computed.  Plain mode compares each
-    two roots and each two successors of one member; delayed mode each
-    successor of one of those siblings with each of the other's."""
+    outputs, before any output is computed."""
     # a root with 1,448 leaves, whose outputs never split, takes about
     # 0.5 s in plain mode, and a root with two children of 1,024 leaves
-    # each about 0.7 s in delayed mode; the cost grows with the pairs.
-    # Two siblings weighing 1 or their successor counts give that many
-    # pairs, so a group of weights w gives (sum(w)^2 - sum(w_i^2)) / 2
-    idx = _index(t)
-    weights = ([len(idx.successors[u]) if delayed else 1 for u in group]
-               for group in (*idx.levels[:1], *idx.successors.values()))
-    pairs = sum(sum(w) ** 2 - sum(x * x for x in w) for w in weights) // 2
+    # each about 0.7 s in delayed mode; the cost grows with the pairs
+    pairs = splitting_pair_count(t, delayed)
     if pairs > 1 << 20:
         raise BudgetError(f"{pairs} output pairs exceed {1 << 20}")
 

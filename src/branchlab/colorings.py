@@ -23,18 +23,16 @@ stays blank, so colours repeated down the fans from a fixed level k
 step back up to level k's own: the witness search colours its trees
 so, and hands the rank core of extract_nice the level-n list directly.
 
-is_compatible, the input check of extract_nice, of the trees the
-witness search thins and of its nodes, reads the tree index
-(trees._index) level by level: the member lengths and successor
-counts it checks are the index's levels and successor map, and f is
-called once per level.  The verdict is kept in the index's memo, keyed
-by the shape and f's value at each level, so a Tree is scanned once
-per question: the witness search's cached full graded tree once per
-process, and its final tree once for the node input check, which
-realize and then the node it makes both run.  extract_nice holds every level of its result as a
-rank-ordered list, with the kept successors of each member, so it
-hands its result that index (trees._with_index) rather than leaving
-it to be rebuilt.
+is_compatible, the input check of extract_nice and of the witness
+search's nodes, reads the tree index (trees._index) level by level:
+the member lengths and successor counts it checks are the index's
+levels and successor map, and f is called once per level.  It keeps
+no verdict, so each call is one scan.  The witness search checks none
+of the trees it thins, which it built itself; its final tree is
+checked by realize and again by the node realize makes.  extract_nice
+holds every level of its result as a rank-ordered list, with the kept
+successors of each member, so it hands its result that index
+(trees._with_index) rather than leaving it to be rebuilt.
 
 verify_extraction checks the extracted tree by the shape rather than
 by a tree index: trees.graded_successor_counts places every member on
@@ -56,7 +54,7 @@ from typing import Callable, Iterable, Optional
 from .errors import BudgetError, ShapeError
 # level_of is not called here; the benchmark's tracer test checks that
 # tracing restores colorings.level_of
-from .trees import (Tree, _TreeIndex, _index, _with_index,  # noqa: F401
+from .trees import (Tree, _index, _with_index,  # noqa: F401
                     graded_successor_counts, leaves, level_of,
                     tree_uniform_level)
 
@@ -115,10 +113,12 @@ EVEN_SHAPE = BushyShape(EVEN)
 GRADED_SHAPE = BushyShape(GRADED)
 
 
-def bushy_level_strings(shape: BushyShape, n: int,
-                        max_strings: int = 1 << 20) -> tuple[str, ...]:
+MAX_LEVEL_STRINGS = 1 << 20  # the most strings one listed level holds
+
+
+def bushy_level_strings(shape: BushyShape, n: int) -> tuple[str, ...]:
     length = shape.level_length(n)
-    if 1 << length > max_strings:
+    if 1 << length > MAX_LEVEL_STRINGS:
         raise BudgetError(f"level {n} holds 2^{length} strings")
     return _bit_strings(length)
 
@@ -159,20 +159,11 @@ def is_compatible(shape: BushyShape, sub: Iterable[str], f: Fanout) -> bool:
     idx = _index(sub)
     if not idx.levels:
         return False
-    key = (shape, tuple(map(f, range(len(idx.levels)))))
-    ok = idx.memo.get(key)
-    if ok is None:
-        ok = idx.memo[key] = _compatible_scan(shape, idx, key[1])
-    return ok
-
-
-def _compatible_scan(shape: BushyShape, idx: _TreeIndex,
-                     fans: tuple[int, ...]) -> bool:
     # a successor sits one tree level down, so checking every member's
     # own length also places each successor on the next shape level
     succ = idx.successors
-    for lv, (members, fan) in enumerate(zip(idx.levels, fans)):
-        want = shape.level_length(lv)
+    for lv, members in enumerate(idx.levels):
+        want, fan = shape.level_length(lv), f(lv)
         for m in members:
             if len(m) != want:
                 return False

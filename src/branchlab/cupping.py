@@ -5,20 +5,24 @@ the graded shape together with a colour vector.  Each node of level n
 has one successor per (extension tree, colour) pair: extension trees
 are the ways of growing every leaf by two of its shape successors,
 enumerated per leaf in length-lex order with pairs in lexicographic
-order, and colours run below ncol(n).  A stage filter knocks out nodes
-whose trees already agree with an adversary's guarded computations,
-and find_pi_member hunts down a node that survives the filter along
-its whole ancestor chain by thinning the full graded tree one colour
-index at a time.
+order, and colours run below ncol(n).
 
-The chain is checked in one pass over the node's tree.  The ancestor
-at level k carries the node's tree cut at level k and the first k
-colours, and the filter at stage k rejects it exactly when some table
-i < k has a guarded value equal to colour i on some member of level
-at most k.  So a hit for colour index i on a member of tree level j
-rejects the ancestors from level max(i + 1, j) up, and the node is a
-member iff no table hits its colour anywhere in the tree; the first
-ancestor rejected is the least max(i + 1, j) over the hits.
+The stage filter is a definition, which no function here runs on its
+own: at stage s it rejects a level-s node when some table i < s has a
+guarded value, defined on a member of the node's tree and below
+ncol(i), equal to the node's colour i.  A node belongs to the class
+when the filter passes every ancestor on its chain; find_pi_member
+hunts one down by thinning the full graded tree one colour index at a
+time, and pi_membership_violation checks the whole chain.
+
+It does so in one pass over the node's tree.  The ancestor at level k
+carries the node's tree cut at level k and the first k colours, and
+the filter at stage k rejects it exactly when some table i < k has a
+guarded value equal to colour i on some member of level at most k.
+So a hit for colour index i on a member of tree level j rejects the
+ancestors from level max(i + 1, j) up, and the node is a member iff
+no table hits its colour anywhere in the tree; the first ancestor
+rejected is the least max(i + 1, j) over the hits.
 
 The search colours index i's tree once per guarded prefix.  Table i
 with horizon H fixes its value at a string by the string's first H + i
@@ -161,12 +165,14 @@ def extension_rank(t: Tree, grown: Tree) -> int:
     return rank
 
 
-def pi_star_successors(node: PiStarNode,
-                       max_successors: int = 100_000) -> tuple[PiStarNode, ...]:
+MAX_SUCCESSORS = 100_000  # the most successors pi_star_successors lists
+
+
+def pi_star_successors(node: PiStarNode) -> tuple[PiStarNode, ...]:
     """All (tree, colour) successors of a node, in label order."""
     m = count_extension_trees(node.t_tau)
     cols = ncol(node.level)
-    if m * cols > max_successors:
+    if m * cols > MAX_SUCCESSORS:
         raise BudgetError(f"{m * cols} successors exceed the budget")
     pairs = product(enumerate_extension_trees(node.t_tau), range(cols))
     return tuple(PiStarNode(node.tau + gamma_code(j), node.level + 1, grown,
@@ -205,20 +211,6 @@ EMPTY_BUNDLE: AdversaryBundle = ()
 
 def bundle(tables: Iterable[FunctionalTable]) -> AdversaryBundle:
     return tuple(tables)
-
-
-def stage_filter(node: PiStarNode, adv: AdversaryBundle, s: int) -> bool:
-    """True when no guarded adversary value pins the node's colours.
-
-    A value at index i only counts when it is defined on some member
-    of the node's tree, lies below ncol(i), and equals the node's
-    colour there; out-of-range values are treated as non-convergent.
-    """
-    if node.level != s:
-        raise ShapeError("stage must equal the node level")
-    # a node's colours lie in range, so an equal value does too
-    return not any(node.psi_values[i] in hat_values(table, node.t_tau, i)
-                   for i, table in enumerate(adv[:s]))
 
 
 def _rank_colours(adv: AdversaryBundle, i: int, t: Tree) -> list[int]:
@@ -276,36 +268,30 @@ def find_pi_member(n: int, adv: AdversaryBundle) -> PiStarNode:
     coloured by the i-th guarded adversary values, read by rank as the
     module docstring says, one colour d_i is extracted as unrealized,
     and the surviving subtree moves on.  The final tree is
-    two-branching and realize turns it into a node.  The node is not
-    checked here: callers judge it with pi_membership_violation.
+    two-branching and realize turns it into a node.  The search checks
+    none of the trees it builds along the way: realize and the node it
+    makes check the final tree's shape, and callers judge the node
+    with pi_membership_violation.
     """
     if n > SEARCH_MAX_LEVEL:
         raise BudgetError(f"level {n} exceeds the search budget")
     t = full_graded_tree(n)
     ds = []
     for i in range(n):
-        if not is_compatible(GRADED_SHAPE, t, lambda k: kappa(i, k)):
-            raise ShapeError("input tree is not kappa(i)-compatible")
         d, t = _extract_ranks(i, t, _rank_colours(adv, i, t))
         ds.append(d)
     return realize(n, ds, t)
 
 
 def materialize_pi_star(n: int) -> tuple[PiStarNode, ...]:
-    """Every level-n node: the empty bundle filters none.  Small n only."""
-    return pi_survivors(n, EMPTY_BUNDLE)
-
-
-def pi_survivors(n: int, adv: AdversaryBundle) -> tuple[PiStarNode, ...]:
-    """Level-n nodes passing the stage filter at every level so far,
-    refused once a frontier passes 100,000 nodes."""
+    """Every level-n node, refused once a frontier passes 100,000
+    nodes.  Small n only."""
     frontier = [ROOT_NODE]
-    for s in range(n):
+    for _ in range(n):
         nxt: list[PiStarNode] = []
         for node in frontier:
-            if stage_filter(node, adv, s):
-                nxt.extend(pi_star_successors(node))
+            nxt.extend(pi_star_successors(node))
             if len(nxt) > 100_000:
                 raise BudgetError("node frontier exceeds the budget")
         frontier = nxt
-    return tuple(node for node in frontier if stage_filter(node, adv, n))
+    return tuple(frontier)

@@ -77,7 +77,7 @@ from typing import Iterable, Optional
 from .errors import BudgetError, ConsistencyError, ShapeError
 from .strings import (bits_of_values, check_bits, compatible, is_prefix,
                       lenlex_key, sort_lenlex)
-from .trees import Tree, _index
+from .trees import Tree, _TreeIndex, _index
 
 Axiom = tuple[str, int, int, int]  # (sigma, arg, value, steps)
 
@@ -324,6 +324,27 @@ def splitting_violation(f: FunctionalTable, t: Iterable[str],
     return _splitting_violation(t, _outputs(f, t, hat=hat), delayed)
 
 
+def _sibling_groups(idx: _TreeIndex, delayed: bool):
+    """The sibling groups a splitting check pairs within: the roots and
+    each successor list.  Plain mode pairs each two siblings; delayed
+    mode each successor of one with each of the other's, so there only
+    the inner siblings count, as a leaf has no successor to pair."""
+    succ = idx.successors
+    groups = chain(idx.levels[:1], succ.values())
+    return ([u for u in g if succ[u]] for g in groups) if delayed else groups
+
+
+def splitting_pair_count(t: Iterable[str], delayed: bool) -> int:
+    """The output pairs a splitting check of t compares, counted off
+    the sibling groups with no output computed."""
+    idx = _index(t)
+    # two siblings weighing 1 or their successor counts give that many
+    # pairs, so a group of weights w gives (sum(w)^2 - sum(w_i^2)) / 2
+    weights = ([len(idx.successors[u]) if delayed else 1 for u in group]
+               for group in _sibling_groups(idx, delayed))
+    return sum(sum(w) ** 2 - sum(x * x for x in w) for w in weights) // 2
+
+
 def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
                          delayed: bool = False) -> Optional[tuple[str, str]]:
     """splitting_violation over precomputed outputs of t's members.
@@ -336,14 +357,12 @@ def _splitting_violation(t: Tree, outs: dict[str, tuple[int, ...]],
     """
     idx = _index(t)
     succ = idx.successors
-    groups = chain(idx.levels[:1], succ.values())
+    groups = _sibling_groups(idx, delayed)
     if not delayed:
         fails = ((a, b) for group in groups
                  for i, a in enumerate(group) for b in group[i + 1:]
                  if not outputs_split(outs[a], outs[b]))
     else:
-        # a leaf has no successor to pair, so only inner siblings count
-        groups = ([u for u in group if succ[u]] for group in groups)
         fails = ((x, y) if lenlex_key(x) < lenlex_key(y) else (y, x)
                  for group in groups
                  for i, u in enumerate(group) for v in group[i + 1:]

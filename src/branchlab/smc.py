@@ -158,6 +158,13 @@ def _admission_walk(ctx: OmegaContext,
     certified level's shortest member reaching f[n + 2].  Each string
     hands n and its count on to its extensions, and every string with
     n + 2 inside the majorant has its tree built and checked.
+
+    The level and the tree are looked up at the string cut to phi's
+    horizon, which names the same tree: past the horizon each lookup
+    would miss both caches and store a copy of the cut string's answer.
+    A string past the horizon is walked after its cut string, which met
+    the same guard since n never falls along a path, so a malformed tree
+    is refused at the cut string first, as an uncut walk refuses it.
     """
     # the root's level is read only by its extensions
     admitted = {"": (omega_level(ctx, "") if max_stage else 0, 0)}
@@ -167,9 +174,10 @@ def _admission_walk(ctx: OmegaContext,
         nxt = {}
         for x, (n, count) in reach.items():
             for tau in (x + "0", x + "1"):
-                top = omega_level(ctx, tau) if n + 2 < len(ctx.f) else n
+                cut = tau[:ctx.phi._horizon]
+                top = omega_level(ctx, cut) if n + 2 < len(ctx.f) else n
                 if top >= n + 2 and len(_index(
-                        t_of(ctx.phi, tau)).levels[top][0]) >= ctx.f[n + 2]:
+                        t_of(ctx.phi, cut)).levels[top][0]) >= ctx.f[n + 2]:
                     admitted[tau] = (top, count)
                 nxt[tau] = (top, count + 1) if tau in admitted else (n, count)
         reach = nxt

@@ -19,9 +19,8 @@ is what every tree constructor in the package returns.
 Two constructors hand their result an index instead of leaving it to
 be built: restrict_to_level slices its parent's index, and
 colorings.extract_nice lays its result out level by level as it thins
-its input.  The index also holds a memo, which lives exactly as long
-as the tree, for answers other modules derive from the index; only
-colorings.is_compatible keeps one there.
+its input.  The index holds the tree's structure and nothing else: no
+answer another module derives from it is kept there.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class _TreeIndex(NamedTuple):
     successors: Mapping[str, tuple[str, ...]]
     leaves: tuple[str, ...]
     levels: tuple[tuple[str, ...], ...]  # levels[n]: level-n members
-    memo: dict  # answers derived from this index: is_compatible's
 
 
 class Tree(frozenset):
@@ -95,8 +93,7 @@ def _build_index(t: frozenset[str]) -> _TreeIndex:
         level=MappingProxyType(level),
         successors=MappingProxyType(succ),
         leaves=tuple(m for m, ks in succ.items() if not ks),
-        levels=tuple(map(tuple, levels)),
-        memo={})
+        levels=tuple(map(tuple, levels)))
 
 
 def _with_index(level: dict[str, int], kids: dict[str, tuple[str, ...]],
@@ -107,7 +104,7 @@ def _with_index(level: dict[str, int], kids: dict[str, tuple[str, ...]],
     build, mapping order included."""
     t = Tree(level)
     t._idx = _TreeIndex(MappingProxyType(level), MappingProxyType(kids),
-                        leaves, levels, {})
+                        leaves, levels)
     return t
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from branchlab import suite, trees
+from branchlab import colorings, suite, trees
 from branchlab.colorings import (EVEN, GRADED, Coloring, EVEN_SHAPE,
                                  GRADED_SHAPE, bushy_level_strings,
                                  extract_nice, extract_twocol, is_compatible,
@@ -76,12 +76,14 @@ def test_cached_shape_strings_match_product_generation(shape):
 
 
 @pytest.mark.parametrize("shape", [EVEN_SHAPE, GRADED_SHAPE])
-def test_shape_string_errors_survive_caching(shape):
+def test_shape_string_errors_survive_caching(shape, monkeypatch):
     bushy_level_strings(shape, 2)
     size = 1 << shape.level_length(2)
-    assert len(bushy_level_strings(shape, 2, max_strings=size)) == size
+    monkeypatch.setattr(colorings, "MAX_LEVEL_STRINGS", size)
+    assert len(bushy_level_strings(shape, 2)) == size
+    monkeypatch.setattr(colorings, "MAX_LEVEL_STRINGS", size - 1)
     with pytest.raises(BudgetError):
-        bushy_level_strings(shape, 2, max_strings=size - 1)
+        bushy_level_strings(shape, 2)
     shape.successor_strings("00")
     for s in ("0", "000", "0000000"):
         for _ in range(2):
@@ -498,9 +500,9 @@ def test_index_compatibility_sweep_sees_both_verdicts():
     assert 150 < sum(verdicts) < 450
 
 
-def test_memoized_compatibility_answers_each_question_afresh():
+def test_repeated_compatibility_questions_on_one_tree_match_naive():
     # one Tree asked under every schedule, each question twice and in
-    # shuffled order, so that memo hits and misses follow each verdict
+    # shuffled order, so that each verdict follows the other's
     rng = random.Random(83)
     fanouts = [lambda k, i=i: kappa(i, k) for i in range(4)]
     fanouts.append(lambda k: 2)

@@ -12,8 +12,7 @@ from branchlab.cupping import (EMPTY_BUNDLE, PiStarNode,
                                find_pi_member, full_graded_tree, gamma_code,
                                gamma_decode, gamma_split, materialize_pi_star,
                                pi_membership_violation, pi_star_successors,
-                               pi_survivors, realize, stage_filter,
-                               _rank_colours)
+                               realize, _rank_colours)
 from branchlab.errors import (BudgetError, ConsistencyError, ProtocolError,
                               ShapeError)
 from branchlab.functionals import FunctionalTable, hat_eval
@@ -65,14 +64,17 @@ def test_root_successor_count():
 def test_level_one_successor_count():
     node = pi_star_successors(ROOT_NODE)[0]
     assert count_extension_trees(node.t_tau) == 784
-    succ = pi_star_successors(node, max_successors=4000)
+    succ = pi_star_successors(node)
     assert len(succ) == 3136
 
 
-def test_successor_budget():
+def test_successor_budget(monkeypatch):
     node = pi_star_successors(ROOT_NODE)[0]
+    monkeypatch.setattr(cupping, "MAX_SUCCESSORS", 3136)
+    assert len(pi_star_successors(node)) == 3136
+    monkeypatch.setattr(cupping, "MAX_SUCCESSORS", 3135)
     with pytest.raises(BudgetError):
-        pi_star_successors(node, max_successors=3000)
+        pi_star_successors(node)
 
 
 def test_node_validation():
@@ -101,7 +103,7 @@ def test_realize_level_two_roundtrip():
     lvl1 = list(pi_star_successors(ROOT_NODE))
     for _ in range(10):
         node = rng.choice(lvl1)
-        succ = pi_star_successors(node, max_successors=4000)
+        succ = pi_star_successors(node)
         pick = rng.choice(succ)
         assert realize(2, pick.psi_values, pick.t_tau) == pick
 
@@ -124,15 +126,15 @@ def test_a_bundle_is_the_tuple_of_its_tables():
 
 def test_stage_filter_examples():
     node = pi_star_successors(ROOT_NODE)[1]  # colours (1,)
-    assert stage_filter(node, EMPTY_BUNDLE, 1)
+    assert _naive_stage_filter(node, EMPTY_BUNDLE, 1)
     hitting = bundle([table([("0", 0, 1, 1)])])
-    assert not stage_filter(node, hitting, 1)
+    assert not _naive_stage_filter(node, hitting, 1)
     # out-of-range value is treated as non-convergent
     big = bundle([table([("0", 0, 5, 1)])])
-    assert stage_filter(node, big, 1)
+    assert _naive_stage_filter(node, big, 1)
     # same table cannot pin the other colour
     other = pi_star_successors(ROOT_NODE)[0]
-    assert stage_filter(other, hitting, 1)
+    assert _naive_stage_filter(other, hitting, 1)
 
 
 def test_find_level0_and_level1_empty():
@@ -162,7 +164,7 @@ def test_find_matches_exhaustive_survivors():
             adv = bundle([table(axs)])
         except ConsistencyError:
             continue  # inconsistent draw; irrelevant here
-        survivors = pi_survivors(1, adv)
+        survivors = _naive_survivors(1, adv)
         assert survivors, "level 1 always has survivors"
         node = find_pi_member(1, adv)
         assert node in survivors
@@ -267,7 +269,7 @@ def test_ancestor_chain_matches_per_level_realize():
     level1 = pi_star_successors(ROOT_NODE)
     nodes = [ROOT_NODE, *level1]
     for parent in rng.sample(level1, 4):
-        nodes += rng.sample(pi_star_successors(parent, 4000), 25)
+        nodes += rng.sample(pi_star_successors(parent), 25)
     for n in range(4):
         nodes += [find_pi_member(n, _random_bundle(rng, n)) for _ in range(6)]
     for node in nodes:
@@ -342,6 +344,17 @@ def _naive_stage_filter(node, adv, s):
     return True
 
 
+def _naive_survivors(n, adv):
+    """Level-n nodes passing the stage filter at every level so far:
+    the frontier walk of the definition, filtered at each stage."""
+    frontier = [ROOT_NODE]
+    for s in range(n):
+        frontier = [child for node in frontier
+                    if _naive_stage_filter(node, adv, s)
+                    for child in pi_star_successors(node)]
+    return [node for node in frontier if _naive_stage_filter(node, adv, n)]
+
+
 def _naive_adversary_coloring(adv, i, leaf_strings):
     assignment = {}
     cols = ncol(i)
@@ -370,7 +383,7 @@ def _membership_cases(rng):
     level1 = pi_star_successors(ROOT_NODE)
     nodes = [ROOT_NODE, *level1]
     for parent in rng.sample(level1, 3):
-        nodes += rng.sample(pi_star_successors(parent, 4000), 20)
+        nodes += rng.sample(pi_star_successors(parent), 20)
     for n in range(4):
         nodes += [find_pi_member(n, _random_bundle(rng, n)) for _ in range(4)]
     for node in nodes:
@@ -400,8 +413,9 @@ def test_membership_check_matches_the_ancestor_chain_filters():
     for node, adv in _membership_cases(rng):
         got = pi_membership_violation(node, adv)
         assert got == _naive_pi_membership_violation(node, adv)
-        assert stage_filter(node, adv, node.level) == \
-            _naive_stage_filter(node, adv, node.level)
+        # a rejected ancestor's hit lies in the node's tree too, so the
+        # node's own filter passes exactly when its whole chain does
+        assert _naive_stage_filter(node, adv, node.level) == (got is None)
         seen[node.level, got is None] += 1
         if got is not None:
             seen["stage", int(got.split()[1])] += 1
@@ -554,24 +568,23 @@ def test_witness_search_builds_no_index_for_a_restriction(monkeypatch):
     assert builds == []
 
 
-def test_witness_search_scans_each_tree_once(monkeypatch):
-    # the full graded tree on its first search only, then each thinned
-    # tree once; the final tree's scan in realize serves its node too
+def test_witness_search_checks_only_its_final_tree(monkeypatch):
+    # from the first search on, which builds the full graded tree
+    # anew: no thinned tree and no full graded tree, the final tree
+    # alone, by realize and then by the node it builds
     full_graded_tree.cache_clear()
-    scanned = []
-    real_scan = colorings._compatible_scan
-    monkeypatch.setattr(colorings, "_compatible_scan",
-                        lambda shape, idx, fans: scanned.append(idx)
-                        or real_scan(shape, idx, fans))
+    checked = []
+    real_check = cupping.is_compatible
+    monkeypatch.setattr(cupping, "is_compatible",
+                        lambda shape, sub, f: checked.append(sub)
+                        or real_check(shape, sub, f))
     rng = random.Random(59)
-    for k, adv in enumerate([EMPTY_BUNDLE]
-                            + [_random_bundle(rng, 3) for _ in range(3)]):
-        scanned.clear()
+    for adv in [EMPTY_BUNDLE] + [_random_bundle(rng, 3) for _ in range(3)]:
+        checked.clear()
         node = find_pi_member(3, adv)
-        assert [len(idx.level) for idx in scanned] == \
-            [549, 75, 23, 15][bool(k):]
-        assert scanned[-1] is _index(node.t_tau)
-        assert len({id(idx) for idx in scanned}) == len(scanned)
+        assert len(checked) == 2
+        assert all(t is node.t_tau for t in checked)
+        assert len(node.t_tau) == 15
 
 
 def test_thinned_trees_carry_the_index_a_fresh_build_gives(monkeypatch):

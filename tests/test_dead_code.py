@@ -174,8 +174,8 @@ def test_every_parameter_is_read():
 
 
 def test_no_function_takes_a_memo():
-    # a table keeps its guarded values and outputs, and a tree its
-    # index's memo, for as long as it lives
+    # a table keeps its guarded values and outputs for as long as it
+    # lives
     memos = [f"{path.name}:{fn.lineno} {fn.name}({p.arg})"
              for path in sorted(PKG.glob("*.py"))
              for fn in ast.walk(ast.parse(path.read_text()))

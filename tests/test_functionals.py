@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import branchlab
 from branchlab.errors import ConsistencyError, ShapeError
 from branchlab.gen import odd_readback_psi, random_functional_table
-from branchlab.functionals import (EMPTY_TABLE, FunctionalTable, _outputs,
+from branchlab.functionals import (EMPTY_TABLE, FunctionalTable,
+                                   WeakSplitWitness, _outputs,
                                    _require_two_branching,
                                    build_weak_splitting_tree,
                                    effective_axiom,
@@ -653,6 +654,22 @@ def test_check_and_decode_roundtrip_identity():
     phi = _hatlike_identity(7)
     w = build_weak_splitting_tree(psi, phi, length_budget=6)
     assert weak_splitting_violation(w, psi, "010101") is None
+
+
+def test_weak_split_check_at_the_agreement_and_use_bounds():
+    # 00 and 01 differ at position 1 only, and so do their outputs
+    # (0, 0) and (0, 1): agreement up to 1 asks them to split, agreement
+    # up to 0 does not, and a use bound of 0 misses their split
+    psi = table([("", 0, 0, 1), ("00", 1, 0, 1), ("01", 1, 1, 1)])
+    members = ("00", "01")
+    verdicts = {}
+    for phi, use in product((0, 1), repeat=2):
+        w = WeakSplitWitness(Tree(members), dict.fromkeys(members, phi),
+                             dict.fromkeys(members, use))
+        verdicts[phi, use] = weak_splitting_violation(w, psi, "")
+    assert verdicts == {
+        (0, 0): None, (0, 1): None, (1, 1): None,
+        (1, 0): "pair '00','01' fails to split under the use bound"}
 
 
 # --- image / pullback ----------------------------------------------------

@@ -317,13 +317,14 @@ def test_admission_walk_matches_the_naive_enumeration(monkeypatch):
     # the walk's admitted set in stage order, each string's certified
     # level and count of admitted proper prefixes (the depths that
     # build_tprime reads), enumerate_pi's snapshots, and every string
-    # whose tree is built and checked, in order
+    # whose tree is built and checked, in order, each asked cut to the
+    # table's horizon
     real = smc.omega_level
     asked = []
     monkeypatch.setattr(smc, "omega_level",
                         lambda ctx, tau: asked.append(tau) or real(ctx, tau))
     rng = random.Random(29)
-    kinds = set()
+    kinds, cut = set(), 0
     for _ in range(150):
         ctx = _random_context(rng) if rng.random() < 0.5 else staged_context(
             {c: rng.randint(0, 2 * len(c) + 1)
@@ -343,9 +344,31 @@ def test_admission_walk_matches_the_naive_enumeration(monkeypatch):
             assert below == level_of(final, x)
             if x or max_stage:  # with no stage the root's level is unread
                 assert level == _naive_omega_level(ctx, x)
-        assert asked == _naive_asked(ctx, final, max_stage)
+        naive = _naive_asked(ctx, final, max_stage)
+        assert asked == [tau[:ctx.phi._horizon] for tau in naive]
+        cut += any(len(tau) > ctx.phi._horizon for tau in naive)
         assert enumerate_pi(ctx, max_stage) == want[1]
     assert kinds == {False, True, "ShapeError"}, kinds
+    assert cut, cut  # some walks pass the horizon
+
+
+def test_admission_walk_keeps_one_cache_entry_per_cut_string():
+    # 4,095 one-step axioms settle the depth-11 tree at every oracle by
+    # horizon 2; the identity majorant asks every string's level and
+    # tree at 13 stages, and only the strings up to length 2 may be kept
+    phi = FunctionalTable(tuple(("", n, 1, 1) for n in range(4095)))
+    ctx = OmegaContext(phi, tuple(range(30)))
+    assert phi._horizon == 2
+    smc.t_of.cache_clear()
+    smc.omega_level.cache_clear()
+    # no step count is within the empty string's length, so the root's
+    # tree is empty and both one-bit strings are admitted at level 11
+    assert enumerate_pi(ctx, 13).final == {"", "0", "1"}
+    assert omega_level(ctx, "0") == 11
+    for cache in (smc.t_of, smc.omega_level):
+        info = cache.cache_info()
+        assert info.currsize == info.misses == 7, info
+    assert smc.omega_level.cache_info().hits > 16_000
 
 
 class TestOmega:
