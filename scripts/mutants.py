@@ -117,11 +117,12 @@ MUTANTS = (
            "first = min((max(i, j)",
            (_TCUP + "test_membership_check_matches_the_ancestor_chain"
             "_filters",)),
-    # two-colour extraction taking d to be the colour of the root's
-    # majority, which is the colour its tree cannot avoid
+    # the shared colour choice taking d to be a colour present at the
+    # base level, which for two colours is the root's majority, the
+    # colour its tree cannot avoid
     Mutant("twocol-keeps-the-majority", _COLORINGS,
-           "d = 1 if per_level[0][0] == 0 else 0",
-           "d = 0 if per_level[0][0] == 0 else 1",
+           "while d in cols[-1]:",
+           "while d not in cols[-1]:",
            (_TCOL + "test_extract_twocol_matches_naive_extraction",)),
     # a member with fewer successors than the fanout taken as compatible,
     # which lets a one-branching tree through as a node's tree
@@ -135,6 +136,19 @@ MUTANTS = (
            "run.count(top) > half",
            "run.count(top) >= half",
            (_TCOL + "test_extract_nice_matches_naive_extraction",)),
+    # the counting shortcut taking a blank majority, which then stays
+    # blank where the rule falls back to colour 0
+    Mutant("majority-shortcut-takes-blank", _COLORINGS,
+           "if run[0] != _BLANK and run.count(run[0]) > half:",
+           "if run.count(run[0]) > half:",
+           (_TCOL + "test_extract_nice_matches_naive_extraction",
+            _TCOL + "test_majority_step_matches_naive_propagation")),
+    # the extraction verifier not counting the successors of the
+    # members one level below the leaves
+    Mutant("extraction-verifier-skips-the-last-fanout", _COLORINGS,
+           "    for k in range(n):\n        want = f_target(k)",
+           "    for k in range(n - 1):\n        want = f_target(k)",
+           (_TCOL + "test_verify_extraction_rejects_mutants",)),
     # delayed splitting over the sibling pairs, not their successors'
     Mutant("delayed-pairs-from-siblings", _FUNCTIONALS,
            "for x in succ[u] for y in succ[v]",

@@ -12,10 +12,11 @@ import random
 import shlex
 import sys
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 from .colorings import (EVEN_SHAPE, bushy_level_strings, kappa, kappa_cells,
-                        nice_outcome, twocol_outcome)
+                        nice_outcomes, twocol_outcome)
 from .cupping import (SEARCH_MAX_LEVEL, bundle, find_pi_member,
                       pi_membership_violation)
 from .errors import BudgetError, ScenarioError
@@ -96,9 +97,9 @@ def _h_verify_nice(ns, sc, rng):
     _require_work_budget(ns.count, leaf_count)
     t0 = random_kappa_tree(rng, ns.i, ns.n)
     width = len(str(ns.count - 1)) if ns.count > 1 else 1
-    return [_extraction_line(f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}",
-                             nice_outcome(rng, ns.i, ns.n, t0))
-            for k in range(ns.count)]
+    outcomes = islice(nice_outcomes(rng, ns.i, ns.n, t0), ns.count)
+    return [_extraction_line(f"nice-i{ns.i}-n{ns.n}-{k:0{width}d}", outcome)
+            for k, outcome in enumerate(outcomes)]
 
 
 def _h_verify_kappa(ns, sc, rng):

@@ -5,23 +5,30 @@ Two ambient shapes are used.  The even shape has the strings of length
 puts level n at length sum(i+2 for i < n); a level-n string then has
 2^(n+2) successors, which is what the thinning schedule kappa needs.
 
-extract_twocol and extract_nice walk the same induction: propagate a
-colour down one level when a strict majority of successors carries it,
-recurse, then unwind picking the allowed number of non-d extensions at
-each level.  Colourings may be partial; an uncoloured leaf never
-matches any colour, and a string whose successors are all uncoloured
-stays uncoloured itself rather than defaulting to colour 0.
+extract_twocol and extract_nice run one induction, _thin_ranks:
+propagate a colour down one level when a strict majority of
+successors carries it, take d to be the least colour absent at the
+base level, then unwind keeping the allowed number of successors not
+coloured d at each level.  Colourings may be partial; an uncoloured
+leaf never matches any colour, and a string whose successors are all
+uncoloured stays uncoloured itself rather than defaulting to colour 0.
+The two extractions differ only in what they hand the induction: the
+even shape's levels, fan 4, two kept and base level 0 for the one;
+t0's levels, kappa(i) and kappa(i + 1), and base level min(n, i) for
+the other.
 
-Both run on level arrays.  A level's strings are ranked in lex order,
-as bushy_level_strings and level_map list them, and the colours of a
-level form one list in that order.  When every member of level k has
-fan successors, the successors of rank r are ranks fan*r to
-fan*r + fan - 1 of level k + 1, so a majority step and the unwind
+The induction runs on level arrays.  A level's strings are ranked in
+lex order, as bushy_level_strings and level_map list them, and the
+colours of a level form one list in that order.  When every member of
+level k has fan successors, the successors of rank r are ranks fan*r
+to fan*r + fan - 1 of level k + 1, so a majority step and the unwind
 work on ranks alone and read strings only for what they return.  A
-constant run's strict majority is that constant, and an all-blank run
-stays blank, so colours repeated down the fans from a fixed level k
-step back up to level k's own: the witness search colours its trees
-so, and hands the rank core of extract_nice the level-n list directly.
+majority step counts each run's first colour before it sorts the run,
+since most runs are led by their majority.  A constant run's strict
+majority is that constant, and an all-blank run stays blank, so
+colours repeated down the fans from a fixed level k step back up to
+level k's own: the witness search colours its trees so, and hands the
+rank core of extract_nice the level-n list directly.
 
 is_compatible, the input check of extract_nice and of the witness
 search's nodes, reads the tree index (trees._index) level by level:
@@ -29,10 +36,18 @@ the member lengths and successor counts it checks are the index's
 levels and successor map, and f is called once per level.  It keeps
 no verdict, so each call is one scan.  The witness search checks none
 of the trees it thins, which it built itself; its final tree is
-checked by realize and again by the node realize makes.  extract_nice
-holds every level of its result as a rank-ordered list, with the kept
-successors of each member, so it hands its result that index
-(trees._with_index) rather than leaving it to be rebuilt.
+checked by realize and again by the node realize makes.  nice_outcomes
+runs extract_nice's input checks on a tree once, not once a colouring.
+
+The induction returns the picked levels, each in rank order, and every
+picked member below the top keeps exactly want successors, so its
+successors are the next want members of the picked level above.
+extract_nice reads its result's index off the picked levels in those
+chunks (trees._with_index) rather than leaving it to be rebuilt: the
+witness search queries each thinned tree again.  extract_twocol hands
+back a plain Tree with no index: its callers only verify the result,
+which reads no index, so laying one out would add a cost to every
+extraction that no caller recovers.
 
 verify_extraction checks the extracted tree by the shape rather than
 by a tree index: trees.graded_successor_counts places every member on
@@ -49,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
 from math import isqrt
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, ShapeError
 # level_of is not called here; the benchmark's tracer test checks that
@@ -182,14 +197,70 @@ def _majority_step(kids: list[int], fan: int) -> list[int]:
     wins, all-blank stays blank, anything else falls back to colour 0."""
     half = fan // 2
     out: list[int] = []
-    for j in range(0, len(kids), fan):
-        run = sorted(kids[j:j + fan])
-        top = run[half]  # a strict majority covers the middle of the run
+    for run in zip(*[iter(kids)] * fan):
+        # most runs are led by their majority, and counting it is
+        # cheaper than sorting; a blank majority still falls back to 0
+        if run[0] != _BLANK and run.count(run[0]) > half:
+            out.append(run[0])
+            continue
+        top = sorted(run)[half]  # a strict majority covers the middle
         if top != _BLANK and run.count(top) > half:
             out.append(top)
         else:
-            out.append(_BLANK if run[-1] == _BLANK else 0)
+            out.append(_BLANK if max(run) == _BLANK else 0)
     return out
+
+
+def _thin_ranks(levels: Sequence[tuple[str, ...]], base: int,
+                schedule: list[tuple[int, int]], top_cols: list[int]
+                ) -> tuple[int, list[tuple[str, ...]]]:
+    """The induction of both extractions, on rank-ordered levels.
+
+    Member r of levels[k] owns ranks fan*r to fan*r + fan - 1 of
+    levels[k + 1], where schedule[k] is (fan, want), and top_cols
+    colours the top level by rank.  The colours step down to level base
+    by strict majority, d is the least colour absent there, and from
+    level base on each picked member keeps its first want successors
+    not coloured d.  Returns d and the picked levels, levels 0 to base
+    whole: a picked member's successors are the next want members, in
+    rank order, of the picked level above.
+    """
+    n = len(levels) - 1
+    cols = [top_cols]  # cols[j] colours level n - j by rank
+    for k in range(n - 1, base - 1, -1):
+        cols.append(_majority_step(cols[-1], schedule[k][0]))
+    d = 0  # the base level is short: scanning it beats building a set
+    while d in cols[-1]:
+        d += 1
+    picked = list(levels[:base + 1])
+    frontier = range(len(levels[base]))  # ranks of the picked members
+    for k in range(base, n):
+        (fan, want), below, up = schedule[k], cols[n - k - 1], levels[k + 1]
+        nxt, got = [], []  # the ranks picked on level k + 1, and strings
+        for r in frontier:
+            left = want
+            for x in range(fan * r, fan * r + fan):
+                if below[x] != d:
+                    nxt.append(x)
+                    got.append(up[x])
+                    left -= 1
+                    if not left:
+                        break
+            else:
+                raise ShapeError(
+                    f"no {want} clean successors under {levels[k][r]!r}")
+        picked.append(tuple(got))
+        frontier = nxt
+    return d, picked
+
+
+@lru_cache(maxsize=32)
+def _even_levels(n: int) -> tuple[tuple[str, ...], ...]:
+    """Levels 0 to n of the even shape, listed once for every
+    two-colour extraction of level n.  Level n is listed first, so a
+    negative or too large n is refused before any level is built."""
+    top = bushy_level_strings(EVEN_SHAPE, n)
+    return tuple(bushy_level_strings(EVEN_SHAPE, k) for k in range(n)) + (top,)
 
 
 def extract_twocol(shape: BushyShape, n: int,
@@ -203,35 +274,13 @@ def extract_twocol(shape: BushyShape, n: int,
         raise ShapeError("two-colour extraction runs on the even shape")
     if c.num_colors != 2:
         raise ShapeError("expected a 2-colouring")
-    leaf_strings = bushy_level_strings(shape, n)
-    col = list(map(c.assignment.get, leaf_strings))
+    levels = _even_levels(n)
+    col = list(map(c.assignment.get, levels[n]))
     if None in col:
-        raise ShapeError(
-            f"leaf {leaf_strings[col.index(None)]!r} is uncoloured")
-    per_level = [col]
-    for k in range(n - 1, -1, -1):
-        col = _majority_step(col, shape.branching(k))
-        per_level.append(col)
-    per_level.reverse()  # per_level[k] colours level k by rank
-    d = 1 if per_level[0][0] == 0 else 0
-    sub = [""]
-    frontier = [(0, "")]  # (rank, string) of each picked string
-    for k in range(n):
-        fan, below = shape.branching(k), per_level[k + 1]
-        nxt = []
-        for r, s in frontier:
-            kids, want = shape.successor_strings(s), 2
-            for j in range(fan):  # the first two clean successors
-                if below[fan * r + j] != d:
-                    nxt.append((fan * r + j, kids[j]))
-                    sub.append(kids[j])
-                    want -= 1
-                    if not want:
-                        break
-            else:
-                raise ShapeError(f"no two clean successors under {s!r}")
-        frontier = nxt
-    return d, Tree(sub)
+        raise ShapeError(f"leaf {levels[n][col.index(None)]!r} is uncoloured")
+    # every even-shape string has four successors, and sub keeps two
+    d, picked = _thin_ranks(levels, 0, [(4, 2)] * n, col)
+    return d, Tree(sum(picked, ()))
 
 
 def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
@@ -260,39 +309,20 @@ def extract_nice(shape: BushyShape, i: int, t0: Iterable[str],
 def _extract_ranks(i: int, t0: Tree, top_cols: list[int]) -> tuple[int, Tree]:
     """extract_nice on a kappa(i)-compatible t0 of uniform level n whose
     level-n members, in rank order, carry the colours top_cols."""
-    idx = _index(t0)
-    lm = idx.levels  # every member below level n has kappa(i, k) kids
-    n = len(lm) - 1
-    per_level = {n: top_cols}
-    for k in range(n - 1, i - 1, -1):
-        per_level[k] = _majority_step(per_level[k + 1], kappa(i, k))
-    base_level = min(n, i)
-    base_cols = set(per_level[base_level])
-    d = next(x for x in range(ncol(i)) if x not in base_cols)
-    # t1 keeps levels up to base_level whole and below them picks
-    # successors by rank, so each of its levels and successor tuples
-    # comes out lex-sorted, and its levels in turn length-lex sorted
-    levels = list(lm[:base_level + 1])
-    kids = {m: idx.successors[m] for ms in levels[:-1] for m in ms}
-    frontier = range(len(lm[base_level]))  # ranks of the picked members
-    for k in range(base_level, n):
-        fan, want, below = kappa(i, k), kappa(i + 1, k), per_level[k + 1]
-        row, up = lm[k], lm[k + 1]
-        nxt: list[int] = []
-        for r in frontier:
-            ok = [x for x in range(fan * r, fan * r + fan) if below[x] != d]
-            if len(ok) < want:
-                raise ShapeError(
-                    f"not enough clean successors under {row[r]!r}")
-            del ok[want:]
-            kids[row[r]] = tuple(map(up.__getitem__, ok))
-            nxt += ok
-        levels.append(tuple(map(up.__getitem__, nxt)))
-        frontier = nxt
-    top = levels[-1]  # every leaf of t0 is on level n, and so of t1
-    kids.update(dict.fromkeys(top, ()))
-    level = {m: k for k, ms in enumerate(levels) for m in ms}
-    return d, _with_index(level, kids, top, tuple(levels))
+    levels = _index(t0).levels  # below level n each has kappa(i, k) kids
+    n = len(levels) - 1
+    schedule = [(kappa(i, k), kappa(i + 1, k)) for k in range(n)]
+    d, picked = _thin_ranks(levels, min(n, i), schedule, top_cols)
+    # below level i both schedules give 2, so every member of t1 below
+    # its top keeps exactly want successors and they can be read off
+    # the level above in chunks; each level and successor tuple comes
+    # out lex-sorted, and the levels in turn length-lex sorted
+    wants = [want for _, want in schedule] + [0]  # top members keep none
+    kids = {m: up[want * j:want * j + want]
+            for ms, want, up in zip(picked, wants, picked[1:] + [()])
+            for j, m in enumerate(ms)}
+    level = {m: k for k, ms in enumerate(picked) for m in ms}
+    return d, _with_index(level, kids, picked[-1], tuple(picked))
 
 
 def verify_extraction(shape: BushyShape, f_target: Fanout, n: int,
@@ -337,18 +367,30 @@ def twocol_outcome(n: int, colors: dict[str, int]):
     return d, "".join(str(colors[s]) for s in sorted(colors))
 
 
-def nice_outcome(rng, i: int, n: int, t0: Tree):
-    """(d, failure) for one nice extraction from a colouring of t0's
-    leaves drawn from rng; failure as in twocol_outcome, except that
-    a rejected tree gives "d=<d>"."""
-    c = Coloring({s: rng.randrange(ncol(i)) for s in leaves(t0)}, ncol(i))
-    try:
-        d, t1 = extract_nice(GRADED_SHAPE, i, t0, c)
-    except ValueError as e:
-        return None, str(e)
-    if verify_extraction(GRADED_SHAPE, lambda k: kappa(i + 1, k), n, c, d, t1):
-        return d, None
-    return d, f"d={d}"
+def nice_outcomes(rng, i: int, n: int, t0: Iterable[str]):
+    """(d, failure) for one nice extraction after another from t0, each
+    from a colouring of t0's leaves drawn from rng; failure as in
+    twocol_outcome, except that a rejected tree gives "d=<d>".
+
+    Colourings go through extract_nice, input checks and all, until one
+    extraction succeeds.  t0 has then passed those checks, so its leaves
+    are its top level in rank order, and every later colouring goes
+    straight to the rank core with its colours as drawn.
+    """
+    t0, k, checked = Tree(t0), ncol(i), False
+    lvs, f = leaves(t0), lambda lv: kappa(i + 1, lv)
+    while True:
+        cols = [rng.randrange(k) for _ in lvs]
+        c = Coloring(dict(zip(lvs, cols)), k)
+        try:
+            d, t1 = (_extract_ranks(i, t0, cols) if checked
+                     else extract_nice(GRADED_SHAPE, i, t0, c))
+        except ValueError as e:
+            yield None, str(e)
+            continue
+        checked = True
+        yield d, (None if verify_extraction(GRADED_SHAPE, f, n, c, d, t1)
+                  else f"d={d}")
 
 
 def kappa_cells(imax: int, nmax: int):

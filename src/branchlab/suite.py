@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product, starmap
+from itertools import combinations, islice, product, starmap
 
 from .colorings import (EVEN_SHAPE, Coloring, bushy_level_strings,
-                        extract_twocol, kappa_cells, nice_outcome,
+                        extract_twocol, kappa_cells, nice_outcomes,
                         twocol_outcome, verify_extraction)
 from .cupping import (EMPTY_BUNDLE, bundle, find_pi_member,
                       materialize_pi_star, pi_membership_violation)
@@ -107,18 +107,15 @@ def _chk_twocol_mutant(check_id, rng):
     return [failed(check_id, f"flipped {show_string(leaf)} to colour {d}")]
 
 
-def _nice_flaw(rng, i: int, n: int, t0: Tree):
-    d, bad = nice_outcome(rng, i, n, t0)
-    return bad if d is None or bad is None else bad + " rejected"
-
-
 def _chk_nice(check_id, rng, i_max, per_cell):
     lines = []
     for i in range(i_max + 1):
         for n in range(i, i + 3):
             t0 = random_kappa_tree(rng, i, n)
+            outcomes = islice(nice_outcomes(rng, i, n, t0), per_cell)
             lines.append(_tally(f"{check_id}-i{i}-n{n}", (
-                _nice_flaw(rng, i, n, t0) for _ in range(per_cell))))
+                bad if d is None or bad is None else bad + " rejected"
+                for d, bad in outcomes)))
     return lines
 
 

@@ -463,6 +463,22 @@ def test_a_reader_that_leaves_early_gets_no_traceback():
     assert b"Traceback" not in err and err == b""
 
 
+def test_nice_extractions_check_their_tree_once(monkeypatch):
+    # t0's input checks run once per tree, not once per colouring
+    checked = []
+    real = colorings.is_compatible
+    monkeypatch.setattr(colorings, "is_compatible",
+                        lambda *a: checked.append(a[1]) or real(*a))
+    rep = cli.run_command("verify nice --i 1 --n 2 --count 8",
+                          empty_scenario())
+    assert [ln.status for ln in rep.lines] == ["PASS"] * 8
+    assert len(checked) == 1
+    checked.clear()
+    lines = suite._chk_nice("nice", random.Random(1), 1, 5)
+    assert [ln.render().split("\t")[2] for ln in lines] == ["5/5"] * 6
+    assert len(checked) == 6
+
+
 def test_nice_fail_lines_of_verify_and_suite(monkeypatch):
     sc = parse_scenario(_profile_scenario())
     monkeypatch.setattr(colorings, "verify_extraction", lambda *a: False)
@@ -1038,6 +1054,9 @@ _CORPUS = [
     ("verify twocol --n 1 --count 5", 0, "18018f0cba62786b"),
     ("verify twocol --n 1 --exhaustive", 0, "6eff6e53bf0f0e42"),
     ("verify nice --i 1 --n 2 --count 3", 0, "e263c4398efe1ccb"),
+    # extractions past level 2 and index 1
+    ("verify twocol --n 3 --count 200", 0, "b129a5464d258129"),
+    ("verify nice --i 2 --n 4 --count 64", 0, "12cf6a222335f212"),
     ("verify kappa --imax 2 --nmax 3", 0, "4964abb5315f8192"),
     ("run cupping --n 1", 0, "8280db504be065b0"),
     ("run traceable --horizon 4 --scenario {adv}", 0, "91cc7b3b9655e91c"),

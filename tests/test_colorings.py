@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -8,10 +9,11 @@ from branchlab import colorings, suite, trees
 from branchlab.colorings import (EVEN, GRADED, Coloring, EVEN_SHAPE,
                                  GRADED_SHAPE, bushy_level_strings,
                                  extract_nice, extract_twocol, is_compatible,
-                                 kappa, ncol, verify_extraction)
+                                 kappa, ncol, nice_outcomes,
+                                 verify_extraction)
 from branchlab.errors import BudgetError, ShapeError
 from branchlab.gen import random_kappa_tree
-from branchlab.trees import (Tree, leaves, level_map, successors,
+from branchlab.trees import (Tree, leaves, level_map, max_level, successors,
                              tree_uniform_level)
 from helpers import index_items
 
@@ -286,6 +288,39 @@ def _naive_propagate(counts_src, parents, child_of):
     return out
 
 
+@pytest.mark.parametrize("fan", [2, 4, 8, 16, 32])
+def test_majority_step_matches_naive_propagation(fan):
+    # constant runs, blank ones among them, ties, runs that are mostly
+    # blank, and random runs over a few colours
+    blank = colorings._BLANK
+    rng = random.Random(fan)
+    runs = []
+    for _ in range(300):
+        palette = [blank] + list(range(rng.choice((2, 3, 5))))
+        kind = rng.choice(("constant", "tie", "mostly-blank", "random"))
+        if kind == "constant":
+            run = [rng.choice(palette)] * fan
+        elif kind == "tie":
+            a, b = rng.sample(palette, 2)
+            run = [a] * (fan // 2) + [b] * (fan // 2)
+        elif kind == "mostly-blank":
+            run = [blank] * (fan // 2 + 1) + [
+                rng.choice(palette) for _ in range(fan // 2 - 1)]
+        else:
+            run = [rng.choice(palette) for _ in range(fan)]
+        rng.shuffle(run)
+        runs.append(run)
+    kids = [x for run in runs for x in run]
+    naive = _naive_propagate(
+        {x: col for x, col in enumerate(kids) if col != blank},
+        range(len(runs)), lambda p: range(fan * p, fan * p + fan))
+    got = colorings._majority_step(kids, fan)
+    assert got == [blank if naive[p] is None else naive[p]
+                   for p in range(len(runs))]
+    # a blank, the fallback 0 under a tie, and a won colour other than 0
+    assert blank in got and 0 in got and max(got) > 0
+
+
 def _naive_extract_twocol(shape, n, c):
     if shape.variant != EVEN:
         raise ShapeError("two-colour extraction runs on the even shape")
@@ -543,6 +578,17 @@ def _twocol_cases(rng):
     yield EVEN_SHAPE, 1, Coloring({}, 3)
 
 
+def test_extract_twocol_refuses_bad_levels_before_building_any(monkeypatch):
+    built = []
+    real = colorings._bit_strings
+    monkeypatch.setattr(colorings, "_bit_strings",
+                        lambda length: built.append(length) or real(length))
+    for n, error in ((-1, ShapeError), (11, BudgetError)):
+        with pytest.raises(error):
+            extract_twocol(EVEN_SHAPE, n, Coloring({}, 2))
+    assert built == []
+
+
 def test_extract_twocol_matches_naive_extraction():
     rng = random.Random(2024)
     errors = 0
@@ -594,6 +640,38 @@ def test_extract_nice_matches_naive_extraction():
                      "input tree is not kappa(i)-compatible",
                      "leaves sit at mixed levels", "expected an ncol(0)-colouring",
                      "graded shape required"}
+
+
+def _nice_outcome_per_colouring(rng, i, n, t0):
+    """One outcome of nice_outcomes as it was computed before t0 was
+    checked once per tree: every colouring runs extract_nice, input
+    checks included."""
+    c = Coloring({s: rng.randrange(ncol(i)) for s in leaves(t0)}, ncol(i))
+    try:
+        d, t1 = extract_nice(GRADED_SHAPE, i, t0, c)
+    except ValueError as e:
+        return None, str(e)
+    if verify_extraction(GRADED_SHAPE, lambda k: kappa(i + 1, k), n, c, d, t1):
+        return d, None
+    return d, f"d={d}"
+
+
+def test_nice_outcomes_match_one_extraction_per_colouring():
+    # the same outcomes and the same draws, refused trees included
+    rng = random.Random(41)
+    kinds = set()
+    for shape, i, t0, _ in _nice_cases(rng):
+        if shape is not GRADED_SHAPE:
+            continue
+        n, seed = max_level(t0), rng.random()
+        mine, theirs = random.Random(seed), random.Random(seed)
+        got = list(islice(nice_outcomes(mine, i, n, t0), 3))
+        assert got == [_nice_outcome_per_colouring(theirs, i, n, t0)
+                       for _ in range(3)]
+        assert mine.getstate() == theirs.getstate()
+        kinds.update("ok" if d is not None else bad for d, bad in got)
+    assert kinds == {"ok", "input tree is not kappa(i)-compatible",
+                     "leaves sit at mixed levels"}
 
 
 def test_extraction_checks_build_no_index(monkeypatch):
